@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 import math
 
-import numpy as np
-
 from . import fixedpoint as fx
 
 _PUBLIC_X_CAP = 200.0
@@ -369,47 +367,3 @@ def refine_root(f, bracket, tol: float = 1e-12) -> float:
         if fc == 0:
             break
     return b
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-
-
-def _gl_panels(f, a: float, b: float, panels: int) -> float:
-    # blocks cap peak memory; 1e6 pi-wide panels would not fit in one array
-    total = 0.0
-    block = 50000
-    width = (b - a) / panels
-    for start in range(0, panels, block):
-        count = min(block, panels - start)
-        edges = a + (start + np.arange(count + 1)) * width
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        xs = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        try:
-            vals = np.asarray(f(xs), dtype=float)
-            if vals.shape != xs.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.vectorize(f, otypes=[float])(xs)
-        total += float(np.sum(_GL_WEIGHTS[None, :] * vals * half[:, None]))
-    return total
-
-
-def quad(f, a: float, b: float, tol: float = 1e-9) -> float:
-    """Integrate f over [a, b] to absolute accuracy tol.
-
-    Composite 20-point Gauss-Legendre with panels about pi wide (the
-    Lemma-style integrands are smooth within each half-oscillation),
-    doubling the panel count until two passes agree to tol/2.
-    """
-    if b <= a:
-        raise DomainError("quad: need a < b")
-    panels = max(4, min(1200000, int((b - a) / math.pi) + 1))
-    prev = _gl_panels(f, a, b, panels)
-    for _ in range(12):
-        panels *= 2
-        cur = _gl_panels(f, a, b, panels)
-        if abs(cur - prev) <= tol / 2:
-            return cur
-        prev = cur
-    raise PrecisionError("quad: panel doubling did not converge")

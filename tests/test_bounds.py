@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from besselcert import (
     AIRY_C,
     DomainError,
+    EvalResult,
     Order,
     airy_envelope_maxima,
     bound_airy_envelope,
@@ -21,6 +22,7 @@ from besselcert import (
     lemma_integral_check,
     sonin_eval,
 )
+from besselcert.bounds import _gauss_legendre, _trigamma
 
 INV_SQRT_PI = 1 / math.sqrt(math.pi)
 
@@ -246,3 +248,59 @@ class TestLemmaIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             lemma_integral_check(0.0)
+
+
+class TestDomainGuards:
+    # explicit errors, not asserts: these guards must survive python -O
+
+    def test_derivative_nonpositive_psi(self, monkeypatch):
+        # with the shift gone, x = nu passes the domain check but psi < 0
+        monkeypatch.setattr("besselcert.bounds._DERIV_SHIFT", 0.0)
+        with pytest.raises(DomainError, match="psi"):
+            bound_derivative(Order(5.0), 5.0)
+
+    @pytest.mark.parametrize("value", [0.0, -0.1])
+    def test_near_first_zero_nonpositive_value(self, monkeypatch, value):
+        monkeypatch.setattr("besselcert.bounds.bessel_j_ref",
+                            lambda order, x, ctx=None: EvalResult(value, 1e-17))
+        with pytest.raises(DomainError, match="first zero"):
+            bound_near_first_zero(Order(5.0))
+
+
+LEMMA_XS = (1e-3, 0.1, 1.0, 10.0, 100.0, 1e4, 1e6)
+
+
+def _lemma_fold(mpmath, x):
+    # both integrals folded onto one period through the trigamma function
+    pi = mpmath.pi
+    f1 = lambda u: mpmath.sin(u) ** 2 * mpmath.psi(1, (u + x) / pi)
+    f2 = lambda u: mpmath.sin(u) * mpmath.psi(1, (u + x) / pi)
+    return mpmath.quad(f1, [0, pi]) / pi ** 2, mpmath.quad(f2, [0, pi]) / pi ** 2
+
+
+class TestLemmaClosedForm:
+    def test_trigamma_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for k in range(46):
+            z = 1e-3 * 10 ** (k / 5)  # 1e-3 .. 1e6
+            truth = mpmath.psi(1, z)
+            assert abs(float((_trigamma(z) - truth) / truth)) <= 1e-14, z
+
+    def test_gauss_legendre_exact_to_degree_39(self):
+        rule = _gauss_legendre()
+        assert len(rule) == 20
+        for k in range(40):
+            exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(math.fsum(w * t ** k for t, w in rule) - exact) < 1e-15
+
+    @pytest.mark.parametrize("x", LEMMA_XS)
+    def test_lhs_bounds_the_integrals_from_above(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            truths = _lemma_fold(mpmath, x)
+        for rep, truth in zip(lemma_integral_check(x), truths):
+            assert truth <= rep.lhs <= truth + 1e-12 * max(1, truth), rep.name
+
+    @pytest.mark.parametrize("x", LEMMA_XS)
+    def test_holds(self, x):
+        assert all(rep.holds for rep in lemma_integral_check(x))

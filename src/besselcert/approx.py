@@ -256,7 +256,7 @@ def best_approx(order: Order, x: float,
         candidates.append(simplified_oscillatory(order, x))
     elif x > max(mu, math.sqrt(mu)):
         candidates.append(sharper_oscillatory(order, x))
-    if nu >= 0 and max(nu / 2 - 0.25, 1) <= 1:
+    if 0 <= nu <= 2.5:
         candidates.append(olver_expansion(order, x, 1, 1))
     if nu >= 0.5 and x >= nu:
         z = (x - nu) / nu ** (1 / 3)

@@ -313,10 +313,18 @@ def sonin_eval(variant: str, order: Order, x: float,
 def leftmost_max_check(order: Order, ctx: PrecisionCtx = DEFAULT_CTX) -> BoundReport:
     """First positive maximum xi of (mu - x^2)^(1/4) J_nu exceeds its floor.
 
-    For nu >= 5/3, xi > nu sqrt(1 - (2 nu)^(-2/3)).  The envelope rises
-    monotonically from 0 to its first crest, which lands below sqrt(mu)
-    (the damping factor forces the derivative negative approaching sqrt(mu)),
-    so the first sign change of the derivative is the maximum.
+    For nu >= 5/3, xi > nu sqrt(1 - (2 nu)^(-2/3)).  On 0 < x < sqrt(mu) <
+    nu < j_{nu,1}, J_nu and J'_nu are positive and x J'_nu/J_nu =
+    nu - sum_k 2x^2/(j_{nu,k}^2 - x^2) strictly decreases, so the envelope's
+    log-derivative J'_nu/J_nu - x/(2(mu - x^2)) strictly decreases from +inf
+    at 0+ to -inf at sqrt(mu)-.  Its derivative hp thus changes sign exactly
+    once, and its signs on the geometric scan grid read + ... + - ... -,
+    after a run of exact zeros where J_nu and J'_nu underflow the oracle's
+    fixed-point scale (x near 0 once nu >~ 25).  So bisecting the grid's
+    indices, with hp >= 0 at lo and hp < 0 at hi, finds the interval in
+    which a walk along the grid would first see hp turn from positive to
+    negative, at ~12 evaluations instead of ~1000; refine_root takes xi
+    from there.
     """
     nu = order.nu
     if nu < 5 / 3:
@@ -330,18 +338,21 @@ def leftmost_max_check(order: Order, ctx: PrecisionCtx = DEFAULT_CTX) -> BoundRe
         jp = bessel_j_prime_ref(order, x, ctx).value
         return -0.5 * x * s ** -0.75 * j + s ** 0.25 * jp
 
-    x = 0.05
-    prev_x, prev_d = x, hp(x)
-    xi = None
-    while x < root_mu - 1e-6:
-        x = min(root_mu - 1e-6, x + max(1e-3, x / 300))
-        d = hp(x)
-        if prev_d > 0 and d <= 0:
-            xi = refine_root(hp, (prev_x, x), 1e-10)
-            break
-        prev_x, prev_d = x, d
-    if xi is None:
+    xs = [0.05]
+    while xs[-1] < root_mu - 1e-6:
+        xs.append(min(root_mu - 1e-6, xs[-1] + max(1e-3, xs[-1] / 300)))
+    lo, hi = 0, len(xs) - 1
+    d_lo, d_hi = hp(xs[lo]), hp(xs[hi])
+    while d_lo >= 0 > d_hi and hi - lo > 1:
+        mid = (lo + hi) // 2
+        d = hp(xs[mid])
+        if d >= 0:
+            lo, d_lo = mid, d
+        else:
+            hi, d_hi = mid, d
+    if not d_lo > 0 > d_hi:
         raise RuntimeError("leftmost_max_check: no maximum found below sqrt(mu)")
+    xi = refine_root(hp, (xs[lo], xs[hi]), 1e-10)
     floor = nu * math.sqrt(1 - (2 * nu) ** (-2 / 3))
     return _make("leftmost_max", floor, xi, strict=True, slack=1e-9)
 

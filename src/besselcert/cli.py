@@ -226,10 +226,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         rows = ns.run(ns)
-    except (_UsageError, DomainError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (PrecisionError, RuntimeError) as e:
+    except (_UsageError, DomainError, ValueError, PrecisionError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     text = _render(rows, ns.format)

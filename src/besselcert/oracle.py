@@ -18,8 +18,6 @@ from . import fixedpoint as fx
 
 _PUBLIC_X_CAP = 200.0
 _AIRY_X_CAP = 120.0
-# the Airy path feeds zeta = 2 x^(3/2)/3 <= ~876 into the series internally
-_SERIES_ARG_CAP = 880.0
 _DIGIT_CAP = 500
 _TERM_CAP = 5000
 # float conversion plus a couple of float ops, per rounding step

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from besselcert import (
     AIRY_C,
+    BoundReport,
     DomainError,
     EvalResult,
     Order,
     airy_envelope_maxima,
+    bessel_j_ref,
     bound_airy_envelope,
     bound_derivative,
     bound_envelope,
@@ -234,6 +236,49 @@ class TestLeftmostMax:
     def test_domain(self):
         with pytest.raises(DomainError):
             leftmost_max_check(Order(1.5))
+
+
+# (nu, floor, xi) of the linear scan-grid walk that the bisection replaced
+LEFTMOST_GOLDEN = (
+    (5 / 3, 1.2381208042660228, 1.3521003892488836),
+    (1.8, 1.3640538925173025, 1.4822755830988736),
+    (2.0, 1.5532543088727617, 1.6771682731180904),
+    (5.0, 4.428759789706402, 4.600175557522324),
+    (5.8, 5.203389574442307, 5.382721717262857),
+    (10.0, 9.296661331737617, 9.507151396341996),
+    (20.0, 19.125911248002435, 19.383433080159993),
+    # J_nu reads 0 on the first grid points: the oracle's scale underflows
+    (30.0, 29.004775216892597, 29.295125410829993),
+    (40.0, 38.90787339856452, 39.22443994673529),
+)
+
+
+class TestLeftmostMaxBisection:
+    @pytest.mark.parametrize("nu, floor, xi", LEFTMOST_GOLDEN)
+    def test_bit_identical_to_the_walk(self, nu, floor, xi):
+        assert leftmost_max_check(Order(nu)) == BoundReport(
+            "leftmost_max", floor, xi, xi - floor, True)
+
+    def test_call_budget(self, monkeypatch):
+        # the walk made 1323 J evaluations at nu = 10
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return bessel_j_ref(*args)
+
+        monkeypatch.setattr("besselcert.bounds.bessel_j_ref", counting)
+        leftmost_max_check(Order(10.0))
+        assert len(calls) <= 60
+
+    def test_no_sign_change_raises(self, monkeypatch):
+        # hp = (mu - x^2)^(1/4) > 0 on the whole grid
+        monkeypatch.setattr("besselcert.bounds.bessel_j_ref",
+                            lambda order, x, ctx=None: EvalResult(0.0, 0.0))
+        monkeypatch.setattr("besselcert.bounds.bessel_j_prime_ref",
+                            lambda order, x, ctx=None: EvalResult(1.0, 0.0))
+        with pytest.raises(RuntimeError, match="no maximum"):
+            leftmost_max_check(Order(5.0))
 
 
 class TestLemmaIntegral:

@@ -5,8 +5,8 @@ Every subcommand emits rows under the fixed header
 with reals printed to 17 significant digits, so repeated runs with the same
 flags are byte-identical and the rows feed plotting tools directly.  Exit
 status: 0 all rows certified, 1 if any row has ratio > 1 or holds = false,
-2 on usage errors.  For bound rows value/oracle/half_width carry the
-inequality's lhs/rhs/margin; nan fills columns a subject has no use for.
+2 on usage errors or an unwritable --output.  Bound rows carry lhs/rhs/margin
+in value/oracle/half_width; nan fills the columns a subject has no use for.
 """
 
 import argparse
@@ -20,23 +20,10 @@ from .oracle import (
     PrecisionError,
     bessel_j_ref,
 )
-from . import bounds as _bounds
 from . import scan as _scan
 from . import zeros as _zeros
 
 CSV_HEADER = "subject,nu,x,value,oracle,half_width,ratio,holds"
-
-_POINT_BOUNDS = ("watson", "envelope", "derivative", "monotonic",
-                 "log_derivative", "airy_envelope", "wronskian_kernel",
-                 "near_first_zero", "leftmost_max", "lemma_integral",
-                 "airy_envelope_maxima")
-# flags each bound needs beyond --name; monotonic reads its t from --t
-_BOUND_FLAGS = {"watson": ("nu", "x"), "envelope": ("nu", "x"),
-                "derivative": ("nu", "x"), "monotonic": ("nu", "t"),
-                "log_derivative": ("nu", "x"), "airy_envelope": ("x",),
-                "wronskian_kernel": ("nu", "x", "x2"),
-                "near_first_zero": ("nu",), "leftmost_max": ("nu",),
-                "lemma_integral": ("x",), "airy_envelope_maxima": ()}
 
 
 class _UsageError(Exception):
@@ -72,37 +59,12 @@ def _cmd_approx(ns) -> list[_scan.ScanRow]:
     return [_scan.approx_row(ns.method, ns.nu, ns.x, ns.l1, ns.l2, DEFAULT_CTX)]
 
 
-def _need(ns, name: str):
-    for flag in _BOUND_FLAGS[name]:
-        if getattr(ns, flag) is None:
-            raise _UsageError(f"bounds --name {name} requires --{flag}")
-
-
 def _cmd_bounds(ns) -> list[_scan.ScanRow]:
-    name = ns.name
-    _need(ns, name)
-    nan = math.nan
-    if name == "monotonic":
-        reps = _bounds.bound_monotonic(Order(ns.nu), ns.t)
-        return [_scan._row_from_report(r, ns.nu, ns.t) for r in reps]
-    if name == "wronskian_kernel":
-        rep = _bounds.bound_wronskian_kernel(ns.nu, ns.x, ns.x2)
-        return [_scan._row_from_report(rep, ns.nu, ns.x)]
-    if name == "airy_envelope_maxima":
-        reps = _bounds.airy_envelope_maxima(ns.x_hi)
-        return [_scan._row_from_report(r, nan, nan) for r in reps]
-    if name == "lemma_integral":
-        reps = _bounds.lemma_integral_check(ns.x)
-        return [_scan._row_from_report(r, nan, ns.x) for r in reps]
-    if name == "airy_envelope":
-        rep = _bounds.bound_airy_envelope(ns.x)
-        return [_scan._row_from_report(rep, nan, ns.x)]
-    order = Order(ns.nu)
-    if name in ("near_first_zero", "leftmost_max"):
-        reps = _scan._point_reports(name, order, nan, DEFAULT_CTX)
-        return [_scan._row_from_report(r, ns.nu, nan) for r in reps]
-    reps = _scan._point_reports(name, order, ns.x, DEFAULT_CTX)
-    return [_scan._row_from_report(r, ns.nu, ns.x) for r in reps]
+    coords, _ = _scan._BOUNDS[ns.name]
+    for flag in coords:
+        if getattr(ns, flag) is None:
+            raise _UsageError(f"bounds --name {ns.name} requires --{flag}")
+    return _scan.bound_rows(ns.name, {c: getattr(ns, c) for c in coords}, DEFAULT_CTX)
 
 
 def _cmd_zeros(ns) -> list[_scan.ScanRow]:
@@ -172,14 +134,16 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--nu", type=float, required=True)
     q.add_argument("--x", type=float, required=True,
                    help="evaluation point (the variable z for --method transition)")
-    q.add_argument("--method", choices=_scan._APPROX_METHODS, default="best")
+    q.add_argument("--method", choices=tuple(_scan._APPROXIMATIONS), default="best")
     q.add_argument("--l1", type=int, default=1)
     q.add_argument("--l2", type=int, default=1)
     q.set_defaults(run=_cmd_approx)
 
     q = sub.add_parser("bounds", parents=[common],
                        help="one named inequality at a point")
-    q.add_argument("--name", choices=_POINT_BOUNDS, required=True)
+    # a sonin_* check compares consecutive points, so it has no one-point form
+    q.add_argument("--name", required=True, choices=tuple(
+        name for name in _scan._BOUNDS if not name.startswith("sonin_")))
     q.add_argument("--nu", type=float)
     q.add_argument("--x", type=float)
     q.add_argument("--x2", type=float, help="second abscissa (wronskian_kernel)")
@@ -199,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("scan", parents=[common],
                        help="grid sweep of a method or bound, one row per check")
     q.add_argument("--method", required=True,
-                   choices=_scan._APPROX_METHODS + _scan._BOUND_NAMES)
+                   choices=(*_scan._APPROXIMATIONS, *_scan._SCAN_BOUNDS))
     q.add_argument("--nu-list", required=True, help="comma-separated orders")
     q.add_argument("--x-lo", type=float, required=True)
     q.add_argument("--x-hi", type=float, required=True)
@@ -231,8 +195,12 @@ def main(argv=None) -> int:
         return 2
     text = _render(rows, ns.format)
     if ns.output:
-        with open(ns.output, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(ns.output, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 1 if any(r.ratio > 1 or not r.holds for r in rows) else 0

@@ -8,6 +8,7 @@ counted, never extrapolated.
 """
 
 from dataclasses import dataclass
+import itertools
 import math
 
 from .oracle import (
@@ -24,16 +25,55 @@ from . import bounds as _bounds
 # floor on the oracle-error slack so exact cases (half_width = 0) divide cleanly
 _MIN_SLACK = 1e-11
 
-_APPROX_METHODS = ("classic", "sharp", "sharp_low", "sharp_high", "simplified",
-                   "olver", "transition", "best",
-                   "airy_classic", "airy_sharp", "airy_simplified")
-_AIRY_METHODS = ("airy_classic", "airy_sharp", "airy_simplified")
-_BOUND_NAMES = ("watson", "envelope", "derivative", "monotonic", "log_derivative",
-                "airy_envelope", "wronskian_kernel", "near_first_zero",
-                "leftmost_max", "sonin_szego", "sonin_envelope", "sonin_airy",
-                "lemma_integral")
-_NU_FREE = ("airy_envelope", "lemma_integral")
-_X_FREE = ("near_first_zero", "leftmost_max")
+
+def _sharp_branch(order: Order, x: float, branch: str) -> _approx.ApproxValue:
+    a = _approx.sharper_oscillatory(order, x)
+    if a.method != branch:
+        raise DomainError(f"{branch}: order falls in the other branch")
+    return a
+
+
+# The subjects, in CLI choice order.  Each entry looks its function up on the
+# approx or bounds module when called, so a wrapper rebound there sees every
+# call.  Approximations: method -> f(order, x, l1, l2, ctx); airy_* ignore order.
+_APPROXIMATIONS = {
+    "classic": lambda order, x, l1, l2, ctx: _approx.classic_oscillatory(order, x),
+    "sharp": lambda order, x, l1, l2, ctx: _approx.sharper_oscillatory(order, x),
+    "sharp_low": lambda order, x, l1, l2, ctx: _sharp_branch(order, x, "sharp_low"),
+    "sharp_high": lambda order, x, l1, l2, ctx: _sharp_branch(order, x, "sharp_high"),
+    "simplified": lambda order, x, l1, l2, ctx: _approx.simplified_oscillatory(order, x),
+    "olver": lambda order, x, l1, l2, ctx: _approx.olver_expansion(order, x, l1, l2),
+    "transition": lambda order, z, l1, l2, ctx: _approx.transition(order, z, ctx),
+    "best": lambda order, x, l1, l2, ctx: _approx.best_approx(order, x, ctx),
+    "airy_classic": lambda order, x, l1, l2, ctx: _approx.airy_approx(x, "classic"),
+    "airy_sharp": lambda order, x, l1, l2, ctx: _approx.airy_approx(x, "sharp"),
+    "airy_simplified": lambda order, x, l1, l2, ctx: _approx.airy_approx(x, "simplified"),
+}
+# Bounds: name -> (coordinates it reads, f(*coordinates, ctx) -> reports), with
+# nu passed as its Order.  A sonin_* entry gives one SoninSample, which the scan
+# compares with the next.
+_BOUNDS = {
+    "watson": (("nu", "x"), lambda order, x, ctx: (_bounds.bound_watson(order, x, ctx),)),
+    "envelope": (("nu", "x"), lambda order, x, ctx: (_bounds.bound_envelope(order, x, ctx),)),
+    "derivative": (("nu", "x"), lambda order, x, ctx: (_bounds.bound_derivative(order, x, ctx),)),
+    "monotonic": (("nu", "t"), lambda order, t, ctx: _bounds.bound_monotonic(order, t, ctx)),
+    "log_derivative": (("nu", "x"),
+                       lambda order, x, ctx: _bounds.bound_log_derivative(order, x, ctx)),
+    "airy_envelope": (("x",), lambda x, ctx: (_bounds.bound_airy_envelope(x, ctx),)),
+    "wronskian_kernel": (("nu", "x", "x2"), lambda order, x, x2, ctx:
+                         (_bounds.bound_wronskian_kernel(order.nu, x, x2, ctx),)),
+    "near_first_zero": (("nu",), lambda order, ctx: (_bounds.bound_near_first_zero(order, ctx),)),
+    "leftmost_max": (("nu",), lambda order, ctx: (_bounds.leftmost_max_check(order, ctx),)),
+    "sonin_szego": (("nu", "x"), lambda order, x, ctx: _bounds.sonin_eval("szego", order, x, ctx)),
+    "sonin_envelope": (("nu", "x"),
+                       lambda order, x, ctx: _bounds.sonin_eval("envelope", order, x, ctx)),
+    "sonin_airy": (("nu", "x"), lambda order, x, ctx: _bounds.sonin_eval("airy", order, x, ctx)),
+    "lemma_integral": (("x",), lambda x, ctx: _bounds.lemma_integral_check(x)),
+    "airy_envelope_maxima": (("x_hi",),
+                             lambda x_hi, ctx: _bounds.airy_envelope_maxima(x_hi, ctx)),
+}
+# airy_envelope_maxima searches [0, x_hi] itself; a grid has nothing to feed it
+_SCAN_BOUNDS = tuple(name for name in _BOUNDS if name != "airy_envelope_maxima")
 
 
 @dataclass(frozen=True)
@@ -138,26 +178,6 @@ def _row_from_report(rep: _bounds.BoundReport, nu: float, x: float) -> ScanRow:
                    _bound_ratio(rep), rep.holds)
 
 
-def _approx_at(method: str, order: Order, x: float, l1: int, l2: int,
-               ctx: PrecisionCtx) -> _approx.ApproxValue:
-    if method == "classic":
-        return _approx.classic_oscillatory(order, x)
-    if method in ("sharp", "sharp_low", "sharp_high"):
-        a = _approx.sharper_oscillatory(order, x)
-        if method != "sharp" and a.method != method:
-            raise DomainError(f"{method}: order falls in the other branch")
-        return a
-    if method == "simplified":
-        return _approx.simplified_oscillatory(order, x)
-    if method == "olver":
-        return _approx.olver_expansion(order, x, l1, l2)
-    if method == "transition":
-        return _approx.transition(order, x, ctx)
-    if method == "best":
-        return _approx.best_approx(order, x, ctx)
-    raise DomainError(f"verify_approx_grid: unknown method {method!r}")
-
-
 def approx_row(method: str, nu: float, x: float, l1: int = 3, l2: int = 3,
                ctx: PrecisionCtx = DEFAULT_CTX) -> ScanRow:
     """One approximation-vs-oracle check at a single point.
@@ -166,110 +186,82 @@ def approx_row(method: str, nu: float, x: float, l1: int = 3, l2: int = 3,
     consulted at nu + nu^(1/3) z; the airy_* methods ignore nu.  Raises
     DomainError off the method's domain.
     """
-    if method in _AIRY_METHODS:
-        a = _approx.airy_approx(x, method.removeprefix("airy_"))
+    order = Order(nu)
+    if method not in _APPROXIMATIONS:
+        raise DomainError(f"verify_approx_grid: unknown method {method!r}")
+    a = _APPROXIMATIONS[method](order, x, l1, l2, ctx)
+    if method.startswith("airy_"):
         ref = airy_ai_neg_ref(x, ctx)
-        nu_out = math.nan
+        nu = math.nan
     else:
-        order = Order(nu)
-        a = _approx_at(method, order, x, l1, l2, ctx)
         x_eval = _approx.transition_x(order, x) if method == "transition" else x
         ref = bessel_j_ref(order, x_eval, ctx)
-        nu_out = nu
     slack = max(ref.abs_err_estimate, _MIN_SLACK)
     ratio = abs(a.value - ref.value) / (a.half_width + slack)
-    return ScanRow(a.method, nu_out, x, a.value, ref.value, a.half_width,
+    return ScanRow(a.method, nu, x, a.value, ref.value, a.half_width,
                    ratio, ratio <= 1)
 
 
-def _point_reports(bound: str, order: Order | None, x: float,
-                   ctx: PrecisionCtx) -> tuple[_bounds.BoundReport, ...]:
-    if bound == "watson":
-        return (_bounds.bound_watson(order, x, ctx),)
-    if bound == "envelope":
-        return (_bounds.bound_envelope(order, x, ctx),)
-    if bound == "derivative":
-        return (_bounds.bound_derivative(order, x, ctx),)
-    if bound == "monotonic":
-        return _bounds.bound_monotonic(order, x, ctx)
-    if bound == "log_derivative":
-        return _bounds.bound_log_derivative(order, x, ctx)
-    if bound == "airy_envelope":
-        return (_bounds.bound_airy_envelope(x, ctx),)
-    if bound == "lemma_integral":
-        return _bounds.lemma_integral_check(x)
-    if bound == "near_first_zero":
-        return (_bounds.bound_near_first_zero(order, ctx),)
-    if bound == "leftmost_max":
-        return (_bounds.leftmost_max_check(order, ctx),)
-    raise DomainError(f"verify_bounds_grid: unknown bound {bound!r}")
+def bound_rows(name: str, point: dict[str, float],
+               ctx: PrecisionCtx = DEFAULT_CTX) -> list[ScanRow]:
+    """One bound's reports at a point mapping each of its coordinates to a value;
+    each row carries the point's nu and its x (monotonic: t), else nan."""
+    coords, reports = _BOUNDS[name]
+    nu = point.get("nu", math.nan)
+    x = point.get("x", point.get("t", math.nan))
+    args = (Order(point[c]) if c == "nu" else point[c] for c in coords)
+    return [_row_from_report(rep, nu, x) for rep in reports(*args, ctx)]
 
 
 def scan_rows(name: str, grid: GridSpec, l1: int = 3, l2: int = 3,
               ctx: PrecisionCtx = DEFAULT_CTX) -> tuple[list[ScanRow], int]:
     """All checks of an approximation method or bound over the grid.
 
-    Returns (rows, skipped).  Grid semantics vary with the subject's free
-    variables: monotonic reads the x coordinate as t in (0, 1];
-    wronskian_kernel pairs every (x1, x2) from the x grid; airy_envelope,
-    lemma_integral and the airy_* methods ignore nu_values; near_first_zero
-    and leftmost_max ignore the x grid; the sonin_* variants compare
-    consecutive grid points per nu (nondecreasing for szego and envelope,
-    nonincreasing for airy) with slack 1e-10.
+    _APPROXIMATIONS and _BOUNDS are the single list of subjects, for the scan
+    and the CLI.  Returns (rows, skipped).  A bound takes every combination
+    of the coordinates it reads: nu from nu_values; x, t in (0, 1]
+    (monotonic) and x2 from the x grid.  So wronskian_kernel pairs every
+    (x1, x2); airy_envelope, lemma_integral and the airy_* methods ignore
+    nu_values; near_first_zero and leftmost_max ignore the x grid.  The
+    sonin_* variants compare consecutive grid points per nu (nondecreasing
+    for szego and envelope, nonincreasing for airy) with slack 1e-10.
     """
     rows: list[ScanRow] = []
     skipped = 0
     xs = grid.x_values()
-    if name in _APPROX_METHODS:
-        nus = (math.nan,) if name in _AIRY_METHODS else grid.nu_values
-        for nu in nus:
-            for x in xs:
-                try:
-                    rows.append(approx_row(name, nu, x, l1, l2, ctx))
-                except DomainError:
-                    skipped += 1
+    if name in _APPROXIMATIONS:
+        nus = (math.nan,) if name.startswith("airy_") else grid.nu_values
+        for nu, x in itertools.product(nus, xs):
+            try:
+                rows.append(approx_row(name, nu, x, l1, l2, ctx))
+            except DomainError:
+                skipped += 1
         return rows, skipped
-    if name in ("sonin_szego", "sonin_envelope", "sonin_airy"):
-        variant = name.removeprefix("sonin_")
+    if name not in _SCAN_BOUNDS:
+        raise DomainError(f"scan: unknown method or bound {name!r}")
+    coords, sample = _BOUNDS[name]
+    if name.startswith("sonin_"):
         for nu in grid.nu_values:
             order = Order(nu)
             prev = None
             for x in xs:
                 try:
-                    cur = _bounds.sonin_eval(variant, order, x, ctx)
+                    cur = sample(order, x, ctx)
                 except DomainError:
                     skipped += 1
                     continue
                 if prev is not None:
-                    lhs, rhs = (cur.S, prev.S) if variant == "airy" else (prev.S, cur.S)
+                    lhs, rhs = (cur.S, prev.S) if name == "sonin_airy" else (prev.S, cur.S)
                     rep = _bounds._make(name, lhs, rhs, strict=False, slack=1e-10)
                     rows.append(_row_from_report(rep, nu, x))
                 prev = cur
         return rows, skipped
-    if name == "wronskian_kernel":
-        for nu in grid.nu_values:
-            for x1 in xs:
-                for x2 in xs:
-                    try:
-                        rep = _bounds.bound_wronskian_kernel(nu, x1, x2, ctx)
-                    except DomainError:
-                        skipped += 1
-                        continue
-                    rows.append(_row_from_report(rep, nu, x1))
-        return rows, skipped
-    if name not in _BOUND_NAMES:
-        raise DomainError(f"scan: unknown method or bound {name!r}")
-    nus = (math.nan,) if name in _NU_FREE else grid.nu_values
-    x_list = [math.nan] if name in _X_FREE else xs
-    for nu in nus:
-        order = None if math.isnan(nu) else Order(nu)
-        for x in x_list:
-            try:
-                reps = _point_reports(name, order, x, ctx)
-            except DomainError:
-                skipped += 1
-                continue
-            rows.extend(_row_from_report(rep, nu, x) for rep in reps)
+    axes = {"nu": grid.nu_values, "x": xs, "t": xs, "x2": xs}
+    for values in itertools.product(*(axes[c] for c in coords)):
+        try:
+            rows.extend(bound_rows(name, dict(zip(coords, values)), ctx))
+        except DomainError:
+            skipped += 1
     return rows, skipped
 
 
@@ -293,7 +285,7 @@ def verify_approx_grid(method: str, grid: GridSpec, l1: int = 3, l2: int = 3,
     cases (half_width = 0 at |nu| = 1/2) certify cleanly.  l1, l2 only
     affect method=olver.
     """
-    if method not in _APPROX_METHODS:
+    if method not in _APPROXIMATIONS:
         raise DomainError(f"verify_approx_grid: unknown method {method!r}")
     rows, skipped = scan_rows(method, grid, l1, l2, ctx)
     return _summarize(rows, skipped, method, bound_style=False)
@@ -305,7 +297,7 @@ def verify_bounds_grid(bound: str, grid: GridSpec,
 
     See scan_rows for how each bound consumes the grid.
     """
-    if bound not in _BOUND_NAMES:
+    if bound not in _SCAN_BOUNDS:
         raise DomainError(f"verify_bounds_grid: unknown bound {bound!r}")
     rows, skipped = scan_rows(bound, grid, ctx=ctx)
     return _summarize(rows, skipped, bound, bound_style=True)

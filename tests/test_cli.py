@@ -1,12 +1,30 @@
+import argparse
 import math
 
 import pytest
 
-from besselcert.cli import CSV_HEADER, main
+from besselcert.cli import CSV_HEADER, _build_parser, main
 
 # a 17-digit rendering of J_0(1); the printed string may differ in the last
 # digit (it shows the double's own expansion) but parses to the same double
 J0_AT_1 = float("0.76519768655796655")
+
+
+APPROX_CHOICES = ("classic", "sharp", "sharp_low", "sharp_high", "simplified",
+                  "olver", "transition", "best",
+                  "airy_classic", "airy_sharp", "airy_simplified")
+SCAN_CHOICES = APPROX_CHOICES + (
+    "watson", "envelope", "derivative", "monotonic", "log_derivative",
+    "airy_envelope", "wronskian_kernel", "near_first_zero", "leftmost_max",
+    "sonin_szego", "sonin_envelope", "sonin_airy", "lemma_integral")
+# bounds --name choices, in order, with the flags each requires beyond --name;
+# monotonic reads its t from --t
+REQUIRED_FLAGS = {"watson": ("nu", "x"), "envelope": ("nu", "x"),
+                  "derivative": ("nu", "x"), "monotonic": ("nu", "t"),
+                  "log_derivative": ("nu", "x"), "airy_envelope": ("x",),
+                  "wronskian_kernel": ("nu", "x", "x2"),
+                  "near_first_zero": ("nu",), "leftmost_max": ("nu",),
+                  "lemma_integral": ("x",), "airy_envelope_maxima": ()}
 
 
 def run(capsys, *args):
@@ -81,6 +99,15 @@ class TestBounds:
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "bounds", "--name", "monotonic", "--nu", "2")
         assert code == 2 and "--t" in err
+
+    @pytest.mark.parametrize("name,flag", [(name, flag) for name, flags in REQUIRED_FLAGS.items()
+                                           for flag in flags])
+    def test_every_required_flag(self, capsys, name, flag):
+        values = {"nu": "2.5", "x": "3", "t": "0.5", "x2": "5"}
+        given = [arg for f in REQUIRED_FLAGS[name] if f != flag for arg in (f"--{f}", values[f])]
+        code, out, err = run(capsys, "bounds", "--name", name, *given)
+        assert code == 2 and out == ""
+        assert err == f"error: bounds --name {name} requires --{flag}\n"
 
     def test_plain_format(self, capsys):
         code, out, _ = run(capsys, "bounds", "--name", "airy_envelope",
@@ -183,3 +210,21 @@ class TestHarness:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run(capsys, "eval", "--nu", "0", "--x", "1", "--output", str(target))
+        assert code == 2 and err.startswith("error:") and out == ""
+
+    def test_subject_choices(self):
+        # the choices fix the --help text: same subjects, same order
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+
+        def choices(command, dest):
+            return tuple(next(a.choices for a in sub.choices[command]._actions
+                              if a.dest == dest))
+
+        assert choices("approx", "method") == APPROX_CHOICES
+        assert choices("bounds", "name") == tuple(REQUIRED_FLAGS)
+        assert choices("scan", "method") == SCAN_CHOICES

@@ -11,7 +11,10 @@ from besselcert import (
     verify_approx_grid,
     verify_bounds_grid,
 )
-from besselcert.scan import _oscillation_gap
+from besselcert import approx as approx_module
+from besselcert import bounds as bounds_module
+from besselcert.cli import main
+from besselcert.scan import _oscillation_gap, approx_row
 from besselcert.oracle import DEFAULT_CTX
 
 
@@ -133,6 +136,30 @@ class TestBoundsGrid:
         g = GridSpec((0.0,), (1.0, 2.0), 5)
         with pytest.raises(DomainError):
             verify_bounds_grid("bernstein", g)
+
+
+class TestSubjectTables:
+    def test_functions_are_looked_up_at_call_time(self, monkeypatch, capsys):
+        # tracers and test doubles rebind module attributes; the tables must
+        # reach them rather than the functions bound at import
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bounds_module, "bound_watson",
+                            counting(bounds_module.bound_watson))
+        monkeypatch.setattr(approx_module, "classic_oscillatory",
+                            counting(approx_module.classic_oscillatory))
+        rows, _ = scan_rows("watson", GridSpec((1.0,), (1.0, 4.0), 2))
+        assert len(rows) == 2 and calls == ["bound_watson"] * 2
+        approx_row("classic", 1.0, 10.0)
+        assert calls[2:] == ["classic_oscillatory"]
+        assert main(["bounds", "--name", "watson", "--nu", "1", "--x", "2"]) == 0
+        assert calls[3:] == ["bound_watson"]
 
 
 class TestOlenkoSup:

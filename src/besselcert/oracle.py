@@ -4,9 +4,18 @@ Everything else in the package is tested against these routines, so they
 are built on exact scaled-integer arithmetic (see fixedpoint) rather than
 doubles: the defining power series of J_nu alternates and cancels up to
 about 0.45*x decimal digits at argument x, which is fatal in binary64
-beyond x of a few tens.  Working precision adapts to x so that at least
-12 significant digits always survive the cancellation, and every result
-carries its own absolute error estimate.
+beyond x of a few tens.
+
+The series is split as J_nu(x) = P * S.  S = sum_j (-1)^j u_j starts at
+u_0 = 1 and runs on integers at d = 40 + 0.45x digits (rounded up), with
+the exact rational term ratio of x and nu, so every term keeps its digits
+at any order.  The prefactor P = (x/2)^nu / Gamma(nu+1) has no
+cancellation but spans hundreds of decades; it is computed at a fixed 40
+digits and applied once, in the conversion to a double.  Every result
+carries an absolute error estimate, 3 ulp per term plus 20 against P
+times the largest term, plus the float rounding; where cancellation
+leaves fewer digits than the caller's target, the call raises
+PrecisionError instead.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +29,8 @@ _PUBLIC_X_CAP = 200.0
 _AIRY_X_CAP = 120.0
 _DIGIT_CAP = 500
 _TERM_CAP = 5000
+# digits of the series prefactor (x/2)^nu / Gamma(nu+1), whatever the sum needs
+_PF_DIGITS = 40
 # float conversion plus a couple of float ops, per rounding step
 _FLOAT_ULP = 2.3e-16
 
@@ -90,32 +101,43 @@ def _bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-@lru_cache(maxsize=4096)
-def _gamma_fixed(z: Fraction, g: int) -> int:
-    """Gamma(z) at g fixed digits via Stirling's series with argument shift.
+@lru_cache(maxsize=None)
+def _stirling_coeff(n: int) -> Fraction:
+    return _bernoulli(2 * n) / ((2 * n) * (2 * n - 1))
 
-    The argument is raised to w = z + k large enough that the asymptotic
-    series bottoms out below 10^(3-g); the factor prod (z+i) is exact
-    rational arithmetic, so the only approximation lives in ln/exp and in
-    the truncated Bernoulli sum.
-    """
+
+@lru_cache(maxsize=None)
+def _half_ln_2pi(g: int) -> int:
+    return fx.rdiv(fx.fln(2 * fx.pi_fixed(g), g), 2)
+
+
+def _stirling_shift(z: Fraction, g: int) -> tuple[Fraction, int, int]:
+    """(w, num, den): w = z + k large enough that Stirling's series bottoms
+    out below 10^(3-g), and prod_{i<k} (z+i) = num/den exactly."""
     if z <= 0:
         raise DomainError("gamma: argument must be positive")
-    w_min = max(30, 367 * (g + 8) // 1000 + 1)
-    k = max(0, math.ceil(w_min - z))
-    w = z + k
+    k = max(0, math.ceil(max(30, 367 * (g + 8) // 1000 + 1) - z))
+    p, r = z.numerator, z.denominator
+    num = 1
+    for i in range(k):
+        num *= p + i * r
+    return z + k, num, r ** k
+
+
+@lru_cache(maxsize=4096)
+def _stirling_ln_gamma(w: Fraction, g: int) -> int:
+    """ln Gamma(w) at g fixed digits from Stirling's series, w past the shift."""
     one = 10 ** g
     wf = fx.fix_from(w, g)
     lnw = fx.fln(wf, g)
-    acc = fx.fmul(wf - one // 2, lnw, g) - wf
-    acc += fx.rdiv(fx.fln(2 * fx.pi_fixed(g), g), 2)
+    acc = fx.fmul(wf - one // 2, lnw, g) - wf + _half_ln_2pi(g)
     inv_w = fx.fdiv(one, wf, g)
     inv_w2 = fx.fmul(inv_w, inv_w, g)
     pw = inv_w
     n = 1
     prev_mag = None
     while True:
-        coeff = _bernoulli(2 * n) / ((2 * n) * (2 * n - 1))
+        coeff = _stirling_coeff(n)
         term = fx.rdiv(coeff.numerator * pw, coeff.denominator)
         acc += term
         mag = abs(term)
@@ -126,21 +148,22 @@ def _gamma_fixed(z: Fraction, g: int) -> int:
         prev_mag = mag
         pw = fx.fmul(pw, inv_w2, g)
         n += 1
-    expw = fx.fexp(acc, g)
-    poch = Fraction(1)
-    for i in range(k):
-        poch *= z + i
-    if k == 0:
-        return expw
-    return fx.fdiv(expw, fx.fix_from(poch, g), g)
+    return acc
+
+
+@lru_cache(maxsize=4096)
+def _gamma_fixed(z: Fraction, g: int) -> int:
+    """Gamma(z) = Gamma(z + k) / prod_{i<k} (z+i) at g fixed digits.
+
+    The shift product is exact integer arithmetic, rounded once, so the
+    only approximation lives in ln/exp and in the truncated Bernoulli sum.
+    """
+    w, num, den = _stirling_shift(z, g)
+    return fx.fdiv(fx.fexp(_stirling_ln_gamma(w, g), g), fx.rdiv(num * 10 ** g, den), g)
 
 
 def gamma(z: float) -> float:
-    """Gamma(z) for 0 < z < 64, relative error well below 1e-25.
-
-    Serves as the base case Gamma(nu+1) of the series recurrence
-    Gamma(j+nu+1) = (j+nu)...(nu+1)Gamma(nu+1).
-    """
+    """Gamma(z) for 0 < z < 64, relative error well below 1e-25."""
     if not 0 < z < 64:
         raise DomainError("gamma: z must lie in (0, 64)")
     return fx.to_float(_gamma_fixed(Fraction(z), 40), 40)
@@ -156,49 +179,98 @@ def _digits_for(x: float, ctx: PrecisionCtx) -> int:
     return d
 
 
-@lru_cache(maxsize=200000)
-def _j_series_fixed(nu: Fraction, x: Fraction, d: int) -> tuple[int, int]:
-    """(value, abs_err) of J_nu(x) as fixed-point integers at d digits.
+@lru_cache(maxsize=None)
+def _ln2_fixed(g: int) -> int:
+    return fx.fln(2 * 10 ** g, g)
 
-    J_nu(x) = (x/2)^nu * sum_j (-1)^j (x^2/4)^j / (j! Gamma(j+nu+1)), run
-    as the term recurrence t_j = -t_{j-1} (x^2/4)/(j (j+nu)).  The error
-    estimate charges 3 ulp per term against the largest intermediate
-    magnitude, which is what cancellation actually exposes.
+
+@lru_cache(maxsize=64)
+def _ln_half(x: Fraction) -> int:
+    """ln(x/2) = ln a - (k+1) ln 2 at _PF_DIGITS, for x = a/2^k (a double).
+
+    Cached so that the orders a derivative or an Airy value combines at
+    one x share it.
     """
+    g = _PF_DIGITS
+    a, b = x.numerator, x.denominator
+    k = b.bit_length() - 1
+    if b != 1 << k:
+        raise ValueError("_ln_half: x must be a dyadic rational")
+    return fx.fln(a * 10 ** g, g) - (k + 1) * _ln2_fixed(g)
+
+
+def _prefactor(nu: Fraction, x: Fraction) -> tuple[int, int, int]:
+    """(m, num, den) with (x/2)^nu / Gamma(nu+1) = m num / den to ~_PF_DIGITS digits.
+
+    The prefactor has no cancellation, so it is computed at a fixed
+    precision whatever the series needs.  Gamma(nu+1) = Gamma(w) den/num
+    with the shift product num/den exact (see _stirling_shift) and
+    ln Gamma(w) cached per w, which orders a whole number apart share; so
+    one exp of nu ln(x/2) - ln Gamma(w), less its decade, is the only
+    rounding step left.
+    """
+    g = _PF_DIGITS
+    w, num, den = _stirling_shift(nu + 1, g)
+    ln_pf = -_stirling_ln_gamma(w, g)
+    if nu:
+        ln_pf += fx.rdiv(nu.numerator * _ln_half(x), nu.denominator)
+    ln10 = fx.ln10_fixed(g)
+    decade = ln_pf // ln10
+    m = fx.fexp(ln_pf - decade * ln10, g)
+    if decade >= g:
+        return m, num * 10 ** (decade - g), den
+    return m, num, den * 10 ** (g - decade)
+
+
+@lru_cache(maxsize=200000)
+def _j_series_fixed(nu: Fraction, x: Fraction, d: int) -> tuple[float, float]:
+    """(value, abs_err) of J_nu(x) as doubles, the sum run at d digits.
+
+    J_nu(x) = P sum_j (-1)^j u_j, P = (x/2)^nu / Gamma(nu+1) (see _prefactor).
+    The u_j = (x^2/4)^j / (j! (nu+1)_j) run on integers from u_0 = 10^d,
+    through the exact ratio a^2 r / (4 b^2 j (j r + p)) for x = a/b and
+    nu = p/r: each step rounds once, by half an ulp at most, and divides
+    by an integer of a few machine words.  The error charges 3 ulp per
+    term, plus 20, against P times the largest term, with no floor, so a
+    sum that cancels below the caller's target makes _j_eval refuse.  The
+    result converts to a double by one correctly rounded integer division
+    (as Fraction's float() does, less its gcd); P's ~1e-35 relative error
+    vanishes in the float rounding charge.
+    """
+    a, b = x.numerator, x.denominator
+    p, r = nu.numerator, nu.denominator
     one = 10 ** d
-    xf = fx.fix_from(x, d)
-    q = fx.rdiv(xf * xf, 4 * one)
-    g1 = _gamma_fixed(nu + 1, d + 15)
-    t = fx.rdiv(one * 10 ** (d + 15), g1)
-    if t == 0:
-        raise PrecisionError("leading series term underflows working precision")
-    nuf = fx.fix_from(nu, d)
-    s = t
-    tmax = abs(t)
-    xsq4 = float(x) * float(x) / 4
+    ratio_num, ratio_den = a * a * r, 4 * b * b
+    # step = ratio_den j (j r + p), advanced by its first and second differences
+    step, inc, inc2 = ratio_den * (r + p), ratio_den * (3 * r + p), 2 * ratio_den * r
+    u = s = tmax = one
     j = 1
     while j < _TERM_CAP:
-        t = -fx.rdiv(t * q, j * (j * one + nuf))
-        s += t
-        if abs(t) > tmax:
-            tmax = abs(t)
-        if t == 0 and j * (j + float(nu)) > xsq4:
+        u = (u * ratio_num + (step >> 1)) // step
+        if j & 1:
+            s -= u
+        else:
+            s += u
+        if u > tmax:
+            tmax = u
+        elif u == 0 and step > ratio_num:  # ratio below 1 from here on
             break
         j += 1
+        step += inc
+        inc += inc2
     else:
         raise PrecisionError("series did not terminate within the term cap")
-    pf = fx.fpow(fx.fix_from(x / 2, d), nu, d)
-    value = fx.fmul(pf, s, d)
-    spread = max(fx.fmul(pf, tmax, d), one)
-    err = fx.rdiv((3 * j + 20) * spread, one) + 1
-    return value, err
+    m, num, den = _prefactor(nu, x)
+    num *= m
+    den *= one
+    return s * num / den, (3 * j + 20) * tmax * num / (den * one)
 
 
 def _j_eval(nu: Fraction, x: Fraction, ctx: PrecisionCtx) -> EvalResult:
     d = _digits_for(float(x), ctx)
-    v, e = _j_series_fixed(nu, x, d)
-    value = fx.to_float(v, d)
-    err = fx.to_float(e, d) + _FLOAT_ULP * abs(value)
+    value, err = _j_series_fixed(nu, x, d)
+    # below the normal range a double's rounding error is absolute
+    err += _FLOAT_ULP * abs(value) + math.ulp(0.0)
     if err > ctx.target_rel_err * max(abs(value), 1e-10):
         raise PrecisionError("series error estimate exceeds the requested target")
     return EvalResult(value, err)
@@ -254,17 +326,13 @@ def _order_round_charge(zeta: float) -> float:
     return 6e-17 * (abs(math.log(zeta / 2)) + 2) * max(1.0, (2.0 / zeta) ** (1.0 / 3.0))
 
 
-_AI0 = None  # Ai(0) = 3^(-2/3)/Gamma(2/3), computed once at high precision
-
-
-def _ai_zero() -> float:
-    global _AI0
-    if _AI0 is None:
-        g = 60
-        v = fx.fdiv(fx.fpow(fx.fix_from(3, g), Fraction(-2, 3), g),
-                    _gamma_fixed(Fraction(2, 3), g), g)
-        _AI0 = fx.to_float(v, g)
-    return _AI0
+@lru_cache(maxsize=None)
+def _airy_origin(k: int) -> float:
+    """3^(-k/3)/Gamma(k/3) at 60 digits: Ai(0) for k = 2, -Ai'(0) for k = 1."""
+    g = 60
+    v = fx.fdiv(fx.fpow(fx.fix_from(3, g), Fraction(-k, 3), g),
+                _gamma_fixed(Fraction(k, 3), g), g)
+    return fx.to_float(v, g)
 
 
 def airy_ai_neg_ref(x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> EvalResult:
@@ -278,7 +346,7 @@ def airy_ai_neg_ref(x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> EvalResult:
     if not 0 <= x <= _AIRY_X_CAP:
         raise DomainError(f"airy_ai_neg_ref: x must lie in [0, {_AIRY_X_CAP:g}]")
     if x == 0:
-        v = _ai_zero()
+        v = _airy_origin(2)
         return EvalResult(v, _FLOAT_ULP * abs(v))
     zeta = 2 * x ** 1.5 / 3
     jm = _j_eval(Fraction(-1 / 3), Fraction(zeta), ctx)
@@ -303,11 +371,8 @@ def airy_ai_neg_prime_ref(x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> EvalResu
     if not 0 <= x <= _AIRY_X_CAP:
         raise DomainError(f"airy_ai_neg_prime_ref: x must lie in [0, {_AIRY_X_CAP:g}]")
     if x == 0:
-        g = 60
-        v = fx.fdiv(fx.fpow(fx.fix_from(3, g), Fraction(-1, 3), g),
-                    _gamma_fixed(Fraction(1, 3), g), g)
-        val = fx.to_float(v, g)
-        return EvalResult(val, _FLOAT_ULP * abs(val))
+        v = _airy_origin(1)
+        return EvalResult(v, _FLOAT_ULP * abs(v))
     zeta = 2 * x ** 1.5 / 3
     j13 = _j_eval(Fraction(1 / 3), Fraction(zeta), ctx)
     j23 = _j_eval(Fraction(2 / 3), Fraction(zeta), ctx)

@@ -206,11 +206,15 @@ def bound_rows(name: str, point: dict[str, float],
                ctx: PrecisionCtx = DEFAULT_CTX) -> list[ScanRow]:
     """One bound's reports at a point mapping each of its coordinates to a value;
     each row carries the point's nu and its x (monotonic: t), else nan."""
-    coords, reports = _BOUNDS[name]
-    nu = point.get("nu", math.nan)
-    x = point.get("x", point.get("t", math.nan))
-    args = (Order(point[c]) if c == "nu" else point[c] for c in coords)
-    return [_row_from_report(rep, nu, x) for rep in reports(*args, ctx)]
+    coords, _ = _BOUNDS[name]
+    args = [Order(point[c]) if c == "nu" else point[c] for c in coords]
+    return _point_rows(name, args, point.get("nu", math.nan),
+                       point.get("x", point.get("t", math.nan)), ctx)
+
+
+def _point_rows(name: str, args, nu: float, x: float, ctx: PrecisionCtx) -> list[ScanRow]:
+    # args: the bound's coordinates in order, nu as its Order; nu, x: the row's columns
+    return [_row_from_report(rep, nu, x) for rep in _BOUNDS[name][1](*args, ctx)]
 
 
 def scan_rows(name: str, grid: GridSpec, l1: int = 3, l2: int = 3,
@@ -256,10 +260,14 @@ def scan_rows(name: str, grid: GridSpec, l1: int = 3, l2: int = 3,
                     rows.append(_row_from_report(rep, nu, x))
                 prev = cur
         return rows, skipped
-    axes = {"nu": grid.nu_values, "x": xs, "t": xs, "x2": xs}
-    for values in itertools.product(*(axes[c] for c in coords)):
+    # one Order per order, not one per grid point
+    axes = {"nu": [Order(nu) for nu in grid.nu_values], "x": xs, "t": xs, "x2": xs}
+    for args in itertools.product(*(axes[c] for c in coords)):
+        point = dict(zip(coords, args))
+        nu = point["nu"].nu if "nu" in point else math.nan
+        x = point.get("x", point.get("t", math.nan))
         try:
-            rows.extend(bound_rows(name, dict(zip(coords, values)), ctx))
+            rows.extend(_point_rows(name, args, nu, x, ctx))
         except DomainError:
             skipped += 1
     return rows, skipped

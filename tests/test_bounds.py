@@ -247,9 +247,10 @@ LEFTMOST_GOLDEN = (
     (5.8, 5.203389574442307, 5.382721717262857),
     (10.0, 9.296661331737617, 9.507151396341996),
     (20.0, 19.125911248002435, 19.383433080159993),
-    # J_nu reads 0 on the first grid points: the oracle's scale underflows
+    # J_nu is below 1e-80 on the first grid points, and hp is still positive there
     (30.0, 29.004775216892597, 29.295125410829993),
-    (40.0, 38.90787339856452, 39.22443994673529),
+    # mpmath's crest is 39.224440282916959
+    (40.0, 38.90787339856452, 39.22444028291696),
 )
 
 
@@ -279,6 +280,20 @@ class TestLeftmostMaxBisection:
                             lambda order, x, ctx=None: EvalResult(1.0, 0.0))
         with pytest.raises(RuntimeError, match="no maximum"):
             leftmost_max_check(Order(5.0))
+
+
+class TestLargeOrderCrests:
+    def test_crest_matches_mpmath(self):
+        # mpmath's root of hp at nu = 45.1
+        rep = leftmost_max_check(Order(45.1))
+        assert abs(rep.rhs - 44.29282621385047612) <= 1e-8
+        assert rep.holds
+
+    def test_order_fifty_reports(self):
+        # J_50 is about 1e-97 at the first grid point, x = 0.05
+        rep = leftmost_max_check(Order(50.0))
+        assert abs(rep.rhs - 49.16460074347863957) <= 1e-8
+        assert rep.holds
 
 
 class TestLemmaIntegral:

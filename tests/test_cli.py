@@ -49,6 +49,13 @@ class TestEval:
         assert float(row[5]) < 1e-15
         assert row[7] == "true"
 
+    def test_large_order(self, capsys):
+        # a large order at moderate x
+        code, out, _ = run(capsys, "eval", "--nu", "45.1", "--x", "40")
+        assert code == 0
+        (row,) = rows_of(out)
+        assert row[3] == "0.015354176076646674"
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "eval", "--nu", "0")
         assert code == 2

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from besselcert.oracle import (
     DomainError,
     Order,
     PrecisionCtx,
+    PrecisionError,
     airy_ai_neg_prime_ref,
     airy_ai_neg_ref,
     bessel_j_prime_ref,
@@ -242,6 +244,61 @@ def test_eval_result_error_contract(nu, x):
     r = bessel_j_ref(Order(nu), x)
     assert r.abs_err_estimate <= DEFAULT_CTX.target_rel_err * max(abs(r.value), 1e-10)
     assert math.isfinite(r.value)
+
+
+# large orders at moderate x, where 1/Gamma(nu+1) is below 1e-43: the sum
+# must keep its digits whatever the size of the prefactor
+LARGE_ORDER_REF = {
+    (45.1, 40.0): "0.01535417607664667354565161272015873267396",
+    (55.5, 60.0): "0.1555221570034730336385841630962102691459",
+    (37.3, 40.0): "0.1991024272193686134383896560311064878267",
+}
+
+
+def test_large_order_reproductions():
+    for (nu, x), s in LARGE_ORDER_REF.items():
+        r = bessel_j_ref(Order(nu), x)
+        assert abs(Fraction(r.value) - Fraction(s)) <= Fraction(r.abs_err_estimate), (nu, x)
+        assert r.abs_err_estimate <= 1e-12 * abs(r.value)
+
+
+def test_extreme_arguments():
+    # J_60(0.05) ~ 9e-179 lies far below the series' working scale 10^-60
+    assert bessel_j_ref(Order(60.0), 0.05).value == 9.041098925071988e-179
+    tiny = 1e-300
+    r = bessel_j_ref(Order(60.0), tiny)  # ~1e-18080: underflows to 0
+    assert r.value == 0.0 and 0 < r.abs_err_estimate < 1e-300
+    assert bessel_j_ref(Order(0.0), tiny).value == 1.0
+    r = bessel_j_ref(Order(-0.5), tiny)
+    ref = math.sqrt(2 / (math.pi * tiny))  # times cos(tiny) = 1
+    assert abs(r.value - ref) <= r.abs_err_estimate + 2e-16 * ref
+
+
+def test_seeded_mpmath_audit():
+    # every value lies within its own estimate, or the call refuses
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(7)
+    cases = []
+    for i in range(150):
+        prime = i % 2
+        nu = rng.uniform(0.5 if prime else -0.5, 60)
+        x = 200 * (1 - rng.random())
+        cases.append((bessel_j_prime_ref if prime else bessel_j_ref, (Order(nu), x),
+                      lambda nu=nu, x=x, prime=prime: mpmath.besselj(nu, x, prime)))
+    for _ in range(40):
+        x = rng.uniform(0, 120)
+        cases.append((airy_ai_neg_ref, (x,), lambda x=x: mpmath.airyai(-x)))
+        cases.append((airy_ai_neg_prime_ref, (x,), lambda x=x: -mpmath.airyai(-x, 1)))
+    refused = 0
+    with mpmath.workdps(50):
+        for f, args, truth in cases:
+            try:
+                r = f(*args)
+            except PrecisionError:
+                refused += 1
+                continue
+            assert abs(mpmath.mpf(r.value) - truth()) <= r.abs_err_estimate, (f.__name__, args)
+    assert refused < len(cases) // 10
 
 
 def test_refine_root_cos():

@@ -9,7 +9,7 @@ verifies every one of them against the series evaluator on dense grids.
 from dataclasses import dataclass
 import math
 
-from .oracle import DomainError, Order, PrecisionCtx, DEFAULT_CTX, airy_ai_neg_ref
+from .oracle import DomainError, Order, airy_ai_neg_ref
 from .oracle import _AIRY_X_CAP
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
@@ -181,8 +181,7 @@ def transition_x(order: Order, z: float) -> float:
     return order.nu + order.nu ** (1 / 3) * z
 
 
-def transition(order: Order, z: float,
-               ctx: PrecisionCtx = DEFAULT_CTX) -> ApproxValue:
+def transition(order: Order, z: float) -> ApproxValue:
     """Airy-type approximation of J_nu near x = nu, in the variable z >= 0.
 
     At x = nu + nu^(1/3) z,
@@ -198,7 +197,7 @@ def transition(order: Order, z: float,
     if not 0 <= z <= _TRANSITION_Z_CAP:
         raise DomainError(
             f"transition: z must lie in [0, {_TRANSITION_Z_CAP:.1f}]")
-    ai = airy_ai_neg_ref(2 ** (1 / 3) * z, ctx)
+    ai = airy_ai_neg_ref(2 ** (1 / 3) * z)
     pow23 = order.nu ** (2 / 3)
     value = 2 ** (1 / 3) * ai.value / math.sqrt(pow23 + z)
     hw = 23 * max(1.0, z ** 2.25) / (2 * pow23 * math.sqrt(pow23 + z))
@@ -239,8 +238,7 @@ def airy_approx(x: float, mode: str = "sharp") -> ApproxValue:
     raise DomainError(f"airy_approx: unknown mode {mode!r}")
 
 
-def best_approx(order: Order, x: float,
-                ctx: PrecisionCtx = DEFAULT_CTX) -> ApproxValue:
+def best_approx(order: Order, x: float) -> ApproxValue:
     """The applicable Bessel approximation with the smallest certified width.
 
     Every method whose precondition holds at (nu, x) is evaluated; none is
@@ -261,6 +259,6 @@ def best_approx(order: Order, x: float,
     if nu >= 0.5 and x >= nu:
         z = (x - nu) / nu ** (1 / 3)
         if z <= _TRANSITION_Z_CAP:
-            candidates.append(transition(order, z, ctx))
+            candidates.append(transition(order, z))
     return min(candidates,
                key=lambda a: (a.half_width, _METHOD_ORDER.index(a.method)))

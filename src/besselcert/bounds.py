@@ -12,10 +12,8 @@ import math
 
 from . import fixedpoint as fx
 from .oracle import (
-    DEFAULT_CTX,
     DomainError,
     Order,
-    PrecisionCtx,
     _FLOAT_ULP,
     _bernoulli,
     _j_prime_any,
@@ -62,21 +60,21 @@ def _make(name: str, lhs: float, rhs: float, strict: bool, slack: float) -> Boun
     return BoundReport(name, lhs, rhs, margin, holds)
 
 
-def bound_watson(order: Order, x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> BoundReport:
+def bound_watson(order: Order, x: float) -> BoundReport:
     """J_nu(x) <= (x/2)^nu / Gamma(nu+1), the power-law cap near the origin."""
-    r = bessel_j_ref(order, x, ctx)
+    r = bessel_j_ref(order, x)
     rhs = (x / 2) ** order.nu / gamma(order.nu + 1)
     return _make("watson", r.value, rhs, strict=False, slack=r.abs_err_estimate)
 
 
-def bound_envelope(order: Order, x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> BoundReport:
+def bound_envelope(order: Order, x: float) -> BoundReport:
     """Amplitude cap on J_nu: the oscillation never exceeds its envelope.
 
     |nu| <= 1/2: sqrt(pi x/2) |J_nu(x)| <= 1 (equality at the extrema of
     J_{1/2}); nu > 1/2: |x^2-mu|^(1/4) |J_nu(x)| sqrt(pi/2) < 1 strictly,
     and the constant is best possible.
     """
-    r = bessel_j_ref(order, x, ctx)
+    r = bessel_j_ref(order, x)
     if abs(order.nu) <= 0.5:
         scale = math.sqrt(math.pi * x / 2)
         return _make("envelope", scale * abs(r.value), 1.0,
@@ -89,7 +87,7 @@ def bound_envelope(order: Order, x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> B
 _DERIV_SHIFT = (math.sqrt(7) - 1) / 2 ** (2 / 3)
 
 
-def bound_derivative(order: Order, x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> BoundReport:
+def bound_derivative(order: Order, x: float) -> BoundReport:
     """Envelope cap on J'_nu beyond the transition region.
 
     For x >= nu + ((sqrt7-1)/2^(2/3)) nu^(1/3),
@@ -105,14 +103,13 @@ def bound_derivative(order: Order, x: float, ctx: PrecisionCtx = DEFAULT_CTX) ->
     psi = 4 * s ** 3 - 3 * x ** 4 - 10 * x * x * nu * nu + nu ** 4
     if not psi > 0:
         raise DomainError("bound_derivative: psi must be positive on the stated domain")
-    r = bessel_j_prime_ref(order, x, ctx)
+    r = bessel_j_prime_ref(order, x)
     scale = x * psi ** 0.25 / s
     return _make("derivative", scale * abs(r.value), 2 / math.sqrt(math.pi),
                  strict=True, slack=scale * r.abs_err_estimate)
 
 
-def bound_monotonic(order: Order, t: float,
-                    ctx: PrecisionCtx = DEFAULT_CTX) -> tuple[BoundReport, BoundReport]:
+def bound_monotonic(order: Order, t: float) -> tuple[BoundReport, BoundReport]:
     """J_nu(t nu) against its value at the order, then in closed form.
 
     For 0 < t <= 1:
@@ -127,8 +124,8 @@ def bound_monotonic(order: Order, t: float,
     if not 0 < t <= 1:
         raise DomainError("bound_monotonic: t must lie in (0, 1]")
     x = t * nu
-    r = bessel_j_ref(order, x, ctx)
-    at_nu = bessel_j_ref(order, nu, ctx)
+    r = bessel_j_ref(order, x)
+    at_nu = bessel_j_ref(order, nu)
     grow = nu * nu * (1 - t * t) / (2 * nu + 1)
     rhs1 = at_nu.value * t ** nu * math.exp(grow)
     # evaluated in logs: nu^(nu+1/3) overflows well before nu does
@@ -142,8 +139,7 @@ def bound_monotonic(order: Order, t: float,
     return first, second
 
 
-def bound_log_derivative(order: Order, x: float,
-                         ctx: PrecisionCtx = DEFAULT_CTX) -> tuple[BoundReport, BoundReport]:
+def bound_log_derivative(order: Order, x: float) -> tuple[BoundReport, BoundReport]:
     """Lower bounds on the logarithmic derivative of x^(-nu) J_nu(x).
 
     With script-J = x^(-nu) J_nu, on 0 < x <= nu + 1/2:
@@ -156,10 +152,10 @@ def bound_log_derivative(order: Order, x: float,
         raise DomainError("bound_log_derivative: nu must be >= -1/2")
     if not 0 < x <= nu + 0.5:
         raise DomainError("bound_log_derivative: x must lie in (0, nu + 1/2]")
-    j = bessel_j_ref(order, x, ctx)
+    j = bessel_j_ref(order, x)
     if j.value <= 0:
         raise DomainError("bound_log_derivative: J_nu vanishes on (0, x]")
-    jp = _j_prime_any(order, x, ctx)
+    jp = _j_prime_any(order, x)
     ratio = jp.value / j.value - nu / x
     ratio_err = (jp.abs_err_estimate / j.value
                  + abs(jp.value) * j.abs_err_estimate / j.value ** 2)
@@ -172,25 +168,24 @@ def bound_log_derivative(order: Order, x: float,
     return first, second
 
 
-def bound_airy_envelope(x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> BoundReport:
+def bound_airy_envelope(x: float) -> BoundReport:
     """(x + c)^(1/4) Ai(-x) < 9/14 with c = 15^(1/3) 2^(-4/3), x >= 0."""
     if x < 0:
         raise DomainError("bound_airy_envelope: x must be >= 0")
-    r = airy_ai_neg_ref(x, ctx)
+    r = airy_ai_neg_ref(x)
     scale = (x + AIRY_C) ** 0.25
     return _make("airy_envelope", scale * r.value, 9 / 14,
                  strict=True, slack=scale * r.abs_err_estimate)
 
 
-def _airy_envelope_deriv(x: float, ctx: PrecisionCtx) -> float:
+def _airy_envelope_deriv(x: float) -> float:
     # d/dx [(x+c)^(1/4) Ai(-x)] by the product rule from the two evaluators
-    a = airy_ai_neg_ref(x, ctx).value
-    ap = airy_ai_neg_prime_ref(x, ctx).value
+    a = airy_ai_neg_ref(x).value
+    ap = airy_ai_neg_prime_ref(x).value
     return 0.25 * (x + AIRY_C) ** -0.75 * a + (x + AIRY_C) ** 0.25 * ap
 
 
-def airy_envelope_maxima(x_hi: float = 60.0,
-                         ctx: PrecisionCtx = DEFAULT_CTX) -> list[BoundReport]:
+def airy_envelope_maxima(x_hi: float = 60.0) -> list[BoundReport]:
     """Each local maximum of (x+c)^(1/4) Ai(-x) on [0, x_hi] vs its corridor.
 
     The damped envelope rises to each crest inside (1/sqrt(pi), 9/14): two
@@ -201,15 +196,14 @@ def airy_envelope_maxima(x_hi: float = 60.0,
     """
     reports = []
     x = 1e-3
-    prev_x, prev_d = x, _airy_envelope_deriv(x, ctx)
+    prev_x, prev_d = x, _airy_envelope_deriv(x)
     while x < x_hi:
         # ~15 samples per half-oscillation; the period shrinks like pi/sqrt(x)
         x = min(x_hi, x + min(0.05, math.pi / (15 * math.sqrt(max(x, 0.5)))))
-        d = _airy_envelope_deriv(x, ctx)
+        d = _airy_envelope_deriv(x)
         if prev_d > 0 and d <= 0:
-            xi = refine_root(lambda t: _airy_envelope_deriv(t, ctx),
-                             (prev_x, x), 1e-9)
-            val = (xi + AIRY_C) ** 0.25 * airy_ai_neg_ref(xi, ctx).value
+            xi = refine_root(_airy_envelope_deriv, (prev_x, x), 1e-9)
+            val = (xi + AIRY_C) ** 0.25 * airy_ai_neg_ref(xi).value
             reports.append(_make("airy_envelope_max_lower",
                                  1 / math.sqrt(math.pi), val, strict=True, slack=1e-12))
             reports.append(_make("airy_envelope_max_upper",
@@ -218,8 +212,7 @@ def airy_envelope_maxima(x_hi: float = 60.0,
     return reports
 
 
-def bound_wronskian_kernel(nu: float, x1: float, x2: float,
-                           ctx: PrecisionCtx = DEFAULT_CTX) -> BoundReport:
+def bound_wronskian_kernel(nu: float, x1: float, x2: float) -> BoundReport:
     """Cross-point cancellation bound for orders nu and -nu, 0 <= nu <= 1/2.
 
     sqrt(x1 x2) |J_{-nu}(x1) J_nu(x2) - J_{-nu}(x2) J_nu(x1)| <= (2/pi) sin(pi nu);
@@ -227,10 +220,10 @@ def bound_wronskian_kernel(nu: float, x1: float, x2: float,
     """
     if not 0 <= nu <= 0.5:
         raise DomainError("bound_wronskian_kernel: nu must lie in [0, 1/2]")
-    m1 = bessel_j_ref(Order(-nu), x1, ctx)
-    m2 = bessel_j_ref(Order(-nu), x2, ctx)
-    p1 = bessel_j_ref(Order(nu), x1, ctx)
-    p2 = bessel_j_ref(Order(nu), x2, ctx)
+    m1 = bessel_j_ref(Order(-nu), x1)
+    m2 = bessel_j_ref(Order(-nu), x2)
+    p1 = bessel_j_ref(Order(nu), x1)
+    p2 = bessel_j_ref(Order(nu), x2)
     scale = math.sqrt(x1 * x2)
     lhs = scale * abs(m1.value * p2.value - m2.value * p1.value)
     slack = scale * (m1.abs_err_estimate * abs(p2.value) + m2.abs_err_estimate * abs(p1.value)
@@ -245,7 +238,7 @@ def _first_airy_root() -> float:
     return refine_root(lambda t: airy_ai_neg_ref(t).value, (2.0, 3.0), 1e-11)
 
 
-def bound_near_first_zero(order: Order, ctx: PrecisionCtx = DEFAULT_CTX) -> BoundReport:
+def bound_near_first_zero(order: Order) -> BoundReport:
     """0 < J_nu(nu + gamma nu^(1/3)) < 7/(6 nu), gamma = 2^(-1/3) a1 = 1.855757...
 
     The evaluation point sits just before the first zero j_{nu,1}, where J
@@ -255,15 +248,14 @@ def bound_near_first_zero(order: Order, ctx: PrecisionCtx = DEFAULT_CTX) -> Boun
     if nu < 0.5:
         raise DomainError("bound_near_first_zero: nu must be >= 1/2")
     g = 2 ** (-1 / 3) * _first_airy_root()
-    r = bessel_j_ref(order, nu + g * nu ** (1 / 3), ctx)
+    r = bessel_j_ref(order, nu + g * nu ** (1 / 3))
     if not r.value > 0:
         raise DomainError("bound_near_first_zero: J_nu must be positive before its first zero")
     return _make("near_first_zero", r.value, 7 / (6 * nu),
                  strict=True, slack=r.abs_err_estimate)
 
 
-def sonin_eval(variant: str, order: Order, x: float,
-               ctx: PrecisionCtx = DEFAULT_CTX) -> SoninSample:
+def sonin_eval(variant: str, order: Order, x: float) -> SoninSample:
     """Sonin-type envelope function S(x), per variant.
 
     szego (|nu| <= 1/2, x > 0):
@@ -281,8 +273,8 @@ def sonin_eval(variant: str, order: Order, x: float,
             raise DomainError("sonin szego: |nu| must be <= 1/2")
         if x <= 0:
             raise DomainError("sonin szego: x must be positive")
-        y = bessel_j_ref(order, x, ctx).value
-        yp = _j_prime_any(order, x, ctx).value
+        y = bessel_j_ref(order, x).value
+        yp = _j_prime_any(order, x).value
         w_prime = y / (2 * math.sqrt(x)) + math.sqrt(x) * yp
         s = x * y * y + x * x / (x * x + mu) * w_prime * w_prime
         return SoninSample(x, s, "szego")
@@ -291,8 +283,8 @@ def sonin_eval(variant: str, order: Order, x: float,
             raise DomainError("sonin envelope: nu must be > 1/2")
         if x <= math.sqrt(mu):
             raise DomainError("sonin envelope: x must exceed sqrt(mu)")
-        j = bessel_j_ref(order, x, ctx).value
-        jp = bessel_j_prime_ref(order, x, ctx).value
+        j = bessel_j_ref(order, x).value
+        jp = bessel_j_prime_ref(order, x).value
         s2 = x * x - mu
         h = s2 ** 0.25 * j
         hp = 0.5 * x * s2 ** -0.75 * j + s2 ** 0.25 * jp
@@ -301,8 +293,8 @@ def sonin_eval(variant: str, order: Order, x: float,
     if variant == "airy":
         if x < 0:
             raise DomainError("sonin airy: x must be >= 0")
-        a = airy_ai_neg_ref(x, ctx).value
-        ap = airy_ai_neg_prime_ref(x, ctx).value
+        a = airy_ai_neg_ref(x).value
+        ap = airy_ai_neg_prime_ref(x).value
         f = (x + AIRY_C) ** 0.25 * a
         fp = 0.25 * (x + AIRY_C) ** -0.75 * a + (x + AIRY_C) ** 0.25 * ap
         s = f * f + fp * fp / (x + 5 / (16 * (AIRY_C + x) ** 2))
@@ -310,7 +302,7 @@ def sonin_eval(variant: str, order: Order, x: float,
     raise DomainError(f"sonin_eval: unknown variant {variant!r}")
 
 
-def leftmost_max_check(order: Order, ctx: PrecisionCtx = DEFAULT_CTX) -> BoundReport:
+def leftmost_max_check(order: Order) -> BoundReport:
     """First positive maximum xi of (mu - x^2)^(1/4) J_nu exceeds its floor.
 
     For nu >= 5/3, xi > nu sqrt(1 - (2 nu)^(-2/3)).  On 0 < x < sqrt(mu) <
@@ -334,8 +326,8 @@ def leftmost_max_check(order: Order, ctx: PrecisionCtx = DEFAULT_CTX) -> BoundRe
 
     def hp(x: float) -> float:
         s = mu - x * x
-        j = bessel_j_ref(order, x, ctx).value
-        jp = bessel_j_prime_ref(order, x, ctx).value
+        j = bessel_j_ref(order, x).value
+        jp = bessel_j_prime_ref(order, x).value
         return -0.5 * x * s ** -0.75 * j + s ** 0.25 * jp
 
     xs = [0.05]

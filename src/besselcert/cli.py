@@ -14,7 +14,6 @@ import math
 import sys
 
 from .oracle import (
-    DEFAULT_CTX,
     DomainError,
     Order,
     PrecisionError,
@@ -50,13 +49,13 @@ def _render(rows: list[_scan.ScanRow], fmt: str) -> str:
 
 
 def _cmd_eval(ns) -> list[_scan.ScanRow]:
-    r = bessel_j_ref(Order(ns.nu), ns.x, DEFAULT_CTX)
+    r = bessel_j_ref(Order(ns.nu), ns.x)
     return [_scan.ScanRow("oracle", ns.nu, ns.x, r.value, r.value,
                           r.abs_err_estimate, 0.0, True)]
 
 
 def _cmd_approx(ns) -> list[_scan.ScanRow]:
-    return [_scan.approx_row(ns.method, ns.nu, ns.x, ns.l1, ns.l2, DEFAULT_CTX)]
+    return [_scan.approx_row(ns.method, Order(ns.nu), ns.x, ns.l1, ns.l2)]
 
 
 def _cmd_bounds(ns) -> list[_scan.ScanRow]:
@@ -64,7 +63,7 @@ def _cmd_bounds(ns) -> list[_scan.ScanRow]:
     for flag in coords:
         if getattr(ns, flag) is None:
             raise _UsageError(f"bounds --name {ns.name} requires --{flag}")
-    return _scan.bound_rows(ns.name, {c: getattr(ns, c) for c in coords}, DEFAULT_CTX)
+    return _scan.bound_rows(ns.name, {c: getattr(ns, c) for c in coords})
 
 
 def _cmd_zeros(ns) -> list[_scan.ScanRow]:
@@ -97,7 +96,7 @@ def _parse_nu_list(text: str) -> tuple[float, ...]:
 def _cmd_scan(ns) -> list[_scan.ScanRow]:
     grid = _scan.GridSpec(_parse_nu_list(ns.nu_list), (ns.x_lo, ns.x_hi),
                           ns.points, ns.spacing)
-    rows, skipped = _scan.scan_rows(ns.method, grid, ns.l1, ns.l2, DEFAULT_CTX)
+    rows, skipped = _scan.scan_rows(ns.method, grid, ns.l1, ns.l2)
     if not rows:
         raise DomainError(f"scan: no admissible grid points for {ns.method}"
                           f" ({skipped} skipped)")

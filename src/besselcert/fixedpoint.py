@@ -6,7 +6,7 @@ the error of every operation is at most one unit in the last place.
 This is the substrate for the series oracle: no floats participate
 until the final conversion, which is correctly rounded via Fraction.
 
-Transcendental helpers (ln, exp, pow, pi) carry 15-20 guard digits
+Transcendental helpers (ln, exp, pi) carry 15-20 guard digits
 internally and return results accurate to well under 10**(3-d), which
 the callers budget for explicitly.
 """
@@ -36,10 +36,6 @@ def fix_from(value, d: int) -> int:
     return rdiv(f.numerator * 10 ** d, f.denominator)
 
 
-def to_fraction(v: int, d: int) -> Fraction:
-    return Fraction(v, 10 ** d)
-
-
 def to_float(v: int, d: int) -> float:
     """Correctly rounded double of the represented value."""
     return float(Fraction(v, 10 ** d))
@@ -66,24 +62,6 @@ def fsqrt(a: int, d: int) -> int:
     if a < 0:
         raise ValueError("fsqrt of negative value")
     return math.isqrt(a * 10 ** d)
-
-
-def fpow_int(a: int, n: int, d: int) -> int:
-    """a**n by repeated squaring, rounding at each multiply."""
-    if n == 0:
-        return 10 ** d
-    if n < 0:
-        p = fpow_int(a, -n, d)
-        return fdiv(10 ** d, p, d)
-    result = None
-    base = a
-    while n:
-        if n & 1:
-            result = base if result is None else fmul(result, base, d)
-        n >>= 1
-        if n:
-            base = fmul(base, base, d)
-    return result
 
 
 @lru_cache(maxsize=None)
@@ -173,24 +151,3 @@ def fexp(a: int, d: int) -> int:
         return total * 10 ** shift
     return rdiv(total, 10 ** (-shift))
 
-
-def fpow(a: int, p: Fraction, d: int) -> int:
-    """a**p for fixed-point a > 0 and exact rational exponent p.
-
-    Integer and half-integer exponents go through exact repeated squaring
-    (plus one square root); anything else routes through exp(p ln a).
-    """
-    if a <= 0:
-        raise ValueError("fpow base must be positive")
-    if p == 0:
-        return 10 ** d
-    g = d + 15
-    av = rescale(a, d, g)
-    if p.denominator == 1:
-        return rescale(fpow_int(av, p.numerator, g), g, d)
-    if p.denominator == 2:
-        root = fsqrt(av, g)
-        return rescale(fpow_int(root, p.numerator, g), g, d)
-    lnv = fln(av, g)
-    pf = fix_from(p, g)
-    return rescale(fexp(fmul(pf, lnv, g), g), g, d)

@@ -13,9 +13,9 @@ at any order.  The prefactor P = (x/2)^nu / Gamma(nu+1) has no
 cancellation but spans hundreds of decades; it is computed at a fixed 40
 digits and applied once, in the conversion to a double.  Every result
 carries an absolute error estimate, 3 ulp per term plus 20 against P
-times the largest term, plus the float rounding; where cancellation
-leaves fewer digits than the caller's target, the call raises
-PrecisionError instead.
+times the largest term, plus the float rounding.  The accuracy target is
+fixed: relative error 1e-12 (absolute 1e-22 where |J| < 1e-10); where
+cancellation leaves less than that, the call raises PrecisionError instead.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +33,8 @@ _TERM_CAP = 5000
 _PF_DIGITS = 40
 # float conversion plus a couple of float ops, per rounding step
 _FLOAT_ULP = 2.3e-16
+# relative accuracy every J evaluation must reach (absolute below |J| = 1e-10)
+_TARGET_REL_ERR = 1e-12
 
 
 class DomainError(ValueError):
@@ -59,23 +61,6 @@ class Order:
     def __post_init__(self):
         object.__setattr__(self, "mu", abs(self.nu * self.nu - 0.25))
         object.__setattr__(self, "omega", math.pi * self.nu / 2 + math.pi / 4)
-
-
-@dataclass(frozen=True)
-class PrecisionCtx:
-    """Requested working precision and accuracy for oracle calls."""
-
-    working_digits: int = 40
-    target_rel_err: float = 1e-12
-
-    def __post_init__(self):
-        if self.working_digits < 20:
-            raise ValueError("working_digits must be at least 20")
-        if self.target_rel_err < 1e-14:
-            raise ValueError("target_rel_err must be at least 1e-14")
-
-
-DEFAULT_CTX = PrecisionCtx()
 
 
 @dataclass(frozen=True)
@@ -169,11 +154,10 @@ def gamma(z: float) -> float:
     return fx.to_float(_gamma_fixed(Fraction(z), 40), 40)
 
 
-def _digits_for(x: float, ctx: PrecisionCtx) -> int:
+def _digits_for(x: float) -> int:
     # at least ceil(0.45 x) + 40 digits so cancellation never eats the result;
     # rounded up to a multiple of 20 so caches hit across neighboring x
-    rule = 40 + 20 * math.ceil(0.45 * x / 20)
-    d = max(ctx.working_digits, rule)
+    d = 40 + 20 * math.ceil(0.45 * x / 20)
     if d > _DIGIT_CAP:
         raise PrecisionError(f"x={x} needs {d} working digits (cap {_DIGIT_CAP})")
     return d
@@ -232,7 +216,7 @@ def _j_series_fixed(nu: Fraction, x: Fraction, d: int) -> tuple[float, float]:
     nu = p/r: each step rounds once, by half an ulp at most, and divides
     by an integer of a few machine words.  The error charges 3 ulp per
     term, plus 20, against P times the largest term, with no floor, so a
-    sum that cancels below the caller's target makes _j_eval refuse.  The
+    sum that cancels below the 1e-12 target makes _j_eval refuse.  The
     result converts to a double by one correctly rounded integer division
     (as Fraction's float() does, less its gcd); P's ~1e-35 relative error
     vanishes in the float rounding charge.
@@ -266,31 +250,31 @@ def _j_series_fixed(nu: Fraction, x: Fraction, d: int) -> tuple[float, float]:
     return s * num / den, (3 * j + 20) * tmax * num / (den * one)
 
 
-def _j_eval(nu: Fraction, x: Fraction, ctx: PrecisionCtx) -> EvalResult:
-    d = _digits_for(float(x), ctx)
+def _j_eval(nu: Fraction, x: Fraction) -> EvalResult:
+    d = _digits_for(float(x))
     value, err = _j_series_fixed(nu, x, d)
     # below the normal range a double's rounding error is absolute
     err += _FLOAT_ULP * abs(value) + math.ulp(0.0)
-    if err > ctx.target_rel_err * max(abs(value), 1e-10):
-        raise PrecisionError("series error estimate exceeds the requested target")
+    if err > _TARGET_REL_ERR * max(abs(value), 1e-10):
+        raise PrecisionError("series error estimate exceeds the 1e-12 target")
     return EvalResult(value, err)
 
 
-def bessel_j_ref(order: Order, x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> EvalResult:
-    """J_nu(x) from the defining power series at adaptive precision.
+def bessel_j_ref(order: Order, x: float) -> EvalResult:
+    """J_nu(x) from the defining power series, digits growing with x.
 
-    Relative error <= 1e-12 wherever |J| > 1e-10 and absolute error
-    <= 1e-22 elsewhere; the returned estimate is typically many orders
-    smaller.  nu >= -1/2 and 0 < x <= 200.
+    The target is fixed: relative error <= 1e-12 wherever |J| > 1e-10 and
+    absolute error <= 1e-22 elsewhere, else PrecisionError; the returned
+    estimate is typically many orders smaller.  nu >= -1/2 and 0 < x <= 200.
     """
     if order.nu < -0.5:
         raise DomainError("bessel_j_ref: nu must be >= -1/2")
     if not 0 < x <= _PUBLIC_X_CAP:
         raise DomainError(f"bessel_j_ref: x must lie in (0, {_PUBLIC_X_CAP:g}]")
-    return _j_eval(Fraction(order.nu), Fraction(x), ctx)
+    return _j_eval(Fraction(order.nu), Fraction(x))
 
 
-def bessel_j_prime_ref(order: Order, x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> EvalResult:
+def bessel_j_prime_ref(order: Order, x: float) -> EvalResult:
     """J'_nu(x) = (J_{nu-1}(x) - J_{nu+1}(x))/2 for nu >= 1/2.
 
     The order floor keeps nu-1 inside the series domain; errors of the
@@ -300,19 +284,19 @@ def bessel_j_prime_ref(order: Order, x: float, ctx: PrecisionCtx = DEFAULT_CTX) 
         raise DomainError("bessel_j_prime_ref: nu must be >= 1/2")
     if not 0 < x <= _PUBLIC_X_CAP:
         raise DomainError(f"bessel_j_prime_ref: x must lie in (0, {_PUBLIC_X_CAP:g}]")
-    jm = _j_eval(Fraction(order.nu) - 1, Fraction(x), ctx)
-    jp = _j_eval(Fraction(order.nu) + 1, Fraction(x), ctx)
+    jm = _j_eval(Fraction(order.nu) - 1, Fraction(x))
+    jp = _j_eval(Fraction(order.nu) + 1, Fraction(x))
     value = (jm.value - jp.value) / 2
     err = (jm.abs_err_estimate + jp.abs_err_estimate) / 2 + _FLOAT_ULP * abs(value)
     return EvalResult(value, err)
 
 
-def _j_prime_any(order: Order, x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> EvalResult:
+def _j_prime_any(order: Order, x: float) -> EvalResult:
     # J'_nu = (nu/x) J_nu - J_{nu+1} extends the derivative below nu = 1/2
     if order.nu >= 0.5:
-        return bessel_j_prime_ref(order, x, ctx)
-    j0 = _j_eval(Fraction(order.nu), Fraction(x), ctx)
-    j1 = _j_eval(Fraction(order.nu) + 1, Fraction(x), ctx)
+        return bessel_j_prime_ref(order, x)
+    j0 = _j_eval(Fraction(order.nu), Fraction(x))
+    j1 = _j_eval(Fraction(order.nu) + 1, Fraction(x))
     value = (order.nu / x) * j0.value - j1.value
     err = (abs(order.nu / x) * j0.abs_err_estimate + j1.abs_err_estimate
            + _FLOAT_ULP * abs(value))
@@ -330,12 +314,12 @@ def _order_round_charge(zeta: float) -> float:
 def _airy_origin(k: int) -> float:
     """3^(-k/3)/Gamma(k/3) at 60 digits: Ai(0) for k = 2, -Ai'(0) for k = 1."""
     g = 60
-    v = fx.fdiv(fx.fpow(fx.fix_from(3, g), Fraction(-k, 3), g),
+    v = fx.fdiv(fx.fexp(fx.rdiv(-k * fx.fln(3 * 10 ** g, g), 3), g),
                 _gamma_fixed(Fraction(k, 3), g), g)
     return fx.to_float(v, g)
 
 
-def airy_ai_neg_ref(x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> EvalResult:
+def airy_ai_neg_ref(x: float) -> EvalResult:
     """Ai(-x) = (sqrt(x)/3)(J_{-1/3}(zeta) + J_{1/3}(zeta)), zeta = 2x^(3/2)/3.
 
     The value is assembled in floats from the two series results at the
@@ -349,8 +333,8 @@ def airy_ai_neg_ref(x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> EvalResult:
         v = _airy_origin(2)
         return EvalResult(v, _FLOAT_ULP * abs(v))
     zeta = 2 * x ** 1.5 / 3
-    jm = _j_eval(Fraction(-1 / 3), Fraction(zeta), ctx)
-    jp = _j_eval(Fraction(1 / 3), Fraction(zeta), ctx)
+    jm = _j_eval(Fraction(-1 / 3), Fraction(zeta))
+    jp = _j_eval(Fraction(1 / 3), Fraction(zeta))
     root = math.sqrt(x)
     value = root / 3 * (jm.value + jp.value)
     # the rounded zeta (3 float ops) enters through |J'| <= sqrt(2/(pi zeta))
@@ -361,7 +345,7 @@ def airy_ai_neg_ref(x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> EvalResult:
     return EvalResult(value, err)
 
 
-def airy_ai_neg_prime_ref(x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> EvalResult:
+def airy_ai_neg_prime_ref(x: float) -> EvalResult:
     """d/dx Ai(-x) = J_{1/3}(zeta)/(3 sqrt(x)) - (x/3)(J_{2/3}(zeta) + J_{4/3}(zeta)).
 
     Obtained by differentiating the Bessel representation and eliminating
@@ -374,9 +358,9 @@ def airy_ai_neg_prime_ref(x: float, ctx: PrecisionCtx = DEFAULT_CTX) -> EvalResu
         v = _airy_origin(1)
         return EvalResult(v, _FLOAT_ULP * abs(v))
     zeta = 2 * x ** 1.5 / 3
-    j13 = _j_eval(Fraction(1 / 3), Fraction(zeta), ctx)
-    j23 = _j_eval(Fraction(2 / 3), Fraction(zeta), ctx)
-    j43 = _j_eval(Fraction(4 / 3), Fraction(zeta), ctx)
+    j13 = _j_eval(Fraction(1 / 3), Fraction(zeta))
+    j23 = _j_eval(Fraction(2 / 3), Fraction(zeta))
+    j43 = _j_eval(Fraction(4 / 3), Fraction(zeta))
     root = math.sqrt(x)
     value = j13.value / (3 * root) - x / 3 * (j23.value + j43.value)
     zeta_err = 1.5 * _FLOAT_ULP * zeta * math.sqrt(2 / (math.pi * zeta))

@@ -12,10 +12,8 @@ import itertools
 import math
 
 from .oracle import (
-    DEFAULT_CTX,
     DomainError,
     Order,
-    PrecisionCtx,
     airy_ai_neg_ref,
     bessel_j_ref,
 )
@@ -35,42 +33,42 @@ def _sharp_branch(order: Order, x: float, branch: str) -> _approx.ApproxValue:
 
 # The subjects, in CLI choice order.  Each entry looks its function up on the
 # approx or bounds module when called, so a wrapper rebound there sees every
-# call.  Approximations: method -> f(order, x, l1, l2, ctx); airy_* ignore order.
+# call.  Approximations: method -> f(order, x, l1, l2); airy_* ignore order.
 _APPROXIMATIONS = {
-    "classic": lambda order, x, l1, l2, ctx: _approx.classic_oscillatory(order, x),
-    "sharp": lambda order, x, l1, l2, ctx: _approx.sharper_oscillatory(order, x),
-    "sharp_low": lambda order, x, l1, l2, ctx: _sharp_branch(order, x, "sharp_low"),
-    "sharp_high": lambda order, x, l1, l2, ctx: _sharp_branch(order, x, "sharp_high"),
-    "simplified": lambda order, x, l1, l2, ctx: _approx.simplified_oscillatory(order, x),
-    "olver": lambda order, x, l1, l2, ctx: _approx.olver_expansion(order, x, l1, l2),
-    "transition": lambda order, z, l1, l2, ctx: _approx.transition(order, z, ctx),
-    "best": lambda order, x, l1, l2, ctx: _approx.best_approx(order, x, ctx),
-    "airy_classic": lambda order, x, l1, l2, ctx: _approx.airy_approx(x, "classic"),
-    "airy_sharp": lambda order, x, l1, l2, ctx: _approx.airy_approx(x, "sharp"),
-    "airy_simplified": lambda order, x, l1, l2, ctx: _approx.airy_approx(x, "simplified"),
+    "classic": lambda order, x, l1, l2: _approx.classic_oscillatory(order, x),
+    "sharp": lambda order, x, l1, l2: _approx.sharper_oscillatory(order, x),
+    "sharp_low": lambda order, x, l1, l2: _sharp_branch(order, x, "sharp_low"),
+    "sharp_high": lambda order, x, l1, l2: _sharp_branch(order, x, "sharp_high"),
+    "simplified": lambda order, x, l1, l2: _approx.simplified_oscillatory(order, x),
+    "olver": lambda order, x, l1, l2: _approx.olver_expansion(order, x, l1, l2),
+    "transition": lambda order, z, l1, l2: _approx.transition(order, z),
+    "best": lambda order, x, l1, l2: _approx.best_approx(order, x),
+    "airy_classic": lambda order, x, l1, l2: _approx.airy_approx(x, "classic"),
+    "airy_sharp": lambda order, x, l1, l2: _approx.airy_approx(x, "sharp"),
+    "airy_simplified": lambda order, x, l1, l2: _approx.airy_approx(x, "simplified"),
 }
-# Bounds: name -> (coordinates it reads, f(*coordinates, ctx) -> reports), with
+# Bounds: name -> (coordinates it reads, f(*coordinates) -> reports), with
 # nu passed as its Order.  A sonin_* entry gives one SoninSample, which the scan
 # compares with the next.
 _BOUNDS = {
-    "watson": (("nu", "x"), lambda order, x, ctx: (_bounds.bound_watson(order, x, ctx),)),
-    "envelope": (("nu", "x"), lambda order, x, ctx: (_bounds.bound_envelope(order, x, ctx),)),
-    "derivative": (("nu", "x"), lambda order, x, ctx: (_bounds.bound_derivative(order, x, ctx),)),
-    "monotonic": (("nu", "t"), lambda order, t, ctx: _bounds.bound_monotonic(order, t, ctx)),
+    "watson": (("nu", "x"), lambda order, x: (_bounds.bound_watson(order, x),)),
+    "envelope": (("nu", "x"), lambda order, x: (_bounds.bound_envelope(order, x),)),
+    "derivative": (("nu", "x"), lambda order, x: (_bounds.bound_derivative(order, x),)),
+    "monotonic": (("nu", "t"), lambda order, t: _bounds.bound_monotonic(order, t)),
     "log_derivative": (("nu", "x"),
-                       lambda order, x, ctx: _bounds.bound_log_derivative(order, x, ctx)),
-    "airy_envelope": (("x",), lambda x, ctx: (_bounds.bound_airy_envelope(x, ctx),)),
-    "wronskian_kernel": (("nu", "x", "x2"), lambda order, x, x2, ctx:
-                         (_bounds.bound_wronskian_kernel(order.nu, x, x2, ctx),)),
-    "near_first_zero": (("nu",), lambda order, ctx: (_bounds.bound_near_first_zero(order, ctx),)),
-    "leftmost_max": (("nu",), lambda order, ctx: (_bounds.leftmost_max_check(order, ctx),)),
-    "sonin_szego": (("nu", "x"), lambda order, x, ctx: _bounds.sonin_eval("szego", order, x, ctx)),
+                       lambda order, x: _bounds.bound_log_derivative(order, x)),
+    "airy_envelope": (("x",), lambda x: (_bounds.bound_airy_envelope(x),)),
+    "wronskian_kernel": (("nu", "x", "x2"), lambda order, x, x2:
+                         (_bounds.bound_wronskian_kernel(order.nu, x, x2),)),
+    "near_first_zero": (("nu",), lambda order: (_bounds.bound_near_first_zero(order),)),
+    "leftmost_max": (("nu",), lambda order: (_bounds.leftmost_max_check(order),)),
+    "sonin_szego": (("nu", "x"), lambda order, x: _bounds.sonin_eval("szego", order, x)),
     "sonin_envelope": (("nu", "x"),
-                       lambda order, x, ctx: _bounds.sonin_eval("envelope", order, x, ctx)),
-    "sonin_airy": (("nu", "x"), lambda order, x, ctx: _bounds.sonin_eval("airy", order, x, ctx)),
-    "lemma_integral": (("x",), lambda x, ctx: _bounds.lemma_integral_check(x)),
+                       lambda order, x: _bounds.sonin_eval("envelope", order, x)),
+    "sonin_airy": (("nu", "x"), lambda order, x: _bounds.sonin_eval("airy", order, x)),
+    "lemma_integral": (("x",), lambda x: _bounds.lemma_integral_check(x)),
     "airy_envelope_maxima": (("x_hi",),
-                             lambda x_hi, ctx: _bounds.airy_envelope_maxima(x_hi, ctx)),
+                             lambda x_hi: _bounds.airy_envelope_maxima(x_hi)),
 }
 # airy_envelope_maxima searches [0, x_hi] itself; a grid has nothing to feed it
 _SCAN_BOUNDS = tuple(name for name in _BOUNDS if name != "airy_envelope_maxima")
@@ -152,9 +150,8 @@ class ScanReport:
 class SupResult:
     """Estimated sup of R(x) = x^(3/2)|J_nu(x) - sqrt(2/(pi x)) cos(x - omega)|.
 
-    normalized = sup_value/mu sits between 1/sqrt(2 pi) and 5/4 for the
-    orders scanned here, evidencing that the sup grows like mu and not
-    faster.  The value is a lower bound for the true sup by construction.
+    sup_value = R(argmax_x), the largest R the search found, so it is a
+    lower bound on the sup of R over (0, x_max]; normalized = sup_value/mu.
     """
 
     nu: float
@@ -178,47 +175,45 @@ def _row_from_report(rep: _bounds.BoundReport, nu: float, x: float) -> ScanRow:
                    _bound_ratio(rep), rep.holds)
 
 
-def approx_row(method: str, nu: float, x: float, l1: int = 3, l2: int = 3,
-               ctx: PrecisionCtx = DEFAULT_CTX) -> ScanRow:
+def approx_row(method: str, order: Order, x: float, l1: int = 3, l2: int = 3) -> ScanRow:
     """One approximation-vs-oracle check at a single point.
 
     For method=transition, x is the transition variable z and the oracle is
-    consulted at nu + nu^(1/3) z; the airy_* methods ignore nu.  Raises
-    DomainError off the method's domain.
+    consulted at nu + nu^(1/3) z; the airy_* methods ignore the order and
+    print nu = nan.  Raises DomainError off the method's domain.
     """
-    order = Order(nu)
     if method not in _APPROXIMATIONS:
         raise DomainError(f"verify_approx_grid: unknown method {method!r}")
-    a = _APPROXIMATIONS[method](order, x, l1, l2, ctx)
+    a = _APPROXIMATIONS[method](order, x, l1, l2)
     if method.startswith("airy_"):
-        ref = airy_ai_neg_ref(x, ctx)
+        ref = airy_ai_neg_ref(x)
         nu = math.nan
     else:
         x_eval = _approx.transition_x(order, x) if method == "transition" else x
-        ref = bessel_j_ref(order, x_eval, ctx)
+        ref = bessel_j_ref(order, x_eval)
+        nu = order.nu
     slack = max(ref.abs_err_estimate, _MIN_SLACK)
     ratio = abs(a.value - ref.value) / (a.half_width + slack)
     return ScanRow(a.method, nu, x, a.value, ref.value, a.half_width,
                    ratio, ratio <= 1)
 
 
-def bound_rows(name: str, point: dict[str, float],
-               ctx: PrecisionCtx = DEFAULT_CTX) -> list[ScanRow]:
+def bound_rows(name: str, point: dict[str, float]) -> list[ScanRow]:
     """One bound's reports at a point mapping each of its coordinates to a value;
     each row carries the point's nu and its x (monotonic: t), else nan."""
     coords, _ = _BOUNDS[name]
     args = [Order(point[c]) if c == "nu" else point[c] for c in coords]
     return _point_rows(name, args, point.get("nu", math.nan),
-                       point.get("x", point.get("t", math.nan)), ctx)
+                       point.get("x", point.get("t", math.nan)))
 
 
-def _point_rows(name: str, args, nu: float, x: float, ctx: PrecisionCtx) -> list[ScanRow]:
+def _point_rows(name: str, args, nu: float, x: float) -> list[ScanRow]:
     # args: the bound's coordinates in order, nu as its Order; nu, x: the row's columns
-    return [_row_from_report(rep, nu, x) for rep in _BOUNDS[name][1](*args, ctx)]
+    return [_row_from_report(rep, nu, x) for rep in _BOUNDS[name][1](*args)]
 
 
-def scan_rows(name: str, grid: GridSpec, l1: int = 3, l2: int = 3,
-              ctx: PrecisionCtx = DEFAULT_CTX) -> tuple[list[ScanRow], int]:
+def scan_rows(name: str, grid: GridSpec, l1: int = 3,
+              l2: int = 3) -> tuple[list[ScanRow], int]:
     """All checks of an approximation method or bound over the grid.
 
     _APPROXIMATIONS and _BOUNDS are the single list of subjects, for the scan
@@ -235,9 +230,9 @@ def scan_rows(name: str, grid: GridSpec, l1: int = 3, l2: int = 3,
     xs = grid.x_values()
     if name in _APPROXIMATIONS:
         nus = (math.nan,) if name.startswith("airy_") else grid.nu_values
-        for nu, x in itertools.product(nus, xs):
+        for order, x in itertools.product([Order(nu) for nu in nus], xs):
             try:
-                rows.append(approx_row(name, nu, x, l1, l2, ctx))
+                rows.append(approx_row(name, order, x, l1, l2))
             except DomainError:
                 skipped += 1
         return rows, skipped
@@ -250,7 +245,7 @@ def scan_rows(name: str, grid: GridSpec, l1: int = 3, l2: int = 3,
             prev = None
             for x in xs:
                 try:
-                    cur = sample(order, x, ctx)
+                    cur = sample(order, x)
                 except DomainError:
                     skipped += 1
                     continue
@@ -267,7 +262,7 @@ def scan_rows(name: str, grid: GridSpec, l1: int = 3, l2: int = 3,
         nu = point["nu"].nu if "nu" in point else math.nan
         x = point.get("x", point.get("t", math.nan))
         try:
-            rows.extend(_point_rows(name, args, nu, x, ctx))
+            rows.extend(_point_rows(name, args, nu, x))
         except DomainError:
             skipped += 1
     return rows, skipped
@@ -285,8 +280,7 @@ def _summarize(rows: list[ScanRow], skipped: int, what: str,
                       max(r.ratio for r in rows), skipped)
 
 
-def verify_approx_grid(method: str, grid: GridSpec, l1: int = 3, l2: int = 3,
-                       ctx: PrecisionCtx = DEFAULT_CTX) -> ScanReport:
+def verify_approx_grid(method: str, grid: GridSpec, l1: int = 3, l2: int = 3) -> ScanReport:
     """Check |method - oracle| <= half_width + oracle slack over the grid.
 
     The slack at each point is max(oracle error estimate, 1e-11), so exact
@@ -295,24 +289,23 @@ def verify_approx_grid(method: str, grid: GridSpec, l1: int = 3, l2: int = 3,
     """
     if method not in _APPROXIMATIONS:
         raise DomainError(f"verify_approx_grid: unknown method {method!r}")
-    rows, skipped = scan_rows(method, grid, l1, l2, ctx)
+    rows, skipped = scan_rows(method, grid, l1, l2)
     return _summarize(rows, skipped, method, bound_style=False)
 
 
-def verify_bounds_grid(bound: str, grid: GridSpec,
-                       ctx: PrecisionCtx = DEFAULT_CTX) -> ScanReport:
+def verify_bounds_grid(bound: str, grid: GridSpec) -> ScanReport:
     """Evaluate a named inequality over the grid; violations are non-holds.
 
     See scan_rows for how each bound consumes the grid.
     """
     if bound not in _SCAN_BOUNDS:
         raise DomainError(f"verify_bounds_grid: unknown bound {bound!r}")
-    rows, skipped = scan_rows(bound, grid, ctx=ctx)
+    rows, skipped = scan_rows(bound, grid)
     return _summarize(rows, skipped, bound, bound_style=True)
 
 
-def _oscillation_gap(order: Order, x: float, ctx: PrecisionCtx) -> float:
-    r = bessel_j_ref(order, x, ctx)
+def _oscillation_gap(order: Order, x: float) -> float:
+    r = bessel_j_ref(order, x)
     main = math.sqrt(2 / (math.pi * x)) * math.cos(x - order.omega)
     return x ** 1.5 * abs(r.value - main)
 
@@ -336,16 +329,16 @@ def _golden_max(f, a: float, b: float, iters: int = 45) -> tuple[float, float]:
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000,
-               ctx: PrecisionCtx = DEFAULT_CTX) -> SupResult:
+def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) -> SupResult:
     """Estimate sup_x x^(3/2)|J_nu(x) - sqrt(2/(pi x)) cos(x - omega)|.
 
     A linear coarse scan of (0, x_max] locates candidate maxima; the best
-    five are polished by golden-section search.  Past x ~ 150 the scanned
-    quantity has settled onto its limiting oscillation mu/sqrt(2 pi)
-    |sin(omega - x)| to within a percent for nu <= 10, so no sup escapes
-    the window.  Requires mu > 0 (at nu = 1/2 the quantity is identically
-    zero and there is nothing to normalize).
+    five are polished by golden-section search.  The result is a lower
+    bound on the sup over (0, x_max] only: where R's crests still grow at
+    the window's edge (nu = 5 and 10 at x_max = 150), the argmax sits there
+    and sup/mu stays just below the crests' limit 1/sqrt(2 pi).  Requires
+    mu > 0 (at nu = 1/2 the quantity is identically zero and there is
+    nothing to normalize).
     """
     if order.mu == 0:
         raise DomainError("olenko_sup: mu must be positive")
@@ -354,13 +347,13 @@ def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000,
     if coarse_points < 10:
         raise DomainError("olenko_sup: coarse_points must be >= 10")
     xs = [x_max * k / coarse_points for k in range(1, coarse_points + 1)]
-    vals = [_oscillation_gap(order, x, ctx) for x in xs]
+    vals = [_oscillation_gap(order, x) for x in xs]
     peaks = [i for i in range(1, len(xs) - 1)
              if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]]
     peaks.sort(key=lambda i: vals[i], reverse=True)
     best_x, best_v = max(zip(xs, vals), key=lambda p: p[1])
     for i in peaks[:5]:
-        x, v = _golden_max(lambda t: _oscillation_gap(order, t, ctx),
+        x, v = _golden_max(lambda t: _oscillation_gap(order, t),
                            xs[i - 1], xs[i + 1])
         if v > best_v:
             best_x, best_v = x, v

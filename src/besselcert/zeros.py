@@ -10,10 +10,8 @@ from functools import lru_cache
 import math
 
 from .oracle import (
-    DEFAULT_CTX,
     DomainError,
     Order,
-    PrecisionCtx,
     airy_ai_neg_ref,
     bessel_j_ref,
     refine_root,
@@ -92,53 +90,52 @@ def bessel_first_zeros_estimate(order: Order, s: int) -> ZeroEstimate:
 
 
 @lru_cache(maxsize=None)
-def _airy_zeros_through(n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> tuple[float, ...]:
+def _airy_zeros_through(n: int) -> tuple[float, ...]:
     found = []
     x = 2.0
-    prev_x, prev_v = x, airy_ai_neg_ref(x, ctx).value
+    prev_x, prev_v = x, airy_ai_neg_ref(x).value
     while len(found) < n:
         if x > 130:  # past the evaluator's domain long before s = 50
             raise RuntimeError("airy zero scan exceeded its cap")
         x += 0.1
-        v = airy_ai_neg_ref(x, ctx).value
+        v = airy_ai_neg_ref(x).value
         if prev_v * v < 0:
-            found.append(refine_root(lambda t: airy_ai_neg_ref(t, ctx).value,
+            found.append(refine_root(lambda t: airy_ai_neg_ref(t).value,
                                      (prev_x, x), 1e-11))
         prev_x, prev_v = x, v
     return tuple(found)
 
 
-def refine_airy_zero(s: int, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
+def refine_airy_zero(s: int) -> float:
     """The s-th positive zero of Ai(-x) to ~1e-11, s <= 50."""
     if not 1 <= s <= _AIRY_S_CAP:
         raise DomainError(f"refine_airy_zero: s must lie in [1, {_AIRY_S_CAP}]")
-    return _airy_zeros_through(s, ctx)[s - 1]
+    return _airy_zeros_through(s)[s - 1]
 
 
 @lru_cache(maxsize=None)
-def _bessel_zeros_through(nu: float, n: int,
-                          ctx: PrecisionCtx = DEFAULT_CTX) -> tuple[float, ...]:
+def _bessel_zeros_through(nu: float, n: int) -> tuple[float, ...]:
     order = Order(nu)
     found = []
     x = max(nu, 0.05)
-    prev_x, prev_v = x, bessel_j_ref(order, x, ctx).value
+    prev_x, prev_v = x, bessel_j_ref(order, x).value
     while len(found) < n:
         if x > _BESSEL_X_CAP:
             raise RuntimeError("bessel zero scan exceeded the x cap")
         x += 0.25
-        v = bessel_j_ref(order, min(x, _BESSEL_X_CAP), ctx).value
+        v = bessel_j_ref(order, min(x, _BESSEL_X_CAP)).value
         if prev_v * v < 0:
-            found.append(refine_root(lambda t: bessel_j_ref(order, t, ctx).value,
+            found.append(refine_root(lambda t: bessel_j_ref(order, t).value,
                                      (prev_x, x), 1e-11))
         prev_x, prev_v = x, v
     return tuple(found)
 
 
-def refine_bessel_zero(order: Order, s: int, ctx: PrecisionCtx = DEFAULT_CTX) -> float:
+def refine_bessel_zero(order: Order, s: int) -> float:
     """The s-th positive zero j_{nu,s} of J_nu to ~1e-11 (scan capped at x = 200)."""
     if s < 1:
         raise DomainError("refine_bessel_zero: s must be >= 1")
-    return _bessel_zeros_through(order.nu, s, ctx)[s - 1]
+    return _bessel_zeros_through(order.nu, s)[s - 1]
 
 
 def center_gap_check(s: int) -> tuple[BoundReport, BoundReport]:

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besselcert import oracle
 from besselcert.oracle import (
-    DEFAULT_CTX,
     DomainError,
     Order,
-    PrecisionCtx,
     PrecisionError,
     airy_ai_neg_prime_ref,
     airy_ai_neg_ref,
@@ -59,13 +58,6 @@ def test_order_derived_fields():
     assert Order(2.0).mu == 3.75
     assert math.isclose(o.omega, math.pi / 2, rel_tol=1e-15)
     assert Order(0.0).omega == pytest.approx(math.pi / 4, rel=1e-15)
-
-
-def test_precision_ctx_validation():
-    with pytest.raises(ValueError):
-        PrecisionCtx(working_digits=10)
-    with pytest.raises(ValueError):
-        PrecisionCtx(target_rel_err=1e-16)
 
 
 def test_gamma_trivial_values():
@@ -242,8 +234,25 @@ def test_airy_prime_reference_value():
        st.floats(min_value=0.01, max_value=200.0))
 def test_eval_result_error_contract(nu, x):
     r = bessel_j_ref(Order(nu), x)
-    assert r.abs_err_estimate <= DEFAULT_CTX.target_rel_err * max(abs(r.value), 1e-10)
+    assert r.abs_err_estimate <= 1e-12 * max(abs(r.value), 1e-10)
     assert math.isfinite(r.value)
+
+
+@pytest.mark.parametrize("v", [1.0, -1.0, 1e-20])
+def test_refusal_at_the_target_line(monkeypatch, v):
+    # _j_eval adds the float rounding charge to the series estimate, then
+    # refuses anything above 1e-12 * max(|v|, 1e-10)
+    room = 1e-12 * max(abs(v), 1e-10) - oracle._FLOAT_ULP * abs(v) - math.ulp(0.0)
+    monkeypatch.setattr(oracle, "_j_series_fixed", lambda nu, x, d: (v, room * (1 - 1e-9)))
+    assert bessel_j_ref(Order(0.0), 1.0).value == v
+    monkeypatch.setattr(oracle, "_j_series_fixed", lambda nu, x, d: (v, room * (1 + 1e-9)))
+    with pytest.raises(PrecisionError):
+        bessel_j_ref(Order(0.0), 1.0)
+
+
+def test_digit_cap_refuses():
+    with pytest.raises(PrecisionError):
+        oracle._digits_for(1200.0)
 
 
 # large orders at moderate x, where 1/Gamma(nu+1) is below 1e-43: the sum

@@ -15,7 +15,6 @@ from besselcert import approx as approx_module
 from besselcert import bounds as bounds_module
 from besselcert.cli import main
 from besselcert.scan import _oscillation_gap, approx_row
-from besselcert.oracle import DEFAULT_CTX
 
 
 class TestGridSpec:
@@ -156,7 +155,7 @@ class TestSubjectTables:
                             counting(approx_module.classic_oscillatory))
         rows, _ = scan_rows("watson", GridSpec((1.0,), (1.0, 4.0), 2))
         assert len(rows) == 2 and calls == ["bound_watson"] * 2
-        approx_row("classic", 1.0, 10.0)
+        approx_row("classic", Order(1.0), 10.0)
         assert calls[2:] == ["classic_oscillatory"]
         assert main(["bounds", "--name", "watson", "--nu", "1", "--x", "2"]) == 0
         assert calls[3:] == ["bound_watson"]
@@ -172,7 +171,7 @@ class TestOlenkoSup:
         order = Order(2.0)
         s = olenko_sup(order, coarse_points=600)
         for x in (1.0, 2.0, 5.0, 50.0, 149.0):
-            assert s.sup_value >= _oscillation_gap(order, x, DEFAULT_CTX) - 1e-12
+            assert s.sup_value >= _oscillation_gap(order, x) - 1e-12
 
     def test_deterministic(self):
         assert olenko_sup(Order(5.0), 60.0, 400) == olenko_sup(Order(5.0), 60.0, 400)

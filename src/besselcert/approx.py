@@ -15,8 +15,9 @@ from .oracle import _AIRY_X_CAP
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
 
 # largest z the transition form can certify: its Ai factor comes from the
-# reference evaluator, whose domain ends at _AIRY_X_CAP
-_TRANSITION_Z_CAP = _AIRY_X_CAP / 2 ** (1 / 3)
+# reference evaluator, whose domain ends at _AIRY_X_CAP.  One ulp below the
+# rounded quotient, since 2^(1/3) times the quotient rounds above the cap.
+_TRANSITION_Z_CAP = math.nextafter(_AIRY_X_CAP / 2 ** (1 / 3), 0)
 
 _METHOD_ORDER = ("sharp_high", "sharp_low", "simplified", "olver", "classic", "transition")
 
@@ -56,18 +57,24 @@ def classic_oscillatory(order: Order, x: float) -> ApproxValue:
     and 5/4 when x < sqrt(mu).  At |nu| = 1/2 the width vanishes and the
     main term is J_nu itself.
     """
+    hw = _classic_width(order, x)
+    value = SQRT_2_OVER_PI / math.sqrt(x) * math.cos(x - order.omega)
+    return ApproxValue(value, hw, "classic", "oscillatory")
+
+
+def _classic_width(order: Order, x: float) -> float:
+    # classic's domain is best_approx's, so its checks live with the width
     if x <= 0:
         raise DomainError("classic_oscillatory: x must be positive")
     if order.nu < -0.5:
         raise DomainError("classic_oscillatory: nu must be >= -1/2")
-    value = SQRT_2_OVER_PI / math.sqrt(x) * math.cos(x - order.omega)
     if abs(order.nu) <= 0.5:
         c = (2 / math.pi) ** 1.5
     elif x >= math.sqrt(order.mu):
         c = math.sqrt(2) / 2
     else:
         c = 1.25
-    return ApproxValue(value, c * order.mu * x ** -1.5, "classic", "oscillatory")
+    return c * order.mu * x ** -1.5
 
 
 def olver_coefficient(nu: float, i: int) -> float:
@@ -103,12 +110,15 @@ def olver_expansion(order: Order, x: float, l1: int, l2: int) -> ApproxValue:
                   for i in range(l1))
     sin_sum = sum((-1) ** i * olver_coefficient(order.nu, 2 * i + 1) * x ** (-2 * i - 1)
                   for i in range(l2))
-    amp = SQRT_2_OVER_PI / math.sqrt(x)
-    value = amp * (math.cos(x - order.omega) * cos_sum
-                   + math.sin(x - order.omega) * sin_sum)
-    hw = amp * (abs(olver_coefficient(order.nu, 2 * l1)) * x ** (-2 * l1)
-                + abs(olver_coefficient(order.nu, 2 * l2 + 1)) * x ** (-2 * l2 - 1))
-    return ApproxValue(value, hw, "olver", "oscillatory")
+    value = SQRT_2_OVER_PI / math.sqrt(x) * (math.cos(x - order.omega) * cos_sum
+                                             + math.sin(x - order.omega) * sin_sum)
+    return ApproxValue(value, _olver_width(order, x, l1, l2), "olver", "oscillatory")
+
+
+def _olver_width(order: Order, x: float, l1: int, l2: int) -> float:
+    return SQRT_2_OVER_PI / math.sqrt(x) * (
+        abs(olver_coefficient(order.nu, 2 * l1)) * x ** (-2 * l1)
+        + abs(olver_coefficient(order.nu, 2 * l2 + 1)) * x ** (-2 * l2 - 1))
 
 
 def phase_B(order: Order, x: float) -> PhaseValue:
@@ -148,15 +158,20 @@ def sharper_oscillatory(order: Order, x: float) -> ApproxValue:
     if abs(order.nu) <= 0.5:
         ph = phase_B(order, x)
         value = SQRT_2_OVER_PI * (x * x + mu) ** -0.25 * math.cos(ph.B - order.omega)
-        hw = mu / (math.sqrt(2 * math.pi * x) * (x * x + mu) ** 1.5)
-        return ApproxValue(value, hw, "sharp_low", "oscillatory")
+        return ApproxValue(value, _sharp_width(order, x), "sharp_low", "oscillatory")
     # x > mu keeps the width constant honest; x > sqrt(mu) keeps the phase real
     if x <= max(mu, math.sqrt(mu)):
         raise DomainError("sharper_oscillatory: high branch needs x > max(mu, sqrt(mu))")
     ph = phase_B(order, x)
     value = SQRT_2_OVER_PI * (x * x - mu) ** -0.25 * math.cos(ph.B - order.omega)
-    hw = 13 * mu / (12 * math.sqrt(2 * math.pi) * (x * x - mu) ** 1.75)
-    return ApproxValue(value, hw, "sharp_high", "oscillatory")
+    return ApproxValue(value, _sharp_width(order, x), "sharp_high", "oscillatory")
+
+
+def _sharp_width(order: Order, x: float) -> float:
+    mu = order.mu
+    if abs(order.nu) <= 0.5:
+        return mu / (math.sqrt(2 * math.pi * x) * (x * x + mu) ** 1.5)
+    return 13 * mu / (12 * math.sqrt(2 * math.pi) * (x * x - mu) ** 1.75)
 
 
 def simplified_oscillatory(order: Order, x: float) -> ApproxValue:
@@ -172,8 +187,12 @@ def simplified_oscillatory(order: Order, x: float) -> ApproxValue:
     mu = order.mu
     value = (SQRT_2_OVER_PI * math.cos(x - mu / (2 * x) - order.omega)
              / (x * x + mu) ** 0.25)
-    hw = 25 * mu / (24 * math.sqrt(2 * math.pi) * x ** 3 * (x * x + mu) ** 0.25)
-    return ApproxValue(value, hw, "simplified", "oscillatory")
+    return ApproxValue(value, _simplified_width(order, x), "simplified", "oscillatory")
+
+
+def _simplified_width(order: Order, x: float) -> float:
+    mu = order.mu
+    return 25 * mu / (24 * math.sqrt(2 * math.pi) * x ** 3 * (x * x + mu) ** 0.25)
 
 
 def transition_x(order: Order, z: float) -> float:
@@ -198,10 +217,13 @@ def transition(order: Order, z: float) -> ApproxValue:
         raise DomainError(
             f"transition: z must lie in [0, {_TRANSITION_Z_CAP:.1f}]")
     ai = airy_ai_neg_ref(2 ** (1 / 3) * z)
+    value = 2 ** (1 / 3) * ai.value / math.sqrt(order.nu ** (2 / 3) + z)
+    return ApproxValue(value, _transition_width(order, z), "transition", "transition")
+
+
+def _transition_width(order: Order, z: float) -> float:
     pow23 = order.nu ** (2 / 3)
-    value = 2 ** (1 / 3) * ai.value / math.sqrt(pow23 + z)
-    hw = 23 * max(1.0, z ** 2.25) / (2 * pow23 * math.sqrt(pow23 + z))
-    return ApproxValue(value, hw, "transition", "transition")
+    return 23 * max(1.0, z ** 2.25) / (2 * pow23 * math.sqrt(pow23 + z))
 
 
 def airy_approx(x: float, mode: str = "sharp") -> ApproxValue:
@@ -241,24 +263,35 @@ def airy_approx(x: float, mode: str = "sharp") -> ApproxValue:
 def best_approx(order: Order, x: float) -> ApproxValue:
     """The applicable Bessel approximation with the smallest certified width.
 
-    Every method whose precondition holds at (nu, x) is evaluated; none is
-    extrapolated outside its domain.  Ties (e.g. all widths 0 at |nu| = 1/2)
-    go to the earlier entry of: sharp_high, sharp_low, simplified, olver,
-    classic, transition.  classic always applies, so the result is total
-    for nu >= -1/2, x > 0.
+    Every method whose precondition holds at (nu, x) is a candidate; none is
+    extrapolated outside its domain.  Candidates are ranked by their
+    closed-form certified widths and only the winner is evaluated, so a
+    losing candidate costs no oracle call and its refusal cannot make this
+    raise.  Ties (e.g. all widths 0 at |nu| = 1/2) go to the earlier entry
+    of: sharp_high, sharp_low, simplified, olver, classic, transition.
+    classic always applies, so the result is total for nu >= -1/2, x > 0.
     """
-    candidates = [classic_oscillatory(order, x)]
+    # (width, method, evaluate); each method returns the same width helper's
+    # float, so this ranking is the ranking of the evaluated candidates
+    candidates = [(_classic_width(order, x), "classic",
+                   lambda: classic_oscillatory(order, x))]
     nu, mu = order.nu, order.mu
     if abs(nu) <= 0.5:
-        candidates.append(sharper_oscillatory(order, x))
-        candidates.append(simplified_oscillatory(order, x))
+        candidates.append((_sharp_width(order, x), "sharp_low",
+                           lambda: sharper_oscillatory(order, x)))
+        candidates.append((_simplified_width(order, x), "simplified",
+                           lambda: simplified_oscillatory(order, x)))
     elif x > max(mu, math.sqrt(mu)):
-        candidates.append(sharper_oscillatory(order, x))
+        candidates.append((_sharp_width(order, x), "sharp_high",
+                           lambda: sharper_oscillatory(order, x)))
     if 0 <= nu <= 2.5:
-        candidates.append(olver_expansion(order, x, 1, 1))
+        candidates.append((_olver_width(order, x, 1, 1), "olver",
+                           lambda: olver_expansion(order, x, 1, 1)))
     if nu >= 0.5 and x >= nu:
         z = (x - nu) / nu ** (1 / 3)
         if z <= _TRANSITION_Z_CAP:
-            candidates.append(transition(order, z))
-    return min(candidates,
-               key=lambda a: (a.half_width, _METHOD_ORDER.index(a.method)))
+            candidates.append((_transition_width(order, z), "transition",
+                               lambda: transition(order, z)))
+    _, _, evaluate = min(candidates,
+                         key=lambda c: (c[0], _METHOD_ORDER.index(c[1])))
+    return evaluate()

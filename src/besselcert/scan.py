@@ -257,10 +257,12 @@ def scan_rows(name: str, grid: GridSpec, l1: int = 3,
         return rows, skipped
     # one Order per order, not one per grid point
     axes = {"nu": [Order(nu) for nu in grid.nu_values], "x": xs, "t": xs, "x2": xs}
+    # positions of the row's nu and x (monotonic: t) columns among the args
+    nu_at = coords.index("nu") if "nu" in coords else None
+    x_at = next((coords.index(c) for c in ("x", "t") if c in coords), None)
     for args in itertools.product(*(axes[c] for c in coords)):
-        point = dict(zip(coords, args))
-        nu = point["nu"].nu if "nu" in point else math.nan
-        x = point.get("x", point.get("t", math.nan))
+        nu = math.nan if nu_at is None else args[nu_at].nu
+        x = math.nan if x_at is None else args[x_at]
         try:
             rows.extend(_point_rows(name, args, nu, x))
         except DomainError:

@@ -89,53 +89,60 @@ def bessel_first_zeros_estimate(order: Order, s: int) -> ZeroEstimate:
     return ZeroEstimate("bessel", s, nu, center, hw, one_sided=True)
 
 
+class _ZeroScan:
+    """A sign-change scan of f in fixed steps from x0, resumed where it stopped.
+
+    Each sign change between consecutive steps is refined to 1e-11 and kept,
+    so asking for a later zero continues the walk instead of repeating it.
+    f is sampled at min(x, x_cap), and a step that starts beyond x_cap
+    raises RuntimeError.  State changes only after a whole step succeeds, so
+    a failed step (the cap, or an oracle error) fails again on every call.
+    """
+
+    def __init__(self, f, x0: float, step: float, x_cap: float, cap_message: str):
+        self.f, self.step, self.x_cap, self.cap_message = f, step, x_cap, cap_message
+        self.x, self.v = x0, f(x0)
+        self.zeros: list[float] = []
+
+    def zero(self, s: int) -> float:
+        """The s-th sign change of f past x0."""
+        while len(self.zeros) < s:
+            if self.x > self.x_cap:
+                raise RuntimeError(self.cap_message)
+            x = self.x + self.step
+            v = self.f(min(x, self.x_cap))
+            if self.v * v < 0:
+                self.zeros.append(refine_root(self.f, (self.x, x), 1e-11))
+            self.x, self.v = x, v
+        return self.zeros[s - 1]
+
+
 @lru_cache(maxsize=None)
-def _airy_zeros_through(n: int) -> tuple[float, ...]:
-    found = []
-    x = 2.0
-    prev_x, prev_v = x, airy_ai_neg_ref(x).value
-    while len(found) < n:
-        if x > 130:  # past the evaluator's domain long before s = 50
-            raise RuntimeError("airy zero scan exceeded its cap")
-        x += 0.1
-        v = airy_ai_neg_ref(x).value
-        if prev_v * v < 0:
-            found.append(refine_root(lambda t: airy_ai_neg_ref(t).value,
-                                     (prev_x, x), 1e-11))
-        prev_x, prev_v = x, v
-    return tuple(found)
+def _airy_scan() -> _ZeroScan:
+    # the evaluator's domain ends at x = 120, long before the cap
+    return _ZeroScan(lambda t: airy_ai_neg_ref(t).value, 2.0, 0.1, 130.0,
+                     "airy zero scan exceeded its cap")
 
 
 def refine_airy_zero(s: int) -> float:
     """The s-th positive zero of Ai(-x) to ~1e-11, s <= 50."""
     if not 1 <= s <= _AIRY_S_CAP:
         raise DomainError(f"refine_airy_zero: s must lie in [1, {_AIRY_S_CAP}]")
-    return _airy_zeros_through(s)[s - 1]
+    return _airy_scan().zero(s)
 
 
 @lru_cache(maxsize=None)
-def _bessel_zeros_through(nu: float, n: int) -> tuple[float, ...]:
+def _bessel_scan(nu: float) -> _ZeroScan:
     order = Order(nu)
-    found = []
-    x = max(nu, 0.05)
-    prev_x, prev_v = x, bessel_j_ref(order, x).value
-    while len(found) < n:
-        if x > _BESSEL_X_CAP:
-            raise RuntimeError("bessel zero scan exceeded the x cap")
-        x += 0.25
-        v = bessel_j_ref(order, min(x, _BESSEL_X_CAP)).value
-        if prev_v * v < 0:
-            found.append(refine_root(lambda t: bessel_j_ref(order, t).value,
-                                     (prev_x, x), 1e-11))
-        prev_x, prev_v = x, v
-    return tuple(found)
+    return _ZeroScan(lambda t: bessel_j_ref(order, t).value, max(nu, 0.05), 0.25,
+                     _BESSEL_X_CAP, "bessel zero scan exceeded the x cap")
 
 
 def refine_bessel_zero(order: Order, s: int) -> float:
     """The s-th positive zero j_{nu,s} of J_nu to ~1e-11 (scan capped at x = 200)."""
     if s < 1:
         raise DomainError("refine_bessel_zero: s must be >= 1")
-    return _bessel_zeros_through(order.nu, s)[s - 1]
+    return _bessel_scan(order.nu).zero(s)
 
 
 def center_gap_check(s: int) -> tuple[BoundReport, BoundReport]:

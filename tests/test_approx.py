@@ -1,10 +1,13 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import besselcert.approx as approx_module
 from besselcert import (
     DomainError,
+    GridSpec,
     Order,
     airy_approx,
     airy_ai_neg_ref,
@@ -209,6 +212,12 @@ class TestTransition:
         with pytest.raises(DomainError, match="transition"):
             transition(Order(1.0), 96.0)
 
+    def test_cap_lies_inside_the_airy_domain(self):
+        cap = approx_module._TRANSITION_Z_CAP
+        assert math.isfinite(transition(Order(1.0), cap).value)
+        with pytest.raises(DomainError, match="transition"):
+            transition(Order(1.0), math.nextafter(cap, math.inf))
+
 
 class TestAiry:
     def test_sharp_width_at_ten(self):
@@ -268,3 +277,100 @@ class TestBest:
         a = best_approx(order, x)
         gap, est = _oracle_gap(order, x, a)
         assert gap <= a.half_width + max(est, 1e-11)
+
+
+def _evaluate_all(order, x):
+    """Reference for best_approx: evaluate every applicable candidate and
+    keep the narrowest, ties to the earlier method of _METHOD_ORDER."""
+    candidates = [classic_oscillatory(order, x)]
+    nu, mu = order.nu, order.mu
+    if abs(nu) <= 0.5:
+        candidates.append(sharper_oscillatory(order, x))
+        candidates.append(simplified_oscillatory(order, x))
+    elif x > max(mu, math.sqrt(mu)):
+        candidates.append(sharper_oscillatory(order, x))
+    if 0 <= nu <= 2.5:
+        candidates.append(olver_expansion(order, x, 1, 1))
+    if nu >= 0.5 and x >= nu:
+        z = (x - nu) / nu ** (1 / 3)
+        if z <= approx_module._TRANSITION_Z_CAP:
+            candidates.append(transition(order, z))
+    return min(candidates, key=lambda a: (a.half_width,
+                                          approx_module._METHOD_ORDER.index(a.method)))
+
+
+def _ulps_around(x, n=3):
+    """x and its n floating-point neighbours on each side."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def _edge_points():
+    """Where the candidate set or the ranking changes: every width 0 at
+    |nu| = 1/2, the sharp_high threshold max(mu, sqrt(mu)), olver's last
+    order 2.5, x = nu (z = 0) and z at the transition form's cap."""
+    points = [(nu, x) for nu in (-0.5, 0.5)
+              for x in (1e-3, 0.3, 0.5, 1.0, 7.0, 100.0, 199.0)]
+    for nu in (0.75, 1.0, 1.2, 2.5, 5.0, 20.0, 45.0):
+        mu = Order(nu).mu
+        points += [(nu, x) for x in _ulps_around(max(mu, math.sqrt(mu)))]
+    points += [(nu, x) for nu in _ulps_around(2.5, 1)
+               for x in (0.05, 1.0, 2.5, 3.0, 10.0, 150.0)]
+    points += [(nu, nu) for nu in (0.5, 1.0, 2.5, 20.0, 60.0)]
+    for nu in (1.0, 40.0, 1e6):
+        points += [(nu, x) for x in
+                   _ulps_around(nu + nu ** (1 / 3) * approx_module._TRANSITION_Z_CAP)]
+    return points
+
+
+class TestBestRanking:
+    def test_matches_evaluate_all_on_acceptance_grid(self):
+        # the acceptance battery's STD_GRID
+        grid = GridSpec((0.0, 1 / 3, 0.5, 1.0, 2.5, 5.0, 10.0, 20.0), (0.1, 150.0), 200)
+        for nu in grid.nu_values:
+            order = Order(nu)
+            for x in grid.x_values():
+                assert best_approx(order, x) == _evaluate_all(order, x), (nu, x)
+
+    def test_matches_evaluate_all_on_seeded_and_edge_points(self):
+        rng = random.Random(8)
+        points = [(rng.uniform(-0.5, 60.0), 200.0 * (1 - rng.random()))
+                  for _ in range(1500)]
+        points += [(rng.choice((-0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 2.5, 5.0, 10.0, 20.0)),
+                    200.0 * (1 - rng.random())) for _ in range(500)]
+        edges = _edge_points()
+        methods = set()
+        for nu, x in points + edges:
+            order = Order(nu)
+            best = best_approx(order, x)
+            assert best == _evaluate_all(order, x), (nu, x)
+            methods.add(best.method)
+        # simplified's width exceeds sharp_low's by (25/24)(1 + mu/x^2)^(5/4)
+        assert methods == set(approx_module._METHOD_ORDER) - {"simplified"}
+        # the edges exercise what they claim: an all-zero tie and both
+        # sides of the transition cap
+        assert best_approx(Order(0.5), 7.0).method == "sharp_low"
+        capped = [best_approx(Order(nu), x).method for nu, x in edges if nu == 1e6]
+        assert "transition" in capped and "classic" in capped
+
+    def test_oracle_runs_only_when_transition_wins(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return airy_ai_neg_ref(x)
+
+        monkeypatch.setattr(approx_module, "airy_ai_neg_ref", counted)
+        applicable = wins = 0
+        for nu in (1.0, 5.0, 20.0, 1e6):
+            order = Order(nu)
+            for z in (0.0, 0.5, 2.0, 10.0, 60.0):
+                before = len(calls)
+                a = best_approx(order, transition_x(order, z))
+                applicable += 1
+                wins += a.method == "transition"
+                assert len(calls) - before == (a.method == "transition"), (nu, z)
+        assert 0 < wins < applicable

@@ -3,15 +3,19 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import besselcert.zeros as zeros_module
 from besselcert import (
     DomainError,
     Order,
+    airy_ai_neg_ref,
     airy_zero_estimate,
     bessel_first_zeros_estimate,
+    bessel_j_ref,
     center_gap_check,
     conjecture_check,
     refine_airy_zero,
     refine_bessel_zero,
+    refine_root,
 )
 
 # zeros of Ai(-x) and of J_nu, frozen to 40 digits
@@ -88,6 +92,83 @@ class TestRefinement:
             refine_airy_zero(51)
         with pytest.raises(DomainError):
             refine_bessel_zero(Order(1.0), 0)
+
+
+def _fresh_scan(f, x, step, n):
+    """The first n refined sign changes of f in steps from x, walked from x."""
+    found = []
+    prev_x, prev_v = x, f(x)
+    while len(found) < n:
+        x += step
+        v = f(x)
+        if prev_v * v < 0:
+            found.append(refine_root(f, (prev_x, x), 1e-11))
+        prev_x, prev_v = x, v
+    return found
+
+
+def _counting(monkeypatch, name):
+    """Record every abscissa the zeros module passes to oracle function name."""
+    seen = []
+    fn = getattr(zeros_module, name)
+
+    def counted(*args):
+        seen.append(args[-1])
+        return fn(*args)
+
+    monkeypatch.setattr(zeros_module, name, counted)
+    return seen
+
+
+class TestResumedScan:
+    def test_airy_zeros_in_order_equal_a_fresh_scan(self):
+        zeros_module._airy_scan.cache_clear()
+        got = [refine_airy_zero(s) for s in range(1, 13)]
+        assert got == _fresh_scan(lambda t: airy_ai_neg_ref(t).value, 2.0, 0.1, 12)
+
+    @pytest.mark.parametrize("nu", (0.0, 2.5, 10.0))
+    def test_bessel_zeros_in_order_equal_a_fresh_scan(self, nu):
+        zeros_module._bessel_scan.cache_clear()
+        order = Order(nu)
+        got = [refine_bessel_zero(order, k) for k in (1, 2, 3)]
+        assert got == _fresh_scan(lambda t: bessel_j_ref(order, t).value,
+                                  max(nu, 0.05), 0.25, 3)
+
+    def test_airy_continuation_stays_above_the_previous_zero(self, monkeypatch):
+        zeros_module._airy_scan.cache_clear()
+        a5 = refine_airy_zero(5)
+        seen = _counting(monkeypatch, "airy_ai_neg_ref")
+        assert refine_airy_zero(5) == a5 and seen == []
+        refine_airy_zero(6)
+        assert seen and min(seen) > a5
+
+    def test_bessel_continuation_stays_above_the_previous_zero(self, monkeypatch):
+        zeros_module._bessel_scan.cache_clear()
+        order = Order(2.5)
+        j2 = refine_bessel_zero(order, 2)
+        seen = _counting(monkeypatch, "bessel_j_ref")
+        assert refine_bessel_zero(order, 2) == j2 and seen == []
+        refine_bessel_zero(order, 3)
+        assert seen and min(seen) > j2
+
+    def test_failed_step_leaves_the_scan_where_it_was(self):
+        calls = []
+
+        def flaky(t):
+            calls.append(t)
+            if len(calls) == 4:
+                raise ArithmeticError("refused once")
+            return math.sin(t)
+
+        scan = zeros_module._ZeroScan(flaky, 0.5, 1.0, 8.5, "cap reached")
+        with pytest.raises(ArithmeticError):
+            scan.zero(1)
+        assert scan.zero(2) == refine_root(math.sin, (5.5, 6.5), 1e-11)
+        assert scan.zeros[0] == refine_root(math.sin, (2.5, 3.5), 1e-11)
+        for _ in range(2):  # the cap is raised again, not stepped past
+            with pytest.raises(RuntimeError, match="cap reached"):
+                scan.zero(3)
+        assert scan.x == 9.5
 
 
 class TestBesselBrackets:

@@ -7,15 +7,16 @@ report on any acceptance grid is a build-failing event.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 import math
 
-from . import fixedpoint as fx
 from .oracle import (
     DomainError,
     Order,
     _FLOAT_ULP,
     _bernoulli,
+    _context,
     _j_prime_any,
     airy_ai_neg_prime_ref,
     airy_ai_neg_ref,
@@ -310,9 +311,10 @@ def leftmost_max_check(order: Order) -> BoundReport:
     nu - sum_k 2x^2/(j_{nu,k}^2 - x^2) strictly decreases, so the envelope's
     log-derivative J'_nu/J_nu - x/(2(mu - x^2)) strictly decreases from +inf
     at 0+ to -inf at sqrt(mu)-.  Its derivative hp thus changes sign exactly
-    once, and its signs on the geometric scan grid read + ... + - ... -,
-    after a run of exact zeros where J_nu and J'_nu underflow the oracle's
-    fixed-point scale (x near 0 once nu >~ 25).  So bisecting the grid's
+    once, and its signs on the geometric scan grid read + ... + - ... -.
+    The oracle resolves J_nu and J'_nu as positive doubles down to the
+    grid's first point x = 0.05 (J_30 = 3.3e-81 and J_60 = 9.0e-179 there),
+    so hp is positive there, not an exact zero.  So bisecting the grid's
     indices, with hp >= 0 at lo and hp < 0 at hi, finds the interval in
     which a walk along the grid would first see hp turn from positive to
     negative, at ~12 evaluations instead of ~1000; refine_root takes xi
@@ -353,26 +355,26 @@ def leftmost_max_check(order: Order) -> BoundReport:
 def _gauss_legendre() -> tuple[tuple[float, float], ...]:
     """(node, weight) pairs of the 20-point Gauss-Legendre rule on [-1, 1].
 
-    Newton on P_20 in 34-digit fixed point, weights 2(1-z^2)/(20 P_19(z))^2,
+    Newton on P_20 in 34-digit decimal, weights 2(1-z^2)/(20 P_19(z))^2,
     each rounded to double once: a float recurrence loses ~1e-13 in the
     outer weights, where P_19 is small against the rounding of P_k ~ 1.
     """
-    n, d = 20, 34
-    one = 10 ** d
+    n, c = 20, _context(34)
     rule = []
     for i in range(1, n // 2 + 1):
-        z = fx.fix_from(math.cos(math.pi * (i - 0.25) / (n + 0.5)), d)
-        step = one
-        while abs(step) > 10 ** 4:  # then p0 is P_19 at the node to ~1e-29
-            p0, p1 = one, z
+        z = c.create_decimal_from_float(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
+        step = Decimal(1)
+        while step.copy_abs() > Decimal("1e-30"):  # then p0 is P_19 at the node to ~1e-29
+            p0, p1 = Decimal(1), z
             for k in range(2, n + 1):
-                p0, p1 = p1, fx.rdiv((2 * k - 1) * fx.fmul(z, p1, d) - (k - 1) * p0, k)
-            step = fx.fdiv(fx.fmul(p1, fx.fmul(z, z, d) - one, d),
-                           n * (fx.fmul(z, p1, d) - p0), d)
-            z -= step
-        w = fx.to_float(fx.fdiv(2 * fx.fmul(one - z, one + z, d),
-                                fx.fmul(n * p0, n * p0, d), d), d)
-        rule += [(-fx.to_float(z, d), w), (fx.to_float(z, d), w)]
+                p0, p1 = p1, c.divide(c.subtract(c.multiply(2 * k - 1, c.multiply(z, p1)),
+                                                 c.multiply(k - 1, p0)), k)
+            step = c.divide(c.multiply(p1, c.subtract(c.multiply(z, z), 1)),
+                            c.multiply(n, c.subtract(c.multiply(z, p1), p0)))
+            z = c.subtract(z, step)
+        w = float(c.divide(c.multiply(2, c.multiply(c.subtract(1, z), c.add(1, z))),
+                           c.multiply(n * n, c.multiply(p0, p0))))
+        rule += [(-float(z), w), (float(z), w)]
     return tuple(rule)
 
 

@@ -1,29 +1,30 @@
 """Ground-truth evaluation of J_nu(x), J'_nu(x), Ai(-x), and Gamma.
 
 Everything else in the package is tested against these routines, so they
-are built on exact scaled-integer arithmetic (see fixedpoint) rather than
-doubles: the defining power series of J_nu alternates and cancels up to
-about 0.45*x decimal digits at argument x, which is fatal in binary64
-beyond x of a few tens.
+are not built on doubles: the defining power series of J_nu alternates and
+cancels up to about 0.45*x decimal digits at argument x, which is fatal in
+binary64 beyond x of a few tens.
 
 The series is split as J_nu(x) = P * S.  S = sum_j (-1)^j u_j starts at
-u_0 = 1 and runs on integers at d = 40 + 0.45x digits (rounded up), with
-the exact rational term ratio of x and nu, so every term keeps its digits
-at any order.  The prefactor P = (x/2)^nu / Gamma(nu+1) has no
-cancellation but spans hundreds of decades; it is computed at a fixed 40
-digits and applied once, in the conversion to a double.  Every result
-carries an absolute error estimate, 3 ulp per term plus 20 against P
-times the largest term, plus the float rounding.  The accuracy target is
-fixed: relative error 1e-12 (absolute 1e-22 where |J| < 1e-10); where
-cancellation leaves less than that, the call raises PrecisionError instead.
+u_0 = 1 and is summed on integers scaled by 10^d, d = 40 + 0.45x digits
+(rounded up), with the exact rational term ratio of x and nu, so every term
+keeps its digits at any order.  The prefactor P = (x/2)^nu / Gamma(nu+1)
+has no cancellation but spans hundreds of decades; it and Gamma are
+computed in 40-digit decimal floating point (the stdlib's decimal, whose ln
+and exp round correctly), each op in a private context, and P is applied
+once, in the conversion to a double.  Every result carries an absolute
+error estimate, 3 ulp per term plus 20 against P times the largest term,
+plus the float rounding.  The accuracy target is fixed: relative error
+1e-12 (absolute 1e-22 where |J| < 1e-10); where cancellation leaves less
+than that, the call raises PrecisionError instead.
 """
 
 from dataclasses import dataclass, field
+from decimal import (Context, Decimal, DivisionByZero, InvalidOperation, Overflow,
+                     ROUND_HALF_EVEN)
 from fractions import Fraction
 from functools import lru_cache
 import math
-
-from . import fixedpoint as fx
 
 _PUBLIC_X_CAP = 200.0
 _AIRY_X_CAP = 120.0
@@ -87,13 +88,46 @@ def _bernoulli(m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _stirling_coeff(n: int) -> Fraction:
-    return _bernoulli(2 * n) / ((2 * n) * (2 * n - 1))
+def _context(digits: int) -> Context:
+    """A private decimal context at the given precision.
+
+    Every Decimal op in the package names one of these, and each field
+    that can move a result is set here rather than copied from
+    decimal.DefaultContext, so neither the caller's context nor a changed
+    default touches the oracle's numbers.
+    """
+    return Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
+                   traps=[InvalidOperation, DivisionByZero, Overflow])
+
+
+def _decimal(q: Fraction, c: Context) -> Decimal:
+    return c.divide(q.numerator, q.denominator)
 
 
 @lru_cache(maxsize=None)
-def _half_ln_2pi(g: int) -> int:
-    return fx.rdiv(fx.fln(2 * fx.pi_fixed(g), g), 2)
+def _stirling_coeff(n: int, g: int) -> Decimal:
+    return _decimal(_bernoulli(2 * n) / ((2 * n) * (2 * n - 1)), _context(g))
+
+
+@lru_cache(maxsize=None)
+def _half_ln_2pi(g: int) -> Decimal:
+    # pi = 16 atan(1/5) - 4 atan(1/239) (Machin), with 10 guard digits
+    hi = _context(g + 10)
+
+    def atan_inv(n: int) -> Decimal:
+        # atan(1/n) = sum_j (-1)^j / ((2j+1) n^(2j+1)), until a term no longer counts
+        power = total = hi.divide(1, n)
+        last, j = None, 0
+        while total != last:
+            last = total
+            j += 1
+            power = hi.divide(power, -n * n)
+            total = hi.add(total, hi.divide(power, 2 * j + 1))
+        return total
+
+    pi = hi.subtract(hi.multiply(16, atan_inv(5)), hi.multiply(4, atan_inv(239)))
+    c = _context(g)
+    return c.divide(c.ln(hi.multiply(2, pi)), 2)
 
 
 def _stirling_shift(z: Fraction, g: int) -> tuple[Fraction, int, int]:
@@ -110,48 +144,49 @@ def _stirling_shift(z: Fraction, g: int) -> tuple[Fraction, int, int]:
 
 
 @lru_cache(maxsize=4096)
-def _stirling_ln_gamma(w: Fraction, g: int) -> int:
-    """ln Gamma(w) at g fixed digits from Stirling's series, w past the shift."""
-    one = 10 ** g
-    wf = fx.fix_from(w, g)
-    lnw = fx.fln(wf, g)
-    acc = fx.fmul(wf - one // 2, lnw, g) - wf + _half_ln_2pi(g)
-    inv_w = fx.fdiv(one, wf, g)
-    inv_w2 = fx.fmul(inv_w, inv_w, g)
+def _stirling_ln_gamma(w: Fraction, g: int) -> Decimal:
+    """ln Gamma(w) to g digits from Stirling's series, w past the shift."""
+    c = _context(g)
+    wd = _decimal(w, c)
+    acc = c.add(c.subtract(c.multiply(_decimal(w - Fraction(1, 2), c), c.ln(wd)), wd),
+                _half_ln_2pi(g))
+    inv_w = c.divide(1, wd)
+    inv_w2 = c.multiply(inv_w, inv_w)
     pw = inv_w
+    tol = Decimal(f"1e{3 - g}")  # remainder below the first omitted term
     n = 1
     prev_mag = None
     while True:
-        coeff = _stirling_coeff(n)
-        term = fx.rdiv(coeff.numerator * pw, coeff.denominator)
-        acc += term
-        mag = abs(term)
-        if mag < 1000:  # remainder below first omitted term, ~10^(3-g)
+        term = c.multiply(_stirling_coeff(n, g), pw)
+        acc = c.add(acc, term)
+        mag = term.copy_abs()
+        if mag < tol:
             break
         if prev_mag is not None and mag >= prev_mag:
             raise PrecisionError("Stirling series diverged before target accuracy")
         prev_mag = mag
-        pw = fx.fmul(pw, inv_w2, g)
+        pw = c.multiply(pw, inv_w2)
         n += 1
     return acc
 
 
 @lru_cache(maxsize=4096)
-def _gamma_fixed(z: Fraction, g: int) -> int:
-    """Gamma(z) = Gamma(z + k) / prod_{i<k} (z+i) at g fixed digits.
+def _gamma_decimal(z: Fraction, g: int) -> Decimal:
+    """Gamma(z) = Gamma(z + k) / prod_{i<k} (z+i) to g digits.
 
-    The shift product is exact integer arithmetic, rounded once, so the
-    only approximation lives in ln/exp and in the truncated Bernoulli sum.
+    The shift product is exact integer arithmetic, so the only
+    approximation lives in ln/exp and in the truncated Bernoulli sum.
     """
+    c = _context(g)
     w, num, den = _stirling_shift(z, g)
-    return fx.fdiv(fx.fexp(_stirling_ln_gamma(w, g), g), fx.rdiv(num * 10 ** g, den), g)
+    return c.divide(c.multiply(c.exp(_stirling_ln_gamma(w, g)), den), num)
 
 
 def gamma(z: float) -> float:
     """Gamma(z) for 0 < z < 64, relative error well below 1e-25."""
     if not 0 < z < 64:
         raise DomainError("gamma: z must lie in (0, 64)")
-    return fx.to_float(_gamma_fixed(Fraction(z), 40), 40)
+    return float(_gamma_decimal(Fraction(z), 40))
 
 
 def _digits_for(x: float) -> int:
@@ -163,47 +198,34 @@ def _digits_for(x: float) -> int:
     return d
 
 
-@lru_cache(maxsize=None)
-def _ln2_fixed(g: int) -> int:
-    return fx.fln(2 * 10 ** g, g)
-
-
 @lru_cache(maxsize=64)
-def _ln_half(x: Fraction) -> int:
-    """ln(x/2) = ln a - (k+1) ln 2 at _PF_DIGITS, for x = a/2^k (a double).
+def _ln_half(x: Fraction) -> Decimal:
+    """ln(x/2) to _PF_DIGITS digits.
 
     Cached so that the orders a derivative or an Airy value combines at
     one x share it.
     """
-    g = _PF_DIGITS
-    a, b = x.numerator, x.denominator
-    k = b.bit_length() - 1
-    if b != 1 << k:
-        raise ValueError("_ln_half: x must be a dyadic rational")
-    return fx.fln(a * 10 ** g, g) - (k + 1) * _ln2_fixed(g)
+    c = _context(_PF_DIGITS)
+    return c.ln(c.divide(x.numerator, 2 * x.denominator))
 
 
-def _prefactor(nu: Fraction, x: Fraction) -> tuple[int, int, int]:
-    """(m, num, den) with (x/2)^nu / Gamma(nu+1) = m num / den to ~_PF_DIGITS digits.
+def _prefactor(nu: Fraction, x: Fraction) -> tuple[int, int]:
+    """(num, den) with (x/2)^nu / Gamma(nu+1) = num / den to ~_PF_DIGITS digits.
 
     The prefactor has no cancellation, so it is computed at a fixed
     precision whatever the series needs.  Gamma(nu+1) = Gamma(w) den/num
     with the shift product num/den exact (see _stirling_shift) and
     ln Gamma(w) cached per w, which orders a whole number apart share; so
-    one exp of nu ln(x/2) - ln Gamma(w), less its decade, is the only
-    rounding step left.
+    one exp of nu ln(x/2) - ln Gamma(w) is the last rounding step, and its
+    decimal result is exactly the ratio of two integers.
     """
-    g = _PF_DIGITS
-    w, num, den = _stirling_shift(nu + 1, g)
-    ln_pf = -_stirling_ln_gamma(w, g)
+    c = _context(_PF_DIGITS)
+    w, num, den = _stirling_shift(nu + 1, _PF_DIGITS)
+    ln_pf = _stirling_ln_gamma(w, _PF_DIGITS).copy_negate()
     if nu:
-        ln_pf += fx.rdiv(nu.numerator * _ln_half(x), nu.denominator)
-    ln10 = fx.ln10_fixed(g)
-    decade = ln_pf // ln10
-    m = fx.fexp(ln_pf - decade * ln10, g)
-    if decade >= g:
-        return m, num * 10 ** (decade - g), den
-    return m, num, den * 10 ** (g - decade)
+        ln_pf = c.add(ln_pf, c.divide(c.multiply(nu.numerator, _ln_half(x)), nu.denominator))
+    m_num, m_den = c.exp(ln_pf).as_integer_ratio()
+    return m_num * num, m_den * den
 
 
 @lru_cache(maxsize=200000)
@@ -244,8 +266,7 @@ def _j_series_fixed(nu: Fraction, x: Fraction, d: int) -> tuple[float, float]:
         inc += inc2
     else:
         raise PrecisionError("series did not terminate within the term cap")
-    m, num, den = _prefactor(nu, x)
-    num *= m
+    num, den = _prefactor(nu, x)
     den *= one
     return s * num / den, (3 * j + 20) * tmax * num / (den * one)
 
@@ -313,10 +334,9 @@ def _order_round_charge(zeta: float) -> float:
 @lru_cache(maxsize=None)
 def _airy_origin(k: int) -> float:
     """3^(-k/3)/Gamma(k/3) at 60 digits: Ai(0) for k = 2, -Ai'(0) for k = 1."""
-    g = 60
-    v = fx.fdiv(fx.fexp(fx.rdiv(-k * fx.fln(3 * 10 ** g, g), 3), g),
-                _gamma_fixed(Fraction(k, 3), g), g)
-    return fx.to_float(v, g)
+    c = _context(60)
+    return float(c.divide(c.exp(c.divide(c.multiply(-k, c.ln(3)), 3)),
+                          _gamma_decimal(Fraction(k, 3), 60)))
 
 
 def airy_ai_neg_ref(x: float) -> EvalResult:

@@ -14,6 +14,7 @@ import math
 from .oracle import (
     DomainError,
     Order,
+    _PUBLIC_X_CAP,
     airy_ai_neg_ref,
     bessel_j_ref,
 )
@@ -183,7 +184,7 @@ def approx_row(method: str, order: Order, x: float, l1: int = 3, l2: int = 3) ->
     print nu = nan.  Raises DomainError off the method's domain.
     """
     if method not in _APPROXIMATIONS:
-        raise DomainError(f"verify_approx_grid: unknown method {method!r}")
+        raise DomainError(f"approx_row: unknown method {method!r}")
     a = _APPROXIMATIONS[method](order, x, l1, l2)
     if method.startswith("airy_"):
         ref = airy_ai_neg_ref(x)
@@ -344,8 +345,8 @@ def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) ->
     """
     if order.mu == 0:
         raise DomainError("olenko_sup: mu must be positive")
-    if x_max <= 0 or x_max > 200:
-        raise DomainError("olenko_sup: x_max must lie in (0, 200]")
+    if x_max <= 0 or x_max > _PUBLIC_X_CAP:
+        raise DomainError(f"olenko_sup: x_max must lie in (0, {_PUBLIC_X_CAP:g}]")
     if coarse_points < 10:
         raise DomainError("olenko_sup: coarse_points must be >= 10")
     xs = [x_max * k / coarse_points for k in range(1, coarse_points + 1)]

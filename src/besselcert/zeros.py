@@ -12,6 +12,7 @@ import math
 from .oracle import (
     DomainError,
     Order,
+    _PUBLIC_X_CAP,
     airy_ai_neg_ref,
     bessel_j_ref,
     refine_root,
@@ -19,7 +20,6 @@ from .oracle import (
 from .bounds import BoundReport, _make
 
 _AIRY_S_CAP = 50
-_BESSEL_X_CAP = 200.0
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def refine_airy_zero(s: int) -> float:
 def _bessel_scan(nu: float) -> _ZeroScan:
     order = Order(nu)
     return _ZeroScan(lambda t: bessel_j_ref(order, t).value, max(nu, 0.05), 0.25,
-                     _BESSEL_X_CAP, "bessel zero scan exceeded the x cap")
+                     _PUBLIC_X_CAP, "bessel zero scan exceeded the x cap")
 
 
 def refine_bessel_zero(order: Order, s: int) -> float:

@@ -10,6 +10,7 @@ from besselcert import (
     EvalResult,
     Order,
     airy_envelope_maxima,
+    bessel_j_prime_ref,
     bessel_j_ref,
     bound_airy_envelope,
     bound_derivative,
@@ -364,3 +365,10 @@ class TestLemmaClosedForm:
     @pytest.mark.parametrize("x", LEMMA_XS)
     def test_holds(self, x):
         assert all(rep.holds for rep in lemma_integral_check(x))
+
+
+@pytest.mark.parametrize("nu", [25.0, 40.0, 60.0])
+def test_leftmost_scan_start_is_resolved(nu):
+    # the scan grid starts at x = 0.05, where J_nu and J'_nu are tiny but not zero
+    assert bessel_j_ref(Order(nu), 0.05).value > 0
+    assert bessel_j_prime_ref(Order(nu), 0.05).value > 0

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselcert import oracle
+from besselcert import bounds, oracle
 from besselcert.oracle import (
     DomainError,
     Order,
@@ -337,3 +338,68 @@ def test_import_loads_no_numpy():
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         check=True)
     assert out.stdout.strip() == "False"
+
+
+def _clear_oracle_caches():
+    for f in (oracle._context, oracle._stirling_coeff, oracle._half_ln_2pi,
+              oracle._stirling_ln_gamma, oracle._gamma_decimal, oracle._ln_half,
+              oracle._j_series_fixed, oracle._airy_origin, bounds._gauss_legendre):
+        f.cache_clear()
+
+
+def _decimal_paths():
+    return (bessel_j_ref(Order(2.5), 10.0), bessel_j_prime_ref(Order(7.25), 33.0),
+            airy_ai_neg_ref(0.0), airy_ai_neg_prime_ref(0.0), airy_ai_neg_prime_ref(7.3),
+            gamma(2 / 3), bounds.lemma_integral_check(3.0),
+            bessel_j_ref(Order(60.0), 1e-300),
+            # the exact decimals behind the doubles
+            oracle._half_ln_2pi(40), oracle._prefactor(Fraction(2.5), Fraction(10)))
+
+
+def test_caller_decimal_context_never_reaches_the_oracle(monkeypatch):
+    # every Decimal op names a private context: a coarse, floor-rounding,
+    # Inexact-trapping global context (and DefaultContext) changes nothing
+    _clear_oracle_caches()
+    expected = _decimal_paths()
+    _clear_oracle_caches()
+    monkeypatch.setattr(decimal.DefaultContext, "prec", 3)
+    monkeypatch.setattr(decimal.DefaultContext, "rounding", decimal.ROUND_FLOOR)
+    hostile = decimal.Context(prec=3, rounding=decimal.ROUND_FLOOR,
+                              traps=[decimal.Inexact, decimal.InvalidOperation])
+    try:
+        with decimal.localcontext(hostile) as ctx:
+            assert _decimal_paths() == expected
+            assert not any(ctx.flags.values())
+    finally:
+        _clear_oracle_caches()
+
+
+@pytest.mark.parametrize("g", [40, 60])
+def test_decimal_constants_against_mpmath(g):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(g + 30):
+        truth = mpmath.log(2 * mpmath.pi) / 2
+        assert abs(mpmath.mpf(str(oracle._half_ln_2pi(g))) / truth - 1) <= mpmath.mpf(10) ** (2 - g)
+        for z in (Fraction(1, 3), Fraction(2, 3), Fraction(7, 2), Fraction(61), Fraction(1001, 2)):
+            w = oracle._stirling_shift(z, g)[0]
+            truth = mpmath.loggamma(mpmath.mpf(w.numerator) / w.denominator)
+            got = mpmath.mpf(str(oracle._stirling_ln_gamma(w, g)))
+            assert abs(got / truth - 1) <= mpmath.mpf(10) ** (2 - g), (z, g)
+
+
+def test_prefactor_against_mpmath():
+    # (x/2)^nu / Gamma(nu+1) to 1e-34 relative, from x = 1e-300 to the Airy
+    # paths' largest zeta, 2 * 120^(3/2) / 3 = 876
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(11)
+    points = [(60.0, 1e-300), (60.0, 876.0), (-0.5, 1e-300), (-1 / 3, 876.0), (0.0, 876.0)]
+    for i in range(300):
+        nu = rng.choice((0.0, 1 / 3, 2 / 3, 0.5, 2.5, 10.0)) if i % 5 == 0 else rng.uniform(-0.5, 60)
+        x = 10 ** rng.uniform(-300, 0) if i % 4 == 0 else 876 * (1 - rng.random())
+        points.append((nu, x))
+    with mpmath.workdps(60):
+        for nu, x in points:
+            num, den = oracle._prefactor(Fraction(nu), Fraction(x))
+            nu_mp = mpmath.mpf(nu)
+            truth = mpmath.exp(nu_mp * mpmath.log(mpmath.mpf(x) / 2) - mpmath.loggamma(nu_mp + 1))
+            assert abs(mpmath.mpf(num) / den / truth - 1) <= mpmath.mpf("1e-34"), (nu, x)

@@ -74,6 +74,10 @@ class TestApproxGrid:
         with pytest.raises(DomainError):
             verify_approx_grid("pade", g)
 
+    def test_approx_row_names_itself(self):
+        with pytest.raises(DomainError, match=r"^approx_row: unknown method 'pade'$"):
+            approx_row("pade", Order(0.0), 1.0)
+
     def test_transition_reads_x_as_z(self):
         g = GridSpec((5.0,), (0.0, 3.0), 10, "linear")
         rep = verify_approx_grid("transition", g)

@@ -15,8 +15,8 @@ from .oracle import (
     DomainError,
     Order,
     _FLOAT_ULP,
+    _CTX,
     _bernoulli,
-    _context,
     _j_prime_any,
     airy_ai_neg_prime_ref,
     airy_ai_neg_ref,
@@ -158,8 +158,8 @@ def bound_log_derivative(order: Order, x: float) -> tuple[BoundReport, BoundRepo
         raise DomainError("bound_log_derivative: J_nu vanishes on (0, x]")
     jp = _j_prime_any(order, x)
     ratio = jp.value / j.value - nu / x
-    ratio_err = (jp.abs_err_estimate / j.value
-                 + abs(jp.value) * j.abs_err_estimate / j.value ** 2)
+    # divided by J once: J^2 leaves the normal doubles below J = 1.5e-154
+    ratio_err = (jp.abs_err_estimate + abs(jp.value / j.value) * j.abs_err_estimate) / j.value
     w = 2 * nu + 1
     mid = (math.sqrt(w * w - 4 * x * x) - w) / (2 * x)
     low = -2 * x / w
@@ -355,11 +355,12 @@ def leftmost_max_check(order: Order) -> BoundReport:
 def _gauss_legendre() -> tuple[tuple[float, float], ...]:
     """(node, weight) pairs of the 20-point Gauss-Legendre rule on [-1, 1].
 
-    Newton on P_20 in 34-digit decimal, weights 2(1-z^2)/(20 P_19(z))^2,
-    each rounded to double once: a float recurrence loses ~1e-13 in the
-    outer weights, where P_19 is small against the rounding of P_k ~ 1.
+    Newton on P_20 in the oracle's 40-digit decimal context, weights
+    2(1-z^2)/(20 P_19(z))^2, each rounded to double once: a float recurrence
+    loses ~1e-13 in the outer weights, where P_19 is small against the
+    rounding of P_k ~ 1.
     """
-    n, c = 20, _context(34)
+    n, c = 20, _CTX
     rule = []
     for i in range(1, n // 2 + 1):
         z = c.create_decimal_from_float(math.cos(math.pi * (i - 0.25) / (n + 0.5)))

@@ -10,9 +10,9 @@ u_0 = 1 and is summed on integers scaled by 10^d, d = 40 + 0.45x digits
 (rounded up), with the exact rational term ratio of x and nu, so every term
 keeps its digits at any order.  The prefactor P = (x/2)^nu / Gamma(nu+1)
 has no cancellation but spans hundreds of decades; it and Gamma are
-computed in 40-digit decimal floating point (the stdlib's decimal, whose ln
-and exp round correctly), each op in a private context, and P is applied
-once, in the conversion to a double.  Every result carries an absolute
+computed in decimal floating point (the stdlib's decimal, whose ln and exp
+round correctly) in one private 40-digit context, and P is applied once, in
+the conversion to a double.  Every result carries an absolute
 error estimate, 3 ulp per term plus 20 against P times the largest term,
 plus the float rounding.  The accuracy target is fixed: relative error
 1e-12 (absolute 1e-22 where |J| < 1e-10); where cancellation leaves less
@@ -25,17 +25,24 @@ from decimal import (Context, Decimal, DivisionByZero, InvalidOperation, Overflo
 from fractions import Fraction
 from functools import lru_cache
 import math
+import sys
 
 _PUBLIC_X_CAP = 200.0
 _AIRY_X_CAP = 120.0
 _DIGIT_CAP = 500
 _TERM_CAP = 5000
-# digits of the series prefactor (x/2)^nu / Gamma(nu+1), whatever the sum needs
-_PF_DIGITS = 40
 # float conversion plus a couple of float ops, per rounding step
 _FLOAT_ULP = 2.3e-16
 # relative accuracy every J evaluation must reach (absolute below |J| = 1e-10)
 _TARGET_REL_ERR = 1e-12
+
+
+# The one decimal context: every Decimal op in the package names it, and each
+# field that can move a result is set here rather than copied from
+# decimal.DefaultContext, so neither the caller's context nor a changed
+# default touches the oracle's numbers.
+_CTX = Context(prec=40, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
+               traps=[InvalidOperation, DivisionByZero, Overflow])
 
 
 class DomainError(ValueError):
@@ -87,55 +94,27 @@ def _bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-@lru_cache(maxsize=None)
-def _context(digits: int) -> Context:
-    """A private decimal context at the given precision.
-
-    Every Decimal op in the package names one of these, and each field
-    that can move a result is set here rather than copied from
-    decimal.DefaultContext, so neither the caller's context nor a changed
-    default touches the oracle's numbers.
-    """
-    return Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
-                   traps=[InvalidOperation, DivisionByZero, Overflow])
-
-
-def _decimal(q: Fraction, c: Context) -> Decimal:
-    return c.divide(q.numerator, q.denominator)
+def _decimal(q: Fraction) -> Decimal:
+    return _CTX.divide(q.numerator, q.denominator)
 
 
 @lru_cache(maxsize=None)
-def _stirling_coeff(n: int, g: int) -> Decimal:
-    return _decimal(_bernoulli(2 * n) / ((2 * n) * (2 * n - 1)), _context(g))
+def _stirling_coeff(n: int) -> Decimal:
+    return _decimal(_bernoulli(2 * n) / ((2 * n) * (2 * n - 1)))
 
 
-@lru_cache(maxsize=None)
-def _half_ln_2pi(g: int) -> Decimal:
-    # pi = 16 atan(1/5) - 4 atan(1/239) (Machin), with 10 guard digits
-    hi = _context(g + 10)
-
-    def atan_inv(n: int) -> Decimal:
-        # atan(1/n) = sum_j (-1)^j / ((2j+1) n^(2j+1)), until a term no longer counts
-        power = total = hi.divide(1, n)
-        last, j = None, 0
-        while total != last:
-            last = total
-            j += 1
-            power = hi.divide(power, -n * n)
-            total = hi.add(total, hi.divide(power, 2 * j + 1))
-        return total
-
-    pi = hi.subtract(hi.multiply(16, atan_inv(5)), hi.multiply(4, atan_inv(239)))
-    c = _context(g)
-    return c.divide(c.ln(hi.multiply(2, pi)), 2)
+_HALF_LN_2PI = _CTX.divide(_CTX.ln(_CTX.multiply(2, Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494459"))), 2)
+# Stirling's remainder is below the first omitted term: stop 3 digits above _CTX's ulp
+_STIRLING_TOL = Decimal("1e-37")
 
 
-def _stirling_shift(z: Fraction, g: int) -> tuple[Fraction, int, int]:
-    """(w, num, den): w = z + k large enough that Stirling's series bottoms
-    out below 10^(3-g), and prod_{i<k} (z+i) = num/den exactly."""
+def _stirling_shift(z: Fraction) -> tuple[Fraction, int, int]:
+    """(w, num, den): w = z + k >= 30, where Stirling's series bottoms out
+    below _STIRLING_TOL, and prod_{i<k} (z+i) = num/den exactly."""
     if z <= 0:
         raise DomainError("gamma: argument must be positive")
-    k = max(0, math.ceil(max(30, 367 * (g + 8) // 1000 + 1) - z))
+    k = max(0, math.ceil(30 - z))
     p, r = z.numerator, z.denominator
     num = 1
     for i in range(k):
@@ -144,23 +123,21 @@ def _stirling_shift(z: Fraction, g: int) -> tuple[Fraction, int, int]:
 
 
 @lru_cache(maxsize=4096)
-def _stirling_ln_gamma(w: Fraction, g: int) -> Decimal:
-    """ln Gamma(w) to g digits from Stirling's series, w past the shift."""
-    c = _context(g)
-    wd = _decimal(w, c)
-    acc = c.add(c.subtract(c.multiply(_decimal(w - Fraction(1, 2), c), c.ln(wd)), wd),
-                _half_ln_2pi(g))
-    inv_w = c.divide(1, wd)
-    inv_w2 = c.multiply(inv_w, inv_w)
-    pw = inv_w
-    tol = Decimal(f"1e{3 - g}")  # remainder below the first omitted term
+def _stirling_ln_gamma(w: Fraction) -> Decimal:
+    """ln Gamma(w) from Stirling's series, w past the shift."""
+    c = _CTX
+    wd = _decimal(w)
+    acc = c.add(c.subtract(c.multiply(_decimal(w - Fraction(1, 2)), c.ln(wd)), wd),
+                _HALF_LN_2PI)
+    pw = c.divide(1, wd)
+    inv_w2 = c.multiply(pw, pw)
     n = 1
     prev_mag = None
     while True:
-        term = c.multiply(_stirling_coeff(n, g), pw)
+        term = c.multiply(_stirling_coeff(n), pw)
         acc = c.add(acc, term)
         mag = term.copy_abs()
-        if mag < tol:
+        if mag < _STIRLING_TOL:
             break
         if prev_mag is not None and mag >= prev_mag:
             raise PrecisionError("Stirling series diverged before target accuracy")
@@ -171,27 +148,26 @@ def _stirling_ln_gamma(w: Fraction, g: int) -> Decimal:
 
 
 @lru_cache(maxsize=4096)
-def _gamma_decimal(z: Fraction, g: int) -> Decimal:
-    """Gamma(z) = Gamma(z + k) / prod_{i<k} (z+i) to g digits.
+def _gamma_decimal(z: Fraction) -> Decimal:
+    """Gamma(z) = Gamma(z + k) / prod_{i<k} (z+i).
 
     The shift product is exact integer arithmetic, so the only
     approximation lives in ln/exp and in the truncated Bernoulli sum.
     """
-    c = _context(g)
-    w, num, den = _stirling_shift(z, g)
-    return c.divide(c.multiply(c.exp(_stirling_ln_gamma(w, g)), den), num)
+    w, num, den = _stirling_shift(z)
+    return _CTX.divide(_CTX.multiply(_CTX.exp(_stirling_ln_gamma(w)), den), num)
 
 
 def gamma(z: float) -> float:
     """Gamma(z) for 0 < z < 64, relative error well below 1e-25."""
     if not 0 < z < 64:
         raise DomainError("gamma: z must lie in (0, 64)")
-    return float(_gamma_decimal(Fraction(z), 40))
+    return float(_gamma_decimal(Fraction(z)))
 
 
 def _digits_for(x: float) -> int:
     # at least ceil(0.45 x) + 40 digits so cancellation never eats the result;
-    # rounded up to a multiple of 20 so caches hit across neighboring x
+    # the rounding up to a multiple of 20 only adds up to 19 more
     d = 40 + 20 * math.ceil(0.45 * x / 20)
     if d > _DIGIT_CAP:
         raise PrecisionError(f"x={x} needs {d} working digits (cap {_DIGIT_CAP})")
@@ -200,17 +176,13 @@ def _digits_for(x: float) -> int:
 
 @lru_cache(maxsize=64)
 def _ln_half(x: Fraction) -> Decimal:
-    """ln(x/2) to _PF_DIGITS digits.
-
-    Cached so that the orders a derivative or an Airy value combines at
-    one x share it.
-    """
-    c = _context(_PF_DIGITS)
-    return c.ln(c.divide(x.numerator, 2 * x.denominator))
+    """ln(x/2), cached so that the orders a derivative or an Airy value
+    combines at one x share it."""
+    return _CTX.ln(_CTX.divide(x.numerator, 2 * x.denominator))
 
 
 def _prefactor(nu: Fraction, x: Fraction) -> tuple[int, int]:
-    """(num, den) with (x/2)^nu / Gamma(nu+1) = num / den to ~_PF_DIGITS digits.
+    """(num, den) with (x/2)^nu / Gamma(nu+1) = num / den to ~40 digits.
 
     The prefactor has no cancellation, so it is computed at a fixed
     precision whatever the series needs.  Gamma(nu+1) = Gamma(w) den/num
@@ -219,9 +191,9 @@ def _prefactor(nu: Fraction, x: Fraction) -> tuple[int, int]:
     one exp of nu ln(x/2) - ln Gamma(w) is the last rounding step, and its
     decimal result is exactly the ratio of two integers.
     """
-    c = _context(_PF_DIGITS)
-    w, num, den = _stirling_shift(nu + 1, _PF_DIGITS)
-    ln_pf = _stirling_ln_gamma(w, _PF_DIGITS).copy_negate()
+    c = _CTX
+    w, num, den = _stirling_shift(nu + 1)
+    ln_pf = _stirling_ln_gamma(w).copy_negate()
     if nu:
         ln_pf = c.add(ln_pf, c.divide(c.multiply(nu.numerator, _ln_half(x)), nu.denominator))
     m_num, m_den = c.exp(ln_pf).as_integer_ratio()
@@ -290,6 +262,8 @@ def bessel_j_ref(order: Order, x: float) -> EvalResult:
     """
     if order.nu < -0.5:
         raise DomainError("bessel_j_ref: nu must be >= -1/2")
+    if not math.isfinite(order.nu):
+        raise DomainError("bessel_j_ref: nu must be finite")
     if not 0 < x <= _PUBLIC_X_CAP:
         raise DomainError(f"bessel_j_ref: x must lie in (0, {_PUBLIC_X_CAP:g}]")
     return _j_eval(Fraction(order.nu), Fraction(x))
@@ -303,6 +277,8 @@ def bessel_j_prime_ref(order: Order, x: float) -> EvalResult:
     """
     if order.nu < 0.5:
         raise DomainError("bessel_j_prime_ref: nu must be >= 1/2")
+    if not math.isfinite(order.nu):
+        raise DomainError("bessel_j_prime_ref: nu must be finite")
     if not 0 < x <= _PUBLIC_X_CAP:
         raise DomainError(f"bessel_j_prime_ref: x must lie in (0, {_PUBLIC_X_CAP:g}]")
     jm = _j_eval(Fraction(order.nu) - 1, Fraction(x))
@@ -333,10 +309,10 @@ def _order_round_charge(zeta: float) -> float:
 
 @lru_cache(maxsize=None)
 def _airy_origin(k: int) -> float:
-    """3^(-k/3)/Gamma(k/3) at 60 digits: Ai(0) for k = 2, -Ai'(0) for k = 1."""
-    c = _context(60)
+    """3^(-k/3)/Gamma(k/3): Ai(0) for k = 2, -Ai'(0) for k = 1."""
+    c = _CTX
     return float(c.divide(c.exp(c.divide(c.multiply(-k, c.ln(3)), 3)),
-                          _gamma_decimal(Fraction(k, 3), 60)))
+                          _gamma_decimal(Fraction(k, 3))))
 
 
 def airy_ai_neg_ref(x: float) -> EvalResult:
@@ -344,15 +320,16 @@ def airy_ai_neg_ref(x: float) -> EvalResult:
 
     The value is assembled in floats from the two series results at the
     rounded double zeta, so it is bit-for-bit the reconstruction from
-    bessel_j_ref outputs; x = 0 returns the analytic limit
-    Ai(0) = 3^(-2/3)/Gamma(2/3).
+    bessel_j_ref outputs.  Where zeta is 0 or subnormal (x below 1.04e-205)
+    it returns the analytic limit Ai(0) = 3^(-2/3)/Gamma(2/3), which is off
+    by at most |Ai'(0)| x < 0.26x < 3e-206 there.
     """
     if not 0 <= x <= _AIRY_X_CAP:
         raise DomainError(f"airy_ai_neg_ref: x must lie in [0, {_AIRY_X_CAP:g}]")
-    if x == 0:
+    zeta = 2 * x ** 1.5 / 3
+    if zeta < sys.float_info.min:
         v = _airy_origin(2)
         return EvalResult(v, _FLOAT_ULP * abs(v))
-    zeta = 2 * x ** 1.5 / 3
     jm = _j_eval(Fraction(-1 / 3), Fraction(zeta))
     jp = _j_eval(Fraction(1 / 3), Fraction(zeta))
     root = math.sqrt(x)
@@ -369,15 +346,16 @@ def airy_ai_neg_prime_ref(x: float) -> EvalResult:
     """d/dx Ai(-x) = J_{1/3}(zeta)/(3 sqrt(x)) - (x/3)(J_{2/3}(zeta) + J_{4/3}(zeta)).
 
     Obtained by differentiating the Bessel representation and eliminating
-    the nu = -4/3 order through the standard recurrences; the x -> 0 limit
-    is -Ai'(0) = 3^(-1/3)/Gamma(1/3).
+    the nu = -4/3 order through the standard recurrences.  Where zeta is 0
+    or subnormal it returns the x -> 0 limit -Ai'(0) = 3^(-1/3)/Gamma(1/3),
+    which is off by at most Ai(0) x^2/2 < 1e-410 there.
     """
     if not 0 <= x <= _AIRY_X_CAP:
         raise DomainError(f"airy_ai_neg_prime_ref: x must lie in [0, {_AIRY_X_CAP:g}]")
-    if x == 0:
+    zeta = 2 * x ** 1.5 / 3
+    if zeta < sys.float_info.min:
         v = _airy_origin(1)
         return EvalResult(v, _FLOAT_ULP * abs(v))
-    zeta = 2 * x ** 1.5 / 3
     j13 = _j_eval(Fraction(1 / 3), Fraction(zeta))
     j23 = _j_eval(Fraction(2 / 3), Fraction(zeta))
     j43 = _j_eval(Fraction(4 / 3), Fraction(zeta))

@@ -124,6 +124,18 @@ class TestLogDerivative:
         with pytest.raises(DomainError):
             bound_log_derivative(Order(1.0), 1.6)  # beyond nu + 1/2
 
+    @pytest.mark.parametrize("nu,x", [(60.0, 0.05), (120.00000000000001, 2.0)])
+    def test_j_squared_below_the_doubles(self, nu, x):
+        # J_60(0.05) = 9.0e-179 and J_120(2) = 1.5e-199: J^2 underflows to 0,
+        # so the ratio's error must divide by J only once
+        mpmath = pytest.importorskip("mpmath")
+        first, second = bound_log_derivative(Order(nu), x)
+        assert first.holds and second.holds
+        with mpmath.workdps(30):
+            j = mpmath.besselj(nu, x)
+            truth = mpmath.besselj(nu, x, derivative=1) / j - nu / mpmath.mpf(x)
+        assert first.rhs == pytest.approx(float(truth), rel=1e-12)
+
 
 class TestAiryEnvelope:
     def test_holds_at_origin_and_beyond(self):

@@ -116,6 +116,18 @@ class TestBounds:
         assert code == 2 and out == ""
         assert err == f"error: bounds --name {name} requires --{flag}\n"
 
+    def test_log_derivative_where_j_squared_underflows(self, capsys):
+        code, out, err = run(capsys, "bounds", "--name", "log_derivative",
+                             "--nu", "60", "--x", "0.05")
+        assert code == 0 and err == ""
+        assert [row[7] for row in rows_of(out)] == ["true", "true"]
+
+    def test_airy_envelope_at_tiny_x(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--name", "airy_envelope", "--x", "1e-250")
+        assert code == 0
+        (row,) = rows_of(out)
+        assert row[7] == "true"
+
     def test_plain_format(self, capsys):
         code, out, _ = run(capsys, "bounds", "--name", "airy_envelope",
                            "--x", "3", "--format", "plain")
@@ -197,6 +209,18 @@ class TestSup:
         assert code == 1
         (row,) = rows_of(out)
         assert row[7] == "false"
+
+
+@pytest.mark.parametrize("nu", ["inf", "nan"])
+@pytest.mark.parametrize("args", [
+    ("eval", "--x", "1"), ("bounds", "--name", "watson", "--x", "2"),
+    ("bounds", "--name", "envelope", "--x", "2"),
+    ("bounds", "--name", "log_derivative", "--x", "2"),
+    ("bounds", "--name", "leftmost_max"), ("sup",)])
+def test_non_finite_order_is_usage_error(capsys, args, nu):
+    code, out, err = run(capsys, *args, "--nu", nu)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestHarness:

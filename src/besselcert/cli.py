@@ -5,8 +5,10 @@ Every subcommand emits rows under the fixed header
 with reals printed to 17 significant digits, so repeated runs with the same
 flags are byte-identical and the rows feed plotting tools directly.  Exit
 status: 0 all rows certified, 1 if any row has ratio > 1 or holds = false,
-2 on usage errors or an unwritable --output.  Bound rows carry lhs/rhs/margin
-in value/oracle/half_width; nan fills the columns a subject has no use for.
+2 with one "error:" line on usage errors, inputs outside a routine's domain
+or float range (an OverflowError included) or an unwritable --output.  Bound
+rows carry lhs/rhs/margin in value/oracle/half_width; nan fills the columns a
+subject has no use for.
 """
 
 import argparse
@@ -16,7 +18,6 @@ import sys
 from .oracle import (
     DomainError,
     Order,
-    PrecisionError,
     bessel_j_ref,
 )
 from . import scan as _scan
@@ -189,7 +190,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         rows = ns.run(ns)
-    except (_UsageError, DomainError, ValueError, PrecisionError, RuntimeError) as e:
+    # DomainError is a ValueError and PrecisionError a RuntimeError
+    except (_UsageError, ValueError, ArithmeticError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     text = _render(rows, ns.format)

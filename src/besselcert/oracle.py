@@ -6,13 +6,15 @@ cancels up to about 0.45*x decimal digits at argument x, which is fatal in
 binary64 beyond x of a few tens.
 
 The series is split as J_nu(x) = P * S.  S = sum_j (-1)^j u_j starts at
-u_0 = 1 and is summed on integers scaled by 10^d, d = 40 + 0.45x digits
-(rounded up), with the exact rational term ratio of x and nu, so every term
-keeps its digits at any order.  The prefactor P = (x/2)^nu / Gamma(nu+1)
-has no cancellation but spans hundreds of decades; it and Gamma are
-computed in decimal floating point (the stdlib's decimal, whose ln and exp
-round correctly) in one private 40-digit context, and P is applied once, in
-the conversion to a double.  Every result carries an absolute
+u_0 = 1 and is summed on integers scaled by 10^d, d = 40 + ceil(0.45x)
+digits, with the exact rational term ratio of x and nu, so every term keeps
+its digits at any order.  The prefactor P = (x/2)^nu / Gamma(nu+1) has no
+cancellation but spans hundreds of decades.  ln Gamma comes from Stirling's
+series in one private 40-digit decimal context, once per order; ln(x/2)
+and the exp run on 160-bit binary fixed-point integers by table-driven
+argument reduction, the tables filled from the same context.  P is within
+about 1e-35 relative and is applied once, in the conversion to a double.
+Every result carries an absolute
 error estimate, 3 ulp per term plus 20 against P times the largest term,
 plus the float rounding.  The accuracy target is fixed: relative error
 1e-12 (absolute 1e-22 where |J| < 1e-10); where cancellation leaves less
@@ -147,61 +149,112 @@ def _stirling_ln_gamma(w: Fraction) -> Decimal:
     return acc
 
 
-@lru_cache(maxsize=4096)
-def _gamma_decimal(z: Fraction) -> Decimal:
-    """Gamma(z) = Gamma(z + k) / prod_{i<k} (z+i).
+# The prefactor's logs run in binary fixed point: an int y stands for y/2^_FB.
+_FB = 160
 
-    The shift product is exact integer arithmetic, so the only
-    approximation lives in ln/exp and in the truncated Bernoulli sum.
+
+def _fixed(v: Decimal) -> int:
+    num, den = v.as_integer_ratio()
+    return (num << _FB) // den
+
+
+_LN2 = _fixed(_CTX.ln(2))
+
+
+@lru_cache(maxsize=4096)
+def _gamma_parts(p: int, r: int) -> tuple[int, int, int]:
+    """(ln Gamma(w), num, den) for z = p/r, cached per exact z: Gamma(z) =
+    Gamma(w) den/num with w and the exact num/den from _stirling_shift."""
+    w, num, den = _stirling_shift(Fraction(p, r))
+    return _fixed(_stirling_ln_gamma(w)), num, den
+
+
+@lru_cache(maxsize=None)
+def _ln_small(h: int) -> int:
+    """ln h for 1 <= h < 1024: the table behind _ln_half, filled on demand."""
+    return _fixed(_CTX.ln(h))
+
+
+def _ln_half(x: float) -> int:
+    """ln(x/2) for a positive double x, within ~4e-39 (the 40-digit ln h).
+
+    x = a/2^k and a = h 2^e (1 + t), h the top 10 bits of a, 0 <= t < 2^-9:
+    ln(x/2) = ln h + (e-k-1) ln 2 + 2 atanh(s), s = t/(2+t) < 2^-10, whose
+    odd series through s^11 leaves out less than 1.2e-40.
     """
-    w, num, den = _stirling_shift(z)
-    return _CTX.divide(_CTX.multiply(_CTX.exp(_stirling_ln_gamma(w)), den), num)
+    a, b = x.as_integer_ratio()
+    e = max(0, a.bit_length() - 10)
+    h = a >> e
+    ln = _ln_small(h) + (e - b.bit_length()) * _LN2
+    rem = a - (h << e)
+    if rem:
+        s = (rem << _FB) // ((h << (e + 1)) + rem)
+        s2 = s * s >> _FB
+        term = acc = s
+        for n in range(3, 13, 2):
+            term = term * s2 >> _FB
+            acc += term // n
+        ln += 2 * acc
+    return ln
+
+
+@lru_cache(maxsize=None)
+def _exp_table(i: int) -> int:
+    """exp(i/256) in fixed point for 0 <= i < 178."""
+    return _fixed(_CTX.exp(_CTX.divide(i, 256)))
+
+
+def _exp_ratio(y: int) -> tuple[int, int]:
+    """(num, den) with exp(y/2^_FB) = num/den within ~2e-39 relative.
+
+    y = n ln 2 + i/256 + f, 0 <= f < 1/256: 2^n goes in exactly, the table
+    gives exp(i/256) and Taylor through f^12/12! leaves out < 1e-41.  The
+    40-digit ln 2 is off by 1.3e-44, which |n| < 10^5 keeps below 2e-39.
+    """
+    n, r = divmod(y, _LN2)
+    i = r >> (_FB - 8)
+    f = r - (i << (_FB - 8))
+    one = 1 << _FB
+    acc = one
+    for k in range(12, 0, -1):
+        acc = one + (acc * f >> _FB) // k
+    num, shift = _exp_table(i) * acc, 2 * _FB - n
+    return (num, 1 << shift) if shift >= 0 else (num << -shift, 1)
 
 
 def gamma(z: float) -> float:
     """Gamma(z) for 0 < z < 64, relative error well below 1e-25."""
     if not 0 < z < 64:
         raise DomainError("gamma: z must lie in (0, 64)")
-    return float(_gamma_decimal(Fraction(z)))
+    ln_gamma, num, den = _gamma_parts(*z.as_integer_ratio())
+    m_num, m_den = _exp_ratio(ln_gamma)
+    return m_num * den / (m_den * num)
 
 
 def _digits_for(x: float) -> int:
-    # at least ceil(0.45 x) + 40 digits so cancellation never eats the result;
-    # the rounding up to a multiple of 20 only adds up to 19 more
-    d = 40 + 20 * math.ceil(0.45 * x / 20)
+    # cancellation eats up to 0.45 x digits of the largest term; 40 remain
+    d = 40 + math.ceil(0.45 * x)
     if d > _DIGIT_CAP:
         raise PrecisionError(f"x={x} needs {d} working digits (cap {_DIGIT_CAP})")
     return d
 
 
-@lru_cache(maxsize=64)
-def _ln_half(x: Fraction) -> Decimal:
-    """ln(x/2), cached so that the orders a derivative or an Airy value
-    combines at one x share it."""
-    return _CTX.ln(_CTX.divide(x.numerator, 2 * x.denominator))
+def _prefactor(nu: tuple[int, int], x: float) -> tuple[int, int]:
+    """(num, den) with (x/2)^nu / Gamma(nu+1) = num / den to ~1e-35 relative.
 
-
-def _prefactor(nu: Fraction, x: Fraction) -> tuple[int, int]:
-    """(num, den) with (x/2)^nu / Gamma(nu+1) = num / den to ~40 digits.
-
-    The prefactor has no cancellation, so it is computed at a fixed
-    precision whatever the series needs.  Gamma(nu+1) = Gamma(w) den/num
-    with the shift product num/den exact (see _stirling_shift) and
-    ln Gamma(w) cached per w, which orders a whole number apart share; so
-    one exp of nu ln(x/2) - ln Gamma(w) is the last rounding step, and its
-    decimal result is exactly the ratio of two integers.
+    nu = p/r.  The prefactor has no cancellation, so it is computed at a
+    fixed precision whatever the series needs: one exp of
+    nu ln(x/2) - ln Gamma(w) times the exact num/den of _gamma_parts.  The
+    40-digit ln Gamma(w) (~1e-37 absolute) dominates the error.
     """
-    c = _CTX
-    w, num, den = _stirling_shift(nu + 1)
-    ln_pf = _stirling_ln_gamma(w).copy_negate()
-    if nu:
-        ln_pf = c.add(ln_pf, c.divide(c.multiply(nu.numerator, _ln_half(x)), nu.denominator))
-    m_num, m_den = c.exp(ln_pf).as_integer_ratio()
+    p, r = nu
+    ln_gamma, num, den = _gamma_parts(p + r, r)
+    m_num, m_den = _exp_ratio(p * _ln_half(x) // r - ln_gamma if p else -ln_gamma)
     return m_num * num, m_den * den
 
 
 @lru_cache(maxsize=200000)
-def _j_series_fixed(nu: Fraction, x: Fraction, d: int) -> tuple[float, float]:
+def _j_series_fixed(nu: tuple[int, int], x: float, d: int) -> tuple[float, float]:
     """(value, abs_err) of J_nu(x) as doubles, the sum run at d digits.
 
     J_nu(x) = P sum_j (-1)^j u_j, P = (x/2)^nu / Gamma(nu+1) (see _prefactor).
@@ -215,8 +268,8 @@ def _j_series_fixed(nu: Fraction, x: Fraction, d: int) -> tuple[float, float]:
     (as Fraction's float() does, less its gcd); P's ~1e-35 relative error
     vanishes in the float rounding charge.
     """
-    a, b = x.numerator, x.denominator
-    p, r = nu.numerator, nu.denominator
+    a, b = x.as_integer_ratio()
+    p, r = nu
     one = 10 ** d
     ratio_num, ratio_den = a * a * r, 4 * b * b
     # step = ratio_den j (j r + p), advanced by its first and second differences
@@ -243,9 +296,9 @@ def _j_series_fixed(nu: Fraction, x: Fraction, d: int) -> tuple[float, float]:
     return s * num / den, (3 * j + 20) * tmax * num / (den * one)
 
 
-def _j_eval(nu: Fraction, x: Fraction) -> EvalResult:
-    d = _digits_for(float(x))
-    value, err = _j_series_fixed(nu, x, d)
+def _j_eval(nu: tuple[int, int], x: float) -> EvalResult:
+    x = float(x)  # _ln_half needs a power-of-two denominator
+    value, err = _j_series_fixed(nu, x, _digits_for(x))
     # below the normal range a double's rounding error is absolute
     err += _FLOAT_ULP * abs(value) + math.ulp(0.0)
     if err > _TARGET_REL_ERR * max(abs(value), 1e-10):
@@ -266,7 +319,7 @@ def bessel_j_ref(order: Order, x: float) -> EvalResult:
         raise DomainError("bessel_j_ref: nu must be finite")
     if not 0 < x <= _PUBLIC_X_CAP:
         raise DomainError(f"bessel_j_ref: x must lie in (0, {_PUBLIC_X_CAP:g}]")
-    return _j_eval(Fraction(order.nu), Fraction(x))
+    return _j_eval(order.nu.as_integer_ratio(), x)
 
 
 def bessel_j_prime_ref(order: Order, x: float) -> EvalResult:
@@ -281,8 +334,8 @@ def bessel_j_prime_ref(order: Order, x: float) -> EvalResult:
         raise DomainError("bessel_j_prime_ref: nu must be finite")
     if not 0 < x <= _PUBLIC_X_CAP:
         raise DomainError(f"bessel_j_prime_ref: x must lie in (0, {_PUBLIC_X_CAP:g}]")
-    jm = _j_eval(Fraction(order.nu) - 1, Fraction(x))
-    jp = _j_eval(Fraction(order.nu) + 1, Fraction(x))
+    p, r = order.nu.as_integer_ratio()
+    jm, jp = _j_eval((p - r, r), x), _j_eval((p + r, r), x)
     value = (jm.value - jp.value) / 2
     err = (jm.abs_err_estimate + jp.abs_err_estimate) / 2 + _FLOAT_ULP * abs(value)
     return EvalResult(value, err)
@@ -292,8 +345,8 @@ def _j_prime_any(order: Order, x: float) -> EvalResult:
     # J'_nu = (nu/x) J_nu - J_{nu+1} extends the derivative below nu = 1/2
     if order.nu >= 0.5:
         return bessel_j_prime_ref(order, x)
-    j0 = _j_eval(Fraction(order.nu), Fraction(x))
-    j1 = _j_eval(Fraction(order.nu) + 1, Fraction(x))
+    p, r = order.nu.as_integer_ratio()
+    j0, j1 = _j_eval((p, r), x), _j_eval((p + r, r), x)
     value = (order.nu / x) * j0.value - j1.value
     err = (abs(order.nu / x) * j0.abs_err_estimate + j1.abs_err_estimate
            + _FLOAT_ULP * abs(value))
@@ -307,12 +360,16 @@ def _order_round_charge(zeta: float) -> float:
     return 6e-17 * (abs(math.log(zeta / 2)) + 2) * max(1.0, (2.0 / zeta) ** (1.0 / 3.0))
 
 
+# the Airy paths' orders: the doubles nearest -1/3, 1/3, 2/3 and 4/3
+_NU_M13, _NU_13, _NU_23, _NU_43 = ((k / 3).as_integer_ratio() for k in (-1, 1, 2, 4))
+
+
 @lru_cache(maxsize=None)
 def _airy_origin(k: int) -> float:
     """3^(-k/3)/Gamma(k/3): Ai(0) for k = 2, -Ai'(0) for k = 1."""
-    c = _CTX
-    return float(c.divide(c.exp(c.divide(c.multiply(-k, c.ln(3)), 3)),
-                          _gamma_decimal(Fraction(k, 3))))
+    ln_gamma, num, den = _gamma_parts(k, 3)
+    m_num, m_den = _exp_ratio(-k * _ln_small(3) // 3 - ln_gamma)
+    return m_num * num / (m_den * den)
 
 
 def airy_ai_neg_ref(x: float) -> EvalResult:
@@ -330,8 +387,8 @@ def airy_ai_neg_ref(x: float) -> EvalResult:
     if zeta < sys.float_info.min:
         v = _airy_origin(2)
         return EvalResult(v, _FLOAT_ULP * abs(v))
-    jm = _j_eval(Fraction(-1 / 3), Fraction(zeta))
-    jp = _j_eval(Fraction(1 / 3), Fraction(zeta))
+    jm = _j_eval(_NU_M13, zeta)
+    jp = _j_eval(_NU_13, zeta)
     root = math.sqrt(x)
     value = root / 3 * (jm.value + jp.value)
     # the rounded zeta (3 float ops) enters through |J'| <= sqrt(2/(pi zeta))
@@ -356,9 +413,9 @@ def airy_ai_neg_prime_ref(x: float) -> EvalResult:
     if zeta < sys.float_info.min:
         v = _airy_origin(1)
         return EvalResult(v, _FLOAT_ULP * abs(v))
-    j13 = _j_eval(Fraction(1 / 3), Fraction(zeta))
-    j23 = _j_eval(Fraction(2 / 3), Fraction(zeta))
-    j43 = _j_eval(Fraction(4 / 3), Fraction(zeta))
+    j13 = _j_eval(_NU_13, zeta)
+    j23 = _j_eval(_NU_23, zeta)
+    j43 = _j_eval(_NU_43, zeta)
     root = math.sqrt(x)
     value = j13.value / (3 * root) - x / 3 * (j23.value + j43.value)
     zeta_err = 1.5 * _FLOAT_ULP * zeta * math.sqrt(2 / (math.pi * zeta))

@@ -223,6 +223,17 @@ def test_non_finite_order_is_usage_error(capsys, args, nu):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ("approx", "--method", "classic", "--nu", "2", "--x", "1e-320"),
+    ("bounds", "--name", "derivative", "--nu", "2", "--x", "1e250")])
+def test_float_overflow_is_usage_error(capsys, args):
+    # an OverflowError inside a float formula ends in one error line, not a
+    # traceback with the row-failure code
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestHarness:
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"

@@ -371,8 +371,8 @@ def test_import_loads_no_numpy():
 
 
 def _clear_oracle_caches():
-    for f in (oracle._stirling_coeff, oracle._stirling_ln_gamma, oracle._gamma_decimal,
-              oracle._ln_half, oracle._j_series_fixed, oracle._airy_origin,
+    for f in (oracle._stirling_coeff, oracle._stirling_ln_gamma, oracle._gamma_parts,
+              oracle._ln_small, oracle._exp_table, oracle._j_series_fixed, oracle._airy_origin,
               bounds._gauss_legendre):
         f.cache_clear()
 
@@ -383,7 +383,8 @@ def _decimal_paths():
             gamma(2 / 3), bounds.lemma_integral_check(3.0),
             bessel_j_ref(Order(60.0), 1e-300),
             # the exact decimals behind the doubles
-            oracle._HALF_LN_2PI, oracle._prefactor(Fraction(2.5), Fraction(10)))
+            oracle._HALF_LN_2PI, oracle._prefactor((5, 2), 10.0),
+            oracle._ln_half(0.7), oracle._exp_ratio(-3 << oracle._FB))
 
 
 def test_caller_decimal_context_never_reaches_the_oracle(monkeypatch):
@@ -429,7 +430,52 @@ def test_prefactor_against_mpmath():
         points.append((nu, x))
     with mpmath.workdps(60):
         for nu, x in points:
-            num, den = oracle._prefactor(Fraction(nu), Fraction(x))
+            num, den = oracle._prefactor(nu.as_integer_ratio(), x)
             nu_mp = mpmath.mpf(nu)
             truth = mpmath.exp(nu_mp * mpmath.log(mpmath.mpf(x) / 2) - mpmath.loggamma(nu_mp + 1))
             assert abs(mpmath.mpf(num) / den / truth - 1) <= mpmath.mpf("1e-34"), (nu, x)
+
+
+def test_ln_half_against_mpmath():
+    # fixed-point ln(x/2) within 1e-36 absolute over the whole double range
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(13)
+    xs = [5e-324, 1e-320, 2.5e-312, 2.2250738585072014e-308, 876.0, 1023.0, 1024.0, 1025.0]
+    xs += [2.0 ** k for k in range(-1074, 10, 61)] + [float(n) for n in range(1, 1024)]
+    xs += [10 ** rng.uniform(-323, math.log10(876)) for _ in range(200)]
+    with mpmath.workdps(70):
+        scale = mpmath.mpf(2) ** oracle._FB
+        for x in xs:
+            truth = mpmath.log(mpmath.mpf(x) / 2)
+            assert abs(oracle._ln_half(x) / scale - truth) <= mpmath.mpf("1e-36"), x
+
+
+def test_exp_ratio_against_mpmath():
+    # exp(y) within 1e-35 relative for y in [-5e4, 2e3], y in fixed point
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(17)
+    one = 1 << oracle._FB
+    ys = [0, 1, -1, one, -one, 2000 * one, -50000 * one]
+    ys += [rng.randrange(-50000 * one, 2000 * one) for _ in range(300)]
+    ys += [rng.randrange(-one, one) for _ in range(100)]
+    with mpmath.workdps(70):
+        for y in ys:
+            num, den = oracle._exp_ratio(y)
+            truth = mpmath.exp(mpmath.mpf(y) / one)
+            assert abs(mpmath.mpf(num) / den / truth - 1) <= mpmath.mpf("1e-35"), y
+
+
+def test_series_cache_hits_build_no_fraction(monkeypatch):
+    # orders travel as integer pairs, so a repeated call is a pure cache
+    # hit; J'_nu evaluates J_{nu+1}, whose exact order is then the key of
+    # a later J_{nu+1} call
+    first = bessel_j_ref(Order(7.3), 12.5)
+    bessel_j_prime_ref(Order(4.75), 9.125)
+    misses = oracle._j_series_fixed.cache_info().misses
+
+    def refuse(*args):
+        raise AssertionError("Fraction built on a cache hit")
+    monkeypatch.setattr(oracle, "Fraction", refuse)
+    assert bessel_j_ref(Order(7.3), 12.5) == first
+    bessel_j_ref(Order(5.75), 9.125)
+    assert oracle._j_series_fixed.cache_info().misses == misses

@@ -1,0 +1,91 @@
+"""Pinned oracle doubles: 60 outputs, value and estimate, compared by float.hex.
+
+Any rewrite of the oracle's internals (series, prefactor, Gamma) must
+reproduce these bit for bit.  The table was generated once from the public
+API and is not regenerated when the oracle changes.
+"""
+
+import pytest
+
+from besselcert import (Order, airy_ai_neg_prime_ref, airy_ai_neg_ref, bessel_j_prime_ref,
+                        bessel_j_ref, gamma)
+
+# (function, order or None, argument, value.hex(), abs_err_estimate.hex() or None)
+PINNED = [
+    ("J", -0.5, 1e-300, "0x1.f3327ecb25b11p+497", "0x1.028a8d8169695p+446"),
+    ("J", -0.5, 0.01, "0x1.fe9edec7230c8p+2", "0x1.0875209a2f0c4p-49"),
+    ("J", -0.5, 3.7, "-0x1.683c3adecefb2p-2", "0x1.752449d85c808p-54"),
+    ("J", -0.5, 61.25, "-0x1.277de44ac3a1cp-10", "0x1.32142054b9462p-62"),
+    ("J", -0.5, 200.0, "0x1.c2573eb9e64b8p-6", "0x1.d279bf1e6f771p-58"),
+    ("J", 0.0, 1e-300, "0x1.0000000000000p+0", "0x1.092c04a82e8ccp-52"),
+    ("J", 0.0, 0.01, "0x1.fffcb924fa352p-1", "0x1.092a5233b3998p-52"),
+    ("J", 0.0, 3.7, "-0x1.98cfcd6c3801fp-2", "0x1.a77566cc267e4p-54"),
+    ("J", 0.0, 61.25, "-0x1.2b1d92f06ef14p-4", "0x1.35d50ba11c42cp-56"),
+    ("J", 0.0, 200.0, "-0x1.f9daa1d15ffaep-7", "0x1.05fd2624a52a0p-58"),
+    ("J", 0.3333333333333333, 1e-300, "0x1.8e25b0a55287fp-333", "0x1.9c697993a6bd1p-385"),
+    ("J", 0.3333333333333333, 0.01, "0x1.882a95524389fp-3", "0x1.963783061fa3fp-55"),
+    ("J", 0.3333333333333333, 3.7, "-0x1.3098686971ffdp-2", "0x1.3b8223d1962a7p-54"),
+    ("J", 0.3333333333333333, 61.25, "-0x1.94a44feb31175p-4", "0x1.a323aa5498e5bp-56"),
+    ("J", 0.3333333333333333, 200.0, "-0x1.4bb43dce19f89p-5", "0x1.57969cfdb3df5p-57"),
+    ("J", 2.5, 1e-300, "0x0.0p+0", "0x0.0000000000001p-1022"),
+    ("J", 2.5, 0.01, "0x1.1d926c7ffa54bp-21", "0x1.27cdacad05d73p-73"),
+    ("J", 2.5, 3.7, "0x1.d3d0faf586437p-2", "0x1.e493c435e4503p-54"),
+    ("J", 2.5, 61.25, "0x1.a17425a9301c0p-4", "0x1.b069028aac990p-56"),
+    ("J", 2.5, 200.0, "0x1.90375faa9cc2dp-5", "0x1.9e8e22d3d8341p-57"),
+    ("J", 10.0, 1e-300, "0x0.0p+0", "0x0.0000000000001p-1022"),
+    ("J", 10.0, 0.01, "0x1.b4a9835e4bd4cp-99", "0x1.c44e8e10b5668p-151"),
+    ("J", 10.0, 3.7, "0x1.8bfc44b65a635p-14", "0x1.9a2c39b0a9895p-66"),
+    ("J", 10.0, 61.25, "-0x1.06d0f7cd3f522p-9", "0x1.103b8135fa9ecp-61"),
+    ("J", 10.0, 200.0, "0x1.911fe40c67fc4p-10", "0x1.9f7efbd80f342p-62"),
+    ("J", 45.1, 1e-300, "0x0.0p+0", "0x0.0000000000001p-1022"),
+    ("J", 45.1, 0.01, "0x1.579fa802be646p-532", "0x1.63ef5a9bf5709p-584"),
+    ("J", 45.1, 3.7, "0x1.0f1f40cb211f9p-147", "0x1.18d5f8600305cp-199"),
+    ("J", 45.1, 61.25, "0x1.4f4d4722d4c11p-4", "0x1.5b50a604c503ep-56"),
+    ("J", 45.1, 200.0, "0x1.2a0734cc5b187p-9", "0x1.34b4b450852afp-61"),
+    ("J", 60.0, 1e-300, "0x0.0p+0", "0x0.0000000000001p-1022"),
+    ("J", 60.0, 0.01, "0x1.2d6f1127b5548p-731", "0x1.383bcd54d17f3p-783"),
+    ("J", 60.0, 3.7, "0x1.06c2af80d39eap-219", "0x1.102cb5ea2f7c3p-271"),
+    ("J", 60.0, 61.25, "0x1.2a1b4b9dd1b71p-3", "0x1.34c98363a2837p-55"),
+    ("J", 60.0, 200.0, "0x1.17cf5f4e70f14p-5", "0x1.21d5c663a4da0p-57"),
+    ("Jp", 0.5, 1e-08, "0x1.f2ad879c48c4dp+11", "0x1.0245b023346e8p-39"),
+    ("Jp", 0.5, 7.3, "0x1.1af0c810d948fp-3", "0x1.2513e5a178684p-54"),
+    ("Jp", 0.5, 150.0, "0x1.76736b9bec5c8p-5", "0x1.83dddd0ab3fc1p-56"),
+    ("Jp", 2.5, 1e-08, "0x1.2b7230642df33p-43", "0x1.362cb12a86ed2p-94"),
+    ("Jp", 2.5, 7.3, "-0x1.25a3ecfbc05d8p-6", "0x1.0096360fbef76p-55"),
+    ("Jp", 2.5, 150.0, "-0x1.7df4bb77620d2p-5", "0x1.8ba403118e014p-56"),
+    ("Jp", 10.0, 1e-08, "0x1.46c00ab94cd49p-268", "0x1.5274fa0d51fd5p-319"),
+    ("Jp", 10.0, 7.3, "0x1.06243fad247abp-5", "0x1.42662f5cb597cp-56"),
+    ("Jp", 10.0, 150.0, "-0x1.f933715606127p-5", "0x1.05a68f2d1d3b7p-55"),
+    ("Jp", 45.1, 1e-08, "0x0.0p+0", "0x0.0000000000001p-1022"),
+    ("Jp", 45.1, 7.3, "0x1.82aade1e33bcbp-101", "0x1.932316ecfa1dbp-152"),
+    ("Jp", 45.1, 150.0, "0x1.8693788a39828p-6", "0x1.9491d03ab2f88p-57"),
+    ("Ai", None, 0.0, "0x1.6b8c7962715b8p-2", "0x1.7892ec68cc738p-54"),
+    ("Ai", None, 1e-210, "0x1.6b8c7962715b8p-2", "0x1.7892ec68cc738p-54"),
+    ("Ai", None, 1.0, "0x1.1235093d83da5p-1", "0x1.927264ec426a1p-51"),
+    ("Ai", None, 44.0, "0x1.ecefe2dd736e1p-4", "0x1.52d204191b5a1p-46"),
+    ("Aip", None, 0.0, "0x1.0907f42b70f8bp-2", "0x1.1286cdf12ca2fp-54"),
+    ("Aip", None, 1e-210, "0x1.0907f42b70f8bp-2", "0x1.1286cdf12ca2fp-54"),
+    ("Aip", None, 1.0, "0x1.4cf103bcc6630p-7", "0x1.c29117b253c92p-50"),
+    ("Aip", None, 44.0, "0x1.36a609388321ep+0", "0x1.1eaf3ec71a5d8p-43"),
+    ("gamma", None, 1e-50, "0x1.11b0ec57e649ap+166", None),
+    ("gamma", None, 0.3333333333333333, "0x1.56e77539482f2p+1", None),
+    ("gamma", None, 2.5, "0x1.544fa6d47b390p+0", None),
+    ("gamma", None, 17.125, "0x1.b073e32d4dc07p+44", None),
+    ("gamma", None, 63.9, "0x1.50f30416b0307p+289", None),
+]
+
+_CALLS = {
+    "J": lambda nu, x: bessel_j_ref(Order(nu), x),
+    "Jp": lambda nu, x: bessel_j_prime_ref(Order(nu), x),
+    "Ai": lambda nu, x: airy_ai_neg_ref(x),
+    "Aip": lambda nu, x: airy_ai_neg_prime_ref(x),
+}
+
+
+@pytest.mark.parametrize("kind,nu,x,value,estimate", PINNED)
+def test_oracle_output_is_pinned(kind, nu, x, value, estimate):
+    if kind == "gamma":
+        assert gamma(x).hex() == value
+        return
+    r = _CALLS[kind](nu, x)
+    assert (r.value.hex(), r.abs_err_estimate.hex()) == (value, estimate)

@@ -14,11 +14,11 @@ series in one private 40-digit decimal context, once per order; ln(x/2)
 and the exp run on 160-bit binary fixed-point integers by table-driven
 argument reduction, the tables filled from the same context.  P is within
 about 1e-35 relative and is applied once, in the conversion to a double.
-Every result carries an absolute
-error estimate, 3 ulp per term plus 20 against P times the largest term,
-plus the float rounding.  The accuracy target is fixed: relative error
-1e-12 (absolute 1e-22 where |J| < 1e-10); where cancellation leaves less
-than that, the call raises PrecisionError instead.
+Every result carries an absolute error estimate, 3 ulp per term plus 20
+against P times the largest term, plus the float rounding.  The accuracy
+target is fixed: relative error 1e-12 (absolute 1e-22 where |J| < 1e-10);
+where cancellation leaves less than that, the call raises PrecisionError
+instead.
 """
 
 from dataclasses import dataclass, field

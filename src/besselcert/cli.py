@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     try:
         rows = ns.run(ns)
     # DomainError is a ValueError and PrecisionError a RuntimeError
-    except (_UsageError, ValueError, ArithmeticError, RuntimeError) as e:
+    except (_UsageError, ValueError, OverflowError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     text = _render(rows, ns.format)

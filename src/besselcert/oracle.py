@@ -6,19 +6,18 @@ cancels up to about 0.45*x decimal digits at argument x, which is fatal in
 binary64 beyond x of a few tens.
 
 The series is split as J_nu(x) = P * S.  S = sum_j (-1)^j u_j starts at
-u_0 = 1 and is summed on integers scaled by 10^d, d = 40 + ceil(0.45x)
-digits, with the exact rational term ratio of x and nu, so every term keeps
-its digits at any order.  The prefactor P = (x/2)^nu / Gamma(nu+1) has no
+u_0 = 1 and is summed on integers scaled by 10^d, d = 40 + ceil(0.45x) digits,
+with the exact rational term ratio of x and nu, so every term keeps its
+digits at any order.  The prefactor P = (x/2)^nu / Gamma(nu+1) has no
 cancellation but spans hundreds of decades.  ln Gamma comes from Stirling's
-series in one private 40-digit decimal context, once per order; ln(x/2)
-and the exp run on 160-bit binary fixed-point integers by table-driven
-argument reduction, the tables filled from the same context.  P is within
-about 1e-35 relative and is applied once, in the conversion to a double.
-Every result carries an absolute error estimate, 3 ulp per term plus 20
-against P times the largest term, plus the float rounding.  The accuracy
-target is fixed: relative error 1e-12 (absolute 1e-22 where |J| < 1e-10);
-where cancellation leaves less than that, the call raises PrecisionError
-instead.
+series in one private 40-digit decimal context, once per order; ln(x/2) and
+the exp run on 160-bit fixed-point integers by table-driven argument
+reduction, tables filled from that context.  P is within about 1e-35
+relative and is applied once, in the conversion to a double.  Every result
+carries an absolute error estimate, 3 ulp per term plus 20 against P times
+the largest term, plus the float rounding.  The accuracy target is fixed:
+relative error 1e-12 (absolute 1e-22 where |J| < 1e-10); where cancellation
+leaves less than that, the call raises PrecisionError instead.
 """
 
 from dataclasses import dataclass, field
@@ -209,9 +208,12 @@ def _exp_ratio(y: int) -> tuple[int, int]:
 
     y = n ln 2 + i/256 + f, 0 <= f < 1/256: 2^n goes in exactly, the table
     gives exp(i/256) and Taylor through f^12/12! leaves out < 1e-41.  The
-    40-digit ln 2 is off by 1.3e-44, which |n| < 10^5 keeps below 2e-39.
+    40-digit ln 2 is off by 1.3e-44, which |n| < 10^5 keeps below 2e-39;
+    below that it is (0, 1), as every double made from such a P is 0.
     """
     n, r = divmod(y, _LN2)
+    if n < -10 ** 5:
+        return 0, 1
     i = r >> (_FB - 8)
     f = r - (i << (_FB - 8))
     one = 1 << _FB
@@ -387,8 +389,7 @@ def airy_ai_neg_ref(x: float) -> EvalResult:
     if zeta < sys.float_info.min:
         v = _airy_origin(2)
         return EvalResult(v, _FLOAT_ULP * abs(v))
-    jm = _j_eval(_NU_M13, zeta)
-    jp = _j_eval(_NU_13, zeta)
+    jm, jp = _j_eval(_NU_M13, zeta), _j_eval(_NU_13, zeta)
     root = math.sqrt(x)
     value = root / 3 * (jm.value + jp.value)
     # the rounded zeta (3 float ops) enters through |J'| <= sqrt(2/(pi zeta))

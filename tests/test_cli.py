@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from besselcert import cli
 from besselcert.cli import CSV_HEADER, _build_parser, main
 
 # a 17-digit rendering of J_0(1); the printed string may differ in the last
@@ -232,6 +233,22 @@ def test_float_overflow_is_usage_error(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_arithmetic_faults_are_not_usage_errors(monkeypatch):
+    # only OverflowError means input out of float range; a ZeroDivisionError
+    # or a trapped decimal signal is a fault and must not exit 2 quietly
+    def fault(*args):
+        raise ZeroDivisionError("fault")
+    monkeypatch.setattr(cli, "bessel_j_ref", fault)
+    with pytest.raises(ZeroDivisionError):
+        main(["eval", "--nu", "1", "--x", "2"])
+
+
+def test_huge_order_evaluates_to_zero(capsys):
+    code, out, err = run(capsys, "eval", "--nu", "1e9", "--x", "1e-300")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "oracle,1000000000,1e-300,0,0,4.9406564584124654e-324,0,true"
 
 
 class TestHarness:

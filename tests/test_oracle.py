@@ -314,6 +314,18 @@ def test_extreme_arguments():
     assert abs(r.value - ref) <= r.abs_err_estimate + 2e-16 * ref
 
 
+@pytest.mark.parametrize("nu, x", [(1e9, 1e-300), (1e7, 200.0), (1e300, 5e-324), (1e5, 1.0)])
+def test_huge_orders_underflow_at_once(nu, x):
+    # P underflows every double long before its exp would need a 2^-n
+    # denominator of |nu ln(x/2)| bits; the results are those of the
+    # decimal-exp oracle, whose exp underflowed to 0
+    zero = oracle.EvalResult(0.0, 5e-324)
+    assert bessel_j_ref(Order(nu), x) == zero
+    assert bessel_j_prime_ref(Order(nu), x) == zero
+    assert oracle._prefactor(nu.as_integer_ratio(), x) == (0, 1)
+    assert oracle._exp_ratio(-10 ** 5 * oracle._LN2) != (0, 1)
+
+
 def test_seeded_mpmath_audit():
     # every value lies within its own estimate, or the call refuses
     mpmath = pytest.importorskip("mpmath")

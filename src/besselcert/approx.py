@@ -9,8 +9,8 @@ verifies every one of them against the series evaluator on dense grids.
 from dataclasses import dataclass
 import math
 
-from .oracle import DomainError, Order, airy_ai_neg_ref
-from .oracle import _AIRY_X_CAP
+from .oracle import DomainError, Order, airy_ai_neg_ref, check_domain
+from .oracle import _AIRY_X_CAP, _is_double
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
 
@@ -18,8 +18,6 @@ SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
 # reference evaluator, whose domain ends at _AIRY_X_CAP.  One ulp below the
 # rounded quotient, since 2^(1/3) times the quotient rounds above the cap.
 _TRANSITION_Z_CAP = math.nextafter(_AIRY_X_CAP / 2 ** (1 / 3), 0)
-
-_METHOD_ORDER = ("sharp_high", "sharp_low", "simplified", "olver", "classic", "transition")
 
 
 @dataclass(frozen=True)
@@ -57,17 +55,12 @@ def classic_oscillatory(order: Order, x: float) -> ApproxValue:
     and 5/4 when x < sqrt(mu).  At |nu| = 1/2 the width vanishes and the
     main term is J_nu itself.
     """
-    hw = _classic_width(order, x)
+    check_domain(_DOMAINS, "classic_oscillatory", order, x)
     value = SQRT_2_OVER_PI / math.sqrt(x) * math.cos(x - order.omega)
-    return ApproxValue(value, hw, "classic", "oscillatory")
+    return ApproxValue(value, _classic_width(order, x), "classic", "oscillatory")
 
 
 def _classic_width(order: Order, x: float) -> float:
-    # classic's domain is best_approx's, so its checks live with the width
-    if x <= 0:
-        raise DomainError("classic_oscillatory: x must be positive")
-    if order.nu < -0.5:
-        raise DomainError("classic_oscillatory: nu must be >= -1/2")
     if abs(order.nu) <= 0.5:
         c = (2 / math.pi) ** 1.5
     elif x >= math.sqrt(order.mu):
@@ -98,14 +91,7 @@ def olver_expansion(order: Order, x: float, l1: int, l2: int) -> ApproxValue:
     The sign pattern was calibrated once against the series evaluator at
     nu = 0, x = 20, l1 = l2 = 3.
     """
-    if order.nu < 0:
-        raise DomainError("olver_expansion: nu must be >= 0")
-    if x <= 0:
-        raise DomainError("olver_expansion: x must be positive")
-    if l1 < max(order.nu / 2 - 0.25, 1):
-        raise DomainError("olver_expansion: l1 below max(nu/2 - 1/4, 1)")
-    if l2 < max(order.nu / 2 - 0.75, 1):
-        raise DomainError("olver_expansion: l2 below max(nu/2 - 3/4, 1)")
+    check_domain(_DOMAINS, "olver_expansion", order, x, l1, l2)
     cos_sum = sum((-1) ** i * olver_coefficient(order.nu, 2 * i) * x ** (-2 * i)
                   for i in range(l1))
     sin_sum = sum((-1) ** i * olver_coefficient(order.nu, 2 * i + 1) * x ** (-2 * i - 1)
@@ -128,8 +114,11 @@ def phase_B(order: Order, x: float) -> PhaseValue:
     B = sqrt(x^2+mu) + sqrt(mu) ln(x/(sqrt(mu)+sqrt(mu+x^2))), any x > 0;
     for nu > 1/2, B = sqrt(x^2-mu) + sqrt(mu) arcsin(sqrt(mu)/x), x > sqrt(mu).
     """
-    if x <= 0:
-        raise DomainError("phase_B: x must be positive")
+    check_domain(_DOMAINS, "phase_B", order, x)
+    return _phase(order, x)
+
+
+def _phase(order: Order, x: float) -> PhaseValue:
     mu = order.mu
     if abs(order.nu) <= 0.5:
         root = math.sqrt(x * x + mu)
@@ -137,8 +126,6 @@ def phase_B(order: Order, x: float) -> PhaseValue:
             return PhaseValue(x, 1.0)
         B = root + math.sqrt(mu) * math.log(x / (math.sqrt(mu) + root))
         return PhaseValue(B, root / x)
-    if x <= math.sqrt(mu):
-        raise DomainError("phase_B: high branch needs x > sqrt(mu)")
     root = math.sqrt(x * x - mu)
     B = root + math.sqrt(mu) * math.asin(math.sqrt(mu) / x)
     return PhaseValue(B, root / x)
@@ -152,17 +139,13 @@ def sharper_oscillatory(order: Order, x: float) -> ApproxValue:
     High branch (|nu| > 1/2, x > max(mu, sqrt(mu))):
       same with x^2-mu, width 13 mu/(12 sqrt(2 pi) (x^2-mu)^(7/4)).
     """
-    if x <= 0:
-        raise DomainError("sharper_oscillatory: x must be positive")
+    check_domain(_DOMAINS, "sharper_oscillatory", order, x)
     mu = order.mu
     if abs(order.nu) <= 0.5:
-        ph = phase_B(order, x)
+        ph = _phase(order, x)
         value = SQRT_2_OVER_PI * (x * x + mu) ** -0.25 * math.cos(ph.B - order.omega)
         return ApproxValue(value, _sharp_width(order, x), "sharp_low", "oscillatory")
-    # x > mu keeps the width constant honest; x > sqrt(mu) keeps the phase real
-    if x <= max(mu, math.sqrt(mu)):
-        raise DomainError("sharper_oscillatory: high branch needs x > max(mu, sqrt(mu))")
-    ph = phase_B(order, x)
+    ph = _phase(order, x)
     value = SQRT_2_OVER_PI * (x * x - mu) ** -0.25 * math.cos(ph.B - order.omega)
     return ApproxValue(value, _sharp_width(order, x), "sharp_high", "oscillatory")
 
@@ -180,10 +163,7 @@ def simplified_oscillatory(order: Order, x: float) -> ApproxValue:
     Valid for |nu| <= 1/2 with width 25 mu/(24 sqrt(2 pi) x^3 (x^2+mu)^(1/4));
     replaces the exact phase B by its two-term expansion at large x.
     """
-    if abs(order.nu) > 0.5:
-        raise DomainError("simplified_oscillatory: |nu| must be <= 1/2")
-    if x <= 0:
-        raise DomainError("simplified_oscillatory: x must be positive")
+    check_domain(_DOMAINS, "simplified_oscillatory", order, x)
     mu = order.mu
     value = (SQRT_2_OVER_PI * math.cos(x - mu / (2 * x) - order.omega)
              / (x * x + mu) ** 0.25)
@@ -211,11 +191,7 @@ def transition(order: Order, z: float) -> ApproxValue:
     where the evaluator's Ai domain does (z ~ 95.2); far earlier than that
     the width has already grown past any oscillatory alternative.
     """
-    if order.nu < 0.5:
-        raise DomainError("transition: nu must be >= 1/2")
-    if not 0 <= z <= _TRANSITION_Z_CAP:
-        raise DomainError(
-            f"transition: z must lie in [0, {_TRANSITION_Z_CAP:.1f}]")
+    check_domain(_DOMAINS, "transition", order, z)
     ai = airy_ai_neg_ref(2 ** (1 / 3) * z)
     value = 2 ** (1 / 3) * ai.value / math.sqrt(order.nu ** (2 / 3) + z)
     return ApproxValue(value, _transition_width(order, z), "transition", "transition")
@@ -238,8 +214,9 @@ def airy_approx(x: float, mode: str = "sharp") -> ApproxValue:
     simplified: same prefactor with phase (2/3)x^(3/2) - (5/48)x^(-3/2) - pi/4,
                 width 5/(9 sqrt(pi) x^4 (16x^3+5)^(1/4)).
     """
-    if x <= 0:
-        raise DomainError("airy_approx: x must be positive")
+    check_domain(_DOMAINS, "airy_approx", x, mode)
+    if mode not in _AIRY_X_RANGE:
+        raise DomainError(f"airy_approx: unknown mode {mode!r}")
     if mode == "classic":
         zeta = 2 * x ** 1.5 / 3
         value = math.cos(zeta - math.pi / 4) / (math.sqrt(math.pi) * x ** 0.25)
@@ -253,45 +230,104 @@ def airy_approx(x: float, mode: str = "sharp") -> ApproxValue:
                - math.pi / 4)
         hw = 10 * math.sqrt(3) / (math.sqrt(math.pi) * x ** 0.25 * q ** 1.5)
         return ApproxValue(prefactor * math.cos(phi), hw, "airy_sharp", "oscillatory")
-    if mode == "simplified":
-        phi = 2 / 3 * x ** 1.5 - 5 / 48 * x ** -1.5 - math.pi / 4
-        hw = 5 / (9 * math.sqrt(math.pi) * x ** 4 * q ** 0.25)
-        return ApproxValue(prefactor * math.cos(phi), hw, "airy_simplified", "oscillatory")
-    raise DomainError(f"airy_approx: unknown mode {mode!r}")
+    phi = 2 / 3 * x ** 1.5 - 5 / 48 * x ** -1.5 - math.pi / 4
+    hw = 5 / (9 * math.sqrt(math.pi) * x ** 4 * q ** 0.25)
+    return ApproxValue(prefactor * math.cos(phi), hw, "airy_simplified", "oscillatory")
+
+
+def _airy_rule(mode: str, lo: float, hi: float):
+    # lo: the last double at which a power of the mode underflows; hi: the
+    # last before one overflows (both found by bisection over the doubles)
+    return (lambda x, m: m != mode or lo < x <= hi, f"{mode} needs x in ({lo:.4g}, {hi:.4g}]")
+
+
+# Each entry point's domain: ordered (predicate, message) rules that
+# check_domain tries in turn.  A predicate negates the condition its rule
+# rejects, so a NaN x meets the finiteness rule; the last rules are where
+# the formula's powers leave the doubles.  best_approx reads the same rules.
+_POSITIVE_X = (lambda order, x, *_: not x <= 0, "x must be positive")
+_FINITE_X = (lambda order, x, *_: x < math.inf, "x must be finite")
+_SQUARE = (lambda order, x: order.mu == 0 or x * x < math.inf, "x^2 leaves the doubles")
+# classic's first rules, which every best_approx candidate must also pass
+_BEST_BASE = (_POSITIVE_X, (lambda order, x: not order.nu < -0.5, "nu must be >= -1/2"))
+_AIRY_X_RANGE = {"classic": (1.7650337102539322e-177, 1.3981435017174463e+176),
+                 "sharp": (3.3818911954118815e-206, 1.2579824277061824e+68),
+                 "simplified": (5.8435077503248184e-78, 1.1579208923731618e+77)}
+_DOMAINS = {
+    "classic_oscillatory": (
+        *_BEST_BASE, _FINITE_X,
+        (lambda *args: _is_double(_classic_width, *args), "the width leaves the doubles")),
+    "olver_expansion": (
+        (lambda order, x, l1, l2: not order.nu < 0, "nu must be >= 0"),
+        _POSITIVE_X,
+        (lambda order, x, l1, l2: not l1 < max(order.nu / 2 - 0.25, 1),
+         "l1 below max(nu/2 - 1/4, 1)"),
+        (lambda order, x, l1, l2: not l2 < max(order.nu / 2 - 0.75, 1),
+         "l2 below max(nu/2 - 3/4, 1)"),
+        _FINITE_X,
+        (lambda *args: _is_double(_olver_width, *args), "the width leaves the doubles")),
+    "phase_B": (
+        _POSITIVE_X,
+        (lambda order, x: abs(order.nu) <= 0.5 or not x <= math.sqrt(order.mu),
+         "high branch needs x > sqrt(mu)"),
+        _FINITE_X, _SQUARE,
+        (lambda order, x: order.mu == 0 or math.sqrt(x * x + order.mu) / x < math.inf,
+         "b = sqrt(x^2 + mu)/x leaves the doubles")),
+    # x > mu keeps the width constant honest; x > sqrt(mu) keeps the phase real
+    "sharper_oscillatory": (
+        _POSITIVE_X,
+        (lambda order, x: abs(order.nu) <= 0.5 or not x <= max(order.mu, math.sqrt(order.mu)),
+         "high branch needs x > max(mu, sqrt(mu))"),
+        _FINITE_X, _SQUARE,
+        (lambda *args: _is_double(_sharp_width, *args), "the width leaves the doubles")),
+    # the branches of sharper_oscillatory, as scan and best_approx name them
+    "sharp_low": ((lambda order, x: abs(order.nu) <= 0.5, "order falls in the other branch"),),
+    "sharp_high": ((lambda order, x: abs(order.nu) > 0.5, "order falls in the other branch"),),
+    "simplified_oscillatory": (
+        (lambda order, x: not abs(order.nu) > 0.5, "|nu| must be <= 1/2"),
+        _POSITIVE_X, _FINITE_X,
+        (lambda *args: _is_double(_simplified_width, *args), "the width leaves the doubles")),
+    "transition": (
+        (lambda order, z: not order.nu < 0.5, "nu must be >= 1/2"),
+        (lambda order, z: 0 <= z <= _TRANSITION_Z_CAP,
+         f"z must lie in [0, {_TRANSITION_Z_CAP:.1f}]")),
+    "airy_approx": (
+        (lambda x, mode: not x <= 0, "x must be positive"),
+        *(_airy_rule(mode, *ends) for mode, ends in _AIRY_X_RANGE.items())),
+}
+# best_approx's candidates in its tie-break order: (function, branch, width,
+# arguments from (order, x)); the function is looked up here when it runs
+_CANDIDATES = (
+    ("sharper_oscillatory", "sharp_high", _sharp_width, lambda order, x: (order, x)),
+    ("sharper_oscillatory", "sharp_low", _sharp_width, lambda order, x: (order, x)),
+    ("simplified_oscillatory", None, _simplified_width, lambda order, x: (order, x)),
+    ("olver_expansion", None, _olver_width, lambda order, x: (order, x, 1, 1)),
+    ("classic_oscillatory", None, _classic_width, lambda order, x: (order, x)),
+    # z = (x - nu)/nu^(1/3); nu <= 0 has no such z and fails transition's first rule
+    ("transition", None, _transition_width, lambda order, x: (
+        order, (x - order.nu) / order.nu ** (1 / 3) if order.nu > 0 else math.nan)),
+)
 
 
 def best_approx(order: Order, x: float) -> ApproxValue:
     """The applicable Bessel approximation with the smallest certified width.
 
-    Every method whose precondition holds at (nu, x) is a candidate; none is
-    extrapolated outside its domain.  Candidates are ranked by their
+    Every method whose declared domain admits (nu, x) is a candidate; none
+    is extrapolated outside its domain.  Candidates are ranked by their
     closed-form certified widths and only the winner is evaluated, so a
     losing candidate costs no oracle call and its refusal cannot make this
     raise.  Ties (e.g. all widths 0 at |nu| = 1/2) go to the earlier entry
     of: sharp_high, sharp_low, simplified, olver, classic, transition.
-    classic always applies, so the result is total for nu >= -1/2, x > 0.
+    Where none is admitted, classic's rules name the reason; for nu >= -1/2
+    and finite x > 0 that happens only near 0, for |nu| >= 1/2.
     """
-    # (width, method, evaluate); each method returns the same width helper's
-    # float, so this ranking is the ranking of the evaluated candidates
-    candidates = [(_classic_width(order, x), "classic",
-                   lambda: classic_oscillatory(order, x))]
-    nu, mu = order.nu, order.mu
-    if abs(nu) <= 0.5:
-        candidates.append((_sharp_width(order, x), "sharp_low",
-                           lambda: sharper_oscillatory(order, x)))
-        candidates.append((_simplified_width(order, x), "simplified",
-                           lambda: simplified_oscillatory(order, x)))
-    elif x > max(mu, math.sqrt(mu)):
-        candidates.append((_sharp_width(order, x), "sharp_high",
-                           lambda: sharper_oscillatory(order, x)))
-    if 0 <= nu <= 2.5:
-        candidates.append((_olver_width(order, x, 1, 1), "olver",
-                           lambda: olver_expansion(order, x, 1, 1)))
-    if nu >= 0.5 and x >= nu:
-        z = (x - nu) / nu ** (1 / 3)
-        if z <= _TRANSITION_Z_CAP:
-            candidates.append((_transition_width(order, z), "transition",
-                               lambda: transition(order, z)))
-    _, _, evaluate = min(candidates,
-                         key=lambda c: (c[0], _METHOD_ORDER.index(c[1])))
-    return evaluate()
+    admitted = []  # min keeps the first of equal widths: the table's order
+    if all(ok(order, x) for ok, _ in _BEST_BASE):
+        for function, branch, width, args_of in _CANDIDATES:
+            args = args_of(order, x)
+            if all(ok(*args) for name in (branch, function) if name for ok, _ in _DOMAINS[name]):
+                admitted.append((width(*args), function, args))
+    if not admitted:
+        check_domain(_DOMAINS, "classic_oscillatory", order, x)
+    _, function, args = min(admitted, key=lambda c: c[0])
+    return globals()[function](*args)

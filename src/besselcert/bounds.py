@@ -17,11 +17,13 @@ from .oracle import (
     _FLOAT_ULP,
     _CTX,
     _bernoulli,
+    _is_double,
     _j_prime_any,
     airy_ai_neg_prime_ref,
     airy_ai_neg_ref,
     bessel_j_prime_ref,
     bessel_j_ref,
+    check_domain,
     gamma,
     refine_root,
 )
@@ -64,7 +66,10 @@ def _make(name: str, lhs: float, rhs: float, strict: bool, slack: float) -> Boun
 def bound_watson(order: Order, x: float) -> BoundReport:
     """J_nu(x) <= (x/2)^nu / Gamma(nu+1), the power-law cap near the origin."""
     r = bessel_j_ref(order, x)
-    rhs = (x / 2) ** order.nu / gamma(order.nu + 1)
+    # Gamma's domain ends at nu = 63, before (x/2)^nu can overflow at x <= 200
+    g = gamma(order.nu + 1)
+    check_domain(_DOMAINS, "bound_watson", order, x)
+    rhs = (x / 2) ** order.nu / g
     return _make("watson", r.value, rhs, strict=False, slack=r.abs_err_estimate)
 
 
@@ -95,17 +100,10 @@ def bound_derivative(order: Order, x: float) -> BoundReport:
       x psi(x)^(1/4)/(x^2-nu^2) |J'_nu(x)| < 2/sqrt(pi)
     with psi = 4(x^2-nu^2)^3 - 3x^4 - 10x^2 nu^2 + nu^4, positive there.
     """
+    check_domain(_DOMAINS, "bound_derivative", order, x)
     nu = order.nu
-    if nu < 0.5:
-        raise DomainError("bound_derivative: nu must be >= 1/2")
-    if x < nu + _DERIV_SHIFT * nu ** (1 / 3):
-        raise DomainError("bound_derivative: x below nu + ((sqrt7-1)/2^(2/3)) nu^(1/3)")
-    s = x * x - nu * nu
-    psi = 4 * s ** 3 - 3 * x ** 4 - 10 * x * x * nu * nu + nu ** 4
-    if not psi > 0:
-        raise DomainError("bound_derivative: psi must be positive on the stated domain")
     r = bessel_j_prime_ref(order, x)
-    scale = x * psi ** 0.25 / s
+    scale = x * _psi(nu, x) ** 0.25 / (x * x - nu * nu)
     return _make("derivative", scale * abs(r.value), 2 / math.sqrt(math.pi),
                  strict=True, slack=scale * r.abs_err_estimate)
 
@@ -119,11 +117,8 @@ def bound_monotonic(order: Order, t: float) -> tuple[BoundReport, BoundReport]:
                     * exp(nu^2(1-t^2)/(2 nu+1))
     Both right-hand sides carry the same exponential factor.
     """
+    check_domain(_DOMAINS, "bound_monotonic", order, t)
     nu = order.nu
-    if nu <= 0:
-        raise DomainError("bound_monotonic: nu must be positive")
-    if not 0 < t <= 1:
-        raise DomainError("bound_monotonic: t must lie in (0, 1]")
     x = t * nu
     r = bessel_j_ref(order, x)
     at_nu = bessel_j_ref(order, nu)
@@ -148,16 +143,16 @@ def bound_log_derivative(order: Order, x: float) -> tuple[BoundReport, BoundRepo
     The ratio comes from the evaluator via J'/J - nu/x; x stays below the
     first zero of J_nu, so the quotient is well defined.
     """
+    check_domain(_DOMAINS, "bound_log_derivative", order, x)
     nu = order.nu
-    if nu < -0.5:
-        raise DomainError("bound_log_derivative: nu must be >= -1/2")
-    if not 0 < x <= nu + 0.5:
-        raise DomainError("bound_log_derivative: x must lie in (0, nu + 1/2]")
     j = bessel_j_ref(order, x)
     if j.value <= 0:
         raise DomainError("bound_log_derivative: J_nu vanishes on (0, x]")
     jp = _j_prime_any(order, x)
     ratio = jp.value / j.value - nu / x
+    if not math.isfinite(ratio):
+        # nu/x or (nu/x) J_nu overflows, for x within a few hundred decades of 0
+        raise DomainError("bound_log_derivative: J'/J - nu/x leaves the doubles")
     # divided by J once: J^2 leaves the normal doubles below J = 1.5e-154
     ratio_err = (jp.abs_err_estimate + abs(jp.value / j.value) * j.abs_err_estimate) / j.value
     w = 2 * nu + 1
@@ -171,19 +166,18 @@ def bound_log_derivative(order: Order, x: float) -> tuple[BoundReport, BoundRepo
 
 def bound_airy_envelope(x: float) -> BoundReport:
     """(x + c)^(1/4) Ai(-x) < 9/14 with c = 15^(1/3) 2^(-4/3), x >= 0."""
-    if x < 0:
-        raise DomainError("bound_airy_envelope: x must be >= 0")
+    check_domain(_DOMAINS, "bound_airy_envelope", x)
     r = airy_ai_neg_ref(x)
     scale = (x + AIRY_C) ** 0.25
     return _make("airy_envelope", scale * r.value, 9 / 14,
                  strict=True, slack=scale * r.abs_err_estimate)
 
 
-def _airy_envelope_deriv(x: float) -> float:
-    # d/dx [(x+c)^(1/4) Ai(-x)] by the product rule from the two evaluators
+def _airy_envelope(x: float) -> tuple[float, float]:
+    """(f, f') for f = (x+c)^(1/4) Ai(-x), f' by the product rule from the two evaluators."""
     a = airy_ai_neg_ref(x).value
     ap = airy_ai_neg_prime_ref(x).value
-    return 0.25 * (x + AIRY_C) ** -0.75 * a + (x + AIRY_C) ** 0.25 * ap
+    return (x + AIRY_C) ** 0.25 * a, 0.25 * (x + AIRY_C) ** -0.75 * a + (x + AIRY_C) ** 0.25 * ap
 
 
 def airy_envelope_maxima(x_hi: float = 60.0) -> list[BoundReport]:
@@ -197,14 +191,15 @@ def airy_envelope_maxima(x_hi: float = 60.0) -> list[BoundReport]:
     """
     reports = []
     x = 1e-3
-    prev_x, prev_d = x, _airy_envelope_deriv(x)
+    prev_x, prev_d = x, _airy_envelope(x)[1]
     while x < x_hi:
         # ~15 samples per half-oscillation; the period shrinks like pi/sqrt(x)
         x = min(x_hi, x + min(0.05, math.pi / (15 * math.sqrt(max(x, 0.5)))))
-        d = _airy_envelope_deriv(x)
+        d = _airy_envelope(x)[1]
         if prev_d > 0 and d <= 0:
-            xi = refine_root(_airy_envelope_deriv, (prev_x, x), 1e-9)
-            val = (xi + AIRY_C) ** 0.25 * airy_ai_neg_ref(xi).value
+            xi = refine_root(lambda t: _airy_envelope(t)[1], (prev_x, x), 1e-9)
+            # refine_root returns a point it evaluated, so both Ai values are cached
+            val = _airy_envelope(xi)[0]
             reports.append(_make("airy_envelope_max_lower",
                                  1 / math.sqrt(math.pi), val, strict=True, slack=1e-12))
             reports.append(_make("airy_envelope_max_upper",
@@ -219,8 +214,7 @@ def bound_wronskian_kernel(nu: float, x1: float, x2: float) -> BoundReport:
     sqrt(x1 x2) |J_{-nu}(x1) J_nu(x2) - J_{-nu}(x2) J_nu(x1)| <= (2/pi) sin(pi nu);
     the kernel is antisymmetric in (x1, x2) and vanishes identically at nu = 0.
     """
-    if not 0 <= nu <= 0.5:
-        raise DomainError("bound_wronskian_kernel: nu must lie in [0, 1/2]")
+    check_domain(_DOMAINS, "bound_wronskian_kernel", nu, x1, x2)
     m1 = bessel_j_ref(Order(-nu), x1)
     m2 = bessel_j_ref(Order(-nu), x2)
     p1 = bessel_j_ref(Order(nu), x1)
@@ -245,9 +239,8 @@ def bound_near_first_zero(order: Order) -> BoundReport:
     The evaluation point sits just before the first zero j_{nu,1}, where J
     is still positive but already of size O(nu^(-2/3)).
     """
+    check_domain(_DOMAINS, "bound_near_first_zero", order)
     nu = order.nu
-    if nu < 0.5:
-        raise DomainError("bound_near_first_zero: nu must be >= 1/2")
     g = 2 ** (-1 / 3) * _first_airy_root()
     r = bessel_j_ref(order, nu + g * nu ** (1 / 3))
     if not r.value > 0:
@@ -268,22 +261,17 @@ def sonin_eval(variant: str, order: Order, x: float) -> SoninSample:
     airy (x >= 0): with f = (x+c)^(1/4) Ai(-x),
         S = f^2 + f'^2/(x + 5/(16(c+x)^2)), nonincreasing from its maximum at 0.
     """
+    if f"sonin {variant}" not in _DOMAINS:
+        raise DomainError(f"sonin_eval: unknown variant {variant!r}")
+    check_domain(_DOMAINS, f"sonin {variant}", order, x)
     mu = order.mu
     if variant == "szego":
-        if abs(order.nu) > 0.5:
-            raise DomainError("sonin szego: |nu| must be <= 1/2")
-        if x <= 0:
-            raise DomainError("sonin szego: x must be positive")
         y = bessel_j_ref(order, x).value
         yp = _j_prime_any(order, x).value
         w_prime = y / (2 * math.sqrt(x)) + math.sqrt(x) * yp
         s = x * y * y + x * x / (x * x + mu) * w_prime * w_prime
         return SoninSample(x, s, "szego")
     if variant == "envelope":
-        if order.nu <= 0.5:
-            raise DomainError("sonin envelope: nu must be > 1/2")
-        if x <= math.sqrt(mu):
-            raise DomainError("sonin envelope: x must exceed sqrt(mu)")
         j = bessel_j_ref(order, x).value
         jp = bessel_j_prime_ref(order, x).value
         s2 = x * x - mu
@@ -291,16 +279,9 @@ def sonin_eval(variant: str, order: Order, x: float) -> SoninSample:
         hp = 0.5 * x * s2 ** -0.75 * j + s2 ** 0.25 * jp
         weight = 4 * x * x * s2 * s2 / (4 * s2 ** 3 + (6 * x * x - mu) * mu)
         return SoninSample(x, h * h + weight * hp * hp, "envelope")
-    if variant == "airy":
-        if x < 0:
-            raise DomainError("sonin airy: x must be >= 0")
-        a = airy_ai_neg_ref(x).value
-        ap = airy_ai_neg_prime_ref(x).value
-        f = (x + AIRY_C) ** 0.25 * a
-        fp = 0.25 * (x + AIRY_C) ** -0.75 * a + (x + AIRY_C) ** 0.25 * ap
-        s = f * f + fp * fp / (x + 5 / (16 * (AIRY_C + x) ** 2))
-        return SoninSample(x, s, "airy")
-    raise DomainError(f"sonin_eval: unknown variant {variant!r}")
+    f, fp = _airy_envelope(x)
+    s = f * f + fp * fp / (x + 5 / (16 * (AIRY_C + x) ** 2))
+    return SoninSample(x, s, "airy")
 
 
 def leftmost_max_check(order: Order) -> BoundReport:
@@ -320,9 +301,8 @@ def leftmost_max_check(order: Order) -> BoundReport:
     negative, at ~12 evaluations instead of ~1000; refine_root takes xi
     from there.
     """
+    check_domain(_DOMAINS, "leftmost_max_check", order)
     nu = order.nu
-    if nu < 5 / 3:
-        raise DomainError("leftmost_max_check: nu must be >= 5/3")
     mu = order.mu
     root_mu = math.sqrt(mu)
 
@@ -423,8 +403,7 @@ def lemma_integral_check(x: float) -> tuple[BoundReport, BoundReport]:
     is the rounding of the float rhs.  The caps' relative gaps fall like
     1/(2x^2) and 0.36/x^2; both are decided up to x ~ 6e6.
     """
-    if not x > 0:
-        raise DomainError("lemma_integral_check: x must be positive")
+    check_domain(_DOMAINS, "lemma_integral_check", x)
     edges = [0.0]
     while edges[-1] < math.pi:
         edges.append(min(math.pi, max(x, 4 * edges[-1])))
@@ -444,3 +423,38 @@ def lemma_integral_check(x: float) -> tuple[BoundReport, BoundReport]:
                  for name, value, rhs in (
                      ("lemma_integral_sin2", math.fsum(sin2), 1 / (2 * x)),
                      ("lemma_integral_abs_sin", math.fsum(abs_sin), 2 / (math.pi * x))))
+
+
+def _psi(nu: float, x: float) -> float:
+    return 4 * (x * x - nu * nu) ** 3 - 3 * x ** 4 - 10 * x * x * nu * nu + nu ** 4
+
+
+# Each check's domain beyond the evaluators': ordered (predicate, message)
+# rules that check_domain tries in turn.  A predicate negates the condition
+# its rule rejects, so a NaN argument meets the rule it met before.
+_DOMAINS = {
+    # for nu < 0, (x/2)^nu divides by x/2, which is 0 at x = 5e-324
+    "bound_watson": ((lambda o, x: not o.nu < 0 or x / 2 > 0, "(x/2)^nu leaves the doubles"),),
+    "bound_derivative": (
+        (lambda o, x: not o.nu < 0.5, "nu must be >= 1/2"),
+        (lambda o, x: not x < o.nu + _DERIV_SHIFT * o.nu ** (1 / 3),
+         "x below nu + ((sqrt7-1)/2^(2/3)) nu^(1/3)"),
+        (lambda o, x: _is_double(_psi, o.nu, x), "psi's x^4, (x^2-nu^2)^3 leave the doubles"),
+        (lambda o, x: _psi(o.nu, x) > 0, "psi must be positive on the stated domain")),
+    "bound_monotonic": ((lambda o, t: not o.nu <= 0, "nu must be positive"),
+                        (lambda o, t: 0 < t <= 1, "t must lie in (0, 1]")),
+    "bound_log_derivative": ((lambda o, x: not o.nu < -0.5, "nu must be >= -1/2"),
+                             (lambda o, x: 0 < x <= o.nu + 0.5, "x must lie in (0, nu + 1/2]")),
+    "bound_airy_envelope": ((lambda x: not x < 0, "x must be >= 0"),),
+    "bound_wronskian_kernel": ((lambda nu, x1, x2: 0 <= nu <= 0.5, "nu must lie in [0, 1/2]"),),
+    "bound_near_first_zero": ((lambda o: not o.nu < 0.5, "nu must be >= 1/2"),),
+    "sonin szego": ((lambda o, x: not abs(o.nu) > 0.5, "|nu| must be <= 1/2"),
+                    (lambda o, x: not x <= 0, "x must be positive")),
+    "sonin envelope": ((lambda o, x: not o.nu <= 0.5, "nu must be > 1/2"),
+                       (lambda o, x: not x <= math.sqrt(o.mu), "x must exceed sqrt(mu)")),
+    "sonin airy": ((lambda o, x: not x < 0, "x must be >= 0"),),
+    "leftmost_max_check": ((lambda o: not o.nu < 5 / 3, "nu must be >= 5/3"),),
+    # 1/(2x) and 2/(pi x) are doubles from x = 3.54e-309 up
+    "lemma_integral_check": ((lambda x: x > 0, "x must be positive"), (lambda x: 2 / (
+        math.pi * x) < math.inf, "the caps 1/(2x), 2/(pi x) leave the doubles")),
+}

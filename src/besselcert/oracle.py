@@ -50,6 +50,22 @@ class DomainError(ValueError):
     """Argument outside an operation's stated domain."""
 
 
+def check_domain(domains: dict, name: str, *args) -> None:
+    """Raise DomainError(f"{name}: {message}") for the first (predicate, message)
+    rule of domains[name], a module's table of ordered rules, failing on args."""
+    for ok, message in domains[name]:
+        if not ok(*args):
+            raise DomainError(f"{name}: {message}")
+
+
+def _is_double(f, *args) -> bool:
+    """Whether f(*args) is finite: no power overflowed, no divisor underflowed to 0."""
+    try:
+        return math.isfinite(f(*args))
+    except (OverflowError, ZeroDivisionError):
+        return False
+
+
 class PrecisionError(RuntimeError):
     """Requested accuracy is not reachable within the configured caps."""
 
@@ -113,8 +129,6 @@ _STIRLING_TOL = Decimal("1e-37")
 def _stirling_shift(z: Fraction) -> tuple[Fraction, int, int]:
     """(w, num, den): w = z + k >= 30, where Stirling's series bottoms out
     below _STIRLING_TOL, and prod_{i<k} (z+i) = num/den exactly."""
-    if z <= 0:
-        raise DomainError("gamma: argument must be positive")
     k = max(0, math.ceil(30 - z))
     p, r = z.numerator, z.denominator
     num = 1
@@ -225,9 +239,9 @@ def _exp_ratio(y: int) -> tuple[int, int]:
 
 
 def gamma(z: float) -> float:
-    """Gamma(z) for 0 < z < 64, relative error well below 1e-25."""
-    if not 0 < z < 64:
-        raise DomainError("gamma: z must lie in (0, 64)")
+    """Gamma(z) for 0 < z < 64, relative error well below 1e-25; z >= 5.6e-309,
+    where Gamma(z) ~ 1/z is a double."""
+    check_domain(_DOMAINS, "gamma", z)
     ln_gamma, num, den = _gamma_parts(*z.as_integer_ratio())
     m_num, m_den = _exp_ratio(ln_gamma)
     return m_num * den / (m_den * num)
@@ -315,12 +329,7 @@ def bessel_j_ref(order: Order, x: float) -> EvalResult:
     absolute error <= 1e-22 elsewhere, else PrecisionError; the returned
     estimate is typically many orders smaller.  nu >= -1/2 and 0 < x <= 200.
     """
-    if order.nu < -0.5:
-        raise DomainError("bessel_j_ref: nu must be >= -1/2")
-    if not math.isfinite(order.nu):
-        raise DomainError("bessel_j_ref: nu must be finite")
-    if not 0 < x <= _PUBLIC_X_CAP:
-        raise DomainError(f"bessel_j_ref: x must lie in (0, {_PUBLIC_X_CAP:g}]")
+    check_domain(_DOMAINS, "bessel_j_ref", order, x)
     return _j_eval(order.nu.as_integer_ratio(), x)
 
 
@@ -330,12 +339,7 @@ def bessel_j_prime_ref(order: Order, x: float) -> EvalResult:
     The order floor keeps nu-1 inside the series domain; errors of the
     two series calls add.
     """
-    if order.nu < 0.5:
-        raise DomainError("bessel_j_prime_ref: nu must be >= 1/2")
-    if not math.isfinite(order.nu):
-        raise DomainError("bessel_j_prime_ref: nu must be finite")
-    if not 0 < x <= _PUBLIC_X_CAP:
-        raise DomainError(f"bessel_j_prime_ref: x must lie in (0, {_PUBLIC_X_CAP:g}]")
+    check_domain(_DOMAINS, "bessel_j_prime_ref", order, x)
     p, r = order.nu.as_integer_ratio()
     jm, jp = _j_eval((p - r, r), x), _j_eval((p + r, r), x)
     value = (jm.value - jp.value) / 2
@@ -383,8 +387,7 @@ def airy_ai_neg_ref(x: float) -> EvalResult:
     it returns the analytic limit Ai(0) = 3^(-2/3)/Gamma(2/3), which is off
     by at most |Ai'(0)| x < 0.26x < 3e-206 there.
     """
-    if not 0 <= x <= _AIRY_X_CAP:
-        raise DomainError(f"airy_ai_neg_ref: x must lie in [0, {_AIRY_X_CAP:g}]")
+    check_domain(_DOMAINS, "airy_ai_neg_ref", x)
     zeta = 2 * x ** 1.5 / 3
     if zeta < sys.float_info.min:
         v = _airy_origin(2)
@@ -408,8 +411,7 @@ def airy_ai_neg_prime_ref(x: float) -> EvalResult:
     or subnormal it returns the x -> 0 limit -Ai'(0) = 3^(-1/3)/Gamma(1/3),
     which is off by at most Ai(0) x^2/2 < 1e-410 there.
     """
-    if not 0 <= x <= _AIRY_X_CAP:
-        raise DomainError(f"airy_ai_neg_prime_ref: x must lie in [0, {_AIRY_X_CAP:g}]")
+    check_domain(_DOMAINS, "airy_ai_neg_prime_ref", x)
     zeta = 2 * x ** 1.5 / 3
     if zeta < sys.float_info.min:
         v = _airy_origin(1)
@@ -426,6 +428,20 @@ def airy_ai_neg_prime_ref(x: float) -> EvalResult:
            + (1 / (3 * root) + 2 * x / 3) * slop
            + 3 * _FLOAT_ULP * (abs(j13.value) + abs(j23.value) + abs(j43.value)) * max(1.0, x))
     return EvalResult(value, err)
+
+
+_J_X = (lambda order, x: 0 < x <= _PUBLIC_X_CAP, f"x must lie in (0, {_PUBLIC_X_CAP:g}]")
+_AIRY_X = ((lambda x: 0 <= x <= _AIRY_X_CAP, f"x must lie in [0, {_AIRY_X_CAP:g}]"),)
+_FINITE_NU = (lambda order, x: math.isfinite(order.nu), "nu must be finite")
+_DOMAINS = {  # the entry points' domains, as check_domain reads them
+    "gamma": ((lambda z: 0 < z < 64, "z must lie in (0, 64)"),
+              (lambda z: 1 / z < math.inf, "Gamma(z) ~ 1/z leaves the doubles")),
+    "bessel_j_ref": ((lambda order, x: not order.nu < -0.5, "nu must be >= -1/2"), _FINITE_NU, _J_X),
+    "bessel_j_prime_ref": ((lambda order, x: not order.nu < 0.5, "nu must be >= 1/2"), _FINITE_NU,
+                           _J_X),
+    "airy_ai_neg_ref": _AIRY_X,
+    "airy_ai_neg_prime_ref": _AIRY_X,
+}
 
 
 def refine_root(f, bracket, tol: float = 1e-12) -> float:

@@ -17,6 +17,7 @@ from .oracle import (
     _PUBLIC_X_CAP,
     airy_ai_neg_ref,
     bessel_j_ref,
+    check_domain,
 )
 from . import approx as _approx
 from . import bounds as _bounds
@@ -25,21 +26,21 @@ from . import bounds as _bounds
 _MIN_SLACK = 1e-11
 
 
-def _sharp_branch(order: Order, x: float, branch: str) -> _approx.ApproxValue:
-    a = _approx.sharper_oscillatory(order, x)
-    if a.method != branch:
-        raise DomainError(f"{branch}: order falls in the other branch")
-    return a
-
-
 # The subjects, in CLI choice order.  Each entry looks its function up on the
 # approx or bounds module when called, so a wrapper rebound there sees every
 # call.  Approximations: method -> f(order, x, l1, l2); airy_* ignore order.
+# sharp_low and sharp_high check sharp's domain, then their declared branch.
 _APPROXIMATIONS = {
     "classic": lambda order, x, l1, l2: _approx.classic_oscillatory(order, x),
     "sharp": lambda order, x, l1, l2: _approx.sharper_oscillatory(order, x),
-    "sharp_low": lambda order, x, l1, l2: _sharp_branch(order, x, "sharp_low"),
-    "sharp_high": lambda order, x, l1, l2: _sharp_branch(order, x, "sharp_high"),
+    "sharp_low": lambda order, x, l1, l2: (
+        check_domain(_approx._DOMAINS, "sharper_oscillatory", order, x)
+        or check_domain(_approx._DOMAINS, "sharp_low", order, x)
+        or _approx.sharper_oscillatory(order, x)),
+    "sharp_high": lambda order, x, l1, l2: (
+        check_domain(_approx._DOMAINS, "sharper_oscillatory", order, x)
+        or check_domain(_approx._DOMAINS, "sharp_high", order, x)
+        or _approx.sharper_oscillatory(order, x)),
     "simplified": lambda order, x, l1, l2: _approx.simplified_oscillatory(order, x),
     "olver": lambda order, x, l1, l2: _approx.olver_expansion(order, x, l1, l2),
     "transition": lambda order, z, l1, l2: _approx.transition(order, z),
@@ -75,6 +76,20 @@ _BOUNDS = {
 _SCAN_BOUNDS = tuple(name for name in _BOUNDS if name != "airy_envelope_maxima")
 
 
+_DOMAINS = {  # the entry points' domains, as check_domain reads them
+    "GridSpec": ((lambda g: g.nu_values, "nu_values must be non-empty"),
+                 (lambda g: not g.x_points < 2, "x_points must be >= 2"),
+                 (lambda g: g.x_range[0] < g.x_range[1], "x_range must satisfy lo < hi"),
+                 (lambda g: g.spacing != "log" or not g.x_range[0] <= 0, "log spacing needs lo > 0"),
+                 (lambda g: g.spacing != "linear" or not g.x_range[0] < 0,
+                  "linear spacing needs lo >= 0")),
+    "olenko_sup": ((lambda o, x_max, n: o.mu != 0, "mu must be positive"),
+                   (lambda o, x_max, n: not (x_max <= 0 or x_max > _PUBLIC_X_CAP),
+                    f"x_max must lie in (0, {_PUBLIC_X_CAP:g}]"),
+                   (lambda o, x_max, n: not n < 10, "coarse_points must be >= 10")),
+}
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A rectangular (nu, x) evaluation grid.
@@ -91,20 +106,8 @@ class GridSpec:
     spacing: str = "log"
 
     def __post_init__(self):
-        if not self.nu_values:
-            raise DomainError("GridSpec: nu_values must be non-empty")
-        if self.x_points < 2:
-            raise DomainError("GridSpec: x_points must be >= 2")
-        lo, hi = self.x_range
-        if not lo < hi:
-            raise DomainError("GridSpec: x_range must satisfy lo < hi")
-        if self.spacing == "log":
-            if lo <= 0:
-                raise DomainError("GridSpec: log spacing needs lo > 0")
-        elif self.spacing == "linear":
-            if lo < 0:
-                raise DomainError("GridSpec: linear spacing needs lo >= 0")
-        else:
+        check_domain(_DOMAINS, "GridSpec", self)
+        if self.spacing not in ("log", "linear"):
             raise DomainError(f"GridSpec: unknown spacing {self.spacing!r}")
 
     def x_values(self) -> list[float]:
@@ -343,12 +346,7 @@ def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) ->
     mu > 0 (at nu = 1/2 the quantity is identically zero and there is
     nothing to normalize).
     """
-    if order.mu == 0:
-        raise DomainError("olenko_sup: mu must be positive")
-    if x_max <= 0 or x_max > _PUBLIC_X_CAP:
-        raise DomainError(f"olenko_sup: x_max must lie in (0, {_PUBLIC_X_CAP:g}]")
-    if coarse_points < 10:
-        raise DomainError("olenko_sup: coarse_points must be >= 10")
+    check_domain(_DOMAINS, "olenko_sup", order, x_max, coarse_points)
     xs = [x_max * k / coarse_points for k in range(1, coarse_points + 1)]
     vals = [_oscillation_gap(order, x) for x in xs]
     peaks = [i for i in range(1, len(xs) - 1)

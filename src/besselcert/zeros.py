@@ -15,6 +15,7 @@ from .oracle import (
     _PUBLIC_X_CAP,
     airy_ai_neg_ref,
     bessel_j_ref,
+    check_domain,
     refine_root,
 )
 from .bounds import BoundReport, _make
@@ -56,8 +57,7 @@ def airy_zero_estimate(s: int, mode: str = "full") -> ZeroEstimate:
                   half_width = 456/(m^3 (m^2+40)^(1/6)).
     Already at s = 1 the full center is within 0.00122 of the true zero.
     """
-    if s < 1:
-        raise DomainError("airy_zero_estimate: s must be >= 1")
+    check_domain(_DOMAINS, "airy_zero_estimate", s)
     m = _m_of(s)
     q = math.sqrt(m * m + 40)
     if mode == "full":
@@ -78,10 +78,7 @@ def bessel_first_zeros_estimate(order: Order, s: int) -> ZeroEstimate:
     The a_s fed in is the refined zero, not the closed-form estimate, so the
     bracket tests only this expansion's own error.
     """
-    if order.nu <= 0:
-        raise DomainError("bessel_first_zeros_estimate: nu must be positive")
-    if s < 1:
-        raise DomainError("bessel_first_zeros_estimate: s must be >= 1")
+    check_domain(_DOMAINS, "bessel_first_zeros_estimate", order, s)
     a_s = refine_airy_zero(s)
     nu = order.nu
     center = nu + 2 ** (-1 / 3) * a_s * nu ** (1 / 3)
@@ -126,8 +123,7 @@ def _airy_scan() -> _ZeroScan:
 
 def refine_airy_zero(s: int) -> float:
     """The s-th positive zero of Ai(-x) to ~1e-11, s <= 50."""
-    if not 1 <= s <= _AIRY_S_CAP:
-        raise DomainError(f"refine_airy_zero: s must lie in [1, {_AIRY_S_CAP}]")
+    check_domain(_DOMAINS, "refine_airy_zero", s)
     return _airy_scan().zero(s)
 
 
@@ -140,8 +136,7 @@ def _bessel_scan(nu: float) -> _ZeroScan:
 
 def refine_bessel_zero(order: Order, s: int) -> float:
     """The s-th positive zero j_{nu,s} of J_nu to ~1e-11 (scan capped at x = 200)."""
-    if s < 1:
-        raise DomainError("refine_bessel_zero: s must be >= 1")
+    check_domain(_DOMAINS, "refine_bessel_zero", order, s)
     return _bessel_scan(order.nu).zero(s)
 
 
@@ -171,8 +166,19 @@ def conjecture_check(s: int) -> BoundReport:
     Informational only: the claim is a conjecture, so a false report here is
     recorded but is not a build failure.
     """
-    if not 1 <= s <= _AIRY_S_CAP:
-        raise DomainError(f"conjecture_check: s must lie in [1, {_AIRY_S_CAP}]")
+    check_domain(_DOMAINS, "conjecture_check", s)
     refined = refine_airy_zero(s)
     closed = airy_zero_estimate(s, "full").center
     return _make("conjecture_zero_cap", refined, closed, strict=True, slack=1e-9)
+
+
+_S_POSITIVE = (lambda *args: not args[-1] < 1, "s must be >= 1")
+_S_AIRY = ((lambda s: 1 <= s <= _AIRY_S_CAP, f"s must lie in [1, {_AIRY_S_CAP}]"),)
+_DOMAINS = {  # the entry points' domains, as check_domain reads them
+    "airy_zero_estimate": (_S_POSITIVE,),
+    "bessel_first_zeros_estimate": ((lambda o, s: not o.nu <= 0, "nu must be positive"),
+                                    _S_POSITIVE),
+    "refine_airy_zero": _S_AIRY,
+    "refine_bessel_zero": (_S_POSITIVE,),
+    "conjecture_check": _S_AIRY,
+}

@@ -279,6 +279,9 @@ class TestBest:
         assert gap <= a.half_width + max(est, 1e-11)
 
 
+_METHOD_ORDER = ("sharp_high", "sharp_low", "simplified", "olver", "classic", "transition")
+
+
 def _evaluate_all(order, x):
     """Reference for best_approx: evaluate every applicable candidate and
     keep the narrowest, ties to the earlier method of _METHOD_ORDER."""
@@ -296,7 +299,7 @@ def _evaluate_all(order, x):
         if z <= approx_module._TRANSITION_Z_CAP:
             candidates.append(transition(order, z))
     return min(candidates, key=lambda a: (a.half_width,
-                                          approx_module._METHOD_ORDER.index(a.method)))
+                                          _METHOD_ORDER.index(a.method)))
 
 
 def _ulps_around(x, n=3):
@@ -349,7 +352,7 @@ class TestBestRanking:
             assert best == _evaluate_all(order, x), (nu, x)
             methods.add(best.method)
         # simplified's width exceeds sharp_low's by (25/24)(1 + mu/x^2)^(5/4)
-        assert methods == set(approx_module._METHOD_ORDER) - {"simplified"}
+        assert methods == set(_METHOD_ORDER) - {"simplified"}
         # the edges exercise what they claim: an all-zero tie and both
         # sides of the transition cap
         assert best_approx(Order(0.5), 7.0).method == "sharp_low"

@@ -235,6 +235,17 @@ def test_float_overflow_is_usage_error(capsys, args):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ("approx", "--method", "airy_classic", "--nu", "0", "--x", "1e-210"),
+    ("bounds", "--name", "watson", "--nu", "1000", "--x", "10")])
+def test_double_range_edge_is_domain_error(capsys, args):
+    # past the doubles' edge a formula refuses by its declared domain: one
+    # error line, where it used to raise ZeroDivisionError or OverflowError
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_arithmetic_faults_are_not_usage_errors(monkeypatch):
     # only OverflowError means input out of float range; a ZeroDivisionError
     # or a trapped decimal signal is a fault and must not exit 2 quietly

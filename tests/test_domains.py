@@ -1,0 +1,237 @@
+"""Declared domains: every public entry point returns finite fields or raises
+DomainError/PrecisionError, and each rule refuses with a fixed message."""
+
+import math
+
+import pytest
+
+import besselcert as bc
+from besselcert import DomainError, GridSpec, Order, PrecisionError, scan
+from besselcert import approx as approx_module
+
+NUS = (-0.5, 0.0, 1 / 3, 0.5, 2.0, 10.0, 60.0, 1000.0, 1e20)
+XS = (5e-324, 1e-300, 1e-210, 1e-100, 1e-10, 0.5, 10.0, 150.0, 200.0, 1e3, 1e10, 1e100,
+      1e300, math.inf, -math.inf, math.nan, 0.0, -1.0)
+# the 21 probed entry points, each airy_approx mode on its own; nu is ignored
+# where the function takes no order
+ENTRY_POINTS = {
+    "bessel_j_ref": bc.bessel_j_ref,
+    "bessel_j_prime_ref": bc.bessel_j_prime_ref,
+    "airy_ai_neg_ref": lambda order, x: bc.airy_ai_neg_ref(x),
+    "airy_ai_neg_prime_ref": lambda order, x: bc.airy_ai_neg_prime_ref(x),
+    "classic_oscillatory": bc.classic_oscillatory,
+    "sharper_oscillatory": bc.sharper_oscillatory,
+    "simplified_oscillatory": bc.simplified_oscillatory,
+    "olver_expansion": lambda order, x: bc.olver_expansion(order, x, 1, 1),
+    "phase_B": bc.phase_B,
+    "transition": bc.transition,
+    "airy_classic": lambda order, x: bc.airy_approx(x, "classic"),
+    "airy_sharp": lambda order, x: bc.airy_approx(x, "sharp"),
+    "airy_simplified": lambda order, x: bc.airy_approx(x, "simplified"),
+    "best_approx": bc.best_approx,
+    "bound_watson": bc.bound_watson,
+    "bound_envelope": bc.bound_envelope,
+    "bound_derivative": bc.bound_derivative,
+    "bound_monotonic": bc.bound_monotonic,
+    "bound_log_derivative": bc.bound_log_derivative,
+    "bound_airy_envelope": lambda order, x: bc.bound_airy_envelope(x),
+    "lemma_integral_check": lambda order, x: bc.lemma_integral_check(x),
+}
+
+
+def _floats(result):
+    if isinstance(result, tuple):
+        for part in result:
+            yield from _floats(part)
+    else:
+        yield from (v for v in vars(result).values() if isinstance(v, float))
+
+
+def test_probe_returns_finite_fields_or_domain_errors():
+    faults = []
+    for name, f in ENTRY_POINTS.items():
+        for nu in NUS:
+            order = Order(nu)
+            for x in XS:
+                try:
+                    result = f(order, x)
+                except (DomainError, PrecisionError):
+                    continue
+                except Exception as e:  # anything else is a fault of the domain
+                    faults.append((name, nu, x, type(e).__name__))
+                    continue
+                if not all(map(math.isfinite, _floats(result))):
+                    faults.append((name, nu, x, "non-finite field"))
+    assert len(ENTRY_POINTS) * len(NUS) * len(XS) == 3402
+    assert not faults, f"{len(faults)} faults, first {faults[:10]}"
+
+
+@pytest.mark.parametrize("mode", ["classic", "sharp", "simplified"])
+def test_airy_edges_are_where_the_powers_leave_the_doubles(mode):
+    # each declared end admits the last double that evaluates finitely
+    lo, hi = approx_module._AIRY_X_RANGE[mode]
+    for x in (math.nextafter(lo, math.inf), hi):
+        a = bc.airy_approx(x, mode)
+        assert math.isfinite(a.value) and math.isfinite(a.half_width)
+    for x in (lo, math.nextafter(hi, math.inf)):
+        with pytest.raises(DomainError, match=f"^airy_approx: {mode} needs x in"):
+            bc.airy_approx(x, mode)
+
+
+# One out-of-domain call per rule, each with its exact message; generated
+# before the rules moved into tables, so they pin the messages across it.
+PINNED = [
+    ('gamma(0.0)',
+     'gamma: z must lie in (0, 64)'),
+    ('bessel_j_ref(Order(-1.0), 1.0)',
+     'bessel_j_ref: nu must be >= -1/2'),
+    ('bessel_j_ref(Order(math.inf), 1.0)',
+     'bessel_j_ref: nu must be finite'),
+    ('bessel_j_ref(Order(0.0), 0.0)',
+     'bessel_j_ref: x must lie in (0, 200]'),
+    ('bessel_j_prime_ref(Order(0.0), 1.0)',
+     'bessel_j_prime_ref: nu must be >= 1/2'),
+    ('bessel_j_prime_ref(Order(math.inf), 1.0)',
+     'bessel_j_prime_ref: nu must be finite'),
+    ('bessel_j_prime_ref(Order(1.0), 201.0)',
+     'bessel_j_prime_ref: x must lie in (0, 200]'),
+    ('airy_ai_neg_ref(-1.0)',
+     'airy_ai_neg_ref: x must lie in [0, 120]'),
+    ('airy_ai_neg_prime_ref(121.0)',
+     'airy_ai_neg_prime_ref: x must lie in [0, 120]'),
+    ('classic_oscillatory(Order(0.0), 0.0)',
+     'classic_oscillatory: x must be positive'),
+    ('classic_oscillatory(Order(-1.0), 1.0)',
+     'classic_oscillatory: nu must be >= -1/2'),
+    ('olver_expansion(Order(-1.0), 1.0, 3, 3)',
+     'olver_expansion: nu must be >= 0'),
+    ('olver_expansion(Order(0.0), 0.0, 3, 3)',
+     'olver_expansion: x must be positive'),
+    ('olver_expansion(Order(10.0), 5.0, 1, 5)',
+     'olver_expansion: l1 below max(nu/2 - 1/4, 1)'),
+    ('olver_expansion(Order(10.0), 5.0, 5, 1)',
+     'olver_expansion: l2 below max(nu/2 - 3/4, 1)'),
+    ('phase_B(Order(0.0), 0.0)',
+     'phase_B: x must be positive'),
+    ('phase_B(Order(3.0), 1.0)',
+     'phase_B: high branch needs x > sqrt(mu)'),
+    ('sharper_oscillatory(Order(0.0), 0.0)',
+     'sharper_oscillatory: x must be positive'),
+    ('sharper_oscillatory(Order(3.0), 2.0)',
+     'sharper_oscillatory: high branch needs x > max(mu, sqrt(mu))'),
+    ('simplified_oscillatory(Order(1.0), 1.0)',
+     'simplified_oscillatory: |nu| must be <= 1/2'),
+    ('simplified_oscillatory(Order(0.0), 0.0)',
+     'simplified_oscillatory: x must be positive'),
+    ('transition(Order(0.4), 1.0)',
+     'transition: nu must be >= 1/2'),
+    ('transition(Order(2.0), -1.0)',
+     'transition: z must lie in [0, 95.2]'),
+    ('airy_approx(0.0)',
+     'airy_approx: x must be positive'),
+    ("airy_approx(1.0, 'bogus')",
+     "airy_approx: unknown mode 'bogus'"),
+    ('best_approx(Order(0.0), 0.0)',
+     'classic_oscillatory: x must be positive'),
+    ('best_approx(Order(-1.0), 1.0)',
+     'classic_oscillatory: nu must be >= -1/2'),
+    ('bound_derivative(Order(0.4), 10.0)',
+     'bound_derivative: nu must be >= 1/2'),
+    ('bound_derivative(Order(10.0), 10.5)',
+     'bound_derivative: x below nu + ((sqrt7-1)/2^(2/3)) nu^(1/3)'),
+    ('bound_monotonic(Order(0.0), 0.5)',
+     'bound_monotonic: nu must be positive'),
+    ('bound_monotonic(Order(2.0), 1.5)',
+     'bound_monotonic: t must lie in (0, 1]'),
+    ('bound_log_derivative(Order(-1.0), 0.1)',
+     'bound_log_derivative: nu must be >= -1/2'),
+    ('bound_log_derivative(Order(1.0), 2.0)',
+     'bound_log_derivative: x must lie in (0, nu + 1/2]'),
+    ('bound_log_derivative(Order(2.0), 1e-300)',
+     'bound_log_derivative: J_nu vanishes on (0, x]'),
+    ('bound_airy_envelope(-1.0)',
+     'bound_airy_envelope: x must be >= 0'),
+    ('bound_wronskian_kernel(0.6, 1.0, 2.0)',
+     'bound_wronskian_kernel: nu must lie in [0, 1/2]'),
+    ('bound_near_first_zero(Order(0.4))',
+     'bound_near_first_zero: nu must be >= 1/2'),
+    ("sonin_eval('szego', Order(1.0), 1.0)",
+     'sonin szego: |nu| must be <= 1/2'),
+    ("sonin_eval('szego', Order(0.0), 0.0)",
+     'sonin szego: x must be positive'),
+    ("sonin_eval('envelope', Order(0.5), 1.0)",
+     'sonin envelope: nu must be > 1/2'),
+    ("sonin_eval('envelope', Order(3.0), 2.0)",
+     'sonin envelope: x must exceed sqrt(mu)'),
+    ("sonin_eval('airy', Order(0.0), -1.0)",
+     'sonin airy: x must be >= 0'),
+    ("sonin_eval('bogus', Order(0.0), 1.0)",
+     "sonin_eval: unknown variant 'bogus'"),
+    ('leftmost_max_check(Order(1.0))',
+     'leftmost_max_check: nu must be >= 5/3'),
+    ('lemma_integral_check(0.0)',
+     'lemma_integral_check: x must be positive'),
+    ('airy_zero_estimate(0)',
+     'airy_zero_estimate: s must be >= 1'),
+    ("airy_zero_estimate(1, 'bogus')",
+     "airy_zero_estimate: unknown mode 'bogus'"),
+    ('bessel_first_zeros_estimate(Order(0.0), 1)',
+     'bessel_first_zeros_estimate: nu must be positive'),
+    ('bessel_first_zeros_estimate(Order(1.0), 0)',
+     'bessel_first_zeros_estimate: s must be >= 1'),
+    ('refine_airy_zero(0)',
+     'refine_airy_zero: s must lie in [1, 50]'),
+    ('refine_bessel_zero(Order(1.0), 0)',
+     'refine_bessel_zero: s must be >= 1'),
+    ('conjecture_check(51)',
+     'conjecture_check: s must lie in [1, 50]'),
+    ("scan.approx_row('sharp_low', Order(3.0), 100.0)",
+     'sharp_low: order falls in the other branch'),
+    ("scan.approx_row('sharp_high', Order(0.0), 1.0)",
+     'sharp_high: order falls in the other branch'),
+    ("scan.approx_row('pade', Order(0.0), 1.0)",
+     "approx_row: unknown method 'pade'"),
+    ('GridSpec((), (0.1, 1.0), 5)',
+     'GridSpec: nu_values must be non-empty'),
+    ('GridSpec((1.0,), (0.1, 1.0), 1)',
+     'GridSpec: x_points must be >= 2'),
+    ('GridSpec((1.0,), (1.0, 1.0), 5)',
+     'GridSpec: x_range must satisfy lo < hi'),
+    ('GridSpec((1.0,), (0.0, 1.0), 5)',
+     'GridSpec: log spacing needs lo > 0'),
+    ("GridSpec((1.0,), (-1.0, 1.0), 5, 'linear')",
+     'GridSpec: linear spacing needs lo >= 0'),
+    ("GridSpec((1.0,), (0.1, 1.0), 5, 'cubic')",
+     "GridSpec: unknown spacing 'cubic'"),
+    ("scan_rows('bogus', GridSpec((1.0,), (0.1, 1.0), 5))",
+     "scan: unknown method or bound 'bogus'"),
+    ("verify_approx_grid('bogus', GridSpec((1.0,), (0.1, 1.0), 5))",
+     "verify_approx_grid: unknown method 'bogus'"),
+    ("verify_bounds_grid('bogus', GridSpec((1.0,), (0.1, 1.0), 5))",
+     "verify_bounds_grid: unknown bound 'bogus'"),
+    ("verify_approx_grid('sharp_high', GridSpec((0.0,), (0.1, 1.0), 3))",
+     'scan: no admissible grid points for sharp_high'),
+    ('olenko_sup(Order(0.5))',
+     'olenko_sup: mu must be positive'),
+    ('olenko_sup(Order(2.0), 0.0)',
+     'olenko_sup: x_max must lie in (0, 200]'),
+    ('olenko_sup(Order(2.0), 50.0, 5)',
+     'olenko_sup: coarse_points must be >= 10'),
+]
+NAMESPACE = {**{name: getattr(bc, name) for name in bc.__all__},
+             "GridSpec": GridSpec, "Order": Order, "math": math, "scan": scan}
+
+
+@pytest.mark.parametrize("call, message", PINNED, ids=[call for call, _ in PINNED])
+def test_pinned_message(call, message):
+    with pytest.raises(DomainError) as info:
+        eval(call, NAMESPACE)
+    assert str(info.value) == message
+
+
+def test_pinned_psi_message(monkeypatch):
+    # with the shift gone, x = nu passes the domain's second rule but psi < 0
+    monkeypatch.setattr("besselcert.bounds._DERIV_SHIFT", 0.0)
+    with pytest.raises(DomainError) as info:
+        bc.bound_derivative(Order(5.0), 5.0)
+    assert str(info.value) == "bound_derivative: psi must be positive on the stated domain"

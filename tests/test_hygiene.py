@@ -51,3 +51,49 @@ def test_one_decimal_context():
         used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
         assert not used & banned, f"{name}: {sorted(used & banned)}"
+
+
+def _domain_raises(tree) -> dict[str, int]:
+    # function qualname -> number of `raise DomainError(...)` in its body
+    counts: dict[str, int] = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}{child.name}.")
+            elif (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                  and getattr(child.exc.func, "id", None) == "DomainError"):
+                name = prefix.rstrip(".")
+                counts[name] = counts.get(name, 0) + 1
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return counts
+
+
+def test_domain_errors_come_from_the_declared_tables():
+    # every domain is a table of (predicate, message) rules read by
+    # oracle.check_domain; an inline raise is only for a refusal that
+    # depends on a computed value or for a lookup of an unknown name
+    allowed = {
+        ("oracle.py", "check_domain"): 1,
+        # unknown names
+        ("approx.py", "airy_approx"): 1,
+        ("bounds.py", "sonin_eval"): 1,
+        ("zeros.py", "airy_zero_estimate"): 1,
+        ("scan.py", "GridSpec.__post_init__"): 1,
+        ("scan.py", "approx_row"): 1,
+        ("scan.py", "scan_rows"): 1,
+        ("scan.py", "verify_approx_grid"): 1,
+        ("scan.py", "verify_bounds_grid"): 1,
+        # computed values: J vanishing or non-finite J'/J, J <= 0 before the
+        # first zero, a grid with no admissible point
+        ("bounds.py", "bound_log_derivative"): 2,
+        ("bounds.py", "bound_near_first_zero"): 1,
+        ("scan.py", "_summarize"): 1,
+        ("cli.py", "_cmd_scan"): 1,
+    }
+    found = {(name, fn): n for name, tree in TREES.items()
+             for fn, n in _domain_raises(tree).items()}
+    assert found == allowed

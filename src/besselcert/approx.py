@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import math
 
 from .oracle import DomainError, Order, airy_ai_neg_ref, check_domain
-from .oracle import _AIRY_X_CAP, _is_double
+from .oracle import _AIRY_X_CAP, _FINITE_NU, _is_double
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
 
@@ -290,7 +290,8 @@ _DOMAINS = {
     "transition": (
         (lambda order, z: not order.nu < 0.5, "nu must be >= 1/2"),
         (lambda order, z: 0 <= z <= _TRANSITION_Z_CAP,
-         f"z must lie in [0, {_TRANSITION_Z_CAP:.1f}]")),
+         f"z must lie in [0, {_TRANSITION_Z_CAP:.1f}]"),
+        _FINITE_NU),
     "airy_approx": (
         (lambda x, mode: not x <= 0, "x must be positive"),
         *(_airy_rule(mode, *ends) for mode, ends in _AIRY_X_RANGE.items())),

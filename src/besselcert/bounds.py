@@ -249,10 +249,17 @@ def bound_near_first_zero(order: Order) -> BoundReport:
                  strict=True, slack=r.abs_err_estimate)
 
 
+def _szego_s(order: Order, x: float) -> float:
+    y = bessel_j_ref(order, x).value
+    yp = _j_prime_any(order, x).value
+    w_prime = y / (2 * math.sqrt(x)) + math.sqrt(x) * yp
+    return x * y * y + x * x / (x * x + order.mu) * w_prime * w_prime
+
+
 def sonin_eval(variant: str, order: Order, x: float) -> SoninSample:
     """Sonin-type envelope function S(x), per variant.
 
-    szego (|nu| <= 1/2, x > 0):
+    szego (|nu| <= 1/2, x > 0, where S is a double):
         S = x J^2 + x^2/(x^2 + mu) (d/dx sqrt(x) J)^2, nondecreasing.
         The weight uses x^2 + mu = x^2 + 1/4 - nu^2: dS/dx is a positive
         multiple of the squared derivative only with this sign of mu.
@@ -266,11 +273,7 @@ def sonin_eval(variant: str, order: Order, x: float) -> SoninSample:
     check_domain(_DOMAINS, f"sonin {variant}", order, x)
     mu = order.mu
     if variant == "szego":
-        y = bessel_j_ref(order, x).value
-        yp = _j_prime_any(order, x).value
-        w_prime = y / (2 * math.sqrt(x)) + math.sqrt(x) * yp
-        s = x * y * y + x * x / (x * x + mu) * w_prime * w_prime
-        return SoninSample(x, s, "szego")
+        return SoninSample(x, _szego_s(order, x), "szego")
     if variant == "envelope":
         j = bessel_j_ref(order, x).value
         jp = bessel_j_prime_ref(order, x).value
@@ -448,8 +451,12 @@ _DOMAINS = {
     "bound_airy_envelope": ((lambda x: not x < 0, "x must be >= 0"),),
     "bound_wronskian_kernel": ((lambda nu, x1, x2: 0 <= nu <= 0.5, "nu must lie in [0, 1/2]"),),
     "bound_near_first_zero": ((lambda o: not o.nu < 0.5, "nu must be >= 1/2"),),
+    # below x ~ 1e-162 the weight's x^2 is 0: at |nu| = 1/2 so is x^2 + mu,
+    # and at 0 < |nu| < 1/2 the (nu/x) J of J' can overflow, making S 0 * inf.
+    # The oracle caches J and J', so the body's S after the rule's is cache hits.
     "sonin szego": ((lambda o, x: not abs(o.nu) > 0.5, "|nu| must be <= 1/2"),
-                    (lambda o, x: not x <= 0, "x must be positive")),
+                    (lambda o, x: not x <= 0, "x must be positive"),
+                    (lambda o, x: _is_double(_szego_s, o, x), "S leaves the doubles")),
     "sonin envelope": ((lambda o, x: not o.nu <= 0.5, "nu must be > 1/2"),
                        (lambda o, x: not x <= math.sqrt(o.mu), "x must exceed sqrt(mu)")),
     "sonin airy": ((lambda o, x: not x < 0, "x must be >= 0"),),

@@ -9,13 +9,14 @@ The series is split as J_nu(x) = P * S.  S = sum_j (-1)^j u_j starts at
 u_0 = 1 and is summed on integers scaled by 10^d, d = 40 + ceil(0.45x) digits,
 with the exact rational term ratio of x and nu, so every term keeps its
 digits at any order.  The prefactor P = (x/2)^nu / Gamma(nu+1) has no
-cancellation but spans hundreds of decades.  ln Gamma comes from Stirling's
-series in one private 40-digit decimal context, once per order; ln(x/2) and
-the exp run on 160-bit fixed-point integers by table-driven argument
-reduction, tables filled from that context.  P is within about 1e-35
-relative and is applied once, in the conversion to a double.  Every result
-carries an absolute error estimate, 3 ulp per term plus 20 against P times
-the largest term, plus the float rounding.  The accuracy target is fixed:
+cancellation but spans hundreds of decades.  ln(x/2), ln Gamma (Stirling's
+series, once per order) and the exp run on 160-bit fixed-point integers by
+table-driven argument reduction.  One private 40-digit decimal context
+fills the tables, on first use, and the constants; nothing else in the
+oracle touches decimal.  P is within about 1e-35 relative and is applied
+once, in the conversion to a double.  Every result carries an absolute
+error estimate, 3 ulp per term plus 20 against P times the largest term,
+plus the float rounding.  The accuracy target is fixed:
 relative error 1e-12 (absolute 1e-22 where |J| < 1e-10); where cancellation
 leaves less than that, the call raises PrecisionError instead.
 """
@@ -111,58 +112,13 @@ def _bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-def _decimal(q: Fraction) -> Decimal:
-    return _CTX.divide(q.numerator, q.denominator)
-
-
 @lru_cache(maxsize=None)
-def _stirling_coeff(n: int) -> Decimal:
-    return _decimal(_bernoulli(2 * n) / ((2 * n) * (2 * n - 1)))
+def _stirling_coeff(n: int) -> int:
+    q = _bernoulli(2 * n) / ((2 * n) * (2 * n - 1))
+    return (q.numerator << _FB) // q.denominator
 
 
-_HALF_LN_2PI = _CTX.divide(_CTX.ln(_CTX.multiply(2, Decimal(
-    "3.14159265358979323846264338327950288419716939937510582097494459"))), 2)
-# Stirling's remainder is below the first omitted term: stop 3 digits above _CTX's ulp
-_STIRLING_TOL = Decimal("1e-37")
-
-
-def _stirling_shift(z: Fraction) -> tuple[Fraction, int, int]:
-    """(w, num, den): w = z + k >= 30, where Stirling's series bottoms out
-    below _STIRLING_TOL, and prod_{i<k} (z+i) = num/den exactly."""
-    k = max(0, math.ceil(30 - z))
-    p, r = z.numerator, z.denominator
-    num = 1
-    for i in range(k):
-        num *= p + i * r
-    return z + k, num, r ** k
-
-
-@lru_cache(maxsize=4096)
-def _stirling_ln_gamma(w: Fraction) -> Decimal:
-    """ln Gamma(w) from Stirling's series, w past the shift."""
-    c = _CTX
-    wd = _decimal(w)
-    acc = c.add(c.subtract(c.multiply(_decimal(w - Fraction(1, 2)), c.ln(wd)), wd),
-                _HALF_LN_2PI)
-    pw = c.divide(1, wd)
-    inv_w2 = c.multiply(pw, pw)
-    n = 1
-    prev_mag = None
-    while True:
-        term = c.multiply(_stirling_coeff(n), pw)
-        acc = c.add(acc, term)
-        mag = term.copy_abs()
-        if mag < _STIRLING_TOL:
-            break
-        if prev_mag is not None and mag >= prev_mag:
-            raise PrecisionError("Stirling series diverged before target accuracy")
-        prev_mag = mag
-        pw = c.multiply(pw, inv_w2)
-        n += 1
-    return acc
-
-
-# The prefactor's logs run in binary fixed point: an int y stands for y/2^_FB.
+# The prefactor and ln Gamma run in binary fixed point: an int y stands for y/2^_FB.
 _FB = 160
 
 
@@ -172,33 +128,56 @@ def _fixed(v: Decimal) -> int:
 
 
 _LN2 = _fixed(_CTX.ln(2))
+_HALF_LN_2PI = _fixed(_CTX.divide(_CTX.ln(_CTX.multiply(2, Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494459"))), 2))
 
 
 @lru_cache(maxsize=4096)
 def _gamma_parts(p: int, r: int) -> tuple[int, int, int]:
-    """(ln Gamma(w), num, den) for z = p/r, cached per exact z: Gamma(z) =
-    Gamma(w) den/num with w and the exact num/den from _stirling_shift."""
-    w, num, den = _stirling_shift(Fraction(p, r))
-    return _fixed(_stirling_ln_gamma(w)), num, den
+    """(ln Gamma(w), num, den) for z = p/r > 0, cached per exact z: Gamma(z) =
+    Gamma(w) den/num, w = z + k >= 30 and prod_{i<k} (z+i) = num/den exactly.
+
+    ln Gamma(w) is Stirling's series in fixed point,
+    (w - 1/2) ln w - w + ln(2 pi)/2 + sum_{n>=1} B_2n / (2n (2n-1) w^(2n-1)),
+    with ln w = ln(p + kr) - ln r from _ln_int, which serves the Airy
+    thirds (r = 3) as it serves the dyadic orders.  The sum stops where the
+    fixed-point w^(1-2n) is 0, by n = 17, and leaves out less than its
+    first omitted term, 7e-41 at w = 30.  It cannot diverge first: for
+    w >= 30 the terms shrink until n ~ pi w ~ 94 but fall below 2^-160 by
+    n = 23.
+    """
+    k = max(0, -((p - 30 * r) // r))
+    num = 1
+    for i in range(k):
+        num *= p + i * r
+    q = p + k * r  # w = q/r
+    ln_w = _ln_int(q) - _ln_int(r)
+    acc = (2 * q - r) * ln_w // (2 * r) - (q << _FB) // r + _HALF_LN_2PI
+    pw, r2, q2 = (r << _FB) // q, r * r, q * q
+    n = 1
+    while pw:
+        acc += _stirling_coeff(n) * pw >> _FB
+        pw = pw * r2 // q2
+        n += 1
+    return acc, num, r ** k
 
 
 @lru_cache(maxsize=None)
 def _ln_small(h: int) -> int:
-    """ln h for 1 <= h < 1024: the table behind _ln_half, filled on demand."""
+    """ln h for 1 <= h < 1024: the table behind _ln_int, filled on demand."""
     return _fixed(_CTX.ln(h))
 
 
-def _ln_half(x: float) -> int:
-    """ln(x/2) for a positive double x, within ~4e-39 (the 40-digit ln h).
+def _ln_int(a: int) -> int:
+    """ln a for an integer a >= 1, within ~4e-39 (the 40-digit ln h).
 
-    x = a/2^k and a = h 2^e (1 + t), h the top 10 bits of a, 0 <= t < 2^-9:
-    ln(x/2) = ln h + (e-k-1) ln 2 + 2 atanh(s), s = t/(2+t) < 2^-10, whose
-    odd series through s^11 leaves out less than 1.2e-40.
+    a = h 2^e (1 + t), h the top 10 bits of a, 0 <= t < 2^-9: ln a =
+    ln h + e ln 2 + 2 atanh(s), s = t/(2+t) < 2^-10, whose odd series
+    through s^11 leaves out less than 1.2e-40.
     """
-    a, b = x.as_integer_ratio()
     e = max(0, a.bit_length() - 10)
     h = a >> e
-    ln = _ln_small(h) + (e - b.bit_length()) * _LN2
+    ln = _ln_small(h) + e * _LN2
     rem = a - (h << e)
     if rem:
         s = (rem << _FB) // ((h << (e + 1)) + rem)
@@ -211,6 +190,12 @@ def _ln_half(x: float) -> int:
     return ln
 
 
+def _ln_half(x: float) -> int:
+    """ln(x/2) = ln a - ln(2b) for a positive double x = a/b, 2b = 2^b.bit_length()."""
+    a, b = x.as_integer_ratio()
+    return _ln_int(a) - b.bit_length() * _LN2
+
+
 @lru_cache(maxsize=None)
 def _exp_table(i: int) -> int:
     """exp(i/256) in fixed point for 0 <= i < 178."""
@@ -218,11 +203,11 @@ def _exp_table(i: int) -> int:
 
 
 def _exp_ratio(y: int) -> tuple[int, int]:
-    """(num, den) with exp(y/2^_FB) = num/den within ~2e-39 relative.
+    """(num, den) with exp(y/2^_FB) = num/den within ~1.4e-38 relative.
 
     y = n ln 2 + i/256 + f, 0 <= f < 1/256: 2^n goes in exactly, the table
     gives exp(i/256) and Taylor through f^12/12! leaves out < 1e-41.  The
-    40-digit ln 2 is off by 1.3e-44, which |n| < 10^5 keeps below 2e-39;
+    40-digit ln 2 is off by 1.3e-43, which |n| < 10^5 keeps below 1.4e-38;
     below that it is (0, 1), as every double made from such a P is 0.
     """
     n, r = divmod(y, _LN2)
@@ -261,7 +246,7 @@ def _prefactor(nu: tuple[int, int], x: float) -> tuple[int, int]:
     nu = p/r.  The prefactor has no cancellation, so it is computed at a
     fixed precision whatever the series needs: one exp of
     nu ln(x/2) - ln Gamma(w) times the exact num/den of _gamma_parts.  The
-    40-digit ln Gamma(w) (~1e-37 absolute) dominates the error.
+    exponent's absolute error, below about 1e-38 (nu + 1), is P's relative one.
     """
     p, r = nu
     ln_gamma, num, den = _gamma_parts(p + r, r)

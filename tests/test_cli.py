@@ -224,6 +224,14 @@ def test_non_finite_order_is_usage_error(capsys, args, nu):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("nu", ["inf", "nan"])
+def test_transition_refuses_a_non_finite_order(capsys, nu):
+    # the form's own rule refuses before the oracle is consulted
+    code, out, err = run(capsys, "approx", "--method", "transition", "--nu", nu, "--x", "1")
+    assert code == 2 and out == ""
+    assert err == "error: transition: nu must be finite\n"
+
+
 @pytest.mark.parametrize("args", [
     ("approx", "--method", "classic", "--nu", "2", "--x", "1e-320"),
     ("bounds", "--name", "derivative", "--nu", "2", "--x", "1e250")])

@@ -66,6 +66,31 @@ def test_probe_returns_finite_fields_or_domain_errors():
     assert not faults, f"{len(faults)} faults, first {faults[:10]}"
 
 
+# the sonin variants, at the probe's orders and the non-finite ones, and
+# transition at the non-finite orders only
+NON_FINITE_NUS = (math.nan, math.inf, -math.inf)
+SECOND_PROBE = [(f"sonin_{variant}", lambda order, x, v=variant: bc.sonin_eval(v, order, x), nu)
+                for variant in ("szego", "envelope", "airy") for nu in NUS + NON_FINITE_NUS]
+SECOND_PROBE += [("transition", bc.transition, nu) for nu in NON_FINITE_NUS]
+
+
+def test_second_probe_returns_finite_fields_or_domain_errors():
+    faults = []
+    for name, f, nu in SECOND_PROBE:
+        for x in XS:
+            try:
+                result = f(Order(nu), x)
+            except (DomainError, PrecisionError):
+                continue
+            except Exception as e:
+                faults.append((name, nu, x, type(e).__name__))
+                continue
+            if not all(map(math.isfinite, _floats(result))):
+                faults.append((name, nu, x, "non-finite field"))
+    assert len(SECOND_PROBE) * len(XS) == 702
+    assert not faults, f"{len(faults)} faults, first {faults[:10]}"
+
+
 @pytest.mark.parametrize("mode", ["classic", "sharp", "simplified"])
 def test_airy_edges_are_where_the_powers_leave_the_doubles(mode):
     # each declared end admits the last double that evaluates finitely
@@ -217,6 +242,23 @@ PINNED = [
      'olenko_sup: x_max must lie in (0, 200]'),
     ('olenko_sup(Order(2.0), 50.0, 5)',
      'olenko_sup: coarse_points must be >= 10'),
+    # later rules: S leaves the doubles at |nu| = 1/2 (x^2 + mu is 0), at
+    # 0 < nu < 1/2 (nu/x overflows) and at -1/2 < nu < 0 ((nu/x) J overflows);
+    # transition's finite-order rule comes last, so -inf meets the first
+    ("sonin_eval('szego', Order(0.5), 1e-300)",
+     'sonin szego: S leaves the doubles'),
+    ("sonin_eval('szego', Order(-0.5), 1e-200)",
+     'sonin szego: S leaves the doubles'),
+    ("sonin_eval('szego', Order(1 / 3), 5e-324)",
+     'sonin szego: S leaves the doubles'),
+    ("sonin_eval('szego', Order(-1 / 3), 1e-300)",
+     'sonin szego: S leaves the doubles'),
+    ('transition(Order(math.nan), 1.0)',
+     'transition: nu must be finite'),
+    ('transition(Order(math.inf), 1.0)',
+     'transition: nu must be finite'),
+    ('transition(Order(-math.inf), 1.0)',
+     'transition: nu must be >= 1/2'),
 ]
 NAMESPACE = {**{name: getattr(bc, name) for name in bc.__all__},
              "GridSpec": GridSpec, "Order": Order, "math": math, "scan": scan}
@@ -235,3 +277,12 @@ def test_pinned_psi_message(monkeypatch):
     with pytest.raises(DomainError) as info:
         bc.bound_derivative(Order(5.0), 5.0)
     assert str(info.value) == "bound_derivative: psi must be positive on the stated domain"
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.25, -0.25, 0.5, -0.5])
+def test_szego_admits_every_finite_s(nu):
+    # the S rule refuses only what used to fault: at nu = 0, J' = -J_1 has
+    # no nu/x, so S stays finite down to the least double; elsewhere a point
+    # just above the refusals still evaluates
+    x = 5e-324 if nu == 0 else 1e-150
+    assert math.isfinite(bc.sonin_eval("szego", Order(nu), x).S)

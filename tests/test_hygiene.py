@@ -53,6 +53,14 @@ def test_one_decimal_context():
         assert not used & banned, f"{name}: {sorted(used & banned)}"
 
 
+def test_oracle_evaluations_are_integer_only():
+    # _CTX fills the ln and exp tables; the prefactor, Gamma and the series
+    # run on integers, so no other oracle function names it
+    users = {f.name for f in ast.walk(TREES["oracle.py"])
+             if isinstance(f, ast.FunctionDef) and "_CTX" in _reads(f)}
+    assert users == {"_ln_small", "_exp_table"}
+
+
 def _domain_raises(tree) -> dict[str, int]:
     # function qualname -> number of `raise DomainError(...)` in its body
     counts: dict[str, int] = {}

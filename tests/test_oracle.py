@@ -383,9 +383,8 @@ def test_import_loads_no_numpy():
 
 
 def _clear_oracle_caches():
-    for f in (oracle._stirling_coeff, oracle._stirling_ln_gamma, oracle._gamma_parts,
-              oracle._ln_small, oracle._exp_table, oracle._j_series_fixed, oracle._airy_origin,
-              bounds._gauss_legendre):
+    for f in (oracle._stirling_coeff, oracle._gamma_parts, oracle._ln_small, oracle._exp_table,
+              oracle._j_series_fixed, oracle._airy_origin, bounds._gauss_legendre):
         f.cache_clear()
 
 
@@ -394,8 +393,9 @@ def _decimal_paths():
             airy_ai_neg_ref(0.0), airy_ai_neg_prime_ref(0.0), airy_ai_neg_prime_ref(7.3),
             gamma(2 / 3), bounds.lemma_integral_check(3.0),
             bessel_j_ref(Order(60.0), 1e-300),
-            # the exact decimals behind the doubles
-            oracle._HALF_LN_2PI, oracle._prefactor((5, 2), 10.0),
+            # the exact fixed-point values behind the doubles
+            oracle._HALF_LN_2PI, oracle._prefactor((5, 2), 10.0), oracle._gamma_parts(1, 3),
+            oracle._gamma_parts(*(60.25).as_integer_ratio()), oracle._ln_int(10 ** 40 + 7),
             oracle._ln_half(0.7), oracle._exp_ratio(-3 << oracle._FB))
 
 
@@ -418,16 +418,23 @@ def test_caller_decimal_context_never_reaches_the_oracle(monkeypatch):
 
 
 def test_decimal_constants_against_mpmath():
+    # ln(2 pi)/2 and Stirling's fixed-point ln Gamma(w), w = z + k >= 30, to
+    # 10^(2-40) relative, and the exact shift product prod_{i<k} (z+i)
     mpmath = pytest.importorskip("mpmath")
     g = oracle._CTX.prec
+    zs = [Fraction(1, 3), Fraction(2, 3), Fraction(7, 2), Fraction(61), Fraction(1001, 2)]
+    zs += [Fraction(nu + 1) for nu in (1e3, 1e6, 1e9)]
     with mpmath.workdps(g + 30):
+        scale = mpmath.mpf(2) ** oracle._FB
         truth = mpmath.log(2 * mpmath.pi) / 2
-        assert abs(mpmath.mpf(str(oracle._HALF_LN_2PI)) / truth - 1) <= mpmath.mpf(10) ** (2 - g)
-        for z in (Fraction(1, 3), Fraction(2, 3), Fraction(7, 2), Fraction(61), Fraction(1001, 2)):
-            w = oracle._stirling_shift(z)[0]
+        assert abs(oracle._HALF_LN_2PI / scale / truth - 1) <= mpmath.mpf(10) ** (2 - g)
+        for z in zs:
+            ln_gamma, num, den = oracle._gamma_parts(z.numerator, z.denominator)
+            k = max(0, math.ceil(30 - z))
+            assert Fraction(num, den) == math.prod(z + i for i in range(k)), z
+            w = z + k
             truth = mpmath.loggamma(mpmath.mpf(w.numerator) / w.denominator)
-            got = mpmath.mpf(str(oracle._stirling_ln_gamma(w)))
-            assert abs(got / truth - 1) <= mpmath.mpf(10) ** (2 - g), z
+            assert abs(ln_gamma / scale / truth - 1) <= mpmath.mpf(10) ** (2 - g), z
 
 
 def test_prefactor_against_mpmath():

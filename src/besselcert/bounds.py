@@ -14,6 +14,7 @@ import math
 from .oracle import (
     DomainError,
     Order,
+    _AIRY_X_CAP,
     _FLOAT_ULP,
     _CTX,
     _bernoulli,
@@ -187,8 +188,9 @@ def airy_envelope_maxima(x_hi: float = 60.0) -> list[BoundReport]:
     reports per located maximum, airy_envelope_max_lower for the floor and
     airy_envelope_max_upper for the cap.  Maxima are bracketed by a sign
     scan of the derivative (step tied to the local oscillation period) and
-    polished by root refinement.
+    polished by root refinement.  x_hi lies in (0, 120], the evaluator's Ai domain.
     """
+    check_domain(_DOMAINS, "airy_envelope_maxima", x_hi)
     reports = []
     x = 1e-3
     prev_x, prev_d = x, _airy_envelope(x)[1]
@@ -449,6 +451,8 @@ _DOMAINS = {
     "bound_log_derivative": ((lambda o, x: not o.nu < -0.5, "nu must be >= -1/2"),
                              (lambda o, x: 0 < x <= o.nu + 0.5, "x must lie in (0, nu + 1/2]")),
     "bound_airy_envelope": ((lambda x: not x < 0, "x must be >= 0"),),
+    "airy_envelope_maxima": ((lambda x_hi: 0 < x_hi <= _AIRY_X_CAP,
+                              f"x_hi must lie in (0, {_AIRY_X_CAP:g}]"),),
     "bound_wronskian_kernel": ((lambda nu, x1, x2: 0 <= nu <= 0.5, "nu must lie in [0, 1/2]"),),
     "bound_near_first_zero": ((lambda o: not o.nu < 0.5, "nu must be >= 1/2"),),
     # below x ~ 1e-162 the weight's x^2 is 0: at |nu| = 1/2 so is x^2 + mu,

@@ -255,8 +255,8 @@ def _prefactor(nu: tuple[int, int], x: float) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=200000)
-def _j_series_fixed(nu: tuple[int, int], x: float, d: int) -> tuple[float, float]:
-    """(value, abs_err) of J_nu(x) as doubles, the sum run at d digits.
+def _j_series_fixed(nu: tuple[int, int], x: float) -> tuple[float, float]:
+    """(value, abs_err) of J_nu(x) as doubles, the sum run at d = _digits_for(x) digits.
 
     J_nu(x) = P sum_j (-1)^j u_j, P = (x/2)^nu / Gamma(nu+1) (see _prefactor).
     The u_j = (x^2/4)^j / (j! (nu+1)_j) run on integers from u_0 = 10^d,
@@ -271,7 +271,7 @@ def _j_series_fixed(nu: tuple[int, int], x: float, d: int) -> tuple[float, float
     """
     a, b = x.as_integer_ratio()
     p, r = nu
-    one = 10 ** d
+    one = 10 ** _digits_for(x)
     ratio_num, ratio_den = a * a * r, 4 * b * b
     # step = ratio_den j (j r + p), advanced by its first and second differences
     step, inc, inc2 = ratio_den * (r + p), ratio_den * (3 * r + p), 2 * ratio_den * r
@@ -299,7 +299,7 @@ def _j_series_fixed(nu: tuple[int, int], x: float, d: int) -> tuple[float, float
 
 def _j_eval(nu: tuple[int, int], x: float) -> EvalResult:
     x = float(x)  # _ln_half needs a power-of-two denominator
-    value, err = _j_series_fixed(nu, x, _digits_for(x))
+    value, err = _j_series_fixed(nu, x)
     # below the normal range a double's rounding error is absolute
     err += _FLOAT_ULP * abs(value) + math.ulp(0.0)
     if err > _TARGET_REL_ERR * max(abs(value), 1e-10):

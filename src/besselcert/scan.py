@@ -1,10 +1,11 @@
 """Grid verification of every certified approximation and bound.
 
-A scan walks a deterministic (nu, x) grid, asks the reference evaluator for
-the truth at each admissible point, and records a violation whenever the
-claimed half-width (plus the evaluator's own error estimate) fails to cover
-the observed error.  Points outside a method's domain are skipped and
-counted, never extrapolated.
+Each subject is one table entry, name -> (coordinates it reads,
+f(*coordinates) -> reports); a scan feeds it every combination of its
+coordinates on a deterministic grid.  A report is a violation when an
+approximation's half-width (plus the evaluator's error estimate) fails to
+cover its distance from the oracle, or when a bound does not hold.  Points
+outside a subject's domain are skipped and counted, never extrapolated.
 """
 
 from dataclasses import dataclass
@@ -24,56 +25,67 @@ from . import bounds as _bounds
 
 # floor on the oracle-error slack so exact cases (half_width = 0) divide cleanly
 _MIN_SLACK = 1e-11
+_NU_X = ("nu", "x")
 
 
-# The subjects, in CLI choice order.  Each entry looks its function up on the
-# approx or bounds module when called, so a wrapper rebound there sees every
-# call.  Approximations: method -> f(order, x, l1, l2); airy_* ignore order.
-# sharp_low and sharp_high check sharp's domain, then their declared branch.
+def _j(name: str, branch: str = ""):
+    # approx.<name>(order, x) against J_nu(x); a branch of sharp checks sharp's
+    # domain, then its own
+    def f(order: Order, x: float):
+        if branch:
+            check_domain(_approx._DOMAINS, name, order, x)
+            check_domain(_approx._DOMAINS, branch, order, x)
+        return ((getattr(_approx, name)(order, x), bessel_j_ref(order, x)),)
+    return _NU_X, f
+
+
+def _ai(mode: str):
+    return ("x",), lambda x: ((_approx.airy_approx(x, mode), airy_ai_neg_ref(x)),)
+
+
+# The subjects, in CLI choice order, with nu passed as its Order.  Each f looks
+# its function up on the approx or bounds module when called, so a wrapper
+# rebound there sees every call.  An approximation's one report pairs its
+# ApproxValue with the oracle where it approximates: J_nu(x), Ai(-x) (airy_*,
+# no order) or J_nu(nu + nu^(1/3) z) (transition, whose x is z).
 _APPROXIMATIONS = {
-    "classic": lambda order, x, l1, l2: _approx.classic_oscillatory(order, x),
-    "sharp": lambda order, x, l1, l2: _approx.sharper_oscillatory(order, x),
-    "sharp_low": lambda order, x, l1, l2: (
-        check_domain(_approx._DOMAINS, "sharper_oscillatory", order, x)
-        or check_domain(_approx._DOMAINS, "sharp_low", order, x)
-        or _approx.sharper_oscillatory(order, x)),
-    "sharp_high": lambda order, x, l1, l2: (
-        check_domain(_approx._DOMAINS, "sharper_oscillatory", order, x)
-        or check_domain(_approx._DOMAINS, "sharp_high", order, x)
-        or _approx.sharper_oscillatory(order, x)),
-    "simplified": lambda order, x, l1, l2: _approx.simplified_oscillatory(order, x),
-    "olver": lambda order, x, l1, l2: _approx.olver_expansion(order, x, l1, l2),
-    "transition": lambda order, z, l1, l2: _approx.transition(order, z),
-    "best": lambda order, x, l1, l2: _approx.best_approx(order, x),
-    "airy_classic": lambda order, x, l1, l2: _approx.airy_approx(x, "classic"),
-    "airy_sharp": lambda order, x, l1, l2: _approx.airy_approx(x, "sharp"),
-    "airy_simplified": lambda order, x, l1, l2: _approx.airy_approx(x, "simplified"),
+    "classic": _j("classic_oscillatory"),
+    "sharp": _j("sharper_oscillatory"),
+    "sharp_low": _j("sharper_oscillatory", "sharp_low"),
+    "sharp_high": _j("sharper_oscillatory", "sharp_high"),
+    "simplified": _j("simplified_oscillatory"),
+    "olver": (("nu", "x", "l1", "l2"), lambda order, x, l1, l2: (
+        (_approx.olver_expansion(order, x, l1, l2), bessel_j_ref(order, x)),)),
+    "transition": (_NU_X, lambda order, z: (
+        (_approx.transition(order, z), bessel_j_ref(order, _approx.transition_x(order, z))),)),
+    "best": _j("best_approx"),
+    "airy_classic": _ai("classic"),
+    "airy_sharp": _ai("sharp"),
+    "airy_simplified": _ai("simplified"),
 }
-# Bounds: name -> (coordinates it reads, f(*coordinates) -> reports), with
-# nu passed as its Order.  A sonin_* entry gives one SoninSample, which the scan
-# compares with the next.
+# sonin_* name -> (variant, whether S is nonincreasing rather than nondecreasing);
+# each gives one SoninSample per point, which the scan compares with the next
+_SONIN = {"sonin_szego": ("szego", False), "sonin_envelope": ("envelope", False),
+          "sonin_airy": ("airy", True)}
 _BOUNDS = {
-    "watson": (("nu", "x"), lambda order, x: (_bounds.bound_watson(order, x),)),
-    "envelope": (("nu", "x"), lambda order, x: (_bounds.bound_envelope(order, x),)),
-    "derivative": (("nu", "x"), lambda order, x: (_bounds.bound_derivative(order, x),)),
+    "watson": (_NU_X, lambda order, x: (_bounds.bound_watson(order, x),)),
+    "envelope": (_NU_X, lambda order, x: (_bounds.bound_envelope(order, x),)),
+    "derivative": (_NU_X, lambda order, x: (_bounds.bound_derivative(order, x),)),
     "monotonic": (("nu", "t"), lambda order, t: _bounds.bound_monotonic(order, t)),
-    "log_derivative": (("nu", "x"),
-                       lambda order, x: _bounds.bound_log_derivative(order, x)),
+    "log_derivative": (_NU_X, lambda order, x: _bounds.bound_log_derivative(order, x)),
     "airy_envelope": (("x",), lambda x: (_bounds.bound_airy_envelope(x),)),
     "wronskian_kernel": (("nu", "x", "x2"), lambda order, x, x2:
                          (_bounds.bound_wronskian_kernel(order.nu, x, x2),)),
     "near_first_zero": (("nu",), lambda order: (_bounds.bound_near_first_zero(order),)),
     "leftmost_max": (("nu",), lambda order: (_bounds.leftmost_max_check(order),)),
-    "sonin_szego": (("nu", "x"), lambda order, x: _bounds.sonin_eval("szego", order, x)),
-    "sonin_envelope": (("nu", "x"),
-                       lambda order, x: _bounds.sonin_eval("envelope", order, x)),
-    "sonin_airy": (("nu", "x"), lambda order, x: _bounds.sonin_eval("airy", order, x)),
+    **{name: (_NU_X, lambda order, x, v=variant: _bounds.sonin_eval(v, order, x))
+       for name, (variant, _) in _SONIN.items()},
     "lemma_integral": (("x",), lambda x: _bounds.lemma_integral_check(x)),
     "airy_envelope_maxima": (("x_hi",),
                              lambda x_hi: _bounds.airy_envelope_maxima(x_hi)),
 }
-# airy_envelope_maxima searches [0, x_hi] itself; a grid has nothing to feed it
-_SCAN_BOUNDS = tuple(name for name in _BOUNDS if name != "airy_envelope_maxima")
+# airy_envelope_maxima searches [0, x_hi] itself; a grid has no x_hi axis
+_SCAN_BOUNDS = tuple(name for name, (coords, _) in _BOUNDS.items() if "x_hi" not in coords)
 
 
 _DOMAINS = {  # the entry points' domains, as check_domain reads them
@@ -164,19 +176,34 @@ class SupResult:
     normalized: float
 
 
-def _bound_ratio(rep: _bounds.BoundReport) -> float:
-    if rep.rhs > 0:
-        raw = rep.lhs / rep.rhs
-    elif rep.lhs <= rep.rhs:
-        raw = 0.0
-    else:
-        raw = math.inf
-    return min(raw, 1.0) if rep.holds else max(raw, 1.0)
+def _row(rep, nu: float, x: float) -> ScanRow:
+    # rep: a BoundReport, or an approximation's (ApproxValue, oracle EvalResult)
+    if isinstance(rep, _bounds.BoundReport):
+        raw = rep.lhs / rep.rhs if rep.rhs > 0 else 0.0 if rep.lhs <= rep.rhs else math.inf
+        ratio = min(raw, 1.0) if rep.holds else max(raw, 1.0)
+        return ScanRow(rep.name, nu, x, rep.lhs, rep.rhs, rep.margin, ratio, rep.holds)
+    a, ref = rep
+    ratio = abs(a.value - ref.value) / (a.half_width + max(ref.abs_err_estimate, _MIN_SLACK))
+    return ScanRow(a.method, nu, x, a.value, ref.value, a.half_width, ratio, ratio <= 1)
 
 
-def _row_from_report(rep: _bounds.BoundReport, nu: float, x: float) -> ScanRow:
-    return ScanRow(rep.name, nu, x, rep.lhs, rep.rhs, rep.margin,
-                   _bound_ratio(rep), rep.holds)
+def _columns(coords: tuple[str, ...]) -> tuple[int | None, int | None]:
+    # positions of the row's nu and x (monotonic: t) columns among coords
+    return (coords.index("nu") if "nu" in coords else None,
+            next((coords.index(c) for c in ("x", "t") if c in coords), None))
+
+
+def _rows(f, args, nu_at: int | None, x_at: int | None) -> list[ScanRow]:
+    # args: a subject's coordinates in order, nu as its Order
+    nu = math.nan if nu_at is None else args[nu_at].nu
+    x = math.nan if x_at is None else args[x_at]
+    return [_row(rep, nu, x) for rep in f(*args)]
+
+
+def _rows_at(entry, point: dict) -> list[ScanRow]:
+    # point: a value for each coordinate the entry reads, nu as its Order
+    coords, f = entry
+    return _rows(f, [point[c] for c in coords], *_columns(coords))
 
 
 def approx_row(method: str, order: Order, x: float, l1: int = 3, l2: int = 3) -> ScanRow:
@@ -188,32 +215,15 @@ def approx_row(method: str, order: Order, x: float, l1: int = 3, l2: int = 3) ->
     """
     if method not in _APPROXIMATIONS:
         raise DomainError(f"approx_row: unknown method {method!r}")
-    a = _APPROXIMATIONS[method](order, x, l1, l2)
-    if method.startswith("airy_"):
-        ref = airy_ai_neg_ref(x)
-        nu = math.nan
-    else:
-        x_eval = _approx.transition_x(order, x) if method == "transition" else x
-        ref = bessel_j_ref(order, x_eval)
-        nu = order.nu
-    slack = max(ref.abs_err_estimate, _MIN_SLACK)
-    ratio = abs(a.value - ref.value) / (a.half_width + slack)
-    return ScanRow(a.method, nu, x, a.value, ref.value, a.half_width,
-                   ratio, ratio <= 1)
+    return _rows_at(_APPROXIMATIONS[method],
+                    {"nu": order, "x": x, "l1": l1, "l2": l2})[0]
 
 
 def bound_rows(name: str, point: dict[str, float]) -> list[ScanRow]:
     """One bound's reports at a point mapping each of its coordinates to a value;
-    each row carries the point's nu and its x (monotonic: t), else nan."""
-    coords, _ = _BOUNDS[name]
-    args = [Order(point[c]) if c == "nu" else point[c] for c in coords]
-    return _point_rows(name, args, point.get("nu", math.nan),
-                       point.get("x", point.get("t", math.nan)))
-
-
-def _point_rows(name: str, args, nu: float, x: float) -> list[ScanRow]:
-    # args: the bound's coordinates in order, nu as its Order; nu, x: the row's columns
-    return [_row_from_report(rep, nu, x) for rep in _BOUNDS[name][1](*args)]
+    each row carries the nu and the x (monotonic: t) the bound reads, else nan."""
+    return _rows_at(_BOUNDS[name],
+                    {c: Order(v) if c == "nu" else v for c, v in point.items()})
 
 
 def scan_rows(name: str, grid: GridSpec, l1: int = 3,
@@ -221,66 +231,52 @@ def scan_rows(name: str, grid: GridSpec, l1: int = 3,
     """All checks of an approximation method or bound over the grid.
 
     _APPROXIMATIONS and _BOUNDS are the single list of subjects, for the scan
-    and the CLI.  Returns (rows, skipped).  A bound takes every combination
-    of the coordinates it reads: nu from nu_values; x, t in (0, 1]
-    (monotonic) and x2 from the x grid.  So wronskian_kernel pairs every
-    (x1, x2); airy_envelope, lemma_integral and the airy_* methods ignore
-    nu_values; near_first_zero and leftmost_max ignore the x grid.  The
-    sonin_* variants compare consecutive grid points per nu (nondecreasing
-    for szego and envelope, nonincreasing for airy) with slack 1e-10.
+    and the CLI.  Returns (rows, skipped).  A subject takes every combination
+    of the coordinates its entry reads: nu from nu_values; x (transition: z),
+    t in (0, 1] (monotonic) and x2 from the x grid; olver's l1, l2 as given.
+    So wronskian_kernel pairs every (x1, x2); airy_envelope, lemma_integral
+    and the airy_* methods ignore nu_values; near_first_zero and leftmost_max
+    ignore the x grid.  The sonin_* variants instead compare consecutive grid
+    points per nu (nondecreasing for szego and envelope, nonincreasing for
+    airy) with slack 1e-10.
     """
+    if name not in _APPROXIMATIONS and name not in _SCAN_BOUNDS:
+        raise DomainError(f"scan: unknown method or bound {name!r}")
+    coords, f = _APPROXIMATIONS.get(name) or _BOUNDS[name]
     rows: list[ScanRow] = []
     skipped = 0
     xs = grid.x_values()
-    if name in _APPROXIMATIONS:
-        nus = (math.nan,) if name.startswith("airy_") else grid.nu_values
-        for order, x in itertools.product([Order(nu) for nu in nus], xs):
-            try:
-                rows.append(approx_row(name, order, x, l1, l2))
-            except DomainError:
-                skipped += 1
-        return rows, skipped
-    if name not in _SCAN_BOUNDS:
-        raise DomainError(f"scan: unknown method or bound {name!r}")
-    coords, sample = _BOUNDS[name]
-    if name.startswith("sonin_"):
-        for nu in grid.nu_values:
-            order = Order(nu)
+    orders = [Order(nu) for nu in grid.nu_values]  # one Order per order, not per point
+    if name in _SONIN:
+        for order in orders:
             prev = None
             for x in xs:
                 try:
-                    cur = sample(order, x)
+                    cur = f(order, x)
                 except DomainError:
                     skipped += 1
                     continue
                 if prev is not None:
-                    lhs, rhs = (cur.S, prev.S) if name == "sonin_airy" else (prev.S, cur.S)
+                    lhs, rhs = (cur.S, prev.S) if _SONIN[name][1] else (prev.S, cur.S)
                     rep = _bounds._make(name, lhs, rhs, strict=False, slack=1e-10)
-                    rows.append(_row_from_report(rep, nu, x))
+                    rows.append(_row(rep, order.nu, x))
                 prev = cur
         return rows, skipped
-    # one Order per order, not one per grid point
-    axes = {"nu": [Order(nu) for nu in grid.nu_values], "x": xs, "t": xs, "x2": xs}
-    # positions of the row's nu and x (monotonic: t) columns among the args
-    nu_at = coords.index("nu") if "nu" in coords else None
-    x_at = next((coords.index(c) for c in ("x", "t") if c in coords), None)
+    axes = {"nu": orders, "x": xs, "t": xs, "x2": xs, "l1": (l1,), "l2": (l2,)}
+    nu_at, x_at = _columns(coords)
     for args in itertools.product(*(axes[c] for c in coords)):
-        nu = math.nan if nu_at is None else args[nu_at].nu
-        x = math.nan if x_at is None else args[x_at]
         try:
-            rows.extend(_point_rows(name, args, nu, x))
+            rows.extend(_rows(f, args, nu_at, x_at))
         except DomainError:
             skipped += 1
     return rows, skipped
 
 
-def _summarize(rows: list[ScanRow], skipped: int, what: str,
-               bound_style: bool) -> ScanReport:
+def _summarize(rows: list[ScanRow], skipped: int, what: str) -> ScanReport:
     if not rows:
         raise DomainError(f"scan: no admissible grid points for {what}")
     violations = tuple(
-        (r.subject, r.nu, r.x,
-         (r.value - r.oracle) if bound_style else (r.ratio - 1))
+        (r.subject, r.nu, r.x, (r.value - r.oracle) if what in _BOUNDS else (r.ratio - 1))
         for r in rows if r.ratio > 1 or not r.holds)
     return ScanReport(len(rows), violations,
                       max(r.ratio for r in rows), skipped)
@@ -296,7 +292,7 @@ def verify_approx_grid(method: str, grid: GridSpec, l1: int = 3, l2: int = 3) ->
     if method not in _APPROXIMATIONS:
         raise DomainError(f"verify_approx_grid: unknown method {method!r}")
     rows, skipped = scan_rows(method, grid, l1, l2)
-    return _summarize(rows, skipped, method, bound_style=False)
+    return _summarize(rows, skipped, method)
 
 
 def verify_bounds_grid(bound: str, grid: GridSpec) -> ScanReport:
@@ -307,7 +303,7 @@ def verify_bounds_grid(bound: str, grid: GridSpec) -> ScanReport:
     if bound not in _SCAN_BOUNDS:
         raise DomainError(f"verify_bounds_grid: unknown bound {bound!r}")
     rows, skipped = scan_rows(bound, grid)
-    return _summarize(rows, skipped, bound, bound_style=True)
+    return _summarize(rows, skipped, bound)
 
 
 def _oscillation_gap(order: Order, x: float) -> float:

@@ -12,7 +12,10 @@ import math
 from .oracle import (
     DomainError,
     Order,
+    PrecisionError,
+    _FINITE_NU,
     _PUBLIC_X_CAP,
+    _is_double,
     airy_ai_neg_ref,
     bessel_j_ref,
     check_domain,
@@ -21,6 +24,7 @@ from .oracle import (
 from .bounds import BoundReport, _make
 
 _AIRY_S_CAP = 50
+_GAP_S_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class _ZeroScan:
     Each sign change between consecutive steps is refined to 1e-11 and kept,
     so asking for a later zero continues the walk instead of repeating it.
     f is sampled at min(x, x_cap), and a step that starts beyond x_cap
-    raises RuntimeError.  State changes only after a whole step succeeds, so
+    raises PrecisionError.  State changes only after a whole step succeeds, so
     a failed step (the cap, or an oracle error) fails again on every call.
     """
 
@@ -105,7 +109,7 @@ class _ZeroScan:
         """The s-th sign change of f past x0."""
         while len(self.zeros) < s:
             if self.x > self.x_cap:
-                raise RuntimeError(self.cap_message)
+                raise PrecisionError(self.cap_message)
             x = self.x + self.step
             v = self.f(min(x, self.x_cap))
             if self.v * v < 0:
@@ -146,8 +150,10 @@ def center_gap_check(s: int) -> tuple[BoundReport, BoundReport]:
     The difference is evaluated through the exact difference-of-cubes identity
       simplified^3 - full^3 = 25/(8(m^2 + 20 + m sqrt(m^2+40))),
     because the naive float subtraction of two nearly equal cube roots loses
-    all significance by s ~ 50.
+    all significance by s ~ 50.  s <= 10^6: the claim's relative margin,
+    1.88e-2/s^2 against mpmath, must clear the ~2e-15 float rounding.
     """
+    check_domain(_DOMAINS, "center_gap_check", s)
     m = _m_of(s)
     q = math.sqrt(m * m + 40)
     full_c = 16 ** (-2 / 3) * (m + q) ** (2 / 3)
@@ -173,12 +179,18 @@ def conjecture_check(s: int) -> BoundReport:
 
 
 _S_POSITIVE = (lambda *args: not args[-1] < 1, "s must be >= 1")
-_S_AIRY = ((lambda s: 1 <= s <= _AIRY_S_CAP, f"s must lie in [1, {_AIRY_S_CAP}]"),)
+_S_AIRY = (lambda s: 1 <= s <= _AIRY_S_CAP, f"s must lie in [1, {_AIRY_S_CAP}]")
+# s comes last; a NaN or infinite s is no integer either
+_S_INTEGER = (lambda *args: args[-1] % 1 == 0, "s must be an integer")
 _DOMAINS = {  # the entry points' domains, as check_domain reads them
-    "airy_zero_estimate": (_S_POSITIVE,),
+    "airy_zero_estimate": (_S_POSITIVE, _S_INTEGER,
+                           (lambda s: _is_double(lambda: _m_of(s) ** 3),
+                            "m^3 = ((12s - 3) pi)^3 leaves the doubles")),
     "bessel_first_zeros_estimate": ((lambda o, s: not o.nu <= 0, "nu must be positive"),
-                                    _S_POSITIVE),
-    "refine_airy_zero": _S_AIRY,
-    "refine_bessel_zero": (_S_POSITIVE,),
-    "conjecture_check": _S_AIRY,
+                                    _S_POSITIVE, _S_INTEGER, _FINITE_NU),
+    "refine_airy_zero": (_S_AIRY, _S_INTEGER),
+    "refine_bessel_zero": (_S_POSITIVE, _S_INTEGER, _FINITE_NU),
+    "center_gap_check": (_S_POSITIVE, _S_INTEGER,
+                         (lambda s: s <= _GAP_S_CAP, f"s must be <= {_GAP_S_CAP}")),
+    "conjecture_check": (_S_AIRY, _S_INTEGER),
 }

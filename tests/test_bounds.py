@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,7 +129,6 @@ class TestLogDerivative:
     def test_j_squared_below_the_doubles(self, nu, x):
         # J_60(0.05) = 9.0e-179 and J_120(2) = 1.5e-199: J^2 underflows to 0,
         # so the ratio's error must divide by J only once
-        mpmath = pytest.importorskip("mpmath")
         first, second = bound_log_derivative(Order(nu), x)
         assert first.holds and second.holds
         with mpmath.workdps(30):
@@ -353,7 +353,6 @@ def _lemma_fold(mpmath, x):
 
 class TestLemmaClosedForm:
     def test_trigamma_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
         for k in range(46):
             z = 1e-3 * 10 ** (k / 5)  # 1e-3 .. 1e6
             truth = mpmath.psi(1, z)
@@ -368,7 +367,6 @@ class TestLemmaClosedForm:
 
     @pytest.mark.parametrize("x", LEMMA_XS)
     def test_lhs_bounds_the_integrals_from_above(self, x):
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             truths = _lemma_fold(mpmath, x)
         for rep, truth in zip(lemma_integral_check(x), truths):

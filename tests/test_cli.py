@@ -1,5 +1,6 @@
 import argparse
 import math
+import time
 
 import pytest
 
@@ -230,6 +231,16 @@ def test_transition_refuses_a_non_finite_order(capsys, nu):
     code, out, err = run(capsys, "approx", "--method", "transition", "--nu", nu, "--x", "1")
     assert code == 2 and out == ""
     assert err == "error: transition: nu must be finite\n"
+
+
+@pytest.mark.parametrize("x_hi", ["130", "nan", "-5", "0"])
+def test_envelope_maxima_refuses_x_hi_outside_the_ai_domain(capsys, x_hi):
+    # refused before the crest search starts, not after it reaches x = 120
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "--name", "airy_envelope_maxima", "--x-hi", x_hi)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: airy_envelope_maxima: x_hi must lie in (0, 120]\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -43,6 +43,8 @@ def _floats(result):
     if isinstance(result, tuple):
         for part in result:
             yield from _floats(part)
+    elif isinstance(result, float):
+        yield result
     else:
         yield from (v for v in vars(result).values() if isinstance(v, float))
 
@@ -88,6 +90,38 @@ def test_second_probe_returns_finite_fields_or_domain_errors():
             if not all(map(math.isfinite, _floats(result))):
                 faults.append((name, nu, x, "non-finite field"))
     assert len(SECOND_PROBE) * len(XS) == 702
+    assert not faults, f"{len(faults)} faults, first {faults[:10]}"
+
+
+# the zero-index entry points at hostile indices, with s = 1 so that the two
+# taking an order meet it at the finite and non-finite ones
+SS = (1, 0, -1, 1.5, math.nan, math.inf, 10 ** 7, 10 ** 200)
+ZERO_NUS = (1.0,) + NON_FINITE_NUS
+THIRD_PROBE = [("airy_zero_estimate full", lambda s: bc.airy_zero_estimate(s, "full")),
+               ("airy_zero_estimate simplified",
+                lambda s: bc.airy_zero_estimate(s, "simplified")),
+               ("refine_airy_zero", bc.refine_airy_zero),
+               ("conjecture_check", bc.conjecture_check),
+               ("center_gap_check", bc.center_gap_check)]
+THIRD_PROBE += [(f"{f.__name__} nu={nu}", lambda s, f=f, nu=nu: f(Order(nu), s))
+                for f in (bc.bessel_first_zeros_estimate, bc.refine_bessel_zero)
+                for nu in ZERO_NUS]
+
+
+def test_third_probe_returns_finite_fields_or_domain_errors():
+    faults = []
+    for name, f in THIRD_PROBE:
+        for s in SS:
+            try:
+                result = f(s)
+            except (DomainError, PrecisionError):
+                continue
+            except Exception as e:
+                faults.append((name, s, type(e).__name__))
+                continue
+            if not all(map(math.isfinite, _floats(result))):
+                faults.append((name, s, "non-finite field"))
+    assert len(THIRD_PROBE) * len(SS) == 104
     assert not faults, f"{len(faults)} faults, first {faults[:10]}"
 
 
@@ -259,6 +293,36 @@ PINNED = [
      'transition: nu must be finite'),
     ('transition(Order(-math.inf), 1.0)',
      'transition: nu must be >= 1/2'),
+    # the crest search's x_hi, and the zero indices: integers, and where the
+    # estimate and the gap claim stay decidable in doubles
+    ('airy_envelope_maxima(130.0)',
+     'airy_envelope_maxima: x_hi must lie in (0, 120]'),
+    ('airy_envelope_maxima(math.nan)',
+     'airy_envelope_maxima: x_hi must lie in (0, 120]'),
+    ('airy_zero_estimate(1.5)',
+     'airy_zero_estimate: s must be an integer'),
+    ('airy_zero_estimate(math.nan)',
+     'airy_zero_estimate: s must be an integer'),
+    ('airy_zero_estimate(10 ** 200)',
+     'airy_zero_estimate: m^3 = ((12s - 3) pi)^3 leaves the doubles'),
+    ('bessel_first_zeros_estimate(Order(0.5), 1.5)',
+     'bessel_first_zeros_estimate: s must be an integer'),
+    ('bessel_first_zeros_estimate(Order(math.nan), 1)',
+     'bessel_first_zeros_estimate: nu must be finite'),
+    ('refine_airy_zero(1.5)',
+     'refine_airy_zero: s must be an integer'),
+    ('refine_bessel_zero(Order(1.0), 1.5)',
+     'refine_bessel_zero: s must be an integer'),
+    ('refine_bessel_zero(Order(math.inf), 1)',
+     'refine_bessel_zero: nu must be finite'),
+    ('center_gap_check(0)',
+     'center_gap_check: s must be >= 1'),
+    ('center_gap_check(1.5)',
+     'center_gap_check: s must be an integer'),
+    ('center_gap_check(10 ** 6 + 1)',
+     'center_gap_check: s must be <= 1000000'),
+    ('conjecture_check(1.5)',
+     'conjecture_check: s must be an integer'),
 ]
 NAMESPACE = {**{name: getattr(bc, name) for name in bc.__all__},
              "GridSpec": GridSpec, "Order": Order, "math": math, "scan": scan}

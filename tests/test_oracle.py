@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,7 +227,6 @@ def test_airy_below_the_normal_zeta_range():
     # zeta = 2x^(3/2)/3 is 0 or subnormal below x = 1.04e-205, where the
     # origin limits stand in; on both sides every estimate is finite and
     # bounds the true error
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         for k in range(161):
             x = 10.0 ** (k / 2 - 230)
@@ -274,9 +274,9 @@ def test_refusal_at_the_target_line(monkeypatch, v):
     # _j_eval adds the float rounding charge to the series estimate, then
     # refuses anything above 1e-12 * max(|v|, 1e-10)
     room = 1e-12 * max(abs(v), 1e-10) - oracle._FLOAT_ULP * abs(v) - math.ulp(0.0)
-    monkeypatch.setattr(oracle, "_j_series_fixed", lambda nu, x, d: (v, room * (1 - 1e-9)))
+    monkeypatch.setattr(oracle, "_j_series_fixed", lambda nu, x: (v, room * (1 - 1e-9)))
     assert bessel_j_ref(Order(0.0), 1.0).value == v
-    monkeypatch.setattr(oracle, "_j_series_fixed", lambda nu, x, d: (v, room * (1 + 1e-9)))
+    monkeypatch.setattr(oracle, "_j_series_fixed", lambda nu, x: (v, room * (1 + 1e-9)))
     with pytest.raises(PrecisionError):
         bessel_j_ref(Order(0.0), 1.0)
 
@@ -328,7 +328,6 @@ def test_huge_orders_underflow_at_once(nu, x):
 
 def test_seeded_mpmath_audit():
     # every value lies within its own estimate, or the call refuses
-    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(7)
     cases = []
     for i in range(150):
@@ -370,6 +369,18 @@ def test_refine_root_airy_zero():
 def test_refine_root_no_sign_change():
     with pytest.raises(ValueError):
         refine_root(lambda t: t * t + 1, (0.0, 1.0), 1e-10)
+
+
+@pytest.mark.parametrize("root", [1.0, 3.0, 2.0, 2.5])
+def test_refine_root_returns_an_exact_zero(root):
+    # at lo, at hi, at the first midpoint and at the second
+    assert refine_root(lambda t: t - root, (1.0, 3.0), 1e-12) == root
+
+
+def test_refine_root_budget():
+    # width 0 from (0, 1e300) takes about 1000 halvings, past the 200-step budget
+    with pytest.raises(PrecisionError, match="^refine_root: iteration budget exhausted$"):
+        refine_root(lambda t: t - 1.0, (0.0, 1e300), 0.0)
 
 
 def test_import_loads_no_numpy():
@@ -420,7 +431,6 @@ def test_caller_decimal_context_never_reaches_the_oracle(monkeypatch):
 def test_decimal_constants_against_mpmath():
     # ln(2 pi)/2 and Stirling's fixed-point ln Gamma(w), w = z + k >= 30, to
     # 10^(2-40) relative, and the exact shift product prod_{i<k} (z+i)
-    mpmath = pytest.importorskip("mpmath")
     g = oracle._CTX.prec
     zs = [Fraction(1, 3), Fraction(2, 3), Fraction(7, 2), Fraction(61), Fraction(1001, 2)]
     zs += [Fraction(nu + 1) for nu in (1e3, 1e6, 1e9)]
@@ -440,7 +450,6 @@ def test_decimal_constants_against_mpmath():
 def test_prefactor_against_mpmath():
     # (x/2)^nu / Gamma(nu+1) to 1e-34 relative, from x = 1e-300 to the Airy
     # paths' largest zeta, 2 * 120^(3/2) / 3 = 876
-    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(11)
     points = [(60.0, 1e-300), (60.0, 876.0), (-0.5, 1e-300), (-1 / 3, 876.0), (0.0, 876.0)]
     for i in range(300):
@@ -457,7 +466,6 @@ def test_prefactor_against_mpmath():
 
 def test_ln_half_against_mpmath():
     # fixed-point ln(x/2) within 1e-36 absolute over the whole double range
-    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(13)
     xs = [5e-324, 1e-320, 2.5e-312, 2.2250738585072014e-308, 876.0, 1023.0, 1024.0, 1025.0]
     xs += [2.0 ** k for k in range(-1074, 10, 61)] + [float(n) for n in range(1, 1024)]
@@ -471,7 +479,6 @@ def test_ln_half_against_mpmath():
 
 def test_exp_ratio_against_mpmath():
     # exp(y) within 1e-35 relative for y in [-5e4, 2e3], y in fixed point
-    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(17)
     one = 1 << oracle._FB
     ys = [0, 1, -1, one, -one, 2000 * one, -50000 * one]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -139,6 +140,36 @@ class TestBoundsGrid:
         g = GridSpec((0.0,), (1.0, 2.0), 5)
         with pytest.raises(DomainError):
             verify_bounds_grid("bernstein", g)
+
+
+class TestViolations:
+    # the acceptance sweeps all assert zero violations; here the package's
+    # own claims are made to fail
+    def test_zero_width_approximation(self, monkeypatch, capsys):
+        classic = approx_module.classic_oscillatory
+        monkeypatch.setattr(approx_module, "classic_oscillatory", lambda order, x:
+                            dataclasses.replace(classic(order, x), half_width=0.0))
+        g = GridSpec((0.0, 2.0), (1.0, 10.0), 5)
+        rows, _ = scan_rows("classic", g)
+        rep = verify_approx_grid("classic", g)
+        assert rep.max_ratio > 1 and len(rep.violations) == rep.total == 10
+        assert rep.violations == tuple((r.subject, r.nu, r.x, r.ratio - 1) for r in rows)
+        assert main(["scan", "--method", "classic", "--nu-list", "0,2", "--x-lo", "1",
+                     "--x-hi", "10", "--points", "5"]) == 1
+
+    def test_failed_bound(self, monkeypatch, capsys):
+        # at nu = 2, rhs <= 0 < lhs: no lhs/rhs, so the ratio is infinite
+        monkeypatch.setattr(bounds_module, "bound_watson", lambda order, x: bounds_module._make(
+            "watson", 2.0, 1.5 if order.nu == 1 else -1.0, strict=False, slack=0.0))
+        g = GridSpec((1.0, 2.0), (1.0, 4.0), 3)
+        rows, _ = scan_rows("watson", g)
+        assert [r.ratio for r in rows] == [2.0 / 1.5] * 3 + [math.inf] * 3
+        rep = verify_bounds_grid("watson", g)
+        assert rep.max_ratio == math.inf
+        assert rep.violations == tuple((r.subject, r.nu, r.x, r.value - r.oracle) for r in rows)
+        assert [v[3] for v in rep.violations] == [0.5] * 3 + [3.0] * 3
+        assert main(["scan", "--method", "watson", "--nu-list", "1,2", "--x-lo", "1",
+                     "--x-hi", "4", "--points", "3"]) == 1
 
 
 class TestSubjectTables:

@@ -208,6 +208,16 @@ class TestCenterGap:
         assert below.rhs == pytest.approx(25 / (3 * m ** 3 * (m * m + 40) ** (1 / 6)))
 
 
+    def test_holds_up_to_the_cap(self):
+        # the relative margin, about 1.9e-2/s^2, clears the float rounding up
+        # to s = 10^6; a log grid, ten points a decade
+        for k in range(61):
+            s = round(10 ** (k / 10))
+            positive, below = center_gap_check(s)
+            assert positive.holds and below.holds, s
+        assert s == zeros_module._GAP_S_CAP
+
+
 class TestConjecture:
     @pytest.mark.parametrize("s", (1, 5, 50))
     def test_refined_below_closed_form(self, s):

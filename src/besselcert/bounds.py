@@ -7,7 +7,6 @@ report on any acceptance grid is a build-failing event.
 """
 
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import lru_cache
 import math
 
@@ -15,8 +14,8 @@ from .oracle import (
     DomainError,
     Order,
     _AIRY_X_CAP,
+    _FB,
     _FLOAT_ULP,
-    _CTX,
     _bernoulli,
     _is_double,
     _j_prime_any,
@@ -340,27 +339,22 @@ def leftmost_max_check(order: Order) -> BoundReport:
 def _gauss_legendre() -> tuple[tuple[float, float], ...]:
     """(node, weight) pairs of the 20-point Gauss-Legendre rule on [-1, 1].
 
-    Newton on P_20 in the oracle's 40-digit decimal context, weights
-    2(1-z^2)/(20 P_19(z))^2, each rounded to double once: a float recurrence
-    loses ~1e-13 in the outer weights, where P_19 is small against the
-    rounding of P_k ~ 1.
+    Newton on P_20 in the oracle's 160-bit fixed point, weights 2(1-z^2)/(20 P_19(z))^2,
+    each rounded to double once by an integer true division: a float recurrence loses
+    ~1e-13 in the outer weights, where P_19 is small against the rounding of P_k ~ 1.
     """
-    n, c = 20, _CTX
+    n, one = 20, 1 << _FB
     rule = []
     for i in range(1, n // 2 + 1):
-        z = c.create_decimal_from_float(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
-        step = Decimal(1)
-        while step.copy_abs() > Decimal("1e-30"):  # then p0 is P_19 at the node to ~1e-29
-            p0, p1 = Decimal(1), z
+        z, step = int(math.ldexp(math.cos(math.pi * (i - 0.25) / (n + 0.5)), _FB)), one
+        while abs(step) > one >> 100:  # then p0 is P_19 at the node to ~1e-29
+            p0, p1 = one, z
             for k in range(2, n + 1):
-                p0, p1 = p1, c.divide(c.subtract(c.multiply(2 * k - 1, c.multiply(z, p1)),
-                                                 c.multiply(k - 1, p0)), k)
-            step = c.divide(c.multiply(p1, c.subtract(c.multiply(z, z), 1)),
-                            c.multiply(n, c.subtract(c.multiply(z, p1), p0)))
-            z = c.subtract(z, step)
-        w = float(c.divide(c.multiply(2, c.multiply(c.subtract(1, z), c.add(1, z))),
-                           c.multiply(n * n, c.multiply(p0, p0))))
-        rule += [(-float(z), w), (float(z), w)]
+                p0, p1 = p1, ((2 * k - 1) * (z * p1 >> _FB) - (k - 1) * p0) // k
+            step = p1 * ((z * z >> _FB) - one) // (n * ((z * p1 >> _FB) - p0))
+            z -= step
+        w = 2 * (one - z) * (one + z) / (n * n * p0 * p0)
+        rule += [(-z / one, w), (z / one, w)]
     return tuple(rule)
 
 

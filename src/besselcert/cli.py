@@ -142,8 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("bounds", parents=[common],
                        help="one named inequality at a point")
     # a sonin_* check compares consecutive points, so it has no one-point form
-    q.add_argument("--name", required=True, choices=tuple(
-        name for name in _scan._BOUNDS if not name.startswith("sonin_")))
+    q.add_argument("--name", required=True,
+                   choices=tuple(name for name in _scan._BOUNDS if name not in _scan._SONIN))
     q.add_argument("--nu", type=float)
     q.add_argument("--x", type=float)
     q.add_argument("--x2", type=float, help="second abscissa (wronskian_kernel)")

@@ -11,10 +11,9 @@ with the exact rational term ratio of x and nu, so every term keeps its
 digits at any order.  The prefactor P = (x/2)^nu / Gamma(nu+1) has no
 cancellation but spans hundreds of decades.  ln(x/2), ln Gamma (Stirling's
 series, once per order) and the exp run on 160-bit fixed-point integers by
-table-driven argument reduction.  One private 40-digit decimal context
-fills the tables, on first use, and the constants; nothing else in the
-oracle touches decimal.  P is within about 1e-35 relative and is applied
-once, in the conversion to a double.  Every result carries an absolute
+table-driven argument reduction; their tables and constants come from the
+same integer atanh and exp series.  P is within about 1e-35 relative and is
+applied once, in the conversion to a double.  Every result carries an absolute
 error estimate, 3 ulp per term plus 20 against P times the largest term,
 plus the float rounding.  The accuracy target is fixed:
 relative error 1e-12 (absolute 1e-22 where |J| < 1e-10); where cancellation
@@ -22,8 +21,6 @@ leaves less than that, the call raises PrecisionError instead.
 """
 
 from dataclasses import dataclass, field
-from decimal import (Context, Decimal, DivisionByZero, InvalidOperation, Overflow,
-                     ROUND_HALF_EVEN)
 from fractions import Fraction
 from functools import lru_cache
 import math
@@ -37,14 +34,6 @@ _TERM_CAP = 5000
 _FLOAT_ULP = 2.3e-16
 # relative accuracy every J evaluation must reach (absolute below |J| = 1e-10)
 _TARGET_REL_ERR = 1e-12
-
-
-# The one decimal context: every Decimal op in the package names it, and each
-# field that can move a result is set here rather than copied from
-# decimal.DefaultContext, so neither the caller's context nor a changed
-# default touches the oracle's numbers.
-_CTX = Context(prec=40, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
-               traps=[InvalidOperation, DivisionByZero, Overflow])
 
 
 class DomainError(ValueError):
@@ -122,14 +111,32 @@ def _stirling_coeff(n: int) -> int:
 _FB = 160
 
 
-def _fixed(v: Decimal) -> int:
-    num, den = v.as_integer_ratio()
-    return (num << _FB) // den
+def _atanh(s: int) -> int:
+    """atanh(s) = s + s^3/3 + ... for fixed-point 0 <= s <= 1/3, until s^n truncates
+    to 0; each step truncates down, so it is within 2 ulp (2^-160) per term."""
+    s2 = s * s >> _FB
+    term = acc = s
+    n = 3
+    while term:
+        term = term * s2 >> _FB
+        acc += term // n
+        n += 2
+    return acc
 
 
-_LN2 = _fixed(_CTX.ln(2))
-_HALF_LN_2PI = _fixed(_CTX.divide(_CTX.ln(_CTX.multiply(2, Decimal(
-    "3.14159265358979323846264338327950288419716939937510582097494459"))), 2))
+def _exp_series(f: int) -> int:
+    """exp(f) = sum f^k/k! for fixed-point 0 <= f < 1, until a term truncates to 0;
+    each step truncates down, so it is within 2 ulp per term plus 2 for the tail."""
+    term = acc = 1 << _FB
+    k = 1
+    while term:
+        term = (term * f >> _FB) // k
+        acc += term
+        k += 1
+    return acc
+
+
+_LN2 = 2 * _atanh((1 << _FB) // 3)  # ln 2 = 2 atanh(1/3), 50 terms: within 1.4e-46
 
 
 @lru_cache(maxsize=4096)
@@ -165,28 +172,23 @@ def _gamma_parts(p: int, r: int) -> tuple[int, int, int]:
 @lru_cache(maxsize=None)
 def _ln_small(h: int) -> int:
     """ln h for 1 <= h < 1024: the table behind _ln_int, filled on demand."""
-    return _fixed(_CTX.ln(h))
+    k = h.bit_length() - 1
+    return k * _LN2 + 2 * _atanh(((h - (1 << k)) << _FB) // (h + (1 << k)))
 
 
 def _ln_int(a: int) -> int:
-    """ln a for an integer a >= 1, within ~4e-39 (the 40-digit ln h).
+    """ln a for an integer a >= 1, within (e + 11) 1.4e-46 for a of e + 10 bits.
 
     a = h 2^e (1 + t), h the top 10 bits of a, 0 <= t < 2^-9: ln a =
-    ln h + e ln 2 + 2 atanh(s), s = t/(2+t) < 2^-10, whose odd series
-    through s^11 leaves out less than 1.2e-40.
+    ln h + e ln 2 + 2 atanh(s), s = t/(2+t) < 2^-10.  The table's ln h is
+    within 1.4e-45 (k ln 2, k <= 9), and 2 atanh(s), 8 terms at most, within 2.3e-47.
     """
     e = max(0, a.bit_length() - 10)
     h = a >> e
     ln = _ln_small(h) + e * _LN2
     rem = a - (h << e)
     if rem:
-        s = (rem << _FB) // ((h << (e + 1)) + rem)
-        s2 = s * s >> _FB
-        term = acc = s
-        for n in range(3, 13, 2):
-            term = term * s2 >> _FB
-            acc += term // n
-        ln += 2 * acc
+        ln += 2 * _atanh((rem << _FB) // ((h << (e + 1)) + rem))
     return ln
 
 
@@ -196,30 +198,29 @@ def _ln_half(x: float) -> int:
     return _ln_int(a) - b.bit_length() * _LN2
 
 
+_HALF_LN_2PI = (_ln_int((314159265358979323846264338327950288419716939937510582097494459 << _FB)
+                        // 10 ** 62) - 159 * _LN2) // 2  # (ln(pi 2^160) - 159 ln 2)/2
+
+
 @lru_cache(maxsize=None)
 def _exp_table(i: int) -> int:
     """exp(i/256) in fixed point for 0 <= i < 178."""
-    return _fixed(_CTX.exp(_CTX.divide(i, 256)))
+    return _exp_series(i << (_FB - 8))
 
 
 def _exp_ratio(y: int) -> tuple[int, int]:
-    """(num, den) with exp(y/2^_FB) = num/den within ~1.4e-38 relative.
+    """(num, den) with exp(y/2^_FB) = num/den within (|n| + 1) 1.4e-46 relative.
 
     y = n ln 2 + i/256 + f, 0 <= f < 1/256: 2^n goes in exactly, the table
-    gives exp(i/256) and Taylor through f^12/12! leaves out < 1e-41.  The
-    40-digit ln 2 is off by 1.3e-43, which |n| < 10^5 keeps below 1.4e-38;
-    below that it is (0, 1), as every double made from such a P is 0.
+    gives exp(i/256) within 4e-47 relative and Taylor exp(f) within 2.5e-47,
+    and ln 2's error moves the reduction by |n| 1.4e-46.  Below n = -10^5 it
+    is (0, 1), as every double made from such a P is 0.
     """
     n, r = divmod(y, _LN2)
     if n < -10 ** 5:
         return 0, 1
     i = r >> (_FB - 8)
-    f = r - (i << (_FB - 8))
-    one = 1 << _FB
-    acc = one
-    for k in range(12, 0, -1):
-        acc = one + (acc * f >> _FB) // k
-    num, shift = _exp_table(i) * acc, 2 * _FB - n
+    num, shift = _exp_table(i) * _exp_series(r - (i << (_FB - 8))), 2 * _FB - n
     return (num, 1 << shift) if shift >= 0 else (num << -shift, 1)
 
 
@@ -246,7 +247,7 @@ def _prefactor(nu: tuple[int, int], x: float) -> tuple[int, int]:
     nu = p/r.  The prefactor has no cancellation, so it is computed at a
     fixed precision whatever the series needs: one exp of
     nu ln(x/2) - ln Gamma(w) times the exact num/den of _gamma_parts.  The
-    exponent's absolute error, below about 1e-38 (nu + 1), is P's relative one.
+    exponent's absolute error, below about 1e-40 + 1e-42 |nu|, is P's relative one.
     """
     p, r = nu
     ln_gamma, num, den = _gamma_parts(p + r, r)

@@ -25,6 +25,8 @@ from .bounds import BoundReport, _make
 
 _AIRY_S_CAP = 50
 _GAP_S_CAP = 10 ** 6
+# j_{nu,s} >= j_{-1/2,s} = (s - 1/2) pi, as the zeros grow with nu: no later s is below the x cap
+_BESSEL_S_CAP = math.floor(_PUBLIC_X_CAP / math.pi + 0.5)
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ def bessel_first_zeros_estimate(order: Order, s: int) -> ZeroEstimate:
 
     j_{nu,s} lies in [nu + 2^(-1/3) a_s nu^(1/3), same + (3 2^(-2/3) a_s^2/10) nu^(-1/3)].
     The a_s fed in is the refined zero, not the closed-form estimate, so the
-    bracket tests only this expansion's own error.
+    bracket tests only this expansion's own error; a_s is refined for s <= 50.
     """
     check_domain(_DOMAINS, "bessel_first_zeros_estimate", order, s)
     a_s = refine_airy_zero(s)
@@ -139,7 +141,7 @@ def _bessel_scan(nu: float) -> _ZeroScan:
 
 
 def refine_bessel_zero(order: Order, s: int) -> float:
-    """The s-th positive zero j_{nu,s} of J_nu to ~1e-11 (scan capped at x = 200)."""
+    """The s-th positive zero j_{nu,s} of J_nu to ~1e-11 (scan capped at x = 200, so s <= 64)."""
     check_domain(_DOMAINS, "refine_bessel_zero", order, s)
     return _bessel_scan(order.nu).zero(s)
 
@@ -187,9 +189,11 @@ _DOMAINS = {  # the entry points' domains, as check_domain reads them
                            (lambda s: _is_double(lambda: _m_of(s) ** 3),
                             "m^3 = ((12s - 3) pi)^3 leaves the doubles")),
     "bessel_first_zeros_estimate": ((lambda o, s: not o.nu <= 0, "nu must be positive"),
-                                    _S_POSITIVE, _S_INTEGER, _FINITE_NU),
+                                    _S_POSITIVE, _S_INTEGER, _FINITE_NU,
+                                    (lambda o, s: s <= _AIRY_S_CAP, f"s must be <= {_AIRY_S_CAP}")),
     "refine_airy_zero": (_S_AIRY, _S_INTEGER),
-    "refine_bessel_zero": (_S_POSITIVE, _S_INTEGER, _FINITE_NU),
+    "refine_bessel_zero": (_S_POSITIVE, _S_INTEGER, _FINITE_NU,
+                           (lambda o, s: s <= _BESSEL_S_CAP, f"s must be <= {_BESSEL_S_CAP}")),
     "center_gap_check": (_S_POSITIVE, _S_INTEGER,
                          (lambda s: s <= _GAP_S_CAP, f"s must be <= {_GAP_S_CAP}")),
     "conjecture_check": (_S_AIRY, _S_INTEGER),

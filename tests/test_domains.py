@@ -323,6 +323,11 @@ PINNED = [
      'center_gap_check: s must be <= 1000000'),
     ('conjecture_check(1.5)',
      'conjecture_check: s must be an integer'),
+    # each zero-index cap is named by its own entry point
+    ('bessel_first_zeros_estimate(Order(1.0), 51)',
+     'bessel_first_zeros_estimate: s must be <= 50'),
+    ('refine_bessel_zero(Order(1.0), 65)',
+     'refine_bessel_zero: s must be <= 64'),
 ]
 NAMESPACE = {**{name: getattr(bc, name) for name in bc.__all__},
              "GridSpec": GridSpec, "Order": Order, "math": math, "scan": scan}

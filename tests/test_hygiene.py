@@ -30,23 +30,18 @@ def test_every_top_level_name_is_referenced():
         assert defined <= refs, f"{name}: unreferenced {sorted(defined - refs)}"
 
 
-
-def _context_calls(node) -> int:
-    # Context(...) or decimal.Context(...)
-    return sum(isinstance(n, ast.Call) and (getattr(n.func, "id", None) == "Context"
-                                            or getattr(n.func, "attr", None) == "Context")
-               for n in ast.walk(node))
-
-
 def test_one_decimal_context():
-    # every Decimal op names oracle._CTX: the one Context, assigned at module
-    # level, and no module reads or swaps the thread's current context
-    built = {name: _context_calls(tree) for name, tree in TREES.items() if _context_calls(tree)}
-    assert built == {"oracle.py": 1}
-    assert any(isinstance(stmt, ast.Assign) and _context_calls(stmt)
-               for stmt in TREES["oracle.py"].body)
+    # at most one decimal Context, and now none: the oracle runs on integers
+    # alone, no module imports decimal, so no context exists whose precision
+    # or rounding could move a result, and none reads or swaps the thread's
+    # current one
     banned = {"getcontext", "setcontext", "localcontext"}
     for name, tree in TREES.items():
+        imported = {a.name.split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.Import)
+                    for a in n.names}
+        imported |= {(n.module or "").split(".")[0] for n in ast.walk(tree)
+                     if isinstance(n, ast.ImportFrom)}
+        assert "decimal" not in imported, name
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
@@ -54,11 +49,13 @@ def test_one_decimal_context():
 
 
 def test_oracle_evaluations_are_integer_only():
-    # _CTX fills the ln and exp tables; the prefactor, Gamma and the series
-    # run on integers, so no other oracle function names it
-    users = {f.name for f in ast.walk(TREES["oracle.py"])
-             if isinstance(f, ast.FunctionDef) and "_CTX" in _reads(f)}
-    assert users == {"_ln_small", "_exp_table"}
+    # the prefactor, Gamma, the ln/exp tables and the series run on integers:
+    # no oracle function names a Decimal or a decimal context, and only the
+    # Bernoulli numbers, exact constants, are built as Fractions
+    names = {f.name: _reads(f) for f in ast.walk(TREES["oracle.py"])
+             if isinstance(f, ast.FunctionDef)}
+    assert not {f for f, r in names.items() if r & {"Decimal", "Context", "_CTX"}}
+    assert {f for f, r in names.items() if "Fraction" in r} == {"_bernoulli"}
 
 
 def _domain_raises(tree) -> dict[str, int]:

@@ -431,7 +431,7 @@ def test_caller_decimal_context_never_reaches_the_oracle(monkeypatch):
 def test_decimal_constants_against_mpmath():
     # ln(2 pi)/2 and Stirling's fixed-point ln Gamma(w), w = z + k >= 30, to
     # 10^(2-40) relative, and the exact shift product prod_{i<k} (z+i)
-    g = oracle._CTX.prec
+    g = 40
     zs = [Fraction(1, 3), Fraction(2, 3), Fraction(7, 2), Fraction(61), Fraction(1001, 2)]
     zs += [Fraction(nu + 1) for nu in (1e3, 1e6, 1e9)]
     with mpmath.workdps(g + 30):
@@ -489,6 +489,24 @@ def test_exp_ratio_against_mpmath():
             num, den = oracle._exp_ratio(y)
             truth = mpmath.exp(mpmath.mpf(y) / one)
             assert abs(mpmath.mpf(num) / den / truth - 1) <= mpmath.mpf("1e-35"), y
+
+
+def test_tables_and_constants_against_mpmath():
+    # every ln h and exp(i/256) table entry, ln 2 and ln(2 pi)/2, each from
+    # the integer series, within 1e-45 absolute of 80-digit mpmath
+    with mpmath.workdps(80):
+        scale = mpmath.mpf(2) ** oracle._FB
+        tol = mpmath.mpf("1e-45")
+
+        def close(fixed, truth):
+            return abs(fixed / scale - truth) <= tol
+
+        assert close(oracle._LN2, mpmath.log(2))
+        assert close(oracle._HALF_LN_2PI, mpmath.log(2 * mpmath.pi) / 2)
+        for h in range(1, 1024):
+            assert close(oracle._ln_small(h), mpmath.log(h)), h
+        for i in range(178):
+            assert close(oracle._exp_table(i), mpmath.exp(mpmath.mpf(i) / 256)), i
 
 
 def test_series_cache_hits_build_no_fraction(monkeypatch):

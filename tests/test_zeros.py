@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +93,17 @@ class TestRefinement:
             refine_airy_zero(51)
         with pytest.raises(DomainError):
             refine_bessel_zero(Order(1.0), 0)
+
+    def test_bessel_index_past_the_x_cap_refuses_at_once(self):
+        # j_{nu,65} >= 64.5 pi > 200 for nu >= -1/2: refused before any scan step
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="s must be <= 64"):
+            refine_bessel_zero(Order(1.0), 65)
+        assert time.perf_counter() - start < 0.01
+
+    def test_last_admitted_index_is_reached_at_the_least_order(self):
+        # j_{-1/2,64} = 63.5 pi, the last zero of the least order below x = 200
+        assert refine_bessel_zero(Order(-0.5), 64) == pytest.approx(63.5 * math.pi, abs=1e-10)
 
 
 def _fresh_scan(f, x, step, n):

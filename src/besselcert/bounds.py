@@ -6,19 +6,24 @@ inequalities need margin > slack, non-strict ones margin >= -slack.  A false
 report on any acceptance grid is a build-failing event.
 """
 
+import bisect
 from dataclasses import dataclass
 from functools import lru_cache
+import itertools
 import math
 
 from .oracle import (
+    BoundReport,
     DomainError,
     Order,
+    PrecisionError,
     _AIRY_X_CAP,
     _FB,
     _FLOAT_ULP,
     _bernoulli,
     _is_double,
     _j_prime_any,
+    _make,
     airy_ai_neg_prime_ref,
     airy_ai_neg_ref,
     bessel_j_prime_ref,
@@ -27,20 +32,10 @@ from .oracle import (
     gamma,
     refine_root,
 )
+from .zeros import _airy_bracket, refine_airy_zero
 
 # envelope damping offset for the Airy inequalities
 AIRY_C = 15 ** (1 / 3) * 2 ** (-4 / 3)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One inequality instance: holds iff margin = rhs - lhs clears the slack."""
-
-    name: str
-    lhs: float
-    rhs: float
-    margin: float
-    holds: bool
 
 
 @dataclass(frozen=True)
@@ -55,12 +50,6 @@ class SoninSample:
     x: float
     S: float
     variant: str
-
-
-def _make(name: str, lhs: float, rhs: float, strict: bool, slack: float) -> BoundReport:
-    margin = rhs - lhs
-    holds = margin > slack if strict else margin >= -slack
-    return BoundReport(name, lhs, rhs, margin, holds)
 
 
 def bound_watson(order: Order, x: float) -> BoundReport:
@@ -181,31 +170,62 @@ def _airy_envelope(x: float) -> tuple[float, float]:
 
 
 def airy_envelope_maxima(x_hi: float = 60.0) -> list[BoundReport]:
-    """Each local maximum of (x+c)^(1/4) Ai(-x) on [0, x_hi] vs its corridor.
+    """Each local maximum of f = (x+c)^(1/4) Ai(-x) on [0, x_hi] vs its corridor.
 
     The damped envelope rises to each crest inside (1/sqrt(pi), 9/14): two
     reports per located maximum, airy_envelope_max_lower for the floor and
-    airy_envelope_max_upper for the cap.  Maxima are bracketed by a sign
-    scan of the derivative (step tied to the local oscillation period) and
-    polished by root refinement.  x_hi lies in (0, 120], the evaluator's Ai domain.
+    airy_envelope_max_upper for the cap.  x_hi lies in (0, 120], the
+    evaluator's Ai domain.
+
+    Hump lemma: with y = Ai(-x), y'' = -x y, and g = (x+c)^(1/4), at any
+    critical point of f = g y, f''/f = -x - 5/(16(x+c)^2) < 0 for x >= 0.
+    So each positive hump of y, (a_2k, a_2k+1) with a_0 = -inf, holds
+    exactly one critical point of f, a strict maximum xi_k, and f' reads
+    + ... + - ... - on any grid inside the hump.  The grid is the fixed
+    step scan's, from x = 1e-3 by min(0.05, pi/(15 sqrt(max(x, 1/2)))),
+    about 15 points per half-oscillation, cut at x_hi.  Each hump's ends
+    come from the certified brackets of airy_zero_estimate, and bisecting
+    the grid indices inside it, with f' > 0 at lo and f' <= 0 at hi, finds
+    the one cell where a walk along the grid would see f' turn from
+    positive to nonpositive.  refine_root polishes xi_k from there, so the
+    crests are those of the walk at a fraction of its evaluations.  A hump
+    whose signs break the pattern raises PrecisionError; one whose f' is
+    still positive at x_hi holds no crest on [0, x_hi].
     """
     check_domain(_DOMAINS, "airy_envelope_maxima", x_hi)
+    xs = [1e-3]
+    while xs[-1] < x_hi:
+        x = xs[-1]
+        xs.append(min(x_hi, x + min(0.05, math.pi / (15 * math.sqrt(max(x, 0.5))))))
+
+    def slope(t: float) -> float:
+        return _airy_envelope(t)[1]
+
     reports = []
-    x = 1e-3
-    prev_x, prev_d = x, _airy_envelope(x)[1]
-    while x < x_hi:
-        # ~15 samples per half-oscillation; the period shrinks like pi/sqrt(x)
-        x = min(x_hi, x + min(0.05, math.pi / (15 * math.sqrt(max(x, 0.5)))))
-        d = _airy_envelope(x)[1]
-        if prev_d > 0 and d <= 0:
-            xi = refine_root(lambda t: _airy_envelope(t)[1], (prev_x, x), 1e-9)
-            # refine_root returns a point it evaluated, so both Ai values are cached
-            val = _airy_envelope(xi)[0]
-            reports.append(_make("airy_envelope_max_lower",
-                                 1 / math.sqrt(math.pi), val, strict=True, slack=1e-12))
-            reports.append(_make("airy_envelope_max_upper",
-                                 val, 9 / 14, strict=True, slack=1e-12))
-        prev_x, prev_d = x, d
+    for k in itertools.count():
+        # the grid indices strictly inside the k-th positive hump
+        lo = 0 if k == 0 else bisect.bisect_right(xs, _airy_bracket(2 * k)[1])
+        if lo == len(xs):
+            break
+        hi = bisect.bisect_left(xs, _airy_bracket(2 * k + 1)[0]) - 1
+        d_lo, d_hi = slope(xs[lo]), slope(xs[hi])
+        if d_hi > 0 and hi == len(xs) - 1:
+            break
+        if not lo <= hi or not d_lo > 0 >= d_hi:
+            raise PrecisionError(f"airy_envelope_maxima: f' breaks the hump lemma in hump {k}")
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if slope(xs[mid]) > 0:
+                lo = mid
+            else:
+                hi = mid
+        xi = refine_root(slope, (xs[lo], xs[hi]), 1e-9)
+        # refine_root returns a point it evaluated, so both Ai values are cached
+        val = _airy_envelope(xi)[0]
+        reports.append(_make("airy_envelope_max_lower",
+                             1 / math.sqrt(math.pi), val, strict=True, slack=1e-12))
+        reports.append(_make("airy_envelope_max_upper",
+                             val, 9 / 14, strict=True, slack=1e-12))
     return reports
 
 
@@ -229,11 +249,6 @@ def bound_wronskian_kernel(nu: float, x1: float, x2: float) -> BoundReport:
                  strict=False, slack=slack)
 
 
-@lru_cache(maxsize=1)
-def _first_airy_root() -> float:
-    return refine_root(lambda t: airy_ai_neg_ref(t).value, (2.0, 3.0), 1e-11)
-
-
 def bound_near_first_zero(order: Order) -> BoundReport:
     """0 < J_nu(nu + gamma nu^(1/3)) < 7/(6 nu), gamma = 2^(-1/3) a1 = 1.855757...
 
@@ -242,7 +257,7 @@ def bound_near_first_zero(order: Order) -> BoundReport:
     """
     check_domain(_DOMAINS, "bound_near_first_zero", order)
     nu = order.nu
-    g = 2 ** (-1 / 3) * _first_airy_root()
+    g = 2 ** (-1 / 3) * refine_airy_zero(1)
     r = bessel_j_ref(order, nu + g * nu ** (1 / 3))
     if not r.value > 0:
         raise DomainError("bound_near_first_zero: J_nu must be positive before its first zero")
@@ -360,7 +375,7 @@ def _gauss_legendre() -> tuple[tuple[float, float], ...]:
 
 @lru_cache(maxsize=1)
 def _trigamma_coeffs() -> tuple[float, ...]:
-    return tuple(float(_bernoulli(2 * k)) for k in range(8, 0, -1))
+    return tuple(num / den for num, den in map(_bernoulli, range(16, 0, -2)))
 
 
 def _trigamma(z: float) -> float:

@@ -21,7 +21,6 @@ leaves less than that, the call raises PrecisionError instead.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 import math
 import sys
@@ -86,25 +85,50 @@ class EvalResult:
     abs_err_estimate: float
 
 
+@dataclass(frozen=True)
+class BoundReport:
+    """One inequality instance: holds iff margin = rhs - lhs clears the slack."""
+
+    name: str
+    lhs: float
+    rhs: float
+    margin: float
+    holds: bool
+
+
+def _make(name: str, lhs: float, rhs: float, strict: bool, slack: float) -> BoundReport:
+    margin = rhs - lhs
+    holds = margin > slack if strict else margin >= -slack
+    return BoundReport(name, lhs, rhs, margin, holds)
+
+
 @lru_cache(maxsize=None)
-def _bernoulli(m: int) -> Fraction:
-    # B_0 = 1 and sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1
+def _bernoulli(m: int) -> tuple[int, int]:
+    """B_m as a reduced integer pair (num, den), den > 0.
+
+    B_0 = 1 and sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, summed exactly
+    over the common denominator of the earlier B_j.
+    """
     if m == 0:
-        return Fraction(1)
+        return 1, 1
     if m == 1:
-        return Fraction(-1, 2)
+        return -1, 2
     if m % 2:
-        return Fraction(0)
-    acc = Fraction(0)
+        return 0, 1
+    num, den = 0, 1
     for j in range(m):
-        acc += math.comb(m + 1, j) * _bernoulli(j)
-    return -acc / (m + 1)
+        b_num, b_den = _bernoulli(j)
+        num, den = num * b_den + math.comb(m + 1, j) * b_num * den, den * b_den
+    num, den = -num, den * (m + 1)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 @lru_cache(maxsize=None)
 def _stirling_coeff(n: int) -> int:
-    q = _bernoulli(2 * n) / ((2 * n) * (2 * n - 1))
-    return (q.numerator << _FB) // q.denominator
+    """B_2n / (2n (2n-1)) in fixed point, rounded down."""
+    num, den = _bernoulli(2 * n)
+    return (num << _FB) // (den * (2 * n) * (2 * n - 1))
 
 
 # The prefactor and ln Gamma run in binary fixed point: an int y stands for y/2^_FB.

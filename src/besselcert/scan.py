@@ -13,9 +13,11 @@ import itertools
 import math
 
 from .oracle import (
+    BoundReport,
     DomainError,
     Order,
     _PUBLIC_X_CAP,
+    _make,
     airy_ai_neg_ref,
     bessel_j_ref,
     check_domain,
@@ -178,7 +180,7 @@ class SupResult:
 
 def _row(rep, nu: float, x: float) -> ScanRow:
     # rep: a BoundReport, or an approximation's (ApproxValue, oracle EvalResult)
-    if isinstance(rep, _bounds.BoundReport):
+    if isinstance(rep, BoundReport):
         raw = rep.lhs / rep.rhs if rep.rhs > 0 else 0.0 if rep.lhs <= rep.rhs else math.inf
         ratio = min(raw, 1.0) if rep.holds else max(raw, 1.0)
         return ScanRow(rep.name, nu, x, rep.lhs, rep.rhs, rep.margin, ratio, rep.holds)
@@ -258,7 +260,7 @@ def scan_rows(name: str, grid: GridSpec, l1: int = 3,
                     continue
                 if prev is not None:
                     lhs, rhs = (cur.S, prev.S) if _SONIN[name][1] else (prev.S, cur.S)
-                    rep = _bounds._make(name, lhs, rhs, strict=False, slack=1e-10)
+                    rep = _make(name, lhs, rhs, strict=False, slack=1e-10)
                     rows.append(_row(rep, order.nu, x))
                 prev = cur
         return rows, skipped

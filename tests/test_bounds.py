@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import mpmath
 import pytest
@@ -10,6 +12,7 @@ from besselcert import (
     DomainError,
     EvalResult,
     Order,
+    PrecisionError,
     airy_envelope_maxima,
     bessel_j_prime_ref,
     bessel_j_ref,
@@ -24,9 +27,12 @@ from besselcert import (
     gamma,
     leftmost_max_check,
     lemma_integral_check,
+    refine_root,
     sonin_eval,
 )
+from besselcert import bounds as bounds_module
 from besselcert.bounds import _gauss_legendre, _trigamma
+from besselcert.zeros import _airy_bracket
 
 INV_SQRT_PI = 1 / math.sqrt(math.pi)
 
@@ -160,6 +166,69 @@ class TestAiryEnvelope:
     def test_domain(self):
         with pytest.raises(DomainError):
             bound_airy_envelope(-0.1)
+
+    @pytest.mark.parametrize("x_hi", (6.0, 14.0))
+    def test_hump_bisection_finds_the_walks_crests(self, x_hi):
+        assert _hex(airy_envelope_maxima(x_hi)) == _walked_crests(x_hi)
+
+    def test_hump_lemma_sign_pattern_to_the_domain_end(self):
+        # f'' / f = -x - 5/(16(x+c)^2) < 0 at every critical point of f, so
+        # inside each positive hump (a_2k, a_2k+1) of Ai(-x), a_0 = -inf, f'
+        # reads + ... + - ... - on the scan grid.  The signs come from
+        # mpmath's float Airy functions, independent of the oracle and
+        # within ~2e-13 of it to x = 120
+        xs = _scan_grid(120.0)
+
+        def slope(x):
+            a, ap = mpmath.fp.airyai(-x), -mpmath.fp.airyai(-x, derivative=1)
+            return 0.25 * (x + AIRY_C) ** -0.75 * a + (x + AIRY_C) ** 0.25 * ap
+
+        for k in itertools.count():
+            lo = -math.inf if k == 0 else _airy_bracket(2 * k)[1]
+            if lo >= xs[-1]:
+                break
+            hi = _airy_bracket(2 * k + 1)[0]
+            signs = "".join("+" if slope(x) > 0 else "-" for x in xs if lo < x < hi)
+            assert re.fullmatch(r"\++-+" if hi < xs[-1] else r"\++-*", signs), (k, signs)
+        assert k == 140  # a_279 = 119.94 ends the last hump; a_280 is past 120
+
+    def test_a_hump_against_the_lemma_refuses(self, monkeypatch):
+        # hump ends that straddle a negative hump break the sign pattern
+        monkeypatch.setattr(bounds_module, "_airy_bracket", lambda s: (s + 0.5, s + 0.5))
+        with pytest.raises(PrecisionError, match="breaks the hump lemma"):
+            airy_envelope_maxima(14.0)
+
+
+def _scan_grid(x_hi):
+    # the fixed-step scan's grid, about 15 points per half-oscillation
+    xs = [1e-3]
+    while xs[-1] < x_hi:
+        x = xs[-1]
+        xs.append(min(x_hi, x + min(0.05, math.pi / (15 * math.sqrt(max(x, 0.5))))))
+    return xs
+
+
+def _hex(reports):
+    return [(r.name, r.lhs.hex(), r.rhs.hex(), r.holds) for r in reports]
+
+
+def _walked_crests(x_hi):
+    # airy_envelope_maxima as the fixed-step scan computed it: f' at every
+    # grid point, and each cell where it turns from positive to nonpositive refined
+    def slope(t):
+        return bounds_module._airy_envelope(t)[1]
+
+    xs = _scan_grid(x_hi)
+    ds = [slope(x) for x in xs]
+    reports = []
+    for i in range(1, len(xs)):
+        if ds[i - 1] > 0 >= ds[i]:
+            val = bounds_module._airy_envelope(refine_root(slope, (xs[i - 1], xs[i]), 1e-9))[0]
+            reports += [bounds_module._make("airy_envelope_max_lower", INV_SQRT_PI, val,
+                                            strict=True, slack=1e-12),
+                        bounds_module._make("airy_envelope_max_upper", val, 9 / 14,
+                                            strict=True, slack=1e-12)]
+    return _hex(reports)
 
 
 class TestWronskianKernel:

@@ -1,5 +1,8 @@
 import ast
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "besselcert"
 TREES = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
@@ -49,13 +52,23 @@ def test_one_decimal_context():
 
 
 def test_oracle_evaluations_are_integer_only():
-    # the prefactor, Gamma, the ln/exp tables and the series run on integers:
-    # no oracle function names a Decimal or a decimal context, and only the
-    # Bernoulli numbers, exact constants, are built as Fractions
+    # the prefactor, Gamma, the ln/exp tables, the series and the Bernoulli
+    # numbers run on integers: no oracle function names a Decimal, a decimal
+    # context or a Fraction
     names = {f.name: _reads(f) for f in ast.walk(TREES["oracle.py"])
              if isinstance(f, ast.FunctionDef)}
-    assert not {f for f, r in names.items() if r & {"Decimal", "Context", "_CTX"}}
-    assert {f for f, r in names.items() if "Fraction" in r} == {"_bernoulli"}
+    assert not {f for f, r in names.items() if r & {"Decimal", "Context", "_CTX", "Fraction"}}
+
+
+def test_import_loads_neither_fractions_nor_decimal():
+    # fractions imports decimal, and the pair costs every process a few ms
+    # at start; the package needs neither
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import besselcert, sys; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)}, capture_output=True, text=True,
+        check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _domain_raises(tree) -> dict[str, int]:

@@ -280,7 +280,7 @@ _DOMAINS = {
          "high branch needs x > max(mu, sqrt(mu))"),
         _FINITE_X, _SQUARE,
         (lambda *args: _is_double(_sharp_width, *args), "the width leaves the doubles")),
-    # the branches of sharper_oscillatory, as scan and best_approx name them
+    # the branches of sharper_oscillatory, as scan's sharp_low and sharp_high name them
     "sharp_low": ((lambda order, x: abs(order.nu) <= 0.5, "order falls in the other branch"),),
     "sharp_high": ((lambda order, x: abs(order.nu) > 0.5, "order falls in the other branch"),),
     "simplified_oscillatory": (
@@ -296,16 +296,15 @@ _DOMAINS = {
         (lambda x, mode: not x <= 0, "x must be positive"),
         *(_airy_rule(mode, *ends) for mode, ends in _AIRY_X_RANGE.items())),
 }
-# best_approx's candidates in its tie-break order: (function, branch, width,
-# arguments from (order, x)); the function is looked up here when it runs
+# best_approx's candidates in its tie-break order: (function, width, arguments
+# from (order, x)); the function is looked up here when it runs
 _CANDIDATES = (
-    ("sharper_oscillatory", "sharp_high", _sharp_width, lambda order, x: (order, x)),
-    ("sharper_oscillatory", "sharp_low", _sharp_width, lambda order, x: (order, x)),
-    ("simplified_oscillatory", None, _simplified_width, lambda order, x: (order, x)),
-    ("olver_expansion", None, _olver_width, lambda order, x: (order, x, 1, 1)),
-    ("classic_oscillatory", None, _classic_width, lambda order, x: (order, x)),
+    ("sharper_oscillatory", _sharp_width, lambda order, x: (order, x)),
+    ("simplified_oscillatory", _simplified_width, lambda order, x: (order, x)),
+    ("olver_expansion", _olver_width, lambda order, x: (order, x, 1, 1)),
+    ("classic_oscillatory", _classic_width, lambda order, x: (order, x)),
     # z = (x - nu)/nu^(1/3); nu <= 0 has no such z and fails transition's first rule
-    ("transition", None, _transition_width, lambda order, x: (
+    ("transition", _transition_width, lambda order, x: (
         order, (x - order.nu) / order.nu ** (1 / 3) if order.nu > 0 else math.nan)),
 )
 
@@ -318,15 +317,15 @@ def best_approx(order: Order, x: float) -> ApproxValue:
     closed-form certified widths and only the winner is evaluated, so a
     losing candidate costs no oracle call and its refusal cannot make this
     raise.  Ties (e.g. all widths 0 at |nu| = 1/2) go to the earlier entry
-    of: sharp_high, sharp_low, simplified, olver, classic, transition.
+    of: sharp (either branch), simplified, olver, classic, transition.
     Where none is admitted, classic's rules name the reason; for nu >= -1/2
     and finite x > 0 that happens only near 0, for |nu| >= 1/2.
     """
     admitted = []  # min keeps the first of equal widths: the table's order
     if all(ok(order, x) for ok, _ in _BEST_BASE):
-        for function, branch, width, args_of in _CANDIDATES:
+        for function, width, args_of in _CANDIDATES:
             args = args_of(order, x)
-            if all(ok(*args) for name in (branch, function) if name for ok, _ in _DOMAINS[name]):
+            if all(ok(*args) for ok, _ in _DOMAINS[function]):
                 admitted.append((width(*args), function, args))
     if not admitted:
         check_domain(_DOMAINS, "classic_oscillatory", order, x)

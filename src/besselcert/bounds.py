@@ -20,6 +20,7 @@ from .oracle import (
     _AIRY_X_CAP,
     _FB,
     _FLOAT_ULP,
+    _PUBLIC_X_CAP,
     _bernoulli,
     _is_double,
     _j_prime_any,
@@ -312,13 +313,16 @@ def leftmost_max_check(order: Order) -> BoundReport:
     log-derivative J'_nu/J_nu - x/(2(mu - x^2)) strictly decreases from +inf
     at 0+ to -inf at sqrt(mu)-.  Its derivative hp thus changes sign exactly
     once, and its signs on the geometric scan grid read + ... + - ... -.
-    The oracle resolves J_nu and J'_nu as positive doubles down to the
-    grid's first point x = 0.05 (J_30 = 3.3e-81 and J_60 = 9.0e-179 there),
-    so hp is positive there, not an exact zero.  So bisecting the grid's
-    indices, with hp >= 0 at lo and hp < 0 at hi, finds the interval in
-    which a walk along the grid would first see hp turn from positive to
-    negative, at ~12 evaluations instead of ~1000; refine_root takes xi
-    from there.
+    Bisecting the grid's indices, with hp >= 0 at lo and hp < 0 at hi,
+    finds the interval in which a walk along the grid would first see hp
+    turn from positive to negative, at ~12 evaluations instead of ~1000;
+    refine_root takes xi from there, once hp > 0 at its left end.  The
+    rule at lo is >= 0, not > 0, because the doubles flush the + side's
+    first points to 0: at the grid's first point x = 0.05, hp is
+    1.3e-314 at nu = 100, and from nu ~ 104 J_nu, J'_nu and hp are all
+    0.0 there, so a strict rule would refuse every larger order.  nu is
+    capped where the grid's end sqrt(mu) - 1e-6 leaves the oracle's
+    x <= 200.
     """
     check_domain(_DOMAINS, "leftmost_max_check", order)
     nu = order.nu
@@ -473,7 +477,10 @@ _DOMAINS = {
     "sonin envelope": ((lambda o, x: not o.nu <= 0.5, "nu must be > 1/2"),
                        (lambda o, x: not x <= math.sqrt(o.mu), "x must exceed sqrt(mu)")),
     "sonin airy": ((lambda o, x: not x < 0, "x must be >= 0"),),
-    "leftmost_max_check": ((lambda o: not o.nu < 5 / 3, "nu must be >= 5/3"),),
+    "leftmost_max_check": ((lambda o: not o.nu < 5 / 3, "nu must be >= 5/3"),
+                           (lambda o: math.isfinite(o.nu), "nu must be finite"),
+                           (lambda o: math.sqrt(o.mu) - 1e-6 <= _PUBLIC_X_CAP,
+                            f"the scan grid's end sqrt(mu) - 1e-6 must be <= {_PUBLIC_X_CAP:g}")),
     # 1/(2x) and 2/(pi x) are doubles from x = 3.54e-309 up
     "lemma_integral_check": ((lambda x: x > 0, "x must be positive"), (lambda x: 2 / (
         math.pi * x) < math.inf, "the caps 1/(2x), 2/(pi x) leave the doubles")),

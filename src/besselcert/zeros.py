@@ -145,50 +145,49 @@ def refine_airy_zero(s: int) -> float:
     return _airy_zero(s)
 
 
-class _ZeroScan:
-    """A sign-change scan of f in fixed steps from x0, resumed where it stopped.
-
-    The Bessel zeros' search: each sign change between consecutive steps is
-    refined to 1e-11 and kept, so asking for a later zero continues the walk
-    instead of repeating it.  sqrt(x) J_nu solves
-    y'' + (1 - (nu^2 - 1/4)/x^2) y = 0, so by Sturm comparison its zeros
-    past x0 = max(nu, 0.05) are at least pi apart for |nu| >= 1/2, and at
-    least pi/sqrt(1 + 1/(4 x0^2)) >= 0.31 apart for |nu| < 1/2, against the
-    0.25 step.  f is sampled at min(x, x_cap), and a step that
-    starts beyond x_cap raises PrecisionError.  State changes only after a
-    whole step succeeds, so a failed step (the cap, or an oracle error)
-    fails again on every call.
-    """
-
-    def __init__(self, f, x0: float, step: float, x_cap: float, cap_message: str):
-        self.f, self.step, self.x_cap, self.cap_message = f, step, x_cap, cap_message
-        self.x, self.v = x0, f(x0)
-        self.zeros: list[float] = []
-
-    def zero(self, s: int) -> float:
-        """The s-th sign change of f past x0."""
-        while len(self.zeros) < s:
-            if self.x > self.x_cap:
-                raise PrecisionError(self.cap_message)
-            x = self.x + self.step
-            v = self.f(min(x, self.x_cap))
-            if self.v * v < 0:
-                self.zeros.append(refine_root(self.f, (self.x, x), 1e-11))
-            self.x, self.v = x, v
-        return self.zeros[s - 1]
+def _j(nu: float):
+    """J_nu as a float function of x, the sign the walk and refine_root read."""
+    order = Order(nu)
+    return lambda t: bessel_j_ref(order, t).value
 
 
 @lru_cache(maxsize=None)
-def _bessel_scan(nu: float) -> _ZeroScan:
-    order = Order(nu)
-    return _ZeroScan(lambda t: bessel_j_ref(order, t).value, max(nu, 0.05), 0.25,
-                     _PUBLIC_X_CAP, "bessel zero scan exceeded the x cap")
+def _bessel_cell(nu: float, s: int) -> tuple[float, float]:
+    """The cell (x_k, x_k+1) of the walk x_0 = max(nu, 0.05), x_k+1 = x_k + 0.25
+    in which J_nu's s-th sign change past x_0 shows.
+
+    J_nu is sampled at min(x, 200), and the cell's right end is clipped the
+    same way, so the cell lies in the evaluator's domain; a step that starts
+    beyond 200 raises PrecisionError.  Cell s resumes from the right end of
+    cell s - 1, so nothing is re-walked (from a clipped end the next step
+    samples J_nu(200) again, sees no sign change and raises), and an
+    exception is never cached, so a failed step is retried from the last
+    finished cell.  sqrt(x) J_nu solves y'' + (1 - (nu^2 - 1/4)/x^2) y = 0,
+    so by Sturm comparison its zeros past x_0 are at least pi apart for
+    |nu| >= 1/2, and at least pi/sqrt(1 + 1/(4 x_0^2)) >= 0.31 apart for
+    |nu| < 1/2, against the 0.25 step: no cell holds two zeros.
+    """
+    f = _j(nu)
+    x = max(nu, 0.05) if s == 1 else _bessel_cell(nu, s - 1)[1]
+    v = f(x)
+    while not x > _PUBLIC_X_CAP:
+        x_next = x + 0.25
+        v_next = f(min(x_next, _PUBLIC_X_CAP))
+        if v * v_next < 0:
+            return x, min(x_next, _PUBLIC_X_CAP)
+        x, v = x_next, v_next
+    raise PrecisionError("bessel zero scan exceeded the x cap")
+
+
+@lru_cache(maxsize=None)
+def _bessel_zero(nu: float, s: int) -> float:
+    return refine_root(_j(nu), _bessel_cell(nu, s), 1e-11)
 
 
 def refine_bessel_zero(order: Order, s: int) -> float:
     """The s-th positive zero j_{nu,s} of J_nu to ~1e-11 (scan capped at x = 200, so s <= 64)."""
     check_domain(_DOMAINS, "refine_bessel_zero", order, s)
-    return _bessel_scan(order.nu).zero(s)
+    return _bessel_zero(order.nu, s)
 
 
 def center_gap_check(s: int) -> tuple[BoundReport, BoundReport]:

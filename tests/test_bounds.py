@@ -446,6 +446,36 @@ class TestLemmaClosedForm:
         assert all(rep.holds for rep in lemma_integral_check(x))
 
 
+# (nu, xi) where J_nu, J'_nu and hp are 0.0 at the grid's first point
+# x = 0.05, so the bisection's lo rule must admit hp = 0
+LEFTMOST_FLUSHED = (
+    (120.0, "0x1.db8618658cb54p+6"),
+    (150.0, "0x1.2996b0cb9c113p+7"),
+    (200.0, "0x1.8d5866f897eb5p+7"),
+)
+
+
+@pytest.mark.parametrize("nu, xi", LEFTMOST_FLUSHED)
+def test_leftmost_crest_past_the_flushed_start(nu, xi):
+    order = Order(nu)
+    assert bessel_j_ref(order, 0.05).value == 0.0
+    rep = leftmost_max_check(order)
+    assert rep.rhs.hex() == xi and rep.holds
+    # the same crest from a linear walk along the same grid
+    mu = order.mu
+
+    def hp(x):
+        s = mu - x * x
+        return (-0.5 * x * s ** -0.75 * bessel_j_ref(order, x).value
+                + s ** 0.25 * bessel_j_prime_ref(order, x).value)
+
+    grid, end = [0.05], math.sqrt(mu) - 1e-6
+    while grid[-1] < end:
+        grid.append(min(end, grid[-1] + max(1e-3, grid[-1] / 300)))
+    k = next(k for k, x in enumerate(grid) if hp(x) < 0)
+    assert refine_root(hp, (grid[k - 1], grid[k]), 1e-10) == rep.rhs
+
+
 @pytest.mark.parametrize("nu", [25.0, 40.0, 60.0])
 def test_leftmost_scan_start_is_resolved(nu):
     # the scan grid starts at x = 0.05, where J_nu and J'_nu are tiny but not zero

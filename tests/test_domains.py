@@ -2,6 +2,7 @@
 DomainError/PrecisionError, and each rule refuses with a fixed message."""
 
 import math
+import time
 
 import pytest
 
@@ -228,6 +229,10 @@ PINNED = [
      "sonin_eval: unknown variant 'bogus'"),
     ('leftmost_max_check(Order(1.0))',
      'leftmost_max_check: nu must be >= 5/3'),
+    ('leftmost_max_check(Order(math.nan))',
+     'leftmost_max_check: nu must be finite'),
+    ('leftmost_max_check(Order(201.0))',
+     "leftmost_max_check: the scan grid's end sqrt(mu) - 1e-6 must be <= 200"),
     ('lemma_integral_check(0.0)',
      'lemma_integral_check: x must be positive'),
     ('airy_zero_estimate(0)',
@@ -346,6 +351,15 @@ def test_pinned_psi_message(monkeypatch):
     with pytest.raises(DomainError) as info:
         bc.bound_derivative(Order(5.0), 5.0)
     assert str(info.value) == "bound_derivative: psi must be positive on the stated domain"
+
+
+@pytest.mark.parametrize("nu", [1e300, math.inf, math.nan])
+def test_leftmost_refuses_huge_orders_before_building_its_grid(nu):
+    # the grid up to sqrt(mu) had about 214k points at nu = 1e300
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^leftmost_max_check: "):
+        bc.leftmost_max_check(Order(nu))
+    assert time.perf_counter() - start < 0.01
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.25, -0.25, 0.5, -0.5])

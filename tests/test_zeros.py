@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,6 +121,11 @@ def _fresh_scan(f, x, step, n):
     return found
 
 
+def _clear_bessel_caches():
+    zeros_module._bessel_cell.cache_clear()
+    zeros_module._bessel_zero.cache_clear()
+
+
 def _counting(monkeypatch, name):
     """Record every abscissa the zeros module passes to oracle function name."""
     seen = []
@@ -141,7 +147,7 @@ class TestResumedScan:
 
     @pytest.mark.parametrize("nu", (0.0, 2.5, 10.0))
     def test_bessel_zeros_in_order_equal_a_fresh_scan(self, nu):
-        zeros_module._bessel_scan.cache_clear()
+        _clear_bessel_caches()
         order = Order(nu)
         got = [refine_bessel_zero(order, k) for k in (1, 2, 3)]
         assert got == _fresh_scan(lambda t: bessel_j_ref(order, t).value,
@@ -156,7 +162,7 @@ class TestResumedScan:
         assert seen and min(seen) > a5
 
     def test_bessel_continuation_stays_above_the_previous_zero(self, monkeypatch):
-        zeros_module._bessel_scan.cache_clear()
+        _clear_bessel_caches()
         order = Order(2.5)
         j2 = refine_bessel_zero(order, 2)
         seen = _counting(monkeypatch, "bessel_j_ref")
@@ -164,24 +170,50 @@ class TestResumedScan:
         refine_bessel_zero(order, 3)
         assert seen and min(seen) > j2
 
-    def test_failed_step_leaves_the_scan_where_it_was(self):
+    def test_failed_step_leaves_the_scan_where_it_was(self, monkeypatch):
+        # an exception is never cached: a step that fails while walking to
+        # the second cell is retried from the end of the first, and the cap
+        # is raised again, not stepped past
+        _clear_bessel_caches()
+        order = Order(2.5)
+        j1 = _fresh_scan(lambda t: bessel_j_ref(order, t).value, 2.5, 0.25, 1)[0]
         calls = []
 
-        def flaky(t):
-            calls.append(t)
-            if len(calls) == 4:
-                raise ArithmeticError("refused once")
-            return math.sin(t)
+        def flaky(*args):
+            calls.append(args[-1])
+            if len(calls) == 20:  # only once: calls keeps growing
+                raise PrecisionError("refused once")
+            return bessel_j_ref(*args)
 
-        scan = zeros_module._ZeroScan(flaky, 0.5, 1.0, 8.5, "cap reached")
-        with pytest.raises(ArithmeticError):
-            scan.zero(1)
-        assert scan.zero(2) == refine_root(math.sin, (5.5, 6.5), 1e-11)
-        assert scan.zeros[0] == refine_root(math.sin, (2.5, 3.5), 1e-11)
-        for _ in range(2):  # the cap is raised again, not stepped past
-            with pytest.raises(RuntimeError, match="cap reached"):
-                scan.zero(3)
-        assert scan.x == 9.5
+        monkeypatch.setattr(zeros_module, "bessel_j_ref", flaky)
+        with pytest.raises(PrecisionError, match="refused once"):
+            refine_bessel_zero(order, 2)
+        assert calls[-1] > j1  # the first cell was finished
+        retry = len(calls)
+        j2 = refine_bessel_zero(order, 2)
+        assert min(calls[retry:]) > j1
+        assert [refine_bessel_zero(order, 1), j2] == _fresh_scan(
+            lambda t: bessel_j_ref(order, t).value, 2.5, 0.25, 2)
+        for _ in range(2):
+            with pytest.raises(PrecisionError, match="exceeded the x cap"):
+                refine_bessel_zero(Order(10.0), 64)
+
+
+class TestBesselWalk:
+    @pytest.mark.parametrize("nu, s", ((1.76, 63), (-0.25, 64)))
+    def test_a_zero_in_the_last_cell_is_refined_inside_the_x_cap(self, nu, s):
+        # the walk's last cell runs past x = 200; its right end is clipped
+        # to the cap, where J_nu is sampled, so refine_root stays in the domain
+        truth = mpmath.findroot(lambda t: mpmath.besselj(nu, t), mpmath.mpf(199.9))
+        assert abs(refine_bessel_zero(Order(nu), s) - float(truth)) <= 1e-10
+
+    def test_a_fresh_index_refines_one_zero(self, monkeypatch):
+        # walking to the third cell and refining only that zero takes about
+        # 80 J evaluations; refining the first three zeros as well took 158
+        _clear_bessel_caches()
+        seen = _counting(monkeypatch, "bessel_j_ref")
+        refine_bessel_zero(Order(2.5), 3)
+        assert len(seen) < 100
 
 
 class TestAiryJump:

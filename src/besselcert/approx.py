@@ -9,7 +9,7 @@ verifies every one of them against the series evaluator on dense grids.
 from dataclasses import dataclass
 import math
 
-from .oracle import DomainError, Order, airy_ai_neg_ref, check_domain
+from .oracle import Order, airy_ai_neg_ref, check_domain
 from .oracle import _AIRY_X_CAP, _FINITE_NU, _is_double
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
@@ -215,8 +215,6 @@ def airy_approx(x: float, mode: str = "sharp") -> ApproxValue:
                 width 5/(9 sqrt(pi) x^4 (16x^3+5)^(1/4)).
     """
     check_domain(_DOMAINS, "airy_approx", x, mode)
-    if mode not in _AIRY_X_RANGE:
-        raise DomainError(f"airy_approx: unknown mode {mode!r}")
     if mode == "classic":
         zeta = 2 * x ** 1.5 / 3
         value = math.cos(zeta - math.pi / 4) / (math.sqrt(math.pi) * x ** 0.25)
@@ -294,7 +292,8 @@ _DOMAINS = {
         _FINITE_NU),
     "airy_approx": (
         (lambda x, mode: not x <= 0, "x must be positive"),
-        *(_airy_rule(mode, *ends) for mode, ends in _AIRY_X_RANGE.items())),
+        *(_airy_rule(mode, *ends) for mode, ends in _AIRY_X_RANGE.items()),
+        (lambda x, mode: mode in _AIRY_X_RANGE, "unknown mode {1!r}")),
 }
 # best_approx's candidates in its tie-break order: (function, width, arguments
 # from (order, x)); the function is looked up here when it runs

@@ -273,6 +273,20 @@ def _szego_s(order: Order, x: float) -> float:
     return x * y * y + x * x / (x * x + order.mu) * w_prime * w_prime
 
 
+def _envelope_s(order: Order, x: float) -> float:
+    mu = order.mu
+    j, jp = bessel_j_ref(order, x).value, bessel_j_prime_ref(order, x).value
+    s2 = x * x - mu
+    h, hp = s2 ** 0.25 * j, 0.5 * x * s2 ** -0.75 * j + s2 ** 0.25 * jp
+    weight = 4 * x * x * s2 * s2 / (4 * s2 ** 3 + (6 * x * x - mu) * mu)
+    return h * h + weight * hp * hp
+
+
+def _airy_s(order: Order, x: float) -> float:
+    f, fp = _airy_envelope(x)
+    return f * f + fp * fp / (x + 5 / (16 * (AIRY_C + x) ** 2))
+
+
 def sonin_eval(variant: str, order: Order, x: float) -> SoninSample:
     """Sonin-type envelope function S(x), per variant.
 
@@ -285,23 +299,9 @@ def sonin_eval(variant: str, order: Order, x: float) -> SoninSample:
     airy (x >= 0): with f = (x+c)^(1/4) Ai(-x),
         S = f^2 + f'^2/(x + 5/(16(c+x)^2)), nonincreasing from its maximum at 0.
     """
-    if f"sonin {variant}" not in _DOMAINS:
-        raise DomainError(f"sonin_eval: unknown variant {variant!r}")
+    check_domain(_DOMAINS, "sonin_eval", variant)
     check_domain(_DOMAINS, f"sonin {variant}", order, x)
-    mu = order.mu
-    if variant == "szego":
-        return SoninSample(x, _szego_s(order, x), "szego")
-    if variant == "envelope":
-        j = bessel_j_ref(order, x).value
-        jp = bessel_j_prime_ref(order, x).value
-        s2 = x * x - mu
-        h = s2 ** 0.25 * j
-        hp = 0.5 * x * s2 ** -0.75 * j + s2 ** 0.25 * jp
-        weight = 4 * x * x * s2 * s2 / (4 * s2 ** 3 + (6 * x * x - mu) * mu)
-        return SoninSample(x, h * h + weight * hp * hp, "envelope")
-    f, fp = _airy_envelope(x)
-    s = f * f + fp * fp / (x + 5 / (16 * (AIRY_C + x) ** 2))
-    return SoninSample(x, s, "airy")
+    return SoninSample(x, _SONIN[variant][0](order, x), variant)
 
 
 def leftmost_max_check(order: Order) -> BoundReport:
@@ -447,6 +447,8 @@ def _psi(nu: float, x: float) -> float:
     return 4 * (x * x - nu * nu) ** 3 - 3 * x ** 4 - 10 * x * x * nu * nu + nu ** 4
 
 
+# Sonin variant -> (S(order, x), whether S is nonincreasing rather than nondecreasing)
+_SONIN = {"szego": (_szego_s, False), "envelope": (_envelope_s, False), "airy": (_airy_s, True)}
 # Each check's domain beyond the evaluators': ordered (predicate, message)
 # rules that check_domain tries in turn.  A predicate negates the condition
 # its rule rejects, so a NaN argument meets the rule it met before.
@@ -468,6 +470,8 @@ _DOMAINS = {
                               f"x_hi must lie in (0, {_AIRY_X_CAP:g}]"),),
     "bound_wronskian_kernel": ((lambda nu, x1, x2: 0 <= nu <= 0.5, "nu must lie in [0, 1/2]"),),
     "bound_near_first_zero": ((lambda o: not o.nu < 0.5, "nu must be >= 1/2"),),
+    # a tuple's "in" refuses an unhashable variant as unknown
+    "sonin_eval": ((lambda variant: variant in tuple(_SONIN), "unknown variant {0!r}"),),
     # below x ~ 1e-162 the weight's x^2 is 0: at |nu| = 1/2 so is x^2 + mu,
     # and at 0 < |nu| < 1/2 the (nu/x) J of J' can overflow, making S 0 * inf.
     # The oracle caches J and J', so the body's S after the rule's is cache hits.

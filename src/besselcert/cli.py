@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--family", choices=("airy", "bessel"), required=True)
     q.add_argument("--s", type=int, required=True, help="zero index, 1-based")
     q.add_argument("--nu", type=float)
-    q.add_argument("--mode", choices=("full", "simplified"), default="full")
+    q.add_argument("--mode", choices=tuple(_zeros._ZERO_MODES), default="full")
     q.set_defaults(run=_cmd_zeros)
 
     q = sub.add_parser("scan", parents=[common],
@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--x-lo", type=float, required=True)
     q.add_argument("--x-hi", type=float, required=True)
     q.add_argument("--points", type=int, required=True)
-    q.add_argument("--spacing", choices=("log", "linear"), default="log")
+    q.add_argument("--spacing", choices=tuple(_scan._SPACINGS), default="log")
     q.add_argument("--l1", type=int, default=3)
     q.add_argument("--l2", type=int, default=3)
     q.set_defaults(run=_cmd_scan)

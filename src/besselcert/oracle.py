@@ -41,10 +41,11 @@ class DomainError(ValueError):
 
 def check_domain(domains: dict, name: str, *args) -> None:
     """Raise DomainError(f"{name}: {message}") for the first (predicate, message)
-    rule of domains[name], a module's table of ordered rules, failing on args."""
+    rule of domains[name], a module's table of ordered rules, failing on args.
+    Unknown names are rules too: message.format(*args) lets one quote the name."""
     for ok, message in domains[name]:
         if not ok(*args):
-            raise DomainError(f"{name}: {message}")
+            raise DomainError(f"{name}: {message.format(*args)}")
 
 
 def _is_double(f, *args) -> bool:

@@ -61,14 +61,11 @@ _APPROXIMATIONS = {
     "transition": (_NU_X, lambda order, z: (
         (_approx.transition(order, z), bessel_j_ref(order, _approx.transition_x(order, z))),)),
     "best": _j("best_approx"),
-    "airy_classic": _ai("classic"),
-    "airy_sharp": _ai("sharp"),
-    "airy_simplified": _ai("simplified"),
+    **{f"airy_{mode}": _ai(mode) for mode in _approx._AIRY_X_RANGE},
 }
 # sonin_* name -> (variant, whether S is nonincreasing rather than nondecreasing);
 # each gives one SoninSample per point, which the scan compares with the next
-_SONIN = {"sonin_szego": ("szego", False), "sonin_envelope": ("envelope", False),
-          "sonin_airy": ("airy", True)}
+_SONIN = {f"sonin_{v}": (v, down) for v, (_, down) in _bounds._SONIN.items()}
 _BOUNDS = {
     "watson": (_NU_X, lambda order, x: (_bounds.bound_watson(order, x),)),
     "envelope": (_NU_X, lambda order, x: (_bounds.bound_envelope(order, x),)),
@@ -90,13 +87,23 @@ _BOUNDS = {
 _SCAN_BOUNDS = tuple(name for name, (coords, _) in _BOUNDS.items() if "x_hi" not in coords)
 
 
+# spacing -> the x grid from (lo, hi, n)
+_SPACINGS = {"log": lambda lo, hi, n: [lo * (hi / lo) ** (k / n) for k in range(1, n + 1)],
+             "linear": lambda lo, hi, n: [lo + (hi - lo) * k / (n - 1) for k in range(n)]}
 _DOMAINS = {  # the entry points' domains, as check_domain reads them
     "GridSpec": ((lambda g: g.nu_values, "nu_values must be non-empty"),
                  (lambda g: not g.x_points < 2, "x_points must be >= 2"),
                  (lambda g: g.x_range[0] < g.x_range[1], "x_range must satisfy lo < hi"),
                  (lambda g: g.spacing != "log" or not g.x_range[0] <= 0, "log spacing needs lo > 0"),
                  (lambda g: g.spacing != "linear" or not g.x_range[0] < 0,
-                  "linear spacing needs lo >= 0")),
+                  "linear spacing needs lo >= 0"),
+                 # a tuple's "in" refuses an unhashable spacing as unknown
+                 (lambda g: g.spacing in tuple(_SPACINGS), "unknown spacing {0.spacing!r}")),
+    "approx_row": ((lambda method: method in _APPROXIMATIONS, "unknown method {0!r}"),),
+    "scan": ((lambda name: name in _APPROXIMATIONS or name in _SCAN_BOUNDS,
+              "unknown method or bound {0!r}"),),
+    "verify_approx_grid": ((lambda method: method in _APPROXIMATIONS, "unknown method {0!r}"),),
+    "verify_bounds_grid": ((lambda bound: bound in _SCAN_BOUNDS, "unknown bound {0!r}"),),
     "olenko_sup": ((lambda o, x_max, n: o.mu != 0, "mu must be positive"),
                    (lambda o, x_max, n: not (x_max <= 0 or x_max > _PUBLIC_X_CAP),
                     f"x_max must lie in (0, {_PUBLIC_X_CAP:g}]"),
@@ -121,15 +128,9 @@ class GridSpec:
 
     def __post_init__(self):
         check_domain(_DOMAINS, "GridSpec", self)
-        if self.spacing not in ("log", "linear"):
-            raise DomainError(f"GridSpec: unknown spacing {self.spacing!r}")
 
     def x_values(self) -> list[float]:
-        lo, hi = self.x_range
-        n = self.x_points
-        if self.spacing == "log":
-            return [lo * (hi / lo) ** (k / n) for k in range(1, n + 1)]
-        return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+        return _SPACINGS[self.spacing](*self.x_range, self.x_points)
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,7 @@ def approx_row(method: str, order: Order, x: float, l1: int = 3, l2: int = 3) ->
     consulted at nu + nu^(1/3) z; the airy_* methods ignore the order and
     print nu = nan.  Raises DomainError off the method's domain.
     """
-    if method not in _APPROXIMATIONS:
-        raise DomainError(f"approx_row: unknown method {method!r}")
+    check_domain(_DOMAINS, "approx_row", method)
     return _rows_at(_APPROXIMATIONS[method],
                     {"nu": order, "x": x, "l1": l1, "l2": l2})[0]
 
@@ -242,8 +242,7 @@ def scan_rows(name: str, grid: GridSpec, l1: int = 3,
     points per nu (nondecreasing for szego and envelope, nonincreasing for
     airy) with slack 1e-10.
     """
-    if name not in _APPROXIMATIONS and name not in _SCAN_BOUNDS:
-        raise DomainError(f"scan: unknown method or bound {name!r}")
+    check_domain(_DOMAINS, "scan", name)
     coords, f = _APPROXIMATIONS.get(name) or _BOUNDS[name]
     rows: list[ScanRow] = []
     skipped = 0
@@ -291,8 +290,7 @@ def verify_approx_grid(method: str, grid: GridSpec, l1: int = 3, l2: int = 3) ->
     cases (half_width = 0 at |nu| = 1/2) certify cleanly.  l1, l2 only
     affect method=olver.
     """
-    if method not in _APPROXIMATIONS:
-        raise DomainError(f"verify_approx_grid: unknown method {method!r}")
+    check_domain(_DOMAINS, "verify_approx_grid", method)
     rows, skipped = scan_rows(method, grid, l1, l2)
     return _summarize(rows, skipped, method)
 
@@ -302,8 +300,7 @@ def verify_bounds_grid(bound: str, grid: GridSpec) -> ScanReport:
 
     See scan_rows for how each bound consumes the grid.
     """
-    if bound not in _SCAN_BOUNDS:
-        raise DomainError(f"verify_bounds_grid: unknown bound {bound!r}")
+    check_domain(_DOMAINS, "verify_bounds_grid", bound)
     rows, skipped = scan_rows(bound, grid)
     return _summarize(rows, skipped, bound)
 

@@ -14,7 +14,6 @@ import math
 
 from .oracle import (
     BoundReport,
-    DomainError,
     Order,
     PrecisionError,
     _FINITE_NU,
@@ -67,17 +66,8 @@ def airy_zero_estimate(s: int, mode: str = "full") -> ZeroEstimate:
                   half_width = 456/(m^3 (m^2+40)^(1/6)).
     Already at s = 1 the full center is within 0.00122 of the true zero.
     """
-    check_domain(_DOMAINS, "airy_zero_estimate", s)
-    m = _m_of(s)
-    q = math.sqrt(m * m + 40)
-    if mode == "full":
-        center = 16 ** (-2 / 3) * (m + q) ** (2 / 3)
-        hw = 1280 * math.pi / (9 * m ** 3 * (m * m + 40) ** (1 / 6))
-    elif mode == "simplified":
-        center = 0.25 * (m * m + 20) ** (1 / 3)
-        hw = 456 / (m ** 3 * (m * m + 40) ** (1 / 6))
-    else:
-        raise DomainError(f"airy_zero_estimate: unknown mode {mode!r}")
+    check_domain(_DOMAINS, "airy_zero_estimate", mode, s)
+    center, hw = (f(_m_of(s)) for f in _ZERO_MODES[mode])
     return ZeroEstimate("airy", s, None, center, hw, one_sided=False)
 
 
@@ -202,8 +192,8 @@ def center_gap_check(s: int) -> tuple[BoundReport, BoundReport]:
     check_domain(_DOMAINS, "center_gap_check", s)
     m = _m_of(s)
     q = math.sqrt(m * m + 40)
-    full_c = 16 ** (-2 / 3) * (m + q) ** (2 / 3)
-    simp_c = 0.25 * (m * m + 20) ** (1 / 3)
+    full_c = _ZERO_MODES["full"][0](m)
+    simp_c = _ZERO_MODES["simplified"][0](m)
     gap = 25 / (8 * (m * m + 20 + m * q)
                 * (simp_c * simp_c + simp_c * full_c + full_c * full_c))
     cap = 25 / (3 * m ** 3 * (m * m + 40) ** (1 / 6))
@@ -224,19 +214,28 @@ def conjecture_check(s: int) -> BoundReport:
     return _make("conjecture_zero_cap", refined, closed, strict=True, slack=1e-9)
 
 
+# each mode's (center, half_width) of a_s as functions of m = (12s - 3) pi
+_ZERO_MODES = {"full": (lambda m: 16 ** (-2 / 3) * (m + math.sqrt(m * m + 40)) ** (2 / 3),
+                        lambda m: 1280 * math.pi / (9 * m ** 3 * (m * m + 40) ** (1 / 6))),
+               "simplified": (lambda m: 0.25 * (m * m + 20) ** (1 / 3),
+                              lambda m: 456 / (m ** 3 * (m * m + 40) ** (1 / 6)))}
 _S_POSITIVE = (lambda *args: not args[-1] < 1, "s must be >= 1")
 _S_AIRY = (lambda s: 1 <= s <= _AIRY_S_CAP, f"s must lie in [1, {_AIRY_S_CAP}]")
 # s comes last; a NaN or infinite s is no integer either
 _S_INTEGER = (lambda *args: args[-1] % 1 == 0, "s must be an integer")
 _DOMAINS = {  # the entry points' domains, as check_domain reads them
+    # (mode, s); a tuple's "in" refuses an unhashable mode as unknown
     "airy_zero_estimate": (_S_POSITIVE, _S_INTEGER,
-                           (lambda s: _is_double(lambda: _m_of(s) ** 3),
-                            "m^3 = ((12s - 3) pi)^3 leaves the doubles")),
+                           (lambda mode, s: _is_double(lambda: _m_of(s) ** 3),
+                            "m^3 = ((12s - 3) pi)^3 leaves the doubles"),
+                           (lambda mode, s: mode in tuple(_ZERO_MODES), "unknown mode {0!r}")),
     "bessel_first_zeros_estimate": ((lambda o, s: not o.nu <= 0, "nu must be positive"),
                                     _S_POSITIVE, _S_INTEGER, _FINITE_NU,
                                     (lambda o, s: s <= _AIRY_S_CAP, f"s must be <= {_AIRY_S_CAP}")),
     "refine_airy_zero": (_S_AIRY, _S_INTEGER),
+    # from nu = 200 on, j_{nu,1} > nu lies past the x cap
     "refine_bessel_zero": (_S_POSITIVE, _S_INTEGER, _FINITE_NU,
+                           (lambda o, s: o.nu < _PUBLIC_X_CAP, f"nu must be < {_PUBLIC_X_CAP:g}"),
                            (lambda o, s: s <= _BESSEL_S_CAP, f"s must be <= {_BESSEL_S_CAP}")),
     "center_gap_check": (_S_POSITIVE, _S_INTEGER,
                          (lambda s: s <= _GAP_S_CAP, f"s must be <= {_GAP_S_CAP}")),

@@ -317,3 +317,5 @@ class TestHarness:
         assert choices("approx", "method") == APPROX_CHOICES
         assert choices("bounds", "name") == tuple(REQUIRED_FLAGS)
         assert choices("scan", "method") == SCAN_CHOICES
+        assert choices("zeros", "mode") == ("full", "simplified")
+        assert choices("scan", "spacing") == ("log", "linear")

@@ -333,6 +333,11 @@ PINNED = [
      'bessel_first_zeros_estimate: s must be <= 50'),
     ('refine_bessel_zero(Order(1.0), 65)',
      'refine_bessel_zero: s must be <= 64'),
+    # no zero of an order past the x cap lies below it
+    ('refine_bessel_zero(Order(250.0), 1)',
+     'refine_bessel_zero: nu must be < 200'),
+    ('refine_bessel_zero(Order(1e300), 1)',
+     'refine_bessel_zero: nu must be < 200'),
 ]
 NAMESPACE = {**{name: getattr(bc, name) for name in bc.__all__},
              "GridSpec": GridSpec, "Order": Order, "math": math, "scan": scan}
@@ -343,6 +348,32 @@ def test_pinned_message(call, message):
     with pytest.raises(DomainError) as info:
         eval(call, NAMESPACE)
     assert str(info.value) == message
+
+
+# an unhashable name: the dict lookups raise TypeError, the tuple lookups refuse
+UNHASHABLE = [
+    ("airy_approx(1.0, ['bogus'])", TypeError, "unhashable type: 'list'"),
+    ("sonin_eval(['bogus'], Order(0.0), 1.0)", DomainError,
+     "sonin_eval: unknown variant ['bogus']"),
+    ("airy_zero_estimate(1, ['bogus'])", DomainError,
+     "airy_zero_estimate: unknown mode ['bogus']"),
+    ("GridSpec((1.0,), (0.1, 1.0), 5, ['bogus'])", DomainError,
+     "GridSpec: unknown spacing ['bogus']"),
+    ("scan.approx_row(['bogus'], Order(0.0), 1.0)", TypeError, "unhashable type: 'list'"),
+    ("scan_rows(['bogus'], GridSpec((1.0,), (0.1, 1.0), 5))", TypeError,
+     "unhashable type: 'list'"),
+    ("verify_approx_grid(['bogus'], GridSpec((1.0,), (0.1, 1.0), 5))", TypeError,
+     "unhashable type: 'list'"),
+    ("verify_bounds_grid(['bogus'], GridSpec((1.0,), (0.1, 1.0), 5))", DomainError,
+     "verify_bounds_grid: unknown bound ['bogus']"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", UNHASHABLE, ids=[c for c, _, _ in UNHASHABLE])
+def test_unhashable_names(call, error, message):
+    with pytest.raises(error) as info:
+        eval(call, NAMESPACE)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_pinned_psi_message(monkeypatch):

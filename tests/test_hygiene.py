@@ -1,6 +1,9 @@
 import ast
+import importlib
+import inspect
 import os
 from pathlib import Path
+import string
 import subprocess
 import sys
 
@@ -92,19 +95,10 @@ def _domain_raises(tree) -> dict[str, int]:
 
 def test_domain_errors_come_from_the_declared_tables():
     # every domain is a table of (predicate, message) rules read by
-    # oracle.check_domain; an inline raise is only for a refusal that
-    # depends on a computed value or for a lookup of an unknown name
+    # oracle.check_domain, an unknown name's refusal included; an inline
+    # raise is only for a refusal that depends on a computed value
     allowed = {
         ("oracle.py", "check_domain"): 1,
-        # unknown names
-        ("approx.py", "airy_approx"): 1,
-        ("bounds.py", "sonin_eval"): 1,
-        ("zeros.py", "airy_zero_estimate"): 1,
-        ("scan.py", "GridSpec.__post_init__"): 1,
-        ("scan.py", "approx_row"): 1,
-        ("scan.py", "scan_rows"): 1,
-        ("scan.py", "verify_approx_grid"): 1,
-        ("scan.py", "verify_bounds_grid"): 1,
         # computed values: J vanishing or non-finite J'/J, J <= 0 before the
         # first zero, a grid with no admissible point
         ("bounds.py", "bound_log_derivative"): 2,
@@ -115,3 +109,22 @@ def test_domain_errors_come_from_the_declared_tables():
     found = {(name, fn): n for name, tree in TREES.items()
              for fn, n in _domain_raises(tree).items()}
     assert found == allowed
+
+
+def test_domain_messages_format_with_their_rules_arguments():
+    # check_domain formats each message with the call's arguments: every
+    # message must parse as a format string whose fields are positional
+    # indices below the number of arguments its rule's predicate takes
+    fields = 0
+    for name in TREES.keys() - {"__init__.py"}:
+        module = importlib.import_module(f"besselcert.{Path(name).stem}")
+        for entry, rules in getattr(module, "_DOMAINS", {}).items():
+            for ok, message in rules:
+                arity = sum(p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+                            for p in inspect.signature(ok).parameters.values())
+                for _, field, _, _ in string.Formatter().parse(message):
+                    if field is not None:
+                        index = field.split(".")[0].split("[")[0]
+                        assert index.isdigit() and int(index) < arity, (name, entry, message)
+                        fields += 1
+    assert fields == 8  # the unknown-name rules quote the name they refuse

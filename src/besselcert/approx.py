@@ -293,7 +293,8 @@ _DOMAINS = {
     "airy_approx": (
         (lambda x, mode: not x <= 0, "x must be positive"),
         *(_airy_rule(mode, *ends) for mode, ends in _AIRY_X_RANGE.items()),
-        (lambda x, mode: mode in _AIRY_X_RANGE, "unknown mode {1!r}")),
+        # a tuple's "in" refuses an unhashable mode as unknown
+        (lambda x, mode: mode in tuple(_AIRY_X_RANGE), "unknown mode {1!r}")),
 }
 # best_approx's candidates in its tie-break order: (function, width, arguments
 # from (order, x)); the function is looked up here when it runs

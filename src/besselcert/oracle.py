@@ -455,45 +455,87 @@ _DOMAINS = {  # the entry points' domains, as check_domain reads them
 }
 
 
-def refine_root(f, bracket, tol: float = 1e-12) -> float:
-    """Locate a sign change of f inside bracket to width <= tol.
-
-    Deterministic: plain bisection down to the tolerance, then a few
-    secant steps clamped to the final bracket.  Raises ValueError when
-    the endpoints do not straddle a root and PrecisionError if the
-    iteration budget is exhausted.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    flo, fhi = f(lo), f(hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ValueError("refine_root: no sign change over the bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (fhi > 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    else:
-        raise PrecisionError("refine_root: iteration budget exhausted")
-    # secant polish inside the converged bracket
-    a, fa, b, fb = lo, flo, hi, fhi
-    for _ in range(3):
+def _secant(value, a, fa, b, fb, steps: int) -> float:
+    """The last of up to steps secant iterates from a < b, each kept in [a, b]."""
+    lo, hi = a, b
+    for _ in range(steps):
         if fb == fa:
             break
         c = b - fb * (b - a) / (fb - fa)
         if not lo <= c <= hi:
             break
-        fc = f(c)
-        a, fa, b, fb = b, fb, c, fc
-        if fc == 0:
+        a, fa, b, fb = b, fb, c, value(c)
+        if fb == 0:
             break
     return b
+
+
+def refine_root(f, bracket, tol: float = 1e-12) -> float:
+    """Locate a sign change of f inside bracket to width <= tol.
+
+    Deterministic: bisection down to the tolerance, then up to three secant
+    steps clamped to the final bracket; an exact 0 at a midpoint is
+    returned as it is.  f is called only where that bisection cannot tell
+    the branch.  Six secant steps inside the bracket and a probe 1e-9 to
+    either side of the last give the evaluated points p < q that enclose
+    every sign change f's values show: all points evaluated up to p read
+    as lo's side, all from q on as hi's.  The bisection then runs as it
+    would with every midpoint evaluated, except that a midpoint outside
+    [p, q] takes the branch of its side without a call.  f is evaluated at
+    the final ends before the polish, so the polish reads f's own values.
+
+    The result is plain bisection's double whenever f changes sign once on
+    the bracket and its computed sign is right outside [p, q], as each
+    caller's lemma (Sturm gaps, the hump lemma, a monotone log-derivative)
+    provides.  For any f it is a point at which f was evaluated, and it
+    lies within tol of a sign change of f's values: an evaluated 0, or two
+    evaluated points of opposite sign inside the final bracket, which
+    always holds p or q when an end was skipped.  Raises ValueError when
+    the endpoints do not straddle a root and PrecisionError if the
+    200-step budget is exhausted.
+    """
+    seen = {}
+
+    def value(t):
+        if t not in seen:
+            seen[t] = f(t)
+        return seen[t]
+
+    lo, hi = float(bracket[0]), float(bracket[1])
+    flo, fhi = value(lo), value(hi)
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
+    up = fhi > 0
+    if (flo > 0) == up:
+        raise ValueError("refine_root: no sign change over the bracket")
+    p, q = lo, hi
+    if hi - lo > tol:  # else the bisection below stops at once, as for hi < lo
+        b = _secant(value, lo, flo, hi, fhi, 6)
+        for t in (b - 1e-9, b + 1e-9):
+            if lo < t < hi:
+                value(t)
+        # the last point before the first on hi's side, the first after the last on lo's
+        xs = sorted(seen)
+        side = [(seen[x] > 0) == up for x in xs]
+        p, q = xs[side.index(True) - 1], xs[len(side) - side[::-1].index(False)]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid <= lo or mid >= hi:
+            break
+        if p <= mid <= q:
+            fm = value(mid)
+            if fm == 0:
+                return mid
+            right = (fm > 0) == up
+        else:
+            right = mid > q
+        if right:
+            hi = mid
+        else:
+            lo = mid
+    else:
+        raise PrecisionError("refine_root: iteration budget exhausted")
+    # secant polish inside the converged bracket
+    return _secant(value, lo, value(lo), hi, value(hi), 3)

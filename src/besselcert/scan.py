@@ -99,10 +99,12 @@ _DOMAINS = {  # the entry points' domains, as check_domain reads them
                   "linear spacing needs lo >= 0"),
                  # a tuple's "in" refuses an unhashable spacing as unknown
                  (lambda g: g.spacing in tuple(_SPACINGS), "unknown spacing {0.spacing!r}")),
-    "approx_row": ((lambda method: method in _APPROXIMATIONS, "unknown method {0!r}"),),
-    "scan": ((lambda name: name in _APPROXIMATIONS or name in _SCAN_BOUNDS,
+    # as with the spacings, a tuple's "in" refuses an unhashable name as unknown
+    "approx_row": ((lambda method: method in tuple(_APPROXIMATIONS), "unknown method {0!r}"),),
+    "scan": ((lambda name: name in tuple(_APPROXIMATIONS) or name in _SCAN_BOUNDS,
               "unknown method or bound {0!r}"),),
-    "verify_approx_grid": ((lambda method: method in _APPROXIMATIONS, "unknown method {0!r}"),),
+    "verify_approx_grid": ((lambda method: method in tuple(_APPROXIMATIONS),
+                            "unknown method {0!r}"),),
     "verify_bounds_grid": ((lambda bound: bound in _SCAN_BOUNDS, "unknown bound {0!r}"),),
     "olenko_sup": ((lambda o, x_max, n: o.mu != 0, "mu must be positive"),
                    (lambda o, x_max, n: not (x_max <= 0 or x_max > _PUBLIC_X_CAP),

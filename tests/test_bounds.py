@@ -27,12 +27,12 @@ from besselcert import (
     gamma,
     leftmost_max_check,
     lemma_integral_check,
-    refine_root,
     sonin_eval,
 )
 from besselcert import bounds as bounds_module
 from besselcert.bounds import _gauss_legendre, _trigamma
 from besselcert.zeros import _airy_bracket
+from plain_bisection import plain_bisection
 
 INV_SQRT_PI = 1 / math.sqrt(math.pi)
 
@@ -214,7 +214,8 @@ def _hex(reports):
 
 def _walked_crests(x_hi):
     # airy_envelope_maxima as the fixed-step scan computed it: f' at every
-    # grid point, and each cell where it turns from positive to nonpositive refined
+    # grid point, and each cell where it turns from positive to nonpositive
+    # refined by plain bisection
     def slope(t):
         return bounds_module._airy_envelope(t)[1]
 
@@ -223,7 +224,7 @@ def _walked_crests(x_hi):
     reports = []
     for i in range(1, len(xs)):
         if ds[i - 1] > 0 >= ds[i]:
-            val = bounds_module._airy_envelope(refine_root(slope, (xs[i - 1], xs[i]), 1e-9))[0]
+            val = bounds_module._airy_envelope(plain_bisection(slope, (xs[i - 1], xs[i]), 1e-9))[0]
             reports += [bounds_module._make("airy_envelope_max_lower", INV_SQRT_PI, val,
                                             strict=True, slack=1e-12),
                         bounds_module._make("airy_envelope_max_upper", val, 9 / 14,
@@ -343,7 +344,8 @@ class TestLeftmostMaxBisection:
             "leftmost_max", floor, xi, xi - floor, True)
 
     def test_call_budget(self, monkeypatch):
-        # the walk made 1323 J evaluations at nu = 10
+        # the walk made 1323 J evaluations at nu = 10; the index bisection and
+        # refine_root make 25 (45 with every bisection midpoint evaluated)
         calls = []
 
         def counting(*args):
@@ -352,7 +354,7 @@ class TestLeftmostMaxBisection:
 
         monkeypatch.setattr("besselcert.bounds.bessel_j_ref", counting)
         leftmost_max_check(Order(10.0))
-        assert len(calls) <= 60
+        assert len(calls) <= 30
 
     def test_no_sign_change_raises(self, monkeypatch):
         # hp = (mu - x^2)^(1/4) > 0 on the whole grid
@@ -461,7 +463,7 @@ def test_leftmost_crest_past_the_flushed_start(nu, xi):
     assert bessel_j_ref(order, 0.05).value == 0.0
     rep = leftmost_max_check(order)
     assert rep.rhs.hex() == xi and rep.holds
-    # the same crest from a linear walk along the same grid
+    # the same crest from a linear walk along the same grid and plain bisection
     mu = order.mu
 
     def hp(x):
@@ -473,7 +475,7 @@ def test_leftmost_crest_past_the_flushed_start(nu, xi):
     while grid[-1] < end:
         grid.append(min(end, grid[-1] + max(1e-3, grid[-1] / 300)))
     k = next(k for k, x in enumerate(grid) if hp(x) < 0)
-    assert refine_root(hp, (grid[k - 1], grid[k]), 1e-10) == rep.rhs
+    assert plain_bisection(hp, (grid[k - 1], grid[k]), 1e-10) == rep.rhs
 
 
 @pytest.mark.parametrize("nu", [25.0, 40.0, 60.0])

@@ -350,20 +350,22 @@ def test_pinned_message(call, message):
     assert str(info.value) == message
 
 
-# an unhashable name: the dict lookups raise TypeError, the tuple lookups refuse
+# an unhashable name: every unknown-name rule tests membership in a tuple, so
+# each refuses it as unknown instead of raising TypeError from a dict lookup
 UNHASHABLE = [
-    ("airy_approx(1.0, ['bogus'])", TypeError, "unhashable type: 'list'"),
+    ("airy_approx(1.0, ['bogus'])", DomainError, "airy_approx: unknown mode ['bogus']"),
     ("sonin_eval(['bogus'], Order(0.0), 1.0)", DomainError,
      "sonin_eval: unknown variant ['bogus']"),
     ("airy_zero_estimate(1, ['bogus'])", DomainError,
      "airy_zero_estimate: unknown mode ['bogus']"),
     ("GridSpec((1.0,), (0.1, 1.0), 5, ['bogus'])", DomainError,
      "GridSpec: unknown spacing ['bogus']"),
-    ("scan.approx_row(['bogus'], Order(0.0), 1.0)", TypeError, "unhashable type: 'list'"),
-    ("scan_rows(['bogus'], GridSpec((1.0,), (0.1, 1.0), 5))", TypeError,
-     "unhashable type: 'list'"),
-    ("verify_approx_grid(['bogus'], GridSpec((1.0,), (0.1, 1.0), 5))", TypeError,
-     "unhashable type: 'list'"),
+    ("scan.approx_row(['bogus'], Order(0.0), 1.0)", DomainError,
+     "approx_row: unknown method ['bogus']"),
+    ("scan_rows(['bogus'], GridSpec((1.0,), (0.1, 1.0), 5))", DomainError,
+     "scan: unknown method or bound ['bogus']"),
+    ("verify_approx_grid(['bogus'], GridSpec((1.0,), (0.1, 1.0), 5))", DomainError,
+     "verify_approx_grid: unknown method ['bogus']"),
     ("verify_bounds_grid(['bogus'], GridSpec((1.0,), (0.1, 1.0), 5))", DomainError,
      "verify_bounds_grid: unknown bound ['bogus']"),
 ]

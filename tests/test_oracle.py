@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselcert import bounds, oracle
+from besselcert import (
+    airy_envelope_maxima,
+    bounds,
+    leftmost_max_check,
+    oracle,
+    refine_bessel_zero,
+    zeros,
+)
 from besselcert.oracle import (
     DomainError,
     Order,
@@ -24,6 +31,7 @@ from besselcert.oracle import (
     gamma,
     refine_root,
 )
+from plain_bisection import plain_bisection
 
 # 40-digit reference values from an independent high-precision summation
 J_REF = {
@@ -381,6 +389,87 @@ def test_refine_root_budget():
     # width 0 from (0, 1e300) takes about 1000 halvings, past the 200-step budget
     with pytest.raises(PrecisionError, match="^refine_root: iteration budget exhausted$"):
         refine_root(lambda t: t - 1.0, (0.0, 1e300), 0.0)
+
+
+def test_refine_root_returns_plain_bisections_double_at_its_callers():
+    # each caller's lemma gives one sign change per bracket, so the midpoints
+    # refine_root decides without a call must not move a bit: seeded Bessel
+    # zeros (the last three in the walk's last cell), the Airy envelope's
+    # crests to x = 14 and seeded leftmost maxima
+    rng = random.Random(19)
+    zero_args = [(rng.uniform(-0.5, 60), rng.randint(1, 30)) for _ in range(12)]
+    zero_args += [(1.76, 63), (-0.25, 64), (-0.5, 64)]
+    left_orders = [rng.uniform(5 / 3, 40) for _ in range(8)]
+
+    def callers():
+        zeros._bessel_zero.cache_clear()
+        return ([refine_bessel_zero(Order(nu), s).hex() for nu, s in zero_args]
+                + [(r.lhs.hex(), r.rhs.hex()) for r in airy_envelope_maxima(14.0)]
+                + [leftmost_max_check(Order(nu)).rhs.hex() for nu in left_orders])
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(zeros, "refine_root", plain_bisection)
+        m.setattr(bounds, "refine_root", plain_bisection)
+        want = callers()
+    assert callers() == want
+
+
+@pytest.mark.parametrize("bracket", [(2.0, 1.0), (math.pi / 2 - 4e-13, math.pi / 2 + 4e-13),
+                                     (math.pi / 2, math.nextafter(math.pi / 2, 2))])
+def test_refine_root_keeps_plain_bisections_result_on_degenerate_brackets(bracket):
+    # reversed, narrower than tol, and two adjacent doubles: no bisection step
+    assert refine_root(math.cos, bracket, 1e-12) == plain_bisection(math.cos, bracket, 1e-12)
+
+
+def _recorded(f):
+    """f, and the dict of every point it was evaluated at and its value."""
+    calls = {}
+
+    def g(t):
+        calls[t] = f(t)
+        return calls[t]
+    return g, calls
+
+
+def _random_sign(seed, lo, hi):
+    """-1 at lo, +1 at hi, a seeded coin between: no neighbour decides a sign."""
+    def f(t):
+        return -1.0 if t == lo else 1.0 if t == hi else random.Random(f"{seed} {t!r}").choice(
+            (-1.0, 1.0))
+    return f, (lo, hi)
+
+
+# (f, bracket, tol) where f changes sign more than once, so the result may be
+# another sign change than plain bisection's
+SIGN_CHANGES = [
+    (math.sin, (0.5, 10.0), 1e-12),
+    (lambda t: math.sin(1 / t), (0.01, 1.0), 1e-12),
+    (lambda t: math.cos(40 * t) + 0.5, (0.0, 1.5), 1e-10),
+    *((*_random_sign(seed, 0.0, 1.0), 1e-9) for seed in range(12)),
+]
+# and f with one sign change
+ONE_SIGN_CHANGE = [
+    (math.cos, (1.0, 2.0), 1e-12),
+    (lambda t: bessel_j_ref(Order(0.0), t).value, (2.0, 3.0), 1e-12),
+    (lambda t: airy_ai_neg_ref(t).value, (2.0, 3.0), 1e-12),
+    (lambda t: t - 2.5, (1.0, 3.0), 1e-12),
+    (lambda t: t - 1.3, (1.0, 3.0), 1e-12),
+]
+
+
+@pytest.mark.parametrize("f, bracket, tol", SIGN_CHANGES)
+def test_refine_root_lands_on_a_sign_change_of_fs_values(f, bracket, tol):
+    g, calls = _recorded(f)
+    r = refine_root(g, bracket, tol)
+    assert calls[r] == 0 or any(a <= r <= b and b - a <= tol and (calls[a] > 0) != (calls[b] > 0)
+                                for a in calls for b in calls)
+
+
+@pytest.mark.parametrize("f, bracket, tol", SIGN_CHANGES + ONE_SIGN_CHANGE)
+def test_refine_root_returns_a_point_it_evaluated(f, bracket, tol):
+    # airy_envelope_maxima reads both Ai values at the crest from the cache
+    g, calls = _recorded(f)
+    assert refine_root(g, bracket, tol) in calls
 
 
 def test_import_loads_no_numpy():

@@ -394,8 +394,8 @@ def test_refine_root_budget():
 def test_refine_root_returns_plain_bisections_double_at_its_callers():
     # each caller's lemma gives one sign change per bracket, so the midpoints
     # refine_root decides without a call must not move a bit: seeded Bessel
-    # zeros (the last three in the walk's last cell), the Airy envelope's
-    # crests to x = 14 and seeded leftmost maxima
+    # zeros, the two in the walk's last cell and the last admitted index, the
+    # Airy envelope's crests to x = 14 and seeded leftmost maxima
     rng = random.Random(19)
     zero_args = [(rng.uniform(-0.5, 60), rng.randint(1, 30)) for _ in range(12)]
     zero_args += [(1.76, 63), (-0.25, 64), (-0.5, 64)]
@@ -432,10 +432,12 @@ def _recorded(f):
 
 
 def _random_sign(seed, lo, hi):
-    """-1 at lo, +1 at hi, a seeded coin between: no neighbour decides a sign."""
+    """f and its bracket: -1 at lo, +1 at hi and a seeded coin at every other
+    t, so no point's sign follows from its neighbours'."""
     def f(t):
-        return -1.0 if t == lo else 1.0 if t == hi else random.Random(f"{seed} {t!r}").choice(
-            (-1.0, 1.0))
+        if t in (lo, hi):
+            return 1.0 if t == hi else -1.0
+        return random.Random(f"{seed} {t!r}").choice((-1.0, 1.0))
     return f, (lo, hi)
 
 

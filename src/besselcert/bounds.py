@@ -22,6 +22,7 @@ from .oracle import (
     _FLOAT_ULP,
     _PUBLIC_X_CAP,
     _bernoulli,
+    _bisect_grid,
     _is_double,
     _j_prime_any,
     _make,
@@ -214,12 +215,7 @@ def airy_envelope_maxima(x_hi: float = 60.0) -> list[BoundReport]:
             break
         if not lo <= hi or not d_lo > 0 >= d_hi:
             raise PrecisionError(f"airy_envelope_maxima: f' breaks the hump lemma in hump {k}")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if slope(xs[mid]) > 0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisect_grid(lambda t: slope(t) > 0, xs, lo, hi)
         xi = refine_root(slope, (xs[lo], xs[hi]), 1e-9)
         # refine_root returns a point it evaluated, so both Ai values are cached
         val = _airy_envelope(xi)[0]
@@ -329,6 +325,7 @@ def leftmost_max_check(order: Order) -> BoundReport:
     mu = order.mu
     root_mu = math.sqrt(mu)
 
+    @lru_cache(maxsize=None)
     def hp(x: float) -> float:
         s = mu - x * x
         j = bessel_j_ref(order, x).value
@@ -339,16 +336,10 @@ def leftmost_max_check(order: Order) -> BoundReport:
     while xs[-1] < root_mu - 1e-6:
         xs.append(min(root_mu - 1e-6, xs[-1] + max(1e-3, xs[-1] / 300)))
     lo, hi = 0, len(xs) - 1
-    d_lo, d_hi = hp(xs[lo]), hp(xs[hi])
-    while d_lo >= 0 > d_hi and hi - lo > 1:
-        mid = (lo + hi) // 2
-        d = hp(xs[mid])
-        if d >= 0:
-            lo, d_lo = mid, d
-        else:
-            hi, d_hi = mid, d
-    if not d_lo > 0 > d_hi:
-        raise RuntimeError("leftmost_max_check: no maximum found below sqrt(mu)")
+    if hp(xs[lo]) >= 0 > hp(xs[hi]):
+        lo, hi = _bisect_grid(lambda x: hp(x) >= 0, xs, lo, hi)
+    if not hp(xs[lo]) > 0 > hp(xs[hi]):
+        raise PrecisionError("leftmost_max_check: no maximum found below sqrt(mu)")
     xi = refine_root(hp, (xs[lo], xs[hi]), 1e-10)
     floor = nu * math.sqrt(1 - (2 * nu) ** (-2 / 3))
     return _make("leftmost_max", floor, xi, strict=True, slack=1e-9)

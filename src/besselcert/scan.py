@@ -93,6 +93,7 @@ _SPACINGS = {"log": lambda lo, hi, n: [lo * (hi / lo) ** (k / n) for k in range(
 _DOMAINS = {  # the entry points' domains, as check_domain reads them
     "GridSpec": ((lambda g: g.nu_values, "nu_values must be non-empty"),
                  (lambda g: not g.x_points < 2, "x_points must be >= 2"),
+                 (lambda g: isinstance(g.x_points, int), "x_points must be an integer"),
                  (lambda g: g.x_range[0] < g.x_range[1], "x_range must satisfy lo < hi"),
                  (lambda g: g.spacing != "log" or not g.x_range[0] <= 0, "log spacing needs lo > 0"),
                  (lambda g: g.spacing != "linear" or not g.x_range[0] < 0,
@@ -109,7 +110,8 @@ _DOMAINS = {  # the entry points' domains, as check_domain reads them
     "olenko_sup": ((lambda o, x_max, n: o.mu != 0, "mu must be positive"),
                    (lambda o, x_max, n: not (x_max <= 0 or x_max > _PUBLIC_X_CAP),
                     f"x_max must lie in (0, {_PUBLIC_X_CAP:g}]"),
-                   (lambda o, x_max, n: not n < 10, "coarse_points must be >= 10")),
+                   (lambda o, x_max, n: not n < 10, "coarse_points must be >= 10"),
+                   (lambda o, x_max, n: isinstance(n, int), "coarse_points must be an integer")),
 }
 
 
@@ -314,13 +316,14 @@ def _oscillation_gap(order: Order, x: float) -> float:
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
+_GOLDEN_ITERS = 45
 
 
-def _golden_max(f, a: float, b: float, iters: int = 45) -> tuple[float, float]:
+def _golden_max(f, a: float, b: float) -> tuple[float, float]:
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)

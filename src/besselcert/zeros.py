@@ -2,9 +2,9 @@
 
 The closed-form estimates carry certified half-widths; the refinement
 routines produce the truth the brackets are tested against, from a sign
-change of the reference evaluator followed by bisection: for J_nu along a
-fixed-step scan, for Ai(-x) in the scan cell that a_s's certified bracket
-meets.
+change of the reference evaluator followed by bisection: for J_nu in the
+scan cell found by sampling at strides below its Sturm gap, for Ai(-x) in
+the scan cell that a_s's certified bracket meets.
 """
 
 import bisect
@@ -18,6 +18,7 @@ from .oracle import (
     PrecisionError,
     _FINITE_NU,
     _PUBLIC_X_CAP,
+    _bisect_grid,
     _is_double,
     _make,
     airy_ai_neg_ref,
@@ -135,43 +136,42 @@ def refine_airy_zero(s: int) -> float:
     return _airy_zero(s)
 
 
-def _j(nu: float):
-    """J_nu as a float function of x, the sign the walk and refine_root read."""
-    order = Order(nu)
-    return lambda t: bessel_j_ref(order, t).value
-
-
-@lru_cache(maxsize=None)
-def _bessel_cell(nu: float, s: int) -> tuple[float, float]:
-    """The cell (x_k, x_k+1) of the walk x_0 = max(nu, 0.05), x_k+1 = x_k + 0.25
-    in which J_nu's s-th sign change past x_0 shows.
-
-    J_nu is sampled at min(x, 200), and the cell's right end is clipped the
-    same way, so the cell lies in the evaluator's domain; a step that starts
-    beyond 200 raises PrecisionError.  Cell s resumes from the right end of
-    cell s - 1, so nothing is re-walked (from a clipped end the next step
-    samples J_nu(200) again, sees no sign change and raises), and an
-    exception is never cached, so a failed step is retried from the last
-    finished cell.  sqrt(x) J_nu solves y'' + (1 - (nu^2 - 1/4)/x^2) y = 0,
-    so by Sturm comparison its zeros past x_0 are at least pi apart for
-    |nu| >= 1/2, and at least pi/sqrt(1 + 1/(4 x_0^2)) >= 0.31 apart for
-    |nu| < 1/2, against the 0.25 step: no cell holds two zeros.
-    """
-    f = _j(nu)
-    x = max(nu, 0.05) if s == 1 else _bessel_cell(nu, s - 1)[1]
-    v = f(x)
-    while not x > _PUBLIC_X_CAP:
-        x_next = x + 0.25
-        v_next = f(min(x_next, _PUBLIC_X_CAP))
-        if v * v_next < 0:
-            return x, min(x_next, _PUBLIC_X_CAP)
-        x, v = x_next, v_next
-    raise PrecisionError("bessel zero scan exceeded the x cap")
-
-
 @lru_cache(maxsize=None)
 def _bessel_zero(nu: float, s: int) -> float:
-    return refine_root(_j(nu), _bessel_cell(nu, s), 1e-11)
+    """j_{nu,s}: the s-th sign change of the walk x_0 = max(nu, 0.05),
+    x_k+1 = x_k + 0.25, J_nu sampled at min(x, 200), refined by refine_root.
+
+    Only the walk's grid is regenerated, with the same float additions and
+    its last point clipped to 200, so the cell lies in the evaluator's
+    domain.  sqrt(x) J_nu solves y'' + (1 + (1/4 - nu^2)/x^2) y = 0, so by
+    Sturm comparison its zeros past x_0 are at least pi apart for |nu| >= 1/2
+    and pi/sqrt(1 + mu/x_0^2) >= 0.31 apart below.  Sampled every stride
+    points, the most 0.25-cells 1e-9 below that gap (12 for |nu| >= 1/2, 1
+    from x_0 = 0.05), J_nu changes sign on a coarse cell only where the walk
+    does once, so bisecting the indices of the s-th such cell finds the
+    walk's.  Fewer than s sign changes up to x = 200 raise PrecisionError.
+    """
+    order = Order(nu)
+
+    def f(t: float) -> float:
+        return bessel_j_ref(order, t).value
+
+    xs = [max(nu, 0.05)]
+    while not xs[-1] > _PUBLIC_X_CAP:
+        xs.append(xs[-1] + 0.25)
+    xs[-1] = _PUBLIC_X_CAP
+    gap = math.pi / math.sqrt(1 + (order.mu / xs[0] ** 2 if abs(nu) < 0.5 else 0))
+    stride = math.ceil((gap - 1e-9) / 0.25) - 1
+    lo, v_lo = 0, f(xs[0])
+    for hi in [*range(stride, len(xs) - 1, stride), len(xs) - 1]:
+        v_hi = f(xs[hi])
+        if v_lo * v_hi < 0:
+            s -= 1
+            if s == 0:
+                lo, hi = _bisect_grid(lambda t: f(t) * v_lo > 0, xs, lo, hi)
+                return refine_root(f, (xs[lo], xs[hi]), 1e-11)
+        lo, v_lo = hi, v_hi
+    raise PrecisionError("bessel zero scan exceeded the x cap")
 
 
 def refine_bessel_zero(order: Order, s: int) -> float:

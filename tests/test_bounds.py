@@ -362,7 +362,7 @@ class TestLeftmostMaxBisection:
                             lambda order, x, ctx=None: EvalResult(0.0, 0.0))
         monkeypatch.setattr("besselcert.bounds.bessel_j_prime_ref",
                             lambda order, x, ctx=None: EvalResult(1.0, 0.0))
-        with pytest.raises(RuntimeError, match="no maximum"):
+        with pytest.raises(PrecisionError, match="no maximum"):
             leftmost_max_check(Order(5.0))
 
 

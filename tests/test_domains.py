@@ -171,6 +171,12 @@ PINNED = [
      'olver_expansion: l1 below max(nu/2 - 1/4, 1)'),
     ('olver_expansion(Order(10.0), 5.0, 5, 1)',
      'olver_expansion: l2 below max(nu/2 - 3/4, 1)'),
+    ('olver_expansion(Order(1.0), 5.0, 2.5, 2)',
+     'olver_expansion: l1 and l2 must be integers'),
+    ('olver_expansion(Order(1.0), 5.0, 3.0, 3)',
+     'olver_expansion: l1 and l2 must be integers'),
+    ('olver_expansion(Order(1.0), 5.0, 3, 3.0)',
+     'olver_expansion: l1 and l2 must be integers'),
     ('phase_B(Order(0.0), 0.0)',
      'phase_B: x must be positive'),
     ('phase_B(Order(3.0), 1.0)',
@@ -259,6 +265,14 @@ PINNED = [
      'GridSpec: nu_values must be non-empty'),
     ('GridSpec((1.0,), (0.1, 1.0), 1)',
      'GridSpec: x_points must be >= 2'),
+    ('GridSpec((1.0,), (0.1, 1.0), 2.5)',
+     'GridSpec: x_points must be an integer'),
+    ('GridSpec((1.0,), (0.1, 1.0), 3.0)',
+     'GridSpec: x_points must be an integer'),
+    ('GridSpec((1.0,), (0.1, 1.0), math.nan)',
+     'GridSpec: x_points must be an integer'),
+    ('GridSpec((1.0,), (0.1, 1.0), math.inf)',
+     'GridSpec: x_points must be an integer'),
     ('GridSpec((1.0,), (1.0, 1.0), 5)',
      'GridSpec: x_range must satisfy lo < hi'),
     ('GridSpec((1.0,), (0.0, 1.0), 5)',
@@ -281,6 +295,8 @@ PINNED = [
      'olenko_sup: x_max must lie in (0, 200]'),
     ('olenko_sup(Order(2.0), 50.0, 5)',
      'olenko_sup: coarse_points must be >= 10'),
+    ('olenko_sup(Order(2.0), 50.0, 10.5)',
+     'olenko_sup: coarse_points must be an integer'),
     # later rules: S leaves the doubles at |nu| = 1/2 (x^2 + mu is 0), at
     # 0 < nu < 1/2 (nu/x overflows) and at -1/2 < nu < 0 ((nu/x) J overflows);
     # transition's finite-order rule comes last, so -inf meets the first

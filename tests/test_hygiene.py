@@ -128,3 +128,13 @@ def test_domain_messages_format_with_their_rules_arguments():
                         assert index.isdigit() and int(index) < arity, (name, entry, message)
                         fields += 1
     assert fields == 8  # the unknown-name rules quote the name they refuse
+
+
+def test_one_index_bisection_loop():
+    # the walk-cell searches (Bessel zeros, Airy crests, leftmost maxima)
+    # share oracle._bisect_grid: no module keeps its own copy of the loop
+    loops = [(name, fn.name) for name, tree in TREES.items()
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for n in ast.walk(fn) if isinstance(n, ast.While)
+             and ast.unparse(n.test) == "hi - lo > 1"]
+    assert loops == [("oracle.py", "_bisect_grid")]

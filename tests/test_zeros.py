@@ -1,10 +1,12 @@
 import math
+import random
 import time
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import besselcert.oracle as oracle
 import besselcert.zeros as zeros_module
 from besselcert import (
     DomainError,
@@ -108,22 +110,22 @@ class TestRefinement:
         assert refine_bessel_zero(Order(-0.5), 64) == pytest.approx(63.5 * math.pi, abs=1e-10)
 
 
-def _fresh_scan(f, x, step, n):
+def _fresh_scan(f, x, step, n, cap=math.inf):
     """The first n sign changes of f in steps from x, walked from x and refined
-    by plain bisection."""
+    by plain bisection; f is sampled at min(x, cap), and the walk ends with
+    the first step that starts past cap."""
     found = []
     prev_x, prev_v = x, f(x)
-    while len(found) < n:
+    while len(found) < n and not x > cap:
         x += step
-        v = f(x)
+        v = f(min(x, cap))
         if prev_v * v < 0:
-            found.append(plain_bisection(f, (prev_x, x), 1e-11))
+            found.append(plain_bisection(f, (prev_x, min(x, cap)), 1e-11))
         prev_x, prev_v = x, v
     return found
 
 
 def _clear_bessel_caches():
-    zeros_module._bessel_cell.cache_clear()
     zeros_module._bessel_zero.cache_clear()
 
 
@@ -162,38 +164,38 @@ class TestResumedScan:
         refine_airy_zero(6)
         assert seen and min(seen) > a5
 
-    def test_bessel_continuation_stays_above_the_previous_zero(self, monkeypatch):
+    def test_bessel_continuation_reuses_the_series_cache(self, monkeypatch):
+        # a cached repeat makes no evaluation; a fresh s = 3 after s = 2 reads
+        # the coarse samples up to j_2 from the series cache and sums 16 new
+        # series: one coarse sample, the index bisection and the refinement
         _clear_bessel_caches()
+        oracle._j_series_fixed.cache_clear()
         order = Order(2.5)
         j2 = refine_bessel_zero(order, 2)
         seen = _counting(monkeypatch, "bessel_j_ref")
         assert refine_bessel_zero(order, 2) == j2 and seen == []
+        misses = oracle._j_series_fixed.cache_info().misses
         refine_bessel_zero(order, 3)
-        assert seen and min(seen) > j2
+        assert oracle._j_series_fixed.cache_info().misses - misses <= 18
 
     def test_failed_step_leaves_the_scan_where_it_was(self, monkeypatch):
-        # an exception is never cached: a step that fails while walking to
-        # the second cell is retried from the end of the first, and the cap
-        # is raised again, not stepped past
+        # an exception is never cached: after a refused evaluation the next
+        # call searches afresh and equals the walk, and the cap is raised on
+        # every call, not stepped past
         _clear_bessel_caches()
         order = Order(2.5)
-        j1 = _fresh_scan(lambda t: bessel_j_ref(order, t).value, 2.5, 0.25, 1)[0]
         calls = []
 
         def flaky(*args):
             calls.append(args[-1])
-            if len(calls) == 20:  # only once: calls keeps growing
+            if len(calls) == 10:  # only once: calls keeps growing
                 raise PrecisionError("refused once")
             return bessel_j_ref(*args)
 
         monkeypatch.setattr(zeros_module, "bessel_j_ref", flaky)
         with pytest.raises(PrecisionError, match="refused once"):
             refine_bessel_zero(order, 2)
-        assert calls[-1] > j1  # the first cell was finished
-        retry = len(calls)
-        j2 = refine_bessel_zero(order, 2)
-        assert min(calls[retry:]) > j1
-        assert [refine_bessel_zero(order, 1), j2] == _fresh_scan(
+        assert [refine_bessel_zero(order, 1), refine_bessel_zero(order, 2)] == _fresh_scan(
             lambda t: bessel_j_ref(order, t).value, 2.5, 0.25, 2)
         for _ in range(2):
             with pytest.raises(PrecisionError, match="exceeded the x cap"):
@@ -209,13 +211,33 @@ class TestBesselWalk:
         assert abs(refine_bessel_zero(Order(nu), s) - float(truth)) <= 1e-10
 
     def test_a_fresh_index_refines_one_zero(self, monkeypatch):
-        # walking to the third cell and refining only that zero takes 57 J
-        # evaluations (82 with every bisection midpoint evaluated); refining
-        # the first three zeros as well took 158
+        # five samples 3.0 apart reach the third zero's coarse cell, the index
+        # bisection finds its 0.25-cell and refine_root refines only that
+        # zero: 22 J evaluations, where walking every 0.25-cell took 57
         _clear_bessel_caches()
         seen = _counting(monkeypatch, "bessel_j_ref")
         refine_bessel_zero(Order(2.5), 3)
-        assert len(seen) < 65
+        assert len(seen) < 26
+
+    def test_the_stride_search_equals_the_walk(self):
+        # below 1/2 the Sturm gap, hence the stride, shrinks with x_0 down to
+        # one cell at x_0 = 0.05; at +-1/2 and above it is 12 cells; from
+        # nu ~ 150 the cap at x = 200 cuts the zeros off
+        rng = random.Random(20)
+        orders = [-0.49, -0.25, 0.0, 0.3, 0.45, -0.5, 0.5]
+        orders += [rng.uniform(1, 60) for _ in range(3)] + [rng.uniform(150, 199.5)
+                                                            for _ in range(2)]
+        for nu in orders:
+            _clear_bessel_caches()
+            order = Order(nu)
+            walk = [z.hex() for z in _fresh_scan(lambda t: bessel_j_ref(order, t).value,
+                                                 max(nu, 0.05), 0.25, 10, 200.0)]
+            for s in (1, 2, 3, 10):
+                if s <= len(walk):
+                    assert refine_bessel_zero(order, s).hex() == walk[s - 1], (nu, s)
+                else:
+                    with pytest.raises(PrecisionError, match="exceeded the x cap"):
+                        refine_bessel_zero(order, s)
 
 
 class TestAiryJump:

@@ -4,20 +4,31 @@ Each routine returns an ApproxValue whose half_width is an explicit bound on
 |truth - value|, valid on the stated domain with no asymptotic caveats.  The
 widths come from the inequalities the package exists to check; the scan module
 verifies every one of them against the series evaluator on dense grids.
+No approximation calls that evaluator: each is computed in floats, and
+where a formula needs Ai (transition) its float value carries its own bound.
 """
 
 from dataclasses import dataclass
 import math
 
-from .oracle import Order, airy_ai_neg_ref, check_domain
+from .oracle import Order, check_domain
 from .oracle import _AIRY_X_CAP, _FINITE_NU, _is_double
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
+_U = 2 ** -53  # unit roundoff: one rounding's largest relative error
 
-# largest z the transition form can certify: its Ai factor comes from the
-# reference evaluator, whose domain ends at _AIRY_X_CAP.  One ulp below the
-# rounded quotient, since 2^(1/3) times the quotient rounds above the cap.
+# largest z the transition form accepts.  Its float Ai factor has no such
+# limit; the cap stays where 2^(1/3) z reaches the reference evaluator's Ai
+# domain, _AIRY_X_CAP, because lifting it would change the points of every
+# transition sweep and best_approx's candidates, and far below it the width
+# already exceeds |J_nu| <= 1.  One ulp below the rounded quotient, since
+# 2^(1/3) times the quotient rounds above the cap.
 _TRANSITION_Z_CAP = math.nextafter(_AIRY_X_CAP / 2 ** (1 / 3), 0)
+# Ai(0) and -Ai'(0), each the double nearest the true constant
+_AI_0, _AI_PRIME_0 = 0.3550280538878172, 0.2588194037928068
+# Ai(-t) is summed as a Maclaurin series up to t = _AIRY_SERIES_T, where its
+# rounding bound reaches 7.4e-13; above, airy_approx's sharp width is < 7.3e-5
+_AIRY_SERIES_T = 5.0
 
 
 @dataclass(frozen=True)
@@ -186,20 +197,71 @@ def transition(order: Order, z: float) -> ApproxValue:
     At x = nu + nu^(1/3) z,
       J_nu(x) ~ 2^(1/3) Ai(-2^(1/3) z)/sqrt(nu^(2/3)+z),
     with width 23 max(1, z^(9/4))/(2 nu^(2/3) sqrt(nu^(2/3)+z)).  The Ai
-    factor is taken from the reference evaluator so the width tests this
-    formula's own error only.  z < 0 (x below nu) is rejected, and z ends
-    where the evaluator's Ai domain does (z ~ 95.2); far earlier than that
-    the width has already grown past any oscillatory alternative.
+    factor is evaluated in floats by _airy_neg, and the width adds its
+    bound times 2^(1/3)/sqrt(nu^(2/3)+z), with the rounding of t = 2^(1/3) z,
+    at most 3u t, through |Ai'(-t)| <= (1 + t)^(1/4) (checked against
+    mpmath to t = 200), and the value's own rounding: 7u from its six
+    operations and |ln nu| u/6 from nu^(2/3)'s rounded exponent, u the unit
+    roundoff, each with some margin.  z < 0 (x below nu) is rejected, and z
+    ends at _TRANSITION_Z_CAP (z ~ 95.2); far earlier than that the width
+    has already grown past any oscillatory alternative.
     """
     check_domain(_DOMAINS, "transition", order, z)
-    ai = airy_ai_neg_ref(2 ** (1 / 3) * z)
-    value = 2 ** (1 / 3) * ai.value / math.sqrt(order.nu ** (2 / 3) + z)
-    return ApproxValue(value, _transition_width(order, z), "transition", "transition")
+    value, half_width = _transition(order, z)
+    return ApproxValue(value, half_width, "transition", "transition")
+
+
+def _transition(order: Order, z: float) -> tuple[float, float]:
+    pow23 = order.nu ** (2 / 3)
+    root = math.sqrt(pow23 + z)
+    t = 2 ** (1 / 3) * z
+    ai, ai_bound = _airy_neg(t)
+    value = 2 ** (1 / 3) * ai / root
+    formula = 23 * max(1.0, z ** 2.25) / (2 * pow23 * root)
+    ai_bound += 4 * _U * t * (1 + t) ** 0.25
+    rounding = (8 + abs(math.log(order.nu)) / 5) * _U * abs(value)
+    return value, formula + 2 ** (1 / 3) / root * ai_bound + rounding
 
 
 def _transition_width(order: Order, z: float) -> float:
-    pow23 = order.nu ** (2 / 3)
-    return 23 * max(1.0, z ** 2.25) / (2 * pow23 * math.sqrt(pow23 + z))
+    return _transition(order, z)[1]
+
+
+def _airy_neg(t: float) -> tuple[float, float]:
+    """(value, bound) with |Ai(-t) - value| <= bound, t >= 0, in floats.
+
+    Up to _AIRY_SERIES_T, the Maclaurin series (DLMF 9.4.1)
+      Ai(-t) = sum_k (-1)^k (Ai(0) u_k - Ai'(0) v_k),
+      u_k/u_(k-1) = t^3/((3k-1) 3k), v_k/v_(k-1) = t^3/(3k (3k+1)),
+    u_0 = 1, v_0 = t, with a running rounding bound: term k carries at most
+    4k + 3 roundings and each partial sum one more, and n roundings err by
+    at most 1.01 n u (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3).  Terms below 1e-20 are falling, by ratios below r,
+    so the tail is at most the next term over 1 - r, doubled for its own
+    rounding.  Above, airy_approx's sharp form with its width, plus the
+    rounding of the phase phi < (2/3) t^(3/2) + 1/100, about 4u t^(3/2) +
+    6u, and 6u of the value, doubled, times the prefactor's bound
+    1/(sqrt(pi) t^(1/4)).
+    """
+    if t > _AIRY_SERIES_T:
+        sharp = airy_approx(t, "sharp")
+        rounding = 8 * _U * (t ** 1.5 + 3) / (math.sqrt(math.pi) * t ** 0.25)
+        return sharp.value, sharp.half_width + rounding
+    t3 = t * t * t
+    u, v = _AI_0, _AI_PRIME_0 * t
+    value = run = 0.0
+    k = 0
+    while True:
+        term = u + v
+        value = value + term if k % 2 == 0 else value - term
+        run += abs(value) + (4 * k + 3) * term
+        k += 1
+        u *= t3 / ((3 * k - 1) * 3 * k)
+        v *= t3 / (3 * k * (3 * k + 1))
+        if u + v < 1e-20:
+            break
+    r = t3 / ((3 * k + 2) * (3 * k + 3))
+    return value, 1.01 * _U * run + 2 * (u + v) / (1 - r)
 
 
 def airy_approx(x: float, mode: str = "sharp") -> ApproxValue:

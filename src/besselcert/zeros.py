@@ -144,11 +144,12 @@ def _bessel_zero(nu: float, s: int) -> float:
     Only the walk's grid is regenerated, with the same float additions and
     its last point clipped to 200, so the cell lies in the evaluator's
     domain.  sqrt(x) J_nu solves y'' + (1 + (1/4 - nu^2)/x^2) y = 0, so by
-    Sturm comparison its zeros past x_0 are at least pi apart for |nu| >= 1/2
-    and pi/sqrt(1 + mu/x_0^2) >= 0.31 apart below.  Sampled every stride
-    points, the most 0.25-cells 1e-9 below that gap (12 for |nu| >= 1/2, 1
-    from x_0 = 0.05), J_nu changes sign on a coarse cell only where the walk
-    does once, so bisecting the indices of the s-th such cell finds the
+    Sturm comparison its zeros past any x_lo are at least pi apart for
+    |nu| >= 1/2 and pi/sqrt(1 + mu/x_lo^2) >= 0.31 apart below.  Each coarse
+    cell spans, from its left end x_lo, the most 0.25-cells 1e-9 below that
+    gap (12 for |nu| >= 1/2; at nu = 0, 1 from x_lo = 0.05 and 12 from
+    x_lo > 1.61), so J_nu changes sign on a coarse cell only where the walk
+    does once, and bisecting the indices of the s-th such cell finds the
     walk's.  Fewer than s sign changes up to x = 200 raise PrecisionError.
     """
     order = Order(nu)
@@ -160,10 +161,10 @@ def _bessel_zero(nu: float, s: int) -> float:
     while not xs[-1] > _PUBLIC_X_CAP:
         xs.append(xs[-1] + 0.25)
     xs[-1] = _PUBLIC_X_CAP
-    gap = math.pi / math.sqrt(1 + (order.mu / xs[0] ** 2 if abs(nu) < 0.5 else 0))
-    stride = math.ceil((gap - 1e-9) / 0.25) - 1
     lo, v_lo = 0, f(xs[0])
-    for hi in [*range(stride, len(xs) - 1, stride), len(xs) - 1]:
+    while lo < len(xs) - 1:
+        gap = math.pi / math.sqrt(1 + (order.mu / xs[lo] ** 2 if abs(nu) < 0.5 else 0))
+        hi = min(lo + math.ceil((gap - 1e-9) / 0.25) - 1, len(xs) - 1)
         v_hi = f(xs[hi])
         if v_lo * v_hi < 0:
             s -= 1

@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,15 +23,29 @@ from besselcert import (
     simplified_oscillatory,
     transition,
     transition_x,
+    verify_approx_grid,
 )
 
 # first positive zero of Ai(-x), to well beyond double precision
 AIRY_ZERO_1 = 2.338107410459767038489197252446735440639
+# the first five zeros of Ai(-x), rounded to doubles
+AIRY_ZEROS = (2.338107410459767, 4.087949444130971, 5.520559828095551,
+              6.786708090071759, 7.944133587120853)
 
 
 def _oracle_gap(order, x, a):
     r = bessel_j_ref(order, x)
     return abs(a.value - r.value), r.abs_err_estimate
+
+
+def _refuse_the_airy_oracle(monkeypatch):
+    """Make airy_ai_neg_ref raise wherever a besselcert module holds it."""
+    def refuse(x):
+        raise AssertionError(f"airy_ai_neg_ref({x!r}) was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "besselcert" and hasattr(module, "airy_ai_neg_ref"):
+            monkeypatch.setattr(module, "airy_ai_neg_ref", refuse)
 
 
 class TestClassic:
@@ -218,6 +234,54 @@ class TestTransition:
         with pytest.raises(DomainError, match="transition"):
             transition(Order(1.0), math.nextafter(cap, math.inf))
 
+    def test_runs_without_the_airy_oracle(self, monkeypatch):
+        _refuse_the_airy_oracle(monkeypatch)
+        cap = approx_module._TRANSITION_Z_CAP
+        for z in (0.0, 1.0, 4.0, 4.5, 30.0, cap):
+            assert math.isfinite(transition(Order(10.0), z).value)
+        # both sides of the series' end, up to x = 1 + 95 and 5 + 1.71 * 95
+        rep = verify_approx_grid("transition", GridSpec((1.0, 5.0), (0.0, 95.0), 12, "linear"))
+        assert (rep.total, rep.skipped, rep.violations) == (24, 0, ())
+
+    def test_within_its_width_of_mpmath(self):
+        # orders log-spaced to 1e3, plus two large ones: mpmath's J takes
+        # about 0.1 s at nu = 3000 and 0.5 s at nu = 1e4
+        rng = random.Random(21)
+        cap = approx_module._TRANSITION_Z_CAP
+        points = [(10 ** rng.uniform(math.log10(0.5), 3), cap * rng.random()) for _ in range(16)]
+        points += [(3000.0, 60.0), (1e4, 1.5)]
+        with mpmath.workdps(20):
+            for nu, z in points:
+                order = Order(nu)
+                a = transition(order, z)
+                truth = mpmath.besselj(nu, transition_x(order, z), maxprec=40000, maxterms=10 ** 6)
+                assert abs(a.value - truth) <= a.half_width, (nu, z)
+
+
+class TestAiryNeg:
+    """approx._airy_neg: Ai(-t) in floats, with a bound that covers its rounding."""
+
+    def test_within_its_bound_of_mpmath(self):
+        T = approx_module._AIRY_SERIES_T
+        t_cap = 2 ** (1 / 3) * approx_module._TRANSITION_Z_CAP
+        rng = random.Random(21)
+        ts = [0.0, *_ulps_around(T), *AIRY_ZEROS, t_cap]
+        ts += [t_cap * rng.random() for _ in range(250)] + [T * rng.random() for _ in range(100)]
+        with mpmath.workdps(25):
+            for t in ts:
+                value, bound = approx_module._airy_neg(t)
+                assert abs(value - mpmath.airyai(-mpmath.mpf(t))) <= bound, t
+                # the series' bound is small enough for the check to bite
+                assert t > T or bound <= 1e-12, t
+
+    def test_derivative_envelope(self):
+        # transition charges the rounding of t through |Ai'(-t)| <= (1 + t)^(1/4)
+        ts = [k / 10 for k in range(2001)]
+        assert all(abs(mpmath.fp.airyai(-t, derivative=1)) <= (1 + t) ** 0.25 for t in ts)
+
+    def test_starts_at_ai_of_zero(self):
+        assert approx_module._airy_neg(0.0)[0] == float(mpmath.airyai(0))
+
 
 class TestAiry:
     def test_sharp_width_at_ten(self):
@@ -359,21 +423,13 @@ class TestBestRanking:
         capped = [best_approx(Order(nu), x).method for nu, x in edges if nu == 1e6]
         assert "transition" in capped and "classic" in capped
 
-    def test_oracle_runs_only_when_transition_wins(self, monkeypatch):
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return airy_ai_neg_ref(x)
-
-        monkeypatch.setattr(approx_module, "airy_ai_neg_ref", counted)
+    def test_never_calls_the_airy_oracle(self, monkeypatch):
+        _refuse_the_airy_oracle(monkeypatch)
         applicable = wins = 0
         for nu in (1.0, 5.0, 20.0, 1e6):
             order = Order(nu)
             for z in (0.0, 0.5, 2.0, 10.0, 60.0):
-                before = len(calls)
                 a = best_approx(order, transition_x(order, z))
                 applicable += 1
                 wins += a.method == "transition"
-                assert len(calls) - before == (a.method == "transition"), (nu, z)
         assert 0 < wins < applicable

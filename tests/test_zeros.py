@@ -219,10 +219,20 @@ class TestBesselWalk:
         refine_bessel_zero(Order(2.5), 3)
         assert len(seen) < 26
 
+    @pytest.mark.parametrize("nu, s, budget", ((0.0, 20, 40), (-0.25, 64, 100)))
+    def test_the_stride_widens_with_x_below_half(self, monkeypatch, nu, s, budget):
+        # below |nu| = 1/2 the Sturm gap pi/sqrt(1 + mu/x^2) grows with x, and
+        # each coarse cell takes its stride from its left end: 37 and 85 J
+        # evaluations, where one stride from x_0 = 0.05 took 259 and 813
+        _clear_bessel_caches()
+        seen = _counting(monkeypatch, "bessel_j_ref")
+        refine_bessel_zero(Order(nu), s)
+        assert len(seen) <= budget
+
     def test_the_stride_search_equals_the_walk(self):
-        # below 1/2 the Sturm gap, hence the stride, shrinks with x_0 down to
-        # one cell at x_0 = 0.05; at +-1/2 and above it is 12 cells; from
-        # nu ~ 150 the cap at x = 200 cuts the zeros off
+        # below 1/2 the Sturm gap, hence the stride, shrinks with the coarse
+        # cell's left end down to one cell at x = 0.05; at +-1/2 and above it
+        # is 12 cells; from nu ~ 150 the cap at x = 200 cuts the zeros off
         rng = random.Random(20)
         orders = [-0.49, -0.25, 0.0, 0.3, 0.45, -0.5, 0.5]
         orders += [rng.uniform(1, 60) for _ in range(3)] + [rng.uniform(150, 199.5)

@@ -126,6 +126,28 @@ def test_third_probe_returns_finite_fields_or_domain_errors():
     assert not faults, f"{len(faults)} faults, first {faults[:10]}"
 
 
+def test_refine_root_probe_returns_a_sign_change_inside_the_bracket_or_refuses():
+    # every ordered pair of probe arguments as a bracket of t - 0.3: a result
+    # lies in the bracket, within tol of 0.3; anything else is a refusal
+    faults = []
+    for lo in XS:
+        for hi in XS:
+            try:
+                t = bc.refine_root(lambda t: t - 0.3, (lo, hi))
+            except (DomainError, PrecisionError):
+                continue
+            except ValueError as e:  # the endpoints do not straddle 0.3
+                if str(e) != "refine_root: no sign change over the bracket":
+                    faults.append((lo, hi, str(e)))
+                continue
+            except Exception as e:
+                faults.append((lo, hi, type(e).__name__))
+                continue
+            if not (lo <= t <= hi and abs(t - 0.3) <= 1e-12):
+                faults.append((lo, hi, t))
+    assert not faults, f"{len(faults)} faults, first {faults[:10]}"
+
+
 @pytest.mark.parametrize("mode", ["classic", "sharp", "simplified"])
 def test_airy_edges_are_where_the_powers_leave_the_doubles(mode):
     # each declared end admits the last double that evaluates finitely
@@ -354,6 +376,16 @@ PINNED = [
      'refine_bessel_zero: nu must be < 200'),
     ('refine_bessel_zero(Order(1e300), 1)',
      'refine_bessel_zero: nu must be < 200'),
+    # a bracket that is not a finite interval: each of these returned a
+    # point or ran out of steps before the rule
+    ('refine_root(lambda t: t - 0.3, (1.0, 0.0))',
+     'refine_root: bracket must be a finite interval with lo <= hi'),
+    ('refine_root(lambda t: t - 0.3, (0.0, math.inf))',
+     'refine_root: bracket must be a finite interval with lo <= hi'),
+    ('refine_root(lambda t: t - 0.3, (-math.inf, 1.0))',
+     'refine_root: bracket must be a finite interval with lo <= hi'),
+    ('refine_root(lambda t: t - 0.3, (math.nan, 1.0))',
+     'refine_root: bracket must be a finite interval with lo <= hi'),
 ]
 NAMESPACE = {**{name: getattr(bc, name) for name in bc.__all__},
              "GridSpec": GridSpec, "Order": Order, "math": math, "scan": scan}

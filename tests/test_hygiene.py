@@ -138,3 +138,21 @@ def test_one_index_bisection_loop():
              for n in ast.walk(fn) if isinstance(n, ast.While)
              and ast.unparse(n.test) == "hi - lo > 1"]
     assert loops == [("oracle.py", "_bisect_grid")]
+
+
+def test_hankel_path_is_integer_only():
+    # Hankel's expansion keeps the oracle's one arithmetic: its helpers name
+    # no float function or constant of math and hold no float literal or
+    # division; its one float step is _j_series_fixed's conversion of the
+    # enclosure's ends, integers over 2^_FB, to doubles
+    functions = {f.name: f for f in ast.walk(TREES["oracle.py"]) if isinstance(f, ast.FunctionDef)}
+    banned = {"sin", "cos", "sqrt", "pi", "log", "exp"}
+    for name in ("_j_hankel", "_cos_sin"):
+        tree = functions[name]
+        named = _reads(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert not named & banned, f"{name}: {sorted(named & banned)}"
+        assert not [n for n in ast.walk(tree) if isinstance(n, ast.Div)
+                    or isinstance(n, ast.Constant) and isinstance(n.value, float)], name
+    divisors = [ast.unparse(n.right) for n in ast.walk(functions["_j_series_fixed"])
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)]
+    assert divisors.count("1 << _FB") == 3

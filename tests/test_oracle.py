@@ -414,10 +414,11 @@ def test_refine_root_returns_plain_bisections_double_at_its_callers():
     assert callers() == want
 
 
-@pytest.mark.parametrize("bracket", [(2.0, 1.0), (math.pi / 2 - 4e-13, math.pi / 2 + 4e-13),
-                                     (math.pi / 2, math.nextafter(math.pi / 2, 2))])
+@pytest.mark.parametrize("bracket", [(math.pi / 2 - 4e-13, math.pi / 2 + 4e-13),
+                                     (math.pi / 2, math.nextafter(math.pi / 2, 2))],
+                         ids=["narrower_than_tol", "adjacent_doubles"])
 def test_refine_root_keeps_plain_bisections_result_on_degenerate_brackets(bracket):
-    # reversed, narrower than tol, and two adjacent doubles: no bisection step
+    # no bisection step; a reversed bracket is refused (test_domains.py)
     assert refine_root(math.cos, bracket, 1e-12) == plain_bisection(math.cos, bracket, 1e-12)
 
 
@@ -611,3 +612,97 @@ def test_series_cache_hits_build_no_fraction():
     assert bessel_j_ref(Order(7.3), 12.5) == first
     bessel_j_ref(Order(5.75), 9.125)
     assert oracle._j_series_fixed.cache_info().misses == misses
+
+
+# Hankel's expansion, which answers for the Airy paths' orders past zeta = 200
+AIRY_ORDERS = (oracle._NU_M13, oracle._NU_13, oracle._NU_23, oracle._NU_43)
+_HANKEL_RNG = random.Random(22)
+HANKEL_ZETAS = ([_HANKEL_RNG.uniform(200.0, 876.0) for _ in range(40)]
+                + [math.nextafter(200.0, 876.0), 876.0])
+
+
+def _series(nu, x):
+    """The series' own (value, estimate), the Hankel path off and the cache passed by."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_j_hankel", lambda nu, x: None)
+        return oracle._j_series_fixed.__wrapped__(nu, x)
+
+
+def _ziv(nu, x):
+    """The double both ends of the Hankel enclosure round to, or None."""
+    v, radius = oracle._j_hankel(nu, x)
+    one = 1 << oracle._FB
+    return (v - radius) / one if (v - radius) / one == (v + radius) / one else None
+
+
+def test_hankel_gives_the_series_double_and_encloses_mpmath():
+    with mpmath.workdps(60):
+        for x in HANKEL_ZETAS:
+            for p, r in AIRY_ORDERS:
+                v, radius = oracle._j_hankel((p, r), x)
+                truth = mpmath.besselj(mpmath.mpf(p) / r, x)
+                assert abs(v - truth * 2 ** oracle._FB) <= radius, (p / r, x)
+                value = _ziv((p, r), x)
+                assert value == _series((p, r), x)[0], (p / r, x)
+                assert oracle._j_series_fixed((p, r), x) == (value, radius / 2 ** oracle._FB)
+
+
+@pytest.mark.parametrize("bits", [64, 100])
+def test_hankel_radius_holds_at_fewer_bits(monkeypatch, bits):
+    # the radius is derived per ulp, so it must enclose J at any width
+    monkeypatch.setattr(oracle, "_FB", bits)
+    with mpmath.workdps(60):
+        for x in HANKEL_ZETAS[:10] + [100.0]:
+            for p, r in AIRY_ORDERS:
+                v, radius = oracle._j_hankel((p, r), x)
+                truth = mpmath.besselj(mpmath.mpf(p) / r, x)
+                assert abs(v - truth * 2 ** bits) <= radius, (p / r, x)
+
+
+def test_hankel_gives_the_series_double_on_the_overlap():
+    # below the public cap the series answers; the helper, called directly,
+    # names the same doubles down to zeta = 100
+    rng = random.Random(23)
+    for x in [rng.uniform(100.0, 200.0) for _ in range(12)] + [100.0, 200.0]:
+        for nu in AIRY_ORDERS:
+            assert _ziv(nu, x) == oracle._j_series_fixed(nu, x)[0], (nu, x)
+
+
+def test_hankel_declines_where_its_terms_stop_halving():
+    # near zeta = 60 the ratio k/(2 zeta) passes 1/2 before a term vanishes
+    for nu in AIRY_ORDERS:
+        assert oracle._j_hankel(nu, 60.0) is None
+        assert oracle._j_hankel(nu, 100.0) is not None
+
+
+def test_cos_sin_within_its_error():
+    rng = random.Random(24)
+    one = 1 << oracle._FB
+    half_pi = mpmath.pi / 2
+    with mpmath.workdps(60):
+        for f in [0, 1, one // 4, one, int(half_pi * one) - 1] + [
+                int(rng.random() * half_pi * one) for _ in range(40)]:
+            c, s, err = oracle._cos_sin(f)
+            t = mpmath.mpf(f) / one
+            assert abs(c - mpmath.cos(t) * one) <= err and abs(s - mpmath.sin(t) * one) <= err
+            assert err <= 100, f
+
+
+def test_a_straddling_enclosure_falls_back_to_the_series(monkeypatch):
+    # a radius of 2^150 ulp puts a rounding boundary inside the enclosure
+    hankel = oracle._j_hankel
+    monkeypatch.setattr(oracle, "_j_hankel", lambda nu, x: (hankel(nu, x)[0], 1 << 150))
+    for x in HANKEL_ZETAS[:3]:
+        for nu in AIRY_ORDERS:
+            assert oracle._j_series_fixed.__wrapped__(nu, x) == _series(nu, x)
+
+
+@pytest.mark.parametrize("airy", [airy_ai_neg_ref, airy_ai_neg_prime_ref])
+def test_airy_past_zeta_200_runs_no_series(monkeypatch, airy):
+    # zeta = 666.7 at x = 100: a fresh call is answered by Hankel's expansion
+    def no_series(x):
+        raise AssertionError(f"series run at x = {x}")
+
+    oracle._j_series_fixed.cache_clear()
+    monkeypatch.setattr(oracle, "_digits_for", no_series)
+    assert math.isfinite(airy(100.0).value)

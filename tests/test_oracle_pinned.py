@@ -1,8 +1,10 @@
-"""Pinned oracle doubles: 60 outputs, value and estimate, compared by float.hex.
+"""Pinned oracle doubles: 76 outputs, value and estimate, compared by float.hex.
 
-Any rewrite of the oracle's internals (series, prefactor, Gamma) must
-reproduce these bit for bit.  The table was generated once from the public
-API and is not regenerated when the oracle changes.
+Any rewrite of the oracle's internals (series, prefactor, Gamma, the Airy
+paths' Hankel expansion) must reproduce these bit for bit.  Each table was
+generated once from the public API and is not regenerated when the oracle
+changes: the first 60 stop at x = 44 (zeta = 194.6); the 16 Airy outputs
+past zeta = 200 were generated before the Hankel path existed.
 """
 
 import pytest
@@ -74,6 +76,27 @@ PINNED = [
     ("gamma", None, 63.9, "0x1.50f30416b0307p+289", None),
 ]
 
+# Ai(-x) and its x-derivative where zeta = 2x^(3/2)/3 exceeds 200, the
+# public J cap, as the series computed them
+PINNED_PAST_ZETA_200 = [
+    ("Ai", None, 44.85, "-0x1.0235b8ed84351p-7", "0x1.5abba0d14b169p-46"),
+    ("Ai", None, 45.0, "0x1.6fce708d6a31fp-3", "0x1.5cca1af15d8b7p-46"),
+    ("Ai", None, 50.0, "-0x1.4b887ce1f571bp-3", "0x1.8b636cf266d4cp-46"),
+    ("Ai", None, 60.0, "0x1.3e9e72227fce1p-4", "0x1.eb66228ef93d3p-46"),
+    ("Ai", None, 75.0, "0x1.90f3de4c1b07bp-5", "0x1.419013532a6a8p-45"),
+    ("Ai", None, 90.0, "-0x1.6f6051ccbbc2ep-3", "0x1.9163d2139be3dp-45"),
+    ("Ai", None, 105.0, "0x1.606bba8c26bccp-3", "0x1.e3cbefd0d4da4p-45"),
+    ("Ai", None, 120.0, "-0x1.9f52c5145f921p-4", "0x1.1c47a4eca5404p-44"),
+    ("Aip", None, 44.85, "0x1.7589d2d0130a1p+0", "0x1.2b1559d216111p-43"),
+    ("Aip", None, 45.0, "0x1.a6e54f69f1b65p-1", "0x1.290baa6dd8237p-43"),
+    ("Aip", None, 50.0, "-0x1.f01f6f9a8518fp-1", "0x1.6291671d076b7p-43"),
+    ("Aip", None, 60.0, "-0x1.7349d956226c8p+0", "0x1.e5e168ed67b3ep-43"),
+    ("Aip", None, 75.0, "0x1.9aea0eb27a224p+0", "0x1.6064a42b1ab40p-42"),
+    ("Aip", None, 90.0, "-0x1.67a819e2ffbd9p-2", "0x1.df3c138bdf5fbp-42"),
+    ("Aip", None, 105.0, "-0x1.904679a4ac6afp-2", "0x1.37c645f018629p-41"),
+    ("Aip", None, 120.0, "-0x1.8036be89a18dep+0", "0x1.87116c8be8473p-41"),
+]
+
 _CALLS = {
     "J": lambda nu, x: bessel_j_ref(Order(nu), x),
     "Jp": lambda nu, x: bessel_j_prime_ref(Order(nu), x),
@@ -87,5 +110,11 @@ def test_oracle_output_is_pinned(kind, nu, x, value, estimate):
     if kind == "gamma":
         assert gamma(x).hex() == value
         return
+    r = _CALLS[kind](nu, x)
+    assert (r.value.hex(), r.abs_err_estimate.hex()) == (value, estimate)
+
+
+@pytest.mark.parametrize("kind,nu,x,value,estimate", PINNED_PAST_ZETA_200)
+def test_airy_output_past_zeta_200_is_pinned(kind, nu, x, value, estimate):
     r = _CALLS[kind](nu, x)
     assert (r.value.hex(), r.abs_err_estimate.hex()) == (value, estimate)

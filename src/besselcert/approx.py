@@ -151,14 +151,11 @@ def sharper_oscillatory(order: Order, x: float) -> ApproxValue:
       same with x^2-mu, width 13 mu/(12 sqrt(2 pi) (x^2-mu)^(7/4)).
     """
     check_domain(_DOMAINS, "sharper_oscillatory", order, x)
-    mu = order.mu
-    if abs(order.nu) <= 0.5:
-        ph = _phase(order, x)
-        value = SQRT_2_OVER_PI * (x * x + mu) ** -0.25 * math.cos(ph.B - order.omega)
-        return ApproxValue(value, _sharp_width(order, x), "sharp_low", "oscillatory")
-    ph = _phase(order, x)
-    value = SQRT_2_OVER_PI * (x * x - mu) ** -0.25 * math.cos(ph.B - order.omega)
-    return ApproxValue(value, _sharp_width(order, x), "sharp_high", "oscillatory")
+    low = abs(order.nu) <= 0.5
+    s2 = x * x + order.mu if low else x * x - order.mu
+    value = SQRT_2_OVER_PI * s2 ** -0.25 * math.cos(_phase(order, x).B - order.omega)
+    return ApproxValue(value, _sharp_width(order, x), "sharp_low" if low else "sharp_high",
+                       "oscillatory")
 
 
 def _sharp_width(order: Order, x: float) -> float:
@@ -221,10 +218,6 @@ def _transition(order: Order, z: float) -> tuple[float, float]:
     ai_bound += 4 * _U * t * (1 + t) ** 0.25
     rounding = (8 + abs(math.log(order.nu)) / 5) * _U * abs(value)
     return value, formula + 2 ** (1 / 3) / root * ai_bound + rounding
-
-
-def _transition_width(order: Order, z: float) -> float:
-    return _transition(order, z)[1]
 
 
 def _airy_neg(t: float) -> tuple[float, float]:
@@ -368,7 +361,7 @@ _CANDIDATES = (
     ("olver_expansion", _olver_width, lambda order, x: (order, x, 1, 1)),
     ("classic_oscillatory", _classic_width, lambda order, x: (order, x)),
     # z = (x - nu)/nu^(1/3); nu <= 0 has no such z and fails transition's first rule
-    ("transition", _transition_width, lambda order, x: (
+    ("transition", lambda order, z: _transition(order, z)[1], lambda order, x: (
         order, (x - order.nu) / order.nu ** (1 / 3) if order.nu > 0 else math.nan)),
 )
 

@@ -56,10 +56,9 @@ class SoninSample:
 
 def bound_watson(order: Order, x: float) -> BoundReport:
     """J_nu(x) <= (x/2)^nu / Gamma(nu+1), the power-law cap near the origin."""
-    r = bessel_j_ref(order, x)
-    # Gamma's domain ends at nu = 63, before (x/2)^nu can overflow at x <= 200
-    g = gamma(order.nu + 1)
     check_domain(_DOMAINS, "bound_watson", order, x)
+    r = bessel_j_ref(order, x)
+    g = gamma(order.nu + 1)
     rhs = (x / 2) ** order.nu / g
     return _make("watson", r.value, rhs, strict=False, slack=r.abs_err_estimate)
 
@@ -233,10 +232,9 @@ def bound_wronskian_kernel(nu: float, x1: float, x2: float) -> BoundReport:
     the kernel is antisymmetric in (x1, x2) and vanishes identically at nu = 0.
     """
     check_domain(_DOMAINS, "bound_wronskian_kernel", nu, x1, x2)
-    m1 = bessel_j_ref(Order(-nu), x1)
-    m2 = bessel_j_ref(Order(-nu), x2)
-    p1 = bessel_j_ref(Order(nu), x1)
-    p2 = bessel_j_ref(Order(nu), x2)
+    minus, plus = Order(-nu), Order(nu)
+    m1, m2 = bessel_j_ref(minus, x1), bessel_j_ref(minus, x2)
+    p1, p2 = bessel_j_ref(plus, x1), bessel_j_ref(plus, x2)
     scale = math.sqrt(x1 * x2)
     lhs = scale * abs(m1.value * p2.value - m2.value * p1.value)
     slack = scale * (m1.abs_err_estimate * abs(p2.value) + m2.abs_err_estimate * abs(p1.value)
@@ -253,13 +251,15 @@ def bound_near_first_zero(order: Order) -> BoundReport:
     is still positive but already of size O(nu^(-2/3)).
     """
     check_domain(_DOMAINS, "bound_near_first_zero", order)
-    nu = order.nu
-    g = 2 ** (-1 / 3) * refine_airy_zero(1)
-    r = bessel_j_ref(order, nu + g * nu ** (1 / 3))
+    r = bessel_j_ref(order, _near_first_zero_x(order.nu))
     if not r.value > 0:
         raise DomainError("bound_near_first_zero: J_nu must be positive before its first zero")
-    return _make("near_first_zero", r.value, 7 / (6 * nu),
+    return _make("near_first_zero", r.value, 7 / (6 * order.nu),
                  strict=True, slack=r.abs_err_estimate)
+
+
+def _near_first_zero_x(nu: float) -> float:
+    return nu + 2 ** (-1 / 3) * refine_airy_zero(1) * nu ** (1 / 3)
 
 
 def _szego_s(order: Order, x: float) -> float:
@@ -325,7 +325,6 @@ def leftmost_max_check(order: Order) -> BoundReport:
     mu = order.mu
     root_mu = math.sqrt(mu)
 
-    @lru_cache(maxsize=None)
     def hp(x: float) -> float:
         s = mu - x * x
         j = bessel_j_ref(order, x).value
@@ -410,7 +409,7 @@ def lemma_integral_check(x: float) -> tuple[BoundReport, BoundReport]:
     Each lhs is the computed value plus a relative charge for rounding and
     rule error, an upper bound on the true integral, so the only slack left
     is the rounding of the float rhs.  The caps' relative gaps fall like
-    1/(2x^2) and 0.36/x^2; both are decided up to x ~ 6e6.
+    1/(2x^2) and 0.36/x^2; x ends at 4e6, where abs_sin's gap is twice the charge.
     """
     check_domain(_DOMAINS, "lemma_integral_check", x)
     edges = [0.0]
@@ -445,7 +444,9 @@ _SONIN = {"szego": (_szego_s, False), "envelope": (_envelope_s, False), "airy": 
 # its rule rejects, so a NaN argument meets the rule it met before.
 _DOMAINS = {
     # for nu < 0, (x/2)^nu divides by x/2, which is 0 at x = 5e-324
-    "bound_watson": ((lambda o, x: not o.nu < 0 or x / 2 > 0, "(x/2)^nu leaves the doubles"),),
+    "bound_watson": ((lambda o, x: not o.nu < 0 or x / 2 > 0, "(x/2)^nu leaves the doubles"),
+                     # Gamma(nu + 1)'s domain, before (x/2)^nu can overflow at x <= 200
+                     (lambda o, x: not o.nu >= 63, "nu must be < 63")),
     "bound_derivative": (
         (lambda o, x: not o.nu < 0.5, "nu must be >= 1/2"),
         (lambda o, x: not x < o.nu + _DERIV_SHIFT * o.nu ** (1 / 3),
@@ -453,14 +454,18 @@ _DOMAINS = {
         (lambda o, x: _is_double(_psi, o.nu, x), "psi's x^4, (x^2-nu^2)^3 leave the doubles"),
         (lambda o, x: _psi(o.nu, x) > 0, "psi must be positive on the stated domain")),
     "bound_monotonic": ((lambda o, t: not o.nu <= 0, "nu must be positive"),
-                        (lambda o, t: 0 < t <= 1, "t must lie in (0, 1]")),
+                        (lambda o, t: 0 < t <= 1, "t must lie in (0, 1]"),
+                        (lambda o, t: not o.nu > _PUBLIC_X_CAP,
+                         f"nu must be <= {_PUBLIC_X_CAP:g}")),
     "bound_log_derivative": ((lambda o, x: not o.nu < -0.5, "nu must be >= -1/2"),
                              (lambda o, x: 0 < x <= o.nu + 0.5, "x must lie in (0, nu + 1/2]")),
     "bound_airy_envelope": ((lambda x: not x < 0, "x must be >= 0"),),
     "airy_envelope_maxima": ((lambda x_hi: 0 < x_hi <= _AIRY_X_CAP,
                               f"x_hi must lie in (0, {_AIRY_X_CAP:g}]"),),
     "bound_wronskian_kernel": ((lambda nu, x1, x2: 0 <= nu <= 0.5, "nu must lie in [0, 1/2]"),),
-    "bound_near_first_zero": ((lambda o: not o.nu < 0.5, "nu must be >= 1/2"),),
+    "bound_near_first_zero": ((lambda o: not o.nu < 0.5, "nu must be >= 1/2"),
+                              (lambda o: not _near_first_zero_x(o.nu) > _PUBLIC_X_CAP,
+                               f"nu + 2^(-1/3) a1 nu^(1/3) must be <= {_PUBLIC_X_CAP:g}")),
     # a tuple's "in" refuses an unhashable variant as unknown
     "sonin_eval": ((lambda variant: variant in tuple(_SONIN), "unknown variant {0!r}"),),
     # below x ~ 1e-162 the weight's x^2 is 0: at |nu| = 1/2 so is x^2 + mu,
@@ -478,5 +483,7 @@ _DOMAINS = {
                             f"the scan grid's end sqrt(mu) - 1e-6 must be <= {_PUBLIC_X_CAP:g}")),
     # 1/(2x) and 2/(pi x) are doubles from x = 3.54e-309 up
     "lemma_integral_check": ((lambda x: x > 0, "x must be positive"), (lambda x: 2 / (
-        math.pi * x) < math.inf, "the caps 1/(2x), 2/(pi x) leave the doubles")),
+        math.pi * x) < math.inf, "the caps 1/(2x), 2/(pi x) leave the doubles"),
+        # past it the caps' relative gaps fall toward the 1e-14 charge
+        (lambda x: not x > 4e6, "x must be <= 4e6")),
 }

@@ -15,7 +15,7 @@ table-driven argument reduction; their tables and constants come from the
 same integer atanh and exp series.  P is within about 1e-35 relative and is
 applied once, in the conversion to a double.  Every result carries an absolute
 error estimate, 3 ulp per term plus 20 against P times the largest term,
-plus the float rounding.  The accuracy target is fixed:
+plus the float rounding, and is cached finished.  The accuracy target is fixed:
 relative error 1e-12 (absolute 1e-22 where |J| < 1e-10); where cancellation
 leaves less than that, the call raises PrecisionError instead.
 
@@ -29,7 +29,7 @@ terms (DLMF 10.17(iii)), the reduction's and pi's errors and the cos/sin
 tails.  Where both ends of the enclosure round to one double, that double is
 J correctly rounded, returned with R as its error (Ziv's test); where they
 straddle two, the series runs.  Either way the Airy paths get the series'
-doubles, from about 60 us per J instead of about 2 ms.
+doubles, at a median 31-36 us per J instead of about 2 ms.
 """
 
 from dataclasses import dataclass, field
@@ -361,9 +361,18 @@ def _j_hankel(nu: tuple[int, int], x: float) -> tuple[int, int] | None:
     return root * ((big_p * c - big_q * s) >> _FB) >> _FB, radius
 
 
+def _certified(value: float, err: float) -> EvalResult:
+    """EvalResult(value, err + the float rounding), or PrecisionError past the target."""
+    # below the normal range a double's rounding error is absolute
+    err += _FLOAT_ULP * abs(value) + math.ulp(0.0)
+    if err > _TARGET_REL_ERR * max(abs(value), 1e-10):
+        raise PrecisionError("series error estimate exceeds the 1e-12 target")
+    return EvalResult(value, err)
+
+
 @lru_cache(maxsize=200000)
-def _j_series_fixed(nu: tuple[int, int], x: float) -> tuple[float, float]:
-    """(value, abs_err) of J_nu(x) as doubles, the sum run at d = _digits_for(x) digits.
+def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
+    """J_nu(x) for a double x as its certified EvalResult, summed at d = _digits_for(x) digits.
 
     Past the public x cap, where only the Airy paths call, _j_hankel's
     enclosure [V - R, V + R] 2^-_FB answers first: where both ends round to
@@ -376,17 +385,19 @@ def _j_series_fixed(nu: tuple[int, int], x: float) -> tuple[float, float]:
     through the exact ratio a^2 r / (4 b^2 j (j r + p)) for x = a/b and
     nu = p/r: each step rounds once, by half an ulp at most, and divides
     by an integer of a few machine words.  The error charges 3 ulp per
-    term, plus 20, against P times the largest term, with no floor, so a
-    sum that cancels below the 1e-12 target makes _j_eval refuse.  The
+    term, plus 20, against P times the largest term, with no floor.  The
     result converts to a double by one correctly rounded integer division
     (as Fraction's float() does, less its gcd); P's ~1e-35 relative error
-    vanishes in the float rounding charge.
+    vanishes in the float rounding charge.  Both exits finish through
+    _certified, so a hit returns the cached object with no arithmetic, and a
+    sum that cancels below the 1e-12 target raises inside the call: a
+    refusal is not cached, and a repeated refused call reruns its series.
     """
     if x > _PUBLIC_X_CAP and (enclosure := _j_hankel(nu, x)):
         v, radius = enclosure
         value = (v - radius) / (1 << _FB)
         if value == (v + radius) / (1 << _FB):
-            return value, radius / (1 << _FB)
+            return _certified(value, radius / (1 << _FB))
     a, b = x.as_integer_ratio()
     p, r = nu
     one = 10 ** _digits_for(x)
@@ -412,17 +423,7 @@ def _j_series_fixed(nu: tuple[int, int], x: float) -> tuple[float, float]:
         raise PrecisionError("series did not terminate within the term cap")
     num, den = _prefactor(nu, x)
     den *= one
-    return s * num / den, (3 * j + 20) * tmax * num / (den * one)
-
-
-def _j_eval(nu: tuple[int, int], x: float) -> EvalResult:
-    x = float(x)  # _ln_half needs a power-of-two denominator
-    value, err = _j_series_fixed(nu, x)
-    # below the normal range a double's rounding error is absolute
-    err += _FLOAT_ULP * abs(value) + math.ulp(0.0)
-    if err > _TARGET_REL_ERR * max(abs(value), 1e-10):
-        raise PrecisionError("series error estimate exceeds the 1e-12 target")
-    return EvalResult(value, err)
+    return _certified(s * num / den, (3 * j + 20) * tmax * num / (den * one))
 
 
 def bessel_j_ref(order: Order, x: float) -> EvalResult:
@@ -433,7 +434,7 @@ def bessel_j_ref(order: Order, x: float) -> EvalResult:
     estimate is typically many orders smaller.  nu >= -1/2 and 0 < x <= 200.
     """
     check_domain(_DOMAINS, "bessel_j_ref", order, x)
-    return _j_eval(order.nu.as_integer_ratio(), x)
+    return _j_series_fixed(order.nu.as_integer_ratio(), float(x))  # a dyadic x for _ln_half
 
 
 def bessel_j_prime_ref(order: Order, x: float) -> EvalResult:
@@ -443,23 +444,22 @@ def bessel_j_prime_ref(order: Order, x: float) -> EvalResult:
     two series calls add.
     """
     check_domain(_DOMAINS, "bessel_j_prime_ref", order, x)
-    p, r = order.nu.as_integer_ratio()
-    jm, jp = _j_eval((p - r, r), x), _j_eval((p + r, r), x)
-    value = (jm.value - jp.value) / 2
-    err = (jm.abs_err_estimate + jp.abs_err_estimate) / 2 + _FLOAT_ULP * abs(value)
-    return EvalResult(value, err)
+    return _j_prime_any(order, x)
 
 
 def _j_prime_any(order: Order, x: float) -> EvalResult:
-    # J'_nu = (nu/x) J_nu - J_{nu+1} extends the derivative below nu = 1/2
-    if order.nu >= 0.5:
-        return bessel_j_prime_ref(order, x)
+    # J'_nu = (J_{nu-1} - J_{nu+1})/2 for nu >= 1/2; below, (nu/x) J_nu - J_{nu+1}
     p, r = order.nu.as_integer_ratio()
-    j0, j1 = _j_eval((p, r), x), _j_eval((p + r, r), x)
-    value = (order.nu / x) * j0.value - j1.value
-    err = (abs(order.nu / x) * j0.abs_err_estimate + j1.abs_err_estimate
-           + _FLOAT_ULP * abs(value))
-    return EvalResult(value, err)
+    x = float(x)
+    if order.nu >= 0.5:
+        j0, j1 = _j_series_fixed((p - r, r), x), _j_series_fixed((p + r, r), x)
+        value = (j0.value - j1.value) / 2
+        err = (j0.abs_err_estimate + j1.abs_err_estimate) / 2
+    else:
+        j0, j1 = _j_series_fixed((p, r), x), _j_series_fixed((p + r, r), x)
+        value = (order.nu / x) * j0.value - j1.value
+        err = abs(order.nu / x) * j0.abs_err_estimate + j1.abs_err_estimate
+    return EvalResult(value, err + _FLOAT_ULP * abs(value))
 
 
 def _order_round_charge(zeta: float) -> float:
@@ -495,7 +495,7 @@ def airy_ai_neg_ref(x: float) -> EvalResult:
     if zeta < sys.float_info.min:
         v = _airy_origin(2)
         return EvalResult(v, _FLOAT_ULP * abs(v))
-    jm, jp = _j_eval(_NU_M13, zeta), _j_eval(_NU_13, zeta)
+    jm, jp = _j_series_fixed(_NU_M13, zeta), _j_series_fixed(_NU_13, zeta)
     root = math.sqrt(x)
     value = root / 3 * (jm.value + jp.value)
     # the rounded zeta (3 float ops) enters through |J'| <= sqrt(2/(pi zeta))
@@ -519,9 +519,7 @@ def airy_ai_neg_prime_ref(x: float) -> EvalResult:
     if zeta < sys.float_info.min:
         v = _airy_origin(1)
         return EvalResult(v, _FLOAT_ULP * abs(v))
-    j13 = _j_eval(_NU_13, zeta)
-    j23 = _j_eval(_NU_23, zeta)
-    j43 = _j_eval(_NU_43, zeta)
+    j13, j23, j43 = (_j_series_fixed(nu, zeta) for nu in (_NU_13, _NU_23, _NU_43))
     root = math.sqrt(x)
     value = j13.value / (3 * root) - x / 3 * (j23.value + j43.value)
     zeta_err = 1.5 * _FLOAT_ULP * zeta * math.sqrt(2 / (math.pi * zeta))

@@ -278,15 +278,13 @@ def test_eval_result_error_contract(nu, x):
 
 
 @pytest.mark.parametrize("v", [1.0, -1.0, 1e-20])
-def test_refusal_at_the_target_line(monkeypatch, v):
-    # _j_eval adds the float rounding charge to the series estimate, then
+def test_refusal_at_the_target_line(v):
+    # _certified adds the float rounding charge to the series estimate, then
     # refuses anything above 1e-12 * max(|v|, 1e-10)
     room = 1e-12 * max(abs(v), 1e-10) - oracle._FLOAT_ULP * abs(v) - math.ulp(0.0)
-    monkeypatch.setattr(oracle, "_j_series_fixed", lambda nu, x: (v, room * (1 - 1e-9)))
-    assert bessel_j_ref(Order(0.0), 1.0).value == v
-    monkeypatch.setattr(oracle, "_j_series_fixed", lambda nu, x: (v, room * (1 + 1e-9)))
+    assert oracle._certified(v, room * (1 - 1e-9)).value == v
     with pytest.raises(PrecisionError):
-        bessel_j_ref(Order(0.0), 1.0)
+        oracle._certified(v, room * (1 + 1e-9))
 
 
 def test_digit_cap_refuses():
@@ -614,6 +612,27 @@ def test_series_cache_hits_build_no_fraction():
     assert oracle._j_series_fixed.cache_info().misses == misses
 
 
+def test_a_cache_hit_returns_the_cached_result_itself():
+    # the cache holds the finished EvalResult: a hit does no float
+    # arithmetic and builds no object
+    first = bessel_j_ref(Order(2.5), 10.0)
+    assert bessel_j_ref(Order(2.5), 10.0) is first
+
+
+def test_a_refusal_is_not_cached(monkeypatch):
+    # the refusal raises inside the cached call, so a repeat reruns the
+    # series and refuses again with the same message
+    monkeypatch.setattr(oracle, "_TARGET_REL_ERR", 1e-40)
+    messages = []
+    for _ in range(2):
+        misses = oracle._j_series_fixed.cache_info().misses
+        with pytest.raises(PrecisionError) as info:
+            bessel_j_ref(Order(3.171875), 17.4453125)
+        assert oracle._j_series_fixed.cache_info().misses == misses + 1
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "series error estimate exceeds the 1e-12 target"
+
+
 # Hankel's expansion, which answers for the Airy paths' orders past zeta = 200
 AIRY_ORDERS = (oracle._NU_M13, oracle._NU_13, oracle._NU_23, oracle._NU_43)
 _HANKEL_RNG = random.Random(22)
@@ -622,7 +641,7 @@ HANKEL_ZETAS = ([_HANKEL_RNG.uniform(200.0, 876.0) for _ in range(40)]
 
 
 def _series(nu, x):
-    """The series' own (value, estimate), the Hankel path off and the cache passed by."""
+    """The series' own certified result, the Hankel path off and the cache passed by."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(oracle, "_j_hankel", lambda nu, x: None)
         return oracle._j_series_fixed.__wrapped__(nu, x)
@@ -643,8 +662,9 @@ def test_hankel_gives_the_series_double_and_encloses_mpmath():
                 truth = mpmath.besselj(mpmath.mpf(p) / r, x)
                 assert abs(v - truth * 2 ** oracle._FB) <= radius, (p / r, x)
                 value = _ziv((p, r), x)
-                assert value == _series((p, r), x)[0], (p / r, x)
-                assert oracle._j_series_fixed((p, r), x) == (value, radius / 2 ** oracle._FB)
+                assert value == _series((p, r), x).value, (p / r, x)
+                assert oracle._j_series_fixed((p, r), x) == oracle._certified(
+                    value, radius / 2 ** oracle._FB)
 
 
 @pytest.mark.parametrize("bits", [64, 100])
@@ -665,7 +685,7 @@ def test_hankel_gives_the_series_double_on_the_overlap():
     rng = random.Random(23)
     for x in [rng.uniform(100.0, 200.0) for _ in range(12)] + [100.0, 200.0]:
         for nu in AIRY_ORDERS:
-            assert _ziv(nu, x) == oracle._j_series_fixed(nu, x)[0], (nu, x)
+            assert _ziv(nu, x) == oracle._j_series_fixed(nu, x).value, (nu, x)
 
 
 def test_hankel_declines_where_its_terms_stop_halving():

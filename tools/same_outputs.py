@@ -1,0 +1,131 @@
+"""Print a fixed set of besselcert outputs as float.hex lines, then their count and sha256.
+
+A change that claims "same outputs" runs this before and after and compares
+the last line.  Each line is one call: its arguments, then every field of the
+result (floats as float.hex, so a one-ulp move shows), or the exception's type
+and message where the call raises.  The points are seeded draws and edge
+values inside each entry point's domain: the oracle evaluators, J' below
+nu = 1/2, Gamma, every approximation family and best_approx, the point bounds,
+the Sonin functions, Airy zeros 1-50, a few Bessel zeros, the leftmost maxima
+and the Airy envelope maxima up to x = 14.
+
+    python3 tools/same_outputs.py > dump.txt && tail -n 1 dump.txt
+"""
+
+import dataclasses
+import hashlib
+from pathlib import Path
+import random
+import sys
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import besselcert as bc  # noqa: E402
+from besselcert import Order  # noqa: E402
+from besselcert.oracle import _j_prime_any  # noqa: E402
+
+
+def _fields(value) -> str:
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return " ".join(_fields(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return " | ".join(map(_fields, value))
+    return repr(value)
+
+
+def _line(name: str, f, *args) -> str:
+    try:
+        out = _fields(f(*args))
+    except (ArithmeticError, ValueError, RuntimeError) as exc:  # a refusal is an output too
+        out = f"{type(exc).__name__}: {exc}"
+    return f"{name}{args!r}: {out}"
+
+
+def _calls():
+    rng = random.Random(20111)
+    x_edges = (5e-324, 1e-300, 1e-100, 1e-10, 0.5, 10.0, 150.0, 200.0)
+    nus = [-0.5, -1 / 3, 0.0, 0.25, 0.5, 1 / 3, 1.0, 2.5, 10.0, 45.1, 60.0]
+    nus += [round(rng.uniform(-0.5, 60.0), 3) for _ in range(14)]
+    xs = list(x_edges) + [round(rng.uniform(0.01, 200.0), 4) for _ in range(16)]
+    for nu in nus:
+        order = Order(nu)
+        for x in xs:
+            yield "bessel_j_ref", bc.bessel_j_ref, order, x
+            yield "_j_prime_any", _j_prime_any, order, x
+            if nu >= 0.5:
+                yield "bessel_j_prime_ref", bc.bessel_j_prime_ref, order, x
+    airy_xs = [0.0, 1e-300, 1e-100, 1e-6, 1e-3, 0.5, 2.338, 44.8, 100.0, 120.0]
+    airy_xs += [round(rng.uniform(0.0, 120.0), 4) for _ in range(40)]
+    for x in airy_xs:
+        yield "airy_ai_neg_ref", bc.airy_ai_neg_ref, x
+        yield "airy_ai_neg_prime_ref", bc.airy_ai_neg_prime_ref, x
+    gamma_zs = [5.6e-309, 1e-300, 1e-10, 0.5, 1.0, 2 / 3, 63.9]
+    for z in gamma_zs + [rng.uniform(0.0, 64.0) for _ in range(10)]:
+        yield "gamma", bc.gamma, z
+
+    # approximations, at seeded points and near the ends of the doubles
+    approx_xs = [1e-300, 1e-10, 0.3, 1.0, 5.0, 20.0, 100.0, 1e10, 1e100]
+    approx_xs += [round(rng.uniform(0.1, 200.0), 3) for _ in range(12)]
+    for nu in nus[:12]:
+        order = Order(nu)
+        for x in approx_xs:
+            yield "classic_oscillatory", bc.classic_oscillatory, order, x
+            yield "olver_expansion", bc.olver_expansion, order, x, 3, 3
+            yield "phase_B", bc.phase_B, order, x
+            yield "sharper_oscillatory", bc.sharper_oscillatory, order, x
+            yield "simplified_oscillatory", bc.simplified_oscillatory, order, x
+            yield "best_approx", bc.best_approx, order, x
+        for z in (0.0, 0.5, 1.0, 3.0, 10.0, 95.0):
+            yield "transition", bc.transition, order, z
+    for x in approx_xs + [2.338, 44.8]:
+        for mode in ("classic", "sharp", "simplified"):
+            yield "airy_approx", bc.airy_approx, x, mode
+
+    # point bounds and Sonin functions
+    bound_nus = [0.0, 0.25, 0.5, 1.0, 2.5, 10.0, 30.0, 62.5] + [
+        round(rng.uniform(0.0, 60.0), 3) for _ in range(6)]
+    bound_xs = [1e-10, 0.5, 1.0, 5.0, 30.0, 99.5, 150.0, 200.0]
+    for nu in bound_nus:
+        order = Order(nu)
+        for x in bound_xs:
+            yield "bound_watson", bc.bound_watson, order, x
+            yield "bound_envelope", bc.bound_envelope, order, x
+            yield "bound_derivative", bc.bound_derivative, order, x
+            for variant in ("szego", "envelope", "airy"):
+                yield "sonin_eval", bc.sonin_eval, variant, order, x
+        for frac in (1e-3, 0.25, 0.5, 0.99, 1.0):
+            yield "bound_log_derivative", bc.bound_log_derivative, order, frac * (nu + 0.5)
+            yield "bound_monotonic", bc.bound_monotonic, order, frac
+        yield "bound_near_first_zero", bc.bound_near_first_zero, order
+    for nu in (0.0, 0.1, 0.25, 0.5):
+        for x1, x2 in ((0.5, 1.0), (1.0, 30.0), (100.0, 99.0), (200.0, 0.01)):
+            yield "bound_wronskian_kernel", bc.bound_wronskian_kernel, nu, x1, x2
+    for x in (0.0, 1e-3, 1.0, 14.0, 60.0, 120.0):
+        yield "bound_airy_envelope", bc.bound_airy_envelope, x
+    for x in (1e-300, 1e-3, 1.0, 3.0, 100.0, 1e4, 1e6, 4e6):
+        yield "lemma_integral_check", bc.lemma_integral_check, x
+
+    # searches
+    for s in range(1, 51):
+        yield "refine_airy_zero", bc.refine_airy_zero, s
+    for nu, s in ((0.0, 1), (0.0, 20), (0.5, 3), (2.5, 3), (10.0, 1), (30.5, 5)):
+        yield "refine_bessel_zero", bc.refine_bessel_zero, Order(nu), s
+    for nu in (5 / 3, 2.5, 10.0, 50.0):
+        yield "leftmost_max_check", bc.leftmost_max_check, Order(nu)
+    yield "airy_envelope_maxima", bc.airy_envelope_maxima, 14.0
+
+
+def main() -> None:
+    digest, count = hashlib.sha256(), 0
+    for name, f, *args in _calls():
+        line = _line(name, f, *args)
+        print(line)
+        digest.update(line.encode() + b"\n")
+        count += 1
+    print(f"lines {count} sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

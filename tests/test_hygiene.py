@@ -1,5 +1,5 @@
 import ast
-import importlib
+import importlib.util
 import inspect
 import os
 from pathlib import Path
@@ -156,3 +156,24 @@ def test_hankel_path_is_integer_only():
     divisors = [ast.unparse(n.right) for n in ast.walk(functions["_j_series_fixed"])
                 if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)]
     assert divisors.count("1 << _FB") == 3
+
+
+def test_same_outputs_call_list_resolves():
+    # tools/same_outputs.py is the same-outputs check: walk its call list,
+    # calling nothing, so that a renamed function or CLI flag fails here
+    # rather than turning the dump's lines into refusals
+    from besselcert import cli, scan
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", SRC.parents[1] / "tools" / "same_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parser = cli._build_parser()
+    argvs = 0
+    for name, f, *args in tool._calls():
+        if name == "cli":
+            parser.parse_args(args[0])  # argparse exits on an argv it cannot parse
+            argvs += 1
+        else:
+            assert f.__name__ == name, (name, f)
+    assert set(tool.BOUNDS_ARGV) == {n for n in scan._BOUNDS if n not in scan._SONIN}
+    assert argvs == 2 * len(tool.BOUNDS_ARGV) + 1

@@ -6,14 +6,19 @@ result (floats as float.hex, so a one-ulp move shows), or the exception's type
 and message where the call raises.  The points are seeded draws and edge
 values inside each entry point's domain: the oracle evaluators, J' below
 nu = 1/2, Gamma, every approximation family and best_approx, the point bounds,
-the Sonin functions, Airy zeros 1-50, a few Bessel zeros, the leftmost maxima
-and the Airy envelope maxima up to x = 14.
+the Sonin functions, Airy zeros 1-50, a few Bessel zeros, the leftmost maxima,
+the Airy envelope maxima up to x = 14, both zero-bracket modes with their gap
+and conjecture checks, every scan subject's rows and report on small grids,
+approx_row for every method, olenko_sup, and the CLI's exit code, stdout and
+stderr for each bounds --name choice at an admitted and a refused point.
 
     python3 tools/same_outputs.py > dump.txt && tail -n 1 dump.txt
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 from pathlib import Path
 import random
 import sys
@@ -21,8 +26,23 @@ import sys
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import besselcert as bc  # noqa: E402
-from besselcert import Order  # noqa: E402
+from besselcert import Order, cli, scan  # noqa: E402
 from besselcert.oracle import _j_prime_any  # noqa: E402
+
+# bounds --name choice -> (flags at an admitted point, flags at a refused point)
+BOUNDS_ARGV = {
+    "watson": ("--nu 2.5 --x 10", "--nu 70 --x 1"),
+    "envelope": ("--nu 2.5 --x 10", "--nu 2.5 --x 300"),
+    "derivative": ("--nu 2.5 --x 10", "--nu 10 --x 10.5"),
+    "monotonic": ("--nu 2.5 --t 0.5", "--nu 2.5 --t 1.5"),
+    "log_derivative": ("--nu 2.5 --x 1", "--nu 1 --x 2"),
+    "airy_envelope": ("--x 14", "--x 130"),
+    "wronskian_kernel": ("--nu 0.25 --x 1 --x2 30", "--nu 0.25 --x 1 --x2 300"),
+    "near_first_zero": ("--nu 10", "--nu 0.4"),
+    "leftmost_max": ("--nu 10", "--nu 1"),
+    "lemma_integral": ("--x 3", "--x 1e7"),
+    "airy_envelope_maxima": ("--x-hi 14", "--x-hi 130"),
+}
 
 
 def _fields(value) -> str:
@@ -41,6 +61,13 @@ def _line(name: str, f, *args) -> str:
     except (ArithmeticError, ValueError, RuntimeError) as exc:  # a refusal is an output too
         out = f"{type(exc).__name__}: {exc}"
     return f"{name}{args!r}: {out}"
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def _calls():
@@ -115,6 +142,36 @@ def _calls():
     for nu in (5 / 3, 2.5, 10.0, 50.0):
         yield "leftmost_max_check", bc.leftmost_max_check, Order(nu)
     yield "airy_envelope_maxima", bc.airy_envelope_maxima, 14.0
+    for nu in (2.5, 10.0):
+        yield "olenko_sup", bc.olenko_sup, Order(nu), 60.0, 300
+
+    # closed-form zero brackets and their checks
+    for s in [*range(1, 51), 10 ** 3, 10 ** 6, 10 ** 12]:
+        for mode in ("full", "simplified"):
+            yield "airy_zero_estimate", bc.airy_zero_estimate, s, mode
+        yield "center_gap_check", bc.center_gap_check, s
+        yield "conjecture_check", bc.conjecture_check, s
+    for nu in (0.5, 2.5, 10.0, 45.1):
+        for s in (1, 2, 5, 50):
+            yield "bessel_first_zeros_estimate", bc.bessel_first_zeros_estimate, Order(nu), s
+
+    # scan subjects on one log grid, transition and monotonic also on a linear one
+    log_grid = bc.GridSpec((-0.25, 0.0, 0.25, 0.5, 2.5, 10.0), (0.05, 150.0), 6)
+    linear_grid = bc.GridSpec((0.5, 2.5, 10.0), (0.0, 1.0), 5, "linear")
+    for name in (*scan._APPROXIMATIONS, *scan._SCAN_BOUNDS):
+        verify = bc.verify_approx_grid if name in scan._APPROXIMATIONS else bc.verify_bounds_grid
+        for grid in (log_grid, linear_grid) if name in ("transition", "monotonic") else (log_grid,):
+            yield "scan_rows", bc.scan_rows, name, grid
+            yield verify.__name__, verify, name, grid
+    for name in scan._APPROXIMATIONS:
+        for nu in (0.25, 2.5):
+            yield "approx_row", scan.approx_row, name, Order(nu), 10.0
+
+    # the CLI's bounds command; the last argv lacks a flag its bound requires
+    for name, points in BOUNDS_ARGV.items():
+        for flags in points:
+            yield "cli", _cli, ["bounds", "--name", name, *flags.split()]
+    yield "cli", _cli, ["bounds", "--name", "watson", "--nu", "2.5"]
 
 
 def main() -> None:

@@ -335,9 +335,6 @@ _DOMAINS = {
          "high branch needs x > max(mu, sqrt(mu))"),
         _FINITE_X, _SQUARE,
         (lambda *args: _is_double(_sharp_width, *args), "the width leaves the doubles")),
-    # the branches of sharper_oscillatory, as scan's sharp_low and sharp_high name them
-    "sharp_low": ((lambda order, x: abs(order.nu) <= 0.5, "order falls in the other branch"),),
-    "sharp_high": ((lambda order, x: abs(order.nu) > 0.5, "order falls in the other branch"),),
     "simplified_oscillatory": (
         (lambda order, x: not abs(order.nu) > 0.5, "|nu| must be <= 1/2"),
         _POSITIVE_X, _FINITE_X,

@@ -60,11 +60,11 @@ def _cmd_approx(ns) -> list[_scan.ScanRow]:
 
 
 def _cmd_bounds(ns) -> list[_scan.ScanRow]:
-    coords, _ = _scan._BOUNDS[ns.name]
+    coords, _ = entry = _scan._BOUNDS[ns.name]
     for flag in coords:
         if getattr(ns, flag) is None:
             raise _UsageError(f"bounds --name {ns.name} requires --{flag}")
-    return _scan.bound_rows(ns.name, {c: getattr(ns, c) for c in coords})
+    return _scan._rows_at(entry, {c: Order(ns.nu) if c == "nu" else getattr(ns, c) for c in coords})
 
 
 def _cmd_zeros(ns) -> list[_scan.ScanRow]:

@@ -31,13 +31,13 @@ _NU_X = ("nu", "x")
 
 
 def _j(name: str, branch: str = ""):
-    # approx.<name>(order, x) against J_nu(x); a branch of sharp checks sharp's
-    # domain, then its own
+    # approx.<name>(order, x) against J_nu(x); a branch of sharp admits the
+    # points where sharp took it, before the oracle is called
     def f(order: Order, x: float):
+        a = getattr(_approx, name)(order, x)
         if branch:
-            check_domain(_approx._DOMAINS, name, order, x)
-            check_domain(_approx._DOMAINS, branch, order, x)
-        return ((getattr(_approx, name)(order, x), bessel_j_ref(order, x)),)
+            check_domain(_DOMAINS, branch, a.method)
+        return ((a, bessel_j_ref(order, x)),)
     return _NU_X, f
 
 
@@ -107,6 +107,9 @@ _DOMAINS = {  # the entry points' domains, as check_domain reads them
     "verify_approx_grid": ((lambda method: method in tuple(_APPROXIMATIONS),
                             "unknown method {0!r}"),),
     "verify_bounds_grid": ((lambda bound: bound in _SCAN_BOUNDS, "unknown bound {0!r}"),),
+    # sharp's branches, by the method sharper_oscillatory returned
+    "sharp_low": ((lambda method: method == "sharp_low", "order falls in the other branch"),),
+    "sharp_high": ((lambda method: method == "sharp_high", "order falls in the other branch"),),
     "olenko_sup": ((lambda o, x_max, n: o.mu != 0, "mu must be positive"),
                    (lambda o, x_max, n: not (x_max <= 0 or x_max > _PUBLIC_X_CAP),
                     f"x_max must lie in (0, {_PUBLIC_X_CAP:g}]"),
@@ -223,13 +226,6 @@ def approx_row(method: str, order: Order, x: float, l1: int = 3, l2: int = 3) ->
     check_domain(_DOMAINS, "approx_row", method)
     return _rows_at(_APPROXIMATIONS[method],
                     {"nu": order, "x": x, "l1": l1, "l2": l2})[0]
-
-
-def bound_rows(name: str, point: dict[str, float]) -> list[ScanRow]:
-    """One bound's reports at a point mapping each of its coordinates to a value;
-    each row carries the nu and the x (monotonic: t) the bound reads, else nan."""
-    return _rows_at(_BOUNDS[name],
-                    {c: Order(v) if c == "nu" else v for c, v in point.items()})
 
 
 def scan_rows(name: str, grid: GridSpec, l1: int = 3,

@@ -101,23 +101,6 @@ def _ai(t: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _airy_zero(s: int) -> float:
-    # the walk's grid x_0 = 2.0 < a_1, x_k+1 = x_k + 0.1, up to the first point >= hi
-    lo, hi = _airy_bracket(s)
-    xs = [2.0]
-    while xs[-1] < hi:
-        xs.append(xs[-1] + 0.1)
-    # the ends of the cells that meet [lo, hi]
-    ends = xs[max(0, bisect.bisect_left(xs, lo) - 1):]
-    vs = [_ai(x) for x in ends]
-    changes = [k for k in range(len(vs) - 1) if vs[k] * vs[k + 1] < 0]
-    if len(changes) != 1:
-        raise PrecisionError(f"refine_airy_zero: {len(changes)} sign changes of Ai(-x) "
-                             f"in the scan cells that meet a_{s}'s bracket")
-    k = changes[0]
-    return refine_root(_ai, (ends[k], ends[k + 1]), 1e-11)
-
-
 def refine_airy_zero(s: int) -> float:
     """The s-th positive zero a_s of Ai(-x) to ~1e-11, s <= 50, cached per s.
 
@@ -133,14 +116,28 @@ def refine_airy_zero(s: int) -> float:
     cell.  12 to 18 evaluations per zero, where the walk to a_50 takes 2200.
     """
     check_domain(_DOMAINS, "refine_airy_zero", s)
-    return _airy_zero(s)
+    lo, hi = _airy_bracket(s)
+    # the walk's grid x_0 = 2.0 < a_1, x_k+1 = x_k + 0.1, up to the first point >= hi
+    xs = [2.0]
+    while xs[-1] < hi:
+        xs.append(xs[-1] + 0.1)
+    # the ends of the cells that meet [lo, hi]
+    ends = xs[max(0, bisect.bisect_left(xs, lo) - 1):]
+    vs = [_ai(x) for x in ends]
+    changes = [k for k in range(len(vs) - 1) if vs[k] * vs[k + 1] < 0]
+    if len(changes) != 1:
+        raise PrecisionError(f"refine_airy_zero: {len(changes)} sign changes of Ai(-x) "
+                             f"in the scan cells that meet a_{s}'s bracket")
+    k = changes[0]
+    return refine_root(_ai, (ends[k], ends[k + 1]), 1e-11)
 
 
 @lru_cache(maxsize=None)
-def _bessel_zero(nu: float, s: int) -> float:
-    """j_{nu,s}: the s-th sign change of the walk x_0 = max(nu, 0.05),
-    x_k+1 = x_k + 0.25, J_nu sampled at min(x, 200), refined by refine_root.
+def refine_bessel_zero(order: Order, s: int) -> float:
+    """The s-th positive zero j_{nu,s} of J_nu to ~1e-11, s <= 64, cached per (order, s).
 
+    j_{nu,s} is the s-th sign change of the walk x_0 = max(nu, 0.05),
+    x_k+1 = x_k + 0.25, J_nu sampled at min(x, 200), refined by refine_root.
     Only the walk's grid is regenerated, with the same float additions and
     its last point clipped to 200, so the cell lies in the evaluator's
     domain.  sqrt(x) J_nu solves y'' + (1 + (1/4 - nu^2)/x^2) y = 0, so by
@@ -152,18 +149,18 @@ def _bessel_zero(nu: float, s: int) -> float:
     does once, and bisecting the indices of the s-th such cell finds the
     walk's.  Fewer than s sign changes up to x = 200 raise PrecisionError.
     """
-    order = Order(nu)
+    check_domain(_DOMAINS, "refine_bessel_zero", order, s)
 
     def f(t: float) -> float:
         return bessel_j_ref(order, t).value
 
-    xs = [max(nu, 0.05)]
+    xs = [max(order.nu, 0.05)]
     while not xs[-1] > _PUBLIC_X_CAP:
         xs.append(xs[-1] + 0.25)
     xs[-1] = _PUBLIC_X_CAP
     lo, v_lo = 0, f(xs[0])
     while lo < len(xs) - 1:
-        gap = math.pi / math.sqrt(1 + (order.mu / xs[lo] ** 2 if abs(nu) < 0.5 else 0))
+        gap = math.pi / math.sqrt(1 + (order.mu / xs[lo] ** 2 if abs(order.nu) < 0.5 else 0))
         hi = min(lo + math.ceil((gap - 1e-9) / 0.25) - 1, len(xs) - 1)
         v_hi = f(xs[hi])
         if v_lo * v_hi < 0:
@@ -173,12 +170,6 @@ def _bessel_zero(nu: float, s: int) -> float:
                 return refine_root(f, (xs[lo], xs[hi]), 1e-11)
         lo, v_lo = hi, v_hi
     raise PrecisionError("bessel zero scan exceeded the x cap")
-
-
-def refine_bessel_zero(order: Order, s: int) -> float:
-    """The s-th positive zero j_{nu,s} of J_nu to ~1e-11 (scan capped at x = 200, so s <= 64)."""
-    check_domain(_DOMAINS, "refine_bessel_zero", order, s)
-    return _bessel_zero(order.nu, s)
 
 
 def center_gap_check(s: int) -> tuple[BoundReport, BoundReport]:

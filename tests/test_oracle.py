@@ -400,7 +400,7 @@ def test_refine_root_returns_plain_bisections_double_at_its_callers():
     left_orders = [rng.uniform(5 / 3, 40) for _ in range(8)]
 
     def callers():
-        zeros._bessel_zero.cache_clear()
+        refine_bessel_zero.cache_clear()
         return ([refine_bessel_zero(Order(nu), s).hex() for nu, s in zero_args]
                 + [(r.lhs.hex(), r.rhs.hex()) for r in airy_envelope_maxima(14.0)]
                 + [leftmost_max_check(Order(nu)).rhs.hex() for nu in left_orders])

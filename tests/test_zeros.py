@@ -126,7 +126,7 @@ def _fresh_scan(f, x, step, n, cap=math.inf):
 
 
 def _clear_bessel_caches():
-    zeros_module._bessel_zero.cache_clear()
+    refine_bessel_zero.cache_clear()
 
 
 def _counting(monkeypatch, name):
@@ -144,7 +144,7 @@ def _counting(monkeypatch, name):
 
 class TestResumedScan:
     def test_airy_zeros_in_order_equal_a_fresh_scan(self):
-        zeros_module._airy_zero.cache_clear()
+        refine_airy_zero.cache_clear()
         got = [refine_airy_zero(s) for s in range(1, 13)]
         assert got == _fresh_scan(lambda t: airy_ai_neg_ref(t).value, 2.0, 0.1, 12)
 
@@ -157,7 +157,7 @@ class TestResumedScan:
                                   max(nu, 0.05), 0.25, 3)
 
     def test_airy_continuation_stays_above_the_previous_zero(self, monkeypatch):
-        zeros_module._airy_zero.cache_clear()
+        refine_airy_zero.cache_clear()
         a5 = refine_airy_zero(5)
         seen = _counting(monkeypatch, "airy_ai_neg_ref")
         assert refine_airy_zero(5) == a5 and seen == []
@@ -254,7 +254,7 @@ class TestAiryJump:
     def test_every_airy_zero_equals_the_walk_in_either_order(self):
         walk = [z.hex() for z in _fresh_scan(lambda t: airy_ai_neg_ref(t).value, 2.0, 0.1, 50)]
         for order in (range(1, 51), range(50, 0, -1)):
-            zeros_module._airy_zero.cache_clear()
+            refine_airy_zero.cache_clear()
             got = {s: refine_airy_zero(s).hex() for s in order}
             assert [got[s] for s in range(1, 51)] == walk
 
@@ -262,7 +262,7 @@ class TestAiryJump:
         # the walk to a_50 evaluates Ai(-x) about 2200 times; the jump
         # evaluates the ends of at most two cells, then refines: 14 in all
         # (40 with every bisection midpoint evaluated)
-        zeros_module._airy_zero.cache_clear()
+        refine_airy_zero.cache_clear()
         seen = _counting(monkeypatch, "airy_ai_neg_ref")
         refine_airy_zero(50)
         assert len(seen) < 20
@@ -270,7 +270,7 @@ class TestAiryJump:
     def test_a_bracket_without_one_sign_change_refuses(self, monkeypatch):
         # a bracket that misses a_s, or a cell pair with two sign changes, is
         # refused rather than guessed from
-        zeros_module._airy_zero.cache_clear()
+        refine_airy_zero.cache_clear()
         monkeypatch.setattr(zeros_module, "_airy_bracket", lambda s: (3.0, 3.05))
         with pytest.raises(PrecisionError, match="0 sign changes"):
             refine_airy_zero(1)
@@ -278,7 +278,7 @@ class TestAiryJump:
         with pytest.raises(PrecisionError, match="2 sign changes"):
             refine_airy_zero(1)
         monkeypatch.undo()
-        zeros_module._airy_zero.cache_clear()
+        refine_airy_zero.cache_clear()
         assert refine_airy_zero(1) == pytest.approx(AIRY_ZEROS[1], abs=1e-10)
 
 

@@ -17,9 +17,13 @@ from .oracle import (
     DomainError,
     Order,
     PrecisionError,
+    _AIRY_X,
     _AIRY_X_CAP,
     _FB,
+    _FINITE_NU,
     _FLOAT_ULP,
+    _J_X,
+    _NU_FLOOR,
     _PUBLIC_X_CAP,
     _bernoulli,
     _bisect_grid,
@@ -70,6 +74,7 @@ def bound_envelope(order: Order, x: float) -> BoundReport:
     J_{1/2}); nu > 1/2: |x^2-mu|^(1/4) |J_nu(x)| sqrt(pi/2) < 1 strictly,
     and the constant is best possible.
     """
+    check_domain(_DOMAINS, "bound_envelope", order, x)
     r = bessel_j_ref(order, x)
     if abs(order.nu) <= 0.5:
         scale = math.sqrt(math.pi * x / 2)
@@ -439,46 +444,57 @@ def _psi(nu: float, x: float) -> float:
 
 # Sonin variant -> (S(order, x), whether S is nonincreasing rather than nondecreasing)
 _SONIN = {"szego": (_szego_s, False), "envelope": (_envelope_s, False), "airy": (_airy_s, True)}
-# Each check's domain beyond the evaluators': ordered (predicate, message)
-# rules that check_domain tries in turn.  A predicate negates the condition
-# its rule rejects, so a NaN argument meets the rule it met before.
+# Each check's domain: ordered (predicate, message) rules that check_domain
+# tries in turn, its own first, then the evaluators' it calls, so that a
+# refusal names the check.  A predicate negates the condition its rule
+# rejects, so a NaN argument meets the rule it met before.
 _DOMAINS = {
     # for nu < 0, (x/2)^nu divides by x/2, which is 0 at x = 5e-324
     "bound_watson": ((lambda o, x: not o.nu < 0 or x / 2 > 0, "(x/2)^nu leaves the doubles"),
                      # Gamma(nu + 1)'s domain, before (x/2)^nu can overflow at x <= 200
-                     (lambda o, x: not o.nu >= 63, "nu must be < 63")),
+                     (lambda o, x: not o.nu >= 63, "nu must be < 63"), _NU_FLOOR, _FINITE_NU, _J_X),
+    "bound_envelope": (_NU_FLOOR, _FINITE_NU, _J_X),
     "bound_derivative": (
         (lambda o, x: not o.nu < 0.5, "nu must be >= 1/2"),
         (lambda o, x: not x < o.nu + _DERIV_SHIFT * o.nu ** (1 / 3),
          "x below nu + ((sqrt7-1)/2^(2/3)) nu^(1/3)"),
         (lambda o, x: _is_double(_psi, o.nu, x), "psi's x^4, (x^2-nu^2)^3 leave the doubles"),
-        (lambda o, x: _psi(o.nu, x) > 0, "psi must be positive on the stated domain")),
+        (lambda o, x: _psi(o.nu, x) > 0, "psi must be positive on the stated domain"),
+        _FINITE_NU, _J_X),
     "bound_monotonic": ((lambda o, t: not o.nu <= 0, "nu must be positive"),
                         (lambda o, t: 0 < t <= 1, "t must lie in (0, 1]"),
                         (lambda o, t: not o.nu > _PUBLIC_X_CAP,
-                         f"nu must be <= {_PUBLIC_X_CAP:g}")),
-    "bound_log_derivative": ((lambda o, x: not o.nu < -0.5, "nu must be >= -1/2"),
-                             (lambda o, x: 0 < x <= o.nu + 0.5, "x must lie in (0, nu + 1/2]")),
-    "bound_airy_envelope": ((lambda x: not x < 0, "x must be >= 0"),),
+                         f"nu must be <= {_PUBLIC_X_CAP:g}"),
+                        _FINITE_NU, (lambda o, t: t * o.nu > 0, "t nu must be positive")),
+    "bound_log_derivative": (_NU_FLOOR,
+                             (lambda o, x: 0 < x <= o.nu + 0.5, "x must lie in (0, nu + 1/2]"),
+                             _FINITE_NU, _J_X),
+    "bound_airy_envelope": ((lambda x: not x < 0, "x must be >= 0"), *_AIRY_X),
     "airy_envelope_maxima": ((lambda x_hi: 0 < x_hi <= _AIRY_X_CAP,
                               f"x_hi must lie in (0, {_AIRY_X_CAP:g}]"),),
-    "bound_wronskian_kernel": ((lambda nu, x1, x2: 0 <= nu <= 0.5, "nu must lie in [0, 1/2]"),),
+    "bound_wronskian_kernel": ((lambda nu, x1, x2: 0 <= nu <= 0.5, "nu must lie in [0, 1/2]"),
+                               (lambda nu, x1, x2: (0 < x1 <= _PUBLIC_X_CAP
+                                                    and 0 < x2 <= _PUBLIC_X_CAP),
+                                f"x1 and x2 must lie in (0, {_PUBLIC_X_CAP:g}]")),
     "bound_near_first_zero": ((lambda o: not o.nu < 0.5, "nu must be >= 1/2"),
                               (lambda o: not _near_first_zero_x(o.nu) > _PUBLIC_X_CAP,
-                               f"nu + 2^(-1/3) a1 nu^(1/3) must be <= {_PUBLIC_X_CAP:g}")),
+                               f"nu + 2^(-1/3) a1 nu^(1/3) must be <= {_PUBLIC_X_CAP:g}"),
+                              _FINITE_NU),
     # a tuple's "in" refuses an unhashable variant as unknown
     "sonin_eval": ((lambda variant: variant in tuple(_SONIN), "unknown variant {0!r}"),),
     # below x ~ 1e-162 the weight's x^2 is 0: at |nu| = 1/2 so is x^2 + mu,
     # and at 0 < |nu| < 1/2 the (nu/x) J of J' can overflow, making S 0 * inf.
     # The oracle caches J and J', so the body's S after the rule's is cache hits.
     "sonin szego": ((lambda o, x: not abs(o.nu) > 0.5, "|nu| must be <= 1/2"),
-                    (lambda o, x: not x <= 0, "x must be positive"),
+                    (lambda o, x: not x <= 0, "x must be positive"), _FINITE_NU, _J_X,
                     (lambda o, x: _is_double(_szego_s, o, x), "S leaves the doubles")),
     "sonin envelope": ((lambda o, x: not o.nu <= 0.5, "nu must be > 1/2"),
-                       (lambda o, x: not x <= math.sqrt(o.mu), "x must exceed sqrt(mu)")),
-    "sonin airy": ((lambda o, x: not x < 0, "x must be >= 0"),),
+                       (lambda o, x: not x <= math.sqrt(o.mu), "x must exceed sqrt(mu)"),
+                       _FINITE_NU, _J_X),
+    "sonin airy": ((lambda o, x: not x < 0, "x must be >= 0"),
+                   (lambda o, x: x <= _AIRY_X_CAP, f"x must lie in [0, {_AIRY_X_CAP:g}]")),
     "leftmost_max_check": ((lambda o: not o.nu < 5 / 3, "nu must be >= 5/3"),
-                           (lambda o: math.isfinite(o.nu), "nu must be finite"),
+                           _FINITE_NU,
                            (lambda o: math.sqrt(o.mu) - 1e-6 <= _PUBLIC_X_CAP,
                             f"the scan grid's end sqrt(mu) - 1e-6 must be <= {_PUBLIC_X_CAP:g}")),
     # 1/(2x) and 2/(pi x) are doubles from x = 3.54e-309 up

@@ -533,11 +533,13 @@ def airy_ai_neg_prime_ref(x: float) -> EvalResult:
 
 _J_X = (lambda order, x: 0 < x <= _PUBLIC_X_CAP, f"x must lie in (0, {_PUBLIC_X_CAP:g}]")
 _AIRY_X = ((lambda x: 0 <= x <= _AIRY_X_CAP, f"x must lie in [0, {_AIRY_X_CAP:g}]"),)
-_FINITE_NU = (lambda order, x: math.isfinite(order.nu), "nu must be finite")
+# the order rules take the order first, whatever follows it
+_NU_FLOOR = (lambda order, *_: not order.nu < -0.5, "nu must be >= -1/2")
+_FINITE_NU = (lambda order, *_: math.isfinite(order.nu), "nu must be finite")
 _DOMAINS = {  # the entry points' domains, as check_domain reads them
     "gamma": ((lambda z: 0 < z < 64, "z must lie in (0, 64)"),
               (lambda z: 1 / z < math.inf, "Gamma(z) ~ 1/z leaves the doubles")),
-    "bessel_j_ref": ((lambda order, x: not order.nu < -0.5, "nu must be >= -1/2"), _FINITE_NU, _J_X),
+    "bessel_j_ref": (_NU_FLOOR, _FINITE_NU, _J_X),
     "bessel_j_prime_ref": ((lambda order, x: not order.nu < 0.5, "nu must be >= 1/2"), _FINITE_NU,
                            _J_X),
     "airy_ai_neg_ref": _AIRY_X,

@@ -16,6 +16,8 @@ from .oracle import (
     BoundReport,
     DomainError,
     Order,
+    _FINITE_NU,
+    _NU_FLOOR,
     _PUBLIC_X_CAP,
     _make,
     airy_ai_neg_ref,
@@ -111,10 +113,11 @@ _DOMAINS = {  # the entry points' domains, as check_domain reads them
     "sharp_low": ((lambda method: method == "sharp_low", "order falls in the other branch"),),
     "sharp_high": ((lambda method: method == "sharp_high", "order falls in the other branch"),),
     "olenko_sup": ((lambda o, x_max, n: o.mu != 0, "mu must be positive"),
-                   (lambda o, x_max, n: not (x_max <= 0 or x_max > _PUBLIC_X_CAP),
+                   (lambda o, x_max, n: 0 < x_max <= _PUBLIC_X_CAP,
                     f"x_max must lie in (0, {_PUBLIC_X_CAP:g}]"),
                    (lambda o, x_max, n: not n < 10, "coarse_points must be >= 10"),
-                   (lambda o, x_max, n: isinstance(n, int), "coarse_points must be an integer")),
+                   (lambda o, x_max, n: isinstance(n, int), "coarse_points must be an integer"),
+                   _NU_FLOOR, _FINITE_NU),
 }
 
 

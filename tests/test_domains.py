@@ -460,3 +460,42 @@ def test_szego_admits_every_finite_s(nu):
     # just above the refusals still evaluates
     x = 5e-324 if nu == 0 else 1e-150
     assert math.isfinite(bc.sonin_eval("szego", Order(nu), x).S)
+
+
+# out-of-domain calls that each bound used to refuse with an evaluator's
+# message; every one now refuses through its own table, by its own name
+OWN_TABLE = {
+    "bound_watson": ("bound_watson(Order(math.nan), 1.0)", "bound_watson(Order(-1.0), 1.0)",
+                     "bound_watson(Order(2.5), 300.0)", "bound_watson(Order(2.5), math.nan)"),
+    "bound_envelope": ("bound_envelope(Order(math.nan), 1.0)",
+                       "bound_envelope(Order(math.inf), 1.0)", "bound_envelope(Order(-1.0), 1.0)",
+                       "bound_envelope(Order(2.5), 300.0)", "bound_envelope(Order(2.5), math.nan)",
+                       "bound_envelope(Order(2.5), 0.0)"),
+    "bound_derivative": ("bound_derivative(Order(2.5), 300.0)",),
+    "bound_log_derivative": ("bound_log_derivative(Order(math.inf), 0.1)",),
+    "bound_airy_envelope": ("bound_airy_envelope(130.0)", "bound_airy_envelope(math.nan)"),
+    "bound_wronskian_kernel": ("bound_wronskian_kernel(0.25, 300.0, 1.0)",
+                               "bound_wronskian_kernel(0.25, 1.0, math.nan)",
+                               "bound_wronskian_kernel(0.25, 0.0, 1.0)"),
+    "sonin szego": ("sonin_eval('szego', Order(math.nan), 1.0)",
+                    "sonin_eval('szego', Order(0.25), 300.0)",
+                    "sonin_eval('szego', Order(0.25), math.nan)"),
+    "sonin envelope": ("sonin_eval('envelope', Order(math.nan), 10.0)",
+                       "sonin_eval('envelope', Order(2.5), 300.0)",
+                       "sonin_eval('envelope', Order(2.5), math.nan)"),
+    "sonin airy": ("sonin_eval('airy', Order(0.0), 130.0)",
+                   "sonin_eval('airy', Order(0.0), math.nan)"),
+    "bound_monotonic": ("bound_monotonic(Order(math.nan), 0.5)",
+                        "bound_monotonic(Order(0.1), 5e-324)"),
+    "bound_near_first_zero": ("bound_near_first_zero(Order(math.nan))",),
+    "olenko_sup": ("olenko_sup(Order(math.nan), 50.0)", "olenko_sup(Order(math.inf), 50.0)",
+                   "olenko_sup(Order(-1.0), 50.0)", "olenko_sup(Order(2.5), math.nan)"),
+}
+
+
+@pytest.mark.parametrize("name, call", [(name, call) for name, calls in OWN_TABLE.items()
+                                        for call in calls], ids=lambda v: v)
+def test_bounds_refuse_by_their_own_name(name, call):
+    with pytest.raises(DomainError) as info:
+        eval(call, NAMESPACE)
+    assert str(info.value).startswith(f"{name}: "), str(info.value)

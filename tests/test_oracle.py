@@ -14,16 +14,19 @@ from hypothesis import strategies as st
 
 from besselcert import (
     airy_envelope_maxima,
+    bound_log_derivative,
     bounds,
     leftmost_max_check,
     oracle,
     refine_bessel_zero,
+    sonin_eval,
     zeros,
 )
 from besselcert.oracle import (
     DomainError,
     Order,
     PrecisionError,
+    _j_prime_any,
     airy_ai_neg_prime_ref,
     airy_ai_neg_ref,
     bessel_j_prime_ref,
@@ -356,6 +359,37 @@ def test_seeded_mpmath_audit():
                 continue
             assert abs(mpmath.mpf(r.value) - truth()) <= r.abs_err_estimate, (f.__name__, args)
     assert refused < len(cases) // 10
+
+
+def test_j_prime_below_one_half_against_mpmath():
+    # _j_prime_any's lower recurrence (nu/x) J_nu - J_{nu+1}, which
+    # bound_log_derivative and sonin_eval("szego") read: within its estimate
+    # wherever it is finite; where (nu/x) J_nu overflows, both callers refuse
+    rng = random.Random(24)
+    nus = [-0.5, -1 / 3, -0.25, 0.0, 0.25, 1 / 3, math.nextafter(0.5, 0)]
+    nus += [rng.uniform(-0.5, 0.5) for _ in range(4)]
+    xs = [5e-324, 1e-300, 1e-100, 1e-10, 0.5, 10.0, 150.0, 200.0]
+    xs += [200 * (1 - rng.random()) for _ in range(25)]
+    checked = refused = 0
+    with mpmath.workdps(50):
+        for nu in nus:
+            order = Order(nu)
+            for x in xs:
+                try:
+                    r = _j_prime_any(order, x)
+                except PrecisionError:
+                    refused += 1
+                    continue
+                if math.isfinite(r.value):
+                    truth = mpmath.besselj(nu, x, 1)
+                    assert abs(mpmath.mpf(r.value) - truth) <= r.abs_err_estimate, (nu, x)
+                    checked += 1
+                else:
+                    with pytest.raises(DomainError):
+                        bound_log_derivative(order, x)
+                    with pytest.raises(DomainError):
+                        sonin_eval("szego", order, x)
+    assert checked > 0.9 * len(nus) * len(xs) and refused < len(nus) * len(xs) // 10
 
 
 def test_refine_root_cos():

@@ -369,8 +369,8 @@ def best_approx(order: Order, x: float) -> ApproxValue:
     Every method whose declared domain admits (nu, x) is a candidate; none
     is extrapolated outside its domain.  Candidates are ranked by their
     closed-form certified widths and only the winner is evaluated, so a
-    losing candidate costs no oracle call and its refusal cannot make this
-    raise.  Ties (e.g. all widths 0 at |nu| = 1/2) go to the earlier entry
+    losing candidate's value is never computed and its refusal cannot make
+    this raise.  Ties (e.g. all widths 0 at |nu| = 1/2) go to the earlier entry
     of: sharp (either branch), simplified, olver, classic, transition.
     Where none is admitted, classic's rules name the reason; for nu >= -1/2
     and finite x > 0 that happens only near 0, for |nu| >= 1/2.

@@ -5,12 +5,14 @@ the last line.  Each line is one call: its arguments, then every field of the
 result (floats as float.hex, so a one-ulp move shows), or the exception's type
 and message where the call raises.  The points are seeded draws and edge
 values inside each entry point's domain: the oracle evaluators, J' below
-nu = 1/2, Gamma, every approximation family and best_approx, the point bounds,
+nu = 1/2, Gamma, every approximation family, best_approx at its ranking edges
+and at the ends of the doubles, the package's __all__, the point bounds,
 the Sonin functions, Airy zeros 1-50, a few Bessel zeros, the leftmost maxima,
 the Airy envelope maxima up to x = 14, both zero-bracket modes with their gap
 and conjecture checks, every scan subject's rows and report on small grids,
-approx_row for every method, olenko_sup, and the CLI's exit code, stdout and
-stderr for each bounds --name choice at an admitted and a refused point.
+approx_row for every method, olenko_sup (also at a tiny x_max), and the
+CLI's exit code, stdout and stderr for each bounds --name choice at an
+admitted and a refused point.
 
     python3 tools/same_outputs.py > dump.txt && tail -n 1 dump.txt
 """
@@ -19,6 +21,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import math
 from pathlib import Path
 import random
 import sys
@@ -27,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import besselcert as bc  # noqa: E402
 from besselcert import Order, cli, scan  # noqa: E402
+from besselcert.approx import _TRANSITION_Z_CAP  # noqa: E402
 from besselcert.oracle import _j_prime_any  # noqa: E402
 
 # bounds --name choice -> (flags at an admitted point, flags at a refused point)
@@ -70,6 +74,35 @@ def _cli(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _ulps_around(x: float, n: int) -> list[float]:
+    """x and its n floating-point neighbours on each side."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def _best_points():
+    """best_approx's ranking edges: every width 0 at |nu| = 1/2, the
+    sharp_high threshold max(mu, sqrt(mu)), olver's last order 2.5, x = nu
+    (z = 0) and z at the transition form's cap; then the ends of the
+    doubles and seeded points."""
+    points = [(nu, x) for nu in (-0.5, 0.5) for x in (1e-3, 0.3, 0.5, 1.0, 7.0, 100.0, 199.0)]
+    for nu in (0.75, 1.0, 1.2, 2.5, 5.0, 20.0, 45.0):
+        mu = Order(nu).mu
+        points += [(nu, x) for x in _ulps_around(max(mu, math.sqrt(mu)), 3)]
+    points += [(nu, x) for nu in _ulps_around(2.5, 1) for x in (0.05, 1.0, 2.5, 3.0, 10.0, 150.0)]
+    points += [(nu, nu) for nu in (0.5, 1.0, 2.5, 20.0, 60.0)]
+    for nu in (1.0, 40.0, 1e6):
+        points += [(nu, x) for x in _ulps_around(nu + nu ** (1 / 3) * _TRANSITION_Z_CAP, 3)]
+    points += [(nu, x) for nu in (-1.0, 1e20, 1e154, 1e300, math.inf, math.nan)
+               for x in (0.0, 5e-324, 3.14e-206, 1e300, 1.7e308, math.inf, math.nan)]
+    rng = random.Random(25)
+    points += [(round(rng.uniform(-0.5, 100.0), 3), 10 ** rng.uniform(-3, 4)) for _ in range(200)]
+    return [(Order(nu), x) for nu, x in points]
+
+
 def _calls():
     rng = random.Random(20111)
     x_edges = (5e-324, 1e-300, 1e-100, 1e-10, 0.5, 10.0, 150.0, 200.0)
@@ -110,6 +143,12 @@ def _calls():
         for mode in ("classic", "sharp", "simplified"):
             yield "airy_approx", bc.airy_approx, x, mode
 
+    # best_approx where its candidate set or ranking changes, then at the ends
+    # of the doubles and at seeded points
+    for order, x in _best_points():
+        yield "best_approx", bc.best_approx, order, x
+    yield "list", list, bc.__all__
+
     # point bounds and Sonin functions
     bound_nus = [0.0, 0.25, 0.5, 1.0, 2.5, 10.0, 30.0, 62.5] + [
         round(rng.uniform(0.0, 60.0), 3) for _ in range(6)]
@@ -144,6 +183,9 @@ def _calls():
     yield "airy_envelope_maxima", bc.airy_envelope_maxima, 14.0
     for nu in (2.5, 10.0):
         yield "olenko_sup", bc.olenko_sup, Order(nu), 60.0, 300
+    # a first grid point where sqrt(2/(pi x)) overflows, or underflows to 0
+    yield "olenko_sup", bc.olenko_sup, Order(2.0), 1e-310, 3000
+    yield "olenko_sup", bc.olenko_sup, Order(2.0), 5e-324, 10
 
     # closed-form zero brackets and their checks
     for s in [*range(1, 51), 10 ** 3, 10 ** 6, 10 ** 12]:

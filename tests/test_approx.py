@@ -433,3 +433,25 @@ class TestBestRanking:
                 applicable += 1
                 wins += a.method == "transition"
         assert 0 < wins < applicable
+
+    def test_every_candidate_returns_or_refuses_at_the_extremes(self):
+        # best_approx evaluates each candidate and drops a refusal: every
+        # argument builder and call must return or raise DomainError, losing
+        # candidates included, never another error
+        nus = (math.nan, -math.inf, -1.0, -0.5, -0.0, 0.0, 5e-324, 1e-300, 0.25, 0.5,
+               2.5, 60.0, 1e6, 1e20, 1e154, 1e300, math.inf)
+        xs = (math.nan, -1.0, 0.0, 5e-324, 1e-300, 3.14e-206, 1e-10, 0.5, 1.0, 60.0,
+              1e10, 1e154, 1e300, 1.7e308, math.inf)
+        returned = refused = 0
+        for nu in nus:
+            order = Order(nu)
+            for x in xs:
+                for function, *_, args_of in approx_module._CANDIDATES:
+                    try:
+                        a = getattr(approx_module, function)(*args_of(order, x))
+                    except DomainError:
+                        refused += 1
+                    else:
+                        assert math.isfinite(a.value) and a.half_width >= 0, (function, nu, x)
+                        returned += 1
+        assert returned and refused

@@ -5,6 +5,8 @@ every inequality is a checkable report; a high-precision series evaluator
 arbitrates all claims.
 """
 
+from types import ModuleType as _ModuleType
+
 from .oracle import (
     BoundReport,
     DomainError,
@@ -68,57 +70,5 @@ from .scan import (
     verify_bounds_grid,
 )
 
-__all__ = [
-    "AIRY_C",
-    "ApproxValue",
-    "BoundReport",
-    "DomainError",
-    "EvalResult",
-    "GridSpec",
-    "Order",
-    "PhaseValue",
-    "PrecisionError",
-    "ScanReport",
-    "ScanRow",
-    "SoninSample",
-    "SupResult",
-    "ZeroEstimate",
-    "airy_ai_neg_prime_ref",
-    "airy_ai_neg_ref",
-    "airy_approx",
-    "airy_envelope_maxima",
-    "airy_zero_estimate",
-    "bessel_first_zeros_estimate",
-    "bessel_j_prime_ref",
-    "bessel_j_ref",
-    "best_approx",
-    "bound_airy_envelope",
-    "bound_derivative",
-    "bound_envelope",
-    "bound_log_derivative",
-    "bound_monotonic",
-    "bound_near_first_zero",
-    "bound_watson",
-    "bound_wronskian_kernel",
-    "center_gap_check",
-    "classic_oscillatory",
-    "conjecture_check",
-    "gamma",
-    "leftmost_max_check",
-    "lemma_integral_check",
-    "olenko_sup",
-    "olver_coefficient",
-    "olver_expansion",
-    "phase_B",
-    "refine_airy_zero",
-    "refine_bessel_zero",
-    "refine_root",
-    "scan_rows",
-    "sharper_oscillatory",
-    "simplified_oscillatory",
-    "sonin_eval",
-    "transition",
-    "transition_x",
-    "verify_approx_grid",
-    "verify_bounds_grid",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -11,7 +11,7 @@ where a formula needs Ai (transition) its float value carries its own bound.
 from dataclasses import dataclass
 import math
 
-from .oracle import Order, check_domain
+from .oracle import DomainError, Order, check_domain
 from .oracle import _AIRY_X_CAP, _FINITE_NU, _is_double
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
@@ -204,11 +204,6 @@ def transition(order: Order, z: float) -> ApproxValue:
     has already grown past any oscillatory alternative.
     """
     check_domain(_DOMAINS, "transition", order, z)
-    value, half_width = _transition(order, z)
-    return ApproxValue(value, half_width, "transition", "transition")
-
-
-def _transition(order: Order, z: float) -> tuple[float, float]:
     pow23 = order.nu ** (2 / 3)
     root = math.sqrt(pow23 + z)
     t = 2 ** (1 / 3) * z
@@ -217,7 +212,8 @@ def _transition(order: Order, z: float) -> tuple[float, float]:
     formula = 23 * max(1.0, z ** 2.25) / (2 * pow23 * root)
     ai_bound += 4 * _U * t * (1 + t) ** 0.25
     rounding = (8 + abs(math.log(order.nu)) / 5) * _U * abs(value)
-    return value, formula + 2 ** (1 / 3) / root * ai_bound + rounding
+    return ApproxValue(value, formula + 2 ** (1 / 3) / root * ai_bound + rounding,
+                       "transition", "transition")
 
 
 def _airy_neg(t: float) -> tuple[float, float]:
@@ -297,7 +293,7 @@ def _airy_rule(mode: str, lo: float, hi: float):
 # Each entry point's domain: ordered (predicate, message) rules that
 # check_domain tries in turn.  A predicate negates the condition its rule
 # rejects, so a NaN x meets the finiteness rule; the last rules are where
-# the formula's powers leave the doubles.  best_approx reads the same rules.
+# the formula's powers leave the doubles.
 _POSITIVE_X = (lambda order, x, *_: not x <= 0, "x must be positive")
 _FINITE_X = (lambda order, x, *_: x < math.inf, "x must be finite")
 _SQUARE = (lambda order, x: order.mu == 0 or x * x < math.inf, "x^2 leaves the doubles")
@@ -350,15 +346,15 @@ _DOMAINS = {
         # a tuple's "in" refuses an unhashable mode as unknown
         (lambda x, mode: mode in tuple(_AIRY_X_RANGE), "unknown mode {1!r}")),
 }
-# best_approx's candidates in its tie-break order: (function, width, arguments
-# from (order, x)); the function is looked up here when it runs
+# best_approx's candidates in its tie-break order: (function, arguments from
+# (order, x)); the function is looked up here when it runs
 _CANDIDATES = (
-    ("sharper_oscillatory", _sharp_width, lambda order, x: (order, x)),
-    ("simplified_oscillatory", _simplified_width, lambda order, x: (order, x)),
-    ("olver_expansion", _olver_width, lambda order, x: (order, x, 1, 1)),
-    ("classic_oscillatory", _classic_width, lambda order, x: (order, x)),
+    ("sharper_oscillatory", lambda order, x: (order, x)),
+    ("simplified_oscillatory", lambda order, x: (order, x)),
+    ("olver_expansion", lambda order, x: (order, x, 1, 1)),
+    ("classic_oscillatory", lambda order, x: (order, x)),
     # z = (x - nu)/nu^(1/3); nu <= 0 has no such z and fails transition's first rule
-    ("transition", lambda order, z: _transition(order, z)[1], lambda order, x: (
+    ("transition", lambda order, x: (
         order, (x - order.nu) / order.nu ** (1 / 3) if order.nu > 0 else math.nan)),
 )
 
@@ -367,21 +363,21 @@ def best_approx(order: Order, x: float) -> ApproxValue:
     """The applicable Bessel approximation with the smallest certified width.
 
     Every method whose declared domain admits (nu, x) is a candidate; none
-    is extrapolated outside its domain.  Candidates are ranked by their
-    closed-form certified widths and only the winner is evaluated, so a
-    losing candidate's value is never computed and its refusal cannot make
-    this raise.  Ties (e.g. all widths 0 at |nu| = 1/2) go to the earlier entry
-    of: sharp (either branch), simplified, olver, classic, transition.
-    Where none is admitted, classic's rules name the reason; for nu >= -1/2
-    and finite x > 0 that happens only near 0, for |nu| >= 1/2.
+    is extrapolated outside its domain.  Each candidate is called, one that
+    refuses is dropped, and the narrowest result is returned; no
+    approximation calls the series evaluator, so a losing candidate costs a
+    few float operations.  Ties (e.g. all widths 0 at |nu| = 1/2) go to the
+    earlier entry of: sharp (either branch), simplified, olver, classic,
+    transition.  Where none is admitted, classic's rules name the reason; for
+    nu >= -1/2 and finite x > 0 that happens only near 0, for |nu| >= 1/2.
     """
     admitted = []  # min keeps the first of equal widths: the table's order
     if all(ok(order, x) for ok, _ in _BEST_BASE):
-        for function, width, args_of in _CANDIDATES:
-            args = args_of(order, x)
-            if all(ok(*args) for ok, _ in _DOMAINS[function]):
-                admitted.append((width(*args), function, args))
+        for function, args_of in _CANDIDATES:
+            try:
+                admitted.append(globals()[function](*args_of(order, x)))
+            except DomainError:
+                pass
     if not admitted:
         check_domain(_DOMAINS, "classic_oscillatory", order, x)
-    _, function, args = min(admitted, key=lambda c: c[0])
-    return globals()[function](*args)
+    return min(admitted, key=lambda a: a.half_width)

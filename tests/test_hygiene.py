@@ -111,6 +111,15 @@ def test_domain_errors_come_from_the_declared_tables():
     assert found == allowed
 
 
+def test_check_domain_is_the_only_reader_of_a_rule_list():
+    # no module subscripts a _DOMAINS table: oracle.check_domain, handed the
+    # table, walks an entry's rules, and no second walk can drift from it
+    readers = [(name, ast.unparse(n)) for name, tree in TREES.items() for n in ast.walk(tree)
+               if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+               and n.value.id == "_DOMAINS"]
+    assert readers == []
+
+
 def test_domain_messages_format_with_their_rules_arguments():
     # check_domain formats each message with the call's arguments: every
     # message must parse as a format string whose fields are positional

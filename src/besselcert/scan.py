@@ -19,6 +19,7 @@ from .oracle import (
     _FINITE_NU,
     _NU_FLOOR,
     _PUBLIC_X_CAP,
+    _is_double,
     _make,
     airy_ai_neg_ref,
     bessel_j_ref,
@@ -117,6 +118,10 @@ _DOMAINS = {  # the entry points' domains, as check_domain reads them
                     f"x_max must lie in (0, {_PUBLIC_X_CAP:g}]"),
                    (lambda o, x_max, n: not n < 10, "coarse_points must be >= 10"),
                    (lambda o, x_max, n: isinstance(n, int), "coarse_points must be an integer"),
+                   # R's main term at the grid's first point x_max/coarse_points
+                   (lambda o, x_max, n: _is_double(
+                       lambda: math.sqrt(2 / (math.pi * (x_max / n)))),
+                    "sqrt(2/(pi x)) leaves the doubles at x = x_max/coarse_points"),
                    _NU_FLOOR, _FINITE_NU),
 }
 

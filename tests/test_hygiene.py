@@ -186,3 +186,21 @@ def test_same_outputs_call_list_resolves():
             assert f.__name__ == name, (name, f)
     assert set(tool.BOUNDS_ARGV) == {n for n in scan._BOUNDS if n not in scan._SONIN}
     assert argvs == 2 * len(tool.BOUNDS_ARGV) + 1
+
+
+def test_search_calls_calls_only_public_names():
+    # tools/search_calls.py quotes counts before and after a change, so it
+    # drives the searches through besselcert.__all__ alone; its counting
+    # hooks, named here, rebind refine_root and read the series cache
+    import besselcert
+    tree = ast.parse((SRC.parents[1] / "tools" / "search_calls.py").read_text())
+    modules = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+               and n.module == "besselcert" for a in n.names}
+    read = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            read.setdefault(n.value.id, set()).add(n.attr)
+    assert read["bc"] <= set(besselcert.__all__), sorted(read["bc"] - set(besselcert.__all__))
+    hooks = set().union(*(read.get(m, set()) for m in modules))
+    assert hooks == {"_j_series_fixed", "refine_root"}
+    assert all(hasattr(getattr(besselcert, m), h) for m in modules for h in read.get(m, ()))

@@ -1,0 +1,69 @@
+"""Print, per search family, the series evaluations and refine_root's calls of f per root.
+
+Each family runs once from empty caches over a fixed seeded list: the
+Bessel battery (40 seeded (nu, s), nu in [-1/2, 60], s <= 12), a_1 to a_50,
+four leftmost maxima and the crests of airy_envelope_maxima(60).  For each
+it prints the roots refined, the misses of the oracle's series cache (one
+per J_nu(x) summed) and the calls refine_root makes of f per root.  The
+counts are exact and repeat from run to run, so a change to the search
+layer can quote them before and after.
+
+    python3 tools/search_calls.py
+"""
+
+from pathlib import Path
+import random
+import sys
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import besselcert as bc  # noqa: E402
+# the counting hooks: the series cache, and refine_root where the searches bind it
+from besselcert import bounds, oracle, zeros  # noqa: E402
+
+_rng = random.Random(26)
+BESSEL_BATTERY = [(_rng.uniform(-0.5, 60.0), _rng.randint(1, 12)) for _ in range(40)]
+LEFTMOST_ORDERS = [_rng.uniform(5 / 3, 40.0) for _ in range(8)]
+
+FAMILIES = {
+    "bessel_zero": lambda: [bc.refine_bessel_zero(bc.Order(nu), s) for nu, s in BESSEL_BATTERY],
+    "airy_zero": lambda: [bc.refine_airy_zero(s) for s in range(1, 51)],
+    "leftmost_max": lambda: [bc.leftmost_max_check(bc.Order(nu)) for nu in LEFTMOST_ORDERS[:4]],
+    "airy_crest": lambda: bc.airy_envelope_maxima(60.0),
+}
+
+
+def counts(search) -> tuple[int, int, int]:
+    """(roots refined, series cache misses, calls of f) of search() from empty caches."""
+    oracle._j_series_fixed.cache_clear()
+    bc.refine_airy_zero.cache_clear()
+    bc.refine_bessel_zero.cache_clear()
+    roots, calls = 0, 0
+
+    def counting(f, bracket, tol):
+        nonlocal roots
+
+        def g(t):
+            nonlocal calls
+            calls += 1
+            return f(t)
+        roots += 1
+        return bc.refine_root(g, bracket, tol)
+
+    zeros.refine_root = bounds.refine_root = counting
+    try:
+        search()
+    finally:
+        zeros.refine_root = bounds.refine_root = bc.refine_root
+    return roots, oracle._j_series_fixed.cache_info().misses, calls
+
+
+def main() -> None:
+    print(f"{'family':<14}{'roots':>6}{'series_misses':>15}{'calls_per_root':>16}")
+    for name, search in FAMILIES.items():
+        roots, misses, calls = counts(search)
+        print(f"{name:<14}{roots:>6}{misses:>15}{calls / roots:>16.2f}")
+
+
+if __name__ == "__main__":
+    main()

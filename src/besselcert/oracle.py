@@ -582,11 +582,13 @@ def refine_root(f, bracket, tol: float = 1e-12) -> float:
     Deterministic: bisection down to the tolerance, then up to three secant
     steps clamped to the final bracket; an exact 0 at a midpoint is
     returned as it is.  f is called only where that bisection cannot tell
-    the branch.  Six secant steps inside the bracket and a probe 1e-9 to
-    either side of the last give the evaluated points p < q that enclose
+    the branch.  Six secant steps inside the bracket and one probe
+    max(tol/4, ulp) past the last iterate b, on the side where f(b)'s sign
+    puts the sign change, give the evaluated points p < q that enclose
     every sign change f's values show: all points evaluated up to p read
-    as lo's side, all from q on as hi's.  The bisection then runs as it
-    would with every midpoint evaluated, except that a midpoint outside
+    as lo's side, all from q on as hi's.  [p, q] is then about tol/4 wide,
+    so a bisection midpoint rarely falls inside it.  The bisection runs as
+    it would with every midpoint evaluated, except that a midpoint outside
     [p, q] takes the branch of its side without a call.  f is evaluated at
     the final ends before the polish, so the polish reads f's own values.
 
@@ -621,9 +623,11 @@ def refine_root(f, bracket, tol: float = 1e-12) -> float:
     p, q = lo, hi
     if hi - lo > tol:  # else the bisection below stops at once
         b = _secant(value, lo, flo, hi, fhi, 6)
-        for t in (b - 1e-9, b + 1e-9):
-            if lo < t < hi:
-                value(t)
+        # one probe a quarter tolerance past b, toward the sign change f(b) points to
+        step = max(tol / 4, math.ulp(b))
+        t = b - step if (value(b) > 0) == up else b + step
+        if lo < t < hi:
+            value(t)
         # the last point before the first on hi's side, the first after the last on lo's
         xs = sorted(seen)
         side = [(seen[x] > 0) == up for x in xs]

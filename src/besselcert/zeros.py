@@ -113,7 +113,7 @@ def refine_airy_zero(s: int) -> float:
     sign change is the cell holding a_s.  airy_zero_estimate's certified bracket for a_s meets at
     most two cells; Ai(-x) is evaluated at their ends, exactly one sign
     change must show, else PrecisionError, and refine_root takes that
-    cell.  12 to 18 evaluations per zero, where the walk to a_50 takes 2200.
+    cell.  10 to 12 evaluations per zero, where the walk to a_50 takes 2200.
     """
     check_domain(_DOMAINS, "refine_airy_zero", s)
     lo, hi = _airy_bracket(s)

@@ -76,7 +76,8 @@ def _walk_cell(f, nu, s):
 
 
 def _leftmost_hp(order):
-    """leftmost_max_check's hp, as (value, error estimate) from J's and J''s."""
+    """leftmost_max_check's hp as (value, error estimate), the estimate
+    carried through hp's formula from those of J_nu and J'_nu."""
     mu = order.mu
 
     def hp(x):
@@ -127,10 +128,11 @@ def _assert_sign_certain(evaluate, z, tol, margin):
     assert abs(v_lo) > margin * e_lo and abs(v_hi) > margin * e_hi, z
 
 
-def test_the_sign_is_certain_a_quarter_tolerance_from_every_refined_root():
+def test_the_sign_is_certain_a_quarter_tolerance_from_the_refined_roots():
     # the identity's second premise, f's computed sign right outside the
-    # probe's window; past a_4 Ai(-x)'s estimate charges the cancellation
-    # of its two J terms, and |Ai| there clears it 221 times at a_50
+    # probe's window; Ai(-x)'s estimate charges the rounding of zeta
+    # through |J'|, about 1.6e-14 at a_50, where |Ai| clears it 221 times,
+    # so its margin is 100 where J's and hp's is 1e3
     def pair(r):
         return r.value, r.abs_err_estimate
 

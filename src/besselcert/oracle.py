@@ -382,11 +382,18 @@ def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
 
     J_nu(x) = P sum_j (-1)^j u_j, P = (x/2)^nu / Gamma(nu+1) (see _prefactor).
     The u_j = (x^2/4)^j / (j! (nu+1)_j) run on integers from u_0 = 10^d,
-    through the exact ratio a^2 r / (4 b^2 j (j r + p)) for x = a/b and
-    nu = p/r: each step rounds once, by half an ulp at most, and divides
-    by an integer of a few machine words.  The error charges 3 ulp per
-    term, plus 20, against P times the largest term, with no floor.  The
-    result converts to a double by one correctly rounded integer division
+    through the exact ratio a^2 r / (4 b^2 t), t = j (j r + p), for x = a/b
+    and nu = p/r: each step rounds once, by half an ulp at most.  x is a
+    double, so 4 b^2 = 2^m and the rounded step
+    floor((u a^2 r + 2^(m-1) t) / (2^m t)) equals
+    floor(((u a^2 r >> (m-1)) + t) / (2t)): the power of two leaves the
+    divisor as a shift, for any r.  While 2^m t <= a^2 r the ratio is at
+    least 1, so the rounded terms do not fall and the largest is the last
+    of them; then they do not rise, and the sum runs two terms a pass, its
+    even and odd sums apart, to the first 0.  The error charges 3 ulp per
+    term, plus 20, against P times the largest term, with no floor; a first
+    0 at j >= _TERM_CAP raises PrecisionError.  The result converts to a
+    double by one correctly rounded integer division
     (as Fraction's float() does, less its gcd); P's ~1e-35 relative error
     vanishes in the float rounding charge.  Both exits finish through
     _certified, so a hit returns the cached object with no arithmetic, and a
@@ -401,25 +408,26 @@ def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
     a, b = x.as_integer_ratio()
     p, r = nu
     one = 10 ** _digits_for(x)
-    ratio_num, ratio_den = a * a * r, 4 * b * b
-    # step = ratio_den j (j r + p), advanced by its first and second differences
-    step, inc, inc2 = ratio_den * (r + p), ratio_den * (3 * r + p), 2 * ratio_den * r
-    u = s = tmax = one
-    j = 1
-    while j < _TERM_CAP:
-        u = (u * ratio_num + (step >> 1)) // step
-        if j & 1:
-            s -= u
-        else:
-            s += u
-        if u > tmax:
-            tmax = u
-        elif u == 0 and step > ratio_num:  # ratio below 1 from here on
-            break
-        j += 1
-        step += inc
-        inc += inc2
-    else:
+    # u_j = ((u_(j-1) mul >> shift) + t) // (2t), t = j (j r + p) advanced by its differences
+    mul, shift, r2 = a * a * r, 2 * b.bit_length() - 1, 2 * r
+    t, dt, lim = r + p, 3 * r + p, mul >> (shift + 1)
+    u = last = one  # last: the sum of the terms of the last index's parity, nxt the other's
+    nxt = j = 0
+    while t <= lim:  # ratio >= 1: the terms do not fall
+        u = ((u * mul >> shift) + t) // (t + t)
+        nxt, last = last, nxt + u
+        j, t, dt = j + 1, t + dt, dt + r2
+    tmax = u
+    while u:  # ratio < 1: two terms a pass, to the first 0
+        w = ((u * mul >> shift) + t) // (t + t)
+        t, dt = t + dt, dt + r2
+        u = ((w * mul >> shift) + t) // (t + t)
+        nxt, last = nxt + w, last + u
+        j, t, dt = j + 2, t + dt, dt + r2
+    s = nxt - last if j & 1 else last - nxt
+    if not w:  # the pass's first term was the first 0
+        j -= 1
+    if j >= _TERM_CAP:
         raise PrecisionError("series did not terminate within the term cap")
     num, den = _prefactor(nu, x)
     den *= one

@@ -138,11 +138,12 @@ def refine_bessel_zero(order: Order, s: int) -> float:
 
     j_{nu,s} is the s-th sign change of the walk x_0 = max(nu, 0.05),
     x_k+1 = x_k + 0.25, J_nu sampled at min(x, 200), refined by refine_root.
-    Only the walk's grid is regenerated, with the same float additions and
-    its last point clipped to 200, so the cell lies in the evaluator's
-    domain.  sqrt(x) J_nu solves y'' + (1 + (1/4 - nu^2)/x^2) y = 0, so by
-    Sturm comparison its zeros past any x_lo are at least pi apart for
-    |nu| >= 1/2 and pi/sqrt(1 + mu/x_lo^2) >= 0.31 apart below.  Each coarse
+    Only the walk's grid is regenerated, with the same float additions, and
+    only through the last index a stride or the bisection reads; its last
+    point, the first past 200, is read as 200, so the cell lies in the
+    evaluator's domain.  sqrt(x) J_nu solves y'' + (1 + (1/4 - nu^2)/x^2) y
+    = 0, so by Sturm comparison its zeros past any x_lo are at least pi
+    apart for |nu| >= 1/2 and pi/sqrt(1 + mu/x_lo^2) >= 0.31 apart below.  Each coarse
     cell spans, from its left end x_lo, the most 0.25-cells 1e-9 below that
     gap (12 for |nu| >= 1/2; at nu = 0, 1 from x_lo = 0.05 and 12 from
     x_lo > 1.61), so J_nu changes sign on a coarse cell only where the walk
@@ -154,20 +155,22 @@ def refine_bessel_zero(order: Order, s: int) -> float:
     def f(t: float) -> float:
         return bessel_j_ref(order, t).value
 
+    # the walk's grid, extended only as far as the strides reach; its last
+    # point, the first past the cap, is read as the cap
     xs = [max(order.nu, 0.05)]
-    while not xs[-1] > _PUBLIC_X_CAP:
-        xs.append(xs[-1] + 0.25)
-    xs[-1] = _PUBLIC_X_CAP
     lo, v_lo = 0, f(xs[0])
-    while lo < len(xs) - 1:
+    while not xs[lo] > _PUBLIC_X_CAP:
         gap = math.pi / math.sqrt(1 + (order.mu / xs[lo] ** 2 if abs(order.nu) < 0.5 else 0))
-        hi = min(lo + math.ceil((gap - 1e-9) / 0.25) - 1, len(xs) - 1)
-        v_hi = f(xs[hi])
+        hi = lo + math.ceil((gap - 1e-9) / 0.25) - 1
+        while len(xs) <= hi and not xs[-1] > _PUBLIC_X_CAP:
+            xs.append(xs[-1] + 0.25)
+        hi = min(hi, len(xs) - 1)
+        v_hi = f(min(xs[hi], _PUBLIC_X_CAP))
         if v_lo * v_hi < 0:
             s -= 1
             if s == 0:
                 lo, hi = _bisect_grid(lambda t: f(t) * v_lo > 0, xs, lo, hi)
-                return refine_root(f, (xs[lo], xs[hi]), 1e-11)
+                return refine_root(f, (xs[lo], min(xs[hi], _PUBLIC_X_CAP)), 1e-11)
         lo, v_lo = hi, v_hi
     raise PrecisionError("bessel zero scan exceeded the x cap")
 

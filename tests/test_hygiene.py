@@ -188,6 +188,24 @@ def test_same_outputs_call_list_resolves():
     assert argvs == 2 * len(tool.BOUNDS_ARGV) + 1
 
 
+
+def test_same_outputs_expect_gates_on_the_sha(monkeypatch, capsys):
+    # --expect compares the dump's sha256 with a prefix: 0 on a match, and 1
+    # with both hashes on stderr on a mismatch; one stubbed call keeps it fast
+    import hashlib
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", SRC.parents[1] / "tools" / "same_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "_calls", lambda: iter([("abs", abs, -0.5)]))
+    sha = hashlib.sha256(b"abs(-0.5,): 0x1.0000000000000p-1\n").hexdigest()
+    assert tool.main(["--expect", sha[:16].upper()]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"lines 1 sha256 {sha}"
+    assert tool.main(["--expect", "0123abcd"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"sha256 mismatch: expected 0123abcd..., got {sha}\n"
+    assert tool.main([]) == 0
+
 def test_search_calls_calls_only_public_names():
     # tools/search_calls.py quotes counts before and after a change, so it
     # drives the searches through besselcert.__all__ alone; its counting

@@ -35,6 +35,7 @@ from besselcert.oracle import (
     refine_root,
 )
 from plain_bisection import plain_bisection
+from series_reference import series_reference
 
 # 40-digit reference values from an independent high-precision summation
 J_REF = {
@@ -760,3 +761,60 @@ def test_airy_past_zeta_200_runs_no_series(monkeypatch, airy):
     oracle._j_series_fixed.cache_clear()
     monkeypatch.setattr(oracle, "_digits_for", no_series)
     assert math.isfinite(airy(100.0).value)
+
+
+def _series_outcome(series, nu, x):
+    """The series' EvalResult as float.hex strings, or its refusal's message."""
+    try:
+        result = series(nu, x)
+    except PrecisionError as exc:
+        return str(exc)
+    return result.value.hex(), result.abs_err_estimate.hex()
+
+
+# orders by (p, r): -1/2, the doubles nearest -+1/3, 0, 1/2, 2.5, 59.5, and
+# 5e-324, whose r = 2^1074 dwarfs 4 b^2; x = 10 has b = 1, and the zetas reach
+# the Airy paths' 876 at x = 120
+SERIES_ORDERS = [(-1, 2), oracle._NU_M13, oracle._NU_13, (0, 1), (1, 2), (5, 2), (119, 2),
+                 (5e-324).as_integer_ratio()]
+_SERIES_RNG = random.Random(27)
+SERIES_XS = ([5e-324, 1e-300, 10.0, 200.0, 876.0]
+             + [_SERIES_RNG.uniform(200.0, 876.0) for _ in range(2)])
+
+
+@pytest.mark.parametrize("raw", [False, True])
+def test_series_split_returns_the_former_loops_result(monkeypatch, raw):
+    # the split divisor and the two phases sum the same u_j to the same j
+    # and tmax: the EvalResult is the former loop's bit for bit.  Its float
+    # rounding charge swamps the series' own (3j + 20) tmax term, so raw
+    # passes that term through _certified unchanged, and a j or tmax off shows
+    monkeypatch.setattr(oracle, "_j_hankel", lambda nu, x: None)
+    if raw:
+        monkeypatch.setattr(oracle, "_certified", oracle.EvalResult)
+    points = [(nu, x) for nu in SERIES_ORDERS for x in SERIES_XS]
+    # a term at t = floor(a^2 r / 4 b^2) exactly, with the ratio above 1:
+    # the last rising term, t = 25, 21 and 52
+    points += [((0, 1), 10.1), ((1, 2), 6.5), ((5, 2), 10.2)]
+    rng = random.Random(2011)
+    points += [(rng.uniform(-0.5, 60.0).as_integer_ratio(),
+                rng.choice((rng.uniform(0.0, 200.0), 10 ** rng.uniform(-300, 2))))
+               for _ in range(300)]
+    for nu, x in points:
+        assert (_series_outcome(oracle._j_series_fixed.__wrapped__, nu, x)
+                == _series_outcome(series_reference, nu, x)), (nu, x)
+
+
+def test_series_split_refuses_at_the_same_term_cap(monkeypatch):
+    # every cap from 1 to two past the first 0: both refuse exactly while the
+    # first 0 falls at j >= _TERM_CAP, whichever phase and parity it ends in
+    for nu, x in (((0, 1), 10.0), ((5, 2), 0.5), ((1, 2), 30.0), (oracle._NU_13, 3.7),
+                  ((119, 2), 150.0), ((1, 2), 1e-300)):
+        cap, summed = 1, 0
+        while summed < 3:
+            monkeypatch.setattr(oracle, "_TERM_CAP", cap)
+            expected = _series_outcome(series_reference, nu, x)
+            assert _series_outcome(oracle._j_series_fixed.__wrapped__, nu, x) == expected, (
+                nu, x, cap)
+            summed += isinstance(expected, tuple)
+            cap += 1
+        assert cap > 4, (nu, x)  # the first cap that sums is past 1

@@ -21,6 +21,7 @@ from besselcert import (
     refine_airy_zero,
     refine_bessel_zero,
 )
+import full_walk
 from plain_bisection import plain_bisection
 
 # zeros of Ai(-x) and of J_nu, frozen to 40 digits
@@ -166,7 +167,7 @@ class TestResumedScan:
 
     def test_bessel_continuation_reuses_the_series_cache(self, monkeypatch):
         # a cached repeat makes no evaluation; a fresh s = 3 after s = 2 reads
-        # the coarse samples up to j_2 from the series cache and sums 16 new
+        # the coarse samples up to j_2 from the series cache and sums 11 new
         # series: one coarse sample, the index bisection and the refinement
         _clear_bessel_caches()
         oracle._j_series_fixed.cache_clear()
@@ -176,7 +177,7 @@ class TestResumedScan:
         assert refine_bessel_zero(order, 2) == j2 and seen == []
         misses = oracle._j_series_fixed.cache_info().misses
         refine_bessel_zero(order, 3)
-        assert oracle._j_series_fixed.cache_info().misses - misses <= 18
+        assert oracle._j_series_fixed.cache_info().misses - misses <= 11
 
     def test_failed_step_leaves_the_scan_where_it_was(self, monkeypatch):
         # an exception is never cached: after a refused evaluation the next
@@ -213,11 +214,11 @@ class TestBesselWalk:
     def test_a_fresh_index_refines_one_zero(self, monkeypatch):
         # five samples 3.0 apart reach the third zero's coarse cell, the index
         # bisection finds its 0.25-cell and refine_root refines only that
-        # zero: 22 J evaluations, where walking every 0.25-cell took 57
+        # zero: 17 J evaluations, where walking every 0.25-cell took 57
         _clear_bessel_caches()
         seen = _counting(monkeypatch, "bessel_j_ref")
         refine_bessel_zero(Order(2.5), 3)
-        assert len(seen) < 26
+        assert len(seen) <= 17
 
     @pytest.mark.parametrize("nu, s, budget", ((0.0, 20, 40), (-0.25, 64, 100)))
     def test_the_stride_widens_with_x_below_half(self, monkeypatch, nu, s, budget):
@@ -250,6 +251,37 @@ class TestBesselWalk:
                         refine_bessel_zero(order, s)
 
 
+    # walks from 2.5, 1.0 and 0.25 land on 200.0 itself, so the full grid
+    # ends in 200.0 twice; from 1.78125 and 3.78125 the zero lies in the last
+    # cell, whose right end is clipped from 200.03125; from 0.05 the walk's
+    # additions round
+    @pytest.mark.parametrize("nu, s", ((2.5, 62), (2.5, 63), (2.5, 64), (1.0, 63), (1.0, 64),
+                                       (0.25, 63), (0.25, 64), (1.78125, 63), (3.78125, 62),
+                                       (0.0, 63), (0.0, 64)))
+    def test_the_lazy_grid_equals_the_full_walk_near_the_cap(self, monkeypatch, nu, s):
+        # the same double or refusal, from the same J calls in the same order
+        order = Order(nu)
+
+        def outcome(search, module):
+            seen = []
+
+            def recorded(o, t):
+                seen.append(t.hex())
+                return bessel_j_ref(o, t)
+
+            monkeypatch.setattr(module, "bessel_j_ref", recorded)
+            try:
+                result = search(order, s).hex()
+            except PrecisionError as exc:
+                result = str(exc)
+            monkeypatch.undo()
+            return result, seen
+
+        _clear_bessel_caches()
+        lazy = outcome(refine_bessel_zero, zeros_module)
+        assert lazy == outcome(full_walk.full_walk_zero, full_walk), (nu, s)
+
+
 class TestAiryJump:
     def test_every_airy_zero_equals_the_walk_in_either_order(self):
         walk = [z.hex() for z in _fresh_scan(lambda t: airy_ai_neg_ref(t).value, 2.0, 0.1, 50)]
@@ -260,12 +292,12 @@ class TestAiryJump:
 
     def test_a_fresh_last_zero_takes_few_evaluations(self, monkeypatch):
         # the walk to a_50 evaluates Ai(-x) about 2200 times; the jump
-        # evaluates the ends of at most two cells, then refines: 14 in all
+        # evaluates the ends of at most two cells, then refines: 11 in all
         # (40 with every bisection midpoint evaluated)
         refine_airy_zero.cache_clear()
         seen = _counting(monkeypatch, "airy_ai_neg_ref")
         refine_airy_zero(50)
-        assert len(seen) < 20
+        assert len(seen) <= 11
 
     def test_a_bracket_without_one_sign_change_refuses(self, monkeypatch):
         # a bracket that misses a_s, or a cell pair with two sign changes, is

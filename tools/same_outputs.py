@@ -15,8 +15,15 @@ CLI's exit code, stdout and stderr for each bounds --name choice at an
 admitted and a refused point.
 
     python3 tools/same_outputs.py > dump.txt && tail -n 1 dump.txt
+
+With --expect SHA_PREFIX it also compares the sha256 with the given prefix
+and, where they differ, prints both to stderr and exits 1, so a script can
+gate on it:
+
+    python3 tools/same_outputs.py --expect c5cec74a0d11e834 > dump.txt
 """
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -216,7 +223,11 @@ def _calls():
     yield "cli", _cli, ["bounds", "--name", "watson", "--nu", "2.5"]
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="float.hex dump of besselcert outputs")
+    parser.add_argument("--expect", metavar="SHA_PREFIX", type=str.lower,
+                        help="exit 1 unless the dump's sha256 starts with this prefix")
+    expect = parser.parse_args(argv).expect
     digest, count = hashlib.sha256(), 0
     for name, f, *args in _calls():
         line = _line(name, f, *args)
@@ -224,7 +235,11 @@ def main() -> None:
         digest.update(line.encode() + b"\n")
         count += 1
     print(f"lines {count} sha256 {digest.hexdigest()}")
+    if expect is not None and not digest.hexdigest().startswith(expect):
+        print(f"sha256 mismatch: expected {expect}..., got {digest.hexdigest()}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

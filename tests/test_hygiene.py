@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import inspect
 import os
@@ -167,15 +168,20 @@ def test_hankel_path_is_integer_only():
     assert divisors.count("1 << _FB") == 3
 
 
+def _same_outputs_tool():
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", SRC.parents[1] / "tools" / "same_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_same_outputs_call_list_resolves():
     # tools/same_outputs.py is the same-outputs check: walk its call list,
     # calling nothing, so that a renamed function or CLI flag fails here
     # rather than turning the dump's lines into refusals
     from besselcert import cli, scan
-    spec = importlib.util.spec_from_file_location(
-        "same_outputs", SRC.parents[1] / "tools" / "same_outputs.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _same_outputs_tool()
     parser = cli._build_parser()
     argvs = 0
     for name, f, *args in tool._calls():
@@ -188,23 +194,18 @@ def test_same_outputs_call_list_resolves():
     assert argvs == 2 * len(tool.BOUNDS_ARGV) + 1
 
 
-
 def test_same_outputs_expect_gates_on_the_sha(monkeypatch, capsys):
     # --expect compares the dump's sha256 with a prefix: 0 on a match, and 1
     # with both hashes on stderr on a mismatch; one stubbed call keeps it fast
-    import hashlib
-    spec = importlib.util.spec_from_file_location(
-        "same_outputs", SRC.parents[1] / "tools" / "same_outputs.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _same_outputs_tool()
     monkeypatch.setattr(tool, "_calls", lambda: iter([("abs", abs, -0.5)]))
     sha = hashlib.sha256(b"abs(-0.5,): 0x1.0000000000000p-1\n").hexdigest()
     assert tool.main(["--expect", sha[:16].upper()]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"lines 1 sha256 {sha}"
     assert tool.main(["--expect", "0123abcd"]) == 1
-    err = capsys.readouterr().err
-    assert err == f"sha256 mismatch: expected 0123abcd..., got {sha}\n"
+    assert capsys.readouterr().err == f"sha256 mismatch: expected 0123abcd..., got {sha}\n"
     assert tool.main([]) == 0
+
 
 def test_search_calls_calls_only_public_names():
     # tools/search_calls.py quotes counts before and after a change, so it

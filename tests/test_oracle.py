@@ -805,8 +805,9 @@ def test_series_split_returns_the_former_loops_result(monkeypatch, raw):
 
 
 def test_series_split_refuses_at_the_same_term_cap(monkeypatch):
-    # every cap from 1 to two past the first 0: both refuse exactly while the
-    # first 0 falls at j >= _TERM_CAP, whichever phase and parity it ends in
+    # every cap from 1 to two past the first that sums: both refuse exactly
+    # while the first 0 falls at j >= _TERM_CAP, whichever phase and parity
+    # it falls in
     for nu, x in (((0, 1), 10.0), ((5, 2), 0.5), ((1, 2), 30.0), (oracle._NU_13, 3.7),
                   ((119, 2), 150.0), ((1, 2), 1e-300)):
         cap, summed = 1, 0

@@ -250,7 +250,6 @@ class TestBesselWalk:
                     with pytest.raises(PrecisionError, match="exceeded the x cap"):
                         refine_bessel_zero(order, s)
 
-
     # walks from 2.5, 1.0 and 0.25 land on 200.0 itself, so the full grid
     # ends in 200.0 twice; from 1.78125 and 3.78125 the zero lies in the last
     # cell, whose right end is clipped from 200.03125; from 0.05 the walk's

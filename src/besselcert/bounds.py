@@ -76,13 +76,10 @@ def bound_envelope(order: Order, x: float) -> BoundReport:
     """
     check_domain(_DOMAINS, "bound_envelope", order, x)
     r = bessel_j_ref(order, x)
-    if abs(order.nu) <= 0.5:
-        scale = math.sqrt(math.pi * x / 2)
-        return _make("envelope", scale * abs(r.value), 1.0,
-                     strict=False, slack=scale * r.abs_err_estimate)
-    scale = abs(x * x - order.mu) ** 0.25 * math.sqrt(math.pi / 2)
-    return _make("envelope", scale * abs(r.value), 1.0,
-                 strict=True, slack=scale * r.abs_err_estimate)
+    scale, strict = ((math.sqrt(math.pi * x / 2), False) if abs(order.nu) <= 0.5
+                     else (abs(x * x - order.mu) ** 0.25 * math.sqrt(math.pi / 2), True))
+    return _make("envelope", scale * abs(r.value), 1.0, strict=strict,
+                 slack=scale * r.abs_err_estimate)
 
 
 _DERIV_SHIFT = (math.sqrt(7) - 1) / 2 ** (2 / 3)

@@ -26,10 +26,6 @@ from . import zeros as _zeros
 CSV_HEADER = "subject,nu,x,value,oracle,half_width,ratio,holds"
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -37,15 +33,12 @@ def _fmt(v) -> str:
 
 
 def _render(rows: list[_scan.ScanRow], fmt: str) -> str:
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        lines += [",".join((r.subject, _fmt(r.nu), _fmt(r.x), _fmt(r.value),
-                            _fmt(r.oracle), _fmt(r.half_width), _fmt(r.ratio),
-                            _fmt(r.holds))) for r in rows]
-    else:
-        lines = [f"{r.subject}: nu={_fmt(r.nu)} x={_fmt(r.x)} value={_fmt(r.value)}"
-                 f" oracle={_fmt(r.oracle)} half_width={_fmt(r.half_width)}"
-                 f" ratio={_fmt(r.ratio)} holds={_fmt(r.holds)}" for r in rows]
+    _, *columns = CSV_HEADER.split(",")  # the subject goes out as is, the rest through _fmt
+    lines = [CSV_HEADER] if fmt == "csv" else []
+    for r in rows:
+        cells = [_fmt(getattr(r, c)) for c in columns]
+        lines.append(",".join([r.subject, *cells]) if fmt == "csv" else
+                     f"{r.subject}: " + " ".join(f"{c}={v}" for c, v in zip(columns, cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -63,7 +56,7 @@ def _cmd_bounds(ns) -> list[_scan.ScanRow]:
     coords, _ = entry = _scan._BOUNDS[ns.name]
     for flag in coords:
         if getattr(ns, flag) is None:
-            raise _UsageError(f"bounds --name {ns.name} requires --{flag}")
+            raise ValueError(f"bounds --name {ns.name} requires --{flag}")
     return _scan._rows_at(entry, {c: Order(ns.nu) if c == "nu" else getattr(ns, c) for c in coords})
 
 
@@ -75,7 +68,7 @@ def _cmd_zeros(ns) -> list[_scan.ScanRow]:
         nu = math.nan
     else:
         if ns.nu is None:
-            raise _UsageError("zeros --family bessel requires --nu")
+            raise ValueError("zeros --family bessel requires --nu")
         est = _zeros.bessel_first_zeros_estimate(Order(ns.nu), ns.s)
         refined = _zeros.refine_bessel_zero(Order(ns.nu), ns.s)
         subject = "zero_bessel"
@@ -91,7 +84,7 @@ def _parse_nu_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in text.split(","))
     except ValueError:
-        raise _UsageError(f"--nu-list must be comma-separated reals, got {text!r}")
+        raise ValueError(f"--nu-list must be comma-separated reals, got {text!r}")
 
 
 def _cmd_scan(ns) -> list[_scan.ScanRow]:
@@ -191,7 +184,7 @@ def main(argv=None) -> int:
     try:
         rows = ns.run(ns)
     # DomainError is a ValueError and PrecisionError a RuntimeError
-    except (_UsageError, ValueError, OverflowError, RuntimeError) as e:
+    except (ValueError, OverflowError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     text = _render(rows, ns.format)

@@ -161,35 +161,30 @@ def _atanh(s: int) -> int:
     return acc
 
 
-def _exp_series(f: int) -> int:
-    """exp(f) = sum f^k/k! for fixed-point 0 <= f < 1, until a term truncates to 0;
-    each step truncates down, so it is within 2 ulp per term plus 2 for the tail."""
-    term = acc = 1 << _FB
+def _taylor(f: int) -> list[int]:
+    """f^k/k! for fixed-point f, k = 0, 1, ..., through the first term that truncates
+    to 0; each truncates down once, by less than 2 ulp with the error it inherits."""
+    term = 1 << _FB
+    terms = [term]
     k = 1
     while term:
         term = (term * f >> _FB) // k
-        acc += term
+        terms.append(term)
         k += 1
-    return acc
+    return terms
+
+
+def _exp_series(f: int) -> int:
+    """exp(f) for fixed-point 0 <= f < 1 from _taylor: within 2 ulp a term plus 2 for the tail."""
+    return sum(_taylor(f))
 
 
 def _cos_sin(f: int) -> tuple[int, int, int]:
-    """(cos f, sin f, err) for fixed-point 0 <= f <= 1.6 by Taylor's series, until a
-    term truncates to 0.  Each term f^k/k! truncates down once, by less than 2 ulp
-    with the error it inherits, and the tail left is below 4 ulp, so err = 2 ulp
-    per term bounds either result's error."""
-    term = c = 1 << _FB
-    s = 0
-    k = 1
-    while term:
-        term = (term * f >> _FB) // k
-        signed = -term if k & 2 else term  # the signs run + + - - from k = 0
-        if k & 1:
-            s += signed
-        else:
-            c += signed
-        k += 1
-    return c, s, 2 * k
+    """(cos f, sin f, err) for fixed-point 0 <= f <= 1.6 from _taylor's terms, whose
+    signs run + + - - from k = 0.  The tail left is below 4 ulp, so err = 2 ulp per
+    term bounds either result's error."""
+    t = _taylor(f)
+    return sum(t[0::4]) - sum(t[2::4]), sum(t[1::4]) - sum(t[3::4]), 2 * len(t)
 
 
 _LN2 = 2 * _atanh((1 << _FB) // 3)  # ln 2 = 2 atanh(1/3), 50 terms: within 1.4e-46
@@ -482,11 +477,12 @@ _NU_M13, _NU_13, _NU_23, _NU_43 = ((k / 3).as_integer_ratio() for k in (-1, 1, 2
 
 
 @lru_cache(maxsize=None)
-def _airy_origin(k: int) -> float:
-    """3^(-k/3)/Gamma(k/3): Ai(0) for k = 2, -Ai'(0) for k = 1."""
+def _airy_origin(k: int) -> EvalResult:
+    """3^(-k/3)/Gamma(k/3), within a double's rounding: Ai(0) for k = 2, -Ai'(0) for k = 1."""
     ln_gamma, num, den = _gamma_parts(k, 3)
     m_num, m_den = _exp_ratio(-k * _ln_small(3) // 3 - ln_gamma)
-    return m_num * num / (m_den * den)
+    v = m_num * num / (m_den * den)
+    return EvalResult(v, _FLOAT_ULP * abs(v))
 
 
 def airy_ai_neg_ref(x: float) -> EvalResult:
@@ -501,8 +497,7 @@ def airy_ai_neg_ref(x: float) -> EvalResult:
     check_domain(_DOMAINS, "airy_ai_neg_ref", x)
     zeta = 2 * x ** 1.5 / 3
     if zeta < sys.float_info.min:
-        v = _airy_origin(2)
-        return EvalResult(v, _FLOAT_ULP * abs(v))
+        return _airy_origin(2)
     jm, jp = _j_series_fixed(_NU_M13, zeta), _j_series_fixed(_NU_13, zeta)
     root = math.sqrt(x)
     value = root / 3 * (jm.value + jp.value)
@@ -525,8 +520,7 @@ def airy_ai_neg_prime_ref(x: float) -> EvalResult:
     check_domain(_DOMAINS, "airy_ai_neg_prime_ref", x)
     zeta = 2 * x ** 1.5 / 3
     if zeta < sys.float_info.min:
-        v = _airy_origin(1)
-        return EvalResult(v, _FLOAT_ULP * abs(v))
+        return _airy_origin(1)
     j13, j23, j43 = (_j_series_fixed(nu, zeta) for nu in (_NU_13, _NU_23, _NU_43))
     root = math.sqrt(x)
     value = j13.value / (3 * root) - x / 3 * (j23.value + j43.value)

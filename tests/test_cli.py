@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import math
 import time
 
@@ -6,6 +7,7 @@ import pytest
 
 from besselcert import cli
 from besselcert.cli import CSV_HEADER, _build_parser, main
+from besselcert.scan import ScanRow
 
 # a 17-digit rendering of J_0(1); the printed string may differ in the last
 # digit (it shows the double's own expansion) but parses to the same double
@@ -282,6 +284,10 @@ def test_huge_order_evaluates_to_zero(capsys):
 
 
 class TestHarness:
+    def test_header_names_the_row_fields_in_order(self):
+        # _render reads each column of both formats from ScanRow by its header name
+        assert CSV_HEADER.split(",") == [f.name for f in dataclasses.fields(ScanRow)]
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         code = main(["eval", "--nu", "1", "--x", "2", "--output", str(target)])

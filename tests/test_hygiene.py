@@ -8,6 +8,8 @@ import string
 import subprocess
 import sys
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "besselcert"
 TREES = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 
@@ -157,7 +159,7 @@ def test_hankel_path_is_integer_only():
     # enclosure's ends, integers over 2^_FB, to doubles
     functions = {f.name: f for f in ast.walk(TREES["oracle.py"]) if isinstance(f, ast.FunctionDef)}
     banned = {"sin", "cos", "sqrt", "pi", "log", "exp"}
-    for name in ("_j_hankel", "_cos_sin"):
+    for name in ("_j_hankel", "_cos_sin", "_taylor"):
         tree = functions[name]
         named = _reads(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         assert not named & banned, f"{name}: {sorted(named & banned)}"
@@ -205,6 +207,12 @@ def test_same_outputs_expect_gates_on_the_sha(monkeypatch, capsys):
     assert tool.main(["--expect", "0123abcd"]) == 1
     assert capsys.readouterr().err == f"sha256 mismatch: expected 0123abcd..., got {sha}\n"
     assert tool.main([]) == 0
+    # an empty prefix would match every sha, and a non-hex one none
+    for prefix in ("", "c5cec74g"):
+        with pytest.raises(SystemExit) as refused:
+            tool.main(["--expect", prefix])
+        assert refused.value.code == 2
+        assert "not a hex prefix" in capsys.readouterr().err
 
 
 def test_search_calls_calls_only_public_names():

@@ -18,7 +18,8 @@ admitted and a refused point.
 
 With --expect SHA_PREFIX it also compares the sha256 with the given prefix
 and, where they differ, prints both to stderr and exits 1, so a script can
-gate on it:
+gate on it.  An empty or non-hex prefix is refused with exit 2, since the
+empty one would match every sha:
 
     python3 tools/same_outputs.py --expect c5cec74a0d11e834 > dump.txt
 """
@@ -31,6 +32,7 @@ import io
 import math
 from pathlib import Path
 import random
+import string
 import sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -223,9 +225,15 @@ def _calls():
     yield "cli", _cli, ["bounds", "--name", "watson", "--nu", "2.5"]
 
 
+def _sha_prefix(text: str) -> str:
+    if not text or not set(text) <= set(string.hexdigits):
+        raise argparse.ArgumentTypeError(f"not a hex prefix: {text!r}")
+    return text.lower()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="float.hex dump of besselcert outputs")
-    parser.add_argument("--expect", metavar="SHA_PREFIX", type=str.lower,
+    parser.add_argument("--expect", metavar="SHA_PREFIX", type=_sha_prefix,
                         help="exit 1 unless the dump's sha256 starts with this prefix")
     expect = parser.parse_args(argv).expect
     digest, count = hashlib.sha256(), 0

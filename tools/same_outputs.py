@@ -8,11 +8,11 @@ values inside each entry point's domain: the oracle evaluators, J' below
 nu = 1/2, Gamma, every approximation family, best_approx at its ranking edges
 and at the ends of the doubles, the package's __all__, the point bounds,
 the Sonin functions, Airy zeros 1-50, a few Bessel zeros, the leftmost maxima,
-the Airy envelope maxima up to x = 14, both zero-bracket modes with their gap
-and conjecture checks, every scan subject's rows and report on small grids,
-approx_row for every method, olenko_sup (also at a tiny x_max), and the
-CLI's exit code, stdout and stderr for each bounds --name choice at an
-admitted and a refused point.
+the Airy envelope maxima up to x = 14 and up to x = 60, both zero-bracket
+modes with their gap and conjecture checks, every scan subject's rows and
+report on small grids, approx_row for every method, olenko_sup (also at a
+tiny x_max), and the CLI's exit code, stdout and stderr for each bounds
+--name choice at an admitted and a refused point.
 
     python3 tools/same_outputs.py > dump.txt && tail -n 1 dump.txt
 
@@ -21,7 +21,7 @@ and, where they differ, prints both to stderr and exits 1, so a script can
 gate on it.  An empty or non-hex prefix is refused with exit 2, since the
 empty one would match every sha:
 
-    python3 tools/same_outputs.py --expect c5cec74a0d11e834 > dump.txt
+    python3 tools/same_outputs.py --expect 9e4b3c7cbf3dd9e7 > dump.txt
 """
 
 import argparse
@@ -189,7 +189,8 @@ def _calls():
         yield "refine_bessel_zero", bc.refine_bessel_zero, Order(nu), s
     for nu in (5 / 3, 2.5, 10.0, 50.0):
         yield "leftmost_max_check", bc.leftmost_max_check, Order(nu)
-    yield "airy_envelope_maxima", bc.airy_envelope_maxima, 14.0
+    for x_hi in (14.0, 60.0):
+        yield "airy_envelope_maxima", bc.airy_envelope_maxima, x_hi
     for nu in (2.5, 10.0):
         yield "olenko_sup", bc.olenko_sup, Order(nu), 60.0, 300
     # a first grid point where sqrt(2/(pi x)) overflows, or underflows to 0

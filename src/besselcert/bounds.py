@@ -6,7 +6,6 @@ inequalities need margin > slack, non-strict ones margin >= -slack.  A false
 report on any acceptance grid is a build-failing event.
 """
 
-import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 import itertools
@@ -183,41 +182,31 @@ def airy_envelope_maxima(x_hi: float = 60.0) -> list[BoundReport]:
     Hump lemma: with y = Ai(-x), y'' = -x y, and g = (x+c)^(1/4), at any
     critical point of f = g y, f''/f = -x - 5/(16(x+c)^2) < 0 for x >= 0.
     So each positive hump of y, (a_2k, a_2k+1) with a_0 = -inf, holds
-    exactly one critical point of f, a strict maximum xi_k, and f' reads
-    + ... + - ... - on any grid inside the hump.  The grid is the fixed
-    step scan's, from x = 1e-3 by min(0.05, pi/(15 sqrt(max(x, 1/2)))),
-    about 15 points per half-oscillation, cut at x_hi.  Each hump's ends
-    come from the certified brackets of airy_zero_estimate, and bisecting
-    the grid indices inside it, with f' > 0 at lo and f' <= 0 at hi, finds
-    the one cell where a walk along the grid would see f' turn from
-    positive to nonpositive.  refine_root polishes xi_k from there, so the
-    crests are those of the walk at a fraction of its evaluations.  A hump
-    whose signs break the pattern raises PrecisionError; one whose f' is
+    exactly one critical point of f, a strict maximum xi_k, where f' turns
+    from positive to negative.  The hump's ends come from the certified
+    brackets of airy_zero_estimate: 1e-3 for k = 0, else a_2k's upper end,
+    and a_2k+1's lower end cut at x_hi.  f' must read > 0 at the first and
+    <= 0 at the second, else PrecisionError, and refine_root takes xi_k
+    from there, plain bisection's double on the hump.  A hump whose f' is
     still positive at x_hi holds no crest on [0, x_hi].
     """
     check_domain(_DOMAINS, "airy_envelope_maxima", x_hi)
-    xs = [1e-3]
-    while xs[-1] < x_hi:
-        x = xs[-1]
-        xs.append(min(x_hi, x + min(0.05, math.pi / (15 * math.sqrt(max(x, 0.5))))))
 
     def slope(t: float) -> float:
         return _airy_envelope(t)[1]
 
     reports = []
     for k in itertools.count():
-        # the grid indices strictly inside the k-th positive hump
-        lo = 0 if k == 0 else bisect.bisect_right(xs, _airy_bracket(2 * k)[1])
-        if lo == len(xs):
+        lo = 1e-3 if k == 0 else _airy_bracket(2 * k)[1]
+        if lo >= x_hi:
             break
-        hi = bisect.bisect_left(xs, _airy_bracket(2 * k + 1)[0]) - 1
-        d_lo, d_hi = slope(xs[lo]), slope(xs[hi])
-        if d_hi > 0 and hi == len(xs) - 1:
+        hi = min(x_hi, _airy_bracket(2 * k + 1)[0])
+        d_lo, d_hi = slope(lo), slope(hi)
+        if d_hi > 0 and hi == x_hi:
             break
-        if not lo <= hi or not d_lo > 0 >= d_hi:
+        if not d_lo > 0 >= d_hi:
             raise PrecisionError(f"airy_envelope_maxima: f' breaks the hump lemma in hump {k}")
-        lo, hi = _bisect_grid(lambda t: slope(t) > 0, xs, lo, hi)
-        xi = refine_root(slope, (xs[lo], xs[hi]), 1e-9)
+        xi = refine_root(slope, (lo, hi), 1e-9)
         # refine_root returns a point it evaluated, so both Ai values are cached
         val = _airy_envelope(xi)[0]
         reports.append(_make("airy_envelope_max_lower",

@@ -4,10 +4,9 @@ The closed-form estimates carry certified half-widths; the refinement
 routines produce the truth the brackets are tested against, from a sign
 change of the reference evaluator followed by bisection: for J_nu in the
 scan cell found by sampling at strides below its Sturm gap, for Ai(-x) in
-the scan cell that a_s's certified bracket meets.
+a_s's certified bracket itself.
 """
 
-import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 import math
@@ -104,32 +103,23 @@ def _ai(t: float) -> float:
 def refine_airy_zero(s: int) -> float:
     """The s-th positive zero a_s of Ai(-x) to ~1e-11, s <= 50, cached per s.
 
-    The result is, bit for bit, the s-th sign change of a walk x_0 = 2.0,
-    x_k+1 = x_k + 0.1 refined by refine_root, but the walk is not taken:
-    only its grid is regenerated, with the same float additions.  Ai(-x)
-    solves y'' + x y = 0, so by Sturm comparison its zeros on [0, X] are
-    at least pi/sqrt(X) apart, 0.287 on the evaluator's domain [0, 120],
-    against the 0.1 step: no cell holds two zeros, and the walk's s-th
-    sign change is the cell holding a_s.  airy_zero_estimate's certified bracket for a_s meets at
-    most two cells; Ai(-x) is evaluated at their ends, exactly one sign
-    change must show, else PrecisionError, and refine_root takes that
-    cell.  10 to 12 evaluations per zero, where the walk to a_50 takes 2200.
+    refine_root works directly inside airy_zero_estimate's certified
+    bracket for a_s.  Ai(-x) is evaluated at the bracket's two ends first,
+    and they must show a certified sign change: opposite signs, each |Ai|
+    past its error estimate, else PrecisionError.  A zero then lies inside,
+    and it is the only one, as the bracket is narrower than the Sturm gap
+    pi/sqrt(120) = 0.287 between zeros of y'' + x y = 0 on the evaluator's
+    domain [0, 120].  The result is plain bisection's double on the
+    bracket, from 8 to 10 evaluations.
     """
     check_domain(_DOMAINS, "refine_airy_zero", s)
-    lo, hi = _airy_bracket(s)
-    # the walk's grid x_0 = 2.0 < a_1, x_k+1 = x_k + 0.1, up to the first point >= hi
-    xs = [2.0]
-    while xs[-1] < hi:
-        xs.append(xs[-1] + 0.1)
-    # the ends of the cells that meet [lo, hi]
-    ends = xs[max(0, bisect.bisect_left(xs, lo) - 1):]
-    vs = [_ai(x) for x in ends]
-    changes = [k for k in range(len(vs) - 1) if vs[k] * vs[k + 1] < 0]
-    if len(changes) != 1:
-        raise PrecisionError(f"refine_airy_zero: {len(changes)} sign changes of Ai(-x) "
-                             f"in the scan cells that meet a_{s}'s bracket")
-    k = changes[0]
-    return refine_root(_ai, (ends[k], ends[k + 1]), 1e-11)
+    bracket = _airy_bracket(s)
+    ends = [airy_ai_neg_ref(x) for x in bracket]
+    if not (ends[0].value * ends[1].value < 0
+            and all(abs(r.value) > r.abs_err_estimate for r in ends)):
+        raise PrecisionError(f"refine_airy_zero: Ai(-x) shows no certified sign change "
+                             f"over a_{s}'s bracket")
+    return refine_root(_ai, bracket, 1e-11)
 
 
 @lru_cache(maxsize=None)

@@ -35,12 +35,13 @@ LEFTMOST_ORDERS = search_calls.LEFTMOST_ORDERS
 
 
 def _recording(monkeypatch, module):
-    """Record the (f, bracket, tol) of every refine_root call module makes."""
+    """Record the (f, bracket, tol, root) of every refine_root call module makes."""
     seen = []
 
     def record(f, bracket, tol):
-        seen.append((f, bracket, tol))
-        return refine_root(f, bracket, tol)
+        root = refine_root(f, bracket, tol)
+        seen.append((f, bracket, tol, root))
+        return root
 
     monkeypatch.setattr(module, "refine_root", record)
     return seen
@@ -97,7 +98,7 @@ def test_bessel_zeros_are_plain_bisections_on_the_walks_cell(monkeypatch):
         def f(t):
             return bessel_j_ref(order, t).value
         z = refine_bessel_zero(order, s)
-        _, cell, tol = seen[-1]
+        _, cell, tol, _ = seen[-1]
         assert cell == _walk_cell(f, nu, s), (nu, s)
         assert z.hex() == plain_bisection(f, cell, tol).hex(), (nu, s)
     assert len(seen) == len(BESSEL_BATTERY)
@@ -113,11 +114,44 @@ def test_leftmost_maxima_are_plain_bisections_on_the_walks_cell(monkeypatch):
     for nu in LEFTMOST_ORDERS:
         order = Order(nu)
         xi = leftmost_max_check(order).rhs
-        hp, (lo, hi), tol = seen[-1]
+        hp, (lo, hi), tol, _ = seen[-1]
         end = math.sqrt(order.mu) - 1e-6
         assert hi == min(end, lo + max(1e-3, lo / 300)), nu
         assert hp(lo) > 0 > hp(hi), nu
         assert xi.hex() == plain_bisection(hp, (lo, hi), tol).hex(), nu
+
+
+def test_airy_zeros_are_plain_bisections_on_their_brackets(monkeypatch):
+    refine_airy_zero.cache_clear()
+    seen = _recording(monkeypatch, zeros)
+    for s in range(1, 51):
+        z = refine_airy_zero(s)
+        f, bracket, tol, _ = seen[-1]
+        assert bracket == zeros._airy_bracket(s), s
+        assert z.hex() == plain_bisection(f, bracket, tol).hex(), s
+    assert len(seen) == 50
+
+
+def test_airy_crests_are_plain_bisections_on_their_humps(monkeypatch):
+    # each hump runs from 1e-3 (k = 0) or a_2k's upper bracket end to
+    # a_2k+1's lower one, cut at x_hi
+    seen = _recording(monkeypatch, bounds)
+    reports = bounds.airy_envelope_maxima(60.0)
+    assert len(seen) == len(reports) // 2 == 50
+    for k, (slope, hump, tol, xi) in enumerate(seen):
+        lo = 1e-3 if k == 0 else zeros._airy_bracket(2 * k)[1]
+        assert hump == (lo, min(60.0, zeros._airy_bracket(2 * k + 1)[0])), k
+        assert xi.hex() == plain_bisection(slope, hump, tol).hex(), k
+
+
+def test_airy_zeros_evaluate_ai_only_inside_their_brackets(monkeypatch):
+    seen = _counting(monkeypatch, zeros, "airy_ai_neg_ref")
+    for s in range(1, 51):
+        refine_airy_zero.cache_clear()
+        seen.clear()
+        refine_airy_zero(s)
+        lo, hi = zeros._airy_bracket(s)
+        assert seen and all(lo <= x <= hi for x in seen), s
 
 
 def _assert_sign_certain(evaluate, z, tol, margin):
@@ -172,7 +206,7 @@ def test_budget_airy_zeros(monkeypatch):
         refine_airy_zero.cache_clear()
         seen.clear()
         refine_airy_zero(s)
-        assert len(seen) <= 12, s
+        assert len(seen) <= 10, s
 
 
 def test_budget_leftmost_max(monkeypatch):

@@ -10,6 +10,7 @@ import besselcert.oracle as oracle
 import besselcert.zeros as zeros_module
 from besselcert import (
     DomainError,
+    EvalResult,
     Order,
     PrecisionError,
     airy_ai_neg_ref,
@@ -126,6 +127,11 @@ def _fresh_scan(f, x, step, n, cap=math.inf):
     return found
 
 
+def _bisected_airy_zero(s):
+    """Plain bisection's a_s on its certified bracket, as float.hex."""
+    return plain_bisection(zeros_module._ai, zeros_module._airy_bracket(s), 1e-11).hex()
+
+
 def _clear_bessel_caches():
     refine_bessel_zero.cache_clear()
 
@@ -144,10 +150,10 @@ def _counting(monkeypatch, name):
 
 
 class TestResumedScan:
-    def test_airy_zeros_in_order_equal_a_fresh_scan(self):
+    def test_airy_zeros_in_order_equal_plain_bisection_on_their_brackets(self):
         refine_airy_zero.cache_clear()
-        got = [refine_airy_zero(s) for s in range(1, 13)]
-        assert got == _fresh_scan(lambda t: airy_ai_neg_ref(t).value, 2.0, 0.1, 12)
+        got = [refine_airy_zero(s).hex() for s in range(1, 13)]
+        assert got == [_bisected_airy_zero(s) for s in range(1, 13)]
 
     @pytest.mark.parametrize("nu", (0.0, 2.5, 10.0))
     def test_bessel_zeros_in_order_equal_a_fresh_scan(self, nu):
@@ -282,35 +288,50 @@ class TestBesselWalk:
 
 
 class TestAiryJump:
-    def test_every_airy_zero_equals_the_walk_in_either_order(self):
-        walk = [z.hex() for z in _fresh_scan(lambda t: airy_ai_neg_ref(t).value, 2.0, 0.1, 50)]
+    def test_every_airy_zero_is_plain_bisection_on_its_bracket_in_either_order(self):
+        bisected = [_bisected_airy_zero(s) for s in range(1, 51)]
         for order in (range(1, 51), range(50, 0, -1)):
             refine_airy_zero.cache_clear()
             got = {s: refine_airy_zero(s).hex() for s in order}
-            assert [got[s] for s in range(1, 51)] == walk
+            assert [got[s] for s in range(1, 51)] == bisected
 
     def test_a_fresh_last_zero_takes_few_evaluations(self, monkeypatch):
-        # the walk to a_50 evaluates Ai(-x) about 2200 times; the jump
-        # evaluates the ends of at most two cells, then refines: 11 in all
-        # (40 with every bisection midpoint evaluated)
+        # the bracket's two ends, then refine_root on the bracket: 8 in all
+        # (17 with every bisection midpoint evaluated)
         refine_airy_zero.cache_clear()
         seen = _counting(monkeypatch, "airy_ai_neg_ref")
         refine_airy_zero(50)
-        assert len(seen) <= 11
+        assert len(seen) <= 8
 
     def test_a_bracket_without_one_sign_change_refuses(self, monkeypatch):
-        # a bracket that misses a_s, or a cell pair with two sign changes, is
-        # refused rather than guessed from
+        # a bracket that misses a_s, narrow or wide, shows no sign change
+        # and is refused rather than guessed from
         refine_airy_zero.cache_clear()
+        message = "no certified sign change over a_1's bracket"
         monkeypatch.setattr(zeros_module, "_airy_bracket", lambda s: (3.0, 3.05))
-        with pytest.raises(PrecisionError, match="0 sign changes"):
+        with pytest.raises(PrecisionError, match=message):
             refine_airy_zero(1)
         monkeypatch.setattr(zeros_module, "_airy_bracket", lambda s: (2.35, 4.05))
-        with pytest.raises(PrecisionError, match="2 sign changes"):
+        with pytest.raises(PrecisionError, match=message):
             refine_airy_zero(1)
         monkeypatch.undo()
         refine_airy_zero.cache_clear()
         assert refine_airy_zero(1) == pytest.approx(AIRY_ZEROS[1], abs=1e-10)
+
+    @pytest.mark.parametrize("end", (0, 1))
+    def test_an_end_within_its_error_estimate_refuses(self, monkeypatch, end):
+        # the right signs are not enough: an end whose |Ai| does not exceed
+        # its error estimate does not certify its sign
+        refine_airy_zero.cache_clear()
+        x_end = zeros_module._airy_bracket(1)[end]
+
+        def blurred(x):
+            r = airy_ai_neg_ref(x)
+            return EvalResult(r.value, abs(r.value)) if x == x_end else r
+
+        monkeypatch.setattr(zeros_module, "airy_ai_neg_ref", blurred)
+        with pytest.raises(PrecisionError, match="no certified sign change over a_1's bracket"):
+            refine_airy_zero(1)
 
 
 class TestBesselBrackets:

@@ -21,7 +21,7 @@ and, where they differ, prints both to stderr and exits 1, so a script can
 gate on it.  An empty or non-hex prefix is refused with exit 2, since the
 empty one would match every sha:
 
-    python3 tools/same_outputs.py --expect 9e4b3c7cbf3dd9e7 > dump.txt
+    python3 tools/same_outputs.py --expect af13562c3853848f > dump.txt
 """
 
 import argparse

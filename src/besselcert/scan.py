@@ -319,31 +319,70 @@ def _oscillation_gap(order: Order, x: float) -> float:
     return x ** 1.5 * abs(r.value - main)
 
 
-_GOLDEN = (math.sqrt(5) - 1) / 2
-_GOLDEN_ITERS = 45
+# Brent's stop rule: a crest's abscissa to about sqrt(eps) relative, plus a
+# floor; R is quadratic there, so closer abscissae differ in R by a rounding
+_POLISH_REL = 1.5e-8
+_POLISH_ABS = 1e-12
+_CGOLD = (3 - math.sqrt(5)) / 2
 
 
-def _golden_max(f, a: float, b: float) -> tuple[float, float]:
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(_GOLDEN_ITERS):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
+def _brent_max(f, a: float, b: float, x: float, fx: float) -> tuple[float, float]:
+    """Brent's search for a maximum of f on (a, b) from the evaluated x
+    (Brent 1973, ch. 5): parabolic steps through the best three points, and
+    golden-section steps where the parabola's vertex leaves the bracket or
+    its step fails to halve the one before last.  Returns the best (x, f(x))."""
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol = _POLISH_REL * abs(x) + _POLISH_ABS
+        if abs(x - m) <= 2 * tol - 0.5 * (b - a):
+            return x, fx
+        p = q = last = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2 * (q - r)
+            if q > 0:
+                p = -p
+            q = abs(q)
+            last, e = e, d
+        if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < 2 * tol or b - x - d < 2 * tol:
+                d = tol if x < m else -tol
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+            e = (b if x < m else a) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) -> SupResult:
     """Estimate sup_x x^(3/2)|J_nu(x) - sqrt(2/(pi x)) cos(x - omega)|.
 
     A linear coarse scan of (0, x_max] locates candidate maxima; the best
-    five are polished by golden-section search.  The result is a lower
+    five are polished by Brent's parabolic search, each from its coarse
+    peak inside the two neighbouring grid points, until the crest is
+    located to 1.5e-8 |x| + 1e-12 (about six evaluations of R per crest).
+    sup_value is R's value at argmax_x.  The result is a lower
     bound on the sup over (0, x_max] only: where R's crests still grow at
     the window's edge (nu = 5 and 10 at x_max = 150), the argmax sits there
     and sup/mu stays just below the crests' limit 1/sqrt(2 pi).  Requires
@@ -358,8 +397,8 @@ def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) ->
     peaks.sort(key=lambda i: vals[i], reverse=True)
     best_x, best_v = max(zip(xs, vals), key=lambda p: p[1])
     for i in peaks[:5]:
-        x, v = _golden_max(lambda t: _oscillation_gap(order, t),
-                           xs[i - 1], xs[i + 1])
+        x, v = _brent_max(lambda t: _oscillation_gap(order, t),
+                          xs[i - 1], xs[i + 1], xs[i], vals[i])
         if v > best_v:
             best_x, best_v = x, v
     return SupResult(order.nu, best_v, best_x, best_v / order.mu)

@@ -167,10 +167,6 @@ class TestAiryEnvelope:
         with pytest.raises(DomainError):
             bound_airy_envelope(-0.1)
 
-    @pytest.mark.parametrize("x_hi", (6.0, 14.0))
-    def test_hump_bisection_finds_the_walks_crests(self, x_hi):
-        assert _hex(airy_envelope_maxima(x_hi)) == _walked_crests(x_hi)
-
     def test_hump_lemma_sign_pattern_to_the_domain_end(self):
         # f'' / f = -x - 5/(16(x+c)^2) < 0 at every critical point of f, so
         # inside each positive hump (a_2k, a_2k+1) of Ai(-x), a_0 = -inf, f'
@@ -178,19 +174,28 @@ class TestAiryEnvelope:
         # mpmath's float Airy functions, independent of the oracle and
         # within ~2e-13 of it to x = 120
         xs = _scan_grid(120.0)
-
-        def slope(x):
-            a, ap = mpmath.fp.airyai(-x), -mpmath.fp.airyai(-x, derivative=1)
-            return 0.25 * (x + AIRY_C) ** -0.75 * a + (x + AIRY_C) ** 0.25 * ap
-
         for k in itertools.count():
             lo = -math.inf if k == 0 else _airy_bracket(2 * k)[1]
             if lo >= xs[-1]:
                 break
             hi = _airy_bracket(2 * k + 1)[0]
-            signs = "".join("+" if slope(x) > 0 else "-" for x in xs if lo < x < hi)
+            signs = "".join("+" if _mp_slope(x) > 0 else "-" for x in xs if lo < x < hi)
             assert re.fullmatch(r"\++-+" if hi < xs[-1] else r"\++-*", signs), (k, signs)
         assert k == 140  # a_279 = 119.94 ends the last hump; a_280 is past 120
+
+    def test_hump_ends_read_the_lemmas_signs_to_the_domain_end(self):
+        # airy_envelope_maxima reads f' at each hump's ends, 1e-3 (k = 0) or
+        # a_2k's upper bracket end, and a_2k+1's lower one: mpmath's f' is
+        # > 0 at the first and <= 0 at the second for every hump to x = 120
+        for k in itertools.count():
+            lo = 1e-3 if k == 0 else _airy_bracket(2 * k)[1]
+            if lo >= 120.0:
+                break
+            assert _mp_slope(lo, mpmath.mp) > 0, k
+            hi = _airy_bracket(2 * k + 1)[0]
+            if hi <= 120.0:
+                assert _mp_slope(hi, mpmath.mp) <= 0, k
+        assert k == 140
 
     def test_a_hump_against_the_lemma_refuses(self, monkeypatch):
         # hump ends that straddle a negative hump break the sign pattern
@@ -208,28 +213,12 @@ def _scan_grid(x_hi):
     return xs
 
 
-def _hex(reports):
-    return [(r.name, r.lhs.hex(), r.rhs.hex(), r.holds) for r in reports]
-
-
-def _walked_crests(x_hi):
-    # airy_envelope_maxima as the fixed-step scan computed it: f' at every
-    # grid point, and each cell where it turns from positive to nonpositive
-    # refined by plain bisection
-    def slope(t):
-        return bounds_module._airy_envelope(t)[1]
-
-    xs = _scan_grid(x_hi)
-    ds = [slope(x) for x in xs]
-    reports = []
-    for i in range(1, len(xs)):
-        if ds[i - 1] > 0 >= ds[i]:
-            val = bounds_module._airy_envelope(plain_bisection(slope, (xs[i - 1], xs[i]), 1e-9))[0]
-            reports += [bounds_module._make("airy_envelope_max_lower", INV_SQRT_PI, val,
-                                            strict=True, slack=1e-12),
-                        bounds_module._make("airy_envelope_max_upper", val, 9 / 14,
-                                            strict=True, slack=1e-12)]
-    return _hex(reports)
+def _mp_slope(x, ctx=mpmath.fp):
+    # f' for f = (x+c)^(1/4) Ai(-x), from mpmath's Airy functions in ctx
+    # (floats by default, 30 digits for mpmath.mp)
+    with mpmath.workdps(30):
+        a, ap = ctx.airyai(-x), -ctx.airyai(-x, derivative=1)
+        return 0.25 * (x + AIRY_C) ** -0.75 * a + (x + AIRY_C) ** 0.25 * ap
 
 
 class TestWronskianKernel:

@@ -132,15 +132,16 @@ def test_airy_zeros_are_plain_bisections_on_their_brackets(monkeypatch):
     assert len(seen) == 50
 
 
-def test_airy_crests_are_plain_bisections_on_their_humps(monkeypatch):
+@pytest.mark.parametrize("x_hi", (6.0, 14.0, 60.0))
+def test_airy_crests_are_plain_bisections_on_their_humps(monkeypatch, x_hi):
     # each hump runs from 1e-3 (k = 0) or a_2k's upper bracket end to
     # a_2k+1's lower one, cut at x_hi
     seen = _recording(monkeypatch, bounds)
-    reports = bounds.airy_envelope_maxima(60.0)
-    assert len(seen) == len(reports) // 2 == 50
+    reports = bounds.airy_envelope_maxima(x_hi)
+    assert len(seen) == len(reports) // 2 == {6.0: 2, 14.0: 6, 60.0: 50}[x_hi]
     for k, (slope, hump, tol, xi) in enumerate(seen):
         lo = 1e-3 if k == 0 else zeros._airy_bracket(2 * k)[1]
-        assert hump == (lo, min(60.0, zeros._airy_bracket(2 * k + 1)[0])), k
+        assert hump == (lo, min(x_hi, zeros._airy_bracket(2 * k + 1)[0])), k
         assert xi.hex() == plain_bisection(slope, hump, tol).hex(), k
 
 

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import math
+import random
 
+from hypothesis import given, seed, settings, strategies as st
 import pytest
 
 from besselcert import (
@@ -14,8 +17,10 @@ from besselcert import (
 )
 from besselcert import approx as approx_module
 from besselcert import bounds as bounds_module
+from besselcert import scan as scan_module
 from besselcert.cli import main
 from besselcert.scan import _oscillation_gap, approx_row
+from golden_polish import golden_sup
 
 
 class TestGridSpec:
@@ -218,3 +223,82 @@ class TestOlenkoSup:
             olenko_sup(Order(2.0), x_max=500.0)
         with pytest.raises(DomainError):
             olenko_sup(Order(2.0), coarse_points=5)
+
+
+_rng = random.Random(30)
+# 20 seeded orders at the benchmark's window, and criterion 8's at the defaults
+POLISH_CASES = ([(_rng.uniform(1.0, 10.0), 60.0, 300) for _ in range(20)]
+                + [(nu, 150.0, 3000) for nu in (2.0, 5.0, 10.0)])
+POLISH_IDS = [f"{nu:.4f}-{x_max:g}-{n}" for nu, x_max, n in POLISH_CASES]
+
+
+@functools.cache
+def _polished(nu, x_max, coarse_points):
+    """olenko_sup's result and the ((a, b), (x, R(x)) started from, (x, R(x))
+    returned) of each of its polishes."""
+    polishes = []
+    brent = scan_module._brent_max
+
+    def record(f, a, b, x, fx):
+        best = brent(f, a, b, x, fx)
+        polishes.append(((a, b), (x, fx), best))
+        return best
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan_module, "_brent_max", record)
+        return olenko_sup(Order(nu), x_max, coarse_points), polishes
+
+
+class TestOlenkoPolish:
+    @pytest.mark.parametrize("case", POLISH_CASES, ids=POLISH_IDS)
+    def test_each_polish_keeps_its_coarse_peak(self, case):
+        s, polishes = _polished(*case)
+        assert len(polishes) == 5
+        for (a, b), (x0, v0), (x, v) in polishes:
+            assert a < x0 < b and a < x < b
+            assert v >= v0
+            assert s.sup_value >= v
+        assert s.sup_value == max(v for *_, (_, v) in polishes)
+
+    @pytest.mark.parametrize("case", POLISH_CASES, ids=POLISH_IDS)
+    def test_sup_within_1e12_of_the_golden_polish(self, case):
+        s, _ = _polished(*case)
+        nu, x_max, coarse_points = case
+        ref, _ = golden_sup(Order(nu), x_max, coarse_points)
+        assert abs(s.sup_value - ref) <= 1e-12 * ref, (s.sup_value, ref)
+
+    @pytest.mark.parametrize("case", POLISH_CASES, ids=POLISH_IDS)
+    def test_sup_is_the_oracles_r_at_its_argmax(self, case):
+        s, _ = _polished(*case)
+        assert s.sup_value == _oscillation_gap(Order(case[0]), s.argmax_x)
+
+    def test_budget(self, monkeypatch):
+        # 300 coarse points, then 6 or 7 evaluations for each of five crests;
+        # 45 golden-section steps took 535
+        seen = []
+        oracle = scan_module.bessel_j_ref
+        monkeypatch.setattr(scan_module, "bessel_j_ref", lambda *a: seen.append(a) or oracle(*a))
+        olenko_sup(Order(5.0), 60.0, 300)
+        assert len(seen) == 333
+
+
+@seed(30)
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(0.05, 0.95), width=st.floats(1e-3, 1.0), left=st.floats(0.0, 100.0),
+       start=st.floats(0.05, 0.95))
+def test_brent_finds_a_cosine_crest(c, width, left, start):
+    # one crest of cos on (a, b), from any interior start: the argmax
+    # lands within Brent's stop rule of the peak, or on the plateau about
+    # 1.5e-8 width wide where 1 - cos((t - peak)/width) rounds to 0, and
+    # its value is never below the start's
+    a, b = left, left + width
+    peak = a + c * width
+    x0 = a + start * width
+
+    def f(t):
+        return math.cos((t - peak) / width)
+
+    x, v = scan_module._brent_max(f, a, b, x0, f(x0))
+    tol = scan_module._POLISH_REL * abs(x) + scan_module._POLISH_ABS
+    assert abs(x - peak) <= 3 * tol + 2e-8 * width
+    assert v == f(x) >= f(x0)

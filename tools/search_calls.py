@@ -2,11 +2,13 @@
 
 Each family runs once from empty caches over a fixed seeded list: the
 Bessel battery (40 seeded (nu, s), nu in [-1/2, 60], s <= 12), a_1 to a_50,
-four leftmost maxima and the crests of airy_envelope_maxima(60).  For each
-it prints the roots refined, the misses of the oracle's series cache (one
-per J_nu(x) summed) and the calls refine_root makes of f per root.  The
-counts are exact and repeat from run to run, so a change to the search
-layer can quote them before and after.
+four leftmost maxima, the crests of airy_envelope_maxima(60) and
+olenko_sup(nu, 60, 300) at six seeded orders in [1, 10].  For each it
+prints the roots refined, the misses of the oracle's series cache (one
+per J_nu(x) summed) and the calls refine_root makes of f per root ("-"
+for olenko_sup, which refines no roots).  The counts are exact and repeat
+from run to run, so a change to the search layer can quote them before
+and after.
 
     python3 tools/search_calls.py
 """
@@ -24,12 +26,14 @@ from besselcert import bounds, oracle, zeros  # noqa: E402
 _rng = random.Random(26)
 BESSEL_BATTERY = [(_rng.uniform(-0.5, 60.0), _rng.randint(1, 12)) for _ in range(40)]
 LEFTMOST_ORDERS = [_rng.uniform(5 / 3, 40.0) for _ in range(8)]
+OLENKO_ORDERS = [_rng.uniform(1.0, 10.0) for _ in range(6)]
 
 FAMILIES = {
     "bessel_zero": lambda: [bc.refine_bessel_zero(bc.Order(nu), s) for nu, s in BESSEL_BATTERY],
     "airy_zero": lambda: [bc.refine_airy_zero(s) for s in range(1, 51)],
     "leftmost_max": lambda: [bc.leftmost_max_check(bc.Order(nu)) for nu in LEFTMOST_ORDERS[:4]],
     "airy_crest": lambda: bc.airy_envelope_maxima(60.0),
+    "olenko_sup": lambda: [bc.olenko_sup(bc.Order(nu), 60.0, 300) for nu in OLENKO_ORDERS],
 }
 
 
@@ -62,7 +66,8 @@ def main() -> None:
     print(f"{'family':<14}{'roots':>6}{'series_misses':>15}{'calls_per_root':>16}")
     for name, search in FAMILIES.items():
         roots, misses, calls = counts(search)
-        print(f"{name:<14}{roots:>6}{misses:>15}{calls / roots:>16.2f}")
+        per_root = f"{calls / roots:.2f}" if roots else "-"
+        print(f"{name:<14}{roots:>6}{misses:>15}{per_root:>16}")
 
 
 if __name__ == "__main__":

@@ -378,27 +378,51 @@ def _brent_max(f, a: float, b: float, x: float, fx: float) -> tuple[float, float
 def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) -> SupResult:
     """Estimate sup_x x^(3/2)|J_nu(x) - sqrt(2/(pi x)) cos(x - omega)|.
 
-    A linear coarse scan of (0, x_max] locates candidate maxima; the best
-    five are polished by Brent's parabolic search, each from its coarse
-    peak inside the two neighbouring grid points, until the crest is
-    located to 1.5e-8 |x| + 1e-12 (about six evaluations of R per crest).
-    sup_value is R's value at argmax_x.  The result is a lower
-    bound on the sup over (0, x_max] only: where R's crests still grow at
-    the window's edge (nu = 5 and 10 at x_max = 150), the argmax sits there
-    and sup/mu stays just below the crests' limit 1/sqrt(2 pi).  Requires
-    mu > 0 (at nu = 1/2 the quantity is identically zero and there is
-    nothing to normalize).
+    Let x0 be the first omega + k pi at or past max(sqrt(mu), pi).  Below
+    x0, R is read on the linear grid x_max j/coarse_points and every grid
+    peak is polished inside its two neighbouring grid points.  Above x0,
+    Hankel's expansion (DLMF 10.17.3) gives R ~ sqrt(2/pi) mu/2 |sin(x -
+    omega)|, so R is assumed to have one crest in each interval
+    [omega + k pi, omega + (k+1) pi]; each such interval, clipped to x_max,
+    gets one search from its midpoint.  Where two crests shared an
+    interval, the lower one could be missed; a dense scan of R on seeded
+    orders in [1, 10] to x = 150 and in [20, 30] to x = 200 finds none
+    (tests/test_scan.py, test_one_crest_per_half_period).  R(x_max) is read
+    too, so the window's edge counts.  Every search is Brent's parabolic
+    one, run until the crest is located to 1.5e-8 |x| + 1e-12 (about ten
+    evaluations of R per crest).
+
+    sup_value is R's value at argmax_x.  The result is a lower bound on the
+    sup over (0, x_max] only: where R's crests still grow at the window's
+    edge (nu = 5 and 10 at x_max = 150), the argmax sits there and sup/mu
+    stays just below the crests' limit 1/sqrt(2 pi).  Requires mu > 0 (at
+    nu = 1/2 the quantity is identically zero and there is nothing to
+    normalize).
     """
     check_domain(_DOMAINS, "olenko_sup", order, x_max, coarse_points)
-    xs = [x_max * k / coarse_points for k in range(1, coarse_points + 1)]
-    vals = [_oscillation_gap(order, x) for x in xs]
-    peaks = [i for i in range(1, len(xs) - 1)
-             if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]]
-    peaks.sort(key=lambda i: vals[i], reverse=True)
-    best_x, best_v = max(zip(xs, vals), key=lambda p: p[1])
-    for i in peaks[:5]:
-        x, v = _brent_max(lambda t: _oscillation_gap(order, t),
-                          xs[i - 1], xs[i + 1], xs[i], vals[i])
-        if v > best_v:
-            best_x, best_v = x, v
+
+    def r(t):
+        return _oscillation_gap(order, t)
+
+    # past x_max (mu may be inf) the whole window is the grid's
+    x0 = math.inf
+    lo = max(math.sqrt(order.mu), math.pi)
+    if lo < x_max:
+        k = math.ceil((lo - order.omega) / math.pi)
+        x0 = order.omega + k * math.pi
+    xs = [x for x in (x_max * j / coarse_points for j in range(1, coarse_points + 1)) if x < x0]
+    vals = [r(x) for x in xs]
+    crests = list(zip(xs, vals))
+    if x_max >= x0:
+        crests.append((x_max, r(x_max)))
+    crests += [_brent_max(r, xs[i - 1], xs[i + 1], xs[i], vals[i])
+               for i in range(1, len(xs) - 1)
+               if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]]
+    while x0 < x_max:
+        k += 1
+        a, x0 = x0, order.omega + k * math.pi
+        b = min(x0, x_max)
+        m = 0.5 * (a + b)
+        crests.append(_brent_max(r, a, b, m, r(m)))
+    best_x, best_v = max(crests, key=lambda p: p[1])
     return SupResult(order.nu, best_v, best_x, best_v / order.mu)

@@ -213,6 +213,13 @@ class TestOlenkoSup:
         for x in (1.0, 2.0, 5.0, 50.0, 149.0):
             assert s.sup_value >= _oscillation_gap(order, x) - 1e-12
 
+    def test_order_past_the_window(self):
+        # sqrt(mu) past x_max, here mu = inf: the grid spans the whole window
+        order = Order(1e200)
+        s = olenko_sup(order, 50.0, 20)
+        grid = [_oscillation_gap(order, 2.5 * k) for k in range(1, 21)]
+        assert s.sup_value >= max(grid) and 0 < s.argmax_x <= 50.0
+
     def test_deterministic(self):
         assert olenko_sup(Order(5.0), 60.0, 400) == olenko_sup(Order(5.0), 60.0, 400)
 
@@ -230,13 +237,34 @@ _rng = random.Random(30)
 POLISH_CASES = ([(_rng.uniform(1.0, 10.0), 60.0, 300) for _ in range(20)]
                 + [(nu, 150.0, 3000) for nu in (2.0, 5.0, 10.0)])
 POLISH_IDS = [f"{nu:.4f}-{x_max:g}-{n}" for nu, x_max, n in POLISH_CASES]
+# R evaluations (one bessel_j_ref call each) per case, in POLISH_CASES order;
+# the coarse scan took 329-336 at (60, 300) and 3025-3027 at the defaults
+POLISH_EVALS = [200, 216, 209, 239, 211, 213, 188, 210, 247, 224,
+                248, 248, 214, 191, 179, 238, 205, 269, 244, 236,
+                481, 505, 646]
+
+
+def _half_periods(order, x_max):
+    """x0, the first omega + k pi at or past max(sqrt(mu), pi), and the
+    intervals [omega + k pi, omega + (k+1) pi] above it, clipped to x_max."""
+    k = 0
+    while order.omega + k * math.pi >= max(math.sqrt(order.mu), math.pi):
+        k -= 1
+    while order.omega + k * math.pi < max(math.sqrt(order.mu), math.pi):
+        k += 1
+    x0, intervals = order.omega + k * math.pi, []
+    while order.omega + k * math.pi < x_max:
+        intervals.append((order.omega + k * math.pi,
+                          min(order.omega + (k + 1) * math.pi, x_max)))
+        k += 1
+    return x0, intervals
 
 
 @functools.cache
 def _polished(nu, x_max, coarse_points):
-    """olenko_sup's result and the ((a, b), (x, R(x)) started from, (x, R(x))
-    returned) of each of its polishes."""
-    polishes = []
+    """olenko_sup's result, the ((a, b), (x, R(x)) started from, (x, R(x))
+    returned) of each of its polishes, and every (x, R(x)) it evaluated."""
+    polishes, evaluated = [], []
     brent = scan_module._brent_max
 
     def record(f, a, b, x, fx):
@@ -244,42 +272,115 @@ def _polished(nu, x_max, coarse_points):
         polishes.append(((a, b), (x, fx), best))
         return best
 
+    def gap(order, x):
+        v = _oscillation_gap(order, x)
+        evaluated.append((x, v))
+        return v
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scan_module, "_brent_max", record)
-        return olenko_sup(Order(nu), x_max, coarse_points), polishes
+        mp.setattr(scan_module, "_oscillation_gap", gap)
+        return olenko_sup(Order(nu), x_max, coarse_points), polishes, evaluated
 
 
 class TestOlenkoPolish:
     @pytest.mark.parametrize("case", POLISH_CASES, ids=POLISH_IDS)
     def test_each_polish_keeps_its_coarse_peak(self, case):
-        s, polishes = _polished(*case)
-        assert len(polishes) == 5
+        # every search starts from an evaluated point strictly inside its
+        # bracket and ends at or above that point's R; the sup is the best
+        # R evaluated anywhere
+        s, polishes, evaluated = _polished(*case)
         for (a, b), (x0, v0), (x, v) in polishes:
             assert a < x0 < b and a < x < b
+            assert (x0, v0) in evaluated and (x, v) in evaluated
             assert v >= v0
-            assert s.sup_value >= v
-        assert s.sup_value == max(v for *_, (_, v) in polishes)
+        assert s.sup_value == max(v for _, v in evaluated)
+
+    @pytest.mark.parametrize("case", POLISH_CASES, ids=POLISH_IDS)
+    def test_brackets_are_grid_neighbours_then_half_periods(self, case):
+        nu, x_max, coarse_points = case
+        _, polishes, evaluated = _polished(*case)
+        x0, intervals = _half_periods(Order(nu), x_max)
+        grid = {x_max * k / coarse_points for k in range(1, coarse_points + 1)}
+        below = [p for p in polishes if p[0][0] < x0]
+        assert all(a in grid and x in grid and b in grid and b < x0
+                   for (a, b), (x, _), _ in below)
+        above = polishes[len(below):]
+        assert [p[0] for p in above] == intervals
+        assert all(x == 0.5 * (a + b) for (a, b), (x, _), _ in above)
+        assert (x_max, _oscillation_gap(Order(nu), x_max)) in evaluated
 
     @pytest.mark.parametrize("case", POLISH_CASES, ids=POLISH_IDS)
     def test_sup_within_1e12_of_the_golden_polish(self, case):
-        s, _ = _polished(*case)
+        # one-sided: the half-period searches find crests that the golden
+        # polish's five best coarse peaks miss, so the sup may only rise
+        s, *_ = _polished(*case)
         nu, x_max, coarse_points = case
         ref, _ = golden_sup(Order(nu), x_max, coarse_points)
-        assert abs(s.sup_value - ref) <= 1e-12 * ref, (s.sup_value, ref)
+        assert s.sup_value >= ref * (1 - 1e-12), (s.sup_value, ref)
 
     @pytest.mark.parametrize("case", POLISH_CASES, ids=POLISH_IDS)
     def test_sup_is_the_oracles_r_at_its_argmax(self, case):
-        s, _ = _polished(*case)
+        s, *_ = _polished(*case)
         assert s.sup_value == _oscillation_gap(Order(case[0]), s.argmax_x)
 
+    @pytest.mark.parametrize("case, budget", zip(POLISH_CASES, POLISH_EVALS), ids=POLISH_IDS)
+    def test_evaluation_budget(self, case, budget):
+        *_, evaluated = _polished(*case)
+        assert len(evaluated) == budget
+        assert budget <= (300 if case[1] == 60.0 else 700)
+
     def test_budget(self, monkeypatch):
-        # 300 coarse points, then 6 or 7 evaluations for each of five crests;
-        # 45 golden-section steps took 535
+        # 27 grid points below x0 = omega - pi and R(60), then about ten
+        # evaluations for each of two grid peaks and 18 half-periods; the
+        # coarse scan took 333
         seen = []
         oracle = scan_module.bessel_j_ref
         monkeypatch.setattr(scan_module, "bessel_j_ref", lambda *a: seen.append(a) or oracle(*a))
         olenko_sup(Order(5.0), 60.0, 300)
-        assert len(seen) == 333
+        assert len(seen) == 220
+
+    @pytest.mark.parametrize("nu, x_max, coarse_points, missed, found", [
+        (1.0, 150.0, 3000, 145.30, 148.44),
+        (POLISH_CASES[7][0], 60.0, 300, 56.79, 59.94),
+    ], ids=["1-150-3000", POLISH_IDS[7]])
+    def test_finds_the_crest_the_five_best_peaks_missed(self, nu, x_max, coarse_points,
+                                                         missed, found):
+        # the coarse scan's five best peaks returned the crest at `missed`;
+        # the higher crest one half-period on is the window's sup
+        order = Order(nu)
+        s = olenko_sup(order, x_max, coarse_points)
+        assert abs(s.argmax_x - found) < 0.01
+
+        def r(t):
+            return _oscillation_gap(order, t)
+        _, old = scan_module._brent_max(r, missed - 1, missed + 1, missed, r(missed))
+        assert s.sup_value > old * (1 + 1e-7)
+
+
+_dense_rng = random.Random(31)
+DENSE_CASES = ([(_dense_rng.uniform(1.0, 10.0), 150.0) for _ in range(2)]
+               + [(_dense_rng.uniform(20.0, 30.0), 200.0) for _ in range(2)])
+
+
+@pytest.mark.parametrize("nu, x_max", DENSE_CASES, ids=[f"{nu:.4f}-{x:g}" for nu, x in DENSE_CASES])
+def test_one_crest_per_half_period(nu, x_max):
+    # olenko_sup's assumption: above x0, each interval [omega + k pi,
+    # omega + (k+1) pi] holds at most one local maximum of R.  R is read at
+    # 32 points per interval (and as finely below x0); no interval holds two
+    # local maxima, and the sup is at or above the dense maximum
+    order = Order(nu)
+    x0, intervals = _half_periods(order, x_max)
+    n = math.ceil(32 * x0 / math.pi)
+    xs = ([x0 * k / n for k in range(1, n)]
+          + [a + (b - a) * j / 32 for a, b in intervals for j in range(32)] + [x_max])
+    vals = [_oscillation_gap(order, x) for x in xs]
+    maxima = [xs[i] for i in range(1, len(xs) - 1)
+              if vals[i] > vals[i - 1] and vals[i] >= vals[i + 1] and xs[i] > x0]
+    per_interval = [sum(a <= x < b for x in maxima) for a, b in intervals]
+    assert max(per_interval) == 1
+    s = olenko_sup(order, x_max)
+    assert s.sup_value >= max(vals) * (1 - 1e-12)
 
 
 @seed(30)

@@ -247,10 +247,10 @@ POLISH_EVALS = [200, 216, 209, 239, 211, 213, 188, 210, 247, 224,
 def _half_periods(order, x_max):
     """x0, the first omega + k pi at or past max(sqrt(mu), pi), and the
     intervals [omega + k pi, omega + (k+1) pi] above it, clipped to x_max."""
-    k = 0
-    while order.omega + k * math.pi >= max(math.sqrt(order.mu), math.pi):
+    lo, k = max(math.sqrt(order.mu), math.pi), 0
+    while order.omega + k * math.pi >= lo:
         k -= 1
-    while order.omega + k * math.pi < max(math.sqrt(order.mu), math.pi):
+    while order.omega + k * math.pi < lo:
         k += 1
     x0, intervals = order.omega + k * math.pi, []
     while order.omega + k * math.pi < x_max:

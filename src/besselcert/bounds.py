@@ -14,6 +14,7 @@ import math
 from .oracle import (
     BoundReport,
     DomainError,
+    EvalResult,
     Order,
     PrecisionError,
     _AIRY_X,
@@ -25,7 +26,7 @@ from .oracle import (
     _NU_FLOOR,
     _PUBLIC_X_CAP,
     _bernoulli,
-    _bisect_grid,
+    _certified_sign,
     _is_double,
     _j_prime_any,
     _make,
@@ -291,48 +292,57 @@ def sonin_eval(variant: str, order: Order, x: float) -> SoninSample:
     return SoninSample(x, _SONIN[variant][0](order, x), variant)
 
 
+def _leftmost_slope(order: Order, x: float) -> EvalResult:
+    """hp = A + B, the x-derivative of (mu - x^2)^(1/4) J_nu at 0 < x < sqrt(mu),
+    A = -x s^(-3/4) J_nu/2 and B = s^(1/4) J'_nu with s = mu - x^2, and its charge."""
+    mu = order.mu
+    s = mu - x * x
+    j, jp = bessel_j_ref(order, x), bessel_j_prime_ref(order, x)
+    a, b = -0.5 * x * s ** -0.75, s ** 0.25
+    big_a, big_b = a * j.value, b * jp.value
+    rounding = (abs(big_a) + abs(big_b)) * _FLOAT_ULP * (4 + 2 * mu / s)  # see leftmost_max_check
+    return EvalResult(big_a + big_b, abs(a) * j.abs_err_estimate + b * jp.abs_err_estimate
+                      + rounding)
+
+
 def leftmost_max_check(order: Order) -> BoundReport:
     """First positive maximum xi of (mu - x^2)^(1/4) J_nu exceeds its floor.
 
-    For nu >= 5/3, xi > nu sqrt(1 - (2 nu)^(-2/3)).  On 0 < x < sqrt(mu) <
-    nu < j_{nu,1}, J_nu and J'_nu are positive and x J'_nu/J_nu =
+    For nu >= 5/3, xi > floor = nu sqrt(1 - (2 nu)^(-2/3)).  On 0 < x <
+    sqrt(mu) < nu < j_{nu,1}, J_nu and J'_nu are positive and x J'_nu/J_nu =
     nu - sum_k 2x^2/(j_{nu,k}^2 - x^2) strictly decreases, so the envelope's
     log-derivative J'_nu/J_nu - x/(2(mu - x^2)) strictly decreases from +inf
     at 0+ to -inf at sqrt(mu)-.  Its derivative hp thus changes sign exactly
-    once, and its signs on the geometric scan grid read + ... + - ... -.
-    Bisecting the grid's indices, with hp >= 0 at lo and hp < 0 at hi,
-    finds the interval in which a walk along the grid would first see hp
-    turn from positive to negative, at ~12 evaluations instead of ~1000;
-    refine_root takes xi from there, once hp > 0 at its left end.  The
-    rule at lo is >= 0, not > 0, because the doubles flush the + side's
-    first points to 0: at the grid's first point x = 0.05, hp is
-    1.3e-314 at nu = 100, and from nu ~ 104 J_nu, J'_nu and hp are all
-    0.0 there, so a strict rule would refuse every larger order.  nu is
-    capped where the grid's end sqrt(mu) - 1e-6 leaves the oracle's
-    x <= 200.
+    once, from + to - at xi, and as floor < sqrt(mu) ((2 nu)^(-2/3) >
+    (2 nu)^(-2)), the claim xi > floor holds exactly when hp(floor) > 0.
+
+    hp = A + B is read with a charge: the estimates of J_nu and J'_nu carried
+    through A = -x s^(-3/4) J_nu/2 and B = s^(1/4) J'_nu, s = mu - x^2, plus
+    (|A| + |B|)(4 + 2 mu/s) _FLOAT_ULP for hp's own rounding, where
+    _FLOAT_ULP = 2.3e-16 exceeds 2u, u = 2^-53.  mu = |nu^2 - 1/4| and x^2
+    put up to about 3u mu into s, relative 3u mu/s, which s's powers carry
+    at most in full, and the powers, products and sum add under 5u.
+
+    Two certificates decide: hp(floor) must clear its charge positive, else
+    PrecisionError, and then the claim holds; hp(hi) must clear it negative
+    at hi = nu sqrt(1 - (2 nu)^(-2/3)/2), below sqrt(mu) for nu >= 5/3, else
+    the PrecisionError of a maximum not found.  refine_root takes xi on
+    [floor, hi], plain bisection's double there.  nu is capped where
+    sqrt(mu) - 1e-6 leaves the oracle's x <= 200 (nu ~ 200.0006), the
+    rule's text naming the end of the scan grid this search once walked;
+    hi is below 199.1 there.
     """
     check_domain(_DOMAINS, "leftmost_max_check", order)
     nu = order.nu
-    mu = order.mu
-    root_mu = math.sqrt(mu)
-
-    def hp(x: float) -> float:
-        s = mu - x * x
-        j = bessel_j_ref(order, x).value
-        jp = bessel_j_prime_ref(order, x).value
-        return -0.5 * x * s ** -0.75 * j + s ** 0.25 * jp
-
-    xs = [0.05]
-    while xs[-1] < root_mu - 1e-6:
-        xs.append(min(root_mu - 1e-6, xs[-1] + max(1e-3, xs[-1] / 300)))
-    lo, hi = 0, len(xs) - 1
-    if hp(xs[lo]) >= 0 > hp(xs[hi]):
-        lo, hi = _bisect_grid(lambda x: hp(x) >= 0, xs, lo, hi)
-    if not hp(xs[lo]) > 0 > hp(xs[hi]):
-        raise PrecisionError("leftmost_max_check: no maximum found below sqrt(mu)")
-    xi = refine_root(hp, (xs[lo], xs[hi]), 1e-10)
     floor = nu * math.sqrt(1 - (2 * nu) ** (-2 / 3))
-    return _make("leftmost_max", floor, xi, strict=True, slack=1e-9)
+    hi = nu * math.sqrt(1 - 0.5 * (2 * nu) ** (-2 / 3))
+    if _certified_sign(_leftmost_slope(order, floor)) != 1:
+        raise PrecisionError("leftmost_max_check: hp is not certified positive at the floor")
+    if _certified_sign(_leftmost_slope(order, hi)) != -1:
+        raise PrecisionError("leftmost_max_check: no maximum found below sqrt(mu)")
+    xi = refine_root(lambda x: _leftmost_slope(order, x).value, (floor, hi), 1e-10)
+    # the certificate at the floor decided the claim
+    return BoundReport("leftmost_max", floor, xi, xi - floor, True)
 
 
 @lru_cache(maxsize=1)

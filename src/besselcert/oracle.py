@@ -98,6 +98,13 @@ class EvalResult:
     abs_err_estimate: float
 
 
+def _certified_sign(result: EvalResult) -> int | None:
+    """+1 or -1, the sign of result.value where |value| clears its estimate, else None."""
+    if abs(result.value) > result.abs_err_estimate:
+        return 1 if result.value > 0 else -1
+    return None
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """One inequality instance: holds iff margin = rhs - lhs clears the slack."""

@@ -384,10 +384,13 @@ def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) ->
     Hankel's expansion (DLMF 10.17.3) gives R ~ sqrt(2/pi) mu/2 |sin(x -
     omega)|, so R is assumed to have one crest in each interval
     [omega + k pi, omega + (k+1) pi]; each such interval, clipped to x_max,
-    gets one search from its midpoint.  Where two crests shared an
-    interval, the lower one could be missed; a dense scan of R on seeded
+    gets one search from its midpoint.  Where two crests share an
+    interval, the lower one can be missed.  A dense scan of R on seeded
     orders in [1, 10] to x = 150 and in [20, 30] to x = 200 finds none
-    (tests/test_scan.py, test_one_crest_per_half_period).  R(x_max) is read
+    (tests/test_scan.py, test_one_crest_per_half_period).  At nu = 42.48
+    to x = 200, where mu/(2x) is several radians, one interval holds two,
+    of R = 1.84 and 0.45 against a sup of 242.4
+    (test_two_crests_share_a_half_period_past_nu_30).  R(x_max) is read
     too, so the window's edge counts.  Every search is Brent's parabolic
     one, run until the crest is located to 1.5e-8 |x| + 1e-12 (about ten
     evaluations of R per crest).

@@ -18,6 +18,7 @@ from .oracle import (
     _FINITE_NU,
     _PUBLIC_X_CAP,
     _bisect_grid,
+    _certified_sign,
     _is_double,
     _make,
     airy_ai_neg_ref,
@@ -114,9 +115,7 @@ def refine_airy_zero(s: int) -> float:
     """
     check_domain(_DOMAINS, "refine_airy_zero", s)
     bracket = _airy_bracket(s)
-    ends = [airy_ai_neg_ref(x) for x in bracket]
-    if not (ends[0].value * ends[1].value < 0
-            and all(abs(r.value) > r.abs_err_estimate for r in ends)):
+    if {_certified_sign(airy_ai_neg_ref(x)) for x in bracket} != {1, -1}:
         raise PrecisionError(f"refine_airy_zero: Ai(-x) shows no certified sign change "
                              f"over a_{s}'s bracket")
     return refine_root(_ai, bracket, 1e-11)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 
 import mpmath
 import pytest
@@ -30,7 +31,7 @@ from besselcert import (
     sonin_eval,
 )
 from besselcert import bounds as bounds_module
-from besselcert.bounds import _gauss_legendre, _trigamma
+from besselcert.bounds import _gauss_legendre, _leftmost_slope, _trigamma
 from besselcert.zeros import _airy_bracket
 from plain_bisection import plain_bisection
 
@@ -333,8 +334,9 @@ class TestLeftmostMaxBisection:
             "leftmost_max", floor, xi, xi - floor, True)
 
     def test_call_budget(self, monkeypatch):
-        # the walk made 1323 J evaluations at nu = 10; the index bisection and
-        # refine_root make 24 (45 with every bisection midpoint evaluated)
+        # hp at the floor and at hi, then refine_root on [floor, hi]: 14 J
+        # evaluations at nu = 10, two of them re-reading the ends from the
+        # oracle's cache
         calls = []
 
         def counting(*args):
@@ -343,7 +345,40 @@ class TestLeftmostMaxBisection:
 
         monkeypatch.setattr("besselcert.bounds.bessel_j_ref", counting)
         leftmost_max_check(Order(10.0))
-        assert len(calls) <= 24
+        assert len(calls) == 14
+
+    def test_both_certificates_hold_across_the_domain(self):
+        # 40 log-spaced orders from 5/3 to the domain's end, nu ~ 200.0006:
+        # hp clears its charge positive at the floor and negative at hi,
+        # by a factor past 1e12 (5.4e12 at the end), and each report holds
+        start = time.perf_counter()
+        top = 200.0006
+        assert math.sqrt(Order(top).mu) - 1e-6 <= 200 < math.sqrt(Order(top + 1e-4).mu) - 1e-6
+        for k in range(40):
+            nu = 5 / 3 * (top / (5 / 3)) ** (k / 39)
+            order = Order(nu)
+            rep = leftmost_max_check(order)
+            hi = nu * math.sqrt(1 - 0.5 * (2 * nu) ** (-2 / 3))
+            at_floor, at_hi = _leftmost_slope(order, rep.lhs), _leftmost_slope(order, hi)
+            assert at_floor.value > 1e12 * at_floor.abs_err_estimate, nu
+            assert -at_hi.value > 1e12 * at_hi.abs_err_estimate, nu
+            assert rep.holds and rep.lhs < rep.rhs < hi, nu
+        assert time.perf_counter() - start < 1.0
+
+    def test_an_uncertain_floor_sign_raises(self, monkeypatch):
+        # J_nu's estimate inflated past |hp|: hp(floor) keeps its sign but
+        # sits within its own charge, so the claim is not decided
+        def blurred(order, x):
+            r = bessel_j_ref(order, x)
+            return EvalResult(r.value, 1e3 * abs(r.value))
+
+        monkeypatch.setattr("besselcert.bounds.bessel_j_ref", blurred)
+        order = Order(5.0)
+        floor = 5.0 * math.sqrt(1 - 10.0 ** (-2 / 3))
+        at_floor = _leftmost_slope(order, floor)
+        assert at_floor.value > 0 and at_floor.abs_err_estimate >= at_floor.value
+        with pytest.raises(PrecisionError, match="not certified positive at the floor"):
+            leftmost_max_check(order)
 
     def test_no_sign_change_raises(self, monkeypatch):
         # hp = (mu - x^2)^(1/4) > 0 on the whole grid

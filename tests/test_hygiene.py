@@ -143,14 +143,24 @@ def test_domain_messages_format_with_their_rules_arguments():
 
 
 def test_one_index_bisection_loop():
-    # the walk-cell searches (Bessel zeros, Airy crests, leftmost maxima)
-    # share oracle._bisect_grid: no module keeps its own copy of the loop
+    # the one grid-index bisection is oracle._bisect_grid, which the Bessel
+    # zero walk calls: no module keeps its own copy of the loop
     loops = [(name, fn.name) for name, tree in TREES.items()
              for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
              for n in ast.walk(fn) if isinstance(n, ast.While)
              and ast.unparse(n.test) == "hi - lo > 1"]
     assert loops == [("oracle.py", "_bisect_grid")]
 
+
+def test_only_the_bessel_zero_walk_bisects_a_grid():
+    # the Airy zeros and crests refine on certified brackets and the
+    # leftmost maxima on [floor, hi]: refine_bessel_zero is the one search
+    # left that walks a grid and bisects its indices
+    callers = [(name, fn.name) for name, tree in TREES.items()
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for n in ast.walk(fn) if isinstance(n, ast.Call)
+               and ast.unparse(n.func).split(".")[-1] == "_bisect_grid"]
+    assert callers == [("zeros.py", "refine_bessel_zero")]
 
 def test_hankel_path_is_integer_only():
     # Hankel's expansion keeps the oracle's one arithmetic: its helpers name

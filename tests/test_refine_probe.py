@@ -104,21 +104,21 @@ def test_bessel_zeros_are_plain_bisections_on_the_walks_cell(monkeypatch):
     assert len(seen) == len(BESSEL_BATTERY)
 
 
-def test_leftmost_maxima_are_plain_bisections_on_the_walks_cell(monkeypatch):
-    # the walk along the leftmost grid takes up to about 1400 hp evaluations
-    # an order, 1.3 s for these eight; test_bounds pins the walk's crests at
-    # nine orders and walks three more, so here the cell is checked where
-    # the walk stops: two neighbouring grid points, hp > 0 at the left and
-    # < 0 at the right
+def test_leftmost_maxima_are_plain_bisections_on_floor_to_hi(monkeypatch):
+    # the bracket runs from the floor nu sqrt(1 - (2 nu)^(-2/3)) to
+    # hi = nu sqrt(1 - (2 nu)^(-2/3)/2), both ends certified
     seen = _recording(monkeypatch, bounds)
     for nu in LEFTMOST_ORDERS:
         order = Order(nu)
-        xi = leftmost_max_check(order).rhs
-        hp, (lo, hi), tol, _ = seen[-1]
-        end = math.sqrt(order.mu) - 1e-6
-        assert hi == min(end, lo + max(1e-3, lo / 300)), nu
-        assert hp(lo) > 0 > hp(hi), nu
-        assert xi.hex() == plain_bisection(hp, (lo, hi), tol).hex(), nu
+        rep = leftmost_max_check(order)
+        _, bracket, tol, _ = seen[-1]
+        floor = nu * math.sqrt(1 - (2 * nu) ** (-2 / 3))
+        hi = nu * math.sqrt(1 - 0.5 * (2 * nu) ** (-2 / 3))
+        assert bracket == (floor, hi) and rep.lhs == floor and tol == 1e-10, nu
+        hp = _leftmost_hp(order)
+        xi = plain_bisection(lambda x: hp(x)[0], (floor, hi), 1e-10)
+        assert rep.rhs.hex() == xi.hex(), nu
+    assert len(seen) == len(LEFTMOST_ORDERS)
 
 
 def test_airy_zeros_are_plain_bisections_on_their_brackets(monkeypatch):
@@ -211,9 +211,11 @@ def test_budget_airy_zeros(monkeypatch):
 
 
 def test_budget_leftmost_max(monkeypatch):
+    # hp at the floor and at hi, then refine_root: 12 calls, two of them
+    # re-reading the ends from the oracle's cache
     seen = _counting(monkeypatch, bounds, "bessel_j_ref")
     leftmost_max_check(Order(10.0))
-    assert len(seen) <= 24
+    assert len(seen) == 14
 
 
 @pytest.mark.parametrize("root", [1e7 + 0.3, 1e7 + 1 / 3, 123456789.01234])

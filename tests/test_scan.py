@@ -361,26 +361,52 @@ class TestOlenkoPolish:
 _dense_rng = random.Random(31)
 DENSE_CASES = ([(_dense_rng.uniform(1.0, 10.0), 150.0) for _ in range(2)]
                + [(_dense_rng.uniform(20.0, 30.0), 200.0) for _ in range(2)])
+# the next draw from the same generator, so the cases above stay as they were
+PAST_30_CASE = (_dense_rng.uniform(30.0, 120.0), 200.0)
 
 
-@pytest.mark.parametrize("nu, x_max", DENSE_CASES, ids=[f"{nu:.4f}-{x:g}" for nu, x in DENSE_CASES])
-def test_one_crest_per_half_period(nu, x_max):
-    # olenko_sup's assumption: above x0, each interval [omega + k pi,
-    # omega + (k+1) pi] holds at most one local maximum of R.  R is read at
-    # 32 points per interval (and as finely below x0); no interval holds two
-    # local maxima, and the sup is at or above the dense maximum
-    order = Order(nu)
+def _dense_scan(order, x_max):
+    """The half-periods above x0, the local maxima of R above x0 in each,
+    and R's maximum, from R read at 32 points per interval (and as finely
+    below x0)."""
     x0, intervals = _half_periods(order, x_max)
     n = math.ceil(32 * x0 / math.pi)
     xs = ([x0 * k / n for k in range(1, n)]
           + [a + (b - a) * j / 32 for a, b in intervals for j in range(32)] + [x_max])
     vals = [_oscillation_gap(order, x) for x in xs]
-    maxima = [xs[i] for i in range(1, len(xs) - 1)
+    maxima = [(xs[i], vals[i]) for i in range(1, len(xs) - 1)
               if vals[i] > vals[i - 1] and vals[i] >= vals[i + 1] and xs[i] > x0]
-    per_interval = [sum(a <= x < b for x in maxima) for a, b in intervals]
-    assert max(per_interval) == 1
+    return intervals, [[m for m in maxima if a <= m[0] < b] for a, b in intervals], max(vals)
+
+
+@pytest.mark.parametrize("nu, x_max", DENSE_CASES, ids=[f"{nu:.4f}-{x:g}" for nu, x in DENSE_CASES])
+def test_one_crest_per_half_period(nu, x_max):
+    # olenko_sup's assumption: above x0, each interval [omega + k pi,
+    # omega + (k+1) pi] holds at most one local maximum of R.  No interval
+    # holds two local maxima, and the sup is at or above the dense maximum
+    order = Order(nu)
+    _, per_interval, dense_max = _dense_scan(order, x_max)
+    assert max(map(len, per_interval)) == 1
     s = olenko_sup(order, x_max)
-    assert s.sup_value >= max(vals) * (1 - 1e-12)
+    assert s.sup_value >= dense_max * (1 - 1e-12)
+
+
+def test_two_crests_share_a_half_period_past_nu_30():
+    # at nu = 42.4822 the assumption fails: the interval from omega + 31 pi
+    # = 142.91 holds two local maxima of R, 1.84 at x = 143.90 and 0.45 at
+    # 145.27, where R's sup is 242.4.  Hankel's R ~ sqrt(2/pi) mu/2 |sin(x -
+    # omega)| needs x >> mu, and here mu/(2x) is about 6 radians; two crests
+    # meet where R's oscillation nearly cancels, far below the sup, which
+    # olenko_sup still reaches
+    nu, x_max = PAST_30_CASE
+    order = Order(nu)
+    intervals, per_interval, dense_max = _dense_scan(order, x_max)
+    shared = [(a, [round(x, 2) for x, _ in m])
+              for (a, _), m in zip(intervals, per_interval) if len(m) > 1]
+    assert [(round(a, 2), xs) for a, xs in shared] == [(142.91, [143.9, 145.27])]
+    assert max(v for m in per_interval if len(m) > 1 for _, v in m) < 0.01 * dense_max
+    s = olenko_sup(order, x_max)
+    assert s.sup_value >= dense_max * (1 - 1e-12)
 
 
 @seed(30)

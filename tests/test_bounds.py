@@ -350,7 +350,7 @@ class TestLeftmostMaxBisection:
     def test_both_certificates_hold_across_the_domain(self):
         # 40 log-spaced orders from 5/3 to the domain's end, nu ~ 200.0006:
         # hp clears its charge positive at the floor and negative at hi,
-        # by a factor past 1e12 (5.4e12 at the end), and each report holds
+        # by a factor past 1e12 (at least 4.0e12), and each report holds
         start = time.perf_counter()
         top = 200.0006
         assert math.sqrt(Order(top).mu) - 1e-6 <= 200 < math.sqrt(Order(top + 1e-4).mu) - 1e-6

@@ -162,6 +162,7 @@ def test_only_the_bessel_zero_walk_bisects_a_grid():
                and ast.unparse(n.func).split(".")[-1] == "_bisect_grid"]
     assert callers == [("zeros.py", "refine_bessel_zero")]
 
+
 def test_hankel_path_is_integer_only():
     # Hankel's expansion keeps the oracle's one arithmetic: its helpers name
     # no float function or constant of math and hold no float literal or

@@ -211,8 +211,8 @@ def test_budget_airy_zeros(monkeypatch):
 
 
 def test_budget_leftmost_max(monkeypatch):
-    # hp at the floor and at hi, then refine_root: 12 calls, two of them
-    # re-reading the ends from the oracle's cache
+    # hp at the floor and at hi, then refine_root on [floor, hi]: 14 calls,
+    # two of them re-reading the ends from the oracle's cache
     seen = _counting(monkeypatch, bounds, "bessel_j_ref")
     leftmost_max_check(Order(10.0))
     assert len(seen) == 14

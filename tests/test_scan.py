@@ -392,7 +392,7 @@ def test_one_crest_per_half_period(nu, x_max):
 
 
 def test_two_crests_share_a_half_period_past_nu_30():
-    # at nu = 42.4822 the assumption fails: the interval from omega + 31 pi
+    # at nu = 42.4822 the assumption fails: the interval from omega + 24 pi
     # = 142.91 holds two local maxima of R, 1.84 at x = 143.90 and 0.45 at
     # 145.27, where R's sup is 242.4.  Hankel's R ~ sqrt(2/pi) mu/2 |sin(x -
     # omega)| needs x >> mu, and here mu/(2x) is about 6 radians; two crests
@@ -401,9 +401,9 @@ def test_two_crests_share_a_half_period_past_nu_30():
     nu, x_max = PAST_30_CASE
     order = Order(nu)
     intervals, per_interval, dense_max = _dense_scan(order, x_max)
-    shared = [(a, [round(x, 2) for x, _ in m])
+    shared = [(round(a, 2), [round(x, 2) for x, _ in m])
               for (a, _), m in zip(intervals, per_interval) if len(m) > 1]
-    assert [(round(a, 2), xs) for a, xs in shared] == [(142.91, [143.9, 145.27])]
+    assert shared == [(142.91, [143.9, 145.27])]
     assert max(v for m in per_interval if len(m) > 1 for _, v in m) < 0.01 * dense_max
     s = olenko_sup(order, x_max)
     assert s.sup_value >= dense_max * (1 - 1e-12)

@@ -7,7 +7,8 @@ and message where the call raises.  The points are seeded draws and edge
 values inside each entry point's domain: the oracle evaluators, J' below
 nu = 1/2, Gamma, every approximation family, best_approx at its ranking edges
 and at the ends of the doubles, the package's __all__, the point bounds,
-the Sonin functions, Airy zeros 1-50, a few Bessel zeros, the leftmost maxima,
+the Sonin functions, Airy zeros 1-50, Bessel zeros (search_calls.py's
+battery and the last ones below x = 200), the leftmost maxima,
 the Airy envelope maxima up to x = 14 and up to x = 60, both zero-bracket
 modes with their gap and conjecture checks, every scan subject's rows and
 report on small grids, approx_row for every method, olenko_sup (also at a
@@ -36,11 +37,13 @@ import string
 import sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import besselcert as bc  # noqa: E402
 from besselcert import Order, cli, scan  # noqa: E402
 from besselcert.approx import _TRANSITION_Z_CAP  # noqa: E402
 from besselcert.oracle import _j_prime_any  # noqa: E402
+from search_calls import BESSEL_BATTERY  # noqa: E402
 
 # bounds --name choice -> (flags at an admitted point, flags at a refused point)
 BOUNDS_ARGV = {
@@ -185,7 +188,13 @@ def _calls():
     # searches
     for s in range(1, 51):
         yield "refine_airy_zero", bc.refine_airy_zero, s
-    for nu, s in ((0.0, 1), (0.0, 20), (0.5, 3), (2.5, 3), (10.0, 1), (30.5, 5)):
+    # Bessel zeros: a few fixed, search_calls' battery, the last zeros below
+    # the x cap (some in the cell that ends at x = 200) and one past it
+    bessel_zeros = [(0.0, 1), (0.0, 20), (0.5, 3), (2.5, 3), (10.0, 1), (30.5, 5)]
+    bessel_zeros += BESSEL_BATTERY
+    bessel_zeros += [(2.5, 62), (2.5, 63), (2.5, 64), (1.0, 63), (1.0, 64), (0.25, 63),
+                     (0.25, 64), (1.78125, 63), (3.78125, 62), (0.0, 63), (0.0, 64), (10.0, 64)]
+    for nu, s in bessel_zeros:
         yield "refine_bessel_zero", bc.refine_bessel_zero, Order(nu), s
     for nu in (5 / 3, 2.5, 10.0, 50.0):
         yield "leftmost_max_check", bc.leftmost_max_check, Order(nu)

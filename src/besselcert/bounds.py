@@ -328,9 +328,8 @@ def leftmost_max_check(order: Order) -> BoundReport:
     at hi = nu sqrt(1 - (2 nu)^(-2/3)/2), below sqrt(mu) for nu >= 5/3, else
     the PrecisionError of a maximum not found.  refine_root takes xi on
     [floor, hi], plain bisection's double there.  nu is capped where
-    sqrt(mu) - 1e-6 leaves the oracle's x <= 200 (nu ~ 200.0006), the
-    rule's text naming the end of the scan grid this search once walked;
-    hi is below 199.1 there.
+    sqrt(mu) - 1e-6 leaves the oracle's x <= 200 (nu ~ 200.0006); hi is
+    below 199.1 there.
     """
     check_domain(_DOMAINS, "leftmost_max_check", order)
     nu = order.nu
@@ -492,7 +491,7 @@ _DOMAINS = {
     "leftmost_max_check": ((lambda o: not o.nu < 5 / 3, "nu must be >= 5/3"),
                            _FINITE_NU,
                            (lambda o: math.sqrt(o.mu) - 1e-6 <= _PUBLIC_X_CAP,
-                            f"the scan grid's end sqrt(mu) - 1e-6 must be <= {_PUBLIC_X_CAP:g}")),
+                            f"sqrt(mu) - 1e-6 must be <= {_PUBLIC_X_CAP:g}")),
     # 1/(2x) and 2/(pi x) are doubles from x = 3.54e-309 up
     "lemma_integral_check": ((lambda x: x > 0, "x must be positive"), (lambda x: 2 / (
         math.pi * x) < math.inf, "the caps 1/(2x), 2/(pi x) leave the doubles"),

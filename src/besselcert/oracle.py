@@ -573,18 +573,6 @@ def _secant(value, a, fa, b, fb, steps: int) -> float:
     return b
 
 
-def _bisect_grid(inside, xs, lo: int, hi: int) -> tuple[int, int]:
-    """The cell (k, k + 1) in which a walk along xs would see inside turn false,
-    found by bisecting indices from inside(xs[lo]) and not inside(xs[hi])."""
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if inside(xs[mid]):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def refine_root(f, bracket, tol: float = 1e-12) -> float:
     """Locate a sign change of f inside bracket to width <= tol.
 

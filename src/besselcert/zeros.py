@@ -3,8 +3,8 @@
 The closed-form estimates carry certified half-widths; the refinement
 routines produce the truth the brackets are tested against, from a sign
 change of the reference evaluator followed by bisection: for J_nu in the
-scan cell found by sampling at strides below its Sturm gap, for Ai(-x) in
-a_s's certified bracket itself.
+s-th Sturm cell (a step just below the Sturm gap) whose ends differ in
+sign, for Ai(-x) in a_s's certified bracket itself.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,6 @@ from .oracle import (
     PrecisionError,
     _FINITE_NU,
     _PUBLIC_X_CAP,
-    _bisect_grid,
     _certified_sign,
     _is_double,
     _make,
@@ -125,42 +124,35 @@ def refine_airy_zero(s: int) -> float:
 def refine_bessel_zero(order: Order, s: int) -> float:
     """The s-th positive zero j_{nu,s} of J_nu to ~1e-11, s <= 64, cached per (order, s).
 
-    j_{nu,s} is the s-th sign change of the walk x_0 = max(nu, 0.05),
-    x_k+1 = x_k + 0.25, J_nu sampled at min(x, 200), refined by refine_root.
-    Only the walk's grid is regenerated, with the same float additions, and
-    only through the last index a stride or the bisection reads; its last
-    point, the first past 200, is read as 200, so the cell lies in the
-    evaluator's domain.  sqrt(x) J_nu solves y'' + (1 + (1/4 - nu^2)/x^2) y
-    = 0, so by Sturm comparison its zeros past any x_lo are at least pi
-    apart for |nu| >= 1/2 and pi/sqrt(1 + mu/x_lo^2) >= 0.31 apart below.  Each coarse
-    cell spans, from its left end x_lo, the most 0.25-cells 1e-9 below that
-    gap (12 for |nu| >= 1/2; at nu = 0, 1 from x_lo = 0.05 and 12 from
-    x_lo > 1.61), so J_nu changes sign on a coarse cell only where the walk
-    does once, and bisecting the indices of the s-th such cell finds the
-    walk's.  Fewer than s sign changes up to x = 200 raise PrecisionError.
+    sqrt(x) J_nu solves y'' + (1 + (1/4 - nu^2)/x^2) y = 0, so by Sturm
+    comparison its zeros past any a are at least gap(a) apart: pi for
+    |nu| >= 1/2 and pi/sqrt(1 + mu/a^2) >= 0.31 below.  The search steps
+    through Sturm cells [a, b] from a = max(nu, 0.05), b = min(a + gap(a) -
+    1e-9, 200), reading J_nu at each b.  A cell shorter than the gap holds
+    at most one zero, so its sign changes count the zeros.  The s-th sign
+    change's cell is halved once, at its midpoint, and refine_root refines
+    the half that holds the sign change: plain bisection's first step, so
+    the result is plain bisection's double on the cell (on every cell wider
+    than 1e-11; only one starting within 1e-11 of the cap is not).
+    Fewer than s sign changes up to x = 200 raise PrecisionError.
     """
     check_domain(_DOMAINS, "refine_bessel_zero", order, s)
 
     def f(t: float) -> float:
         return bessel_j_ref(order, t).value
 
-    # the walk's grid, extended only as far as the strides reach; its last
-    # point, the first past the cap, is read as the cap
-    xs = [max(order.nu, 0.05)]
-    lo, v_lo = 0, f(xs[0])
-    while not xs[lo] > _PUBLIC_X_CAP:
-        gap = math.pi / math.sqrt(1 + (order.mu / xs[lo] ** 2 if abs(order.nu) < 0.5 else 0))
-        hi = lo + math.ceil((gap - 1e-9) / 0.25) - 1
-        while len(xs) <= hi and not xs[-1] > _PUBLIC_X_CAP:
-            xs.append(xs[-1] + 0.25)
-        hi = min(hi, len(xs) - 1)
-        v_hi = f(min(xs[hi], _PUBLIC_X_CAP))
-        if v_lo * v_hi < 0:
+    a = max(order.nu, 0.05)
+    f_a = f(a)
+    while a < _PUBLIC_X_CAP:
+        gap = math.pi / math.sqrt(1 + (order.mu / a ** 2 if abs(order.nu) < 0.5 else 0))
+        b = min(a + gap - 1e-9, _PUBLIC_X_CAP)
+        f_b = f(b)
+        if f_a * f_b < 0:
             s -= 1
             if s == 0:
-                lo, hi = _bisect_grid(lambda t: f(t) * v_lo > 0, xs, lo, hi)
-                return refine_root(f, (xs[lo], min(xs[hi], _PUBLIC_X_CAP)), 1e-11)
-        lo, v_lo = hi, v_hi
+                m = 0.5 * (a + b)
+                return refine_root(f, (a, m) if (f(m) > 0) == (f_b > 0) else (m, b), 1e-11)
+        a, f_a = b, f_b
     raise PrecisionError("bessel zero scan exceeded the x cap")
 
 

@@ -1,10 +1,11 @@
 """refine_bessel_zero's search as it was before it extended the walk's grid
-lazily: the whole grid to x = 200 is built first.  The reference whose
-double (or refusal) the lazy search must return."""
+lazily: the whole grid to x = 200 is built first, and the s-th coarse sign
+change's grid indices are bisected.  The reference whose double (or
+refusal) the search on Sturm cells must return."""
 
 import math
 
-from besselcert import PrecisionError, bessel_j_ref, oracle, refine_root
+from besselcert import PrecisionError, bessel_j_ref, refine_root
 
 
 def full_walk_zero(order, s):
@@ -25,7 +26,12 @@ def full_walk_zero(order, s):
         if v_lo * v_hi < 0:
             s -= 1
             if s == 0:
-                lo, hi = oracle._bisect_grid(lambda t: f(t) * v_lo > 0, xs, lo, hi)
+                while hi - lo > 1:  # the walk's cell, by bisecting its indices
+                    mid = (lo + hi) // 2
+                    if f(xs[mid]) * v_lo > 0:
+                        lo = mid
+                    else:
+                        hi = mid
                 return refine_root(f, (xs[lo], xs[hi]), 1e-11)
         lo, v_lo = hi, v_hi
     raise PrecisionError("bessel zero scan exceeded the x cap")

@@ -171,9 +171,10 @@ class TestAiryEnvelope:
     def test_hump_lemma_sign_pattern_to_the_domain_end(self):
         # f'' / f = -x - 5/(16(x+c)^2) < 0 at every critical point of f, so
         # inside each positive hump (a_2k, a_2k+1) of Ai(-x), a_0 = -inf, f'
-        # reads + ... + - ... - on the scan grid.  The signs come from
-        # mpmath's float Airy functions, independent of the oracle and
-        # within ~2e-13 of it to x = 120
+        # reads + ... + - ... - on a grid of about 15 points per
+        # half-oscillation.  The signs come from mpmath's float Airy
+        # functions, independent of the oracle and within ~2e-13 of it to
+        # x = 120
         xs = _scan_grid(120.0)
         for k in itertools.count():
             lo = -math.inf if k == 0 else _airy_bracket(2 * k)[1]
@@ -206,7 +207,8 @@ class TestAiryEnvelope:
 
 
 def _scan_grid(x_hi):
-    # the fixed-step scan's grid, about 15 points per half-oscillation
+    # about 15 points per half-oscillation, the step of the crest scan the
+    # certified humps replaced
     xs = [1e-3]
     while xs[-1] < x_hi:
         x = xs[-1]
@@ -504,6 +506,7 @@ def test_leftmost_crest_past_the_flushed_start(nu, xi):
 
 @pytest.mark.parametrize("nu", [25.0, 40.0, 60.0])
 def test_leftmost_scan_start_is_resolved(nu):
-    # the scan grid starts at x = 0.05, where J_nu and J'_nu are tiny but not zero
+    # at x = 0.05, where the leftmost check's former grid started, J_nu and
+    # J'_nu are tiny but still resolved as positive
     assert bessel_j_ref(Order(nu), 0.05).value > 0
     assert bessel_j_prime_ref(Order(nu), 0.05).value > 0

@@ -143,24 +143,21 @@ def test_domain_messages_format_with_their_rules_arguments():
 
 
 def test_one_index_bisection_loop():
-    # the one grid-index bisection is oracle._bisect_grid, which the Bessel
-    # zero walk calls: no module keeps its own copy of the loop
+    # every search refines on a bracket or a Sturm cell with refine_root:
+    # no src/ function keeps a grid-index bisection loop (tests/full_walk.py
+    # keeps the reference's own copy)
     loops = [(name, fn.name) for name, tree in TREES.items()
              for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
              for n in ast.walk(fn) if isinstance(n, ast.While)
              and ast.unparse(n.test) == "hi - lo > 1"]
-    assert loops == [("oracle.py", "_bisect_grid")]
+    assert loops == []
 
 
 def test_only_the_bessel_zero_walk_bisects_a_grid():
-    # the Airy zeros and crests refine on certified brackets and the
-    # leftmost maxima on [floor, hi]: refine_bessel_zero is the one search
-    # left that walks a grid and bisects its indices
-    callers = [(name, fn.name) for name, tree in TREES.items()
-               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-               for n in ast.walk(fn) if isinstance(n, ast.Call)
-               and ast.unparse(n.func).split(".")[-1] == "_bisect_grid"]
-    assert callers == [("zeros.py", "refine_bessel_zero")]
+    # the Airy zeros and crests refine on certified brackets, the leftmost
+    # maxima on [floor, hi] and the Bessel zeros on their Sturm cells: no
+    # src/ module defines, imports, calls or names _bisect_grid
+    assert not [name for name, tree in TREES.items() if "_bisect_grid" in ast.unparse(tree)]
 
 
 def test_hankel_path_is_integer_only():

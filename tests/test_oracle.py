@@ -427,8 +427,8 @@ def test_refine_root_budget():
 def test_refine_root_returns_plain_bisections_double_at_its_callers():
     # each caller's lemma gives one sign change per bracket, so the midpoints
     # refine_root decides without a call must not move a bit: seeded Bessel
-    # zeros, the two in the walk's last cell and the last admitted index, the
-    # Airy envelope's crests to x = 14 and seeded leftmost maxima
+    # zeros, the two in the last cell below the cap and the last admitted
+    # index, the Airy envelope's crests to x = 14 and seeded leftmost maxima
     rng = random.Random(19)
     zero_args = [(rng.uniform(-0.5, 60), rng.randint(1, 30)) for _ in range(12)]
     zero_args += [(1.76, 63), (-0.25, 64), (-0.5, 64)]

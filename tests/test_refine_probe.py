@@ -1,6 +1,6 @@
 """refine_root's single probe a quarter tolerance past its last secant
-iterate: the searches still return plain bisection's and the walk's
-doubles, the premise that makes them so holds at the roots they refine,
+iterate: the searches still return plain bisection's doubles (for the
+Bessel zeros, on the Sturm cell and on the former 0.25 walk's cell alike), the premise that makes them so holds at the roots they refine,
 and the oracle calls the probe saves stay saved."""
 
 import importlib.util
@@ -76,6 +76,22 @@ def _walk_cell(f, nu, s):
     raise AssertionError(f"the walk found fewer than s sign changes at nu = {nu}")
 
 
+def _sturm_cell(f, order, s):
+    """The cell [a, b] of the s-th sign change of f over the Sturm cells from
+    a = max(nu, 0.05), each b = min(a + gap(a) - 1e-9, 200) with gap(a) = pi
+    for |nu| >= 1/2 and pi/sqrt(1 + mu/a^2) below."""
+    a = max(order.nu, 0.05)
+    while a < 200.0:
+        gap = math.pi if abs(order.nu) >= 0.5 else math.pi / math.sqrt(1 + order.mu / a ** 2)
+        b = min(a + gap - 1e-9, 200.0)
+        if f(a) * f(b) < 0:
+            s -= 1
+            if s == 0:
+                return a, b
+        a = b
+    raise AssertionError(f"fewer than s sign changes at nu = {order.nu}")
+
+
 def _leftmost_hp(order):
     """leftmost_max_check's hp as (value, error estimate), the estimate
     carried through hp's formula from those of J_nu and J'_nu."""
@@ -89,7 +105,11 @@ def _leftmost_hp(order):
     return hp
 
 
-def test_bessel_zeros_are_plain_bisections_on_the_walks_cell(monkeypatch):
+def test_bessel_zeros_are_plain_bisections_on_their_sturm_cells(monkeypatch):
+    # refine_root receives the half of the s-th sign change's Sturm cell
+    # that its midpoint leaves the sign change in: plain bisection's first
+    # step, so the double is plain bisection's on the cell, and also on the
+    # former 0.25 walk's cell
     refine_bessel_zero.cache_clear()
     seen = _recording(monkeypatch, zeros)
     for nu, s in BESSEL_BATTERY:
@@ -98,9 +118,12 @@ def test_bessel_zeros_are_plain_bisections_on_the_walks_cell(monkeypatch):
         def f(t):
             return bessel_j_ref(order, t).value
         z = refine_bessel_zero(order, s)
-        _, cell, tol, _ = seen[-1]
-        assert cell == _walk_cell(f, nu, s), (nu, s)
+        _, half, tol, _ = seen[-1]
+        a, b = cell = _sturm_cell(f, order, s)
+        m = 0.5 * (a + b)
+        assert half == ((a, m) if (f(m) > 0) == (f(b) > 0) else (m, b)), (nu, s)
         assert z.hex() == plain_bisection(f, cell, tol).hex(), (nu, s)
+        assert z.hex() == plain_bisection(f, _walk_cell(f, nu, s), tol).hex(), (nu, s)
     assert len(seen) == len(BESSEL_BATTERY)
 
 

@@ -173,8 +173,8 @@ class TestResumedScan:
 
     def test_bessel_continuation_reuses_the_series_cache(self, monkeypatch):
         # a cached repeat makes no evaluation; a fresh s = 3 after s = 2 reads
-        # the coarse samples up to j_2 from the series cache and sums 11 new
-        # series: one coarse sample, the index bisection and the refinement
+        # the cell ends up to j_2 from the series cache and sums 11 new
+        # series: one cell end, the cell's midpoint and the refinement
         _clear_bessel_caches()
         oracle._j_series_fixed.cache_clear()
         order = Order(2.5)
@@ -212,29 +212,30 @@ class TestResumedScan:
 class TestBesselWalk:
     @pytest.mark.parametrize("nu, s", ((1.76, 63), (-0.25, 64)))
     def test_a_zero_in_the_last_cell_is_refined_inside_the_x_cap(self, nu, s):
-        # the walk's last cell runs past x = 200; its right end is clipped
-        # to the cap, where J_nu is sampled, so refine_root stays in the domain
+        # the last Sturm cell, the one holding these zeros, ends at the cap
+        # x = 200, where J_nu is read, so refine_root stays in the domain
         truth = mpmath.findroot(lambda t: mpmath.besselj(nu, t), mpmath.mpf(199.9))
         assert abs(refine_bessel_zero(Order(nu), s) - float(truth)) <= 1e-10
 
     def test_a_fresh_index_refines_one_zero(self, monkeypatch):
-        # five samples 3.0 apart reach the third zero's coarse cell, the index
-        # bisection finds its 0.25-cell and refine_root refines only that
-        # zero: 17 J evaluations, where walking every 0.25-cell took 57
+        # five samples about pi apart reach the third zero's Sturm cell, one
+        # midpoint halves it and refine_root refines only that zero: 17 J
+        # evaluations, where walking every 0.25-cell took 57
         _clear_bessel_caches()
         seen = _counting(monkeypatch, "bessel_j_ref")
         refine_bessel_zero(Order(2.5), 3)
         assert len(seen) <= 17
 
-    @pytest.mark.parametrize("nu, s, budget", ((0.0, 20, 40), (-0.25, 64, 100)))
-    def test_the_stride_widens_with_x_below_half(self, monkeypatch, nu, s, budget):
+    @pytest.mark.parametrize("nu, s, calls", ((0.0, 20, 34), (-0.25, 64, 76)))
+    def test_the_stride_widens_with_x_below_half(self, monkeypatch, nu, s, calls):
         # below |nu| = 1/2 the Sturm gap pi/sqrt(1 + mu/x^2) grows with x, and
-        # each coarse cell takes its stride from its left end: 37 and 85 J
-        # evaluations, where one stride from x_0 = 0.05 took 259 and 813
+        # each Sturm cell takes its length from its left end: 34 and 76 J
+        # evaluations, where one 0.25-grid stride from x_0 = 0.05 took 259
+        # and 813
         _clear_bessel_caches()
         seen = _counting(monkeypatch, "bessel_j_ref")
         refine_bessel_zero(Order(nu), s)
-        assert len(seen) <= budget
+        assert len(seen) == calls
 
     def test_the_stride_search_equals_the_walk(self):
         # below 1/2 the Sturm gap, hence the stride, shrinks with the coarse
@@ -263,28 +264,16 @@ class TestBesselWalk:
     @pytest.mark.parametrize("nu, s", ((2.5, 62), (2.5, 63), (2.5, 64), (1.0, 63), (1.0, 64),
                                        (0.25, 63), (0.25, 64), (1.78125, 63), (3.78125, 62),
                                        (0.0, 63), (0.0, 64)))
-    def test_the_lazy_grid_equals_the_full_walk_near_the_cap(self, monkeypatch, nu, s):
-        # the same double or refusal, from the same J calls in the same order
-        order = Order(nu)
-
-        def outcome(search, module):
-            seen = []
-
-            def recorded(o, t):
-                seen.append(t.hex())
-                return bessel_j_ref(o, t)
-
-            monkeypatch.setattr(module, "bessel_j_ref", recorded)
+    def test_the_lazy_grid_equals_the_full_walk_near_the_cap(self, nu, s):
+        # the Sturm cells return the full walk's double or refusal
+        def outcome(search):
             try:
-                result = search(order, s).hex()
+                return search(Order(nu), s).hex()
             except PrecisionError as exc:
-                result = str(exc)
-            monkeypatch.undo()
-            return result, seen
+                return str(exc)
 
         _clear_bessel_caches()
-        lazy = outcome(refine_bessel_zero, zeros_module)
-        assert lazy == outcome(full_walk.full_walk_zero, full_walk), (nu, s)
+        assert outcome(refine_bessel_zero) == outcome(full_walk.full_walk_zero), (nu, s)
 
 
 class TestAiryJump:

@@ -22,7 +22,7 @@ and, where they differ, prints both to stderr and exits 1, so a script can
 gate on it.  An empty or non-hex prefix is refused with exit 2, since the
 empty one would match every sha:
 
-    python3 tools/same_outputs.py --expect 41f45d93a55304d2 > dump.txt
+    python3 tools/same_outputs.py --expect a96a6405514d150b > dump.txt
 """
 
 import argparse

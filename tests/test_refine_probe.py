@@ -1,7 +1,8 @@
 """refine_root's single probe a quarter tolerance past its last secant
 iterate: the searches still return plain bisection's doubles (for the
-Bessel zeros, on the Sturm cell and on the former 0.25 walk's cell alike), the premise that makes them so holds at the roots they refine,
-and the oracle calls the probe saves stay saved."""
+Bessel zeros, on the Sturm cell and on the former 0.25 walk's cell alike),
+the premise that makes them so holds at the roots they refine, and the
+oracle calls the probe saves stay saved."""
 
 import importlib.util
 import math

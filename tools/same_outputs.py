@@ -11,9 +11,10 @@ the Sonin functions, Airy zeros 1-50, Bessel zeros (search_calls.py's
 battery and the last ones below x = 200), the leftmost maxima,
 the Airy envelope maxima up to x = 14 and up to x = 60, both zero-bracket
 modes with their gap and conjecture checks, every scan subject's rows and
-report on small grids, approx_row for every method, olenko_sup (also at a
-tiny x_max), and the CLI's exit code, stdout and stderr for each bounds
---name choice at an admitted and a refused point.
+report on small grids, approx_row for every method, olenko_sup (at
+criterion 8's window, at search_calls.py's orders, at orders in [10, 30] to
+x = 200 and at a tiny x_max), and the CLI's exit code, stdout and stderr
+for each bounds --name choice at an admitted and a refused point.
 
     python3 tools/same_outputs.py > dump.txt && tail -n 1 dump.txt
 
@@ -22,7 +23,7 @@ and, where they differ, prints both to stderr and exits 1, so a script can
 gate on it.  An empty or non-hex prefix is refused with exit 2, since the
 empty one would match every sha:
 
-    python3 tools/same_outputs.py --expect a96a6405514d150b > dump.txt
+    python3 tools/same_outputs.py --expect d05504c4a88a8be8 > dump.txt
 """
 
 import argparse
@@ -43,7 +44,7 @@ import besselcert as bc  # noqa: E402
 from besselcert import Order, cli, scan  # noqa: E402
 from besselcert.approx import _TRANSITION_Z_CAP  # noqa: E402
 from besselcert.oracle import _j_prime_any  # noqa: E402
-from search_calls import BESSEL_BATTERY  # noqa: E402
+from search_calls import BESSEL_BATTERY, OLENKO_ORDERS  # noqa: E402
 
 # bounds --name choice -> (flags at an admitted point, flags at a refused point)
 BOUNDS_ARGV = {
@@ -200,8 +201,14 @@ def _calls():
         yield "leftmost_max_check", bc.leftmost_max_check, Order(nu)
     for x_hi in (14.0, 60.0):
         yield "airy_envelope_maxima", bc.airy_envelope_maxima, x_hi
-    for nu in (2.5, 10.0):
-        yield "olenko_sup", bc.olenko_sup, Order(nu), 60.0, 300
+    # olenko_sup at criterion 8's window, at search_calls' six seeded orders
+    # and at seeded orders in [10, 30] to x = 200
+    olenko_rng = random.Random(34)
+    olenko_cases = [(nu, 60.0, 300) for nu in (2.5, 10.0, *OLENKO_ORDERS)]
+    olenko_cases += [(nu, 150.0, 3000) for nu in (1.0, 2.0, 5.0, 10.0)]
+    olenko_cases += [(olenko_rng.uniform(10.0, 30.0), 200.0, 2000) for _ in range(4)]
+    for nu, x_max, coarse_points in olenko_cases:
+        yield "olenko_sup", bc.olenko_sup, Order(nu), x_max, coarse_points
     # a first grid point where sqrt(2/(pi x)) overflows, or underflows to 0
     yield "olenko_sup", bc.olenko_sup, Order(2.0), 1e-310, 3000
     yield "olenko_sup", bc.olenko_sup, Order(2.0), 5e-324, 10

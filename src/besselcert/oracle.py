@@ -282,9 +282,10 @@ def _exp_ratio(y: int) -> tuple[int, int]:
     return (num, 1 << shift) if shift >= 0 else (num << -shift, 1)
 
 
+@lru_cache(maxsize=4096, typed=True)
 def gamma(z: float) -> float:
     """Gamma(z) for 0 < z < 64, relative error well below 1e-25; z >= 5.6e-309,
-    where Gamma(z) ~ 1/z is a double."""
+    where Gamma(z) ~ 1/z is a double.  Cached per argument (a refusal is not)."""
     check_domain(_DOMAINS, "gamma", z)
     ln_gamma, num, den = _gamma_parts(*z.as_integer_ratio())
     m_num, m_den = _exp_ratio(ln_gamma)

@@ -153,7 +153,7 @@ def test_one_index_bisection_loop():
     assert loops == []
 
 
-def test_only_the_bessel_zero_walk_bisects_a_grid():
+def test_no_search_bisects_a_grid():
     # the Airy zeros and crests refine on certified brackets, the leftmost
     # maxima on [floor, hi] and the Bessel zeros on their Sturm cells: no
     # src/ module defines, imports, calls or names _bisect_grid

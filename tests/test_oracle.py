@@ -520,7 +520,7 @@ def test_import_loads_no_numpy():
 
 def _clear_oracle_caches():
     for f in (oracle._stirling_coeff, oracle._gamma_parts, oracle._ln_small, oracle._exp_table,
-              oracle._j_series_fixed, oracle._airy_origin, bounds._gauss_legendre):
+              oracle.gamma, oracle._j_series_fixed, oracle._airy_origin, bounds._gauss_legendre):
         f.cache_clear()
 
 

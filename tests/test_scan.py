@@ -238,10 +238,11 @@ POLISH_CASES = ([(_rng.uniform(1.0, 10.0), 60.0, 300) for _ in range(20)]
                 + [(nu, 150.0, 3000) for nu in (2.0, 5.0, 10.0)])
 POLISH_IDS = [f"{nu:.4f}-{x_max:g}-{n}" for nu, x_max, n in POLISH_CASES]
 # R evaluations (one bessel_j_ref call each) per case, in POLISH_CASES order;
-# the coarse scan took 329-336 at (60, 300) and 3025-3027 at the defaults
-POLISH_EVALS = [200, 216, 209, 239, 211, 213, 188, 210, 247, 224,
-                248, 248, 214, 191, 179, 238, 205, 269, 244, 236,
-                481, 505, 646]
+# the coarse scan took 329-336 at (60, 300) and 3025-3027 at the defaults,
+# and the half-period searches without the cut 179-269 and 481-646
+POLISH_EVALS = [152, 153, 151, 177, 149, 150, 148, 167, 173, 154,
+                177, 176, 150, 133, 140, 175, 162, 180, 171, 173,
+                367, 403, 500]
 
 
 def _half_periods(order, x_max):
@@ -267,10 +268,10 @@ def _polished(nu, x_max, coarse_points):
     polishes, evaluated = [], []
     brent = scan_module._brent_max
 
-    def record(f, a, b, x, fx):
-        best = brent(f, a, b, x, fx)
-        polishes.append(((a, b), (x, fx), best))
-        return best
+    def record(f, a, b, x, fx, best=-math.inf):
+        found = brent(f, a, b, x, fx, best)
+        polishes.append(((a, b), (x, fx), found))
+        return found
 
     def gap(order, x):
         v = _oscillation_gap(order, x)
@@ -305,9 +306,12 @@ class TestOlenkoPolish:
         below = [p for p in polishes if p[0][0] < x0]
         assert all(a in grid and x in grid and b in grid and b < x0
                    for (a, b), (x, _), _ in below)
+        # the half-periods, each once, visited best midpoint first
         above = polishes[len(below):]
-        assert [p[0] for p in above] == intervals
+        assert sorted(p[0] for p in above) == intervals
         assert all(x == 0.5 * (a + b) for (a, b), (x, _), _ in above)
+        starts = [v for _, (_, v), _ in above]
+        assert starts == sorted(starts, reverse=True)
         assert (x_max, _oscillation_gap(Order(nu), x_max)) in evaluated
 
     @pytest.mark.parametrize("case", POLISH_CASES, ids=POLISH_IDS)
@@ -331,14 +335,15 @@ class TestOlenkoPolish:
         assert budget <= (300 if case[1] == 60.0 else 700)
 
     def test_budget(self, monkeypatch):
-        # 27 grid points below x0 = omega - pi and R(60), then about ten
-        # evaluations for each of two grid peaks and 18 half-periods; the
-        # coarse scan took 333
+        # 27 grid points below x0 = omega - pi and R(60), about ten
+        # evaluations for each of two grid peaks, the 18 half-periods'
+        # midpoints, then searches from them, most cut after a few steps;
+        # 220 without the cut, and the coarse scan took 333
         seen = []
         oracle = scan_module.bessel_j_ref
         monkeypatch.setattr(scan_module, "bessel_j_ref", lambda *a: seen.append(a) or oracle(*a))
         olenko_sup(Order(5.0), 60.0, 300)
-        assert len(seen) == 220
+        assert len(seen) == 151
 
     @pytest.mark.parametrize("nu, x_max, coarse_points, missed, found", [
         (1.0, 150.0, 3000, 145.30, 148.44),
@@ -409,6 +414,67 @@ def test_two_crests_share_a_half_period_past_nu_30():
     assert s.sup_value >= dense_max * (1 - 1e-12)
 
 
+def _uncut_sup(nu, x_max, coarse_points):
+    """olenko_sup with every search run to Brent's stop rule, as before the cut."""
+    brent = scan_module._brent_max
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan_module, "_brent_max",
+                   lambda f, a, b, x, fx, best=-math.inf: brent(f, a, b, x, fx))
+        return olenko_sup(Order(nu), x_max, coarse_points)
+
+
+_cut_rng = random.Random(34)
+# POLISH_CASES (criterion 8's orders at the defaults among them), then
+# seeded orders in [10, 30] to x = 200
+CUT_CASES = POLISH_CASES + [(_cut_rng.uniform(10.0, 30.0), 200.0, 2000) for _ in range(8)]
+
+
+@pytest.mark.parametrize("case", CUT_CASES, ids=[f"{nu:.4f}-{x:g}-{n}" for nu, x, n in CUT_CASES])
+def test_the_cut_keeps_the_uncut_result(case):
+    # the searches that stop once they cannot beat the best crest leave
+    # sup_value, argmax_x and normalized bit for bit as the uncut ones
+    s = _polished(*case)[0] if case in POLISH_CASES else olenko_sup(Order(case[0]), *case[1:])
+    assert [v.hex() for v in dataclasses.astuple(s)] == [
+        v.hex() for v in dataclasses.astuple(_uncut_sup(*case))]
+
+
+def _crest_curvatures(order, x_max):
+    """(x, R(x), |R''(x)|/R(x)) at the crest of each half-period above x0,
+    from an uncut search and central differences of step 1e-3; a crest at
+    its interval's clipped end (R still rising at x_max) is left out."""
+    def r(t):
+        return _oscillation_gap(order, t)
+    h, out = 1e-3, []
+    for a, b in _half_periods(order, x_max)[1]:
+        x, v = scan_module._brent_max(r, a, b, 0.5 * (a + b), r(0.5 * (a + b)))
+        if a + 0.01 < x < b - 0.01:
+            out.append((x, v, abs(r(x + h) - 2 * v + r(x - h)) / (h * h * v)))
+    return out
+
+
+@pytest.mark.parametrize("nu, x_max", DENSE_CASES, ids=[f"{nu:.4f}-{x:g}" for nu, x in DENSE_CASES])
+def test_crest_curvature_is_below_the_cut_bound(nu, x_max):
+    # the cut assumes |R''| <= 2K R near a crest (K = 1.5); Hankel's
+    # R ~ A |sin(x - phi)| gives 1, and the dense-scan orders stay below 2K
+    # with a 10% margin: at most 1.01 in [1, 10] and 2.42 in [20, 30]
+    bound = 2 * scan_module._CUT_CURVATURE
+    worst = max(c for _, _, c in _crest_curvatures(Order(nu), x_max))
+    assert worst < 0.9 * bound, worst
+
+
+def test_the_curvature_bound_fails_far_below_the_sup():
+    # at nu = 25.1, mu/(2x) is 2 pi near x = 50, where R's oscillation
+    # nearly cancels: the crest at 50.51 has |R''|/R = 6.5 > 2K, but R =
+    # 1.12 there, 0.5% of the sup 226.3, so the cut loses nothing
+    order = Order(25.1)
+    bound = 2 * scan_module._CUT_CURVATURE
+    over = [(round(x, 2), round(c, 1)) for x, _, c in _crest_curvatures(order, 200.0) if c > bound]
+    assert over == [(50.51, 6.5)]
+    s = olenko_sup(order, 200.0)
+    assert max(v for _, v, c in _crest_curvatures(order, 200.0) if c > bound) < 0.01 * s.sup_value
+    assert s == _uncut_sup(25.1, 200.0, 3000)
+
+
 @seed(30)
 @settings(max_examples=100, deadline=None)
 @given(c=st.floats(0.05, 0.95), width=st.floats(1e-3, 1.0), left=st.floats(0.0, 100.0),
@@ -429,3 +495,26 @@ def test_brent_finds_a_cosine_crest(c, width, left, start):
     tol = scan_module._POLISH_REL * abs(x) + scan_module._POLISH_ABS
     assert abs(x - peak) <= 3 * tol + 2e-8 * width
     assert v == f(x) >= f(x0)
+
+
+@seed(34)
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(0.05, 0.95), width=st.floats(0.6, 3.0), left=st.floats(0.0, 100.0),
+       start=st.floats(0.05, 0.95), best=st.floats(0.5, 1.5))
+def test_brent_cut_keeps_every_crest_that_reaches_best(c, width, left, start, best):
+    # cos((t - peak)/width), width >= 0.6, has |f''| = f/width^2 < 2K f
+    # near its crest of height 1: given a best at or below 1 the search is
+    # the uncut one; above 1 it may stop early, below best
+    a, b = left, left + width
+    peak = a + c * width
+    x0 = a + start * width
+
+    def f(t):
+        return math.cos((t - peak) / width)
+
+    uncut = scan_module._brent_max(f, a, b, x0, f(x0))
+    x, v = scan_module._brent_max(f, a, b, x0, f(x0), best)
+    if best <= 1:
+        assert (x, v) == uncut
+    else:
+        assert f(x0) <= v <= uncut[1] < best and v == f(x)

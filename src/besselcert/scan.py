@@ -467,8 +467,8 @@ def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) ->
         b = min(x0, x_max)
         m = 0.5 * (a + b)
         starts.append((a, b, m, r(m)))
-    # best midpoint first; results stay in interval order, so a tie picks
-    # the argmax it picked before the cut
+    # best midpoint first; the results stay in interval order, so of equal
+    # crests the first in x wins, as in the uncut search
     best = max(v for _, v in crests)
     found = [None] * len(starts)
     for i in sorted(range(len(starts)), key=lambda i: starts[i][3], reverse=True):

@@ -13,7 +13,8 @@ the Airy envelope maxima up to x = 14 and up to x = 60, both zero-bracket
 modes with their gap and conjecture checks, every scan subject's rows and
 report on small grids, approx_row for every method, olenko_sup (at
 criterion 8's window, at search_calls.py's orders, at orders in [10, 30] to
-x = 200 and at a tiny x_max), and the CLI's exit code, stdout and stderr
+x = 200, at orders in [-0.45, 1), in windows wholly below x0 and at a tiny
+x_max), and the CLI's exit code, stdout and stderr
 for each bounds --name choice at an admitted and a refused point.
 
     python3 tools/same_outputs.py > dump.txt && tail -n 1 dump.txt
@@ -201,12 +202,17 @@ def _calls():
         yield "leftmost_max_check", bc.leftmost_max_check, Order(nu)
     for x_hi in (14.0, 60.0):
         yield "airy_envelope_maxima", bc.airy_envelope_maxima, x_hi
-    # olenko_sup at criterion 8's window, at search_calls' six seeded orders
-    # and at seeded orders in [10, 30] to x = 200
+    # olenko_sup at criterion 8's window, at search_calls' six seeded orders,
+    # at seeded orders in [10, 30] to x = 200, at seeded orders in [-0.45, 1),
+    # whose sup is a grid peak below x0, and in two windows wholly below x0
     olenko_rng = random.Random(34)
     olenko_cases = [(nu, 60.0, 300) for nu in (2.5, 10.0, *OLENKO_ORDERS)]
     olenko_cases += [(nu, 150.0, 3000) for nu in (1.0, 2.0, 5.0, 10.0)]
     olenko_cases += [(olenko_rng.uniform(10.0, 30.0), 200.0, 2000) for _ in range(4)]
+    low_rng = random.Random(35)
+    for nu in [low_rng.uniform(-0.45, 1.0) for _ in range(4)]:
+        olenko_cases += [(nu, 60.0, 300), (nu, 150.0, 3000)]
+    olenko_cases += [(10.0, 6.0, 300), (40.0, 30.0, 600)]
     for nu, x_max, coarse_points in olenko_cases:
         yield "olenko_sup", bc.olenko_sup, Order(nu), x_max, coarse_points
     # a first grid point where sqrt(2/(pi x)) overflows, or underflows to 0

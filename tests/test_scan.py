@@ -237,12 +237,14 @@ _rng = random.Random(30)
 POLISH_CASES = ([(_rng.uniform(1.0, 10.0), 60.0, 300) for _ in range(20)]
                 + [(nu, 150.0, 3000) for nu in (2.0, 5.0, 10.0)])
 POLISH_IDS = [f"{nu:.4f}-{x_max:g}-{n}" for nu, x_max, n in POLISH_CASES]
-# R evaluations (one bessel_j_ref call each) per case, in POLISH_CASES order;
-# the coarse scan took 329-336 at (60, 300) and 3025-3027 at the defaults,
-# and the half-period searches without the cut 179-269 and 481-646
-POLISH_EVALS = [152, 153, 151, 177, 149, 150, 148, 167, 173, 154,
-                177, 176, 150, 133, 140, 175, 162, 180, 171, 173,
-                367, 403, 500]
+# R evaluations (one bessel_j_ref call each) per case, in POLISH_CASES order,
+# with the grid-peak and half-period searches cut as one list; the coarse
+# scan took 329-336 at (60, 300) and 3025-3027 at the defaults, every search
+# uncut 179-269 and 481-646, and the half-period searches alone cut 133-180
+# and 367-500
+POLISH_EVALS = [136, 145, 143, 150, 141, 142, 140, 151, 142, 136,
+                146, 145, 142, 133, 140, 153, 146, 150, 140, 149,
+                367, 387, 472]
 
 
 def _half_periods(order, x_max):
@@ -268,7 +270,7 @@ def _polished(nu, x_max, coarse_points):
     polishes, evaluated = [], []
     brent = scan_module._brent_max
 
-    def record(f, a, b, x, fx, best=-math.inf):
+    def record(f, a, b, x, fx, best):
         found = brent(f, a, b, x, fx, best)
         polishes.append(((a, b), (x, fx), found))
         return found
@@ -299,18 +301,21 @@ class TestOlenkoPolish:
 
     @pytest.mark.parametrize("case", POLISH_CASES, ids=POLISH_IDS)
     def test_brackets_are_grid_neighbours_then_half_periods(self, case):
+        # the brackets, as a multiset, are each grid peak's two neighbours
+        # below x0 and the half-periods above it, each started from its grid
+        # peak or midpoint; both kinds run in one list, best start first
         nu, x_max, coarse_points = case
         _, polishes, evaluated = _polished(*case)
         x0, intervals = _half_periods(Order(nu), x_max)
-        grid = {x_max * k / coarse_points for k in range(1, coarse_points + 1)}
-        below = [p for p in polishes if p[0][0] < x0]
-        assert all(a in grid and x in grid and b in grid and b < x0
-                   for (a, b), (x, _), _ in below)
-        # the half-periods, each once, visited best midpoint first
-        above = polishes[len(below):]
-        assert sorted(p[0] for p in above) == intervals
-        assert all(x == 0.5 * (a + b) for (a, b), (x, _), _ in above)
-        starts = [v for _, (_, v), _ in above]
+        r = dict(evaluated)
+        xs = [x for x in (x_max * k / coarse_points for k in range(1, coarse_points + 1))
+              if x < x0]
+        peaks = [(xs[i - 1], xs[i + 1]) for i in range(1, len(xs) - 1)
+                 if r[xs[i]] >= max(r[xs[i - 1]], r[xs[i + 1]])]
+        assert sorted(p[0] for p in polishes) == sorted(peaks + intervals)
+        assert all(x == (0.5 * (a + b) if a >= x0 else xs[xs.index(a) + 1])
+                   for (a, b), (x, _), _ in polishes)
+        starts = [v for _, (_, v), _ in polishes]
         assert starts == sorted(starts, reverse=True)
         assert (x_max, _oscillation_gap(Order(nu), x_max)) in evaluated
 
@@ -335,15 +340,17 @@ class TestOlenkoPolish:
         assert budget <= (300 if case[1] == 60.0 else 700)
 
     def test_budget(self, monkeypatch):
-        # 27 grid points below x0 = omega - pi and R(60), about ten
-        # evaluations for each of two grid peaks, the 18 half-periods'
-        # midpoints, then searches from them, most cut after a few steps;
-        # 220 without the cut, and the coarse scan took 333
+        # 27 grid points below x0 = omega - pi, R(60) and the 18
+        # half-periods' midpoints; then 7 for the best crest's search and
+        # 82 for the 17 other half-periods, cut after 4-5 steps each, while
+        # the two grid peaks' searches are cut before their first step.
+        # 151 with only the half-periods cut, 220 uncut, and the coarse
+        # scan took 333
         seen = []
         oracle = scan_module.bessel_j_ref
         monkeypatch.setattr(scan_module, "bessel_j_ref", lambda *a: seen.append(a) or oracle(*a))
         olenko_sup(Order(5.0), 60.0, 300)
-        assert len(seen) == 151
+        assert len(seen) == 135
 
     @pytest.mark.parametrize("nu, x_max, coarse_points, missed, found", [
         (1.0, 150.0, 3000, 145.30, 148.44),
@@ -359,7 +366,7 @@ class TestOlenkoPolish:
 
         def r(t):
             return _oscillation_gap(order, t)
-        _, old = scan_module._brent_max(r, missed - 1, missed + 1, missed, r(missed))
+        _, old = scan_module._brent_max(r, missed - 1, missed + 1, missed, r(missed), -math.inf)
         assert s.sup_value > old * (1 + 1e-7)
 
 
@@ -419,14 +426,23 @@ def _uncut_sup(nu, x_max, coarse_points):
     brent = scan_module._brent_max
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scan_module, "_brent_max",
-                   lambda f, a, b, x, fx, best=-math.inf: brent(f, a, b, x, fx))
+                   lambda f, a, b, x, fx, best: brent(f, a, b, x, fx, -math.inf))
         return olenko_sup(Order(nu), x_max, coarse_points)
 
 
 _cut_rng = random.Random(34)
-# POLISH_CASES (criterion 8's orders at the defaults among them), then
-# seeded orders in [10, 30] to x = 200
-CUT_CASES = POLISH_CASES + [(_cut_rng.uniform(10.0, 30.0), 200.0, 2000) for _ in range(8)]
+_low_rng = random.Random(35)
+# seeded orders in [-0.45, 1), where x0 is at most 2 pi and the first crest
+# past x = 0 comes within 0.75 of the sup
+LOW_ORDERS = [_low_rng.uniform(-0.45, 1.0) for _ in range(8)]
+# windows wholly below x0 (x_max < sqrt(mu)): every search is a grid peak's
+BELOW_X0_CASES = [(10.0, 6.0, 300), (40.0, 30.0, 600), (5.0, 4.0, 40), (60.0, 50.0, 1000)]
+# POLISH_CASES (criterion 8's orders at the defaults among them), seeded
+# orders in [10, 30] to x = 200, LOW_ORDERS at both windows and the windows
+# below x0
+CUT_CASES = (POLISH_CASES + [(_cut_rng.uniform(10.0, 30.0), 200.0, 2000) for _ in range(8)]
+             + [(nu, x_max, n) for nu in LOW_ORDERS for x_max, n in ((60.0, 300), (150.0, 3000))]
+             + BELOW_X0_CASES)
 
 
 @pytest.mark.parametrize("case", CUT_CASES, ids=[f"{nu:.4f}-{x:g}-{n}" for nu, x, n in CUT_CASES])
@@ -446,7 +462,7 @@ def _crest_curvatures(order, x_max):
         return _oscillation_gap(order, t)
     h, out = 1e-3, []
     for a, b in _half_periods(order, x_max)[1]:
-        x, v = scan_module._brent_max(r, a, b, 0.5 * (a + b), r(0.5 * (a + b)))
+        x, v = scan_module._brent_max(r, a, b, 0.5 * (a + b), r(0.5 * (a + b)), -math.inf)
         if a + 0.01 < x < b - 0.01:
             out.append((x, v, abs(r(x + h) - 2 * v + r(x - h)) / (h * h * v)))
     return out
@@ -475,6 +491,40 @@ def test_the_curvature_bound_fails_far_below_the_sup():
     assert s == _uncut_sup(25.1, 200.0, 3000)
 
 
+_grid_peak_rng = random.Random(7)
+GRID_PEAK_ORDERS = LOW_ORDERS + [_grid_peak_rng.uniform(1.0, 30.0) for _ in range(8)]
+
+
+@pytest.mark.parametrize("x_max, coarse_points, count", [(60.0, 300, 8), (150.0, 3000, 9)])
+def test_grid_peaks_over_the_bound_sit_below_the_sup(x_max, coarse_points, count):
+    # below x0 the cut reaches every grid peak, where |R''| <= 2K R fails
+    # at the first crest past x = 0 (|R''|/R = 98.8 at nu = 2.68, x = 0.14)
+    # and where R's oscillation nearly cancels (11.4 at nu = 10.39, x =
+    # 10.45); every such crest stays below 0.75 of the sup, 0.70 at worst
+    # (nu = 0.37, x = 0.61), so its cut cannot lose the sup.  The finer grid
+    # also finds the crest at x = 0.14
+    bound = 2 * scan_module._CUT_CURVATURE
+    h, over = 1e-3, []
+    for nu in GRID_PEAK_ORDERS:
+        order = Order(nu)
+        x0, _ = _half_periods(order, x_max)
+        crests = []
+        brent = scan_module._brent_max
+
+        def uncut(f, a, b, x, fx, best):
+            crests.append(brent(f, a, b, x, fx, -math.inf))
+            return crests[-1]
+
+        def r(t):
+            return _oscillation_gap(order, t)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scan_module, "_brent_max", uncut)
+            s = olenko_sup(order, x_max, coarse_points)
+        over += [v / s.sup_value for x, v in crests
+                 if x < x0 and abs(r(x + h) - 2 * v + r(x - h)) / (h * h * v) > bound]
+    assert len(over) == count and max(over) < 0.75, over
+
+
 @seed(30)
 @settings(max_examples=100, deadline=None)
 @given(c=st.floats(0.05, 0.95), width=st.floats(1e-3, 1.0), left=st.floats(0.0, 100.0),
@@ -491,7 +541,7 @@ def test_brent_finds_a_cosine_crest(c, width, left, start):
     def f(t):
         return math.cos((t - peak) / width)
 
-    x, v = scan_module._brent_max(f, a, b, x0, f(x0))
+    x, v = scan_module._brent_max(f, a, b, x0, f(x0), -math.inf)
     tol = scan_module._POLISH_REL * abs(x) + scan_module._POLISH_ABS
     assert abs(x - peak) <= 3 * tol + 2e-8 * width
     assert v == f(x) >= f(x0)
@@ -512,7 +562,7 @@ def test_brent_cut_keeps_every_crest_that_reaches_best(c, width, left, start, be
     def f(t):
         return math.cos((t - peak) / width)
 
-    uncut = scan_module._brent_max(f, a, b, x0, f(x0))
+    uncut = scan_module._brent_max(f, a, b, x0, f(x0), -math.inf)
     x, v = scan_module._brent_max(f, a, b, x0, f(x0), best)
     if best <= 1:
         assert (x, v) == uncut

@@ -24,7 +24,7 @@ and, where they differ, prints both to stderr and exits 1, so a script can
 gate on it.  An empty or non-hex prefix is refused with exit 2, since the
 empty one would match every sha:
 
-    python3 tools/same_outputs.py --expect d05504c4a88a8be8 > dump.txt
+    python3 tools/same_outputs.py --expect 28937e2f1304ca6b > dump.txt
 """
 
 import argparse

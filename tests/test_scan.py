@@ -432,8 +432,8 @@ def _uncut_sup(nu, x_max, coarse_points):
 
 _cut_rng = random.Random(34)
 _low_rng = random.Random(35)
-# seeded orders in [-0.45, 1), where x0 is at most 2 pi and the first crest
-# past x = 0 comes within 0.75 of the sup
+# seeded orders in [-0.45, 1), whose first crest past x = 0 is a grid peak
+# below x0 (x0 < 2 pi) that reaches up to 0.70 of the sup
 LOW_ORDERS = [_low_rng.uniform(-0.45, 1.0) for _ in range(8)]
 # windows wholly below x0 (x_max < sqrt(mu)): every search is a grid peak's
 BELOW_X0_CASES = [(10.0, 6.0, 300), (40.0, 30.0, 600), (5.0, 4.0, 40), (60.0, 50.0, 1000)]
@@ -504,12 +504,12 @@ def test_grid_peaks_over_the_bound_sit_below_the_sup(x_max, coarse_points, count
     # (nu = 0.37, x = 0.61), so its cut cannot lose the sup.  The finer grid
     # also finds the crest at x = 0.14
     bound = 2 * scan_module._CUT_CURVATURE
+    brent = scan_module._brent_max
     h, over = 1e-3, []
     for nu in GRID_PEAK_ORDERS:
         order = Order(nu)
         x0, _ = _half_periods(order, x_max)
         crests = []
-        brent = scan_module._brent_max
 
         def uncut(f, a, b, x, fx, best):
             crests.append(brent(f, a, b, x, fx, -math.inf))

@@ -204,7 +204,8 @@ def _calls():
         yield "airy_envelope_maxima", bc.airy_envelope_maxima, x_hi
     # olenko_sup at criterion 8's window, at search_calls' six seeded orders,
     # at seeded orders in [10, 30] to x = 200, at seeded orders in [-0.45, 1),
-    # whose sup is a grid peak below x0, and in two windows wholly below x0
+    # whose first crest past x = 0 is a grid peak below x0, and in two
+    # windows wholly below x0
     olenko_rng = random.Random(34)
     olenko_cases = [(nu, 60.0, 300) for nu in (2.5, 10.0, *OLENKO_ORDERS)]
     olenko_cases += [(nu, 150.0, 3000) for nu in (1.0, 2.0, 5.0, 10.0)]

@@ -329,11 +329,8 @@ _CGOLD = (3 - math.sqrt(5)) / 2
 # nu <= 10, 1.15 at nu = 14.7 and up to 2.42 on the dense-scan orders in
 # [20, 30], below 2K = 3.  That ratio is read at the crest, so the cut waits
 # until the bracket is narrower than 0.5, where R stays above cos(0.5) =
-# 0.88 of its crest and K (b - a)^2 < 0.375.  A grid peak's bracket, two
-# grid steps (0.1 at the defaults), is often narrower from its first step.
-# Below x0 the bound fails at the
-# first crest past x = 0 (|R''|/R = 99 at nu = 2.68, x = 0.14) and where R's
-# oscillation nearly cancels, on crests below 0.75 of the sup
+# 0.88 of its crest and K (b - a)^2 < 0.375.  Below x0 the bound fails near
+# the sup, so olenko_sup never cuts a grid peak's search (see its docstring)
 _CUT_WIDTH = 0.5
 _CUT_CURVATURE = 1.5
 
@@ -420,24 +417,30 @@ def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) ->
     one, run until the crest is located to 1.5e-8 |x| + 1e-12 (about ten
     evaluations of R per crest).
 
-    Only the best crest is reported, so the searches branch and bound: R
-    is read at every midpoint first, the grid-peak and half-period
-    searches run as one list, best start first, and each is passed the
-    best R so far (the grid, R(x_max) and earlier crests) to cut on
-    (_brent_max).  A crest clipped by x_max is at most R(x_max), which
-    that best holds.  The cut assumes |R''| <= 3 R near any crest that
-    could beat the best.  On the dense-scan orders |R''|/R stays below 2.7
-    at every crest above x0 (test_crest_curvature_is_below_the_cut_bound).
-    Like the one-crest rule, the bound rests on Hankel's form and fails
-    where it does: where mu/(2x) nears 2 pi, R's oscillation nearly
-    cancels, and at nu = 25.1 a crest of R = 1.12, 0.5% of the sup, has
-    |R''|/R = 6.5 (test_the_curvature_bound_fails_far_below_the_sup).
-    Below x0 it also fails at the first crest past x = 0, which reaches
-    0.71 of the sup near nu = 0.4
-    (test_grid_peaks_over_the_bound_sit_below_the_sup).  The best crest's
-    search is never cut, so the result is the uncut one bit for bit
-    (test_the_cut_keeps_the_uncut_result): 133-153 evaluations of R at
-    (60, 300), 179-269 uncut, and 367-472 at criterion 8's (150, 3000),
+    Only the best crest is reported, so the half-period searches branch
+    and bound: R is read at every midpoint first, the grid-peak and
+    half-period searches run as one list, best start first, and each
+    half-period search is passed the best R so far (the grid, R(x_max) and
+    earlier crests) to cut on (_brent_max).  A crest clipped by x_max is at
+    most R(x_max), which that best holds.  The cut assumes |R''| <= 3 R
+    near any crest that could beat the best.  On the dense-scan orders
+    |R''|/R stays below 2.7 at every crest above x0
+    (test_crest_curvature_is_below_the_cut_bound).  Like the one-crest
+    rule, the bound rests on Hankel's form and fails where it does: where
+    mu/(2x) nears 2 pi, R's oscillation nearly cancels, and at nu = 25.1 a
+    crest of R = 1.12, 0.5% of the sup, has |R''|/R = 6.5
+    (test_the_curvature_bound_fails_far_below_the_sup).  Below x0 no such
+    form holds and the bound fails near the sup: |R''|/R reaches 98.8 at
+    the first crest past x = 0 (nu = 2.68, x = 0.14), and a crest over the
+    bound reaches 0.70 of the sup at nu = 0.37
+    (test_the_curvature_bound_fails_near_the_sup_below_x0).  A window that
+    ends as R climbs back to just below such a crest would report R(x_max)
+    if the crest's search were cut (test_a_grid_peak_cut_can_lose_the_sup),
+    so the grid peaks' searches are passed best = -inf and never cut.
+    Where the bound holds the best crest's search is never cut either, so
+    the result is the uncut one bit for bit
+    (test_the_cut_keeps_the_uncut_result): 133-180 evaluations of R at
+    (60, 300), 179-269 uncut, and 367-500 at criterion 8's (150, 3000),
     481-646 uncut.
 
     sup_value is R's value at argmax_x.  The result is a lower bound on the
@@ -463,17 +466,18 @@ def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) ->
     crests = list(zip(xs, vals))
     if x_max >= x0:
         crests.append((x_max, r(x_max)))
-    starts = [(xs[i - 1], xs[i + 1], xs[i], vals[i]) for i in range(1, len(xs) - 1)
+    # each start carries whether its search may be cut: grid peaks may not
+    starts = [(xs[i - 1], xs[i + 1], xs[i], vals[i], False) for i in range(1, len(xs) - 1)
               if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]]
     while x0 < x_max:
         k += 1
         a, x0 = x0, order.omega + k * math.pi
         b = min(x0, x_max)
         m = 0.5 * (a + b)
-        starts.append((a, b, m, r(m)))
+        starts.append((a, b, m, r(m), True))
     best = max(v for _, v in crests)
-    for start in sorted(starts, key=lambda s: s[3], reverse=True):
-        crests.append(_brent_max(r, *start, best))
+    for a, b, x, fx, cut in sorted(starts, key=lambda s: s[3], reverse=True):
+        crests.append(_brent_max(r, a, b, x, fx, best if cut else -math.inf))
         best = max(best, crests[-1][1])
     # of equal crests the first in x wins
     best_x, best_v = max(crests, key=lambda p: (p[1], -p[0]))

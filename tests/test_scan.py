@@ -238,13 +238,13 @@ POLISH_CASES = ([(_rng.uniform(1.0, 10.0), 60.0, 300) for _ in range(20)]
                 + [(nu, 150.0, 3000) for nu in (2.0, 5.0, 10.0)])
 POLISH_IDS = [f"{nu:.4f}-{x_max:g}-{n}" for nu, x_max, n in POLISH_CASES]
 # R evaluations (one bessel_j_ref call each) per case, in POLISH_CASES order,
-# with the grid-peak and half-period searches cut as one list; the coarse
-# scan took 329-336 at (60, 300) and 3025-3027 at the defaults, every search
-# uncut 179-269 and 481-646, and the half-period searches alone cut 133-180
-# and 367-500
-POLISH_EVALS = [136, 145, 143, 150, 141, 142, 140, 151, 142, 136,
-                146, 145, 142, 133, 140, 153, 146, 150, 140, 149,
-                367, 387, 472]
+# with the half-period searches cut and the grid peaks' not; the coarse scan
+# took 329-336 at (60, 300) and 3025-3027 at the defaults, and every search
+# uncut 179-269 and 481-646.  Cutting the grid peaks' searches too took
+# 133-153 and 367-472, but can lose the sup (test_a_grid_peak_cut_can_lose_the_sup)
+POLISH_EVALS = [152, 153, 151, 177, 149, 150, 148, 167, 173, 154,
+                177, 176, 150, 133, 140, 175, 162, 180, 171, 173,
+                367, 403, 500]
 
 
 def _half_periods(order, x_max):
@@ -266,13 +266,14 @@ def _half_periods(order, x_max):
 @functools.cache
 def _polished(nu, x_max, coarse_points):
     """olenko_sup's result, the ((a, b), (x, R(x)) started from, (x, R(x))
-    returned) of each of its polishes, and every (x, R(x)) it evaluated."""
+    returned, best passed) of each of its polishes, and every (x, R(x)) it
+    evaluated."""
     polishes, evaluated = [], []
     brent = scan_module._brent_max
 
     def record(f, a, b, x, fx, best):
         found = brent(f, a, b, x, fx, best)
-        polishes.append(((a, b), (x, fx), found))
+        polishes.append(((a, b), (x, fx), found, best))
         return found
 
     def gap(order, x):
@@ -293,7 +294,7 @@ class TestOlenkoPolish:
         # bracket and ends at or above that point's R; the sup is the best
         # R evaluated anywhere
         s, polishes, evaluated = _polished(*case)
-        for (a, b), (x0, v0), (x, v) in polishes:
+        for (a, b), (x0, v0), (x, v), _ in polishes:
             assert a < x0 < b and a < x < b
             assert (x0, v0) in evaluated and (x, v) in evaluated
             assert v >= v0
@@ -303,7 +304,8 @@ class TestOlenkoPolish:
     def test_brackets_are_grid_neighbours_then_half_periods(self, case):
         # the brackets, as a multiset, are each grid peak's two neighbours
         # below x0 and the half-periods above it, each started from its grid
-        # peak or midpoint; both kinds run in one list, best start first
+        # peak or midpoint; both kinds run in one list, best start first, and
+        # only the half-periods get a best to cut on
         nu, x_max, coarse_points = case
         _, polishes, evaluated = _polished(*case)
         x0, intervals = _half_periods(Order(nu), x_max)
@@ -314,8 +316,9 @@ class TestOlenkoPolish:
                  if r[xs[i]] >= max(r[xs[i - 1]], r[xs[i + 1]])]
         assert sorted(p[0] for p in polishes) == sorted(peaks + intervals)
         assert all(x == (0.5 * (a + b) if a >= x0 else xs[xs.index(a) + 1])
-                   for (a, b), (x, _), _ in polishes)
-        starts = [v for _, (_, v), _ in polishes]
+                   for (a, b), (x, _), _, _ in polishes)
+        assert all((best == -math.inf) == (a < x0) for (a, _), _, _, best in polishes)
+        starts = [v for _, (_, v), _, _ in polishes]
         assert starts == sorted(starts, reverse=True)
         assert (x_max, _oscillation_gap(Order(nu), x_max)) in evaluated
 
@@ -341,16 +344,15 @@ class TestOlenkoPolish:
 
     def test_budget(self, monkeypatch):
         # 27 grid points below x0 = omega - pi, R(60) and the 18
-        # half-periods' midpoints; then 7 for the best crest's search and
-        # 82 for the 17 other half-periods, cut after 4-5 steps each, while
-        # the two grid peaks' searches are cut before their first step.
-        # 151 with only the half-periods cut, 220 uncut, and the coarse
-        # scan took 333
+        # half-periods' midpoints; then 7 for the best crest's search, 82
+        # for the 17 other half-periods, cut after 4-5 steps each, and 8 for
+        # each of the two grid peaks' uncut searches.  220 with no search
+        # cut, 135 with the grid peaks' cut too, and the coarse scan took 333
         seen = []
         oracle = scan_module.bessel_j_ref
         monkeypatch.setattr(scan_module, "bessel_j_ref", lambda *a: seen.append(a) or oracle(*a))
         olenko_sup(Order(5.0), 60.0, 300)
-        assert len(seen) == 135
+        assert len(seen) == 151
 
     @pytest.mark.parametrize("nu, x_max, coarse_points, missed, found", [
         (1.0, 150.0, 3000, 145.30, 148.44),
@@ -433,16 +435,20 @@ def _uncut_sup(nu, x_max, coarse_points):
 _cut_rng = random.Random(34)
 _low_rng = random.Random(35)
 # seeded orders in [-0.45, 1), whose first crest past x = 0 is a grid peak
-# below x0 (x0 < 2 pi) that reaches up to 0.70 of the sup
+# below x0 (x0 < 2 pi), up to 0.70 of the sup
 LOW_ORDERS = [_low_rng.uniform(-0.45, 1.0) for _ in range(8)]
 # windows wholly below x0 (x_max < sqrt(mu)): every search is a grid peak's
 BELOW_X0_CASES = [(10.0, 6.0, 300), (40.0, 30.0, 600), (5.0, 4.0, 40), (60.0, 50.0, 1000)]
+# windows that end where R has climbed back to just below its first crest,
+# whose |R''|/R is about 99: cutting that crest's grid-peak search would
+# report R(x_max) as the sup (test_a_grid_peak_cut_can_lose_the_sup)
+STEEP_CREST_CASES = [(2.7, 0.3772607973234243, 300), (2.64, 0.2646975093832409, 300)]
 # POLISH_CASES (criterion 8's orders at the defaults among them), seeded
 # orders in [10, 30] to x = 200, LOW_ORDERS at both windows and the windows
 # below x0
 CUT_CASES = (POLISH_CASES + [(_cut_rng.uniform(10.0, 30.0), 200.0, 2000) for _ in range(8)]
              + [(nu, x_max, n) for nu in LOW_ORDERS for x_max, n in ((60.0, 300), (150.0, 3000))]
-             + BELOW_X0_CASES)
+             + BELOW_X0_CASES + STEEP_CREST_CASES)
 
 
 @pytest.mark.parametrize("case", CUT_CASES, ids=[f"{nu:.4f}-{x:g}-{n}" for nu, x, n in CUT_CASES])
@@ -496,33 +502,40 @@ GRID_PEAK_ORDERS = LOW_ORDERS + [_grid_peak_rng.uniform(1.0, 30.0) for _ in rang
 
 
 @pytest.mark.parametrize("x_max, coarse_points, count", [(60.0, 300, 8), (150.0, 3000, 9)])
-def test_grid_peaks_over_the_bound_sit_below_the_sup(x_max, coarse_points, count):
-    # below x0 the cut reaches every grid peak, where |R''| <= 2K R fails
-    # at the first crest past x = 0 (|R''|/R = 98.8 at nu = 2.68, x = 0.14)
-    # and where R's oscillation nearly cancels (11.4 at nu = 10.39, x =
-    # 10.45); every such crest stays below 0.75 of the sup, 0.70 at worst
-    # (nu = 0.37, x = 0.61), so its cut cannot lose the sup.  The finer grid
-    # also finds the crest at x = 0.14
+def test_the_curvature_bound_fails_near_the_sup_below_x0(x_max, coarse_points, count):
+    # below x0 no Hankel form holds R's shape, and |R''| <= 2K R fails at
+    # the first crest past x = 0 (|R''|/R = 98.8 at nu = 2.68, x = 0.14) and
+    # where R's oscillation nearly cancels (11.4 at nu = 10.39, x = 10.45).
+    # Such crests are not far below the sup: 0.70 of it at nu = 0.37, x =
+    # 0.61, past 0.65, so the grid peaks' searches are never cut.  The finer
+    # grid also finds the crest at x = 0.14
     bound = 2 * scan_module._CUT_CURVATURE
-    brent = scan_module._brent_max
     h, over = 1e-3, []
     for nu in GRID_PEAK_ORDERS:
         order = Order(nu)
         x0, _ = _half_periods(order, x_max)
-        crests = []
-
-        def uncut(f, a, b, x, fx, best):
-            crests.append(brent(f, a, b, x, fx, -math.inf))
-            return crests[-1]
+        s, polishes, _ = _polished(nu, x_max, coarse_points)
 
         def r(t):
             return _oscillation_gap(order, t)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scan_module, "_brent_max", uncut)
-            s = olenko_sup(order, x_max, coarse_points)
-        over += [v / s.sup_value for x, v in crests
+        over += [v / s.sup_value for _, _, (x, v), _ in polishes
                  if x < x0 and abs(r(x + h) - 2 * v + r(x - h)) / (h * h * v) > bound]
-    assert len(over) == count and max(over) < 0.75, over
+    assert len(over) == count and 0.65 < max(over) < 0.71, over
+
+
+@pytest.mark.parametrize("nu, x_max, coarse_points", STEEP_CREST_CASES)
+def test_a_grid_peak_cut_can_lose_the_sup(nu, x_max, coarse_points):
+    # R(x_max) is the best grid value and the first crest M is just above
+    # it; past the curvature bound, the crest's search given best = R(x_max)
+    # cuts below it, so a cut there would report R(x_max) as the sup
+    s, polishes, evaluated = _polished(nu, x_max, coarse_points)
+    (a, b), (x0, g), (x, v), best = min(polishes, key=lambda p: p[0])
+    assert best == -math.inf and (x, v) == (s.argmax_x, s.sup_value)
+    r = dict(evaluated)
+    r_end = max(r[x_max * j / coarse_points] for j in range(1, coarse_points + 1))
+    assert g < r_end == r[x_max] < v
+    cut = scan_module._brent_max(lambda t: _oscillation_gap(Order(nu), t), a, b, x0, g, r_end)
+    assert cut[1] < r_end and x < 0.2 < x_max
 
 
 @seed(30)

@@ -8,9 +8,11 @@ values inside each entry point's domain: the oracle evaluators, J' below
 nu = 1/2, Gamma, every approximation family, best_approx at its ranking edges
 and at the ends of the doubles, the package's __all__, the point bounds,
 the Sonin functions, Airy zeros 1-50, Bessel zeros (search_calls.py's
-battery and the last ones below x = 200), the leftmost maxima,
-the Airy envelope maxima up to x = 14 and up to x = 60, both zero-bracket
-modes with their gap and conjecture checks, every scan subject's rows and
+battery and the last ones below x = 200), the leftmost maxima (also at
+nu = 2.22, 2.24, ..., 2.50 and at seeded orders in [5/3, 4]), refine_root
+on the multiple roots of t^3 and t^9, the Airy envelope maxima up to
+x = 14 and up to x = 60, both zero-bracket modes with their gap and
+conjecture checks, every scan subject's rows and
 report on small grids, approx_row for every method, olenko_sup (at
 criterion 8's window, at search_calls.py's orders, at orders in [10, 30] to
 x = 200, at orders in [-0.45, 1), in windows wholly below x0 and at a tiny
@@ -24,7 +26,7 @@ and, where they differ, prints both to stderr and exits 1, so a script can
 gate on it.  An empty or non-hex prefix is refused with exit 2, since the
 empty one would match every sha:
 
-    python3 tools/same_outputs.py --expect 28937e2f1304ca6b > dump.txt
+    python3 tools/same_outputs.py --expect cf2b43ba73dd0cc3 > dump.txt
 """
 
 import argparse
@@ -79,6 +81,11 @@ def _line(name: str, f, *args) -> str:
     except (ArithmeticError, ValueError, RuntimeError) as exc:  # a refusal is an output too
         out = f"{type(exc).__name__}: {exc}"
     return f"{name}{args!r}: {out}"
+
+
+def _refine_power(n: int, bracket, tol: float) -> float:
+    """refine_root on t**n, whose root at 0 has multiplicity n."""
+    return bc.refine_root(lambda t: t ** n, bracket, tol)
 
 
 def _cli(argv: list[str]) -> tuple[int, str, str]:
@@ -198,8 +205,17 @@ def _calls():
                      (0.25, 64), (1.78125, 63), (3.78125, 62), (0.0, 63), (0.0, 64), (10.0, 64)]
     for nu, s in bessel_zeros:
         yield "refine_bessel_zero", bc.refine_bessel_zero, Order(nu), s
-    for nu in (5 / 3, 2.5, 10.0, 50.0):
+    # the leftmost maxima at fixed orders, across nu in [2.22, 2.50] (where
+    # refine_root's secant is slowest to reach the final bisection cell) and
+    # at seeded orders in [5/3, 4]
+    leftmost_rng = random.Random(36)
+    leftmost_nus = [5 / 3, 2.5, 10.0, 50.0] + [round(2.22 + 0.02 * k, 2) for k in range(15)]
+    leftmost_nus += [leftmost_rng.uniform(5 / 3, 4.0) for _ in range(10)]
+    for nu in leftmost_nus:
         yield "leftmost_max_check", bc.leftmost_max_check, Order(nu)
+    # refine_root on roots of multiplicity 3 and 9, where the secant converges linearly
+    for n in (3, 9):
+        yield "_refine_power", _refine_power, n, (-1.0, 2.0), 1e-12
     for x_hi in (14.0, 60.0):
         yield "airy_envelope_maxima", bc.airy_envelope_maxima, x_hi
     # olenko_sup at criterion 8's window, at search_calls' six seeded orders,

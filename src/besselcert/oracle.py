@@ -559,8 +559,9 @@ _DOMAINS = {  # the entry points' domains, as check_domain reads them
 }
 
 
-def _secant(value, a, fa, b, fb, steps: int) -> float:
-    """The last of up to steps secant iterates from a < b, each kept in [a, b]."""
+def _secant(value, a, fa, b, fb, steps: int, tol: float = 0.0) -> float:
+    """The last of up to steps secant iterates from a < b, each kept in [a, b];
+    it stops after a step of at most tol."""
     lo, hi = a, b
     for _ in range(steps):
         if fb == fa:
@@ -569,7 +570,7 @@ def _secant(value, a, fa, b, fb, steps: int) -> float:
         if not lo <= c <= hi:
             break
         a, fa, b, fb = b, fb, c, value(c)
-        if fb == 0:
+        if fb == 0 or abs(b - a) <= tol:
             break
     return b
 
@@ -580,13 +581,15 @@ def refine_root(f, bracket, tol: float = 1e-12) -> float:
     Deterministic: bisection down to the tolerance, then up to three secant
     steps clamped to the final bracket; an exact 0 at a midpoint is
     returned as it is.  f is called only where that bisection cannot tell
-    the branch.  Six secant steps inside the bracket and one probe
-    max(tol/4, ulp) past the last iterate b, on the side where f(b)'s sign
-    puts the sign change, give the evaluated points p < q that enclose
-    every sign change f's values show: all points evaluated up to p read
-    as lo's side, all from q on as hi's.  [p, q] is then about tol/4 wide,
-    so a bisection midpoint rarely falls inside it.  The bisection runs as
-    it would with every midpoint evaluated, except that a midpoint outside
+    the branch.  Up to seven secant steps inside the bracket, ending after
+    one of at most tol, reach an iterate b; f is then evaluated at both
+    ends of the cell bisection would end in were the sign change at b.
+    Those points give the evaluated p < q that enclose every sign change
+    f's values show: all points evaluated up to p read as lo's side, all
+    from q on as hi's.  [p, q] is then usually that final cell, so no
+    bisection midpoint falls strictly inside it; where the cell misses,
+    its ends are two more evaluated points.  The bisection runs as it
+    would with every midpoint evaluated, except that a midpoint outside
     [p, q] takes the branch of its side without a call.  f is evaluated at
     the final ends before the polish, so the polish reads f's own values.
 
@@ -620,12 +623,19 @@ def refine_root(f, bracket, tol: float = 1e-12) -> float:
         raise ValueError("refine_root: no sign change over the bracket")
     p, q = lo, hi
     if hi - lo > tol:  # else the bisection below stops at once
-        b = _secant(value, lo, flo, hi, fhi, 6)
-        # one probe a quarter tolerance past b, toward the sign change f(b) points to
-        step = max(tol / 4, math.ulp(b))
-        t = b - step if (value(b) > 0) == up else b + step
-        if lo < t < hi:
-            value(t)
+        # at most 7 steps: with 6 the secant stops short of the final cell at
+        # some leftmost maxima near nu = 2.4, 7 to 40 cost the same calls
+        # there, and on a multiple root, where the secant converges linearly,
+        # each step past 7 costs a call
+        b = _secant(value, lo, flo, hi, fhi, 7, tol)
+        # the ends of the cell bisection would end in were the sign change at b
+        a, c = lo, hi
+        for _ in range(200):
+            mid = 0.5 * (a + c)
+            if c - a <= tol or mid <= a or mid >= c:
+                break
+            a, c = (a, mid) if b < mid else (mid, c)
+        value(a), value(c)
         # the last point before the first on hi's side, the first after the last on lo's
         xs = sorted(seen)
         side = [(seen[x] > 0) == up for x in xs]

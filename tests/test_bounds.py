@@ -336,9 +336,10 @@ class TestLeftmostMaxBisection:
             "leftmost_max", floor, xi, xi - floor, True)
 
     def test_call_budget(self, monkeypatch):
-        # hp at the floor and at hi, then refine_root on [floor, hi]: 14 J
+        # hp at the floor and at hi, then refine_root on [floor, hi]: 13 J
         # evaluations at nu = 10, two of them re-reading the ends from the
-        # oracle's cache
+        # oracle's cache; the secant lands in the final bisection cell, so
+        # bisection evaluates no midpoint of its own
         calls = []
 
         def counting(*args):
@@ -347,7 +348,7 @@ class TestLeftmostMaxBisection:
 
         monkeypatch.setattr("besselcert.bounds.bessel_j_ref", counting)
         leftmost_max_check(Order(10.0))
-        assert len(calls) == 14
+        assert len(calls) == 13
 
     def test_both_certificates_hold_across_the_domain(self):
         # 40 log-spaced orders from 5/3 to the domain's end, nu ~ 200.0006:

@@ -183,15 +183,15 @@ def test_airy_zeros_evaluate_ai_only_inside_their_brackets(monkeypatch):
 
 def _assert_sign_certain(evaluate, z, tol, margin):
     """f(z - tol/4) and f(z + tol/4) differ in sign, each |f| past margin
-    times its error estimate: a probe's computed sign is the true one."""
+    times its error estimate: f's computed sign there is the true one."""
     (v_lo, e_lo), (v_hi, e_hi) = evaluate(z - tol / 4), evaluate(z + tol / 4)
     assert (v_lo > 0) != (v_hi > 0), z
     assert abs(v_lo) > margin * e_lo and abs(v_hi) > margin * e_hi, z
 
 
 def test_the_sign_is_certain_a_quarter_tolerance_from_the_refined_roots():
-    # the identity's second premise, f's computed sign right outside the
-    # probe's window; Ai(-x)'s estimate charges the rounding of zeta
+    # the identity's second premise, f's computed sign right outside
+    # [p, q], read a quarter tolerance from each root; Ai(-x)'s estimate charges the rounding of zeta
     # through |J'|, about 1.6e-14 at a_50, where |Ai| clears it 221 times,
     # so its margin is 100 where J's and hp's is 1e3
     def pair(r):
@@ -247,8 +247,8 @@ def test_budget_leftmost_max(monkeypatch):
 
 @pytest.mark.parametrize("nu", [round(2.22 + 0.02 * k, 2) for k in range(15)])
 def test_leftmost_maxima_near_nu_2_4_take_at_most_36_series(nu):
-    # here 6 secant steps stop short of the final bisection cell, and
-    # bisection then evaluated 48-60 series; 7 reach it, as at most orders
+    # 6 secant steps stop short of the final bisection cell at these
+    # orders, and bisection then evaluates 48-60 series; 7 reach it
     order = Order(nu)
     oracle._j_series_fixed.cache_clear()
     rep = leftmost_max_check(order)
@@ -284,7 +284,8 @@ def test_search_calls_counts():
 
 @pytest.mark.parametrize("root", [1e7 + 0.3, 1e7 + 1 / 3, 123456789.01234])
 def test_a_probe_below_one_ulp_still_returns_plain_bisections_double(root):
-    # tol / 4 = 2.5e-13 is below ulp(1e7) = 1.9e-9: the probe steps one ulp
+    # tol = 1e-12 is below ulp(1e7) = 1.9e-9: bisection, and the cell the
+    # secant lands in, end where a midpoint no longer splits the bracket
     def f(t):
         return 2 * (t - root) + (t - root) ** 3
 

@@ -98,12 +98,14 @@ def _cmd_scan(ns) -> list[_scan.ScanRow]:
 
 
 def _cmd_sup(ns) -> list[_scan.ScanRow]:
-    s = _scan.olenko_sup(Order(ns.nu), ns.x_max, ns.coarse_points)
+    order = Order(ns.nu)
+    s = _scan.olenko_sup(order, ns.x_max, ns.coarse_points)
     # value/oracle = sup/mu, so the ratio column carries sup/mu vs the
-    # sandwich cap 1.26 and holds is the (0.35, 1.26) window itself
-    holds = 0.35 < s.normalized < 1.26
+    # sandwich cap 1.26; holds is the (0.35, 1.26) window, with the
+    # certified upper bound on the sup read against the cap
+    holds = 0.35 < s.normalized and s.upper / order.mu < 1.26
     return [_scan.ScanRow("olenko_sup", s.nu, s.argmax_x, s.sup_value,
-                          Order(ns.nu).mu, 0.0, s.normalized / 1.26, holds)]
+                          order.mu, 0.0, s.normalized / 1.26, holds)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,7 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(run=_cmd_scan)
 
     q = sub.add_parser("sup", parents=[common],
-                       help="sup of x^(3/2)|J_nu - leading oscillation|")
+                       help="sup of x^(3/2)|J_nu - leading oscillation| on (0, x_max]; "
+                            "holds when sup/mu > 0.35 and its certified upper bound/mu < 1.26")
     q.add_argument("--nu", type=float, required=True)
     q.add_argument("--x-max", type=float, default=150.0)
     q.add_argument("--coarse-points", type=int, default=3000)

@@ -9,6 +9,7 @@ outside a subject's domain are skipped and counted, never extrapolated.
 """
 
 from dataclasses import dataclass
+import heapq
 import itertools
 import math
 
@@ -17,11 +18,13 @@ from .oracle import (
     DomainError,
     Order,
     _FINITE_NU,
+    _FLOAT_ULP,
     _NU_FLOOR,
     _PUBLIC_X_CAP,
     _is_double,
     _make,
     airy_ai_neg_ref,
+    bessel_j_prime_ref,
     bessel_j_ref,
     check_domain,
 )
@@ -118,7 +121,7 @@ _DOMAINS = {  # the entry points' domains, as check_domain reads them
                     f"x_max must lie in (0, {_PUBLIC_X_CAP:g}]"),
                    (lambda o, x_max, n: not n < 10, "coarse_points must be >= 10"),
                    (lambda o, x_max, n: isinstance(n, int), "coarse_points must be an integer"),
-                   # R's main term at the grid's first point x_max/coarse_points
+                   # R's main term at x_max/coarse_points, at or below the grid's first point
                    (lambda o, x_max, n: _is_double(
                        lambda: math.sqrt(2 / (math.pi * (x_max / n)))),
                     "sqrt(2/(pi x)) leaves the doubles at x = x_max/coarse_points"),
@@ -182,16 +185,18 @@ class ScanReport:
 
 @dataclass(frozen=True)
 class SupResult:
-    """Estimated sup of R(x) = x^(3/2)|J_nu(x) - sqrt(2/(pi x)) cos(x - omega)|.
+    """The sup of R(x) = x^(3/2)|J_nu(x) - sqrt(2/(pi x)) cos(x - omega)| over (0, x_max].
 
-    sup_value = R(argmax_x), the largest R the search found, so it is a
-    lower bound on the sup of R over (0, x_max]; normalized = sup_value/mu.
+    sup_value = R(argmax_x), the largest R the search read, and upper, a
+    certified bound on the sup, enclose it: sup_value <= sup <= upper, up to
+    the float rounding of sup_value itself.  normalized = sup_value/mu.
     """
 
     nu: float
     sup_value: float
     argmax_x: float
     normalized: float
+    upper: float
 
 
 def _row(rep, nu: float, x: float) -> ScanRow:
@@ -313,172 +318,141 @@ def verify_bounds_grid(bound: str, grid: GridSpec) -> ScanReport:
     return _summarize(rows, skipped, bound)
 
 
-def _oscillation_gap(order: Order, x: float) -> float:
+_SQRT_2_PI = math.sqrt(2 / math.pi)
+# olenko_sup's float bounds are raised by this relative charge (and a few
+# subnormal ulps), far above the few dozen roundings each one takes
+_OUT = 1 + 1e-14
+_TINY = 64 * math.ulp(0.0)
+
+
+def _signed_gap(order: Order, x: float) -> tuple[float, float]:
+    """h = x^(3/2) (J_nu(x) - sqrt(2/(pi x)) cos(x - omega)) in doubles, so
+    that R(x) = |h|, and a bound on its error: the oracle's estimate of J,
+    the phase x - omega (math.pi, the products and the difference, each
+    rounded), the cosine and sqrt(2/(pi x)), and the subtraction, x^1.5
+    (also where it underflows) and the product."""
     r = bessel_j_ref(order, x)
-    main = math.sqrt(2 / (math.pi * x)) * math.cos(x - order.omega)
-    return x ** 1.5 * abs(r.value - main)
-
-
-# Brent's stop rule: a crest's abscissa to about sqrt(eps) relative, plus a
-# floor; R is quadratic there, so closer abscissae differ in R by a rounding
-_POLISH_REL = 1.5e-8
-_POLISH_ABS = 1e-12
-_CGOLD = (3 - math.sqrt(5)) / 2
-# The cut (_brent_max): K = 1.5 bounds |R''|/(2R) near a crest.  Above x0,
-# R ~ A |sin(x - phi)| has |R''| = R, and the measured |R''|/R is 1.0 for
-# nu <= 10, 1.15 at nu = 14.7 and up to 2.42 on the dense-scan orders in
-# [20, 30], below 2K = 3.  That ratio is read at the crest, so the cut waits
-# until the bracket is narrower than 0.5, where R stays above cos(0.5) =
-# 0.88 of its crest and K (b - a)^2 < 0.375.  Below x0 the bound fails near
-# the sup, so olenko_sup never cuts a grid peak's search (see its docstring)
-_CUT_WIDTH = 0.5
-_CUT_CURVATURE = 1.5
-
-
-def _brent_max(f, a: float, b: float, x: float, fx: float, best: float) -> tuple[float, float]:
-    """Brent's search for a maximum of f on (a, b) from the evaluated x
-    (Brent 1973, ch. 5): parabolic steps through the best three points, and
-    golden-section steps where the parabola's vertex leaves the bracket or
-    its step fails to halve the one before last.  Returns the best (x, f(x)).
-
-    best, a value of f already found elsewhere, lets the search stop early
-    (the cut) once b - a < _CUT_WIDTH and f(x) < best (1 - K (b - a)^2),
-    returning its best point so far.  The crest x* of height M lies in
-    [a, b], within b - a of x, and f'(x*) = 0, so where |f''| <= 2 K M on
-    [a, b] Taylor's theorem gives f(x) >= M (1 - K (b - a)^2), hence M <
-    best: the crest cannot beat best.  The uncut search could only have
-    returned a value at most M.  Where the curvature bound fails, the cut
-    is wrong only if the crest is also at or above best.  Every caller
-    passes best; best = -inf never cuts."""
-    v = w = x
-    fv = fw = fx
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        tol = _POLISH_REL * abs(x) + _POLISH_ABS
-        if abs(x - m) <= 2 * tol - 0.5 * (b - a):
-            return x, fx
-        h = b - a
-        if h < _CUT_WIDTH and fx < best * (1 - _CUT_CURVATURE * h * h):
-            return x, fx
-        p = q = last = 0.0
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2 * (q - r)
-            if q > 0:
-                p = -p
-            q = abs(q)
-            last, e = e, d
-        if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if x + d - a < 2 * tol or b - x - d < 2 * tol:
-                d = tol if x < m else -tol
-        else:
-            e = (b if x < m else a) - x
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(u)
-        if fu >= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
+    amp = math.sqrt(2 / (math.pi * x))
+    diff = r.value - amp * math.cos(x - order.omega)
+    x15 = x ** 1.5
+    h = x15 * diff
+    phase = min(2.0, _FLOAT_ULP * (2 * abs(order.omega) + x + 1))
+    err = (r.abs_err_estimate + amp * (phase + 3 * _FLOAT_ULP)
+           + _FLOAT_ULP * (abs(r.value) + amp))
+    return h, _OUT * ((x15 * (1 + _FLOAT_ULP) + _TINY) * err + 2 * _FLOAT_ULP * abs(h)
+                      + _TINY * abs(diff)) + _TINY
 
 
 def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) -> SupResult:
-    """Estimate sup_x x^(3/2)|J_nu(x) - sqrt(2/(pi x)) cos(x - omega)|.
+    """Enclose sup_x x^(3/2)|J_nu(x) - sqrt(2/(pi x)) cos(x - omega)| over (0, x_max].
 
-    Let x0 be the first omega + k pi at or past max(sqrt(mu), pi).  Below
-    x0, R is read on the linear grid x_max j/coarse_points and every grid
-    peak is searched inside its two neighbouring grid points.  Above x0,
-    Hankel's expansion (DLMF 10.17.3) gives R ~ sqrt(2/pi) mu/2 |sin(x -
-    omega)|, so R is assumed to have one crest in each interval
-    [omega + k pi, omega + (k+1) pi]; each such interval, clipped to x_max,
-    gets one search from its midpoint.  Where two crests share an
-    interval, the lower one can be missed.  A dense scan of R on seeded
-    orders in [1, 10] to x = 150 and in [20, 30] to x = 200 finds none
-    (tests/test_scan.py, test_one_crest_per_half_period).  At nu = 42.48
-    to x = 200, where mu/(2x) is several radians, one interval holds two,
-    of R = 1.84 and 0.45 against a sup of 242.4
-    (test_two_crests_share_a_half_period_past_nu_30).  R(x_max) is read
-    too, so the window's edge counts.  Every search is Brent's parabolic
-    one, run until the crest is located to 1.5e-8 |x| + 1e-12 (about ten
-    evaluations of R per crest).
+    With u = sqrt(x) J_nu, d = u - sqrt(2/pi) cos(x - omega) and h = x d,
+    R = |h|, and Bessel's equation (DLMF 10.2.1) gives h'' + h = F, F = 2d'
+    + (nu^2 - 1/4) u/x.  On a cell [a, b] of width w < 3, h is the sinusoid
+    Y through h(a) and h(b) (Y'' + Y = 0) plus P, P'' + P = F, P(a) = P(b) =
+    0, whose Green's function is at most tan(w/2)/2 and integrates to at
+    most kappa = 1/cos(w/2) - 1, about w^2/8.  This is the chord bound
+    behind Brent's glomin (Brent 1973, ch. 6) and Breiman and Cutler (Math.
+    Prog. 58, 1993) with the sinusoid for the chord, so near a crest only
+    |F| is charged, not max R + |F|.  d's chord slope is the difference
+    quotient q of d(a) = h(a)/a and d(b), so |d'| <= |q| + (w/2) max|d''|
+    with d'' = -d + (nu^2 - 1/4) u/x^2.  With M = max R on [a, b], |d| <=
+    M/a and g = 1 + w/a these give
 
-    Only the best crest is reported, so the half-period searches branch
-    and bound: R is read at every midpoint first, the grid-peak and
-    half-period searches run as one list, best start first, and each
-    half-period search is passed the best R so far (the grid, R(x_max) and
-    earlier crests) to cut on (_brent_max).  A crest clipped by x_max is at
-    most R(x_max), which that best holds.  The cut assumes |R''| <= 3 R
-    near any crest that could beat the best.  On the dense-scan orders
-    |R''|/R stays below 2.7 at every crest above x0
-    (test_crest_curvature_is_below_the_cut_bound).  Like the one-crest
-    rule, the bound rests on Hankel's form and fails where it does: where
-    mu/(2x) nears 2 pi, R's oscillation nearly cancels, and at nu = 25.1 a
-    crest of R = 1.12, 0.5% of the sup, has |R''|/R = 6.5
-    (test_the_curvature_bound_fails_far_below_the_sup).  Below x0 no such
-    form holds and the bound fails near the sup: |R''|/R reaches 98.8 at
-    the first crest past x = 0 (nu = 2.68, x = 0.14), and a crest over the
-    bound reaches 0.70 of the sup at nu = 0.37
-    (test_the_curvature_bound_fails_near_the_sup_below_x0).  A window that
-    ends as R climbs back to just below such a crest would report R(x_max)
-    if the crest's search were cut (test_a_grid_peak_cut_can_lose_the_sup),
-    so the grid peaks' searches are passed best = -inf and never cut.
-    Where the bound holds the best crest's search is never cut either, so
-    the result is the uncut one bit for bit
-    (test_the_cut_keeps_the_uncut_result): 133-180 evaluations of R at
-    (60, 300), 179-269 uncut, and 367-500 at criterion 8's (150, 3000),
-    481-646 uncut.
+        M <= (max|Y| + 2 kappa |q| + g T)/(1 - kappa w/a),  T = kappa mu U/a,
 
-    sup_value is R's value at argmax_x.  The result is a lower bound on the
-    sup over (0, x_max] only: where R's crests still grow at the window's
-    edge (nu = 5 and 10 at x_max = 150), the argmax sits there and sup/mu
-    stays just below the crests' limit 1/sqrt(2 pi).  Requires mu > 0 (at
-    nu = 1/2 the quantity is identically zero and there is nothing to
-    normalize).
+    where U bounds |u| on [a, b] by lemmas, not measurements:
+      - |nu| < 1/2: Szego's S = u^2 + x^2/(x^2 + mu) u'^2 rises to 2/pi
+        (bounds.sonin_eval), so |u| <= sqrt(2/pi);
+      - nu > 1/2, below sqrt(mu): u'' = (mu/x^2 - 1) u > 0 from u(0) = 0, so
+        u and u' increase, and one oracle reading of J and J' at x_r =
+        min(sqrt(mu), x_max) bounds both there.  There mu u/x^2 = u'' + u
+        >= 0 also bounds the integral of mu u/x by b (u'(x_r) + w U), so T
+        <= tan(w/2) b (u'(x_r) + w U) where mu U/a overflows (mu = inf past
+        nu ~ 1.3e154);
+      - nu > 1/2, past sqrt(mu): the envelope S = H^2 + W H'^2 of H =
+        (x^2 - mu)^(1/4) J rises to 2/pi, so |u| <= sqrt(2/pi) (a^2/(a^2 -
+        mu))^(1/4); near sqrt(mu), where that grows without bound, (u^2 +
+        u'^2)' = 2 u u' mu/x^2 bounds |u| by the reading's sqrt(u^2 + u'^2)
+        exp(mu (b - x_r)/(2 x_r b)).
+    On (0, t], R <= t (U + sqrt(2/pi)).  h(a), h(b) enter with their
+    charges from _signed_gap (Y by at most the larger over cos(w/2)), the
+    readings with their estimates, every bound with _OUT.
+
+    The search is one best-first bisection.  R is read on the grid x_max
+    i/n, i = 1..n, n = min(coarse_points, ceil(x_max)): a step of about 1,
+    or x_max/coarse_points where that is coarser.  Each cell, (0, x_max/n]
+    among them, goes on a heap keyed by its bound, and the cell with the
+    largest bound is halved at its midpoint, where R is read.  The search
+    stops once that largest bound, upper, is within 1e-12 sup_value plus
+    sup_value's own charge of sup_value, the largest R read (of equal values
+    the first in x), or once that cell cannot be halved in doubles.  Every
+    x in (0, x_max] lies in a cell on the heap, so the sup lies in
+    [sup_value - its charge, upper].  Requires mu > 0 (at nu = 1/2 the
+    quantity is identically zero and there is nothing to normalize).
     """
     check_domain(_DOMAINS, "olenko_sup", order, x_max, coarse_points)
+    mu = order.mu
+    szego = order.nu < 0.5
+    if not szego:
+        x_r = min(math.sqrt(mu), x_max)
+        j, jp = bessel_j_ref(order, x_r), bessel_j_prime_ref(order, x_r)
+        j_cap = abs(j.value) + j.abs_err_estimate
+        u_r = _OUT * math.sqrt(x_r) * j_cap + _TINY
+        up_r = _OUT * (j_cap / (2 * math.sqrt(x_r))
+                       + math.sqrt(x_r) * (abs(jp.value) + jp.abs_err_estimate)) + _TINY
+        e_r = _OUT * math.hypot(u_r, up_r)
 
-    def r(t):
-        return _oscillation_gap(order, t)
+    def bound(a, b, ra, rb, ha, hb):
+        # max R on [a, b] from R's charged values ra, rb and h's ha, hb at its ends
+        if szego:
+            u = _SQRT_2_PI
+        elif b <= x_r:
+            u = u_r
+        else:
+            u = e_r * math.exp(mu * (b - x_r) / (2 * x_r * b))
+            if a * a > mu:
+                u = min(u, _OUT * _SQRT_2_PI * (a * a / (a * a - mu)) ** 0.25)
+        if not a:
+            return _OUT * b * (u + _SQRT_2_PI) + _TINY
+        w = b - a
+        if not w < 3:
+            return math.inf
+        half, g = w / 2, 1 + w / a
+        kappa = 1 / math.cos(half) - 1
+        if not kappa * w < a:
+            return math.inf
+        t = kappa * mu * u / a
+        if not szego and b <= x_r:
+            t = min(math.tan(half) * b * (up_r + w * u), t)
+        q = (abs(hb / b - ha / a) + (rb - abs(hb)) / b + (ra - abs(ha)) / a) / w
+        # Y = ha cos(x - a) + c sin(x - a), largest inside the cell when its crest is
+        c = (hb - ha) / math.sin(w) + ha * math.tan(half)
+        top = (math.hypot(ha, c) if 0 < math.atan2(c, ha) % math.pi < w
+               else max(abs(ha), abs(hb)))
+        charge = max(ra - abs(ha), rb - abs(hb)) / math.cos(half)
+        return _OUT * (top + charge + 2 * kappa * q + g * t) / (1 - kappa * w / a) + _TINY
 
-    # past x_max (mu may be inf) the whole window is the grid's
-    x0 = math.inf
-    lo = max(math.sqrt(order.mu), math.pi)
-    if lo < x_max:
-        k = math.ceil((lo - order.omega) / math.pi)
-        x0 = order.omega + k * math.pi
-    xs = [x for x in (x_max * j / coarse_points for j in range(1, coarse_points + 1)) if x < x0]
-    vals = [r(x) for x in xs]
-    crests = list(zip(xs, vals))
-    if x_max >= x0:
-        crests.append((x_max, r(x_max)))
-    # each start carries whether its search may be cut: grid peaks may not
-    starts = [(xs[i - 1], xs[i + 1], xs[i], vals[i], False) for i in range(1, len(xs) - 1)
-              if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]]
-    while x0 < x_max:
-        k += 1
-        a, x0 = x0, order.omega + k * math.pi
-        b = min(x0, x_max)
+    def cell(a, b, ra, rb, ha, hb):
+        return -bound(a, b, ra, rb, ha, hb), a, b, ra, rb, ha, hb
+
+    n = min(coarse_points, math.ceil(x_max))
+    xs = [0.0] + [x_max * i / n for i in range(1, n + 1)]
+    hs = [(0.0, 0.0)] + [_signed_gap(order, x) for x in xs[1:]]
+    rs = [abs(h) + c for h, c in hs]
+    best_v, best_x, best_c = max((abs(h), -x, c) for x, (h, c) in zip(xs[1:], hs[1:]))
+    best_x = -best_x
+    heap = [cell(xs[i], xs[i + 1], rs[i], rs[i + 1], hs[i][0], hs[i + 1][0]) for i in range(n)]
+    heapq.heapify(heap)
+    while -heap[0][0] > best_v + 1e-12 * best_v + best_c:
+        a, b, ra, rb, ha, hb = heap[0][1:]
         m = 0.5 * (a + b)
-        starts.append((a, b, m, r(m), True))
-    best = max(v for _, v in crests)
-    for a, b, x, fx, cut in sorted(starts, key=lambda s: s[3], reverse=True):
-        crests.append(_brent_max(r, a, b, x, fx, best if cut else -math.inf))
-        best = max(best, crests[-1][1])
-    # of equal crests the first in x wins
-    best_x, best_v = max(crests, key=lambda p: (p[1], -p[0]))
-    return SupResult(order.nu, best_v, best_x, best_v / order.mu)
+        if not a < m < b:
+            break
+        hm, c = _signed_gap(order, m)
+        v = abs(hm)
+        if v > best_v or v == best_v and m < best_x:
+            best_v, best_x, best_c = v, m, c
+        heapq.heapreplace(heap, cell(a, m, ra, v + c, ha, hm))
+        heapq.heappush(heap, cell(m, b, v + c, rb, hm, hb))
+    return SupResult(order.nu, best_v, best_x, best_v / mu, -heap[0][0])

@@ -4,9 +4,14 @@ whose sup values olenko_sup must stay within 1e-12 of."""
 
 import math
 
-from besselcert.scan import _oscillation_gap
+from besselcert.scan import _signed_gap
 
 GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def _oscillation_gap(order, x):
+    """R(x) = x^(3/2)|J_nu(x) - sqrt(2/(pi x)) cos(x - omega)| as olenko_sup reads it."""
+    return abs(_signed_gap(order, x)[0])
 
 
 def golden_max(f, a, b):

@@ -142,7 +142,7 @@ def test_domain_messages_format_with_their_rules_arguments():
     assert fields == 8  # the unknown-name rules quote the name they refuse
 
 
-def test_one_index_bisection_loop():
+def test_no_grid_index_bisection_loop():
     # every search refines on a bracket or a Sturm cell with refine_root:
     # no src/ function keeps a grid-index bisection loop (tests/full_walk.py
     # keeps the reference's own copy)
@@ -226,7 +226,8 @@ def test_same_outputs_expect_gates_on_the_sha(monkeypatch, capsys):
 def test_search_calls_calls_only_public_names():
     # tools/search_calls.py quotes counts before and after a change, so it
     # drives the searches through besselcert.__all__ alone; its counting
-    # hooks, named here, rebind refine_root and read the series cache
+    # hooks, named here, rebind refine_root and olenko_sup's reads of R and
+    # read the series cache
     import besselcert
     tree = ast.parse((SRC.parents[1] / "tools" / "search_calls.py").read_text())
     modules = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
@@ -237,5 +238,5 @@ def test_search_calls_calls_only_public_names():
             read.setdefault(n.value.id, set()).add(n.attr)
     assert read["bc"] <= set(besselcert.__all__), sorted(read["bc"] - set(besselcert.__all__))
     hooks = set().union(*(read.get(m, set()) for m in modules))
-    assert hooks == {"_j_series_fixed", "refine_root"}
+    assert hooks == {"_j_series_fixed", "refine_root", "_signed_gap"}
     assert all(hasattr(getattr(besselcert, m), h) for m in modules for h in read.get(m, ()))

@@ -13,10 +13,11 @@ nu = 2.22, 2.24, ..., 2.50 and at seeded orders in [5/3, 4]), refine_root
 on the multiple roots of t^3 and t^9, the Airy envelope maxima up to
 x = 14 and up to x = 60, both zero-bracket modes with their gap and
 conjecture checks, every scan subject's rows and
-report on small grids, approx_row for every method, olenko_sup (at
-criterion 8's window, at search_calls.py's orders, at orders in [10, 30] to
-x = 200, at orders in [-0.45, 1), in windows wholly below x0 and at a tiny
-x_max), and the CLI's exit code, stdout and stderr
+report on small grids, approx_row for every method, olenko_sup (every
+field, upper among them, at criterion 8's window, at search_calls.py's
+orders, at orders in [10, 30] to x = 200, at orders in [-0.45, 1), in
+windows wholly below sqrt(mu) and at a tiny x_max), and the CLI's exit
+code, stdout and stderr
 for each bounds --name choice at an admitted and a refused point.
 
     python3 tools/same_outputs.py > dump.txt && tail -n 1 dump.txt
@@ -26,7 +27,7 @@ and, where they differ, prints both to stderr and exits 1, so a script can
 gate on it.  An empty or non-hex prefix is refused with exit 2, since the
 empty one would match every sha:
 
-    python3 tools/same_outputs.py --expect cf2b43ba73dd0cc3 > dump.txt
+    python3 tools/same_outputs.py --expect 025f8453c9bb46b5 > dump.txt
 """
 
 import argparse
@@ -220,8 +221,8 @@ def _calls():
         yield "airy_envelope_maxima", bc.airy_envelope_maxima, x_hi
     # olenko_sup at criterion 8's window, at search_calls' six seeded orders,
     # at seeded orders in [10, 30] to x = 200, at seeded orders in [-0.45, 1),
-    # whose first crest past x = 0 is a grid peak below x0, and in two
-    # windows wholly below x0
+    # whose first crest past x = 0 is near the sup, and in two windows wholly
+    # below sqrt(mu)
     olenko_rng = random.Random(34)
     olenko_cases = [(nu, 60.0, 300) for nu in (2.5, 10.0, *OLENKO_ORDERS)]
     olenko_cases += [(nu, 150.0, 3000) for nu in (1.0, 2.0, 5.0, 10.0)]

@@ -6,9 +6,11 @@ four leftmost maxima, the crests of airy_envelope_maxima(60) and
 olenko_sup(nu, 60, 300) at six seeded orders in [1, 10].  For each it
 prints the roots refined, the misses of the oracle's series cache (one
 per J_nu(x) summed) and the calls refine_root makes of f per root ("-"
-for olenko_sup, which refines no roots).  The counts are exact and repeat
-from run to run, so a change to the search layer can quote them before
-and after.
+for olenko_sup, which refines no roots).  Then, per olenko_sup order, it
+prints the evaluations of R that the search made and the relative width
+(upper - sup_value)/sup_value of the enclosure it returned.  The counts
+are exact and repeat from run to run, so a change to the search layer can
+quote them before and after.
 
     python3 tools/search_calls.py
 """
@@ -21,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import besselcert as bc  # noqa: E402
 # the counting hooks: the series cache, and refine_root where the searches bind it
-from besselcert import bounds, oracle, zeros  # noqa: E402
+from besselcert import bounds, oracle, scan, zeros  # noqa: E402
 
 _rng = random.Random(26)
 BESSEL_BATTERY = [(_rng.uniform(-0.5, 60.0), _rng.randint(1, 12)) for _ in range(40)]
@@ -62,12 +64,37 @@ def counts(search) -> tuple[int, int, int]:
     return roots, oracle._j_series_fixed.cache_info().misses, calls
 
 
+def olenko_reads() -> list[tuple[float, int, float]]:
+    """(nu, evaluations of R, (upper - sup_value)/sup_value) of olenko_sup(nu, 60, 300)
+    per OLENKO_ORDERS order, each from empty caches."""
+    signed_gap, out = scan._signed_gap, []
+
+    def counting(order, x):
+        nonlocal reads
+        reads += 1
+        return signed_gap(order, x)
+
+    scan._signed_gap = counting
+    try:
+        for nu in OLENKO_ORDERS:
+            oracle._j_series_fixed.cache_clear()
+            reads = 0
+            s = bc.olenko_sup(bc.Order(nu), 60.0, 300)
+            out.append((nu, reads, (s.upper - s.sup_value) / s.sup_value))
+    finally:
+        scan._signed_gap = signed_gap
+    return out
+
+
 def main() -> None:
     print(f"{'family':<14}{'roots':>6}{'series_misses':>15}{'calls_per_root':>16}")
     for name, search in FAMILIES.items():
         roots, misses, calls = counts(search)
         per_root = f"{calls / roots:.2f}" if roots else "-"
         print(f"{name:<14}{roots:>6}{misses:>15}{per_root:>16}")
+    print(f"\n{'olenko_sup nu':<20}{'R_evaluations':>14}{'relative_gap':>14}")
+    for nu, reads, gap in olenko_reads():
+        print(f"{nu:<20.15g}{reads:>14}{gap:>14.3g}")
 
 
 if __name__ == "__main__":

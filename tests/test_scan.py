@@ -301,13 +301,14 @@ class TestOlenkoPolish:
     def test_the_sup_is_the_best_r_read(self, case):
         # every R read lies in the window, the result is the first in x of
         # the largest, and the cells the search left unsplit bound R within
-        # 1e-12 of it, plus its own rounding charge
+        # 1e-12 of it, plus its own rounding charge, which the cells that
+        # end at argmax_x carry
         s, evaluated = _polished(*case)
         assert all(0 < x <= case[1] for x, _ in evaluated)
         best = max(v for _, v in evaluated)
         assert (s.argmax_x, s.sup_value) == min((x, v) for x, v in evaluated if v == best)
         charge = scan_module._signed_gap(Order(case[0]), s.argmax_x)[1]
-        assert s.sup_value < s.upper <= s.sup_value * (1 + 1.01e-12) + charge
+        assert s.sup_value + charge <= s.upper <= s.sup_value * (1 + 1.01e-12) + charge
 
     @pytest.mark.parametrize("case", POLISH_CASES, ids=POLISH_IDS)
     def test_the_search_reads_the_grid_then_midpoints(self, case):

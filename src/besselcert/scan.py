@@ -323,6 +323,8 @@ _SQRT_2_PI = math.sqrt(2 / math.pi)
 # subnormal ulps), far above the few dozen roundings each one takes
 _OUT = 1 + 1e-14
 _TINY = 64 * math.ulp(0.0)
+# olenko_sup stops once upper is within this relative gap (plus R's charge)
+_STOP_REL = 1e-12
 
 
 def _signed_gap(order: Order, x: float) -> tuple[float, float]:
@@ -444,7 +446,7 @@ def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) ->
     best_x = -best_x
     heap = [cell(xs[i], xs[i + 1], rs[i], rs[i + 1], hs[i][0], hs[i + 1][0]) for i in range(n)]
     heapq.heapify(heap)
-    while -heap[0][0] > best_v + 1e-12 * best_v + best_c:
+    while -heap[0][0] > best_v + _STOP_REL * best_v + best_c:
         a, b, ra, rb, ha, hb = heap[0][1:]
         m = 0.5 * (a + b)
         if not a < m < b:

@@ -142,7 +142,7 @@ def test_domain_messages_format_with_their_rules_arguments():
     assert fields == 8  # the unknown-name rules quote the name they refuse
 
 
-def test_no_grid_index_bisection_loop():
+def test_one_index_bisection_loop():
     # every search refines on a bracket or a Sturm cell with refine_root:
     # no src/ function keeps a grid-index bisection loop (tests/full_walk.py
     # keeps the reference's own copy)

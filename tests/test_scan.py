@@ -372,6 +372,31 @@ class TestOlenkoPolish:
         assert old * (1 + 1e-7) < s.sup_value <= s.upper < s.sup_value * (1 + 1e-10)
 
 
+def _reads(nu, x_max, coarse_points, stop_rel):
+    """olenko_sup's result with its stop at stop_rel, and every x it read R at."""
+    xs = []
+    signed_gap = scan_module._signed_gap
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan_module, "_STOP_REL", stop_rel)
+        mp.setattr(scan_module, "_signed_gap", lambda order, x: xs.append(x) or signed_gap(order, x))
+        return olenko_sup(Order(nu), x_max, coarse_points), xs
+
+
+@pytest.mark.parametrize("case", WINDOWS, ids=WINDOW_IDS)
+def test_the_cut_keeps_the_uncut_result(case):
+    # the search leaves unsplit (cuts) every cell whose bound is within
+    # 1e-12 relative, plus R's charge, of the best R read.  Run on with the
+    # stop ten times tighter, it reads the same points first, and whatever
+    # more it reads stays at most upper (to its charge): the cut run's
+    # sup_value is within 1e-12 of the uncut one's
+    s, xs = _reads(*case, scan_module._STOP_REL)
+    uncut, uncut_xs = _reads(*case, scan_module._STOP_REL / 10)
+    assert uncut_xs[:len(xs)] == xs
+    charge = scan_module._signed_gap(Order(case[0]), uncut.argmax_x)[1]
+    assert s.sup_value <= uncut.sup_value <= s.upper + charge
+    assert uncut.upper <= uncut.sup_value * (1 + 1.01e-13) + charge
+
+
 # where mu/(2x) is several radians, two local maxima of R share a half-period
 PAST_30_CASE = (42.482183989316766, 200.0)
 
@@ -388,6 +413,24 @@ def _dense_scan(order, x_max):
     maxima = [(xs[i], vals[i]) for i in range(1, len(xs) - 1)
               if vals[i] > vals[i - 1] and vals[i] >= vals[i + 1] and xs[i] > x0]
     return intervals, [[m for m in maxima if a <= m[0] < b] for a, b in intervals], max(vals)
+
+
+_dense_rng = random.Random(31)
+DENSE_CASES = ([(_dense_rng.uniform(1.0, 10.0), 150.0) for _ in range(2)]
+               + [(_dense_rng.uniform(20.0, 30.0), 200.0) for _ in range(2)])
+
+
+@pytest.mark.parametrize("nu, x_max", DENSE_CASES, ids=[f"{nu:.4f}-{x:g}" for nu, x in DENSE_CASES])
+def test_one_crest_per_half_period(nu, x_max):
+    # above x0, each interval [omega + k pi, omega + (k+1) pi] holds at most
+    # one local maximum of R at these orders (olenko_sup assumes nothing of
+    # R's shape; past nu = 30 the rule fails, see the next test), and the
+    # enclosure holds the dense maximum
+    order = Order(nu)
+    _, per_interval, dense_max = _dense_scan(order, x_max)
+    assert max(map(len, per_interval)) == 1
+    s = olenko_sup(order, x_max)
+    assert dense_max * (1 - 1e-12) <= s.sup_value and dense_max <= s.upper
 
 
 def test_two_crests_share_a_half_period_past_nu_30():

@@ -264,7 +264,7 @@ class TestBesselWalk:
     @pytest.mark.parametrize("nu, s", ((2.5, 62), (2.5, 63), (2.5, 64), (1.0, 63), (1.0, 64),
                                        (0.25, 63), (0.25, 64), (1.78125, 63), (3.78125, 62),
                                        (0.0, 63), (0.0, 64)))
-    def test_the_sturm_cells_equal_the_full_walk_near_the_cap(self, nu, s):
+    def test_the_lazy_grid_equals_the_full_walk_near_the_cap(self, nu, s):
         # the Sturm cells return the full walk's double or refusal
         def outcome(search):
             try:

@@ -29,6 +29,7 @@ from .oracle import (
     _certified_sign,
     _is_double,
     _j_prime_any,
+    _j_series_fixed,
     _make,
     airy_ai_neg_prime_ref,
     airy_ai_neg_ref,
@@ -224,9 +225,11 @@ def bound_wronskian_kernel(nu: float, x1: float, x2: float) -> BoundReport:
     the kernel is antisymmetric in (x1, x2) and vanishes identically at nu = 0.
     """
     check_domain(_DOMAINS, "bound_wronskian_kernel", nu, x1, x2)
-    minus, plus = Order(-nu), Order(nu)
-    m1, m2 = bessel_j_ref(minus, x1), bessel_j_ref(minus, x2)
-    p1, p2 = bessel_j_ref(plus, x1), bessel_j_ref(plus, x2)
+    # the rules above imply bessel_j_ref's for both orders: read the series directly
+    p, r = nu.as_integer_ratio()
+    x1, x2 = float(x1), float(x2)
+    m1, m2 = _j_series_fixed((-p, r), x1), _j_series_fixed((-p, r), x2)
+    p1, p2 = _j_series_fixed((p, r), x1), _j_series_fixed((p, r), x2)
     scale = math.sqrt(x1 * x2)
     lhs = scale * abs(m1.value * p2.value - m2.value * p1.value)
     slack = scale * (m1.abs_err_estimate * abs(p2.value) + m2.abs_err_estimate * abs(p1.value)
@@ -286,6 +289,16 @@ def sonin_eval(variant: str, order: Order, x: float) -> SoninSample:
         S = H^2 + 4x^2(x^2-mu)^2/(4(x^2-mu)^3 + (6x^2-mu)mu) H'^2, nondecreasing.
     airy (x >= 0): with f = (x+c)^(1/4) Ai(-x),
         S = f^2 + f'^2/(x + 5/(16(c+x)^2)), nonincreasing from its maximum at 0.
+
+    Each monotonicity is a checked identity (tests/test_sonin_lemmas.py):
+    y'' + p y' + q y = 0 for the variant's y (sqrt(x) J, H or f), W = 1/q
+    exactly, and dS/dx = (W' - 2 p W) y'^2 with W' - 2 p W a product of
+    factors of checked sign, 2 mu x/(x^2 + mu)^2 for szego,
+    24 mu x^3 (x^2 - mu)(mu + 4x^2)/D^2 for envelope (D the weight's
+    denominator) and -16 (c + x)(16 c (c + x)^2 - 15)/(16 x (c + x)^2 + 5)^2
+    for airy.  The identities hold for every mu and c; only airy's sign
+    step uses 16 c^3 = 15.  The limit S -> 2/pi at infinity of the Bessel
+    variants (DLMF 10.17.3) is cited, not checked.
     """
     check_domain(_DOMAINS, "sonin_eval", variant)
     check_domain(_DOMAINS, f"sonin {variant}", order, x)

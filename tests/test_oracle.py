@@ -35,6 +35,7 @@ from besselcert.oracle import (
     refine_root,
 )
 from plain_bisection import plain_bisection
+from prefactor_reference import gamma_reference, prefactor_reference
 from series_reference import series_reference
 
 # 40-digit reference values from an independent high-precision summation
@@ -519,8 +520,9 @@ def test_import_loads_no_numpy():
 
 
 def _clear_oracle_caches():
-    for f in (oracle._stirling_coeff, oracle._gamma_parts, oracle._ln_small, oracle._exp_table,
-              oracle.gamma, oracle._j_series_fixed, oracle._airy_origin, bounds._gauss_legendre):
+    for f in (oracle._stirling_coeff, oracle._ln_gamma, oracle._ln_small, oracle._ln_fine,
+              oracle._ln_half, oracle._exp_table, oracle.gamma, oracle._j_series_fixed,
+              oracle._airy_origin, bounds._gauss_legendre):
         f.cache_clear()
 
 
@@ -554,8 +556,8 @@ def test_caller_decimal_context_never_reaches_the_oracle(monkeypatch):
 
 
 def test_decimal_constants_against_mpmath():
-    # ln(2 pi)/2 and Stirling's fixed-point ln Gamma(w), w = z + k >= 30, to
-    # 10^(2-40) relative, and the exact shift product prod_{i<k} (z+i)
+    # ln(2 pi)/2, Stirling's fixed-point ln Gamma(w), w = z + k >= 30, and
+    # ln Gamma(z) to 10^(2-40) relative, and the exact shift product prod_{i<k} (z+i)
     g = 40
     zs = [Fraction(1, 3), Fraction(2, 3), Fraction(7, 2), Fraction(61), Fraction(1001, 2)]
     zs += [Fraction(nu + 1) for nu in (1e3, 1e6, 1e9)]
@@ -570,6 +572,10 @@ def test_decimal_constants_against_mpmath():
             w = z + k
             truth = mpmath.loggamma(mpmath.mpf(w.numerator) / w.denominator)
             assert abs(ln_gamma / scale / truth - 1) <= mpmath.mpf(10) ** (2 - g), z
+            # the cached ln Gamma(z): ln Gamma(w) less the shift product's ln
+            truth = mpmath.loggamma(mpmath.mpf(z.numerator) / z.denominator)
+            assert abs(oracle._ln_gamma(z.numerator, z.denominator) / scale / truth - 1) <= (
+                mpmath.mpf(10) ** (2 - g)), z
 
 
 def test_prefactor_against_mpmath():
@@ -617,8 +623,9 @@ def test_exp_ratio_against_mpmath():
 
 
 def test_tables_and_constants_against_mpmath():
-    # every ln h and exp(i/256) table entry, ln 2 and ln(2 pi)/2, each from
-    # the integer series, within 1e-45 absolute of 80-digit mpmath
+    # every ln h, ln(1 + i/2^19), exp(i/2^8), exp(i/2^16) and exp(i/2^24)
+    # table entry, ln 2 and ln(2 pi)/2, each from the integer series, within
+    # 1e-45 absolute of 80-digit mpmath
     with mpmath.workdps(80):
         scale = mpmath.mpf(2) ** oracle._FB
         tol = mpmath.mpf("1e-45")
@@ -630,8 +637,13 @@ def test_tables_and_constants_against_mpmath():
         assert close(oracle._HALF_LN_2PI, mpmath.log(2 * mpmath.pi) / 2)
         for h in range(1, 1024):
             assert close(oracle._ln_small(h), mpmath.log(h)), h
+        for i in range(1024):
+            assert close(oracle._ln_fine(i), mpmath.log1p(mpmath.mpf(i) / 2 ** 19)), i
         for i in range(178):
             assert close(oracle._exp_table(i), mpmath.exp(mpmath.mpf(i) / 256)), i
+        for bits in (16, 24):
+            for i in range(256):
+                assert close(oracle._exp_table(i, bits), mpmath.exp(mpmath.mpf(i) / 2 ** bits)), i
 
 
 def test_series_cache_hits_build_no_fraction():
@@ -819,3 +831,37 @@ def test_series_split_refuses_at_the_same_term_cap(monkeypatch):
             summed += isinstance(expected, tuple)
             cap += 1
         assert cap > 4, (nu, x)  # the first cap that sums is past 1
+
+
+def test_prefactor_returns_its_references_doubles(monkeypatch):
+    # P as one exponential (ln Gamma(nu+1) per order, ln(x/2) per abscissa,
+    # three exp tables, two ln tables) against the former (ln Gamma(w), num,
+    # den) prefactor: each series is summed once, then _j_series_fixed
+    # composes it with either prefactor, and every double and refusal is the
+    # same.  The Hankel path is off, so zeta up to 876 runs the series
+    monkeypatch.setattr(oracle, "_j_hankel", lambda nu, x: None)
+    rng = random.Random(3811)
+    orders = [(k, 1) for k in range(61)] + [(k, 2) for k in range(-1, 120, 2)] + list(AIRY_ORDERS)
+    points = [(rng.choice(orders) if i % 3 == 0 else rng.uniform(-0.5, 60.0).as_integer_ratio(),
+               10 ** rng.uniform(-300, math.log10(200)) if i % 2 else 200 * (1 - rng.random()))
+              for i in range(5000)]
+    points += [(nu, x) for nu in AIRY_ORDERS for x in (rng.uniform(200.0, 876.0), 876.0)]
+    sums, summed = {}, oracle._series_sum
+
+    def recorded(nu, x):
+        sums[nu, x] = summed(nu, x)
+        return sums[nu, x]
+
+    series = oracle._j_series_fixed.__wrapped__
+    monkeypatch.setattr(oracle, "_series_sum", recorded)
+    got = [_series_outcome(series, *point) for point in points]
+    monkeypatch.setattr(oracle, "_series_sum", lambda nu, x: sums[nu, x])
+    monkeypatch.setattr(oracle, "_prefactor", prefactor_reference)
+    for point, outcome in zip(points, got):
+        assert outcome == _series_outcome(series, *point), point
+    # Gamma(z) = exp(ln Gamma(z)) against the former exp(ln Gamma(w)) den/num
+    zs = [rng.uniform(0.0, 64.0) for _ in range(307)] + [10 ** rng.uniform(-308, 1.8)
+                                                         for _ in range(170)]
+    zs += [k / 3 for k in range(1, 11)] + [k / 2 for k in range(1, 21, 2)] + [1.0, 2.0, 63.0]
+    for z in zs:
+        assert oracle.gamma.__wrapped__(z) == gamma_reference(z), z

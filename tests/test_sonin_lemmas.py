@@ -9,11 +9,13 @@ solution).  Then
 so S is monotone once W q = 1 and W' - 2 p W is the factored form the table
 gives, each factor of a stated sign on the variant's domain.  Both are
 identities of rational functions of x and a parameter m (mu for the Bessel
-variants); cleared of denominators they are polynomials of at most the
-degrees the table states, so vanishing on a grid one point wider than those
-degrees in each variable makes them identities.  The arithmetic is
-fractions.Fraction throughout.  S's limit 2/pi at infinity (DLMF 10.17.3)
-is cited, not checked.
+variants, the offset c for the Airy one); cleared of denominators they are
+polynomials of at most the degrees the table states, so vanishing on a grid
+one point wider than those degrees in each variable makes them identities.
+The arithmetic is fractions.Fraction throughout.  The Airy identities hold
+for every c; only its sign step uses 16 c^3 = 15, with c exact in sympy and
+x a nonnegative symbol.  S's limit 2/pi at infinity (DLMF 10.17.3) is
+cited, not checked.
 
 A row holds: the equation's p and q, the weight W and its derivative (by
 the quotient rule), the factors of W' - 2 p W with their signs, the degree
@@ -31,7 +33,7 @@ import random
 import pytest
 import sympy
 
-from besselcert import Order, bessel_j_ref
+from besselcert import Order, airy_ai_neg_prime_ref, airy_ai_neg_ref, bessel_j_ref
 from besselcert import bounds as bounds_module
 from besselcert.oracle import _j_prime_any
 
@@ -56,6 +58,17 @@ def _szego(x, m):
             "factors": [F(2), m, x, 1 / (t * t)]}
 
 
+def _airy(x, m):
+    # f = (x + c)^(1/4) Ai(-x), c = m: from Airy's y'' + x y = 0 for y = Ai(-x)
+    # with g'/g = 1/(4u) and g''/g = -3/(16u^2), u = x + c
+    u = x + m
+    n, n1 = 16 * u * u, 32 * u
+    d, d1 = 16 * x * u * u + 5, 16 * u * u + 32 * x * u
+    return {"p": -1 / (2 * u), "q": x + 5 / (16 * u * u),
+            "W": n / d, "dW": (n1 * d - n * d1) / (d * d),
+            "factors": [F(-16), u, 16 * m * u * u - 15, 1 / (d * d)]}
+
+
 _rng = random.Random(37)
 
 
@@ -74,21 +87,26 @@ def _szego_points():
         yield F(_rng.randint(1, 10 ** 6), 10 ** _rng.randint(0, 6)), F(_rng.randint(0, 1000), 4000)
 
 
+# the Airy domain x >= 0 as one symbolic point: c exact, 16 c^3 = 15, so the
+# factor 16 c u^2 - 15 expands to 32 c^2 x + 16 c x^2 and vanishes at x = 0
+_AIRY_POINTS = [(sympy.Symbol("x", nonnegative=True), sympy.Rational(15, 16) ** sympy.Rational(1, 3))]
+
 # variant -> (row, degree bounds in x and m of the cleared identities, points
-# in the domain, the factors' signs, an order and x to compare S with the
-# package's, and (g, P, Q) on sympy symbols: y = g y0 with y0 solving Bessel's equation)
+# in the domain, the factors' signs (1 positive, 0 nonnegative, -1 negative),
+# an order and x to compare S with the package's, and (g, P, Q) on sympy
+# symbols: y = g y0 with y0 solving Bessel's equation, or Airy's for y0 = Ai(-x))
 LEMMAS = {
     "envelope": (_envelope, (16, 8), list(_envelope_points()), (1, 1, 1, 1, 1, 1), (7.3, 11.0),
                  lambda x, m: ((x * x - m) ** F(1, 4), 1 / x, 1 - (m + F(1, 4)) / (x * x))),
     "szego": (_szego, (6, 4), list(_szego_points()), (1, 0, 1, 1), (0.3, 2.5),
               lambda x, m: (sympy.sqrt(x), 1 / x, 1 - (F(1, 4) - m) / (x * x))),
+    "airy": (_airy, (5, 5), _AIRY_POINTS, (-1, 1, 0, 1), (0.0, 3.7),
+             lambda x, m: ((x + m) ** F(1, 4), F(0), x)),
 }
 
 
 def test_every_sonin_variant_has_a_row_or_is_pending():
-    # the Airy variant's identity holds in x and c for any c (16 c^3 = 15
-    # makes its sign factor vanish at x = 0); its row waits for an exact c
-    assert set(LEMMAS) | {"airy"} == set(bounds_module._SONIN)
+    assert set(LEMMAS) == set(bounds_module._SONIN)
 
 
 def _grid(degrees):
@@ -115,28 +133,38 @@ def test_ds_dx_is_the_factored_form(variant):
 
 @pytest.mark.parametrize("variant", LEMMAS)
 def test_each_factor_has_its_sign_on_the_domain(variant):
-    # a sign of 1 means positive, 0 nonnegative; S rises (bounds._SONIN's
-    # flag False) since the factors' product is nonnegative
+    # sympy decides each sign exactly, for a Fraction as for the Airy
+    # symbolic point; S falls (bounds._SONIN's flag True) exactly when an
+    # odd number of factors is negative
     row, _, points, signs, *_ = LEMMAS[variant]
-    assert bounds_module._SONIN[variant][1] is False
+    assert bounds_module._SONIN[variant][1] is (signs.count(-1) % 2 == 1)
     for x, m in points:
         for k, (f, sign) in enumerate(zip(row(x, m)["factors"], signs)):
-            assert f > 0 if sign else f >= 0, (variant, k, x, m)
+            f = sympy.expand(f)
+            holds = {1: f.is_positive, 0: f.is_nonnegative, -1: f.is_negative}[sign]
+            assert holds is True, (variant, k, x, m)
 
 
 @pytest.mark.parametrize("variant", LEMMAS)
 def test_the_row_is_the_packages_s(variant):
-    # S = y^2 + W y'^2 from the oracle's J and J' and the row's W, against
-    # the package's S, at one order and x of the domain
+    # S = y^2 + W y'^2 from the oracle's J and J' (Ai(-x) and its derivative
+    # for the Airy row) and the row's W, against the package's S, at one
+    # order and x of the domain
     row, *_, (nu, x), _ = LEMMAS[variant]
     order = Order(nu)
-    j, jp = bessel_j_ref(order, x).value, _j_prime_any(order, x).value
-    if variant == "envelope":
-        s = x * x - order.mu
-        y, dy = s ** 0.25 * j, 0.5 * x * s ** -0.75 * j + s ** 0.25 * jp
+    if variant == "airy":  # Ai(-x) and its x-derivative, and m = c
+        m = bounds_module.AIRY_C
+        a, ap = airy_ai_neg_ref(x).value, airy_ai_neg_prime_ref(x).value
+        y, dy = (x + m) ** 0.25 * a, 0.25 * (x + m) ** -0.75 * a + (x + m) ** 0.25 * ap
     else:
-        y, dy = math.sqrt(x) * j, j / (2 * math.sqrt(x)) + math.sqrt(x) * jp
-    w = float(row(F(x), F(order.mu))["W"])
+        m = order.mu
+        j, jp = bessel_j_ref(order, x).value, _j_prime_any(order, x).value
+        if variant == "envelope":
+            s = x * x - m
+            y, dy = s ** 0.25 * j, 0.5 * x * s ** -0.75 * j + s ** 0.25 * jp
+        else:
+            y, dy = math.sqrt(x) * j, j / (2 * math.sqrt(x)) + math.sqrt(x) * jp
+    w = float(row(F(x), F(m))["W"])
     package_s = bounds_module._SONIN[variant][0](order, x)
     assert y * y + w * dy * dy == pytest.approx(package_s, rel=1e-13)
 

@@ -234,11 +234,11 @@ def _gamma_parts(p: int, r: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=4096)
 def _ln_gamma(p: int, r: int) -> int:
-    """ln Gamma(p/r) for p/r > 0 in fixed point, cached per exact argument:
-    _gamma_parts' ln Gamma(w) less ln num - ln den, the exact shift product's,
-    by _ln_int.  Each ln adds (e + 11) 1.4e-46 for its e + 10 bits, below
-    3e-43 for the 1000-2000 bit products of orders below 30, so Stirling's
-    omitted term, below 7e-41, dominates."""
+    """ln Gamma(z) for z = p/r > 0 in fixed point, cached per exact z: ln Gamma(w)
+    - ln num + ln den from _gamma_parts, the two ln of its exact shift product
+    by _ln_int.  Each adds (e + 11) 1.4e-46 for its e + 10 bits, below 3e-43
+    for the 1000-2000 bit products of orders below 30, so Stirling's omitted
+    term, below 7e-41, dominates."""
     ln_w, num, den = _gamma_parts(p, r)
     return ln_w - _ln_int(num) + _ln_int(den)
 
@@ -291,7 +291,7 @@ _HALF_LN_2PI = (_ln_int((_PI_62 << _FB) // 10 ** 62) - 159 * _LN2) // 2  # (ln(p
 
 
 @lru_cache(maxsize=None)
-def _exp_table(i: int, bits: int = 8) -> int:
+def _exp_table(i: int, bits: int) -> int:
     """exp(i/2^bits) in fixed point, filled on demand: the tables behind
     _exp_ratio, i < 178 for bits = 8 and i < 256 for bits = 16 and 24."""
     return _exp_series(i << (_FB - bits))
@@ -301,8 +301,8 @@ def _exp_ratio(y: int) -> tuple[int, int]:
     """(num, den) with exp(y/2^_FB) = num/den within (|n| + 1) 1.4e-46 relative,
     den a power of two.
 
-    y = n ln 2 + i/2^8 + j/2^16 + k/2^24 + f, 0 <= j, k < 256 and
-    0 <= f < 2^-24: 2^n goes in exactly, the three tables give exp(i/2^8),
+    y = n ln 2 + i/2^8 + j/2^16 + k/2^24 + f, 0 <= i < 178, 0 <= j, k < 256
+    and 0 <= f < 2^-24: 2^n goes in exactly, the three tables give exp(i/2^8),
     exp(j/2^16) and exp(k/2^24) within 4e-47 relative each, Taylor exp(f),
     7 terms, within 1e-47, and the three truncated products within 1e-48
     each; ln 2's error moves the reduction by |n| 1.4e-46.  Below n = -10^5
@@ -311,7 +311,7 @@ def _exp_ratio(y: int) -> tuple[int, int]:
     n, r = divmod(y, _LN2)
     if n < -10 ** 5:
         return 0, 1
-    num = _exp_table(r >> (_FB - 8)) * _exp_table(r >> (_FB - 16) & 255, 16) >> _FB
+    num = _exp_table(r >> (_FB - 8), 8) * _exp_table(r >> (_FB - 16) & 255, 16) >> _FB
     num = num * _exp_table(r >> (_FB - 24) & 255, 24) >> _FB
     num, shift = num * _exp_series(r & ((1 << (_FB - 24)) - 1)) >> _FB, _FB - n
     return (num, 1 << shift) if shift >= 0 else (num << -shift, 1)

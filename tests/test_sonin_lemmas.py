@@ -111,7 +111,7 @@ def test_every_sonin_variant_has_a_row_or_is_pending():
 
 def _grid(degrees):
     dx, dm = degrees
-    # inside both domains' closure, away from every pole: x >= 2 > sqrt(m)
+    # away from every row's poles: x >= 2 > sqrt(m) and x + m > 0, m > 0
     return [(F(2) + F(k, 3), F(j + 1, 7)) for k in range(dx + 1) for j in range(dm + 1)]
 
 

@@ -13,11 +13,12 @@ cancellation but spans hundreds of decades.  It is one exponential of
 nu ln(x/2) - ln Gamma(nu+1) over a power of two, on 160-bit fixed-point
 integers: ln Gamma(nu+1) (Stirling's series less the ln of its exact shift
 product) is cached per order and ln(x/2) per abscissa, and the exp and ln
-reduce their argument by tables, exp by ln 2 and three levels to below
-2^-24, ln by two levels to below 2^-20 (Johansson, "Efficient
-implementation of elementary functions in the medium-precision range",
-ARITH 22, 2015).  The tables and constants come from the same integer
-atanh and exp series.  P is within about 1e-35 relative and is applied
+reduce their argument by tables, exp by ln 2 and four levels of 6 bits to
+below 2^-24, ln by 8 and then 8 more bits to below 2^-15 (Johansson,
+"Efficient implementation of elementary functions in the medium-precision
+range", ARITH 22, 2015).  The tables hold 45 to 256 entries each, as every
+fresh process fills them on demand; they and the constants come from the
+same integer atanh and exp series.  P is within about 1e-35 relative and is applied
 once, in the conversion to a double.  Every result carries an absolute
 error estimate, 3 ulp per term plus 20 against P times the largest term,
 plus the float rounding, and is cached finished.  The accuracy target is fixed:
@@ -236,7 +237,7 @@ def _gamma_parts(p: int, r: int) -> tuple[int, int, int]:
 def _ln_gamma(p: int, r: int) -> int:
     """ln Gamma(z) for z = p/r > 0 in fixed point, cached per exact z: ln Gamma(w)
     - ln num + ln den from _gamma_parts, the two ln of its exact shift product
-    by _ln_int.  Each adds (e + 11) 1.4e-46 for its e + 10 bits, below 3e-43
+    by _ln_int.  Each adds (e + 11) 1.4e-46 for its e + 8 bits, below 3e-43
     for the 1000-2000 bit products of orders below 30, so Stirling's omitted
     term, below 7e-41, dominates."""
     ln_w, num, den = _gamma_parts(p, r)
@@ -245,36 +246,37 @@ def _ln_gamma(p: int, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def _ln_small(h: int) -> int:
-    """ln h for 1 <= h < 1024: the first table behind _ln_int, filled on demand."""
+    """ln h for an integer h >= 1, filled on demand: the first table behind
+    _ln_int, which reads it for h < 256."""
     k = h.bit_length() - 1
     return k * _LN2 + 2 * _atanh(((h - (1 << k)) << _FB) // (h + (1 << k)))
 
 
 @lru_cache(maxsize=None)
 def _ln_fine(i: int) -> int:
-    """ln(1 + i/2^19) = 2 atanh(i/(2^20 + i)) for 0 <= i < 1024: the second
+    """ln(1 + i/2^15) = 2 atanh(i/(2^16 + i)) for 0 <= i < 256: the second
     table behind _ln_int, filled on demand."""
-    return 2 * _atanh((i << _FB) // ((1 << 20) + i))
+    return 2 * _atanh((i << _FB) // ((1 << 16) + i))
 
 
 def _ln_int(a: int) -> int:
-    """ln a for an integer a >= 1, within (e + 11) 1.4e-46 for a of e + 10 bits.
+    """ln a for an integer a >= 1, within (e + 11) 1.4e-46 for a of e + 8 bits.
 
-    a = h 2^e (1 + t), h the top 10 bits of a, 0 <= t < 2^-9, and
-    1 + t = (1 + c)(1 + t'), c = i/2^19 with i = floor(t 2^19) < 1024,
-    0 <= t' < 2^-19: ln a = ln h + e ln 2 + ln(1 + c) + 2 atanh(s), with
-    s = t'/(2 + t') = (t - c)/(2 + t + c) < 2^-20.  The table's ln h is
-    within 1.4e-45 (k ln 2, k <= 9), ln(1 + c) within 2.3e-47, and
-    2 atanh(s), 4 terms at most, within 1.2e-47.
+    a = h 2^e (1 + t), h the top 8 bits of a, 0 <= t < 2^-7, and
+    1 + t = (1 + c)(1 + t'), c = i/2^15 with i = floor(t 2^15) < 256,
+    0 <= t' < 2^-15: ln a = ln h + e ln 2 + ln(1 + c) + 2 atanh(s), with
+    s = t'/(2 + t') = (t - c)/(2 + t + c) < 2^-16.  The table's ln h is
+    within 1.1e-45 (k ln 2, k <= 7), ln(1 + c) within 3e-47, and
+    2 atanh(s), 5 terms at most, within 1.5e-47.
     """
-    e = max(0, a.bit_length() - 10)
+    e = max(0, a.bit_length() - 8)
     h = a >> e
     ln = _ln_small(h) + e * _LN2
     rem = a - (h << e)
     if rem:
         big_h = h << e
-        i, m = divmod(rem << 19, big_h)  # t - c = m / (2^19 big_h)
-        ln += _ln_fine(i) + 2 * _atanh((m << _FB) // (((2 * big_h + rem) << 19) + i * big_h))
+        i, m = divmod(rem << 15, big_h)  # t - c = m / (2^15 big_h)
+        ln += _ln_fine(i) + 2 * _atanh((m << _FB) // (((2 * big_h + rem) << 15) + i * big_h))
     return ln
 
 
@@ -293,7 +295,7 @@ _HALF_LN_2PI = (_ln_int((_PI_62 << _FB) // 10 ** 62) - 159 * _LN2) // 2  # (ln(p
 @lru_cache(maxsize=None)
 def _exp_table(i: int, bits: int) -> int:
     """exp(i/2^bits) in fixed point, filled on demand: the tables behind
-    _exp_ratio, i < 178 for bits = 8 and i < 256 for bits = 16 and 24."""
+    _exp_ratio, i < 45 for bits = 6 and i < 64 for bits = 12, 18 and 24."""
     return _exp_series(i << (_FB - bits))
 
 
@@ -301,18 +303,19 @@ def _exp_ratio(y: int) -> tuple[int, int]:
     """(num, den) with exp(y/2^_FB) = num/den within (|n| + 1) 1.4e-46 relative,
     den a power of two.
 
-    y = n ln 2 + i/2^8 + j/2^16 + k/2^24 + f, 0 <= i < 178, 0 <= j, k < 256
-    and 0 <= f < 2^-24: 2^n goes in exactly, the three tables give exp(i/2^8),
-    exp(j/2^16) and exp(k/2^24) within 4e-47 relative each, Taylor exp(f),
-    7 terms, within 1e-47, and the three truncated products within 1e-48
-    each; ln 2's error moves the reduction by |n| 1.4e-46.  Below n = -10^5
-    it is (0, 1), as every double made from such a P is 0.
+    y = n ln 2 + i/2^6 + j/2^12 + k/2^18 + l/2^24 + f, 0 <= i < 45,
+    0 <= j, k, l < 64 and 0 <= f < 2^-24: 2^n goes in exactly, the four
+    tables give their exp within 3e-47 relative each, Taylor exp(f), 7
+    terms, within 1e-47, and the four truncated products within 1e-48 each;
+    ln 2's error moves the reduction by |n| 1.4e-46.  Below n = -10^5 it is
+    (0, 1), as every double made from such a P is 0.
     """
     n, r = divmod(y, _LN2)
     if n < -10 ** 5:
         return 0, 1
-    num = _exp_table(r >> (_FB - 8), 8) * _exp_table(r >> (_FB - 16) & 255, 16) >> _FB
-    num = num * _exp_table(r >> (_FB - 24) & 255, 24) >> _FB
+    num = _exp_table(r >> (_FB - 6), 6) * _exp_table(r >> (_FB - 12) & 63, 12) >> _FB
+    num = num * _exp_table(r >> (_FB - 18) & 63, 18) >> _FB
+    num = num * _exp_table(r >> (_FB - 24) & 63, 24) >> _FB
     num, shift = num * _exp_series(r & ((1 << (_FB - 24)) - 1)) >> _FB, _FB - n
     return (num, 1 << shift) if shift >= 0 else (num << -shift, 1)
 

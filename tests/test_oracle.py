@@ -623,9 +623,9 @@ def test_exp_ratio_against_mpmath():
 
 
 def test_tables_and_constants_against_mpmath():
-    # every ln h, ln(1 + i/2^19), exp(i/2^8), exp(i/2^16) and exp(i/2^24)
-    # table entry, ln 2 and ln(2 pi)/2, each from the integer series, within
-    # 1e-45 absolute of 80-digit mpmath
+    # every ln h, ln(1 + i/2^15), exp(i/2^6), exp(i/2^12), exp(i/2^18) and
+    # exp(i/2^24) table entry, ln 2 and ln(2 pi)/2, each from the integer
+    # series, within 1e-45 absolute of 80-digit mpmath
     with mpmath.workdps(80):
         scale = mpmath.mpf(2) ** oracle._FB
         tol = mpmath.mpf("1e-45")
@@ -637,9 +637,9 @@ def test_tables_and_constants_against_mpmath():
         assert close(oracle._HALF_LN_2PI, mpmath.log(2 * mpmath.pi) / 2)
         for h in range(1, 1024):
             assert close(oracle._ln_small(h), mpmath.log(h)), h
-        for i in range(1024):
-            assert close(oracle._ln_fine(i), mpmath.log1p(mpmath.mpf(i) / 2 ** 19)), i
-        for bits, size in ((8, 178), (16, 256), (24, 256)):
+        for i in range(256):
+            assert close(oracle._ln_fine(i), mpmath.log1p(mpmath.mpf(i) / 2 ** 15)), i
+        for bits, size in ((6, 45), (12, 64), (18, 64), (24, 64)):
             for i in range(size):
                 assert close(oracle._exp_table(i, bits), mpmath.exp(mpmath.mpf(i) / 2 ** bits)), i
 
@@ -833,7 +833,7 @@ def test_series_split_refuses_at_the_same_term_cap(monkeypatch):
 
 def test_prefactor_returns_its_references_doubles(monkeypatch):
     # P as one exponential (ln Gamma(nu+1) per order, ln(x/2) per abscissa,
-    # three exp tables, two ln tables) against the former (ln Gamma(w), num,
+    # four exp tables, two ln tables) against the former (ln Gamma(w), num,
     # den) prefactor: each series is summed once, then _j_series_fixed
     # composes it with either prefactor, and every double and refusal is the
     # same.  The Hankel path is off, so zeta up to 876 runs the series

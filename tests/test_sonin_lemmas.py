@@ -12,9 +12,9 @@ identities of rational functions of x and a parameter m (mu for the Bessel
 variants, the offset c for the Airy one); cleared of denominators they are
 polynomials of at most the degrees the table states, so vanishing on a grid
 one point wider than those degrees in each variable makes them identities.
-The arithmetic is fractions.Fraction throughout.  The Airy identities hold
-for every c; only its sign step uses 16 c^3 = 15, with c exact in sympy and
-x a nonnegative symbol.  S's limit 2/pi at infinity (DLMF 10.17.3) is
+The identities' arithmetic is fractions.Fraction; sympy decides each
+factor's sign exactly.  The Airy identities hold for every c; only its sign
+step uses 16 c^3 = 15, with c exact in sympy and x a nonnegative symbol.  S's limit 2/pi at infinity (DLMF 10.17.3) is
 cited, not checked.
 
 A row holds: the equation's p and q, the weight W and its derivative (by

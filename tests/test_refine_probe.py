@@ -283,7 +283,7 @@ def test_search_calls_counts():
 
 
 @pytest.mark.parametrize("root", [1e7 + 0.3, 1e7 + 1 / 3, 123456789.01234])
-def test_a_tolerance_below_one_ulp_still_returns_plain_bisections_double(root):
+def test_a_probe_below_one_ulp_still_returns_plain_bisections_double(root):
     # tol = 1e-12 is below ulp(1e7) = 1.9e-9: bisection, and the cell the
     # secant lands in, end where a midpoint no longer splits the bracket
     def f(t):

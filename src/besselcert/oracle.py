@@ -11,15 +11,11 @@ with the exact rational term ratio of x and nu, so every term keeps its
 digits at any order.  The prefactor P = (x/2)^nu / Gamma(nu+1) has no
 cancellation but spans hundreds of decades.  It is one exponential of
 nu ln(x/2) - ln Gamma(nu+1) over a power of two, on 160-bit fixed-point
-integers: ln Gamma(nu+1) (Stirling's series less the ln of its exact shift
-product) is cached per order and ln(x/2) per abscissa, and the exp and ln
-reduce their argument by tables, exp by ln 2 and four levels of 6 bits to
-below 2^-24, ln by 8 and then 8 more bits to below 2^-15 (Johansson,
-"Efficient implementation of elementary functions in the medium-precision
-range", ARITH 22, 2015).  The tables hold 45 to 256 entries each, as every
-fresh process fills them on demand; they and the constants come from the
-same integer atanh and exp series.  P is within about 1e-35 relative and is applied
-once, in the conversion to a double.  Every result carries an absolute
+integers, with ln Gamma(nu+1) cached per order as Stirling's series less
+the ln of its exact shift product.  The ln and the exp reduce their
+argument by one table each; the tables and constants come from the same
+integer atanh and exp series.  P is within about 1e-35 relative and is
+applied once, in the conversion to a double.  Every result carries an absolute
 error estimate, 3 ulp per term plus 20 against P times the largest term,
 plus the float rounding, and is cached finished.  The accuracy target is fixed:
 relative error 1e-12 (absolute 1e-22 where |J| < 1e-10); where cancellation
@@ -233,57 +229,31 @@ def _gamma_parts(p: int, r: int) -> tuple[int, int, int]:
     return acc, num, r ** k
 
 
-@lru_cache(maxsize=4096)
-def _ln_gamma(p: int, r: int) -> int:
-    """ln Gamma(z) for z = p/r > 0 in fixed point, cached per exact z: ln Gamma(w)
-    - ln num + ln den from _gamma_parts, the two ln of its exact shift product
-    by _ln_int.  Each adds (e + 11) 1.4e-46 for its e + 8 bits, below 3e-43
-    for the 1000-2000 bit products of orders below 30, so Stirling's omitted
-    term, below 7e-41, dominates."""
-    ln_w, num, den = _gamma_parts(p, r)
-    return ln_w - _ln_int(num) + _ln_int(den)
-
-
 @lru_cache(maxsize=None)
 def _ln_small(h: int) -> int:
-    """ln h for an integer h >= 1, filled on demand: the first table behind
-    _ln_int, which reads it for h < 256."""
+    """ln h for 1 <= h < 1024: the table behind _ln_int, filled on demand."""
     k = h.bit_length() - 1
     return k * _LN2 + 2 * _atanh(((h - (1 << k)) << _FB) // (h + (1 << k)))
 
 
-@lru_cache(maxsize=None)
-def _ln_fine(i: int) -> int:
-    """ln(1 + i/2^15) = 2 atanh(i/(2^16 + i)) for 0 <= i < 256: the second
-    table behind _ln_int, filled on demand."""
-    return 2 * _atanh((i << _FB) // ((1 << 16) + i))
-
-
 def _ln_int(a: int) -> int:
-    """ln a for an integer a >= 1, within (e + 11) 1.4e-46 for a of e + 8 bits.
+    """ln a for an integer a >= 1, within (e + 11) 1.4e-46 for a of e + 10 bits.
 
-    a = h 2^e (1 + t), h the top 8 bits of a, 0 <= t < 2^-7, and
-    1 + t = (1 + c)(1 + t'), c = i/2^15 with i = floor(t 2^15) < 256,
-    0 <= t' < 2^-15: ln a = ln h + e ln 2 + ln(1 + c) + 2 atanh(s), with
-    s = t'/(2 + t') = (t - c)/(2 + t + c) < 2^-16.  The table's ln h is
-    within 1.1e-45 (k ln 2, k <= 7), ln(1 + c) within 3e-47, and
-    2 atanh(s), 5 terms at most, within 1.5e-47.
+    a = h 2^e (1 + t), h the top 10 bits of a, 0 <= t < 2^-9: ln a =
+    ln h + e ln 2 + 2 atanh(s), s = t/(2+t) < 2^-10.  The table's ln h is
+    within 1.4e-45 (k ln 2, k <= 9), and 2 atanh(s), 8 terms at most, within 2.3e-47.
     """
-    e = max(0, a.bit_length() - 8)
+    e = max(0, a.bit_length() - 10)
     h = a >> e
     ln = _ln_small(h) + e * _LN2
     rem = a - (h << e)
     if rem:
-        big_h = h << e
-        i, m = divmod(rem << 15, big_h)  # t - c = m / (2^15 big_h)
-        ln += _ln_fine(i) + 2 * _atanh((m << _FB) // (((2 * big_h + rem) << 15) + i * big_h))
+        ln += 2 * _atanh((rem << _FB) // ((h << (e + 1)) + rem))
     return ln
 
 
-@lru_cache(maxsize=4096)
 def _ln_half(x: float) -> int:
-    """ln(x/2) = ln a - ln(2b) for a positive double x = a/b, 2b = 2^b.bit_length(),
-    cached per abscissa: the orders read at one x take one logarithm."""
+    """ln(x/2) = ln a - ln(2b) for a positive double x = a/b, 2b = 2^b.bit_length()."""
     a, b = x.as_integer_ratio()
     return _ln_int(a) - b.bit_length() * _LN2
 
@@ -292,31 +262,35 @@ _PI_62 = 314159265358979323846264338327950288419716939937510582097494459  # pi 1
 _HALF_LN_2PI = (_ln_int((_PI_62 << _FB) // 10 ** 62) - 159 * _LN2) // 2  # (ln(pi 2^160) - 159 ln 2)/2
 
 
+@lru_cache(maxsize=4096)
+def _ln_gamma(p: int, r: int) -> int:
+    """ln Gamma(z) for z = p/r > 0 in fixed point, cached per exact z: ln Gamma(w)
+    - ln num + ln den from _gamma_parts, so the exact shift product, 1000 to
+    2000 bits below z = 30, never enters P.  Its two _ln_int add below 3e-43
+    together, under Stirling's omitted term (7e-41)."""
+    ln_w, num, den = _gamma_parts(p, r)
+    return ln_w - _ln_int(num) + _ln_int(den)
+
+
 @lru_cache(maxsize=None)
-def _exp_table(i: int, bits: int) -> int:
-    """exp(i/2^bits) in fixed point, filled on demand: the tables behind
-    _exp_ratio, i < 45 for bits = 6 and i < 64 for bits = 12, 18 and 24."""
-    return _exp_series(i << (_FB - bits))
+def _exp_table(i: int) -> int:
+    """exp(i/256) in fixed point for 0 <= i < 178."""
+    return _exp_series(i << (_FB - 8))
 
 
 def _exp_ratio(y: int) -> tuple[int, int]:
-    """(num, den) with exp(y/2^_FB) = num/den within (|n| + 1) 1.4e-46 relative,
-    den a power of two.
+    """(num, den) with exp(y/2^_FB) = num/den within (|n| + 1) 1.4e-46 relative.
 
-    y = n ln 2 + i/2^6 + j/2^12 + k/2^18 + l/2^24 + f, 0 <= i < 45,
-    0 <= j, k, l < 64 and 0 <= f < 2^-24: 2^n goes in exactly, the four
-    tables give their exp within 3e-47 relative each, Taylor exp(f), 7
-    terms, within 1e-47, and the four truncated products within 1e-48 each;
-    ln 2's error moves the reduction by |n| 1.4e-46.  Below n = -10^5 it is
-    (0, 1), as every double made from such a P is 0.
+    y = n ln 2 + i/256 + f, 0 <= f < 1/256: 2^n goes in exactly, the table
+    gives exp(i/256) within 4e-47 relative and Taylor exp(f) within 2.5e-47,
+    and ln 2's error moves the reduction by |n| 1.4e-46.  Below n = -10^5 it
+    is (0, 1), as every double made from such a P is 0.
     """
     n, r = divmod(y, _LN2)
     if n < -10 ** 5:
         return 0, 1
-    num = _exp_table(r >> (_FB - 6), 6) * _exp_table(r >> (_FB - 12) & 63, 12) >> _FB
-    num = num * _exp_table(r >> (_FB - 18) & 63, 18) >> _FB
-    num = num * _exp_table(r >> (_FB - 24) & 63, 24) >> _FB
-    num, shift = num * _exp_series(r & ((1 << (_FB - 24)) - 1)) >> _FB, _FB - n
+    i = r >> (_FB - 8)
+    num, shift = _exp_table(i) * _exp_series(r - (i << (_FB - 8))), 2 * _FB - n
     return (num, 1 << shift) if shift >= 0 else (num << -shift, 1)
 
 
@@ -343,10 +317,9 @@ def _prefactor(nu: tuple[int, int], x: float) -> tuple[int, int]:
 
     nu = p/r.  The prefactor has no cancellation, so it is computed at a
     fixed precision whatever the series needs: one _exp_ratio of
-    nu ln(x/2) - ln Gamma(nu+1), ln(x/2) cached per abscissa (_ln_half)
-    and ln Gamma(nu+1) per order (_ln_gamma).  The exponent's absolute
-    error, below about 1e-40 + 1e-42 |nu|, and the exp's (|n| + 1) 1.4e-46
-    make P's relative one.
+    nu ln(x/2) - ln Gamma(nu+1), ln Gamma(nu+1) cached per order.  The
+    exponent's absolute error, below about 1e-40 + 1e-42 |nu|, is P's
+    relative one.
     """
     p, r = nu
     ln_gamma = _ln_gamma(p + r, r)
@@ -412,10 +385,17 @@ def _certified(value: float, err: float) -> EvalResult:
     return EvalResult(value, err)
 
 
-def _series_sum(nu: tuple[int, int], x: float) -> tuple[int, int, int, int]:
-    """(s, j, tmax, 10^d): S = sum_j (-1)^j u_j = s/10^d at d = _digits_for(x)
-    digits, its terms' count j and its largest term tmax.
+@lru_cache(maxsize=200000)
+def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
+    """J_nu(x) for a double x as its certified EvalResult, summed at d = _digits_for(x) digits.
 
+    Past the public x cap, where only the Airy paths call, _j_hankel's
+    enclosure [V - R, V + R] 2^-_FB answers first: where both ends round to
+    the same double, that double is J_nu(x) correctly rounded and R 2^-_FB
+    its error (Ziv's test).  Only where the enclosure straddles two doubles,
+    which no Airy call was seen to do, does the series run.
+
+    J_nu(x) = P sum_j (-1)^j u_j, P = (x/2)^nu / Gamma(nu+1) (see _prefactor).
     The u_j = (x^2/4)^j / (j! (nu+1)_j) run on integers from u_0 = 10^d,
     through the exact ratio a^2 r / (4 b^2 t), t = j (j r + p), for x = a/b
     and nu = p/r: each step rounds once, by half an ulp at most.  x is a
@@ -425,9 +405,21 @@ def _series_sum(nu: tuple[int, int], x: float) -> tuple[int, int, int, int]:
     divisor as a shift, for any r.  While 2^m t <= a^2 r the ratio is at
     least 1, so the rounded terms do not fall and the largest is the last
     of them; then they do not rise, and the sum runs two terms a pass, its
-    even and odd sums apart, to the first 0.  A first 0 at j >= _TERM_CAP
-    raises PrecisionError.
+    even and odd sums apart, to the first 0.  The error charges 3 ulp per
+    term, plus 20, against P times the largest term, with no floor; a first
+    0 at j >= _TERM_CAP raises PrecisionError.  The result converts to a
+    double by one correctly rounded integer division
+    (as Fraction's float() does, less its gcd); P's ~1e-35 relative error
+    vanishes in the float rounding charge.  Both exits finish through
+    _certified, so a hit returns the cached object with no arithmetic, and a
+    sum that cancels below the 1e-12 target raises inside the call: a
+    refusal is not cached, and a repeated refused call reruns its series.
     """
+    if x > _PUBLIC_X_CAP and (enclosure := _j_hankel(nu, x)):
+        v, radius = enclosure
+        value = (v - radius) / (1 << _FB)
+        if value == (v + radius) / (1 << _FB):
+            return _certified(value, radius / (1 << _FB))
     a, b = x.as_integer_ratio()
     p, r = nu
     one = 10 ** _digits_for(x)
@@ -452,35 +444,6 @@ def _series_sum(nu: tuple[int, int], x: float) -> tuple[int, int, int, int]:
         j -= 1
     if j >= _TERM_CAP:
         raise PrecisionError("series did not terminate within the term cap")
-    return s, j, tmax, one
-
-
-@lru_cache(maxsize=200000)
-def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
-    """J_nu(x) for a double x as its certified EvalResult.
-
-    Past the public x cap, where only the Airy paths call, _j_hankel's
-    enclosure [V - R, V + R] 2^-_FB answers first: where both ends round to
-    the same double, that double is J_nu(x) correctly rounded and R 2^-_FB
-    its error (Ziv's test).  Only where the enclosure straddles two doubles,
-    which no Airy call was seen to do, does the series run.
-
-    J_nu(x) = P S, P = (x/2)^nu / Gamma(nu+1) (see _prefactor) and S summed
-    by _series_sum.  The error charges 3 ulp per term, plus 20, against P
-    times the largest term, with no floor.  The result converts to a double
-    by one correctly rounded integer division over 10^d times P's power of
-    two (as Fraction's float() does, less its gcd); P's ~1e-35 relative
-    error vanishes in the float rounding charge.  Both exits finish through
-    _certified, so a hit returns the cached object with no arithmetic, and a
-    sum that cancels below the 1e-12 target raises inside the call: a
-    refusal is not cached, and a repeated refused call reruns its series.
-    """
-    if x > _PUBLIC_X_CAP and (enclosure := _j_hankel(nu, x)):
-        v, radius = enclosure
-        value = (v - radius) / (1 << _FB)
-        if value == (v + radius) / (1 << _FB):
-            return _certified(value, radius / (1 << _FB))
-    s, j, tmax, one = _series_sum(nu, x)
     num, den = _prefactor(nu, x)
     den *= one
     return _certified(s * num / den, (3 * j + 20) * tmax * num / (den * one))

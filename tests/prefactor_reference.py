@@ -1,26 +1,12 @@
-"""The oracle's prefactor as it was before it became one exponential: ln Gamma
-split as (ln Gamma(w), num, den), Stirling's powers stepped by a division by
-w^2, one table level under ln and one under exp.  The reference whose
-doubles _j_series_fixed and gamma must return bit for bit."""
+"""The oracle's prefactor as it was before ln Gamma(nu+1) became one cached
+fixed-point number: ln Gamma split as (ln Gamma(w), num, den), Stirling's
+powers stepped by a division by w^2, and the exact num/den multiplied into
+P.  The reference whose doubles _j_series_fixed and gamma must return bit
+for bit."""
 
 from functools import lru_cache
 
-from besselcert import oracle
-from besselcert.oracle import _FB, _LN2, _atanh, _exp_series, _ln_small, _stirling_coeff
-
-
-def ln_int(a):
-    """ln a from ln h, h the top 10 bits of a, and one atanh of t/(2+t) < 2^-10."""
-    e = max(0, a.bit_length() - 10)
-    h = a >> e
-    ln = _ln_small(h) + e * _LN2
-    rem = a - (h << e)
-    if rem:
-        ln += 2 * _atanh((rem << _FB) // ((h << (e + 1)) + rem))
-    return ln
-
-
-HALF_LN_2PI = (ln_int((oracle._PI_62 << _FB) // 10 ** 62) - 159 * _LN2) // 2
+from besselcert.oracle import _FB, _HALF_LN_2PI, _LN2, _exp_ratio, _ln_int, _stirling_coeff
 
 
 @lru_cache(maxsize=None)
@@ -31,8 +17,8 @@ def gamma_parts(p, r):
     for i in range(k):
         num *= p + i * r
     q = p + k * r
-    ln_w = ln_int(q) - ln_int(r)
-    acc = (2 * q - r) * ln_w // (2 * r) - (q << _FB) // r + HALF_LN_2PI
+    ln_w = _ln_int(q) - _ln_int(r)
+    acc = (2 * q - r) * ln_w // (2 * r) - (q << _FB) // r + _HALF_LN_2PI
     pw, r2, q2 = (r << _FB) // q, r * r, q * q
     n = 1
     while pw:
@@ -42,21 +28,6 @@ def gamma_parts(p, r):
     return acc, num, r ** k
 
 
-@lru_cache(maxsize=None)
-def _exp_table(i):
-    return _exp_series(i << (_FB - 8))
-
-
-def exp_ratio(y):
-    """exp(y/2^_FB) = num/den from 2^n, the table's exp(i/256) and Taylor's exp(f)."""
-    n, r = divmod(y, _LN2)
-    if n < -10 ** 5:
-        return 0, 1
-    i = r >> (_FB - 8)
-    num, shift = _exp_table(i) * _exp_series(r - (i << (_FB - 8))), 2 * _FB - n
-    return (num, 1 << shift) if shift >= 0 else (num << -shift, 1)
-
-
 def prefactor_reference(nu, x):
     """(x/2)^nu / Gamma(nu+1) = num/den: one exp of nu ln(x/2) - ln Gamma(w) times
     the exact num/den of gamma_parts."""
@@ -64,17 +35,14 @@ def prefactor_reference(nu, x):
     ln_gamma, num, den = gamma_parts(p + r, r)
     if p:
         a, b = x.as_integer_ratio()
-        ln_half = ln_int(a) - b.bit_length() * _LN2
-        m_num, m_den = exp_ratio(p * ln_half // r - ln_gamma)
+        m_num, m_den = _exp_ratio(p * (_ln_int(a) - b.bit_length() * _LN2) // r - ln_gamma)
     else:
-        m_num, m_den = exp_ratio(-ln_gamma)
+        m_num, m_den = _exp_ratio(-ln_gamma)
     return m_num * num, m_den * den
 
 
 def gamma_reference(z):
     """Gamma(z) = exp(ln Gamma(w)) den/num as one correctly rounded division."""
     ln_gamma, num, den = gamma_parts(*z.as_integer_ratio())
-    m_num, m_den = exp_ratio(ln_gamma)
+    m_num, m_den = _exp_ratio(ln_gamma)
     return m_num * den / (m_den * num)
-
-

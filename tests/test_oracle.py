@@ -828,10 +828,9 @@ def test_series_split_refuses_at_the_same_term_cap(monkeypatch):
 
 def test_prefactor_returns_its_references_doubles(monkeypatch):
     # P as one exponential of nu ln(x/2) - ln Gamma(nu+1) against the former
-    # (ln Gamma(w), num, den) prefactor: _j_series_fixed
-    # composes each series with either prefactor, and every double and
-    # refusal is the same.  The Hankel path is off, so zeta up to 876 runs
-    # the series
+    # (ln Gamma(w), num, den) prefactor: _j_series_fixed composes each series
+    # with either prefactor, and every double and refusal is the same.  The
+    # Hankel path is off, so zeta up to 876 runs the series
     monkeypatch.setattr(oracle, "_j_hankel", lambda nu, x: None)
     rng = random.Random(3811)
     orders = [(k, 1) for k in range(61)] + [(k, 2) for k in range(-1, 120, 2)] + list(AIRY_ORDERS)

@@ -199,36 +199,6 @@ def _cos_sin(f: int) -> tuple[int, int, int]:
 _LN2 = 2 * _atanh((1 << _FB) // 3)  # ln 2 = 2 atanh(1/3), 50 terms: within 1.4e-46
 
 
-def _gamma_parts(p: int, r: int) -> tuple[int, int, int]:
-    """(ln Gamma(w), num, den) for z = p/r > 0: Gamma(z) = Gamma(w) den/num,
-    w = z + k >= 30 and prod_{i<k} (z+i) = num/den exactly.
-
-    ln Gamma(w) is Stirling's series in fixed point,
-    (w - 1/2) ln w - w + ln(2 pi)/2 + sum_{n>=1} B_2n / (2n (2n-1) w^(2n-1)),
-    with ln w = ln(p + kr) - ln r from _ln_int, which serves the Airy
-    thirds (r = 3) as it serves the dyadic orders.  The powers w^(1-2n)
-    step by the fixed-point 1/w^2, each product truncating by 1 ulp.  The
-    sum stops where the fixed-point w^(1-2n) is 0, by n = 17, and leaves out
-    less than its first omitted term, 7e-41 at w = 30.  It cannot diverge
-    first: for w >= 30 the terms shrink until n ~ pi w ~ 94 but fall below
-    2^-160 by n = 23.
-    """
-    k = max(0, -((p - 30 * r) // r))
-    num = 1
-    for i in range(k):
-        num *= p + i * r
-    q = p + k * r  # w = q/r
-    ln_w = _ln_int(q) - _ln_int(r)
-    acc = (2 * q - r) * ln_w // (2 * r) - (q << _FB) // r + _HALF_LN_2PI
-    pw, inv_w2 = (r << _FB) // q, (r * r << _FB) // (q * q)
-    n = 1
-    while pw:
-        acc += _stirling_coeff(n) * pw >> _FB
-        pw = pw * inv_w2 >> _FB
-        n += 1
-    return acc, num, r ** k
-
-
 @lru_cache(maxsize=None)
 def _ln_small(h: int) -> int:
     """ln h for 1 <= h < 1024: the table behind _ln_int, filled on demand."""
@@ -265,11 +235,34 @@ _HALF_LN_2PI = (_ln_int((_PI_62 << _FB) // 10 ** 62) - 159 * _LN2) // 2  # (ln(p
 @lru_cache(maxsize=4096)
 def _ln_gamma(p: int, r: int) -> int:
     """ln Gamma(z) for z = p/r > 0 in fixed point, cached per exact z: ln Gamma(w)
-    - ln num + ln den from _gamma_parts, so the exact shift product, 1000 to
-    2000 bits below z = 30, never enters P.  Its two _ln_int add below 3e-43
-    together, under Stirling's omitted term (7e-41)."""
-    ln_w, num, den = _gamma_parts(p, r)
-    return ln_w - _ln_int(num) + _ln_int(den)
+    less the ln of the exact shift product num/den = prod_{i<k} (z+i), w = z + k >= 30.
+
+    ln Gamma(w) is Stirling's series in fixed point,
+    (w - 1/2) ln w - w + ln(2 pi)/2 + sum_{n>=1} B_2n / (2n (2n-1) w^(2n-1)),
+    with ln w = ln(p + kr) - ln r from _ln_int, which serves the Airy
+    thirds (r = 3) as it serves the dyadic orders.  The powers w^(1-2n)
+    step by the fixed-point 1/w^2, each product truncating by 1 ulp.  The
+    sum stops where the fixed-point w^(1-2n) is 0, by n = 17, and leaves out
+    less than its first omitted term, 7e-41 at w = 30.  It cannot diverge
+    first: for w >= 30 the terms shrink until n ~ pi w ~ 94 but fall below
+    2^-160 by n = 23.  The shift product, 1000 to 2000 bits below z = 30,
+    enters only through the two _ln_int of num and den, which add below
+    3e-43 together, under Stirling's omitted term.
+    """
+    k = max(0, -((p - 30 * r) // r))
+    num = 1
+    for i in range(k):
+        num *= p + i * r
+    q = p + k * r  # w = q/r
+    ln_w = _ln_int(q) - _ln_int(r)
+    acc = (2 * q - r) * ln_w // (2 * r) - (q << _FB) // r + _HALF_LN_2PI
+    pw, inv_w2 = (r << _FB) // q, (r * r << _FB) // (q * q)
+    n = 1
+    while pw:
+        acc += _stirling_coeff(n) * pw >> _FB
+        pw = pw * inv_w2 >> _FB
+        n += 1
+    return acc - _ln_int(num) + _ln_int(r ** k)
 
 
 @lru_cache(maxsize=None)
@@ -294,10 +287,9 @@ def _exp_ratio(y: int) -> tuple[int, int]:
     return (num, 1 << shift) if shift >= 0 else (num << -shift, 1)
 
 
-@lru_cache(maxsize=4096, typed=True)
 def gamma(z: float) -> float:
     """Gamma(z) for 0 < z < 64, relative error well below 1e-25; z >= 5.6e-309,
-    where Gamma(z) ~ 1/z is a double.  Cached per argument (a refusal is not)."""
+    where Gamma(z) ~ 1/z is a double."""
     check_domain(_DOMAINS, "gamma", z)
     m_num, m_den = _exp_ratio(_ln_gamma(*z.as_integer_ratio()))
     return m_num / m_den
@@ -496,7 +488,6 @@ def _order_round_charge(zeta: float) -> float:
 _NU_M13, _NU_13, _NU_23, _NU_43 = ((k / 3).as_integer_ratio() for k in (-1, 1, 2, 4))
 
 
-@lru_cache(maxsize=None)
 def _airy_origin(k: int) -> EvalResult:
     """3^(-k/3)/Gamma(k/3), within a double's rounding: Ai(0) for k = 2, -Ai'(0) for k = 1."""
     m_num, m_den = _exp_ratio(-k * _ln_small(3) // 3 - _ln_gamma(k, 3))

@@ -120,9 +120,8 @@ def refine_airy_zero(s: int) -> float:
     return refine_root(_ai, bracket, 1e-11)
 
 
-@lru_cache(maxsize=None)
 def refine_bessel_zero(order: Order, s: int) -> float:
-    """The s-th positive zero j_{nu,s} of J_nu to ~1e-11, s <= 64, cached per (order, s).
+    """The s-th positive zero j_{nu,s} of J_nu to ~1e-11, s <= 64.
 
     sqrt(x) J_nu solves y'' + (1 + (1/4 - nu^2)/x^2) y = 0, so by Sturm
     comparison its zeros past any a are at least gap(a) apart: pi for
@@ -150,6 +149,8 @@ def refine_bessel_zero(order: Order, s: int) -> float:
         if f_a * f_b < 0:
             s -= 1
             if s == 0:
+                # refine_root on the whole cell returns the same double, but the
+                # secant leaves it wide brackets: 22.6 calls a root, not 9.05
                 m = 0.5 * (a + b)
                 return refine_root(f, (a, m) if (f(m) > 0) == (f_b > 0) else (m, b), 1e-11)
         a, f_a = b, f_b

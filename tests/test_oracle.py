@@ -436,7 +436,6 @@ def test_refine_root_returns_plain_bisections_double_at_its_callers():
     left_orders = [rng.uniform(5 / 3, 40) for _ in range(8)]
 
     def callers():
-        refine_bessel_zero.cache_clear()
         return ([refine_bessel_zero(Order(nu), s).hex() for nu, s in zero_args]
                 + [(r.lhs.hex(), r.rhs.hex()) for r in airy_envelope_maxima(14.0)]
                 + [leftmost_max_check(Order(nu)).rhs.hex() for nu in left_orders])
@@ -521,7 +520,7 @@ def test_import_loads_no_numpy():
 
 def _clear_oracle_caches():
     for f in (oracle._stirling_coeff, oracle._ln_gamma, oracle._ln_small, oracle._exp_table,
-              oracle.gamma, oracle._j_series_fixed, oracle._airy_origin, bounds._gauss_legendre):
+              oracle._j_series_fixed, bounds._gauss_legendre):
         f.cache_clear()
 
 
@@ -531,8 +530,8 @@ def _decimal_paths():
             gamma(2 / 3), bounds.lemma_integral_check(3.0),
             bessel_j_ref(Order(60.0), 1e-300),
             # the exact fixed-point values behind the doubles
-            oracle._HALF_LN_2PI, oracle._prefactor((5, 2), 10.0), oracle._gamma_parts(1, 3),
-            oracle._gamma_parts(*(60.25).as_integer_ratio()), oracle._ln_int(10 ** 40 + 7),
+            oracle._HALF_LN_2PI, oracle._prefactor((5, 2), 10.0), oracle._ln_gamma(1, 3),
+            oracle._ln_gamma(*(60.25).as_integer_ratio()), oracle._ln_int(10 ** 40 + 7),
             oracle._ln_half(0.7), oracle._exp_ratio(-3 << oracle._FB))
 
 
@@ -555,8 +554,9 @@ def test_caller_decimal_context_never_reaches_the_oracle(monkeypatch):
 
 
 def test_decimal_constants_against_mpmath():
-    # ln(2 pi)/2, Stirling's fixed-point ln Gamma(w), w = z + k >= 30, and
-    # ln Gamma(z) to 10^(2-40) relative, and the exact shift product prod_{i<k} (z+i)
+    # ln(2 pi)/2 and the cached ln Gamma(z) to 10^(2-40) relative: from z = 30
+    # on _ln_gamma is Stirling's ln Gamma(w) itself, below it passes through
+    # the ln of the exact shift product prod_{i<k} (z+i)
     g = 40
     zs = [Fraction(1, 3), Fraction(2, 3), Fraction(7, 2), Fraction(61), Fraction(1001, 2)]
     zs += [Fraction(nu + 1) for nu in (1e3, 1e6, 1e9)]
@@ -565,13 +565,6 @@ def test_decimal_constants_against_mpmath():
         truth = mpmath.log(2 * mpmath.pi) / 2
         assert abs(oracle._HALF_LN_2PI / scale / truth - 1) <= mpmath.mpf(10) ** (2 - g)
         for z in zs:
-            ln_gamma, num, den = oracle._gamma_parts(z.numerator, z.denominator)
-            k = max(0, math.ceil(30 - z))
-            assert Fraction(num, den) == math.prod(z + i for i in range(k)), z
-            w = z + k
-            truth = mpmath.loggamma(mpmath.mpf(w.numerator) / w.denominator)
-            assert abs(ln_gamma / scale / truth - 1) <= mpmath.mpf(10) ** (2 - g), z
-            # the cached ln Gamma(z): ln Gamma(w) less the shift product's ln
             truth = mpmath.loggamma(mpmath.mpf(z.numerator) / z.denominator)
             assert abs(oracle._ln_gamma(z.numerator, z.denominator) / scale / truth - 1) <= (
                 mpmath.mpf(10) ** (2 - g)), z
@@ -851,4 +844,4 @@ def test_prefactor_returns_its_references_doubles(monkeypatch):
                                                          for _ in range(170)]
     zs += [k / 3 for k in range(1, 11)] + [k / 2 for k in range(1, 21, 2)] + [1.0, 2.0, 63.0]
     for z in zs:
-        assert oracle.gamma.__wrapped__(z) == gamma_reference(z), z
+        assert oracle.gamma(z) == gamma_reference(z), z

@@ -113,7 +113,6 @@ def test_bessel_zeros_are_plain_bisections_on_their_sturm_cells(monkeypatch):
     # that its midpoint leaves the sign change in: plain bisection's first
     # step, so the double is plain bisection's on the cell, and also on the
     # former 0.25 walk's cell
-    refine_bessel_zero.cache_clear()
     seen = _recording(monkeypatch, zeros)
     for nu, s in BESSEL_BATTERY:
         order = Order(nu)
@@ -219,7 +218,6 @@ def test_budget_refine_root_on_j0():
 
 
 def test_budget_fresh_bessel_zero(monkeypatch):
-    refine_bessel_zero.cache_clear()
     oracle._j_series_fixed.cache_clear()
     seen = _counting(monkeypatch, zeros, "bessel_j_ref")
     refine_bessel_zero(Order(2.5), 3)

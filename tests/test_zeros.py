@@ -132,10 +132,6 @@ def _bisected_airy_zero(s):
     return plain_bisection(zeros_module._ai, zeros_module._airy_bracket(s), 1e-11).hex()
 
 
-def _clear_bessel_caches():
-    refine_bessel_zero.cache_clear()
-
-
 def _counting(monkeypatch, name):
     """Record every abscissa the zeros module passes to oracle function name."""
     seen = []
@@ -157,7 +153,6 @@ class TestResumedScan:
 
     @pytest.mark.parametrize("nu", (0.0, 2.5, 10.0))
     def test_bessel_zeros_in_order_equal_a_fresh_scan(self, nu):
-        _clear_bessel_caches()
         order = Order(nu)
         got = [refine_bessel_zero(order, k) for k in (1, 2, 3)]
         assert got == _fresh_scan(lambda t: bessel_j_ref(order, t).value,
@@ -171,17 +166,16 @@ class TestResumedScan:
         refine_airy_zero(6)
         assert seen and min(seen) > a5
 
-    def test_bessel_continuation_reuses_the_series_cache(self, monkeypatch):
-        # a cached repeat makes no evaluation; a fresh s = 3 after s = 2 reads
+    def test_bessel_continuation_reuses_the_series_cache(self):
+        # a repeat makes no series miss; a fresh s = 3 after s = 2 reads
         # the cell ends up to j_2 from the series cache and sums 11 new
         # series: one cell end, the cell's midpoint and the refinement
-        _clear_bessel_caches()
         oracle._j_series_fixed.cache_clear()
         order = Order(2.5)
         j2 = refine_bessel_zero(order, 2)
-        seen = _counting(monkeypatch, "bessel_j_ref")
-        assert refine_bessel_zero(order, 2) == j2 and seen == []
         misses = oracle._j_series_fixed.cache_info().misses
+        assert refine_bessel_zero(order, 2) == j2
+        assert oracle._j_series_fixed.cache_info().misses == misses
         refine_bessel_zero(order, 3)
         assert oracle._j_series_fixed.cache_info().misses - misses <= 11
 
@@ -189,7 +183,6 @@ class TestResumedScan:
         # an exception is never cached: after a refused evaluation the next
         # call searches afresh and equals the walk, and the cap is raised on
         # every call, not stepped past
-        _clear_bessel_caches()
         order = Order(2.5)
         calls = []
 
@@ -221,7 +214,6 @@ class TestBesselWalk:
         # five samples about pi apart reach the third zero's Sturm cell, one
         # midpoint halves it and refine_root refines only that zero: 16 J
         # evaluations, where walking every 0.25-cell took 57
-        _clear_bessel_caches()
         seen = _counting(monkeypatch, "bessel_j_ref")
         refine_bessel_zero(Order(2.5), 3)
         assert len(seen) <= 16
@@ -232,7 +224,6 @@ class TestBesselWalk:
         # each Sturm cell takes its length from its left end: 33 and 75 J
         # evaluations, where one 0.25-grid stride from x_0 = 0.05 took 259
         # and 813
-        _clear_bessel_caches()
         seen = _counting(monkeypatch, "bessel_j_ref")
         refine_bessel_zero(Order(nu), s)
         assert len(seen) == calls
@@ -246,7 +237,6 @@ class TestBesselWalk:
         orders += [rng.uniform(1, 60) for _ in range(3)] + [rng.uniform(150, 199.5)
                                                             for _ in range(2)]
         for nu in orders:
-            _clear_bessel_caches()
             order = Order(nu)
             walk = [z.hex() for z in _fresh_scan(lambda t: bessel_j_ref(order, t).value,
                                                  max(nu, 0.05), 0.25, 10, 200.0)]
@@ -272,7 +262,6 @@ class TestBesselWalk:
             except PrecisionError as exc:
                 return str(exc)
 
-        _clear_bessel_caches()
         assert outcome(refine_bessel_zero) == outcome(full_walk.full_walk_zero), (nu, s)
 
 

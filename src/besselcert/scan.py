@@ -121,10 +121,11 @@ _DOMAINS = {  # the entry points' domains, as check_domain reads them
                     f"x_max must lie in (0, {_PUBLIC_X_CAP:g}]"),
                    (lambda o, x_max, n: not n < 10, "coarse_points must be >= 10"),
                    (lambda o, x_max, n: isinstance(n, int), "coarse_points must be an integer"),
-                   # R's main term at x_max/coarse_points, at or below the grid's first point
+                   # R's main term at the grid's first point, where the search starts
                    (lambda o, x_max, n: _is_double(
-                       lambda: math.sqrt(2 / (math.pi * (x_max / n)))),
-                    "sqrt(2/(pi x)) leaves the doubles at x = x_max/coarse_points"),
+                       lambda: math.sqrt(2 / (math.pi * (x_max / min(n, math.ceil(x_max)))))),
+                    "sqrt(2/(pi x)) leaves the doubles at the grid's first point "
+                    "x = x_max/min(coarse_points, ceil(x_max))"),
                    _NU_FLOOR, _FINITE_NU),
 }
 

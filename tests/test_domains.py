@@ -330,9 +330,11 @@ PINNED = [
     ('olenko_sup(Order(2.0), 50.0, 10.5)',
      'olenko_sup: coarse_points must be an integer'),
     ('olenko_sup(Order(2.0), 1e-310, 3000)',
-     'olenko_sup: sqrt(2/(pi x)) leaves the doubles at x = x_max/coarse_points'),
+     "olenko_sup: sqrt(2/(pi x)) leaves the doubles at the grid's first point "
+     'x = x_max/min(coarse_points, ceil(x_max))'),
     ('olenko_sup(Order(2.0), 5e-324, 10)',
-     'olenko_sup: sqrt(2/(pi x)) leaves the doubles at x = x_max/coarse_points'),
+     "olenko_sup: sqrt(2/(pi x)) leaves the doubles at the grid's first point "
+     'x = x_max/min(coarse_points, ceil(x_max))'),
     # later rules: S leaves the doubles at |nu| = 1/2 (x^2 + mu is 0), at
     # 0 < nu < 1/2 (nu/x overflows) and at -1/2 < nu < 0 ((nu/x) J overflows);
     # transition's finite-order rule comes last, so -inf meets the first

@@ -224,6 +224,13 @@ class TestOlenkoSup:
     def test_deterministic(self):
         assert olenko_sup(Order(5.0), 60.0, 400) == olenko_sup(Order(5.0), 60.0, 400)
 
+    @pytest.mark.parametrize("x_max", (1e-305, 1e-307, 1e-308))
+    def test_a_tiny_window_is_its_one_grid_point(self, x_max):
+        # ceil(x_max) = 1, so the grid is the one point x_max, where
+        # sqrt(2/(pi x)) is a double although at x_max/coarse_points it is not
+        s = olenko_sup(Order(2.0), x_max, 3000)
+        assert 0 <= s.sup_value <= s.upper < x_max
+
     def test_domain(self):
         with pytest.raises(DomainError):
             olenko_sup(Order(0.5))  # mu = 0

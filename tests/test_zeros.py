@@ -218,7 +218,8 @@ class TestBesselWalk:
         refine_bessel_zero(Order(2.5), 3)
         assert len(seen) <= 16
 
-    @pytest.mark.parametrize("nu, s, calls", ((0.0, 20, 33), (-0.25, 64, 75)))
+    @pytest.mark.parametrize("nu, s, calls", ((0.0, 20, 33), (-0.25, 64, 75)),
+                             ids=("0.0-20", "-0.25-64"))
     def test_the_stride_widens_with_x_below_half(self, monkeypatch, nu, s, calls):
         # below |nu| = 1/2 the Sturm gap pi/sqrt(1 + mu/x^2) grows with x, and
         # each Sturm cell takes its length from its left end: 33 and 75 J

@@ -240,3 +240,45 @@ def test_search_calls_calls_only_public_names():
     hooks = set().union(*(read.get(m, set()) for m in modules))
     assert hooks == {"_j_series_fixed", "refine_root", "_signed_gap"}
     assert all(hasattr(getattr(besselcert, m), h) for m in modules for h in read.get(m, ()))
+
+
+def test_every_memo_is_named():
+    # a memo decorates exactly these functions, each for the traffic it
+    # carried on perfbench's seed-1 op lists; a new memo arrives with its own
+    memos = {(name, fn.name) for name, tree in TREES.items() for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any("cache" in ast.unparse(d) for d in fn.decorator_list)}
+    assert memos == {
+        ("oracle.py", "_bernoulli"),  # table fill: B_0 to B_32 for Stirling's coefficients
+        ("oracle.py", "_stirling_coeff"),  # table fill: 16 entries, 18468 reads on point_queries
+        ("oracle.py", "_ln_small"),  # table fill: ln h, 316 to 505 entries per workload
+        ("oracle.py", "_exp_table"),  # table fill: exp(i/256), 178 entries
+        ("oracle.py", "_ln_gamma"),  # ln Gamma per order: 3056 hits, 110 misses on grid_certify
+        # the series results: 14772 hits, 2574 misses on grid_certify
+        ("oracle.py", "_j_series_fixed"),
+        ("bounds.py", "_gauss_legendre"),  # table fill: one node set
+        ("bounds.py", "_trigamma_coeffs"),  # table fill: one coefficient set
+        # a_1 for bound_near_first_zero, read twice per order: 47 hits in 48
+        # calls on grid_certify, whose rounds ran 2.6% slower without it
+        ("zeros.py", "refine_airy_zero"),
+    }
+
+
+def _src_lines_tool():
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", SRC.parents[1] / "tools" / "src_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_src_lines_parts_sum_to_each_files_lines():
+    # tools/src_lines.py counts each line once: its code, docstring,
+    # comment and blank counts add up to the file's lines
+    tool = _src_lines_tool()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        assert sum(tool.line_kinds(source).values()) == len(source.splitlines()), path.name
+    sample = ('"""Module doc.\n\nmore."""\n\n# a comment\nx = 1  # after code\n'
+              'def f():\n    """Doc."""\n    s = """\n# in a string\n"""\n    return s\n')
+    assert tool.line_kinds(sample) == {"code": 6, "docstring": 4, "comment": 1, "blank": 1}

@@ -259,7 +259,7 @@ def test_every_memo_is_named():
         ("bounds.py", "_gauss_legendre"),  # table fill: one node set
         ("bounds.py", "_trigamma_coeffs"),  # table fill: one coefficient set
         # a_1 for bound_near_first_zero, read twice per order: 47 hits in 48
-        # calls on grid_certify, whose rounds ran 2.6% slower without it
+        # calls on grid_certify, whose rounds ran 2.2% slower without it
         ("zeros.py", "refine_airy_zero"),
     }
 

@@ -201,7 +201,12 @@ def test_same_outputs_call_list_resolves():
         else:
             assert f.__name__ == name, (name, f)
     assert set(tool.BOUNDS_ARGV) == {n for n in scan._BOUNDS if n not in scan._SONIN}
-    assert argvs == 2 * len(tool.BOUNDS_ARGV) + 1
+    assert argvs == 2 * len(tool.BOUNDS_ARGV) + 1 + len(tool.CLI_ARGV)
+    # every subcommand runs, and every Sonin subject is scanned
+    commands = next(a for a in parser._actions if a.dest == "cmd").choices
+    assert {"bounds"} | {argv.split()[0] for argv in tool.CLI_ARGV} == set(commands)
+    assert set(scan._SONIN) <= {argv.split()[2] for argv in tool.CLI_ARGV
+                                if argv.startswith("scan ")}
 
 
 def test_same_outputs_expect_gates_on_the_sha(monkeypatch, capsys):

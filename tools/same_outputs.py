@@ -18,7 +18,10 @@ field, upper among them, at criterion 8's window, at search_calls.py's
 orders, at orders in [10, 30] to x = 200, at orders in [-0.45, 1), in
 windows wholly below sqrt(mu) and at a tiny x_max), and the CLI's exit
 code, stdout and stderr
-for each bounds --name choice at an admitted and a refused point.
+for each bounds --name choice at an admitted and a refused point and for
+every other subcommand: eval, approx, zeros, scan (classic and each Sonin
+subject, across a repeated order, an order with no admitted point and the
+Airy window's end at x = 120) and sup.
 
     python3 tools/same_outputs.py > dump.txt && tail -n 1 dump.txt
 
@@ -64,6 +67,24 @@ BOUNDS_ARGV = {
     "lemma_integral": ("--x 3", "--x 1e7"),
     "airy_envelope_maxima": ("--x-hi 14", "--x-hi 130"),
 }
+
+# the other subcommands, one argv each; the last of zeros lacks a flag it
+# requires and the last sup refuses nu = 1/2
+CLI_ARGV = (
+    "eval --nu 2.5 --x 10",
+    "approx --nu 2.5 --x 10",
+    "approx --nu 10 --x 1.5 --method transition --format plain",
+    "zeros --family airy --s 3",
+    "zeros --family airy --s 3 --mode simplified",
+    "zeros --family bessel --nu 2.5 --s 3",
+    "zeros --family bessel --s 3",
+    "scan --method classic --nu-list 0.5,2.5,10 --x-lo 1 --x-hi 100 --points 5",
+    "scan --method sonin_szego --nu-list 0.25,0.25,1 --x-lo 0.5 --x-hi 50 --points 5",
+    "scan --method sonin_envelope --nu-list 1,10,2 --x-lo 1 --x-hi 9.5 --points 5",
+    "scan --method sonin_airy --nu-list 0 --x-lo 100 --x-hi 130 --points 7",
+    "sup --nu 2.5 --x-max 60 --coarse-points 300",
+    "sup --nu 0.5",
+)
 
 
 def _fields(value) -> str:
@@ -264,6 +285,11 @@ def _calls():
         for flags in points:
             yield "cli", _cli, ["bounds", "--name", name, *flags.split()]
     yield "cli", _cli, ["bounds", "--name", "watson", "--nu", "2.5"]
+    # every other subcommand; the Sonin scans cross a repeated order (szego),
+    # an order with no admitted point between two admitted ones (envelope)
+    # and the end of the Airy window at x = 120
+    for argv in CLI_ARGV:
+        yield "cli", _cli, argv.split()
 
 
 def _sha_prefix(text: str) -> str:

@@ -252,9 +252,10 @@ def scan_rows(name: str, grid: GridSpec, l1: int = 3,
     t in (0, 1] (monotonic) and x2 from the x grid; olver's l1, l2 as given.
     So wronskian_kernel pairs every (x1, x2); airy_envelope, lemma_integral
     and the airy_* methods ignore nu_values; near_first_zero and leftmost_max
-    ignore the x grid.  The sonin_* variants instead compare consecutive grid
-    points per nu (nondecreasing for szego and envelope, nonincreasing for
-    airy) with slack 1e-10.
+    ignore the x grid.  The sonin_* variants compare each admitted sample
+    of S with the order's admitted sample before it, one row per pair
+    (nondecreasing for szego and envelope, nonincreasing for airy) with
+    slack 1e-10.
     """
     check_domain(_DOMAINS, "scan", name)
     coords, f = _APPROXIMATIONS.get(name) or _BOUNDS[name]
@@ -262,28 +263,24 @@ def scan_rows(name: str, grid: GridSpec, l1: int = 3,
     skipped = 0
     xs = grid.x_values()
     orders = [Order(nu) for nu in grid.nu_values]  # one Order per order, not per point
-    if name in _SONIN:
-        for order in orders:
-            prev = None
-            for x in xs:
-                try:
-                    cur = f(order, x)
-                except DomainError:
-                    skipped += 1
-                    continue
-                if prev is not None:
-                    lhs, rhs = (cur.S, prev.S) if _SONIN[name][1] else (prev.S, cur.S)
-                    rep = _make(name, lhs, rhs, strict=False, slack=1e-10)
-                    rows.append(_row(rep, order.nu, x))
-                prev = cur
-        return rows, skipped
     axes = {"nu": orders, "x": xs, "t": xs, "x2": xs, "l1": (l1,), "l2": (l2,)}
     nu_at, x_at = _columns(coords)
+    sonin = _SONIN.get(name)
+    samples = []  # a sonin_* subject's (Order, SoninSample), order by order in x order
     for args in itertools.product(*(axes[c] for c in coords)):
         try:
-            rows.extend(_rows(f, args, nu_at, x_at))
+            if sonin:
+                samples.append((args[0], f(*args)))
+            else:
+                rows.extend(_rows(f, args, nu_at, x_at))
         except DomainError:
             skipped += 1
+    # each sample against the one before it from the same Order object, so a
+    # repeated order is a chain of its own
+    for (order, prev), (same, cur) in itertools.pairwise(samples):
+        if same is order:
+            lhs, rhs = (cur.S, prev.S) if sonin[1] else (prev.S, cur.S)
+            rows.append(_row(_make(name, lhs, rhs, strict=False, slack=1e-10), order.nu, cur.x))
     return rows, skipped
 
 

@@ -142,6 +142,34 @@ class TestBoundsGrid:
         assert rep2.total == 79 and rep2.skipped == 80
         assert rep2.violations == ()
 
+    @pytest.mark.parametrize("name, nus, chain_rows, refused", [
+        ("sonin_szego", (0.25, 0.25, 1.0), (4, 4, 0), 5),  # nu = 1 lies outside szego
+        ("sonin_envelope", (1.0, 10.0, 2.0), (4, 0, 3), 6),  # x <= sqrt(mu) refused
+    ])
+    def test_sonin_chains_end_at_each_order(self, name, nus, chain_rows, refused):
+        # each nu_values entry is a chain of its own, a repeated order too: a
+        # row compares an admitted sample with the order's admitted sample
+        # before it, never the last of one order with the first of the next
+        variant, down = scan_module._SONIN[name]
+        g = GridSpec(nus, (1.0, 9.5), 5)
+        expected, lengths, skipped = [], [], 0
+        for nu in nus:
+            samples = []
+            for x in g.x_values():
+                try:
+                    samples.append(bounds_module.sonin_eval(variant, Order(nu), x))
+                except DomainError:
+                    skipped += 1
+            lengths.append(len(samples) - 1 if samples else 0)
+            for prev, cur in zip(samples, samples[1:]):
+                lhs, rhs = (cur.S, prev.S) if down else (prev.S, cur.S)
+                expected.append((name, nu, cur.x, lhs, rhs))
+        assert tuple(lengths) == chain_rows and skipped == refused
+        rows, got_skipped = scan_rows(name, g)
+        assert [(r.subject, r.nu, r.x, r.value, r.oracle) for r in rows] == expected
+        assert got_skipped == refused
+        assert all(r.holds for r in rows)
+
     def test_unknown_bound(self):
         g = GridSpec((0.0,), (1.0, 2.0), 5)
         with pytest.raises(DomainError):

@@ -43,6 +43,8 @@ from .zeros import _airy_bracket, refine_airy_zero
 
 # envelope damping offset for the Airy inequalities
 AIRY_C = 15 ** (1 / 3) * 2 ** (-4 / 3)
+# math.log(gamma(2 / 3)), bound_monotonic's constant (math.lgamma is an ulp off)
+_LN_GAMMA_2_3 = 0.30315027514752363
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def bound_monotonic(order: Order, t: float) -> tuple[BoundReport, BoundReport]:
     rhs1 = at_nu.value * t ** nu * math.exp(grow)
     # evaluated in logs: nu^(nu+1/3) overflows well before nu does
     log_rhs2 = (math.log(2) / 3 + nu * math.log(x) - 2 * math.log(3) / 3
-                - math.log(gamma(2 / 3)) - (nu + 1 / 3) * math.log(nu) + grow)
+                - _LN_GAMMA_2_3 - (nu + 1 / 3) * math.log(nu) + grow)
     rhs2 = math.exp(log_rhs2)
     slack1 = r.abs_err_estimate + at_nu.abs_err_estimate * t ** nu * math.exp(grow)
     first = _make("monotonic_at_order", r.value, rhs1, strict=False, slack=slack1)

@@ -106,6 +106,10 @@ class TestMonotonic:
         assert second.rhs == pytest.approx(direct, rel=1e-11)
         assert first.holds and second.holds
 
+    def test_ln_gamma_two_thirds_is_the_logged_gamma(self):
+        # the closed form's constant is the double that math.log(gamma(2/3)) reads
+        assert bounds_module._LN_GAMMA_2_3 == math.log(gamma(2 / 3))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             bound_monotonic(Order(2.0), 0.0)

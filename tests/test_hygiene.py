@@ -1,6 +1,6 @@
 import ast
 import hashlib
-import importlib.util
+import importlib
 import inspect
 import os
 from pathlib import Path
@@ -9,6 +9,9 @@ import subprocess
 import sys
 
 import pytest
+
+import same_outputs
+import src_lines
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "besselcert"
 TREES = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
@@ -178,52 +181,42 @@ def test_hankel_path_is_integer_only():
     assert divisors.count("1 << _FB") == 3
 
 
-def _same_outputs_tool():
-    spec = importlib.util.spec_from_file_location(
-        "same_outputs", SRC.parents[1] / "tools" / "same_outputs.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 def test_same_outputs_call_list_resolves():
     # tools/same_outputs.py is the same-outputs check: walk its call list,
     # calling nothing, so that a renamed function or CLI flag fails here
     # rather than turning the dump's lines into refusals
     from besselcert import cli, scan
-    tool = _same_outputs_tool()
     parser = cli._build_parser()
     argvs = 0
-    for name, f, *args in tool._calls():
+    for name, f, *args in same_outputs._calls():
         if name == "cli":
             parser.parse_args(args[0])  # argparse exits on an argv it cannot parse
             argvs += 1
         else:
             assert f.__name__ == name, (name, f)
-    assert set(tool.BOUNDS_ARGV) == {n for n in scan._BOUNDS if n not in scan._SONIN}
-    assert argvs == 2 * len(tool.BOUNDS_ARGV) + 1 + len(tool.CLI_ARGV)
+    assert set(same_outputs.BOUNDS_ARGV) == {n for n in scan._BOUNDS if n not in scan._SONIN}
+    assert argvs == 2 * len(same_outputs.BOUNDS_ARGV) + 1 + len(same_outputs.CLI_ARGV)
     # every subcommand runs, and every Sonin subject is scanned
     commands = next(a for a in parser._actions if a.dest == "cmd").choices
-    assert {"bounds"} | {argv.split()[0] for argv in tool.CLI_ARGV} == set(commands)
-    assert set(scan._SONIN) <= {argv.split()[2] for argv in tool.CLI_ARGV
+    assert {"bounds"} | {argv.split()[0] for argv in same_outputs.CLI_ARGV} == set(commands)
+    assert set(scan._SONIN) <= {argv.split()[2] for argv in same_outputs.CLI_ARGV
                                 if argv.startswith("scan ")}
 
 
 def test_same_outputs_expect_gates_on_the_sha(monkeypatch, capsys):
     # --expect compares the dump's sha256 with a prefix: 0 on a match, and 1
     # with both hashes on stderr on a mismatch; one stubbed call keeps it fast
-    tool = _same_outputs_tool()
-    monkeypatch.setattr(tool, "_calls", lambda: iter([("abs", abs, -0.5)]))
+    monkeypatch.setattr(same_outputs, "_calls", lambda: iter([("abs", abs, -0.5)]))
     sha = hashlib.sha256(b"abs(-0.5,): 0x1.0000000000000p-1\n").hexdigest()
-    assert tool.main(["--expect", sha[:16].upper()]) == 0
+    assert same_outputs.main(["--expect", sha[:16].upper()]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"lines 1 sha256 {sha}"
-    assert tool.main(["--expect", "0123abcd"]) == 1
+    assert same_outputs.main(["--expect", "0123abcd"]) == 1
     assert capsys.readouterr().err == f"sha256 mismatch: expected 0123abcd..., got {sha}\n"
-    assert tool.main([]) == 0
+    assert same_outputs.main([]) == 0
     # an empty prefix would match every sha, and a non-hex one none
     for prefix in ("", "c5cec74g"):
         with pytest.raises(SystemExit) as refused:
-            tool.main(["--expect", prefix])
+            same_outputs.main(["--expect", prefix])
         assert refused.value.code == 2
         assert "not a hex prefix" in capsys.readouterr().err
 
@@ -269,21 +262,12 @@ def test_every_memo_is_named():
     }
 
 
-def _src_lines_tool():
-    spec = importlib.util.spec_from_file_location(
-        "src_lines", SRC.parents[1] / "tools" / "src_lines.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 def test_src_lines_parts_sum_to_each_files_lines():
     # tools/src_lines.py counts each line once: its code, docstring,
     # comment and blank counts add up to the file's lines
-    tool = _src_lines_tool()
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
-        assert sum(tool.line_kinds(source).values()) == len(source.splitlines()), path.name
+        assert sum(src_lines.line_kinds(source).values()) == len(source.splitlines()), path.name
     sample = ('"""Module doc.\n\nmore."""\n\n# a comment\nx = 1  # after code\n'
               'def f():\n    """Doc."""\n    s = """\n# in a string\n"""\n    return s\n')
-    assert tool.line_kinds(sample) == {"code": 6, "docstring": 4, "comment": 1, "blank": 1}
+    assert src_lines.line_kinds(sample) == {"code": 6, "docstring": 4, "comment": 1, "blank": 1}

@@ -3,19 +3,12 @@ on one simple root and on a tolerance below one ulp of the root, a few calls
 past plain bisection on a multiple root, where the secant converges slowly,
 and tools/search_calls.py's exact counts per search family."""
 
-import importlib.util
-from pathlib import Path
-
 from hypothesis import given, seed, settings, strategies as st
 import pytest
 
 from besselcert import Order, bessel_j_ref, refine_root
 from plain_bisection import plain_bisection
-
-_spec = importlib.util.spec_from_file_location(
-    "search_calls", Path(__file__).resolve().parents[1] / "tools" / "search_calls.py")
-search_calls = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(search_calls)
+import search_calls
 
 
 def test_budget_refine_root_on_j0():

@@ -5,9 +5,7 @@ Sturm cell and on the former 0.25 walk's cell alike), the premise that
 makes them so holds at the roots they refine, and the oracle calls the
 cell ends save stay saved."""
 
-import importlib.util
 import math
-from pathlib import Path
 
 import pytest
 
@@ -25,11 +23,8 @@ from besselcert import (
     zeros,
 )
 from plain_bisection import plain_bisection
+import search_calls
 
-_spec = importlib.util.spec_from_file_location(
-    "search_calls", Path(__file__).resolve().parents[1] / "tools" / "search_calls.py")
-search_calls = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(search_calls)
 # 40 seeded (nu, s), nu in [-1/2, 60], s <= 12, and 8 seeded orders in [5/3, 40]
 BESSEL_BATTERY = search_calls.BESSEL_BATTERY
 LEFTMOST_ORDERS = search_calls.LEFTMOST_ORDERS

@@ -145,7 +145,7 @@ class TestBoundsGrid:
     @pytest.mark.parametrize("name, nus, chain_rows, refused", [
         ("sonin_szego", (0.25, 0.25, 1.0), (4, 4, 0), 5),  # nu = 1 lies outside szego
         ("sonin_envelope", (1.0, 10.0, 2.0), (4, 0, 3), 6),  # x <= sqrt(mu) refused
-    ])
+    ], ids=["szego", "envelope"])
     def test_sonin_chains_end_at_each_order(self, name, nus, chain_rows, refused):
         # each nu_values entry is a chain of its own, a repeated order too: a
         # row compares an admitted sample with the order's admitted sample
@@ -160,7 +160,7 @@ class TestBoundsGrid:
                     samples.append(bounds_module.sonin_eval(variant, Order(nu), x))
                 except DomainError:
                     skipped += 1
-            lengths.append(len(samples) - 1 if samples else 0)
+            lengths.append(max(len(samples) - 1, 0))
             for prev, cur in zip(samples, samples[1:]):
                 lhs, rhs = (cur.S, prev.S) if down else (prev.S, cur.S)
                 expected.append((name, nu, cur.x, lhs, rhs))

@@ -30,7 +30,7 @@ and, where they differ, prints both to stderr and exits 1, so a script can
 gate on it.  An empty or non-hex prefix is refused with exit 2, since the
 empty one would match every sha:
 
-    python3 tools/same_outputs.py --expect 025f8453c9bb46b5 > dump.txt
+    python3 tools/same_outputs.py --expect 9f1b57c16d955b29 > dump.txt
 """
 
 import argparse
@@ -69,7 +69,9 @@ BOUNDS_ARGV = {
 }
 
 # the other subcommands, one argv each; the last of zeros lacks a flag it
-# requires and the last sup refuses nu = 1/2
+# requires and the last sup refuses nu = 1/2; the Sonin scans cross a repeated
+# order (szego), an order with no admitted point between two admitted ones
+# (envelope) and the end of the Airy window at x = 120
 CLI_ARGV = (
     "eval --nu 2.5 --x 10",
     "approx --nu 2.5 --x 10",
@@ -285,9 +287,6 @@ def _calls():
         for flags in points:
             yield "cli", _cli, ["bounds", "--name", name, *flags.split()]
     yield "cli", _cli, ["bounds", "--name", "watson", "--nu", "2.5"]
-    # every other subcommand; the Sonin scans cross a repeated order (szego),
-    # an order with no admitted point between two admitted ones (envelope)
-    # and the end of the Airy window at x = 120
     for argv in CLI_ARGV:
         yield "cli", _cli, argv.split()
 

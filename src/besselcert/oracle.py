@@ -577,6 +577,28 @@ def _secant(value, a, fa, b, fb, steps: int, tol: float = 0.0) -> float:
     return b
 
 
+def _cell(value, lo, hi, tol: float, p: float, q: float, up: bool) -> tuple[float, float]:
+    """The cell bisection of [lo, hi] ends in, of width <= tol or no longer
+    split by its midpoint.  A midpoint inside [p, q] takes the side of
+    value's sign there, hi's where it is up's, and an exact 0 ends the
+    descent at [mid, mid]; a midpoint outside [p, q] takes q's side when it
+    lies past q, lo's otherwise, without a call.  Raises PrecisionError if
+    the 200-step budget is exhausted."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid <= lo or mid >= hi:
+            return lo, hi
+        if p <= mid <= q:
+            fm = value(mid)
+            if fm == 0:
+                return mid, mid
+            right = (fm > 0) == up
+        else:
+            right = mid > q
+        lo, hi = (lo, mid) if right else (mid, hi)
+    raise PrecisionError("refine_root: iteration budget exhausted")
+
+
 def refine_root(f, bracket, tol: float = 1e-12) -> float:
     """Locate a sign change of f inside bracket to width <= tol.
 
@@ -584,16 +606,18 @@ def refine_root(f, bracket, tol: float = 1e-12) -> float:
     steps clamped to the final bracket; an exact 0 at a midpoint is
     returned as it is.  f is called only where that bisection cannot tell
     the branch.  Up to seven secant steps inside the bracket, ending after
-    one of at most tol, reach an iterate b; f is then evaluated at both
-    ends of the cell bisection would end in were the sign change at b.
-    Those points give the evaluated p < q that enclose every sign change
-    f's values show: all points evaluated up to p read as lo's side, all
-    from q on as hi's.  [p, q] is then usually that final cell, so no
-    bisection midpoint falls strictly inside it; where the cell misses,
-    its ends are two more evaluated points.  The bisection runs as it
-    would with every midpoint evaluated, except that a midpoint outside
-    [p, q] takes the branch of its side without a call.  f is evaluated at
-    the final ends before the polish, so the polish reads f's own values.
+    one of at most tol, reach an iterate b.  The bisection descent is run
+    twice.  It runs as it would with every midpoint evaluated, except that
+    a midpoint outside [p, q] takes the branch of its side without a call.
+    Run first with [p, q] = [b, b], it reads no value but b's own and ends
+    in the cell bisection would end in were the sign change at b; f is
+    evaluated at both its ends.  Those points give the evaluated p < q
+    that enclose every sign change f's values show: all points evaluated
+    up to p read as lo's side, all from q on as hi's.  [p, q] is then
+    usually that final cell, so the second run evaluates no midpoint
+    strictly inside it; where the cell misses, its ends are two more
+    evaluated points.  f is evaluated at the final ends before the polish,
+    so the polish reads f's own values.
 
     The result is plain bisection's double whenever f changes sign once on
     the bracket and its computed sign is right outside [p, q], as each
@@ -624,40 +648,19 @@ def refine_root(f, bracket, tol: float = 1e-12) -> float:
     if (flo > 0) == up:
         raise ValueError("refine_root: no sign change over the bracket")
     p, q = lo, hi
-    if hi - lo > tol:  # else the bisection below stops at once
+    if hi - lo > tol:  # else the descent below stops at once
         # at most 7 steps: with 6 the secant stops short of the final cell at
         # some leftmost maxima near nu = 2.4, 7 to 40 cost the same calls
         # there, and on a multiple root, where the secant converges linearly,
         # each step past 7 costs a call
         b = _secant(value, lo, flo, hi, fhi, 7, tol)
         # the ends of the cell bisection would end in were the sign change at b
-        a, c = lo, hi
-        for _ in range(200):
-            mid = 0.5 * (a + c)
-            if c - a <= tol or mid <= a or mid >= c:
-                break
-            a, c = (a, mid) if b < mid else (mid, c)
+        a, c = _cell(value, lo, hi, tol, b, b, up)
         value(a), value(c)
         # the last point before the first on hi's side, the first after the last on lo's
         xs = sorted(seen)
         side = [(seen[x] > 0) == up for x in xs]
         p, q = xs[side.index(True) - 1], xs[len(side) - side[::-1].index(False)]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid <= lo or mid >= hi:
-            break
-        if p <= mid <= q:
-            fm = value(mid)
-            if fm == 0:
-                return mid
-            right = (fm > 0) == up
-        else:
-            right = mid > q
-        if right:
-            hi = mid
-        else:
-            lo = mid
-    else:
-        raise PrecisionError("refine_root: iteration budget exhausted")
+    lo, hi = _cell(value, lo, hi, tol, p, q, up)
     # secant polish inside the converged bracket
     return _secant(value, lo, value(lo), hi, value(hi), 3)

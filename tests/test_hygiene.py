@@ -4,6 +4,7 @@ import importlib
 import inspect
 import os
 from pathlib import Path
+import re
 import string
 import subprocess
 import sys
@@ -42,7 +43,7 @@ def test_every_top_level_name_is_referenced():
         assert defined <= refs, f"{name}: unreferenced {sorted(defined - refs)}"
 
 
-def test_one_decimal_context():
+def test_no_module_imports_decimal_or_names_its_contexts():
     # at most one decimal Context, and now none: the oracle runs on integers
     # alone, no module imports decimal, so no context exists whose precision
     # or rounding could move a result, and none reads or swaps the thread's
@@ -154,6 +155,17 @@ def test_no_index_bisection_loop():
              for n in ast.walk(fn) if isinstance(n, ast.While)
              and ast.unparse(n.test) == "hi - lo > 1"]
     assert loops == []
+
+
+def test_one_bisection_descent():
+    # refine_root descends to the secant iterate's cell and to the final
+    # cell through one function: bisection's stop rule "mid <= lo or
+    # mid >= hi", under any names, is written in oracle._cell alone
+    stops = [(name, fn.name) for name, tree in TREES.items()
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for n in ast.walk(fn) if isinstance(n, ast.BoolOp)
+             and re.search(r"\bmid <= \w+ or mid >= \w+\b", ast.unparse(n))]
+    assert stops == [("oracle.py", "_cell")]
 
 
 def test_no_search_bisects_a_grid():

@@ -32,6 +32,19 @@ def test_a_multiple_root_costs_at_most_ten_calls_past_plain_bisection(n):
     assert len(calls) <= len(plain_calls) + 10
 
 
+@pytest.mark.parametrize("root,calls", [(2.0, 3), (2.5, 3), (1.5, 4), (2.25, 4)])
+def test_an_exact_zero_at_the_secant_iterate_ends_the_descent_to_its_cell(root, calls):
+    # the secant lands on the root at once, and each root here is a
+    # bisection midpoint of (1, 3): the descent to the iterate's cell reads
+    # its cached 0 there and stops.  That 0 reads as lo's side, so the
+    # descent to the final cell calls f at each midpoint it meets between
+    # the root and 3 on its way down: none for 2.0 and 2.5, one for 1.5
+    # (at 2) and for 2.25 (at 2.5)
+    seen = []
+    assert refine_root(lambda t: (seen.append(t), t - root)[1], (1.0, 3.0), 1e-12) == root
+    assert len(seen) == calls
+
+
 def test_search_calls_counts():
     # tools/search_calls.py's exact (roots, series misses, calls of f) per
     # family, so that a change to a search moves them on purpose

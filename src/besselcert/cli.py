@@ -113,6 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None,
                         help="write rows to this file instead of stdout")
     common.add_argument("--format", choices=("csv", "plain"), default="csv")
+    terms = argparse.ArgumentParser(add_help=False)  # olver's term counts, as in the library
+    terms.add_argument("--l1", type=int, default=3)
+    terms.add_argument("--l2", type=int, default=3)
     p = argparse.ArgumentParser(
         prog="besselcert",
         description="Certified Bessel/Airy approximations and bound checks")
@@ -124,14 +127,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--x", type=float, required=True)
     q.set_defaults(run=_cmd_eval)
 
-    q = sub.add_parser("approx", parents=[common],
+    q = sub.add_parser("approx", parents=[common, terms],
                        help="one approximation vs the oracle at a point")
     q.add_argument("--nu", type=float, required=True)
     q.add_argument("--x", type=float, required=True,
                    help="evaluation point (the variable z for --method transition)")
     q.add_argument("--method", choices=tuple(_scan._APPROXIMATIONS), default="best")
-    q.add_argument("--l1", type=int, default=1)
-    q.add_argument("--l2", type=int, default=1)
     q.set_defaults(run=_cmd_approx)
 
     q = sub.add_parser("bounds", parents=[common],
@@ -155,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mode", choices=tuple(_zeros._ZERO_MODES), default="full")
     q.set_defaults(run=_cmd_zeros)
 
-    q = sub.add_parser("scan", parents=[common],
+    q = sub.add_parser("scan", parents=[common, terms],
                        help="grid sweep of a method or bound, one row per check")
     q.add_argument("--method", required=True,
                    choices=(*_scan._APPROXIMATIONS, *_scan._SCAN_BOUNDS))
@@ -164,8 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--x-hi", type=float, required=True)
     q.add_argument("--points", type=int, required=True)
     q.add_argument("--spacing", choices=tuple(_scan._SPACINGS), default="log")
-    q.add_argument("--l1", type=int, default=3)
-    q.add_argument("--l2", type=int, default=3)
     q.set_defaults(run=_cmd_scan)
 
     q = sub.add_parser("sup", parents=[common],

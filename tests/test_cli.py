@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from besselcert import cli
+from besselcert import Order, cli
 from besselcert.cli import CSV_HEADER, _build_parser, main
-from besselcert.scan import ScanRow
+from besselcert.scan import ScanRow, approx_row
 
 # a 17-digit rendering of J_0(1); the printed string may differ in the last
 # digit (it shows the double's own expansion) but parses to the same double
@@ -82,6 +82,15 @@ class TestApprox:
         assert code == 0
         (row,) = rows_of(out)
         assert float(row[6]) <= 1 and row[7] == "true"
+
+    def test_olver_takes_the_librarys_term_counts(self, capsys):
+        # approx and scan default to l1 = l2 = 3, as approx_row and
+        # scan_rows do; at l1 = 1 nu = 6 lies below max(nu/2 - 1/4, 1)
+        code, out, _ = run(capsys, "approx", "--method", "olver", "--nu", "2.5", "--x", "10")
+        assert code == 0
+        assert out == cli._render([approx_row("olver", Order(2.5), 10.0)], "csv")
+        code, out, err = run(capsys, "approx", "--method", "olver", "--nu", "6", "--x", "10")
+        assert code == 0 and err == ""
 
     def test_transition_takes_z(self, capsys):
         code, out, _ = run(capsys, "approx", "--nu", "10", "--x", "0.5",

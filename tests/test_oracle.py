@@ -524,7 +524,7 @@ def _clear_oracle_caches():
         f.cache_clear()
 
 
-def _decimal_paths():
+def _oracle_outputs():
     return (bessel_j_ref(Order(2.5), 10.0), bessel_j_prime_ref(Order(7.25), 33.0),
             airy_ai_neg_ref(0.0), airy_ai_neg_prime_ref(0.0), airy_ai_neg_prime_ref(7.3),
             gamma(2 / 3), bounds.lemma_integral_check(3.0),
@@ -535,11 +535,11 @@ def _decimal_paths():
             oracle._ln_half(0.7), oracle._exp_ratio(-3 << oracle._FB))
 
 
-def test_caller_decimal_context_never_reaches_the_oracle(monkeypatch):
+def test_a_hostile_decimal_context_changes_no_oracle_output(monkeypatch):
     # every Decimal op names a private context: a coarse, floor-rounding,
     # Inexact-trapping global context (and DefaultContext) changes nothing
     _clear_oracle_caches()
-    expected = _decimal_paths()
+    expected = _oracle_outputs()
     _clear_oracle_caches()
     monkeypatch.setattr(decimal.DefaultContext, "prec", 3)
     monkeypatch.setattr(decimal.DefaultContext, "rounding", decimal.ROUND_FLOOR)
@@ -547,13 +547,13 @@ def test_caller_decimal_context_never_reaches_the_oracle(monkeypatch):
                               traps=[decimal.Inexact, decimal.InvalidOperation])
     try:
         with decimal.localcontext(hostile) as ctx:
-            assert _decimal_paths() == expected
+            assert _oracle_outputs() == expected
             assert not any(ctx.flags.values())
     finally:
         _clear_oracle_caches()
 
 
-def test_decimal_constants_against_mpmath():
+def test_half_ln_2pi_and_ln_gamma_against_mpmath():
     # ln(2 pi)/2 and the cached ln Gamma(z) to 10^(2-40) relative: from z = 30
     # on _ln_gamma is Stirling's ln Gamma(w) itself, below it passes through
     # the ln of the exact shift product prod_{i<k} (z+i)

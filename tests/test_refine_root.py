@@ -1,7 +1,8 @@
 """refine_root on its own: a budget of calls on J_0, plain bisection's double
 on one simple root and on a tolerance below one ulp of the root, a few calls
 past plain bisection on a multiple root, where the secant converges slowly,
-and tools/search_calls.py's exact counts per search family."""
+the calls an exact zero at the secant iterate ends the descent in, and
+tools/search_calls.py's exact counts per search family."""
 
 from hypothesis import given, seed, settings, strategies as st
 import pytest

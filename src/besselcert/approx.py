@@ -266,28 +266,27 @@ def airy_approx(x: float, mode: str = "sharp") -> ApproxValue:
                 width 5/(9 sqrt(pi) x^4 (16x^3+5)^(1/4)).
     """
     check_domain(_DOMAINS, "airy_approx", x, mode)
-    if mode == "classic":
-        zeta = 2 * x ** 1.5 / 3
-        value = math.cos(zeta - math.pi / 4) / (math.sqrt(math.pi) * x ** 0.25)
-        hw = 5 / (6 * math.sqrt(3) * math.pi ** 1.5 * x ** 1.75)
-        return ApproxValue(value, hw, "airy_classic", "oscillatory")
+    return ApproxValue(*_AIRY_MODES[mode][2](x), f"airy_{mode}", "oscillatory")
+
+
+def _airy_classic(x: float) -> tuple[float, float]:
+    return (math.cos(2 * x ** 1.5 / 3 - math.pi / 4) / (math.sqrt(math.pi) * x ** 0.25),
+            5 / (6 * math.sqrt(3) * math.pi ** 1.5 * x ** 1.75))
+
+
+def _airy_sharp(x: float) -> tuple[float, float]:
     q = 16 * x ** 3 + 5
-    prefactor = 2 * math.sqrt(x) / (math.sqrt(math.pi) * q ** 0.25)
-    if mode == "sharp":
-        r = math.sqrt(q)
-        phi = (r / 6 - math.sqrt(5) / 6 * math.log((r + math.sqrt(5)) / (4 * x ** 1.5))
-               - math.pi / 4)
-        hw = 10 * math.sqrt(3) / (math.sqrt(math.pi) * x ** 0.25 * q ** 1.5)
-        return ApproxValue(prefactor * math.cos(phi), hw, "airy_sharp", "oscillatory")
+    r = math.sqrt(q)
+    phi = r / 6 - math.sqrt(5) / 6 * math.log((r + math.sqrt(5)) / (4 * x ** 1.5)) - math.pi / 4
+    return (2 * math.sqrt(x) / (math.sqrt(math.pi) * q ** 0.25) * math.cos(phi),
+            10 * math.sqrt(3) / (math.sqrt(math.pi) * x ** 0.25 * q ** 1.5))
+
+
+def _airy_simplified(x: float) -> tuple[float, float]:
+    q = 16 * x ** 3 + 5
     phi = 2 / 3 * x ** 1.5 - 5 / 48 * x ** -1.5 - math.pi / 4
-    hw = 5 / (9 * math.sqrt(math.pi) * x ** 4 * q ** 0.25)
-    return ApproxValue(prefactor * math.cos(phi), hw, "airy_simplified", "oscillatory")
-
-
-def _airy_rule(mode: str, lo: float, hi: float):
-    # lo: the last double at which a power of the mode underflows; hi: the
-    # last before one overflows (both found by bisection over the doubles)
-    return (lambda x, m: m != mode or lo < x <= hi, f"{mode} needs x in ({lo:.4g}, {hi:.4g}]")
+    return (2 * math.sqrt(x) / (math.sqrt(math.pi) * q ** 0.25) * math.cos(phi),
+            5 / (9 * math.sqrt(math.pi) * x ** 4 * q ** 0.25))
 
 
 # Each entry point's domain: ordered (predicate, message) rules that
@@ -299,9 +298,12 @@ _FINITE_X = (lambda order, x, *_: x < math.inf, "x must be finite")
 _SQUARE = (lambda order, x: order.mu == 0 or x * x < math.inf, "x^2 leaves the doubles")
 # classic's first rules, which every best_approx candidate must also pass
 _BEST_BASE = (_POSITIVE_X, (lambda order, x: not order.nu < -0.5, "nu must be >= -1/2"))
-_AIRY_X_RANGE = {"classic": (1.7650337102539322e-177, 1.3981435017174463e+176),
-                 "sharp": (3.3818911954118815e-206, 1.2579824277061824e+68),
-                 "simplified": (5.8435077503248184e-78, 1.1579208923731618e+77)}
+# airy_approx's modes: mode -> (lo, hi, form), form(x) = (value, half_width) on
+# (lo, hi].  lo: the last double at which a power of the form underflows; hi:
+# the last before one overflows (both found by bisection over the doubles)
+_AIRY_MODES = {"classic": (1.7650337102539322e-177, 1.3981435017174463e+176, _airy_classic),
+               "sharp": (3.3818911954118815e-206, 1.2579824277061824e+68, _airy_sharp),
+               "simplified": (5.8435077503248184e-78, 1.1579208923731618e+77, _airy_simplified)}
 _DOMAINS = {
     "classic_oscillatory": (
         *_BEST_BASE, _FINITE_X,
@@ -342,9 +344,10 @@ _DOMAINS = {
         _FINITE_NU),
     "airy_approx": (
         (lambda x, mode: not x <= 0, "x must be positive"),
-        *(_airy_rule(mode, *ends) for mode, ends in _AIRY_X_RANGE.items()),
+        *((lambda x, mode, k=k, lo=lo, hi=hi: mode != k or lo < x <= hi,
+           f"{k} needs x in ({lo:.4g}, {hi:.4g}]") for k, (lo, hi, _) in _AIRY_MODES.items()),
         # a tuple's "in" refuses an unhashable mode as unknown
-        (lambda x, mode: mode in tuple(_AIRY_X_RANGE), "unknown mode {1!r}")),
+        (lambda x, mode: mode in tuple(_AIRY_MODES), "unknown mode {1!r}")),
 }
 # best_approx's candidates in its tie-break order: (function, arguments from
 # (order, x)); the function is looked up here when it runs

@@ -67,7 +67,7 @@ _APPROXIMATIONS = {
     "transition": (_NU_X, lambda order, z: (
         (_approx.transition(order, z), bessel_j_ref(order, _approx.transition_x(order, z))),)),
     "best": _j("best_approx"),
-    **{f"airy_{mode}": _ai(mode) for mode in _approx._AIRY_X_RANGE},
+    **{f"airy_{mode}": _ai(mode) for mode in _approx._AIRY_MODES},
 }
 # sonin_* name -> (variant, whether S is nonincreasing rather than nondecreasing);
 # each gives one SoninSample per point, which the scan compares with the next

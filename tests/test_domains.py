@@ -151,7 +151,7 @@ def test_refine_root_probe_returns_a_sign_change_inside_the_bracket_or_refuses()
 @pytest.mark.parametrize("mode", ["classic", "sharp", "simplified"])
 def test_airy_edges_are_where_the_powers_leave_the_doubles(mode):
     # each declared end admits the last double that evaluates finitely
-    lo, hi = approx_module._AIRY_X_RANGE[mode]
+    lo, hi, _ = approx_module._AIRY_MODES[mode]
     for x in (math.nextafter(lo, math.inf), hi):
         a = bc.airy_approx(x, mode)
         assert math.isfinite(a.value) and math.isfinite(a.half_width)

@@ -146,6 +146,17 @@ def test_domain_messages_format_with_their_rules_arguments():
     assert fields == 8  # the unknown-name rules quote the name they refuse
 
 
+def test_no_airy_mode_is_dispatched_on_by_name():
+    # airy_approx reads a mode's range and form from its _AIRY_MODES row: no
+    # src/ comparison names a mode, so a new mode is one row of the table
+    from besselcert.approx import _AIRY_MODES
+    compares = [(name, ast.unparse(n)) for name, tree in TREES.items() for n in ast.walk(tree)
+                if isinstance(n, ast.Compare)
+                and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                        and c.value in _AIRY_MODES for c in (n.left, *n.comparators))]
+    assert compares == []
+
+
 def test_no_index_bisection_loop():
     # every search refines on a bracket or a Sturm cell with refine_root:
     # no src/ function keeps a grid-index bisection loop (tests/full_walk.py

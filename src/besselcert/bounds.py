@@ -463,7 +463,9 @@ _DOMAINS = {
     "bound_watson": ((lambda o, x: not o.nu < 0 or x / 2 > 0, "(x/2)^nu leaves the doubles"),
                      # Gamma(nu + 1)'s domain, before (x/2)^nu can overflow at x <= 200
                      (lambda o, x: not o.nu >= 63, "nu must be < 63"), _NU_FLOOR, _FINITE_NU, _J_X),
-    "bound_envelope": (_NU_FLOOR, _FINITE_NU, _J_X),
+    # past nu ~ 1.34e154, mu = |nu^2 - 1/4| is inf and the scale times J is inf * 0
+    "bound_envelope": (_NU_FLOOR, _FINITE_NU, _J_X,
+                       (lambda o, x: o.mu < math.inf, "mu = |nu^2 - 1/4| leaves the doubles")),
     "bound_derivative": (
         (lambda o, x: not o.nu < 0.5, "nu must be >= 1/2"),
         (lambda o, x: not x < o.nu + _DERIV_SHIFT * o.nu ** (1 / 3),

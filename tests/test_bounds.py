@@ -68,6 +68,13 @@ class TestEnvelope:
                 rep = bound_envelope(Order(nu), x)
                 assert rep.holds and rep.lhs < 1.0
 
+    def test_holds_up_to_where_mu_leaves_the_doubles(self):
+        # mu = nu^2 - 1/4 is 1.69e308 at nu = 1.3e154 and inf from about 1.34e154
+        assert bound_envelope(Order(1.3e154), 100.0).holds
+        for nu in (1.35e154, 1e200, 1e300):
+            with pytest.raises(DomainError, match=r"^bound_envelope: mu = \|nu\^2 - 1/4\| leaves"):
+                bound_envelope(Order(nu), 100.0)
+
 
 class TestDerivative:
     def test_holds_past_transition(self):

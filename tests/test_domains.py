@@ -476,7 +476,7 @@ OWN_TABLE = {
     "bound_envelope": ("bound_envelope(Order(math.nan), 1.0)",
                        "bound_envelope(Order(math.inf), 1.0)", "bound_envelope(Order(-1.0), 1.0)",
                        "bound_envelope(Order(2.5), 300.0)", "bound_envelope(Order(2.5), math.nan)",
-                       "bound_envelope(Order(2.5), 0.0)"),
+                       "bound_envelope(Order(2.5), 0.0)", "bound_envelope(Order(1e200), 1.0)"),
     "bound_derivative": ("bound_derivative(Order(2.5), 300.0)",),
     "bound_log_derivative": ("bound_log_derivative(Order(math.inf), 0.1)",),
     "bound_airy_envelope": ("bound_airy_envelope(130.0)", "bound_airy_envelope(math.nan)"),

@@ -11,7 +11,7 @@ the Sonin functions, Airy zeros 1-50, Bessel zeros (search_calls.py's
 battery and the last ones below x = 200), the leftmost maxima (also at
 nu = 2.22, 2.24, ..., 2.50 and at seeded orders in [5/3, 4]), refine_root
 on the multiple roots of t^3 and t^9, the Airy envelope maxima up to
-x = 14 and up to x = 60, both zero-bracket modes with their gap and
+x = 14 and up to x = 60, every zero-bracket mode with its gap and
 conjecture checks, every scan subject's rows and
 report on small grids, approx_row for every method, olenko_sup (every
 field, upper among them, at criterion 8's window, at search_calls.py's
@@ -49,8 +49,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import besselcert as bc  # noqa: E402
 from besselcert import Order, cli, scan  # noqa: E402
-from besselcert.approx import _TRANSITION_Z_CAP  # noqa: E402
+from besselcert.approx import _AIRY_MODES, _TRANSITION_Z_CAP  # noqa: E402
+from besselcert.bounds import _SONIN  # noqa: E402
 from besselcert.oracle import _j_prime_any  # noqa: E402
+from besselcert.zeros import _ZERO_MODES  # noqa: E402
 from search_calls import BESSEL_BATTERY, OLENKO_ORDERS  # noqa: E402
 
 # bounds --name choice -> (flags at an admitted point, flags at a refused point)
@@ -185,7 +187,7 @@ def _calls():
         for z in (0.0, 0.5, 1.0, 3.0, 10.0, 95.0):
             yield "transition", bc.transition, order, z
     for x in approx_xs + [2.338, 44.8]:
-        for mode in ("classic", "sharp", "simplified"):
+        for mode in _AIRY_MODES:
             yield "airy_approx", bc.airy_approx, x, mode
 
     # best_approx where its candidate set or ranking changes, then at the ends
@@ -204,7 +206,7 @@ def _calls():
             yield "bound_watson", bc.bound_watson, order, x
             yield "bound_envelope", bc.bound_envelope, order, x
             yield "bound_derivative", bc.bound_derivative, order, x
-            for variant in ("szego", "envelope", "airy"):
+            for variant in _SONIN:
                 yield "sonin_eval", bc.sonin_eval, variant, order, x
         for frac in (1e-3, 0.25, 0.5, 0.99, 1.0):
             yield "bound_log_derivative", bc.bound_log_derivative, order, frac * (nu + 0.5)
@@ -262,7 +264,7 @@ def _calls():
 
     # closed-form zero brackets and their checks
     for s in [*range(1, 51), 10 ** 3, 10 ** 6, 10 ** 12]:
-        for mode in ("full", "simplified"):
+        for mode in _ZERO_MODES:
             yield "airy_zero_estimate", bc.airy_zero_estimate, s, mode
         yield "center_gap_check", bc.center_gap_check, s
         yield "conjecture_check", bc.conjecture_check, s

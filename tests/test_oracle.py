@@ -536,8 +536,8 @@ def _oracle_outputs():
 
 
 def test_a_hostile_decimal_context_changes_no_oracle_output(monkeypatch):
-    # every Decimal op names a private context: a coarse, floor-rounding,
-    # Inexact-trapping global context (and DefaultContext) changes nothing
+    # no oracle path uses decimal: a coarse, floor-rounding, Inexact-trapping
+    # global context (and DefaultContext) changes no output and sets no flag
     _clear_oracle_caches()
     expected = _oracle_outputs()
     _clear_oracle_caches()

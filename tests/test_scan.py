@@ -298,7 +298,7 @@ def _half_periods(order, x_max):
 
 
 @functools.cache
-def _polished(nu, x_max, coarse_points):
+def _sup_with_reads(nu, x_max, coarse_points):
     """olenko_sup's result and every (x, R(x)) it read, in order."""
     evaluated = []
     signed_gap = scan_module._signed_gap
@@ -338,7 +338,7 @@ class TestOlenkoPolish:
         # the largest, and the cells the search left unsplit bound R within
         # 1e-12 of it, plus its own rounding charge, which the cells that
         # end at argmax_x carry
-        s, evaluated = _polished(*case)
+        s, evaluated = _sup_with_reads(*case)
         assert all(0 < x <= case[1] for x, _ in evaluated)
         best = max(v for _, v in evaluated)
         assert (s.argmax_x, s.sup_value) == min((x, v) for x, v in evaluated if v == best)
@@ -351,7 +351,7 @@ class TestOlenkoPolish:
         # ceil(x_max)), then only at the midpoint of two neighbours among
         # the points read so far (0 counting as one): the cells of a bisection
         nu, x_max, coarse_points = case
-        _, evaluated = _polished(*case)
+        _, evaluated = _sup_with_reads(*case)
         n = min(coarse_points, math.ceil(x_max))
         xs = [x for x, _ in evaluated]
         assert xs[:n] == [x_max * i / n for i in range(1, n + 1)]
@@ -365,19 +365,19 @@ class TestOlenkoPolish:
     def test_sup_within_1e12_of_the_golden_polish(self, case):
         # one-sided: the half-period searches find crests that the golden
         # polish's five best coarse peaks miss, so the sup may only rise
-        s, *_ = _polished(*case)
+        s, *_ = _sup_with_reads(*case)
         nu, x_max, coarse_points = case
         ref, _ = golden_sup(Order(nu), x_max, coarse_points)
         assert s.sup_value >= ref * (1 - 1e-12), (s.sup_value, ref)
 
     @pytest.mark.parametrize("case", POLISH_CASES, ids=POLISH_IDS)
     def test_sup_is_the_oracles_r_at_its_argmax(self, case):
-        s, *_ = _polished(*case)
+        s, *_ = _sup_with_reads(*case)
         assert s.sup_value == _oscillation_gap(Order(case[0]), s.argmax_x)
 
     @pytest.mark.parametrize("case, budget", zip(POLISH_CASES, POLISH_EVALS), ids=POLISH_IDS)
     def test_evaluation_budget(self, case, budget):
-        *_, evaluated = _polished(*case)
+        *_, evaluated = _sup_with_reads(*case)
         assert len(evaluated) == budget
         assert budget <= (300 if case[1] == 60.0 else 700)
 
@@ -491,7 +491,7 @@ def test_a_grid_peak_cut_can_lose_the_sup(nu, x_max, coarse_points):
     # the first crest: a curvature cut given that best stopped below the
     # crest.  The chord bound needs no curvature rule, so the search ends on
     # the crest
-    s, evaluated = _polished(nu, x_max, coarse_points)
+    s, evaluated = _sup_with_reads(nu, x_max, coarse_points)
     assert evaluated[0][0] == x_max
     assert evaluated[0][1] < s.sup_value <= s.upper < s.sup_value * (1 + 1e-11)
     assert s.argmax_x < 0.2 < x_max

@@ -10,6 +10,7 @@ where a formula needs Ai (transition) its float value carries its own bound.
 
 from dataclasses import dataclass
 import math
+import sys
 
 from .oracle import DomainError, Order, check_domain
 from .oracle import _AIRY_X_CAP, _FINITE_NU, _is_double
@@ -81,12 +82,20 @@ def _classic_width(order: Order, x: float) -> float:
     return c * order.mu * x ** -1.5
 
 
+# the first i at which olver_coefficient's divisor 2^i i! exceeds the largest double
+_OLVER_I_CAP = next(i for i in range(sys.float_info.max_exp)
+                    if 2 ** i * math.factorial(i) > sys.float_info.max)
+
+
 def olver_coefficient(nu: float, i: int) -> float:
     """a_i(nu) = (1/2-nu)_i (1/2+nu)_i / (2^i i!), the expansion coefficients.
 
     a_0 = 1; all a_i with i >= 1 vanish at nu = 1/2 where the expansion
-    terminates exactly.
+    terminates exactly.  Raises OverflowError from i = 151 on, where the
+    divisor 2^i i! leaves the doubles, before a loop of i steps.
     """
+    if i >= _OLVER_I_CAP:
+        raise OverflowError("olver_coefficient: 2^i i! leaves the doubles")
     acc = 1.0
     for k in range(i):
         acc *= (0.5 - nu + k) * (0.5 + nu + k)

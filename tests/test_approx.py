@@ -1,5 +1,8 @@
 import math
+import os
+from pathlib import Path
 import random
+import subprocess
 import sys
 
 import mpmath
@@ -96,6 +99,35 @@ class TestOlver:
         # the expansion terminates at nu = 1/2
         for i in range(1, 8):
             assert olver_coefficient(0.5, i) == 0.0
+
+    def test_coefficients_refuse_where_the_divisor_leaves_the_doubles(self):
+        # 2^i i! leaves the doubles from i = 151 on; the refusal comes before
+        # a loop of i steps, so a huge i refuses at once
+        assert approx_module._OLVER_I_CAP == 151
+        assert olver_coefficient(0.7, 150) == -math.inf
+        for i in (151, 10 ** 200):
+            with pytest.raises(OverflowError):
+                olver_coefficient(0.7, i)
+
+    def test_huge_term_counts_refuse_at_once(self):
+        # the width rule reads olver_coefficient(nu, 2 l1); a child process
+        # runs the call, so that a loop of 2e200 steps ends at the timeout
+        # rather than hanging the suite
+        probe = ("import time\n"
+                 "from besselcert import DomainError, Order, olver_expansion\n"
+                 "t = time.perf_counter()\n"
+                 "try:\n"
+                 "    olver_expansion(Order(1e200), 1e6, 10**200, 10**200)\n"
+                 "except DomainError as e:\n"
+                 "    print(e)\n"
+                 "print(time.perf_counter() - t)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", probe],
+                             env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True, timeout=10, check=True)
+        message, seconds = out.stdout.splitlines()
+        assert message == "olver_expansion: the width leaves the doubles"
+        assert float(seconds) < 1
 
     def test_calibration_point(self):
         # the sign convention was fixed here once; certify it still holds

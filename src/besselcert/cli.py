@@ -15,11 +15,7 @@ import argparse
 import math
 import sys
 
-from .oracle import (
-    DomainError,
-    Order,
-    bessel_j_ref,
-)
+from .oracle import Order, bessel_j_ref
 from . import scan as _scan
 from . import zeros as _zeros
 
@@ -90,11 +86,7 @@ def _parse_nu_list(text: str) -> tuple[float, ...]:
 def _cmd_scan(ns) -> list[_scan.ScanRow]:
     grid = _scan.GridSpec(_parse_nu_list(ns.nu_list), (ns.x_lo, ns.x_hi),
                           ns.points, ns.spacing)
-    rows, skipped = _scan.scan_rows(ns.method, grid, ns.l1, ns.l2)
-    if not rows:
-        raise DomainError(f"scan: no admissible grid points for {ns.method}"
-                          f" ({skipped} skipped)")
-    return rows
+    return _scan.scan_rows(ns.method, grid, ns.l1, ns.l2)[0]
 
 
 def _cmd_sup(ns) -> list[_scan.ScanRow]:
@@ -114,8 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write rows to this file instead of stdout")
     common.add_argument("--format", choices=("csv", "plain"), default="csv")
     terms = argparse.ArgumentParser(add_help=False)  # olver's term counts, as in the library
-    terms.add_argument("--l1", type=int, default=3)
-    terms.add_argument("--l2", type=int, default=3)
+    terms.add_argument("--l1", type=int, default=_scan._OLVER_TERMS)
+    terms.add_argument("--l2", type=int, default=_scan._OLVER_TERMS)
     p = argparse.ArgumentParser(
         prog="besselcert",
         description="Certified Bessel/Airy approximations and bound checks")
@@ -164,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--x-lo", type=float, required=True)
     q.add_argument("--x-hi", type=float, required=True)
     q.add_argument("--points", type=int, required=True)
-    q.add_argument("--spacing", choices=tuple(_scan._SPACINGS), default="log")
+    q.add_argument("--spacing", choices=tuple(_scan._SPACINGS), default=_scan.GridSpec.spacing)
     q.set_defaults(run=_cmd_scan)
 
     q = sub.add_parser("sup", parents=[common],

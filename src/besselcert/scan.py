@@ -93,25 +93,28 @@ _BOUNDS = {
 _SCAN_BOUNDS = tuple(name for name, (coords, _) in _BOUNDS.items() if "x_hi" not in coords)
 
 
-# spacing -> the x grid from (lo, hi, n)
-_SPACINGS = {"log": lambda lo, hi, n: [lo * (hi / lo) ** (k / n) for k in range(1, n + 1)],
-             "linear": lambda lo, hi, n: [lo + (hi - lo) * k / (n - 1) for k in range(n)]}
+# olver's default term counts l1 = l2, for the library and the CLI alike
+_OLVER_TERMS = 3
+# spacing -> (the x grid from (lo, hi, n), the rule on lo, its wording); the
+# first row is GridSpec's default
+_SPACINGS = {"log": (lambda lo, hi, n: [lo * (hi / lo) ** (k / n) for k in range(1, n + 1)],
+                     lambda lo: not lo <= 0, "lo > 0"),
+             "linear": (lambda lo, hi, n: [lo + (hi - lo) * k / (n - 1) for k in range(n)],
+                        lambda lo: not lo < 0, "lo >= 0")}
+# a tuple's "in" refuses an unhashable spacing or name as unknown
+_METHOD = ((lambda method: method in tuple(_APPROXIMATIONS), "unknown method {0!r}"),)
 _DOMAINS = {  # the entry points' domains, as check_domain reads them
     "GridSpec": ((lambda g: g.nu_values, "nu_values must be non-empty"),
                  (lambda g: not g.x_points < 2, "x_points must be >= 2"),
                  (lambda g: isinstance(g.x_points, int), "x_points must be an integer"),
                  (lambda g: g.x_range[0] < g.x_range[1], "x_range must satisfy lo < hi"),
-                 (lambda g: g.spacing != "log" or not g.x_range[0] <= 0, "log spacing needs lo > 0"),
-                 (lambda g: g.spacing != "linear" or not g.x_range[0] < 0,
-                  "linear spacing needs lo >= 0"),
-                 # a tuple's "in" refuses an unhashable spacing as unknown
+                 *((lambda g, k=k, ok=ok: g.spacing != k or ok(g.x_range[0]),
+                    f"{k} spacing needs {lo}") for k, (_, ok, lo) in _SPACINGS.items()),
                  (lambda g: g.spacing in tuple(_SPACINGS), "unknown spacing {0.spacing!r}")),
-    # as with the spacings, a tuple's "in" refuses an unhashable name as unknown
-    "approx_row": ((lambda method: method in tuple(_APPROXIMATIONS), "unknown method {0!r}"),),
+    "approx_row": _METHOD,
     "scan": ((lambda name: name in tuple(_APPROXIMATIONS) or name in _SCAN_BOUNDS,
               "unknown method or bound {0!r}"),),
-    "verify_approx_grid": ((lambda method: method in tuple(_APPROXIMATIONS),
-                            "unknown method {0!r}"),),
+    "verify_approx_grid": _METHOD,
     "verify_bounds_grid": ((lambda bound: bound in _SCAN_BOUNDS, "unknown bound {0!r}"),),
     # sharp's branches, by the method sharper_oscillatory returned
     "sharp_low": ((lambda method: method == "sharp_low", "order falls in the other branch"),),
@@ -143,13 +146,13 @@ class GridSpec:
     nu_values: tuple[float, ...]
     x_range: tuple[float, float]
     x_points: int
-    spacing: str = "log"
+    spacing: str = next(iter(_SPACINGS))
 
     def __post_init__(self):
         check_domain(_DOMAINS, "GridSpec", self)
 
     def x_values(self) -> list[float]:
-        return _SPACINGS[self.spacing](*self.x_range, self.x_points)
+        return _SPACINGS[self.spacing][0](*self.x_range, self.x_points)
 
 
 @dataclass(frozen=True)
@@ -230,7 +233,8 @@ def _rows_at(entry, point: dict) -> list[ScanRow]:
     return _rows(f, [point[c] for c in coords], *_columns(coords))
 
 
-def approx_row(method: str, order: Order, x: float, l1: int = 3, l2: int = 3) -> ScanRow:
+def approx_row(method: str, order: Order, x: float, l1: int = _OLVER_TERMS,
+               l2: int = _OLVER_TERMS) -> ScanRow:
     """One approximation-vs-oracle check at a single point.
 
     For method=transition, x is the transition variable z and the oracle is
@@ -242,16 +246,17 @@ def approx_row(method: str, order: Order, x: float, l1: int = 3, l2: int = 3) ->
                     {"nu": order, "x": x, "l1": l1, "l2": l2})[0]
 
 
-def scan_rows(name: str, grid: GridSpec, l1: int = 3,
-              l2: int = 3) -> tuple[list[ScanRow], int]:
+def scan_rows(name: str, grid: GridSpec, l1: int = _OLVER_TERMS,
+              l2: int = _OLVER_TERMS) -> tuple[list[ScanRow], int]:
     """All checks of an approximation method or bound over the grid.
 
     _APPROXIMATIONS and _BOUNDS are the single list of subjects, for the scan
-    and the CLI.  Returns (rows, skipped).  A subject takes every combination
-    of the coordinates its entry reads: nu from nu_values; x (transition: z),
-    t in (0, 1] (monotonic) and x2 from the x grid; olver's l1, l2 as given.
-    So wronskian_kernel pairs every (x1, x2); airy_envelope, lemma_integral
-    and the airy_* methods ignore nu_values; near_first_zero and leftmost_max
+    and the CLI.  Returns (rows, skipped); raises DomainError where the grid
+    admits no row.  A subject takes every combination of the coordinates its
+    entry reads: nu from nu_values; x (transition: z), t in (0, 1]
+    (monotonic) and x2 from the x grid; olver's l1, l2 as given.  So
+    wronskian_kernel pairs every (x1, x2); airy_envelope, lemma_integral and
+    the airy_* methods ignore nu_values; near_first_zero and leftmost_max
     ignore the x grid.  The sonin_* variants compare each admitted sample
     of S with the order's admitted sample before it, one row per pair
     (nondecreasing for szego and envelope, nonincreasing for airy) with
@@ -281,20 +286,20 @@ def scan_rows(name: str, grid: GridSpec, l1: int = 3,
         if same is order:
             lhs, rhs = (cur.S, prev.S) if sonin[1] else (prev.S, cur.S)
             rows.append(_row(_make(name, lhs, rhs, strict=False, slack=1e-10), order.nu, cur.x))
+    if not rows:
+        raise DomainError(f"scan: no admissible grid points for {name}")
     return rows, skipped
 
 
 def _summarize(rows: list[ScanRow], skipped: int, what: str) -> ScanReport:
-    if not rows:
-        raise DomainError(f"scan: no admissible grid points for {what}")
     violations = tuple(
         (r.subject, r.nu, r.x, (r.value - r.oracle) if what in _BOUNDS else (r.ratio - 1))
         for r in rows if r.ratio > 1 or not r.holds)
-    return ScanReport(len(rows), violations,
-                      max(r.ratio for r in rows), skipped)
+    return ScanReport(len(rows), violations, max(r.ratio for r in rows), skipped)
 
 
-def verify_approx_grid(method: str, grid: GridSpec, l1: int = 3, l2: int = 3) -> ScanReport:
+def verify_approx_grid(method: str, grid: GridSpec, l1: int = _OLVER_TERMS,
+                       l2: int = _OLVER_TERMS) -> ScanReport:
     """Check |method - oracle| <= half_width + oracle slack over the grid.
 
     The slack at each point is max(oracle error estimate, 1e-11), so exact
@@ -302,8 +307,7 @@ def verify_approx_grid(method: str, grid: GridSpec, l1: int = 3, l2: int = 3) ->
     affect method=olver.
     """
     check_domain(_DOMAINS, "verify_approx_grid", method)
-    rows, skipped = scan_rows(method, grid, l1, l2)
-    return _summarize(rows, skipped, method)
+    return _summarize(*scan_rows(method, grid, l1, l2), method)
 
 
 def verify_bounds_grid(bound: str, grid: GridSpec) -> ScanReport:
@@ -312,8 +316,7 @@ def verify_bounds_grid(bound: str, grid: GridSpec) -> ScanReport:
     See scan_rows for how each bound consumes the grid.
     """
     check_domain(_DOMAINS, "verify_bounds_grid", bound)
-    rows, skipped = scan_rows(bound, grid)
-    return _summarize(rows, skipped, bound)
+    return _summarize(*scan_rows(bound, grid), bound)
 
 
 _SQRT_2_PI = math.sqrt(2 / math.pi)

@@ -107,11 +107,11 @@ def test_domain_errors_come_from_the_declared_tables():
     allowed = {
         ("oracle.py", "check_domain"): 1,
         # computed values: J vanishing or non-finite J'/J, J <= 0 before the
-        # first zero, a grid with no admissible point
+        # first zero, a grid with no admissible point (for every caller of
+        # scan_rows, the CLI and the verify_* reports among them)
         ("bounds.py", "bound_log_derivative"): 2,
         ("bounds.py", "bound_near_first_zero"): 1,
-        ("scan.py", "_summarize"): 1,
-        ("cli.py", "_cmd_scan"): 1,
+        ("scan.py", "scan_rows"): 1,
     }
     found = {(name, fn): n for name, tree in TREES.items()
              for fn, n in _domain_raises(tree).items()}
@@ -146,14 +146,18 @@ def test_domain_messages_format_with_their_rules_arguments():
     assert fields == 8  # the unknown-name rules quote the name they refuse
 
 
-def test_no_airy_mode_is_dispatched_on_by_name():
-    # airy_approx reads a mode's range and form from its _AIRY_MODES row: no
-    # src/ comparison names a mode, so a new mode is one row of the table
-    from besselcert.approx import _AIRY_MODES
+@pytest.mark.parametrize("module, table", [
+    ("approx", "_AIRY_MODES"), ("scan", "_SPACINGS"), ("zeros", "_ZERO_MODES")],
+    ids=["_AIRY_MODES", "_SPACINGS", "_ZERO_MODES"])
+def test_no_variant_is_dispatched_on_by_name(module, table):
+    # each variant family reads a variant's rules and form from its row of
+    # the table: no src/ comparison names a variant, so a new one is one row.
+    # bounds._SONIN is left out: its key "airy" is also the CLI's zero family
+    keys = getattr(importlib.import_module(f"besselcert.{module}"), table)
     compares = [(name, ast.unparse(n)) for name, tree in TREES.items() for n in ast.walk(tree)
                 if isinstance(n, ast.Compare)
                 and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
-                        and c.value in _AIRY_MODES for c in (n.left, *n.comparators))]
+                        and c.value in keys for c in (n.left, *n.comparators))]
     assert compares == []
 
 

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import functools
+import inspect
 import math
 import random
 
@@ -19,7 +20,7 @@ from besselcert import (
 from besselcert import approx as approx_module
 from besselcert import bounds as bounds_module
 from besselcert import scan as scan_module
-from besselcert.cli import main
+from besselcert.cli import _build_parser, main
 from besselcert.scan import approx_row
 from golden_polish import _oscillation_gap, golden_max, golden_sup
 
@@ -228,6 +229,41 @@ class TestSubjectTables:
         assert calls[2:] == ["classic_oscillatory"]
         assert main(["bounds", "--name", "watson", "--nu", "1", "--x", "2"]) == 0
         assert calls[3:] == ["bound_watson"]
+
+
+class TestOneDecision:
+    # each sweep decision is made in one place: an empty grid's refusal in
+    # scan_rows, olver's default term count in scan._OLVER_TERMS
+    def test_a_grid_with_no_admitted_point_is_refused(self):
+        with pytest.raises(DomainError) as refused:
+            scan_rows("derivative", GridSpec((10.0,), (0.5, 5.0), 5))
+        assert str(refused.value) == "scan: no admissible grid points for derivative"
+
+    def test_a_sonin_scan_with_no_pair_is_refused(self):
+        # x = 130 lies past the Airy window, so each order admits one sample
+        # of S, near x = 114, and has nothing to compare it with
+        g = GridSpec((0.0, 1.0), (100.0, 130.0), 2)
+        admitted = []
+        for nu in g.nu_values:
+            for x in g.x_values():
+                try:
+                    admitted.append(bounds_module.sonin_eval("airy", Order(nu), x).x)
+                except DomainError:
+                    pass
+        assert admitted == [g.x_values()[0]] * 2
+        with pytest.raises(DomainError) as refused:
+            scan_rows("sonin_airy", g)
+        assert str(refused.value) == "scan: no admissible grid points for sonin_airy"
+
+    def test_olver_terms_default_is_one_constant(self):
+        for f in (approx_row, scan_rows, verify_approx_grid):
+            params = inspect.signature(f).parameters
+            assert params["l1"].default == params["l2"].default == scan_module._OLVER_TERMS
+        commands = next(a for a in _build_parser()._actions if a.dest == "cmd").choices
+        defaults = {(cmd, a.dest): a.default for cmd, p in commands.items()
+                    for a in p._actions if a.dest in ("l1", "l2")}
+        assert set(defaults) == {(cmd, flag) for cmd in ("approx", "scan") for flag in ("l1", "l2")}
+        assert set(defaults.values()) == {scan_module._OLVER_TERMS}
 
 
 class TestOlenkoSup:

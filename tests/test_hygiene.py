@@ -248,6 +248,15 @@ def test_same_outputs_expect_gates_on_the_sha(monkeypatch, capsys):
         assert "not a hex prefix" in capsys.readouterr().err
 
 
+def test_same_outputs_dump_is_pinned(capsys):
+    # the dump of tools/same_outputs.py, in-process: moving any of its lines
+    # fails here rather than waiting on a sha quoted by hand.  A change that
+    # moves outputs on purpose re-pins the sha and lists the moved lines, as
+    # the golden CLI digests do
+    assert same_outputs.main(["--expect", "9f1b57c16d955b29"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("lines 5163 sha256 9f1b57c16d955b29")
+
+
 def test_search_calls_calls_only_public_names():
     # tools/search_calls.py quotes counts before and after a change, so it
     # drives the searches through besselcert.__all__ alone; its counting

@@ -21,7 +21,8 @@ code, stdout and stderr
 for each bounds --name choice at an admitted and a refused point and for
 every other subcommand: eval, approx, zeros, scan (classic and each Sonin
 subject, across a repeated order, an order with no admitted point and the
-Airy window's end at x = 120) and sup.
+Airy window's end at x = 120) and sup, and for three argvs that run on the
+CLI's defaults: bounds airy_envelope_maxima, sup and approx olver.
 
     python3 tools/same_outputs.py > dump.txt && tail -n 1 dump.txt
 
@@ -30,7 +31,7 @@ and, where they differ, prints both to stderr and exits 1, so a script can
 gate on it.  An empty or non-hex prefix is refused with exit 2, since the
 empty one would match every sha:
 
-    python3 tools/same_outputs.py --expect 9f1b57c16d955b29 > dump.txt
+    python3 tools/same_outputs.py --expect 77d98d5a542dae44 > dump.txt
 """
 
 import argparse
@@ -71,9 +72,11 @@ BOUNDS_ARGV = {
 }
 
 # the other subcommands, one argv each; the last of zeros lacks a flag it
-# requires and the last sup refuses nu = 1/2; the Sonin scans cross a repeated
+# requires and sup --nu 0.5 refuses nu = 1/2; the Sonin scans cross a repeated
 # order (szego), an order with no admitted point between two admitted ones
-# (envelope) and the end of the Airy window at x = 120
+# (envelope) and the end of the Airy window at x = 120; the last three run on
+# the defaults the CLI takes from the library; sup --nu 2 reads the series that
+# the call list's olenko_sup(Order(2.0), 150.0, 3000) filled
 CLI_ARGV = (
     "eval --nu 2.5 --x 10",
     "approx --nu 2.5 --x 10",
@@ -88,6 +91,9 @@ CLI_ARGV = (
     "scan --method sonin_airy --nu-list 0 --x-lo 100 --x-hi 130 --points 7",
     "sup --nu 2.5 --x-max 60 --coarse-points 300",
     "sup --nu 0.5",
+    "bounds --name airy_envelope_maxima",
+    "sup --nu 2",
+    "approx --method olver --nu 2.5 --x 10",
 )
 
 

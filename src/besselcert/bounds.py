@@ -19,13 +19,13 @@ from .oracle import (
     PrecisionError,
     _AIRY_X,
     _AIRY_X_CAP,
+    _BERNOULLI,
     _FB,
     _FINITE_NU,
     _FLOAT_ULP,
     _J_X,
     _NU_FLOOR,
     _PUBLIC_X_CAP,
-    _bernoulli,
     _certified_sign,
     _is_double,
     _j_prime_any,
@@ -382,9 +382,8 @@ def _gauss_legendre() -> tuple[tuple[float, float], ...]:
     return tuple(rule)
 
 
-@lru_cache(maxsize=1)
-def _trigamma_coeffs() -> tuple[float, ...]:
-    return tuple(num / den for num, den in map(_bernoulli, range(16, 0, -2)))
+# B_16, B_14, ..., B_2: the coefficients of _trigamma's tail, highest first
+_TRIGAMMA = tuple(num / den for num, den in _BERNOULLI[16:0:-2])
 
 
 def _trigamma(z: float) -> float:
@@ -400,7 +399,7 @@ def _trigamma(z: float) -> float:
         z += 1
     inv = 1 / z
     tail = 0.0
-    for b in _trigamma_coeffs():
+    for b in _TRIGAMMA:
         tail = (tail + b) * inv * inv
     return acc + inv * (1 + 0.5 * inv + tail)
 

@@ -124,37 +124,29 @@ def _make(name: str, lhs: float, rhs: float, strict: bool, slack: float) -> Boun
     return BoundReport(name, lhs, rhs, margin, holds)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli(m: int) -> tuple[int, int]:
-    """B_m as a reduced integer pair (num, den), den > 0.
+def _bernoulli_numbers(m: int) -> tuple[tuple[int, int], ...]:
+    """B_0, ..., B_m as reduced integer pairs (num, den), den > 0.
 
-    B_0 = 1 and sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, summed exactly
-    over the common denominator of the earlier B_j.
+    B_0 = 1 and sum_{j=0}^{k} C(k+1, j) B_j = 0 for k >= 1, each B_k summed
+    exactly over the common denominator of the earlier B_j.
     """
-    if m == 0:
-        return 1, 1
-    if m == 1:
-        return -1, 2
-    if m % 2:
-        return 0, 1
-    num, den = 0, 1
-    for j in range(m):
-        b_num, b_den = _bernoulli(j)
-        num, den = num * b_den + math.comb(m + 1, j) * b_num * den, den * b_den
-    num, den = -num, den * (m + 1)
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
-@lru_cache(maxsize=None)
-def _stirling_coeff(n: int) -> int:
-    """B_2n / (2n (2n-1)) in fixed point, rounded down."""
-    num, den = _bernoulli(2 * n)
-    return (num << _FB) // (den * (2 * n) * (2 * n - 1))
+    b = [(1, 1)]
+    for k in range(1, m + 1):
+        num, den = 0, 1
+        for j, (b_num, b_den) in enumerate(b):
+            num, den = num * b_den + math.comb(k + 1, j) * b_num * den, den * b_den
+        num, den = -num, den * (k + 1)
+        g = math.gcd(num, den)
+        b.append((num // g, den // g))
+    return tuple(b)
 
 
 # The prefactor and ln Gamma run in binary fixed point: an int y stands for y/2^_FB.
 _FB = 160
+_BERNOULLI = _bernoulli_numbers(32)
+# Stirling's coefficients B_2n / (2n (2n-1)) for n = 1, ..., 16, in fixed point, rounded down
+_STIRLING = tuple((num << _FB) // (den * (2 * n) * (2 * n - 1))
+                  for n, (num, den) in enumerate(_BERNOULLI[2::2], 1))
 
 
 def _atanh(s: int) -> int:
@@ -242,8 +234,9 @@ def _ln_gamma(p: int, r: int) -> int:
     with ln w = ln(p + kr) - ln r from _ln_int, which serves the Airy
     thirds (r = 3) as it serves the dyadic orders.  The powers w^(1-2n)
     step by the fixed-point 1/w^2, each product truncating by 1 ulp.  The
-    sum stops where the fixed-point w^(1-2n) is 0, by n = 17, and leaves out
-    less than its first omitted term, 7e-41 at w = 30.  It cannot diverge
+    sum stops where the fixed-point w^(1-2n) is 0, by n = 17, so it reads at
+    most _STIRLING's 16 entries, and leaves out less than its first omitted
+    term, 7e-41 at w = 30.  It cannot diverge
     first: for w >= 30 the terms shrink until n ~ pi w ~ 94 but fall below
     2^-160 by n = 23.  The shift product, 1000 to 2000 bits below z = 30,
     enters only through the two _ln_int of num and den, which add below
@@ -257,9 +250,9 @@ def _ln_gamma(p: int, r: int) -> int:
     ln_w = _ln_int(q) - _ln_int(r)
     acc = (2 * q - r) * ln_w // (2 * r) - (q << _FB) // r + _HALF_LN_2PI
     pw, inv_w2 = (r << _FB) // q, (r * r << _FB) // (q * q)
-    n = 1
+    n = 0
     while pw:
-        acc += _stirling_coeff(n) * pw >> _FB
+        acc += _STIRLING[n] * pw >> _FB
         pw = pw * inv_w2 >> _FB
         n += 1
     return acc - _ln_int(num) + _ln_int(r ** k)

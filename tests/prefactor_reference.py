@@ -6,7 +6,7 @@ for bit."""
 
 from functools import lru_cache
 
-from besselcert.oracle import _FB, _HALF_LN_2PI, _LN2, _exp_ratio, _ln_int, _stirling_coeff
+from besselcert.oracle import _FB, _HALF_LN_2PI, _LN2, _STIRLING, _exp_ratio, _ln_int
 
 
 @lru_cache(maxsize=None)
@@ -22,7 +22,7 @@ def gamma_parts(p, r):
     pw, r2, q2 = (r << _FB) // q, r * r, q * q
     n = 1
     while pw:
-        acc += _stirling_coeff(n) * pw >> _FB
+        acc += _STIRLING[n - 1] * pw >> _FB
         pw = pw * r2 // q2
         n += 1
     return acc, num, r ** k

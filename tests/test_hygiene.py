@@ -283,15 +283,12 @@ def test_every_memo_is_named():
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              and any("cache" in ast.unparse(d) for d in fn.decorator_list)}
     assert memos == {
-        ("oracle.py", "_bernoulli"),  # table fill: B_0 to B_32 for Stirling's coefficients
-        ("oracle.py", "_stirling_coeff"),  # table fill: 16 entries, 18468 reads on point_queries
         ("oracle.py", "_ln_small"),  # table fill: ln h, 316 to 505 entries per workload
         ("oracle.py", "_exp_table"),  # table fill: exp(i/256), 178 entries
         ("oracle.py", "_ln_gamma"),  # ln Gamma per order: 3056 hits, 110 misses on grid_certify
         # the series results: 14772 hits, 2574 misses on grid_certify
         ("oracle.py", "_j_series_fixed"),
         ("bounds.py", "_gauss_legendre"),  # table fill: one node set
-        ("bounds.py", "_trigamma_coeffs"),  # table fill: one coefficient set
         # a_1 for bound_near_first_zero, read twice per order: 47 hits in 48
         # calls on grid_certify, whose rounds ran 2.2% slower without it
         ("zeros.py", "refine_airy_zero"),

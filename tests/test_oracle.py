@@ -519,8 +519,8 @@ def test_import_loads_no_numpy():
 
 
 def _clear_oracle_caches():
-    for f in (oracle._stirling_coeff, oracle._ln_gamma, oracle._ln_small, oracle._exp_table,
-              oracle._j_series_fixed, bounds._gauss_legendre):
+    for f in (oracle._ln_gamma, oracle._ln_small, oracle._exp_table, oracle._j_series_fixed,
+              bounds._gauss_legendre):
         f.cache_clear()
 
 
@@ -532,7 +532,9 @@ def _oracle_outputs():
             # the exact fixed-point values behind the doubles
             oracle._HALF_LN_2PI, oracle._prefactor((5, 2), 10.0), oracle._ln_gamma(1, 3),
             oracle._ln_gamma(*(60.25).as_integer_ratio()), oracle._ln_int(10 ** 40 + 7),
-            oracle._ln_half(0.7), oracle._exp_ratio(-3 << oracle._FB))
+            oracle._ln_half(0.7), oracle._exp_ratio(-3 << oracle._FB),
+            # the tables built at import, rebuilt here
+            oracle._bernoulli_numbers(32))
 
 
 def test_a_hostile_decimal_context_changes_no_oracle_output(monkeypatch):
@@ -551,6 +553,12 @@ def test_a_hostile_decimal_context_changes_no_oracle_output(monkeypatch):
             assert not any(ctx.flags.values())
     finally:
         _clear_oracle_caches()
+
+
+def test_bernoulli_table_against_mpmath():
+    # B_0 to B_32 as reduced pairs, behind Stirling's and the trigamma
+    # coefficients; mpmath takes B_1 = -1/2, as the recurrence does
+    assert oracle._BERNOULLI == tuple(tuple(map(int, mpmath.bernfrac(m))) for m in range(33))
 
 
 def test_half_ln_2pi_and_ln_gamma_against_mpmath():

@@ -16,6 +16,7 @@ from .oracle import (
     Order,
     PrecisionError,
     _FINITE_NU,
+    _NU_FLOOR,
     _PUBLIC_X_CAP,
     _certified_sign,
     _is_double,
@@ -211,7 +212,7 @@ _DOMAINS = {  # the entry points' domains, as check_domain reads them
                                     (lambda o, s: s <= _AIRY_S_CAP, f"s must be <= {_AIRY_S_CAP}")),
     "refine_airy_zero": (_S_AIRY, _S_INTEGER),
     # from nu = 200 on, j_{nu,1} > nu lies past the x cap
-    "refine_bessel_zero": (_S_POSITIVE, _S_INTEGER, _FINITE_NU,
+    "refine_bessel_zero": (_S_POSITIVE, _S_INTEGER, _FINITE_NU, _NU_FLOOR,
                            (lambda o, s: o.nu < _PUBLIC_X_CAP, f"nu must be < {_PUBLIC_X_CAP:g}"),
                            (lambda o, s: s <= _BESSEL_S_CAP, f"s must be <= {_BESSEL_S_CAP}")),
     "center_gap_check": (_S_POSITIVE, _S_INTEGER,

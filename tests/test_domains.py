@@ -374,6 +374,12 @@ PINNED = [
      'refine_bessel_zero: s must be an integer'),
     ('refine_bessel_zero(Order(math.inf), 1)',
      'refine_bessel_zero: nu must be finite'),
+    # an order below the series' floor is refused under the called name, not
+    # the oracle's; -inf is refused as not finite first
+    ('refine_bessel_zero(Order(-3.0), 1)',
+     'refine_bessel_zero: nu must be >= -1/2'),
+    ('refine_bessel_zero(Order(-math.inf), 1)',
+     'refine_bessel_zero: nu must be finite'),
     ('center_gap_check(0)',
      'center_gap_check: s must be >= 1'),
     ('center_gap_check(1.5)',

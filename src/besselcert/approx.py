@@ -13,7 +13,7 @@ import math
 import sys
 
 from .oracle import DomainError, Order, check_domain
-from .oracle import _AIRY_X_CAP, _FINITE_NU, _is_double
+from .oracle import _AIRY_X_CAP, _FINITE_NU, _airy_origin, _is_double
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
 _U = 2 ** -53  # unit roundoff: one rounding's largest relative error
@@ -26,7 +26,7 @@ _U = 2 ** -53  # unit roundoff: one rounding's largest relative error
 # 2^(1/3) times the quotient rounds above the cap.
 _TRANSITION_Z_CAP = math.nextafter(_AIRY_X_CAP / 2 ** (1 / 3), 0)
 # Ai(0) and -Ai'(0), each the double nearest the true constant
-_AI_0, _AI_PRIME_0 = 0.3550280538878172, 0.2588194037928068
+_AI_0, _AI_PRIME_0 = _airy_origin(2).value, _airy_origin(1).value
 # Ai(-t) is summed as a Maclaurin series up to t = _AIRY_SERIES_T, where its
 # rounding bound reaches 7.4e-13; above, airy_approx's sharp width is < 7.3e-5
 _AIRY_SERIES_T = 5.0

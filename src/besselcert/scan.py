@@ -319,7 +319,6 @@ def verify_bounds_grid(bound: str, grid: GridSpec) -> ScanReport:
     return _summarize(*scan_rows(bound, grid), bound)
 
 
-_SQRT_2_PI = math.sqrt(2 / math.pi)
 # olenko_sup's float bounds are raised by this relative charge (and a few
 # subnormal ulps), far above the few dozen roundings each one takes
 _OUT = 1 + 1e-14
@@ -409,15 +408,15 @@ def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) ->
     def bound(a, b, ra, rb, ha, hb):
         # max R on [a, b] from R's charged values ra, rb and h's ha, hb at its ends
         if szego:
-            u = _SQRT_2_PI
+            u = _approx.SQRT_2_OVER_PI
         elif b <= x_r:
             u = u_r
         else:
             u = e_r * math.exp(mu * (b - x_r) / (2 * x_r * b))
             if a * a > mu:
-                u = min(u, _OUT * _SQRT_2_PI * (a * a / (a * a - mu)) ** 0.25)
+                u = min(u, _OUT * _approx.SQRT_2_OVER_PI * (a * a / (a * a - mu)) ** 0.25)
         if not a:
-            return _OUT * b * (u + _SQRT_2_PI) + _TINY
+            return _OUT * b * (u + _approx.SQRT_2_OVER_PI) + _TINY
         w = b - a
         if not w < 3:
             return math.inf

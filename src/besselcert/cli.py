@@ -4,11 +4,11 @@ Every subcommand emits rows under the fixed header
   subject,nu,x,value,oracle,half_width,ratio,holds
 with reals printed to 17 significant digits, so repeated runs with the same
 flags are byte-identical and the rows feed plotting tools directly.  Exit
-status: 0 all rows certified, 1 if any row has ratio > 1 or holds = false,
-2 with one "error:" line on usage errors, inputs outside a routine's domain
-or float range (an OverflowError included) or an unwritable --output.  Bound
-rows carry lhs/rhs/margin in value/oracle/half_width; nan fills the columns a
-subject has no use for.
+status: 0 all rows certified, 1 if any row has holds = false (as every row
+with ratio > 1 has), 2 with one "error:" line on usage errors, inputs outside
+a routine's domain or float range (an OverflowError included) or an
+unwritable --output.  Bound rows carry lhs/rhs/margin in
+value/oracle/half_width; nan fills the columns a subject has no use for.
 """
 
 import argparse
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    return 1 if any(r.ratio > 1 or not r.holds for r in rows) else 0
+    return 0 if all(r.holds for r in rows) else 1
 
 
 if __name__ == "__main__":

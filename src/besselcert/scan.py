@@ -160,7 +160,13 @@ class ScanRow:
     """One evaluated check: an approximation against the oracle, or one
     inequality report.  For bound rows value/oracle/half_width carry
     lhs/rhs/margin and ratio is lhs/rhs clamped into [0, 1] while the bound
-    holds (and forced >= 1 when it does not)."""
+    holds (and forced >= 1 when it does not).
+
+    holds alone is the row's verdict: no row with ratio > 1 holds.  An
+    approximation holds iff ratio <= 1, a bound's ratio exceeds 1 only when
+    it fails, and the CLI's rows keep the rule: a zero row holds only with
+    ratio <= 1, the sup row's ratio is sup_value/(1.26 mu) and it holds only
+    with upper/mu < 1.26, where upper >= sup_value, and eval rows have ratio 0."""
 
     subject: str
     nu: float
@@ -294,7 +300,7 @@ def scan_rows(name: str, grid: GridSpec, l1: int = _OLVER_TERMS,
 def _summarize(rows: list[ScanRow], skipped: int, what: str) -> ScanReport:
     violations = tuple(
         (r.subject, r.nu, r.x, (r.value - r.oracle) if what in _BOUNDS else (r.ratio - 1))
-        for r in rows if r.ratio > 1 or not r.holds)
+        for r in rows if not r.holds)
     return ScanReport(len(rows), violations, max(r.ratio for r in rows), skipped)
 
 

@@ -12,10 +12,12 @@ value/oracle/half_width; nan fills the columns a subject has no use for.
 """
 
 import argparse
+import inspect
 import math
 import sys
 
 from .oracle import Order, bessel_j_ref
+from . import bounds as _bounds
 from . import scan as _scan
 from . import zeros as _zeros
 
@@ -100,6 +102,11 @@ def _cmd_sup(ns) -> list[_scan.ScanRow]:
                           order.mu, 0.0, s.normalized / 1.26, holds)]
 
 
+def _default(f, param: str):
+    # the library's own default, read through a tracer's __wrapped__
+    return inspect.signature(f).parameters[param].default
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None,
@@ -136,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--x", type=float)
     q.add_argument("--x2", type=float, help="second abscissa (wronskian_kernel)")
     q.add_argument("--t", type=float, help="scaled argument in (0, 1] (monotonic)")
-    q.add_argument("--x-hi", type=float, default=60.0,
+    q.add_argument("--x-hi", type=float, default=_default(_bounds.airy_envelope_maxima, "x_hi"),
                    help="scan limit (airy_envelope_maxima)")
     q.set_defaults(run=_cmd_bounds)
 
@@ -145,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--family", choices=("airy", "bessel"), required=True)
     q.add_argument("--s", type=int, required=True, help="zero index, 1-based")
     q.add_argument("--nu", type=float)
-    q.add_argument("--mode", choices=tuple(_zeros._ZERO_MODES), default="full")
+    q.add_argument("--mode", choices=tuple(_zeros._ZERO_MODES),
+                   default=_default(_zeros.airy_zero_estimate, "mode"))
     q.set_defaults(run=_cmd_zeros)
 
     q = sub.add_parser("scan", parents=[common, terms],
@@ -163,8 +171,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sup of x^(3/2)|J_nu - leading oscillation| on (0, x_max]; "
                             "holds when sup/mu > 0.35 and its certified upper bound/mu < 1.26")
     q.add_argument("--nu", type=float, required=True)
-    q.add_argument("--x-max", type=float, default=150.0)
-    q.add_argument("--coarse-points", type=int, default=3000)
+    q.add_argument("--x-max", type=float, default=_default(_scan.olenko_sup, "x_max"))
+    q.add_argument("--coarse-points", type=int,
+                   default=_default(_scan.olenko_sup, "coarse_points"))
     q.set_defaults(run=_cmd_sup)
     return p
 

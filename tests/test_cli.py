@@ -321,6 +321,19 @@ class TestHarness:
         code, out, err = run(capsys, "eval", "--nu", "0", "--x", "1", "--output", str(target))
         assert code == 2 and err.startswith("error:") and out == ""
 
+    def test_defaults_are_the_librarys(self, monkeypatch):
+        # a flag the library also defaults reads the called function's
+        # default, so moving the library's moves the flag's
+        from besselcert import bounds, scan, zeros
+        monkeypatch.setattr(bounds.airy_envelope_maxima, "__defaults__", (14.0,))
+        monkeypatch.setattr(zeros.airy_zero_estimate, "__defaults__", ("simplified",))
+        monkeypatch.setattr(scan.olenko_sup, "__defaults__", (60.0, 300))
+        parser = _build_parser()
+        assert parser.parse_args(["bounds", "--name", "airy_envelope_maxima"]).x_hi == 14.0
+        assert parser.parse_args(["zeros", "--family", "airy", "--s", "1"]).mode == "simplified"
+        ns = parser.parse_args(["sup", "--nu", "2"])
+        assert (ns.x_max, ns.coarse_points) == (60.0, 300)
+
     def test_subject_choices(self):
         # the choices fix the --help text: same subjects, same order
         sub = next(a for a in _build_parser()._actions

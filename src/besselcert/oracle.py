@@ -236,11 +236,11 @@ def _ln_gamma(p: int, r: int) -> int:
     step by the fixed-point 1/w^2, each product truncating by 1 ulp.  The
     sum stops where the fixed-point w^(1-2n) is 0, by n = 17, so it reads at
     most _STIRLING's 16 entries, and leaves out less than its first omitted
-    term, 7e-41 at w = 30.  It cannot diverge
-    first: for w >= 30 the terms shrink until n ~ pi w ~ 94 but fall below
-    2^-160 by n = 23.  The shift product, 1000 to 2000 bits below z = 30,
-    enters only through the two _ln_int of num and den, which add below
-    3e-43 together, under Stirling's omitted term.
+    term, 7e-41 at w = 30.  It cannot diverge first: for w >= 30 the terms
+    shrink until n ~ pi w ~ 94 but fall below 2^-160 by n = 23.  The shift
+    product, 1000 to 2000 bits below z = 30, enters only through the two
+    _ln_int of num and den, which add below 3e-43 together, under
+    Stirling's omitted term.
     """
     k = max(0, -((p - 30 * r) // r))
     num = 1

@@ -533,7 +533,7 @@ def _oracle_outputs():
             oracle._HALF_LN_2PI, oracle._prefactor((5, 2), 10.0), oracle._ln_gamma(1, 3),
             oracle._ln_gamma(*(60.25).as_integer_ratio()), oracle._ln_int(10 ** 40 + 7),
             oracle._ln_half(0.7), oracle._exp_ratio(-3 << oracle._FB),
-            # the tables built at import, rebuilt here
+            # the Bernoulli table built at import, rebuilt here
             oracle._bernoulli_numbers(32))
 
 

@@ -39,12 +39,14 @@ from .oracle import (
     gamma,
     refine_root,
 )
-from .zeros import _airy_bracket, refine_airy_zero
+from .zeros import _airy_bracket
 
 # envelope damping offset for the Airy inequalities
 AIRY_C = 15 ** (1 / 3) * 2 ** (-4 / 3)
 # math.log(gamma(2 / 3)), bound_monotonic's constant (math.lgamma is an ulp off)
 _LN_GAMMA_2_3 = 0.30315027514752363
+# a_1, the first zero of Ai(-x): refine_airy_zero(1)'s double, correctly rounded
+_A1 = 2.338107410459767
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ def bound_near_first_zero(order: Order) -> BoundReport:
 
 
 def _near_first_zero_x(nu: float) -> float:
-    return nu + 2 ** (-1 / 3) * refine_airy_zero(1) * nu ** (1 / 3)
+    return nu + 2 ** (-1 / 3) * _A1 * nu ** (1 / 3)
 
 
 def _szego_s(order: Order, x: float) -> float:

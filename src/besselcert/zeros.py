@@ -8,7 +8,6 @@ sign, for Ai(-x) in a_s's certified bracket itself.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 
 from .oracle import (
@@ -100,9 +99,8 @@ def _ai(t: float) -> float:
     return airy_ai_neg_ref(t).value
 
 
-@lru_cache(maxsize=None)
 def refine_airy_zero(s: int) -> float:
-    """The s-th positive zero a_s of Ai(-x) to ~1e-11, s <= 50, cached per s.
+    """The s-th positive zero a_s of Ai(-x) to ~1e-11, s <= 50.
 
     refine_root works directly inside airy_zero_estimate's certified
     bracket for a_s.  Ai(-x) is evaluated at the bracket's two ends first,
@@ -111,7 +109,7 @@ def refine_airy_zero(s: int) -> float:
     and it is the only one, as the bracket is narrower than the Sturm gap
     pi/sqrt(120) = 0.287 between zeros of y'' + x y = 0 on the evaluator's
     domain [0, 120].  The result is plain bisection's double on the
-    bracket, from 8 to 10 evaluations.
+    bracket, from 7 to 9 evaluations of Ai(-x).
     """
     check_domain(_DOMAINS, "refine_airy_zero", s)
     bracket = _airy_bracket(s)

@@ -289,9 +289,6 @@ def test_every_memo_is_named():
         # the series results: 14772 hits, 2574 misses on grid_certify
         ("oracle.py", "_j_series_fixed"),
         ("bounds.py", "_gauss_legendre"),  # table fill: one node set
-        # a_1 for bound_near_first_zero, read twice per order: 47 hits in 48
-        # calls on grid_certify, whose rounds ran 2.2% slower without it
-        ("zeros.py", "refine_airy_zero"),
     }
 
 

@@ -140,7 +140,6 @@ def test_leftmost_maxima_are_plain_bisections_on_floor_to_hi(monkeypatch):
 
 
 def test_airy_zeros_are_plain_bisections_on_their_brackets(monkeypatch):
-    refine_airy_zero.cache_clear()
     seen = _recording(monkeypatch, zeros)
     for s in range(1, 51):
         z = refine_airy_zero(s)
@@ -166,7 +165,6 @@ def test_airy_crests_are_plain_bisections_on_their_humps(monkeypatch, x_hi):
 def test_airy_zeros_evaluate_ai_only_inside_their_brackets(monkeypatch):
     seen = _counting(monkeypatch, zeros, "airy_ai_neg_ref")
     for s in range(1, 51):
-        refine_airy_zero.cache_clear()
         seen.clear()
         refine_airy_zero(s)
         lo, hi = zeros._airy_bracket(s)
@@ -211,7 +209,6 @@ def test_budget_fresh_bessel_zero(monkeypatch):
 def test_budget_airy_zeros(monkeypatch):
     seen = _counting(monkeypatch, zeros, "airy_ai_neg_ref")
     for s in range(1, 51):
-        refine_airy_zero.cache_clear()
         seen.clear()
         refine_airy_zero(s)
         assert len(seen) <= 9, s

@@ -147,7 +147,6 @@ def _counting(monkeypatch, name):
 
 class TestResumedScan:
     def test_airy_zeros_in_order_equal_plain_bisection_on_their_brackets(self):
-        refine_airy_zero.cache_clear()
         got = [refine_airy_zero(s).hex() for s in range(1, 13)]
         assert got == [_bisected_airy_zero(s) for s in range(1, 13)]
 
@@ -159,10 +158,10 @@ class TestResumedScan:
                                   max(nu, 0.05), 0.25, 3)
 
     def test_airy_continuation_stays_above_the_previous_zero(self, monkeypatch):
-        refine_airy_zero.cache_clear()
         a5 = refine_airy_zero(5)
         seen = _counting(monkeypatch, "airy_ai_neg_ref")
-        assert refine_airy_zero(5) == a5 and seen == []
+        assert refine_airy_zero(5) == a5
+        seen.clear()
         refine_airy_zero(6)
         assert seen and min(seen) > a5
 
@@ -270,14 +269,12 @@ class TestAiryJump:
     def test_every_airy_zero_is_plain_bisection_on_its_bracket_in_either_order(self):
         bisected = [_bisected_airy_zero(s) for s in range(1, 51)]
         for order in (range(1, 51), range(50, 0, -1)):
-            refine_airy_zero.cache_clear()
             got = {s: refine_airy_zero(s).hex() for s in order}
             assert [got[s] for s in range(1, 51)] == bisected
 
     def test_a_fresh_last_zero_takes_few_evaluations(self, monkeypatch):
         # the bracket's two ends, then refine_root on the bracket: 8 in all
         # (17 with every bisection midpoint evaluated)
-        refine_airy_zero.cache_clear()
         seen = _counting(monkeypatch, "airy_ai_neg_ref")
         refine_airy_zero(50)
         assert len(seen) <= 8
@@ -285,7 +282,6 @@ class TestAiryJump:
     def test_a_bracket_without_one_sign_change_refuses(self, monkeypatch):
         # a bracket that misses a_s, narrow or wide, shows no sign change
         # and is refused rather than guessed from
-        refine_airy_zero.cache_clear()
         message = "no certified sign change over a_1's bracket"
         monkeypatch.setattr(zeros_module, "_airy_bracket", lambda s: (3.0, 3.05))
         with pytest.raises(PrecisionError, match=message):
@@ -294,14 +290,12 @@ class TestAiryJump:
         with pytest.raises(PrecisionError, match=message):
             refine_airy_zero(1)
         monkeypatch.undo()
-        refine_airy_zero.cache_clear()
         assert refine_airy_zero(1) == pytest.approx(AIRY_ZEROS[1], abs=1e-10)
 
     @pytest.mark.parametrize("end", (0, 1))
     def test_an_end_within_its_error_estimate_refuses(self, monkeypatch, end):
         # the right signs are not enough: an end whose |Ai| does not exceed
         # its error estimate does not certify its sign
-        refine_airy_zero.cache_clear()
         x_end = zeros_module._airy_bracket(1)[end]
 
         def blurred(x):

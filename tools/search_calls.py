@@ -42,7 +42,6 @@ FAMILIES = {
 def counts(search) -> tuple[int, int, int]:
     """(roots refined, series cache misses, calls of f) of search() from empty caches."""
     oracle._j_series_fixed.cache_clear()
-    bc.refine_airy_zero.cache_clear()
     roots, calls = 0, 0
 
     def counting(f, bracket, tol):

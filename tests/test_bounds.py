@@ -28,6 +28,7 @@ from besselcert import (
     gamma,
     leftmost_max_check,
     lemma_integral_check,
+    refine_airy_zero,
     sonin_eval,
 )
 from besselcert import bounds as bounds_module
@@ -263,6 +264,13 @@ class TestNearFirstZero:
         for nu in (0.5, 2.0, 10.0, 40.0):
             rep = bound_near_first_zero(Order(nu))
             assert rep.holds and rep.lhs > 0
+
+    def test_a1_is_the_refined_and_the_rounded_zero(self):
+        # gamma's a_1 is the double refine_airy_zero(1) returns, and a_1
+        # correctly rounded
+        assert bounds_module._A1 == refine_airy_zero(1)
+        with mpmath.workdps(40):
+            assert bounds_module._A1 == float(-mpmath.airyaizero(1))
 
     def test_domain(self):
         with pytest.raises(DomainError):

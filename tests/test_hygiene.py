@@ -127,6 +127,26 @@ def test_check_domain_is_the_only_reader_of_a_rule_list():
     assert readers == []
 
 
+def test_no_domain_rule_runs_a_search():
+    # a rule is a predicate on its arguments: no lambda in a _DOMAINS
+    # literal, nor any function of its module that such a lambda reaches,
+    # reads a root search
+    searches = {"refine_root", "refine_airy_zero", "refine_bessel_zero"}
+    found = set()
+    for name, tree in TREES.items():
+        functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        tables = [n.value for n in tree.body if isinstance(n, ast.Assign)
+                  and any(getattr(t, "id", None) == "_DOMAINS" for t in n.targets)]
+        todo = [n for table in tables for n in ast.walk(table) if isinstance(n, ast.Lambda)]
+        named = set()
+        while todo:
+            reads = _reads(todo.pop())
+            found |= {(name, search) for search in reads & searches}
+            todo += [functions[f] for f in reads & functions.keys() - named]
+            named |= reads & functions.keys()
+    assert sorted(found) == []
+
+
 def test_domain_messages_format_with_their_rules_arguments():
     # check_domain formats each message with the call's arguments: every
     # message must parse as a format string whose fields are positional

@@ -468,6 +468,16 @@ def test_the_cut_keeps_the_uncut_result(case):
     assert uncut.upper <= uncut.sup_value * (1 + 1.01e-13) + charge
 
 
+@pytest.mark.parametrize("case", [(2.5, 10.0, 10), (0.25, 60.0, 300)])
+def test_with_no_stop_the_search_ends_at_a_cell_it_cannot_halve(case):
+    # a negative stop never ends the search by width: it halves the top
+    # cell until the cell's ends are adjacent doubles, and stops there
+    s, xs = _reads(*case, -1.0)
+    xs.sort()
+    assert any(math.nextafter(a, math.inf) == b for a, b in zip(xs, xs[1:]))
+    assert s.sup_value <= s.upper <= s.sup_value * (1 + 1e-10)
+
+
 # where mu/(2x) is several radians, two local maxima of R share a half-period
 PAST_30_CASE = (42.482183989316766, 200.0)
 

@@ -470,13 +470,6 @@ def _j_prime_any(order: Order, x: float) -> EvalResult:
     return EvalResult(value, err + _FLOAT_ULP * abs(value))
 
 
-def _order_round_charge(zeta: float) -> float:
-    # the Airy path uses the doubles nearest to the thirds as orders, each
-    # off by <= 2.8e-17; |dJ_nu/dnu| at fixed argument is within a small
-    # factor of (|ln(zeta/2)| + 2) * max(1, (zeta/2)^(-1/3))
-    return 6e-17 * (abs(math.log(zeta / 2)) + 2) * max(1.0, (2.0 / zeta) ** (1.0 / 3.0))
-
-
 # the Airy paths' orders: the doubles nearest -1/3, 1/3, 2/3 and 4/3
 _NU_M13, _NU_13, _NU_23, _NU_43 = ((k / 3).as_integer_ratio() for k in (-1, 1, 2, 4))
 
@@ -486,6 +479,23 @@ def _airy_origin(k: int) -> EvalResult:
     m_num, m_den = _exp_ratio(-k * _ln_small(3) // 3 - _ln_gamma(k, 3))
     v = m_num / m_den
     return EvalResult(v, _FLOAT_ULP * abs(v))
+
+
+def _airy_js(x: float, orders):
+    """sqrt(x), zeta's two rounding charges and J at zeta = 2x^(3/2)/3 for each of orders.
+
+    The result is (sqrt(x), zeta_err, order_err, J...), or None where zeta
+    is 0 or subnormal.  The rounded zeta (3 float ops) enters through |J'|
+    <= sqrt(2/(pi zeta)).  The orders are the doubles nearest to the
+    thirds, each off by <= 2.8e-17; |dJ_nu/dnu| at fixed argument is within
+    a small factor of (|ln(zeta/2)| + 2) * max(1, (zeta/2)^(-1/3)).
+    """
+    zeta = 2 * x ** 1.5 / 3
+    if zeta < sys.float_info.min:
+        return None
+    zeta_err = 1.5 * _FLOAT_ULP * zeta * math.sqrt(2 / (math.pi * zeta))
+    order_err = 6e-17 * (abs(math.log(zeta / 2)) + 2) * max(1.0, (2.0 / zeta) ** (1.0 / 3.0))
+    return (math.sqrt(x), zeta_err, order_err, *(_j_series_fixed(nu, zeta) for nu in orders))
 
 
 def airy_ai_neg_ref(x: float) -> EvalResult:
@@ -498,16 +508,12 @@ def airy_ai_neg_ref(x: float) -> EvalResult:
     by at most |Ai'(0)| x < 0.26x < 3e-206 there.
     """
     check_domain(_DOMAINS, "airy_ai_neg_ref", x)
-    zeta = 2 * x ** 1.5 / 3
-    if zeta < sys.float_info.min:
+    if (js := _airy_js(x, (_NU_M13, _NU_13))) is None:
         return _airy_origin(2)
-    jm, jp = _j_series_fixed(_NU_M13, zeta), _j_series_fixed(_NU_13, zeta)
-    root = math.sqrt(x)
+    root, zeta_err, order_err, jm, jp = js
     value = root / 3 * (jm.value + jp.value)
-    # the rounded zeta (3 float ops) enters through |J'| <= sqrt(2/(pi zeta))
-    zeta_err = 1.5 * _FLOAT_ULP * zeta * math.sqrt(2 / (math.pi * zeta))
     err = (root / 3 * (jm.abs_err_estimate + jp.abs_err_estimate
-                       + 2 * zeta_err + 2 * _order_round_charge(zeta))
+                       + 2 * zeta_err + 2 * order_err)
            + 2 * _FLOAT_ULP * (abs(jm.value) + abs(jp.value)) * root / 3)
     return EvalResult(value, err)
 
@@ -521,14 +527,11 @@ def airy_ai_neg_prime_ref(x: float) -> EvalResult:
     which is off by at most Ai(0) x^2/2 < 1e-410 there.
     """
     check_domain(_DOMAINS, "airy_ai_neg_prime_ref", x)
-    zeta = 2 * x ** 1.5 / 3
-    if zeta < sys.float_info.min:
+    if (js := _airy_js(x, (_NU_13, _NU_23, _NU_43))) is None:
         return _airy_origin(1)
-    j13, j23, j43 = (_j_series_fixed(nu, zeta) for nu in (_NU_13, _NU_23, _NU_43))
-    root = math.sqrt(x)
+    root, zeta_err, order_err, j13, j23, j43 = js
     value = j13.value / (3 * root) - x / 3 * (j23.value + j43.value)
-    zeta_err = 1.5 * _FLOAT_ULP * zeta * math.sqrt(2 / (math.pi * zeta))
-    slop = zeta_err + _order_round_charge(zeta)
+    slop = zeta_err + order_err
     err = (j13.abs_err_estimate / (3 * root)
            + x / 3 * (j23.abs_err_estimate + j43.abs_err_estimate)
            + (1 / (3 * root) + 2 * x / 3) * slop

@@ -312,6 +312,15 @@ def test_every_memo_is_named():
     }
 
 
+def test_the_airy_zeta_is_formed_once():
+    # both Airy evaluators read zeta, its charges and their J from _airy_js
+    tree = TREES["oracle.py"]
+    zetas = [n for n in ast.walk(tree) if ast.unparse(n) == "2 * x ** 1.5 / 3"]
+    assert len(zetas) == 1, f"zeta is formed {len(zetas)} times"
+    helper = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_airy_js")
+    assert zetas[0] in list(ast.walk(helper))
+
+
 def test_src_lines_parts_sum_to_each_files_lines():
     # tools/src_lines.py counts each line once: its code, docstring,
     # comment and blank counts add up to the file's lines

@@ -13,7 +13,7 @@ import math
 import sys
 
 from .oracle import DomainError, Order, check_domain
-from .oracle import _AIRY_X_CAP, _FINITE_NU, _airy_origin, _is_double
+from .oracle import _AIRY_X_CAP, _FINITE_NU, _NU_FLOOR, _airy_origin, _is_double
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
 _U = 2 ** -53  # unit roundoff: one rounding's largest relative error
@@ -37,8 +37,8 @@ class ApproxValue:
     """An approximate value with a certified symmetric error bound.
 
     |truth - value| <= half_width holds on the method's whole domain.
-    method names the formula; region is oscillatory, transition, or
-    monotonicity depending on which regime the formula targets.
+    method names the formula; region is oscillatory or transition,
+    the regime the formula targets.
     """
 
     value: float
@@ -306,7 +306,7 @@ _POSITIVE_X = (lambda order, x, *_: not x <= 0, "x must be positive")
 _FINITE_X = (lambda order, x, *_: x < math.inf, "x must be finite")
 _SQUARE = (lambda order, x: order.mu == 0 or x * x < math.inf, "x^2 leaves the doubles")
 # classic's first rules, which every best_approx candidate must also pass
-_BEST_BASE = (_POSITIVE_X, (lambda order, x: not order.nu < -0.5, "nu must be >= -1/2"))
+_BEST_BASE = (_POSITIVE_X, _NU_FLOOR)
 # airy_approx's modes: mode -> (lo, hi, form), form(x) = (value, half_width) on
 # (lo, hi].  lo: the last double at which a power of the form underflows; hi:
 # the last before one overflows (both found by bisection over the doubles)

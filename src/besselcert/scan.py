@@ -21,7 +21,6 @@ from .oracle import (
     _FLOAT_ULP,
     _NU_FLOOR,
     _PUBLIC_X_CAP,
-    _is_double,
     _make,
     airy_ai_neg_ref,
     bessel_j_prime_ref,
@@ -124,12 +123,13 @@ _DOMAINS = {  # the entry points' domains, as check_domain reads them
                     f"x_max must lie in (0, {_PUBLIC_X_CAP:g}]"),
                    (lambda o, x_max, n: not n < 10, "coarse_points must be >= 10"),
                    (lambda o, x_max, n: isinstance(n, int), "coarse_points must be an integer"),
-                   # R's main term at the grid's first point, where the search starts
-                   (lambda o, x_max, n: _is_double(
-                       lambda: math.sqrt(2 / (math.pi * (x_max / min(n, math.ceil(x_max)))))),
+                   # R's main term at the grid's first point, where the search starts:
+                   # x_max itself below 1, else at least 1/2, and pi x_max is never 0
+                   (lambda o, x_max, n: 2 / (math.pi * x_max) < math.inf,
                     "sqrt(2/(pi x)) leaves the doubles at the grid's first point "
                     "x = x_max/min(coarse_points, ceil(x_max))"),
-                   _NU_FLOOR, _FINITE_NU),
+                   _NU_FLOOR, _FINITE_NU, (lambda o, *_: o.omega < math.inf,
+                                           "omega = nu pi/2 + pi/4 leaves the doubles")),
 }
 
 

@@ -277,6 +277,14 @@ def test_double_range_edge_is_domain_error(capsys, args):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_sup_past_the_omega_edge_is_domain_error(capsys):
+    # omega = nu pi/2 + pi/4 is inf at nu = 1e308: refused by olenko_sup's
+    # domain, where math.cos used to print "error: math domain error"
+    code, out, err = run(capsys, "sup", "--nu", "1e308", "--x-max", "1")
+    assert code == 2 and out == ""
+    assert err == "error: olenko_sup: omega = nu pi/2 + pi/4 leaves the doubles\n"
+
+
 def test_arithmetic_faults_are_not_usage_errors(monkeypatch):
     # only OverflowError means input out of float range; a ZeroDivisionError
     # or a trapped decimal signal is a fault and must not exit 2 quietly

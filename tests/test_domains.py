@@ -335,6 +335,14 @@ PINNED = [
     ('olenko_sup(Order(2.0), 5e-324, 10)',
      "olenko_sup: sqrt(2/(pi x)) leaves the doubles at the grid's first point "
      'x = x_max/min(coarse_points, ceil(x_max))'),
+    # omega = nu pi/2 + pi/4 overflows past nu = 5.72e307, where cos(x - omega)
+    # raised a bare ValueError; an infinite order still meets the finite rule
+    ('olenko_sup(Order(1e308), 1.0, 10)',
+     'olenko_sup: omega = nu pi/2 + pi/4 leaves the doubles'),
+    ('olenko_sup(Order(5.73e307), 1.0, 10)',
+     'olenko_sup: omega = nu pi/2 + pi/4 leaves the doubles'),
+    ('olenko_sup(Order(math.inf), 1.0, 10)',
+     'olenko_sup: nu must be finite'),
     # later rules: S leaves the doubles at |nu| = 1/2 (x^2 + mu is 0), at
     # 0 < nu < 1/2 (nu/x overflows) and at -1/2 < nu < 0 ((nu/x) J overflows);
     # transition's finite-order rule comes last, so -inf meets the first
@@ -454,6 +462,24 @@ def test_pinned_psi_message(monkeypatch):
     with pytest.raises(DomainError) as info:
         bc.bound_derivative(Order(5.0), 5.0)
     assert str(info.value) == "bound_derivative: psi must be positive on the stated domain"
+
+
+def test_olenko_sup_runs_below_the_omega_edge():
+    assert Order(5.72e307).omega < math.inf
+    s = bc.olenko_sup(Order(5.72e307), 1.0, 10)
+    assert 0 <= s.sup_value <= s.upper
+
+
+@pytest.mark.parametrize("call", [
+    "classic_oscillatory(Order(1e308), 1.0)", "olver_expansion(Order(1e308), 1.0, 3, 3)",
+    "sharper_oscillatory(Order(1e308), 1.0)", "simplified_oscillatory(Order(1e308), 1.0)",
+    "best_approx(Order(1e308), 1.0)", "olenko_sup(Order(1e308), 1.0, 10)"])
+def test_every_reader_of_omega_refuses_where_it_is_infinite(call):
+    # each public function that reads cos(x - omega) refuses by its domain
+    # where omega = inf, instead of raising ValueError from math.cos
+    assert Order(1e308).omega == math.inf
+    with pytest.raises(DomainError):
+        eval(call, NAMESPACE)
 
 
 @pytest.mark.parametrize("nu", [1e300, math.inf, math.nan])

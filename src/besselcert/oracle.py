@@ -481,7 +481,7 @@ def _airy_origin(k: int) -> EvalResult:
     return EvalResult(v, _FLOAT_ULP * abs(v))
 
 
-def _airy_js(x: float, orders):
+def _airy_js(x: float, orders: tuple[tuple[int, int], ...]) -> tuple | None:
     """sqrt(x), zeta's two rounding charges and J at zeta = 2x^(3/2)/3 for each of orders.
 
     The result is (sqrt(x), zeta_err, order_err, J...), or None where zeta

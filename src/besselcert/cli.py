@@ -50,32 +50,30 @@ def _cmd_approx(ns) -> list[_scan.ScanRow]:
     return [_scan.approx_row(ns.method, Order(ns.nu), ns.x, ns.l1, ns.l2)]
 
 
-def _cmd_bounds(ns) -> list[_scan.ScanRow]:
-    coords, _ = entry = _scan._BOUNDS[ns.name]
+def _point(ns, coords: tuple[str, ...], command: str) -> dict:
+    # the flags a table entry reads, nu as its Order
     for flag in coords:
         if getattr(ns, flag) is None:
-            raise ValueError(f"bounds --name {ns.name} requires --{flag}")
-    return _scan._rows_at(entry, {c: Order(ns.nu) if c == "nu" else getattr(ns, c) for c in coords})
+            raise ValueError(f"{command} requires --{flag}")
+    return {c: Order(ns.nu) if c == "nu" else getattr(ns, c) for c in coords}
+
+
+def _cmd_bounds(ns) -> list[_scan.ScanRow]:
+    coords, _ = entry = _scan._BOUNDS[ns.name]
+    return _scan._rows_at(entry, _point(ns, coords, f"bounds --name {ns.name}"))
 
 
 def _cmd_zeros(ns) -> list[_scan.ScanRow]:
-    if ns.family == "airy":
-        est = _zeros.airy_zero_estimate(ns.s, ns.mode)
-        refined = _zeros.refine_airy_zero(ns.s)
-        subject = f"zero_airy_{ns.mode}"
-        nu = math.nan
-    else:
-        if ns.nu is None:
-            raise ValueError("zeros --family bessel requires --nu")
-        est = _zeros.bessel_first_zeros_estimate(Order(ns.nu), ns.s)
-        refined = _zeros.refine_bessel_zero(Order(ns.nu), ns.s)
-        subject = "zero_bessel"
-        nu = ns.nu
+    coords, f = _zeros._FAMILIES[ns.family]
+    point = _point(ns, coords, f"zeros --family {ns.family}")
+    est, refined = f(*point.values(), ns.s)
+    # zero_airy_<mode>, zero_bessel: the family and its flags other than nu
+    subject = "_".join(["zero", ns.family, *(v for c, v in point.items() if c != "nu")])
     off = refined - est.center
     ratio = off / est.half_width if est.one_sided else abs(off) / est.half_width
     holds = (0 <= ratio <= 1) if est.one_sided else ratio <= 1
-    return [_scan.ScanRow(subject, nu, float(ns.s), est.center, refined,
-                          est.half_width, ratio, holds)]
+    return [_scan.ScanRow(subject, math.nan if est.nu is None else est.nu, float(ns.s),
+                          est.center, refined, est.half_width, ratio, holds)]
 
 
 def _parse_nu_list(text: str) -> tuple[float, ...]:
@@ -149,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("zeros", parents=[common],
                        help="zero estimate vs its refined value")
-    q.add_argument("--family", choices=("airy", "bessel"), required=True)
+    q.add_argument("--family", choices=tuple(_zeros._FAMILIES), required=True)
     q.add_argument("--s", type=int, required=True, help="zero index, 1-based")
     q.add_argument("--nu", type=float)
     q.add_argument("--mode", choices=tuple(_zeros._ZERO_MODES),

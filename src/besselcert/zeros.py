@@ -195,6 +195,12 @@ _ZERO_MODES = {"full": (lambda m: 16 ** (-2 / 3) * (m + math.sqrt(m * m + 40)) *
                         lambda m: 1280 * math.pi / (9 * m ** 3 * (m * m + 40) ** (1 / 6))),
                "simplified": (lambda m: 0.25 * (m * m + 20) ** (1 / 3),
                               lambda m: 456 / (m ** 3 * (m * m + 40) ** (1 / 6)))}
+# each zero family's flags besides s, and f(*flags, s) -> (estimate, refined zero);
+# the CLI's zeros rows read them, nu as its Order
+_FAMILIES = {"airy": (("mode",), lambda mode, s: (airy_zero_estimate(s, mode),
+                                                  refine_airy_zero(s))),
+             "bessel": (("nu",), lambda order, s: (bessel_first_zeros_estimate(order, s),
+                                                   refine_bessel_zero(order, s)))}
 _S_POSITIVE = (lambda *args: not args[-1] < 1, "s must be >= 1")
 _S_AIRY = (lambda s: 1 <= s <= _AIRY_S_CAP, f"s must lie in [1, {_AIRY_S_CAP}]")
 # s comes last; a NaN or infinite s is no integer either

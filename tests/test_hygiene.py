@@ -167,12 +167,12 @@ def test_domain_messages_format_with_their_rules_arguments():
 
 
 @pytest.mark.parametrize("module, table", [
-    ("approx", "_AIRY_MODES"), ("scan", "_SPACINGS"), ("zeros", "_ZERO_MODES")],
-    ids=["_AIRY_MODES", "_SPACINGS", "_ZERO_MODES"])
+    ("approx", "_AIRY_MODES"), ("scan", "_SPACINGS"), ("zeros", "_ZERO_MODES"),
+    ("bounds", "_SONIN"), ("zeros", "_FAMILIES")],
+    ids=["_AIRY_MODES", "_SPACINGS", "_ZERO_MODES", "_SONIN", "_FAMILIES"])
 def test_no_variant_is_dispatched_on_by_name(module, table):
     # each variant family reads a variant's rules and form from its row of
-    # the table: no src/ comparison names a variant, so a new one is one row.
-    # bounds._SONIN is left out: its key "airy" is also the CLI's zero family
+    # the table: no src/ comparison names a variant, so a new one is one row
     keys = getattr(importlib.import_module(f"besselcert.{module}"), table)
     compares = [(name, ast.unparse(n)) for name, tree in TREES.items() for n in ast.walk(tree)
                 if isinstance(n, ast.Compare)

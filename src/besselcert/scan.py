@@ -388,7 +388,8 @@ def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) ->
     readings with their estimates, every bound with _OUT.
 
     The search is one best-first bisection.  R is read on the grid x_max
-    i/n, i = 1..n, n = min(coarse_points, ceil(x_max)): a step of about 1,
+    i/n, i = 1..n - 1, and at x_max itself (x_max n/n can round above it),
+    n = min(coarse_points, ceil(x_max)): a step of about 1,
     or x_max/coarse_points where that is coarser.  Each cell, (0, x_max/n]
     among them, goes on a heap keyed by its bound, and the cell with the
     largest bound is halved at its midpoint, where R is read.  The search
@@ -445,7 +446,8 @@ def olenko_sup(order: Order, x_max: float = 150.0, coarse_points: int = 3000) ->
         return -bound(a, b, ra, rb, ha, hb), a, b, ra, rb, ha, hb
 
     n = min(coarse_points, math.ceil(x_max))
-    xs = [0.0] + [x_max * i / n for i in range(1, n + 1)]
+    # the last point is x_max itself: x_max n/n can round above it
+    xs = [0.0] + [x_max * i / n for i in range(1, n)] + [x_max]
     hs = [(0.0, 0.0)] + [_signed_gap(order, x) for x in xs[1:]]
     rs = [abs(h) + c for h, c in hs]
     best_v, best_x, best_c = max((abs(h), -x, c) for x, (h, c) in zip(xs[1:], hs[1:]))

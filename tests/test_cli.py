@@ -285,6 +285,16 @@ def test_sup_past_the_omega_edge_is_domain_error(capsys):
     assert err == "error: olenko_sup: omega = nu pi/2 + pi/4 leaves the doubles\n"
 
 
+def test_sup_window_ends_at_x_max(capsys):
+    # x_max 10/10 rounds above 120.01; the grid used to read R there, and
+    # at mu = inf its cell overflowed into "error: math range error"
+    code, out, err = run(capsys, "sup", "--nu=1.34e154", "--x-max=120.01",
+                         "--coarse-points=10")
+    assert err == "" and code == 1
+    (row,) = rows_of(out)
+    assert row[:3] == ["olenko_sup", "1.34e+154", format(120.01, ".17g")]
+
+
 def test_arithmetic_faults_are_not_usage_errors(monkeypatch):
     # only OverflowError means input out of float range; a ZeroDivisionError
     # or a trapped decimal signal is a fault and must not exit 2 quietly

@@ -266,6 +266,12 @@ class TestOneDecision:
         assert set(defaults.values()) == {scan_module._OLVER_TERMS}
 
 
+_x_max_rng = random.Random(47)
+# the first three of 200 seeded x_max in [10, 200] with x_max 10/10 > x_max
+_ROUNDING_UP_X_MAX = [x for x in (_x_max_rng.uniform(10.0, 200.0) for _ in range(200))
+                      if x * 10 / 10 > x][:3]
+
+
 class TestOlenkoSup:
     def test_normalized_in_sandwich(self):
         s = olenko_sup(Order(2.0), coarse_points=600)
@@ -294,6 +300,24 @@ class TestOlenkoSup:
         # sqrt(2/(pi x)) is a double although at x_max/coarse_points it is not
         s = olenko_sup(Order(2.0), x_max, 3000)
         assert 0 <= s.sup_value <= s.upper < x_max
+
+    @pytest.mark.parametrize("nu", (1e6, 1e12))
+    def test_the_grid_ends_at_x_max(self, nu):
+        # x_max n/n rounds above x_max = 120.01 at n = 10; that read lay
+        # outside the window, and from nu ~ 1e11 on its cell, past sqrt(mu),
+        # overflowed exp(mu (b - x_r)/(2 x_r b)) into a bare OverflowError
+        assert 120.01 * 10 / 10 > 120.01
+        s, evaluated = _sup_with_reads(nu, 120.01, 10)
+        assert all(0 < x <= 120.01 for x, _ in evaluated)
+        assert evaluated[9][0] == s.argmax_x == 120.01
+
+    @pytest.mark.parametrize("x_max", _ROUNDING_UP_X_MAX)
+    def test_no_read_leaves_a_seeded_window(self, x_max):
+        # seeded windows whose x_max n/n rounds above x_max: the grid's last
+        # point is x_max, and no read lies past it
+        s, evaluated = _sup_with_reads(2.0, x_max, 10)
+        assert evaluated[9][0] == x_max
+        assert all(0 < x <= x_max for x, _ in evaluated) and s.argmax_x <= x_max
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -383,14 +407,15 @@ class TestOlenkoPolish:
 
     @pytest.mark.parametrize("case", POLISH_CASES, ids=POLISH_IDS)
     def test_the_search_reads_the_grid_then_midpoints(self, case):
-        # R is read on the grid x_max i/n, n = min(coarse_points,
-        # ceil(x_max)), then only at the midpoint of two neighbours among
-        # the points read so far (0 counting as one): the cells of a bisection
+        # R is read on the grid x_max i/n, i < n, and x_max, n =
+        # min(coarse_points, ceil(x_max)), then only at the midpoint of two
+        # neighbours among the points read so far (0 counting as one): the
+        # cells of a bisection
         nu, x_max, coarse_points = case
         _, evaluated = _sup_with_reads(*case)
         n = min(coarse_points, math.ceil(x_max))
         xs = [x for x, _ in evaluated]
-        assert xs[:n] == [x_max * i / n for i in range(1, n + 1)]
+        assert xs[:n] == [x_max * i / n for i in range(1, n)] + [x_max]
         seen = [0.0] + xs[:n]
         for x in xs[n:]:
             i = bisect.bisect(seen, x)

@@ -181,6 +181,31 @@ def test_no_variant_is_dispatched_on_by_name(module, table):
     assert compares == []
 
 
+def test_every_reader_of_omega_is_pinned():
+    # a public function that reads .omega, itself or through a private
+    # helper (olenko_sup through _signed_gap), is called at Order(1e308),
+    # where omega is inf, by test_domains.py: a new reader fails here until
+    # it is pinned there
+    functions = {f.name: f for tree in TREES.values() for f in tree.body
+                 if isinstance(f, ast.FunctionDef)}
+    attrs = {name: {n.attr for n in ast.walk(f) if isinstance(n, ast.Attribute)}
+             for name, f in functions.items()}
+    readers, found = set(), {name for name in functions if "omega" in attrs[name]}
+    while found:  # the callers of each private reader found so far
+        readers |= found
+        helpers = {name for name in found if name.startswith("_")}
+        found = {name for name, f in functions.items()
+                 if name not in readers and helpers & (_reads(f) | attrs[name])}
+    tree = ast.parse((SRC.parents[1] / "tests" / "test_domains.py").read_text())
+    test = next(f for f in tree.body if isinstance(f, ast.FunctionDef)
+                and f.name == "test_every_reader_of_omega_refuses_where_it_is_infinite")
+    pinned = {c.value.split("(")[0] for d in test.decorator_list for c in ast.walk(d)
+              if isinstance(c, ast.Constant) and "(Order(1e308)" in str(c.value)}
+    public = {name for name in readers if not name.startswith("_")}
+    assert {"classic_oscillatory", "olenko_sup"} <= public  # directly, through _signed_gap
+    assert public <= pinned, sorted(public - pinned)
+
+
 def test_no_index_bisection_loop():
     # every search refines on a bracket or a Sturm cell with refine_root:
     # no src/ function keeps a grid-index bisection loop (tests/full_walk.py

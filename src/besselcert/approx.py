@@ -381,9 +381,9 @@ def best_approx(order: Order, x: float) -> ApproxValue:
     few float operations.  Ties (e.g. all widths 0 at |nu| = 1/2) go to the
     earlier entry of: sharp (either branch), simplified, olver, classic,
     transition.  Where none is admitted, classic's rules name the reason; for
-    nu >= -1/2 and finite x > 0 that happens only for |nu| >= 1/2, where x
-    is small enough that classic's width c mu x^(-3/2) leaves the doubles:
-    near 0, and at every x once mu is inf, from nu ~ 1.34e154 on.
+    nu >= -1/2 and finite x > 0 that happens only for |nu| >= 1/2, where
+    classic's width c mu x^(-3/2) leaves the doubles: near 0, and at every
+    x once mu is inf, from nu ~ 1.34e154 on.
     """
     admitted = []  # min keeps the first of equal widths: the table's order
     if all(ok(order, x) for ok, _ in _BEST_BASE):

@@ -28,10 +28,11 @@ integers: P and Q from their exact term ratios, the phase reduced mod pi/2
 on guard bits, its cos and sin by Taylor's series and sqrt(2/(pi zeta)) by
 isqrt.  Its radius R, in ulps, adds each truncation, the first neglected
 terms (DLMF 10.17(iii)), the reduction's and pi's errors and the cos/sin
-tails.  Where both ends of the enclosure round to one double, that double is
-J correctly rounded, returned with R as its error (Ziv's test); where they
-straddle two, the series runs.  Either way the Airy paths get the series'
-doubles, at a median 31-36 us per J instead of about 2 ms.
+tails.  The enclosure answers alone: the double nearest its midpoint, with R
+plus the float rounding as its error, at a median 31-36 us per J instead of
+about 2 ms.  Wherever both ends of the enclosure round to one double (Ziv's
+test, which every enclosure tried passed), that double is J correctly rounded
+and the series' own.
 """
 
 from dataclasses import dataclass, field
@@ -375,10 +376,10 @@ def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
     """J_nu(x) for a double x as its certified EvalResult, summed at d = _digits_for(x) digits.
 
     Past the public x cap, where only the Airy paths call, _j_hankel's
-    enclosure [V - R, V + R] 2^-_FB answers first: where both ends round to
-    the same double, that double is J_nu(x) correctly rounded and R 2^-_FB
-    its error (Ziv's test).  Only where the enclosure straddles two doubles,
-    which no Airy call was seen to do, does the series run.
+    enclosure [V - R, V + R] 2^-_FB answers: the double nearest V 2^-_FB,
+    with R 2^-_FB as its error, to which _certified adds the half ulp that
+    rounding V costs.  Where both ends round to one double (Ziv's test) it
+    is that double, J_nu(x) correctly rounded.
 
     J_nu(x) = P sum_j (-1)^j u_j, P = (x/2)^nu / Gamma(nu+1) (see _prefactor).
     The u_j = (x^2/4)^j / (j! (nu+1)_j) run on integers from u_0 = 10^d,
@@ -402,9 +403,7 @@ def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
     """
     if x > _PUBLIC_X_CAP and (enclosure := _j_hankel(nu, x)):
         v, radius = enclosure
-        value = (v - radius) / (1 << _FB)
-        if value == (v + radius) / (1 << _FB):
-            return _certified(value, radius / (1 << _FB))
+        return _certified(v / (1 << _FB), radius / (1 << _FB))
     a, b = x.as_integer_ratio()
     p, r = nu
     one = 10 ** _digits_for(x)

@@ -239,7 +239,7 @@ def test_hankel_path_is_integer_only():
     # Hankel's expansion keeps the oracle's one arithmetic: its helpers name
     # no float function or constant of math and hold no float literal or
     # division; its one float step is _j_series_fixed's conversion of the
-    # enclosure's ends, integers over 2^_FB, to doubles
+    # enclosure's midpoint and radius, integers over 2^_FB, to doubles
     functions = {f.name: f for f in ast.walk(TREES["oracle.py"]) if isinstance(f, ast.FunctionDef)}
     banned = {"sin", "cos", "sqrt", "pi", "log", "exp"}
     for name in ("_j_hankel", "_cos_sin", "_taylor"):
@@ -250,7 +250,7 @@ def test_hankel_path_is_integer_only():
                     or isinstance(n, ast.Constant) and isinstance(n.value, float)], name
     divisors = [ast.unparse(n.right) for n in ast.walk(functions["_j_series_fixed"])
                 if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)]
-    assert divisors.count("1 << _FB") == 3
+    assert divisors.count("1 << _FB") == 2
 
 
 def test_same_outputs_call_list_resolves():

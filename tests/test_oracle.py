@@ -749,13 +749,27 @@ def test_cos_sin_within_its_error():
             assert err <= 100, f
 
 
-def test_a_straddling_enclosure_falls_back_to_the_series(monkeypatch):
-    # a radius of 2^150 ulp puts a rounding boundary inside the enclosure
+def test_a_straddling_enclosure_returns_its_midpoints_double(monkeypatch):
+    # a radius of 2^108 ulp puts a rounding boundary inside the enclosure:
+    # the path returns V's double, whose estimate still encloses J; at 2^150
+    # ulp the estimate passes the target and the call refuses
     hankel = oracle._j_hankel
-    monkeypatch.setattr(oracle, "_j_hankel", lambda nu, x: (hankel(nu, x)[0], 1 << 150))
-    for x in HANKEL_ZETAS[:3]:
-        for nu in AIRY_ORDERS:
-            assert oracle._j_series_fixed.__wrapped__(nu, x) == _series(nu, x)
+    one = 1 << oracle._FB
+    for bits in (108, 150):
+        monkeypatch.setattr(oracle, "_j_hankel", lambda nu, x: (hankel(nu, x)[0], 1 << bits))
+        with mpmath.workdps(60):
+            for x in HANKEL_ZETAS[:3]:
+                for p, r in AIRY_ORDERS:
+                    v, radius = oracle._j_hankel((p, r), x)
+                    assert (v - radius) / one != (v + radius) / one, (p / r, x)
+                    if bits == 150:
+                        with pytest.raises(PrecisionError, match="exceeds the 1e-12 target"):
+                            oracle._j_series_fixed.__wrapped__((p, r), x)
+                        continue
+                    result = oracle._j_series_fixed.__wrapped__((p, r), x)
+                    assert result.value == v / one, (p / r, x)
+                    truth = mpmath.besselj(mpmath.mpf(p) / r, x)
+                    assert abs(truth - result.value) <= result.abs_err_estimate, (p / r, x)
 
 
 @pytest.mark.parametrize("airy", [airy_ai_neg_ref, airy_ai_neg_prime_ref])

@@ -326,7 +326,7 @@ _DOMAINS = {
          "l2 below max(nu/2 - 3/4, 1)"),
         (lambda order, x, l1, l2: isinstance(l1, int) and isinstance(l2, int),
          "l1 and l2 must be integers"),
-        _FINITE_X,
+        _FINITE_NU, _FINITE_X,
         (lambda *args: _is_double(_olver_width, *args), "the width leaves the doubles")),
     "phase_B": (
         _POSITIVE_X,

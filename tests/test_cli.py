@@ -245,6 +245,15 @@ def test_transition_refuses_a_non_finite_order(capsys, nu):
     assert err == "error: transition: nu must be finite\n"
 
 
+def test_olver_refuses_a_nan_order_before_its_width(capsys):
+    # NaN passed every term-count rule, and the width rule then called
+    # factorial of l1 = -1: "error: factorial() not defined for negative values"
+    code, out, err = run(capsys, "approx", "--method", "olver", "--nu", "nan", "--x", "10",
+                         "--l1=-1")
+    assert code == 2 and out == ""
+    assert err == "error: olver_expansion: nu must be finite\n"
+
+
 @pytest.mark.parametrize("x_hi", ["130", "nan", "-5", "0"])
 def test_envelope_maxima_refuses_x_hi_outside_the_ai_domain(capsys, x_hi):
     # refused before the crest search starts, not after it reaches x = 120

@@ -199,6 +199,8 @@ PINNED = [
      'olver_expansion: l1 and l2 must be integers'),
     ('olver_expansion(Order(1.0), 5.0, 3, 3.0)',
      'olver_expansion: l1 and l2 must be integers'),
+    ('olver_expansion(Order(math.nan), 1.0, -1, 1)',
+     'olver_expansion: nu must be finite'),
     ('phase_B(Order(0.0), 0.0)',
      'phase_B: x must be positive'),
     ('phase_B(Order(3.0), 1.0)',

@@ -6,8 +6,8 @@ with reals printed to 17 significant digits, so repeated runs with the same
 flags are byte-identical and the rows feed plotting tools directly.  Exit
 status: 0 all rows certified, 1 if any row has holds = false (as every row
 with ratio > 1 has), 2 with one "error:" line on usage errors, inputs outside
-a routine's domain or float range (an OverflowError included) or an
-unwritable --output.  Bound rows carry lhs/rhs/margin in
+a routine's domain or float range (an OverflowError included), a run with no
+rows or an unwritable --output.  Bound rows carry lhs/rhs/margin in
 value/oracle/half_width; nan fills the columns a subject has no use for.
 """
 
@@ -184,6 +184,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         rows = ns.run(ns)
+        if not rows:  # as scan refuses an empty grid: exit 0 would claim checks that never ran
+            raise ValueError(f"{ns.cmd}: no rows to check")
     # DomainError is a ValueError and PrecisionError a RuntimeError
     except (ValueError, OverflowError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)

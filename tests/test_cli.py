@@ -245,6 +245,16 @@ def test_transition_refuses_a_non_finite_order(capsys, nu):
     assert err == "error: transition: nu must be finite\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "plain"])
+def test_a_run_with_no_rows_is_refused(capsys, fmt):
+    # no hump maximum lies below x = 1: exit 0 would read "every check held"
+    # for a run that checked nothing
+    code, out, err = run(capsys, "bounds", "--name", "airy_envelope_maxima", "--x-hi", "1",
+                         "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: bounds: no rows to check\n"
+
+
 def test_olver_refuses_a_nan_order_before_its_width(capsys):
     # NaN passed every term-count rule, and the width rule then called
     # factorial of l1 = -1: "error: factorial() not defined for negative values"

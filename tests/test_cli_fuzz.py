@@ -55,9 +55,9 @@ def _argvs(seed: int, count: int) -> list[list[str]]:
 @pytest.mark.parametrize("seed", (1, 2, 3, 25))
 def test_every_argv_returns_rows_or_refuses(seed, capsys):
     # the run returns rows or raises DomainError, PrecisionError or a flag's
-    # ValueError, and main agrees: exit 0 or 1 with the same rows (none, as
-    # airy_envelope_maxima below its first hump, among them), else exit 2
-    # with one "error:" line
+    # ValueError, and main agrees: exit 0 or 1 with the same rows, else exit
+    # 2 with one "error:" line; a run with no rows (airy_envelope_maxima
+    # below its first hump, which seed 2 draws) exits 2 too
     parser = _build_parser()
     for argv in _argvs(seed, 200):
         ns = parser.parse_args(argv)
@@ -70,7 +70,7 @@ def test_every_argv_returns_rows_or_refuses(seed, capsys):
             rows = None
         code = main(argv)
         out, err = capsys.readouterr()
-        if rows is None:
+        if not rows:
             assert (code, out) == (2, "") and err.startswith("error: "), (argv, code, err)
             assert err.count("\n") == 1, (argv, err)
         else:

@@ -153,7 +153,7 @@ def refine_bessel_zero(order: Order, s: int) -> float:
                 m = 0.5 * (a + b)
                 return refine_root(f, (a, m) if (f(m) > 0) == (f_b > 0) else (m, b), 1e-11)
         a, f_a = b, f_b
-    raise PrecisionError("bessel zero scan exceeded the x cap")
+    raise PrecisionError("refine_bessel_zero: bessel zero scan exceeded the x cap")
 
 
 def center_gap_check(s: int) -> tuple[BoundReport, BoundReport]:

@@ -34,4 +34,4 @@ def full_walk_zero(order, s):
                         hi = mid
                 return refine_root(f, (xs[lo], xs[hi]), 1e-11)
         lo, v_lo = hi, v_hi
-    raise PrecisionError("bessel zero scan exceeded the x cap")
+    raise PrecisionError("refine_bessel_zero: bessel zero scan exceeded the x cap")

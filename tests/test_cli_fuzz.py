@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-from besselcert import DomainError, PrecisionError
+import besselcert as bc
+from besselcert import DomainError, PrecisionError, approx, bounds, oracle, scan, zeros
 from besselcert.cli import _build_parser, _render, main
 
 REALS = ("0", "-0", "1", "-1", "0.5", "-0.5", "2.5", "60", "199.5", "200", "200.5", "120.01",
@@ -25,6 +26,12 @@ NU_LISTS = ("0", "2.5", "-0.5,60", "1e154,1.34e154", "nan,inf", "-inf", "", "a,1
 # must be a DomainError
 FLAG_ERROR = re.compile(r"^(bounds --name \w+|zeros --family \w+) requires --\w+$"
                         r"|^--nu-list must be comma-separated reals, got ")
+# what an "error: <name>: ..." line may name: a public name, an entry of a
+# domain table (GridSpec, scan, sharp_low, ...) or a subcommand, for a run
+# with no rows
+COMMANDS = next(a for a in _build_parser()._actions if a.dest == "cmd").choices
+NAMES = {*bc.__all__, *COMMANDS,
+         *(name for module in (approx, bounds, oracle, scan, zeros) for name in module._DOMAINS)}
 
 
 def _values(action) -> tuple:
@@ -37,12 +44,11 @@ def _values(action) -> tuple:
 
 def _argvs(seed: int, count: int) -> list[list[str]]:
     rng = random.Random(seed)
-    commands = next(a for a in _build_parser()._actions if a.dest == "cmd").choices
     argvs = []
     for _ in range(count):
-        command = rng.choice(sorted(commands))
+        command = rng.choice(sorted(COMMANDS))
         argv = [command]
-        for action in commands[command]._actions:
+        for action in COMMANDS[command]._actions:
             if action.option_strings and action.dest not in ("help", "output") and (
                     action.required or action.dest in SIZES or rng.random() < 0.5):
                 argv.append(f"{action.option_strings[0]}={rng.choice(_values(action))}")
@@ -51,13 +57,14 @@ def _argvs(seed: int, count: int) -> list[list[str]]:
 
 
 # seed 25 draws sup --nu=1.34e154 --x-max=120.01 --coarse-points=10, whose
-# grid once read R past x_max and overflowed there
+# grid once read R past x_max and overflowed there; seed 3 draws
+# zeros --family=bessel --s=50 --nu=199.5, whose refusal once named no function
 @pytest.mark.parametrize("seed", (1, 2, 3, 25))
 def test_every_argv_returns_rows_or_refuses(seed, capsys):
     # the run returns rows or raises DomainError, PrecisionError or a flag's
     # ValueError, and main agrees: exit 0 or 1 with the same rows, else exit
-    # 2 with one "error:" line; a run with no rows (airy_envelope_maxima
-    # below its first hump, which seed 2 draws) exits 2 too
+    # 2 with one "error:" line that names what refused; a run with no rows
+    # (airy_envelope_maxima below its first hump, which seed 2 draws) exits 2 too
     parser = _build_parser()
     for argv in _argvs(seed, 200):
         ns = parser.parse_args(argv)
@@ -73,6 +80,8 @@ def test_every_argv_returns_rows_or_refuses(seed, capsys):
         if not rows:
             assert (code, out) == (2, "") and err.startswith("error: "), (argv, code, err)
             assert err.count("\n") == 1, (argv, err)
+            message = err.removeprefix("error: ")
+            assert FLAG_ERROR.match(message) or message.split(": ")[0] in NAMES, (argv, err)
         else:
             assert code == (0 if all(r.holds for r in rows) else 1), (argv, code)
             assert (err, out) == ("", _render(rows, ns.format)), argv

@@ -298,8 +298,8 @@ def test_same_outputs_dump_is_pinned(capsys):
     # fails here rather than waiting on a sha quoted by hand.  A change that
     # moves outputs on purpose re-pins the sha and lists the moved lines, as
     # the golden CLI digests do
-    assert same_outputs.main(["--expect", "77d98d5a542dae44"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1].startswith("lines 5166 sha256 77d98d5a542dae44")
+    assert same_outputs.main(["--expect", "bc7f23b58a7d2e92"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("lines 5166 sha256 bc7f23b58a7d2e92")
 
 
 def test_search_calls_calls_only_public_names():

@@ -22,7 +22,7 @@ import sys
 import pytest
 
 import besselcert as bc
-from besselcert import DomainError, Order, PrecisionError
+from besselcert import DomainError, Order, PrecisionError, approx, bounds, zeros
 
 REALS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1 / 3, 0.5, 2.5,
          math.nextafter(120.0, 0.0), 120.0, math.nextafter(120.0, math.inf),
@@ -51,6 +51,7 @@ def _int(rng):
 
 
 def _choice(names):
+    """A draw from names, a table's keys, or an unknown name."""
     return lambda rng: rng.choice((*names, "bogus"))
 
 
@@ -58,8 +59,8 @@ def _choice(names):
 ARGS = {
     "airy_ai_neg_prime_ref": (_real,),
     "airy_ai_neg_ref": (_real,),
-    "airy_approx": (_real, _choice(("classic", "sharp", "simplified"))),
-    "airy_zero_estimate": (_int, _choice(("full", "simplified"))),
+    "airy_approx": (_real, _choice(approx._AIRY_MODES)),
+    "airy_zero_estimate": (_int, _choice(zeros._ZERO_MODES)),
     "bessel_first_zeros_estimate": (_order, _int),
     "bessel_j_prime_ref": (_order, _real),
     "bessel_j_ref": (_order, _real),
@@ -85,7 +86,7 @@ ARGS = {
     "refine_bessel_zero": (_order, _int),
     "sharper_oscillatory": (_order, _real),
     "simplified_oscillatory": (_order, _real),
-    "sonin_eval": (_choice(("szego", "envelope", "airy")), _order, _real),
+    "sonin_eval": (_choice(bounds._SONIN), _order, _real),
     "transition": (_order, _real),
 }
 # public functions left out, each with its reason

@@ -15,24 +15,31 @@ integers, with ln Gamma(nu+1) cached per order as Stirling's series less
 the ln of its exact shift product.  The ln and the exp reduce their
 argument by one table each; the tables and constants come from the same
 integer atanh and exp series.  P is within about 1e-35 relative and is
-applied once, in the conversion to a double.  Every result carries an absolute
-error estimate, 3 ulp per term plus 20 against P times the largest term,
-plus the float rounding, and is cached finished.  The accuracy target is fixed:
-relative error 1e-12 (absolute 1e-22 where |J| < 1e-10); where cancellation
-leaves less than that, the call raises PrecisionError instead.
+applied once, in the conversion to a double.
 
-Past x = 200, the public cap, only the Airy paths call J: orders -1/3, 1/3,
-2/3 and 4/3 at zeta = 2x^(3/2)/3 up to 876, where the series needs up to 435
-digits.  There Hankel's expansion answers first, on the same 160-bit
-integers: P and Q from their exact term ratios, the phase reduced mod pi/2
-on guard bits, its cos and sin by Taylor's series and sqrt(2/(pi zeta)) by
-isqrt.  Its radius R, in ulps, adds each truncation, the first neglected
-terms (DLMF 10.17(iii)), the reduction's and pi's errors and the cos/sin
-tails.  The enclosure answers alone: the double nearest its midpoint, with R
-plus the float rounding as its error, at a median 31-36 us per J instead of
-about 2 ms.  Wherever both ends of the enclosure round to one double (Ziv's
-test, which every enclosure tried passed), that double is J correctly rounded
-and the series' own.
+Every result carries an absolute error estimate and is cached finished.
+The series' own bound, 3 ulp per term plus 20 against P times the largest
+term, and P's error give an enclosure of J.  Where both its ends round to
+the returned double (Ziv's test: A. Ziv, ACM TOMS 17(3), 1991), that double
+is J correctly rounded and the estimate is one ulp; elsewhere it is the
+bound plus the float rounding.  The accuracy target is fixed: relative
+error 1e-12 (absolute 1e-22 where |J| < 1e-10); where cancellation leaves
+less than that, the call raises PrecisionError instead.
+
+Past x = 100 Hankel's expansion is tried first, at every order, on the same
+160-bit integers: P and Q from their exact term ratios, the phase reduced
+mod pi/2 on guard bits, its cos and sin by Taylor's series and sqrt(2/(pi
+x)) by isqrt.  Its radius R, in ulps, adds each truncation, the first
+neglected terms (DLMF 10.17(iii), which asks for enough terms at large
+orders), the reduction's and pi's errors and the cos/sin tails.  It runs
+in about 30 us where the series takes 60-280 us.  Where its enclosure
+passes Ziv's test, that double, the series' own, answers with one ulp;
+below x = 200, the public cap, the series answers where it does not, or
+where the terms stop halving (4 nu^2 > 4x + 1 already at the first).  Past
+x = 200 only the Airy paths call J: orders -1/3, 1/3, 2/3 and 4/3 at zeta =
+2x^(3/2)/3 up to 876, where the series needs up to 435 digits.  There the
+enclosure answers alone: where it straddles, the double nearest its
+midpoint, with R plus the float rounding as its error.
 """
 
 from dataclasses import dataclass, field
@@ -41,6 +48,8 @@ import math
 import sys
 
 _PUBLIC_X_CAP = 200.0
+# past it _j_series_fixed tries Hankel's expansion before the series
+_HANKEL_X = 100.0
 _AIRY_X_CAP = 120.0
 _DIGIT_CAP = 500
 _TERM_CAP = 5000
@@ -313,18 +322,23 @@ def _prefactor(nu: tuple[int, int], x: float) -> tuple[int, int]:
 
 
 def _j_hankel(nu: tuple[int, int], x: float) -> tuple[int, int] | None:
-    """(V, R) with |J_nu(x) 2^_FB - V| <= R by Hankel's expansion, for |nu| <= 5/2 and
-    x > 100, or None where its terms stop halving.
+    """(V, R) with |J_nu(x) 2^_FB - V| <= R by Hankel's expansion, for x > 100, or
+    None where its terms stop halving or are too few for DLMF 10.17(iii).
 
     J_nu(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - (nu/2 + 1/4) pi,
     with P = t_0 - t_2 + t_4 - ... and Q = t_1 - t_3 + ... (DLMF 10.17.3).
     t_0 = 1 and t_k/t_(k-1) is the exact (4p^2 - (2k-1)^2 r^2) b / (8k a r^2) for
     nu = p/r and x = a/b.  The terms run on _FB-bit integers until one
     truncates to 0; each ratio must stay within 1/2 (at x > 100 it is near
-    k/(2x) < 1/4), so each term is within 2 ulp, the zero term is below 2
-    and the next below 1.  By DLMF 10.17(iii) each sum's remainder is below
-    its first neglected term once the sum holds a term and |nu| <= 5/2, so
-    P and Q together are within 2 ulp per term.  chi is reduced mod pi/2 on
+    k/(2x) < 1/4 for large k; at k = 1 it admits only 4 nu^2 <= 4x + 1), so
+    each term is within 2 ulp, the zero term is below 2 and the next below 1.
+    P and Q depend on nu^2 alone, and by DLMF 10.17(iii) each sum's
+    remainder is below its first neglected term once P holds l >= |nu|/2 -
+    1/4 terms and Q l >= |nu|/2 - 3/4, both at least one.  Counting the
+    zero term as neglected, P holds k//2 terms and Q (k-1)//2 at the loop's
+    end; Q holds none only where t_1 = 0 exactly, at |nu| = 1/2, where P = 1
+    and Q = 0.  Where a count falls short the path declines, so P and Q
+    together are within 2 ulp per term.  chi is reduced mod pi/2 on
     32 guard bits from _PI_62, within 2 ulp once shifted back, and
     _cos_sin gives cos and sin; sqrt(2/(pi x)) is one isqrt, within 2 ulp.
 
@@ -347,6 +361,8 @@ def _j_hankel(nu: tuple[int, int], x: float) -> tuple[int, int] | None:
         neg ^= num < 0
         pq[k & 1] += -term if neg ^ bool(k & 2) else term  # (-1)^(k//2) t_k
         k += 1
+    if 4 * r * (k // 2) < 2 * abs(p) - r or 4 * r * ((k - 1) // 2) < 2 * abs(p) - 3 * r:
+        return None  # DLMF 10.17(iii)'s term counts
     big_p, big_q = pq
     w = _FB + 32
     half_pi = (_PI_62 << (w - 1)) // 10 ** 62  # pi/2 2^w, within 1.01
@@ -362,24 +378,44 @@ def _j_hankel(nu: tuple[int, int], x: float) -> tuple[int, int] | None:
     return root * ((big_p * c - big_q * s) >> _FB) >> _FB, radius
 
 
-def _certified(value: float, err: float) -> EvalResult:
-    """EvalResult(value, err + the float rounding), or PrecisionError past the target."""
-    # below the normal range a double's rounding error is absolute
-    err += _FLOAT_ULP * abs(value) + math.ulp(0.0)
+def _on_target(value: float, err: float) -> EvalResult:
+    """EvalResult(value, err), or PrecisionError where err passes the 1e-12 target."""
     if err > _TARGET_REL_ERR * max(abs(value), 1e-10):
         raise PrecisionError("series error estimate exceeds the 1e-12 target")
     return EvalResult(value, err)
 
 
+def _certified(value: float, err: float) -> EvalResult:
+    """_on_target(value, err + the float rounding)."""
+    # below the normal range a double's rounding error is absolute
+    return _on_target(value, err + _FLOAT_ULP * abs(value) + math.ulp(0.0))
+
+
+def _ziv(lo: int, hi: int, den: int) -> EvalResult | None:
+    """_on_target(v, ulp(v)) where both ends of J's enclosure [lo, hi]/den round to
+    one double v other than 0, else None.
+
+    This is Ziv's test: rounding to nearest is monotone, so J rounds to v
+    too, and v is J correctly rounded.  Its error is then at most half an
+    ulp of v, also in the subnormals; the estimate states one ulp.  A 0 is
+    left to the caller, whose own division gives it J's sign."""
+    v = lo / den
+    if v and v == hi / den:
+        return _on_target(v, math.ulp(v))
+    return None
+
+
 @lru_cache(maxsize=200000)
 def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
-    """J_nu(x) for a double x as its certified EvalResult, summed at d = _digits_for(x) digits.
+    """J_nu(x) for a double x as its certified EvalResult: J correctly rounded, with
+    one ulp as its estimate, wherever Ziv's test passes (see _ziv).
 
-    Past the public x cap, where only the Airy paths call, _j_hankel's
-    enclosure [V - R, V + R] 2^-_FB answers: the double nearest V 2^-_FB,
-    with R 2^-_FB as its error, to which _certified adds the half ulp that
-    rounding V costs.  Where both ends round to one double (Ziv's test) it
-    is that double, J_nu(x) correctly rounded.
+    Past x = 100, at every order, _j_hankel's enclosure [V - R, V + R] 2^-_FB
+    is tried first, and answers where its ends pass Ziv's test.  Past the
+    public x cap, where only the Airy paths call, a straddling enclosure
+    answers too: the double nearest V 2^-_FB, with R 2^-_FB as its error, to
+    which _certified adds the half ulp that rounding V costs.  Everywhere
+    else the series answers, summed at d = _digits_for(x) digits.
 
     J_nu(x) = P sum_j (-1)^j u_j, P = (x/2)^nu / Gamma(nu+1) (see _prefactor).
     The u_j = (x^2/4)^j / (j! (nu+1)_j) run on integers from u_0 = 10^d,
@@ -391,19 +427,27 @@ def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
     divisor as a shift, for any r.  While 2^m t <= a^2 r the ratio is at
     least 1, so the rounded terms do not fall and the largest is the last
     of them; then they do not rise, and the sum runs two terms a pass, its
-    even and odd sums apart, to the first 0.  The error charges 3 ulp per
-    term, plus 20, against P times the largest term, with no floor; a first
-    0 at j >= _TERM_CAP raises PrecisionError.  The result converts to a
-    double by one correctly rounded integer division
-    (as Fraction's float() does, less its gcd); P's ~1e-35 relative error
-    vanishes in the float rounding charge.  Both exits finish through
-    _certified, so a hit returns the cached object with no arithmetic, and a
-    sum that cancels below the 1e-12 target raises inside the call: a
-    refusal is not cached, and a repeated refused call reruns its series.
+    even and odd sums apart, to the first 0; a first 0 at j >= _TERM_CAP
+    raises PrecisionError.  On the scale of u_0 the sum s is within E =
+    (3j + 20) tmax 10^-d (3 ulp per term, plus 20, against the largest term
+    tmax, with no floor), and P within 1e-35 relative, so J lies in [s - e,
+    s + e] P 10^-d for any e >= E + (|s| + E) 1e-35; e divides by powers of
+    two instead, so it is at most about twice that.  Where both ends of
+    that enclosure round to one double other than 0, it answers with one
+    ulp; elsewhere s P 10^-d answers, with E P 10^-d plus the float rounding
+    as its error.  Each double comes from one correctly rounded integer
+    division (as Fraction's float() does, less its gcd).  Every exit
+    finishes through _on_target, so a hit returns the cached object with no
+    arithmetic, and a sum that cancels below the 1e-12 target raises inside
+    the call: a refusal is not cached, and a repeated refused call reruns
+    its series.
     """
-    if x > _PUBLIC_X_CAP and (enclosure := _j_hankel(nu, x)):
+    if x > _HANKEL_X and (enclosure := _j_hankel(nu, x)):
         v, radius = enclosure
-        return _certified(v / (1 << _FB), radius / (1 << _FB))
+        if result := _ziv(v - radius, v + radius, 1 << _FB):
+            return result
+        if x > _PUBLIC_X_CAP:
+            return _certified(v / (1 << _FB), radius / (1 << _FB))
     a, b = x.as_integer_ratio()
     p, r = nu
     one = 10 ** _digits_for(x)
@@ -430,11 +474,16 @@ def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
         raise PrecisionError("series did not terminate within the term cap")
     num, den = _prefactor(nu, x)
     den *= one
-    return _certified(s * num / den, (3 * j + 20) * tmax * num / (den * one))
+    # E over the power of two below 10^d, then 2^-116 > 1e-35 of P's error
+    e = ((3 * j + 20) * tmax >> one.bit_length() - 1) + 1
+    e += (abs(s) + e >> 116) + 1
+    return (_ziv((s - e) * num, (s + e) * num, den)
+            or _certified(s * num / den, (3 * j + 20) * tmax * num / (den * one)))
 
 
 def bessel_j_ref(order: Order, x: float) -> EvalResult:
-    """J_nu(x) from the defining power series, digits growing with x.
+    """J_nu(x), correctly rounded with one ulp as its estimate wherever Ziv's test
+    passes on the series' or Hankel's enclosure (see _j_series_fixed).
 
     The target is fixed: relative error <= 1e-12 wherever |J| > 1e-10 and
     absolute error <= 1e-22 elsewhere, else PrecisionError; the returned

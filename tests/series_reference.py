@@ -33,4 +33,10 @@ def series_reference(nu, x):
         raise PrecisionError("series did not terminate within the term cap")
     num, den = oracle._prefactor(nu, x)
     den *= one
-    return oracle._certified(s * num / den, (3 * j + 20) * tmax * num / (den * one))
+    # Ziv's test on [s - e, s + e] P, e the bound (3j + 20) tmax 10^-d and P's
+    # 1e-35 relative error, each over a power of two no larger than its
+    # divisor; the bound itself where the ends straddle
+    e = (3 * j + 20) * tmax // (1 << one.bit_length() - 1) + 1
+    e += (abs(s) + e) // (1 << 116) + 1
+    return (oracle._ziv((s - e) * num, (s + e) * num, den)
+            or oracle._certified(s * num / den, (3 * j + 20) * tmax * num / (den * one)))

@@ -704,8 +704,8 @@ def test_hankel_gives_the_series_double_and_encloses_mpmath():
                 assert abs(v - truth * 2 ** oracle._FB) <= radius, (p / r, x)
                 value = _ziv((p, r), x)
                 assert value == _series((p, r), x).value, (p / r, x)
-                assert oracle._j_series_fixed((p, r), x) == oracle._certified(
-                    value, radius / 2 ** oracle._FB)
+                assert oracle._j_series_fixed((p, r), x) == oracle.EvalResult(
+                    value, math.ulp(value))
 
 
 @pytest.mark.parametrize("bits", [64, 100])
@@ -729,11 +729,88 @@ def test_hankel_gives_the_series_double_on_the_overlap():
             assert _ziv(nu, x) == oracle._j_series_fixed(nu, x).value, (nu, x)
 
 
+def _enclosures(nu, x):
+    """The Hankel enclosure (lo, hi, 2^_FB) and the series' [s - e, s + e] P as the
+    (lo, hi, den) _j_series_fixed hands to _ziv, with the series' double."""
+    v, radius = oracle._j_hankel(nu, x)
+    seen = []
+    ziv = oracle._ziv
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_ziv", lambda *ends: seen.append(ends) or ziv(*ends))
+        value = _series(nu, x).value
+    return (v - radius, v + radius, 1 << oracle._FB), seen[-1], value
+
+
+def test_hankel_and_series_enclosures_meet_past_the_airy_orders():
+    # on the overlap the series' bound and Hankel's share no code: where
+    # both admit (nu, x), their enclosures intersect and name one double
+    rng = random.Random(4901)
+    points = [(rng.uniform(-0.5, 14.0), rng.uniform(100.0, 200.0)) for _ in range(120)]
+    admitted = 0
+    for nu, x in points:
+        nu = nu.as_integer_ratio()
+        if oracle._j_hankel(nu, x) is None:
+            continue
+        admitted += 1
+        (h_lo, h_hi, h_den), (s_lo, s_hi, s_den), value = _enclosures(nu, x)
+        assert h_lo * s_den <= s_hi * h_den and s_lo * h_den <= h_hi * s_den, (nu, x)
+        assert _ziv(nu, x) == value, (nu, x)
+    assert admitted > len(points) // 2
+
+
+def test_public_j_past_100_against_mpmath():
+    # bessel_j_ref past x = 100 tries Hankel's enclosure first at every
+    # order; every value lies within its estimate, and some come from it
+    rng = random.Random(4902)
+    from_hankel = 0
+    with mpmath.workdps(30):
+        for _ in range(600):
+            nu, x = rng.uniform(-0.5, 60.0), 200.0 - 100.0 * rng.random()
+            r = bessel_j_ref(Order(nu), x)
+            truth = mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(x))
+            assert abs(mpmath.mpf(r.value) - truth) <= r.abs_err_estimate, (nu, x)
+            nu = nu.as_integer_ratio()
+            from_hankel += oracle._j_hankel(nu, x) is not None and _ziv(nu, x) is not None
+    assert from_hankel > 100
+
+
+def test_public_j_past_100_runs_no_series(monkeypatch):
+    # past x = 100 an order past the Airy ones is answered by Hankel's expansion
+    def no_series(x):
+        raise AssertionError(f"series run at x = {x}")
+
+    oracle._j_series_fixed.cache_clear()
+    monkeypatch.setattr(oracle, "_digits_for", no_series)
+    r = bessel_j_ref(Order(7.25), 150.0)
+    assert r.abs_err_estimate == math.ulp(r.value)
+
+
+def test_ziv_passes_on_a_seeded_public_grid():
+    # J correctly rounded, its estimate one ulp: where Ziv's test falls back
+    # the point must sit next to a zero, J changing sign within 1e-9 x
+    rng = random.Random(4903)
+    for _ in range(1500):
+        nu, x = rng.uniform(-0.5, 60.0), 10 ** rng.uniform(-3, math.log10(200))
+        r = bessel_j_ref(Order(nu), x)
+        if r.abs_err_estimate != math.ulp(r.value):
+            ends = [bessel_j_ref(Order(nu), x * (1 + d)).value for d in (-1e-9, 1e-9)]
+            assert ends[0] * ends[1] < 0, (nu, x)
+
+
 def test_hankel_declines_where_its_terms_stop_halving():
     # near zeta = 60 the ratio k/(2 zeta) passes 1/2 before a term vanishes
     for nu in AIRY_ORDERS:
         assert oracle._j_hankel(nu, 60.0) is None
         assert oracle._j_hankel(nu, 100.0) is not None
+
+
+def test_hankel_declines_where_dlmf_asks_for_more_terms():
+    # at nu = 1000, x = 1e6 the first ratio (4 nu^2 - 1)/(8x) is just below
+    # 1/2, but a term truncates to 0 at k = 35, when P holds 17 of the 500
+    # terms DLMF 10.17(iii) asks for; at nu = 10 it asks for 5
+    assert 2 * (4 * 1000 ** 2 - 1) <= 8 * 10 ** 6
+    assert oracle._j_hankel((1000, 1), 1e6) is None
+    assert oracle._j_hankel((10, 1), 1e6) is not None
 
 
 def test_cos_sin_within_its_error():
@@ -805,11 +882,14 @@ SERIES_XS = ([5e-324, 1e-300, 10.0, 200.0, 876.0]
 @pytest.mark.parametrize("raw", [False, True])
 def test_series_split_returns_the_former_loops_result(monkeypatch, raw):
     # the split divisor and the two phases sum the same u_j to the same j
-    # and tmax: the EvalResult is the former loop's bit for bit.  Its float
+    # and tmax: the EvalResult is the former loop's bit for bit.  Where
+    # Ziv's test passes the estimate is one ulp, and elsewhere its float
     # rounding charge swamps the series' own (3j + 20) tmax term, so raw
-    # passes that term through _certified unchanged, and a j or tmax off shows
+    # skips Ziv's test and passes that term through _certified unchanged,
+    # and a j or tmax off shows
     monkeypatch.setattr(oracle, "_j_hankel", lambda nu, x: None)
     if raw:
+        monkeypatch.setattr(oracle, "_ziv", lambda *args: None)
         monkeypatch.setattr(oracle, "_certified", oracle.EvalResult)
     points = [(nu, x) for nu in SERIES_ORDERS for x in SERIES_XS]
     # a term at t = floor(a^2 r / 4 b^2) exactly, with the ratio above 1:
@@ -827,18 +907,20 @@ def test_series_split_returns_the_former_loops_result(monkeypatch, raw):
 def test_series_split_refuses_at_the_same_term_cap(monkeypatch):
     # every cap from 1 to two past the first that sums: both refuse exactly
     # while the first 0 falls at j >= _TERM_CAP, whichever phase and parity
-    # it falls in
-    for nu, x in (((0, 1), 10.0), ((5, 2), 0.5), ((1, 2), 30.0), (oracle._NU_13, 3.7),
-                  ((119, 2), 150.0), ((1, 2), 1e-300)):
-        cap, summed = 1, 0
-        while summed < 3:
-            monkeypatch.setattr(oracle, "_TERM_CAP", cap)
-            expected = _series_outcome(series_reference, nu, x)
-            assert _series_outcome(oracle._j_series_fixed.__wrapped__, nu, x) == expected, (
-                nu, x, cap)
-            summed += isinstance(expected, tuple)
-            cap += 1
-        assert cap > 4, (nu, x)  # the first cap that sums is past 1
+    # it falls in; with Ziv's test off the estimate is the series' own bound
+    for ziv in (oracle._ziv, lambda *ends: None):
+        monkeypatch.setattr(oracle, "_ziv", ziv)
+        for nu, x in (((0, 1), 10.0), ((5, 2), 0.5), ((1, 2), 30.0), (oracle._NU_13, 3.7),
+                      ((119, 2), 150.0), ((1, 2), 1e-300)):
+            cap, summed = 1, 0
+            while summed < 3:
+                monkeypatch.setattr(oracle, "_TERM_CAP", cap)
+                expected = _series_outcome(series_reference, nu, x)
+                assert _series_outcome(oracle._j_series_fixed.__wrapped__, nu, x) == expected, (
+                    nu, x, cap)
+                summed += isinstance(expected, tuple)
+                cap += 1
+            assert cap > 4, (nu, x)  # the first cap that sums is past 1
 
 
 def test_prefactor_returns_its_references_doubles(monkeypatch):

@@ -31,7 +31,7 @@ and, where they differ, prints both to stderr and exits 1, so a script can
 gate on it.  An empty or non-hex prefix is refused with exit 2, since the
 empty one would match every sha:
 
-    python3 tools/same_outputs.py --expect bc7f23b58a7d2e92 > dump.txt
+    python3 tools/same_outputs.py --expect cea6236782a77649 > dump.txt
 """
 
 import argparse

@@ -100,6 +100,81 @@ PINNED_PAST_ZETA_200 = [
     ("Aip", None, 120.0, "-0x1.8036be89a18dep+0", "0x1.86fdadb1171e7p-41"),
 ]
 
+# The estimates as first pinned, for the outputs whose estimate moved when J's
+# estimate became one ulp.  They serve only as test ids, so that each case
+# keeps its name across that deliberate re-pin; the assertions use the tables.
+FIRST_PINNED_ESTIMATE = {
+    ('J', -0.5, 1e-300): '0x1.028a8d8169695p+446',
+    ('J', -0.5, 0.01): '0x1.0875209a2f0c4p-49',
+    ('J', -0.5, 3.7): '0x1.752449d85c808p-54',
+    ('J', -0.5, 61.25): '0x1.32142054b9462p-62',
+    ('J', -0.5, 200.0): '0x1.d279bf1e6f771p-58',
+    ('J', 0.0, 1e-300): '0x1.092c04a82e8ccp-52',
+    ('J', 0.0, 0.01): '0x1.092a5233b3998p-52',
+    ('J', 0.0, 3.7): '0x1.a77566cc267e4p-54',
+    ('J', 0.0, 61.25): '0x1.35d50ba11c42cp-56',
+    ('J', 0.0, 200.0): '0x1.05fd2624a52a0p-58',
+    ('J', 0.3333333333333333, 1e-300): '0x1.9c697993a6bd1p-385',
+    ('J', 0.3333333333333333, 0.01): '0x1.963783061fa3fp-55',
+    ('J', 0.3333333333333333, 3.7): '0x1.3b8223d1962a7p-54',
+    ('J', 0.3333333333333333, 61.25): '0x1.a323aa5498e5bp-56',
+    ('J', 0.3333333333333333, 200.0): '0x1.57969cfdb3df5p-57',
+    ('J', 2.5, 0.01): '0x1.27cdacad05d73p-73',
+    ('J', 2.5, 3.7): '0x1.e493c435e4503p-54',
+    ('J', 2.5, 61.25): '0x1.b069028aac990p-56',
+    ('J', 2.5, 200.0): '0x1.9e8e22d3d8341p-57',
+    ('J', 10.0, 0.01): '0x1.c44e8e10b5668p-151',
+    ('J', 10.0, 3.7): '0x1.9a2c39b0a9895p-66',
+    ('J', 10.0, 61.25): '0x1.103b8135fa9ecp-61',
+    ('J', 10.0, 200.0): '0x1.9f7efbd80f342p-62',
+    ('J', 45.1, 0.01): '0x1.63ef5a9bf5709p-584',
+    ('J', 45.1, 3.7): '0x1.18d5f8600305cp-199',
+    ('J', 45.1, 61.25): '0x1.5b50a604c503ep-56',
+    ('J', 45.1, 200.0): '0x1.34b4b450852afp-61',
+    ('J', 60.0, 0.01): '0x1.383bcd54d17f3p-783',
+    ('J', 60.0, 3.7): '0x1.102cb5ea2f7c3p-271',
+    ('J', 60.0, 61.25): '0x1.34c98363a2837p-55',
+    ('J', 60.0, 200.0): '0x1.21d5c663a4da0p-57',
+    ('Jp', 0.5, 1e-08): '0x1.0245b023346e8p-39',
+    ('Jp', 0.5, 7.3): '0x1.2513e5a178684p-54',
+    ('Jp', 0.5, 150.0): '0x1.83dddd0ab3fc1p-56',
+    ('Jp', 2.5, 1e-08): '0x1.362cb12a86ed2p-94',
+    ('Jp', 2.5, 7.3): '0x1.0096360fbef76p-55',
+    ('Jp', 2.5, 150.0): '0x1.8ba403118e014p-56',
+    ('Jp', 10.0, 1e-08): '0x1.5274fa0d51fd5p-319',
+    ('Jp', 10.0, 7.3): '0x1.42662f5cb597cp-56',
+    ('Jp', 10.0, 150.0): '0x1.05a68f2d1d3b7p-55',
+    ('Jp', 45.1, 7.3): '0x1.932316ecfa1dbp-152',
+    ('Jp', 45.1, 150.0): '0x1.9491d03ab2f88p-57',
+    ('Ai', None, 1.0): '0x1.927264ec426a1p-51',
+    ('Ai', None, 44.0): '0x1.52d204191b5a1p-46',
+    ('Aip', None, 1.0): '0x1.c29117b253c92p-50',
+    ('Aip', None, 44.0): '0x1.1eaf3ec71a5d8p-43',
+    ('Ai', None, 44.85): '0x1.5abba0d14b169p-46',
+    ('Ai', None, 45.0): '0x1.5cca1af15d8b7p-46',
+    ('Ai', None, 50.0): '0x1.8b636cf266d4cp-46',
+    ('Ai', None, 60.0): '0x1.eb66228ef93d3p-46',
+    ('Ai', None, 75.0): '0x1.419013532a6a8p-45',
+    ('Ai', None, 90.0): '0x1.9163d2139be3dp-45',
+    ('Ai', None, 105.0): '0x1.e3cbefd0d4da4p-45',
+    ('Ai', None, 120.0): '0x1.1c47a4eca5404p-44',
+    ('Aip', None, 44.85): '0x1.2b1559d216111p-43',
+    ('Aip', None, 45.0): '0x1.290baa6dd8237p-43',
+    ('Aip', None, 50.0): '0x1.6291671d076b7p-43',
+    ('Aip', None, 60.0): '0x1.e5e168ed67b3ep-43',
+    ('Aip', None, 75.0): '0x1.6064a42b1ab40p-42',
+    ('Aip', None, 90.0): '0x1.df3c138bdf5fbp-42',
+    ('Aip', None, 105.0): '0x1.37c645f018629p-41',
+    ('Aip', None, 120.0): '0x1.87116c8be8473p-41',
+}
+
+
+def _case_id(case):
+    kind, nu, x, value, estimate = case
+    return "-".join(str(p) for p in
+                    (kind, nu, x, value, FIRST_PINNED_ESTIMATE.get((kind, nu, x), estimate)))
+
+
 _CALLS = {
     "J": lambda nu, x: bessel_j_ref(Order(nu), x),
     "Jp": lambda nu, x: bessel_j_prime_ref(Order(nu), x),
@@ -108,7 +183,8 @@ _CALLS = {
 }
 
 
-@pytest.mark.parametrize("kind,nu,x,value,estimate", PINNED)
+@pytest.mark.parametrize("kind,nu,x,value,estimate", PINNED,
+                         ids=[_case_id(c) for c in PINNED])
 def test_oracle_output_is_pinned(kind, nu, x, value, estimate):
     if kind == "gamma":
         assert gamma(x).hex() == value
@@ -117,7 +193,8 @@ def test_oracle_output_is_pinned(kind, nu, x, value, estimate):
     assert (r.value.hex(), r.abs_err_estimate.hex()) == (value, estimate)
 
 
-@pytest.mark.parametrize("kind,nu,x,value,estimate", PINNED_PAST_ZETA_200)
+@pytest.mark.parametrize("kind,nu,x,value,estimate", PINNED_PAST_ZETA_200,
+                         ids=[_case_id(c) for c in PINNED_PAST_ZETA_200])
 def test_airy_output_past_zeta_200_is_pinned(kind, nu, x, value, estimate):
     r = _CALLS[kind](nu, x)
     assert (r.value.hex(), r.abs_err_estimate.hex()) == (value, estimate)

@@ -32,14 +32,14 @@ mod pi/2 on guard bits, its cos and sin by Taylor's series and sqrt(2/(pi
 x)) by isqrt.  Its radius R, in ulps, adds each truncation, the first
 neglected terms (DLMF 10.17(iii), which asks for enough terms at large
 orders), the reduction's and pi's errors and the cos/sin tails.  It runs
-in about 30 us where the series takes 60-280 us.  Where its enclosure
-passes Ziv's test, that double, the series' own, answers with one ulp;
-below x = 200, the public cap, the series answers where it does not, or
-where the terms stop halving (4 nu^2 > 4x + 1 already at the first).  Past
-x = 200 only the Airy paths call J: orders -1/3, 1/3, 2/3 and 4/3 at zeta =
-2x^(3/2)/3 up to 876, where the series needs up to 435 digits.  There the
-enclosure answers alone: where it straddles, the double nearest its
-midpoint, with R plus the float rounding as its error.
+in about 30 us where the series takes 60-280 us.  Wherever its terms
+halve (below x = 200, the public cap, 4 nu^2 <= 4x + 1 already at the
+first) the enclosure answers alone: where it passes Ziv's test, that
+double, the series' own, with one ulp; where it straddles, the double
+nearest its midpoint, with R plus the float rounding as its error.
+Elsewhere the series answers.  Past x = 200 only the Airy paths call J:
+orders -1/3, 1/3, 2/3 and 4/3 at zeta = 2x^(3/2)/3 up to 876, where the
+series needs up to 435 digits.
 """
 
 from dataclasses import dataclass, field
@@ -411,11 +411,11 @@ def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
     one ulp as its estimate, wherever Ziv's test passes (see _ziv).
 
     Past x = 100, at every order, _j_hankel's enclosure [V - R, V + R] 2^-_FB
-    is tried first, and answers where its ends pass Ziv's test.  Past the
-    public x cap, where only the Airy paths call, a straddling enclosure
-    answers too: the double nearest V 2^-_FB, with R 2^-_FB as its error, to
-    which _certified adds the half ulp that rounding V costs.  Everywhere
-    else the series answers, summed at d = _digits_for(x) digits.
+    is tried first, and wherever it admits (nu, x) it answers alone: the
+    double both ends round to where they pass Ziv's test, else the double
+    nearest V 2^-_FB, with R 2^-_FB as its error, to which _certified adds
+    the half ulp that rounding V costs.  Everywhere else the series
+    answers, summed at d = _digits_for(x) digits.
 
     J_nu(x) = P sum_j (-1)^j u_j, P = (x/2)^nu / Gamma(nu+1) (see _prefactor).
     The u_j = (x^2/4)^j / (j! (nu+1)_j) run on integers from u_0 = 10^d,
@@ -444,10 +444,8 @@ def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
     """
     if x > _HANKEL_X and (enclosure := _j_hankel(nu, x)):
         v, radius = enclosure
-        if result := _ziv(v - radius, v + radius, 1 << _FB):
-            return result
-        if x > _PUBLIC_X_CAP:
-            return _certified(v / (1 << _FB), radius / (1 << _FB))
+        return (_ziv(v - radius, v + radius, 1 << _FB)
+                or _certified(v / (1 << _FB), radius / (1 << _FB)))
     a, b = x.as_integer_ratio()
     p, r = nu
     one = 10 ** _digits_for(x)

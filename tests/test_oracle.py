@@ -674,11 +674,14 @@ def test_a_refusal_is_not_cached(monkeypatch):
     assert messages[0] == messages[1] == "series error estimate exceeds the 1e-12 target"
 
 
-# Hankel's expansion, which answers for the Airy paths' orders past zeta = 200
+# Hankel's expansion, which answers for J past x = 100 wherever its terms
+# halve: public J and the Airy paths' orders, up to zeta = 876
 AIRY_ORDERS = (oracle._NU_M13, oracle._NU_13, oracle._NU_23, oracle._NU_43)
 _HANKEL_RNG = random.Random(22)
 HANKEL_ZETAS = ([_HANKEL_RNG.uniform(200.0, 876.0) for _ in range(40)]
                 + [math.nextafter(200.0, 876.0), 876.0])
+_OVERLAP_RNG = random.Random(23)
+OVERLAP_XS = [_OVERLAP_RNG.uniform(100.0, 200.0) for _ in range(12)] + [100.0, 200.0]
 
 
 def _series(nu, x):
@@ -721,10 +724,11 @@ def test_hankel_radius_holds_at_fewer_bits(monkeypatch, bits):
 
 
 def test_hankel_gives_the_series_double_on_the_overlap():
-    # below the public cap the series answers; the helper, called directly,
-    # names the same doubles down to zeta = 100
-    rng = random.Random(23)
-    for x in [rng.uniform(100.0, 200.0) for _ in range(12)] + [100.0, 200.0]:
+    # the helper, called directly, names _j_series_fixed's doubles down to
+    # zeta = 100; past x = 100 _j_series_fixed answers from the enclosure
+    # itself, so only x = 100 reaches the series here, and the series is
+    # compared at these points in the enclosures-meet test below
+    for x in OVERLAP_XS:
         for nu in AIRY_ORDERS:
             assert _ziv(nu, x) == oracle._j_series_fixed(nu, x).value, (nu, x)
 
@@ -743,19 +747,17 @@ def _enclosures(nu, x):
 
 def test_hankel_and_series_enclosures_meet_past_the_airy_orders():
     # on the overlap the series' bound and Hankel's share no code: where
-    # both admit (nu, x), their enclosures intersect and name one double
+    # both admit (nu, x), their enclosures intersect and name one double;
+    # the Airy orders at OVERLAP_XS too, which Hankel always admits
     rng = random.Random(4901)
-    points = [(rng.uniform(-0.5, 14.0), rng.uniform(100.0, 200.0)) for _ in range(120)]
-    admitted = 0
-    for nu, x in points:
-        nu = nu.as_integer_ratio()
-        if oracle._j_hankel(nu, x) is None:
-            continue
-        admitted += 1
+    points = [(rng.uniform(-0.5, 14.0).as_integer_ratio(), rng.uniform(100.0, 200.0))
+              for _ in range(120)]
+    admitted = [(nu, x) for nu, x in points if oracle._j_hankel(nu, x) is not None]
+    assert len(admitted) > len(points) // 2
+    for nu, x in admitted + [(nu, x) for x in OVERLAP_XS for nu in AIRY_ORDERS]:
         (h_lo, h_hi, h_den), (s_lo, s_hi, s_den), value = _enclosures(nu, x)
         assert h_lo * s_den <= s_hi * h_den and s_lo * h_den <= h_hi * s_den, (nu, x)
         assert _ziv(nu, x) == value, (nu, x)
-    assert admitted > len(points) // 2
 
 
 def test_public_j_past_100_against_mpmath():
@@ -828,14 +830,15 @@ def test_cos_sin_within_its_error():
 
 def test_a_straddling_enclosure_returns_its_midpoints_double(monkeypatch):
     # a radius of 2^108 ulp puts a rounding boundary inside the enclosure:
-    # the path returns V's double, whose estimate still encloses J; at 2^150
-    # ulp the estimate passes the target and the call refuses
+    # the path returns V's double, whose estimate still encloses J, below
+    # the public cap as past it; at 2^150 ulp the estimate passes the
+    # target and the call refuses
     hankel = oracle._j_hankel
     one = 1 << oracle._FB
     for bits in (108, 150):
         monkeypatch.setattr(oracle, "_j_hankel", lambda nu, x: (hankel(nu, x)[0], 1 << bits))
         with mpmath.workdps(60):
-            for x in HANKEL_ZETAS[:3]:
+            for x in HANKEL_ZETAS[:3] + [150.0]:
                 for p, r in AIRY_ORDERS:
                     v, radius = oracle._j_hankel((p, r), x)
                     assert (v - radius) / one != (v + radius) / one, (p / r, x)

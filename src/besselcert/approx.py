@@ -91,9 +91,16 @@ def olver_coefficient(nu: float, i: int) -> float:
     """a_i(nu) = (1/2-nu)_i (1/2+nu)_i / (2^i i!), the expansion coefficients.
 
     a_0 = 1; all a_i with i >= 1 vanish at nu = 1/2 where the expansion
-    terminates exactly.  Raises OverflowError from i = 151 on, where the
-    divisor 2^i i! leaves the doubles, before a loop of i steps.
+    terminates exactly.  Raises DomainError unless i is an integer >= 0 and
+    nu is finite, and OverflowError from i = 151 on, where the divisor
+    2^i i! leaves the doubles, before a loop of i steps.
     """
+    check_domain(_DOMAINS, "olver_coefficient", nu, i)
+    return _olver_coefficient(nu, i)
+
+
+def _olver_coefficient(nu: float, i: int) -> float:
+    # olver_coefficient past its rules, which olver_expansion's own provide
     if i >= _OLVER_I_CAP:
         raise OverflowError("olver_coefficient: 2^i i! leaves the doubles")
     acc = 1.0
@@ -112,9 +119,9 @@ def olver_expansion(order: Order, x: float, l1: int, l2: int) -> ApproxValue:
     nu = 0, x = 20, l1 = l2 = 3.
     """
     check_domain(_DOMAINS, "olver_expansion", order, x, l1, l2)
-    cos_sum = sum((-1) ** i * olver_coefficient(order.nu, 2 * i) * x ** (-2 * i)
+    cos_sum = sum((-1) ** i * _olver_coefficient(order.nu, 2 * i) * x ** (-2 * i)
                   for i in range(l1))
-    sin_sum = sum((-1) ** i * olver_coefficient(order.nu, 2 * i + 1) * x ** (-2 * i - 1)
+    sin_sum = sum((-1) ** i * _olver_coefficient(order.nu, 2 * i + 1) * x ** (-2 * i - 1)
                   for i in range(l2))
     value = SQRT_2_OVER_PI / math.sqrt(x) * (math.cos(x - order.omega) * cos_sum
                                              + math.sin(x - order.omega) * sin_sum)
@@ -123,8 +130,8 @@ def olver_expansion(order: Order, x: float, l1: int, l2: int) -> ApproxValue:
 
 def _olver_width(order: Order, x: float, l1: int, l2: int) -> float:
     return SQRT_2_OVER_PI / math.sqrt(x) * (
-        abs(olver_coefficient(order.nu, 2 * l1)) * x ** (-2 * l1)
-        + abs(olver_coefficient(order.nu, 2 * l2 + 1)) * x ** (-2 * l2 - 1))
+        abs(_olver_coefficient(order.nu, 2 * l1)) * x ** (-2 * l1)
+        + abs(_olver_coefficient(order.nu, 2 * l2 + 1)) * x ** (-2 * l2 - 1))
 
 
 def phase_B(order: Order, x: float) -> PhaseValue:
@@ -317,6 +324,9 @@ _DOMAINS = {
     "classic_oscillatory": (
         *_BEST_BASE, _FINITE_X,
         (lambda *args: _is_double(_classic_width, *args), "the width leaves the doubles")),
+    "olver_coefficient": (
+        (lambda nu, i: isinstance(i, int) and i >= 0, "i must be an integer >= 0"),
+        (lambda nu, i: math.isfinite(nu), "nu must be finite")),
     "olver_expansion": (
         (lambda order, x, l1, l2: not order.nu < 0, "nu must be >= 0"),
         _POSITIVE_X,

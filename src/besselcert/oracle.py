@@ -29,17 +29,19 @@ less than that, the call raises PrecisionError instead.
 Past x = 100 Hankel's expansion is tried first, at every order, on the same
 160-bit integers: P and Q from their exact term ratios, the phase reduced
 mod pi/2 on guard bits, its cos and sin by Taylor's series and sqrt(2/(pi
-x)) by isqrt.  Its radius R, in ulps, adds each truncation, the first
-neglected terms (DLMF 10.17(iii), which asks for enough terms at large
-orders), the reduction's and pi's errors and the cos/sin tails.  It runs
-in about 30 us where the series takes 60-280 us.  Wherever its terms
-halve (below x = 200, the public cap, 4 nu^2 <= 4x + 1 already at the
-first) the enclosure answers alone: where it passes Ziv's test, that
-double, the series' own, with one ulp; where it straddles, the double
-nearest its midpoint, with R plus the float rounding as its error.
-Elsewhere the series answers.  Past x = 200 only the Airy paths call J:
-orders -1/3, 1/3, 2/3 and 4/3 at zeta = 2x^(3/2)/3 up to 876, where the
-series needs up to 435 digits.
+x)) by isqrt.  Before the turning point 2k - 1 = 2 nu its terms may grow,
+up to 2^64, with each one's truncation error carried as an integer bound;
+past it they must halve.  Its radius R, in ulps, adds those bounds, the
+first neglected terms (DLMF 10.17(iii), which asks for enough terms at
+large orders), the reduction's and pi's errors and the cos/sin tails,
+scaled by the computed |P| + |Q|.  It runs in 45-100 us where the series
+takes 100-560 us, and at x > 100 it admits every order up to about 100,
+past the orders in use.  Wherever it admits (nu, x) the enclosure answers
+alone: where it passes Ziv's test, that double, the series' own, with one
+ulp; where it straddles, the double nearest its midpoint, with R plus the
+float rounding as its error.  Elsewhere the series answers.  Past x = 200
+only the Airy paths call J: orders -1/3, 1/3, 2/3 and 4/3 at zeta =
+2x^(3/2)/3 up to 876, where the series needs up to 435 digits.
 """
 
 from dataclasses import dataclass, field
@@ -52,6 +54,11 @@ _PUBLIC_X_CAP = 200.0
 _HANKEL_X = 100.0
 _AIRY_X_CAP = 120.0
 _DIGIT_CAP = 500
+# Hankel's terms may grow before the turning point, to 2^64 at most: R then
+# stays below 2^66 ulps, 2^-94, 2^38 below the ulp of |J| = 1/16.  At x > 100
+# the cap admits nu up to about 101 (x = 101) to 140 (x = 199), well past
+# nu = 60, and a huge order passes it within a few steps
+_HANKEL_TERM_BITS = 64
 _TERM_CAP = 5000
 # float conversion plus a couple of float ops, per rounding step
 _FLOAT_ULP = 2.3e-16
@@ -323,44 +330,68 @@ def _prefactor(nu: tuple[int, int], x: float) -> tuple[int, int]:
 
 def _j_hankel(nu: tuple[int, int], x: float) -> tuple[int, int] | None:
     """(V, R) with |J_nu(x) 2^_FB - V| <= R by Hankel's expansion, for x > 100, or
-    None where its terms stop halving or are too few for DLMF 10.17(iii).
+    None where a term grows past 2^_HANKEL_TERM_BITS, where the terms stop
+    halving past the turning point, or where they are too few for DLMF
+    10.17(iii).
 
     J_nu(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - (nu/2 + 1/4) pi,
     with P = t_0 - t_2 + t_4 - ... and Q = t_1 - t_3 + ... (DLMF 10.17.3).
     t_0 = 1 and t_k/t_(k-1) is the exact (4p^2 - (2k-1)^2 r^2) b / (8k a r^2) for
-    nu = p/r and x = a/b.  The terms run on _FB-bit integers until one
-    truncates to 0; each ratio must stay within 1/2 (at x > 100 it is near
-    k/(2x) < 1/4 for large k; at k = 1 it admits only 4 nu^2 <= 4x + 1), so
-    each term is within 2 ulp, the zero term is below 2 and the next below 1.
-    P and Q depend on nu^2 alone, and by DLMF 10.17(iii) each sum's
-    remainder is below its first neglected term once P holds l >= |nu|/2 -
-    1/4 terms and Q l >= |nu|/2 - 3/4, both at least one.  Counting the
-    zero term as neglected, P holds k//2 terms and Q (k-1)//2 at the loop's
-    end; Q holds none only where t_1 = 0 exactly, at |nu| = 1/2, where P = 1
-    and Q = 0.  Where a count falls short the path declines, so P and Q
-    together are within 2 ulp per term.  chi is reduced mod pi/2 on
-    32 guard bits from _PI_62, within 2 ulp once shifted back, and
-    _cos_sin gives cos and sin; sqrt(2/(pi x)) is one isqrt, within 2 ulp.
+    nu = p/r and x = a/b, of size rho_k.  The terms run on _FB-bit integers,
+    each truncating down, until one truncates to 0.  Before the turning
+    point 2k - 1 = 2|nu| rho_k falls as k grows, so the terms may grow only
+    at first, while rho_k > 1; past it rho_k rises, and each must stay
+    within 1/2, so the terms reach 0.  A computed term's error stays below
+    the integer E_k = ceil(rho_k E_(k-1)) + 1, E_0 = 0, in ulps: the loop
+    carries it while rho_k > 1 and bounds it by E_(k-1) + 1 from then on.
+    At the zero term t_(k-1) the true term is below E_(k-1) and t_k below
+    ceil(rho_k E_(k-1)) < E_k, so the sum D of E_1, ..., E_k bounds the
+    computed terms' errors and both neglected terms.  P and Q depend on
+    nu^2 alone, and by DLMF 10.17(iii) each sum's remainder is below its
+    first neglected term once P holds l >= |nu|/2 - 1/4 terms and Q l >=
+    |nu|/2 - 3/4, both at least one, whatever the terms did before.
+    Counting the zero term as neglected, P holds k//2 terms and Q (k-1)//2
+    at the loop's end; Q holds none only where t_1 = 0 exactly, at |nu| =
+    1/2, where P = 1 and Q = 0.  Where a count falls short the path
+    declines, so the computed P~ and Q~ are within D together.  chi is
+    reduced mod pi/2 on 32 guard bits from _PI_62, within 2 ulp once
+    shifted back, and _cos_sin gives cos and sin within dcos; with the
+    reduction's dchi, each is within dcs = dcos + dchi.  sqrt(2/(pi x)) is
+    one isqrt, below 1 and within 2 ulp.
 
-    R adds these: 2 (dP + dQ) + 4 (dcos + dchi) + 1 for P cos chi - Q sin chi,
-    as |P|, |cos|, |sin| < 2 and |Q| < 1, then 3 dsqrt + 1 for the product
-    with the square root, as that difference is below 3 and the root below 1.
+    R adds these.  P cos chi - Q sin chi is within D + A dcs 2^-_FB of
+    P~ cos~ - Q~ sin~, as |cos|, |sin| <= 1, with the amplitude A = |P~| +
+    |Q~| (at most the sum of the |t_k|), plus 1 where that product
+    truncates.  The root's 2 ulp against |P cos chi - Q sin chi| <= A + D
+    add 2 (A + D) 2^-_FB, and the last product truncates by 1 more:
+    R = D + (A (dcs + 2) + 2D) 2^-_FB + 3, rounded up.
     """
     a, b = x.as_integer_ratio()
     p, r = nu
     one = 1 << _FB
     p4, r2, den8 = 4 * p * p, r * r, 8 * a * r * r
-    pq, term, neg, k = [one, 0], one, False, 1
+    pq, term, neg, k, m = [one, 0], one, False, 1, 1
+    e = err = 0
     while True:
         num, den = (p4 - (2 * k - 1) ** 2 * r2) * b, k * den8
-        if 2 * abs(num) > den:  # the error bounds need |t_k| <= |t_(k-1)|/2
+        if 2 * num < -den:  # past the turning point each term must halve
             return None
-        if not term:  # t_(k-1) is the zero term, and t_k is below half of it
+        if not term:  # t_(k-1) is the zero term
             break
         term = term * abs(num) // den
+        if num > den:  # rho_k > 1, before the turning point: t_k and E_k may grow
+            if term >> (_FB + _HANKEL_TERM_BITS):
+                return None
+            e = -(-num * e // den) + 1
+            err += e
+            m = k + 1  # from t_m on rho_k <= 1, so E_k <= E_(k-1) + 1
         neg ^= num < 0
         pq[k & 1] += -term if neg ^ bool(k & 2) else term  # (-1)^(k//2) t_k
         k += 1
+    # E_m + ... + E_k <= j e + j (j + 1)/2, j = k - m + 1: the errors of t_m,
+    # ..., t_(k-2) and the bounds of the neglected t_(k-1) and t_k
+    j = k - m + 1
+    err += j * e + j * (j + 1) // 2
     if 4 * r * (k // 2) < 2 * abs(p) - r or 4 * r * ((k - 1) // 2) < 2 * abs(p) - 3 * r:
         return None  # DLMF 10.17(iii)'s term counts
     big_p, big_q = pq
@@ -372,9 +403,8 @@ def _j_hankel(nu: tuple[int, int], x: float) -> tuple[int, int] | None:
     c, s, dcos = _cos_sin(f >> (w - _FB))
     c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[n % 4]
     root = math.isqrt((b << (2 * _FB + w)) // (a * half_pi))
-    # k - 1 terms, each within 2 ulp, and the remainders below 3: dP + dQ < 2k;
-    # then 3 dsqrt + 1 = 7 for the product with the root
-    radius = 2 * (2 * k) + 4 * (dcos + dchi) + 1 + 7
+    amp = abs(big_p) + abs(big_q)
+    radius = err + ((amp * (dcos + dchi + 2) + 2 * err) >> _FB) + 3
     return root * ((big_p * c - big_q * s) >> _FB) >> _FB, radius
 
 
@@ -411,11 +441,13 @@ def _j_series_fixed(nu: tuple[int, int], x: float) -> EvalResult:
     one ulp as its estimate, wherever Ziv's test passes (see _ziv).
 
     Past x = 100, at every order, _j_hankel's enclosure [V - R, V + R] 2^-_FB
-    is tried first, and wherever it admits (nu, x) it answers alone: the
-    double both ends round to where they pass Ziv's test, else the double
-    nearest V 2^-_FB, with R 2^-_FB as its error, to which _certified adds
-    the half ulp that rounding V costs.  Everywhere else the series
-    answers, summed at d = _digits_for(x) digits.
+    is tried first, and wherever it admits (nu, x), which is every order up
+    to about 100 there, it answers alone: the double both ends round to
+    where they pass Ziv's test, else the double nearest V 2^-_FB, with R
+    2^-_FB as its error, to which _certified adds the half ulp that
+    rounding V costs.  Everywhere else the series answers, summed at d =
+    _digits_for(x) digits: below x = 100, and past it at orders whose
+    Hankel terms grow past 2^64.
 
     J_nu(x) = P sum_j (-1)^j u_j, P = (x/2)^nu / Gamma(nu+1) (see _prefactor).
     The u_j = (x^2/4)^j / (j! (nu+1)_j) run on integers from u_0 = 10^d,

@@ -201,6 +201,16 @@ PINNED = [
      'olver_expansion: l1 and l2 must be integers'),
     ('olver_expansion(Order(math.nan), 1.0, -1, 1)',
      'olver_expansion: nu must be finite'),
+    # olver_coefficient's own rules: a negative or non-integer i, then a
+    # non-finite nu, which raised a bare ValueError or returned nan
+    ('olver_coefficient(0.7, -1)',
+     'olver_coefficient: i must be an integer >= 0'),
+    ('olver_coefficient(0.7, 2.0)',
+     'olver_coefficient: i must be an integer >= 0'),
+    ('olver_coefficient(math.nan, 2)',
+     'olver_coefficient: nu must be finite'),
+    ('olver_coefficient(math.inf, 0)',
+     'olver_coefficient: nu must be finite'),
     ('phase_B(Order(0.0), 0.0)',
      'phase_B: x must be positive'),
     ('phase_B(Order(3.0), 1.0)',

@@ -91,8 +91,8 @@ ARGS = {
 }
 # public functions left out, each with its reason
 EXCLUDED = {
-    "olver_coefficient": "no domain table: inf or nan for a non-finite nu and past "
-                         "its numerator's float overflow, a bare ValueError at i < 0",
+    "olver_coefficient": "-inf past its numerator's float overflow, from about i = 100 "
+                         "at nu = 0.7, inside its domain",
     "transition_x": "no domain table: nu + nu^(1/3) z, inf or nan wherever its inputs are",
     "refine_root": "takes a function, not values",
     "airy_envelope_maxima": "a crest search to x_hi; the CLI fuzz draws it",

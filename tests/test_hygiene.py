@@ -11,6 +11,8 @@ import sys
 
 import pytest
 
+from besselcert import oracle
+import path_share
 import same_outputs
 import src_lines
 
@@ -355,3 +357,17 @@ def test_src_lines_parts_sum_to_each_files_lines():
     sample = ('"""Module doc.\n\nmore."""\n\n# a comment\nx = 1  # after code\n'
               'def f():\n    """Doc."""\n    s = """\n# in a string\n"""\n    return s\n')
     assert src_lines.line_kinds(sample) == {"code": 6, "docstring": 4, "comment": 1, "blank": 1}
+
+
+def test_path_share_counts_each_miss_by_caller_band_and_exit():
+    # tools/path_share.py on three calls: public J at an order whose Hankel
+    # terms pass the growth cap, public J below x = 100, and Ai(-100), whose
+    # two J at zeta = 666.7 pass Ziv's test; the wrapped oracle is restored
+    hankel = oracle._j_hankel
+    ops = [("j", 130.0, 150.0), ("j", 5.0, 50.0), ("ai", 100.0)]
+    counts, failed = path_share.path_counts(ops)
+    assert failed == 0
+    assert counts == {("public", "(100, 200]", "series"): 1, ("public", "<= 100", "series"): 1,
+                      ("airy", "> 200", "ziv"): 2}
+    assert oracle._j_hankel is hankel
+    assert path_share.path_counts(ops)[0] == counts  # the cache is cleared first

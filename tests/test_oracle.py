@@ -675,7 +675,8 @@ def test_a_refusal_is_not_cached(monkeypatch):
 
 
 # Hankel's expansion, which answers for J past x = 100 wherever its terms
-# halve: public J and the Airy paths' orders, up to zeta = 876
+# reach 0 without growing past its cap: public J and the Airy paths'
+# orders, up to zeta = 876
 AIRY_ORDERS = (oracle._NU_M13, oracle._NU_13, oracle._NU_23, oracle._NU_43)
 _HANKEL_RNG = random.Random(22)
 HANKEL_ZETAS = ([_HANKEL_RNG.uniform(200.0, 876.0) for _ in range(40)]
@@ -799,6 +800,46 @@ def test_ziv_passes_on_a_seeded_public_grid():
             assert ends[0] * ends[1] < 0, (nu, x)
 
 
+def test_hankel_admits_every_order_to_60_past_x_100():
+    # before the turning point the terms may grow, their errors carried:
+    # every nu <= 60 on (100, 200] is admitted, every enclosure holds
+    # mpmath's J, and every double it names by Ziv's test is the series' own
+    rng = random.Random(5001)
+    points = [(rng.uniform(-0.5, 60.0).as_integer_ratio(), 200.0 - 100.0 * rng.random())
+              for _ in range(300)]
+    points += [(nu, 200.0 - 100.0 * rng.random()) for _ in range(10) for nu in AIRY_ORDERS]
+    with mpmath.workdps(60):
+        for (p, r), x in points:
+            enclosure = oracle._j_hankel((p, r), x)
+            assert enclosure is not None, (p / r, x)
+            v, radius = enclosure
+            truth = mpmath.besselj(mpmath.mpf(p) / r, x)
+            assert abs(v - truth * 2 ** oracle._FB) <= radius, (p / r, x)
+            if (value := _ziv((p, r), x)) is not None:
+                assert value == _series((p, r), x).value, (p / r, x)
+
+
+def test_hankel_declines_where_its_terms_grow_past_the_cap(monkeypatch):
+    # at x = 150 the largest term is about 2^62 at nu = 120 and 2^73 at
+    # nu = 130, which the cap alone declines: with it raised to 2^80 the
+    # enclosure holds J.  nu = 2000 passes 2^64 at its sixth term
+    assert oracle._j_hankel((120, 1), 150.0) is not None
+    assert oracle._j_hankel((130, 1), 150.0) is None
+    assert oracle._j_hankel((2000, 1), 150.0) is None
+    monkeypatch.setattr(oracle, "_HANKEL_TERM_BITS", 80)
+    v, radius = oracle._j_hankel((130, 1), 150.0)
+    with mpmath.workdps(60):
+        assert abs(v - mpmath.besselj(130, 150) * 2 ** oracle._FB) <= radius
+
+
+def test_hankel_declines_where_its_terms_stop_halving_past_the_turning_point():
+    # nu = 20: the terms grow for three steps at either x; past the turning
+    # point k = 20.5 the ratio reaches 1/2 at k = 67 at x = 60, before a
+    # term truncates to 0, and not at x = 150
+    assert oracle._j_hankel((20, 1), 60.0) is None
+    assert oracle._j_hankel((20, 1), 150.0) is not None
+
+
 def test_hankel_declines_where_its_terms_stop_halving():
     # near zeta = 60 the ratio k/(2 zeta) passes 1/2 before a term vanishes
     for nu in AIRY_ORDERS:
@@ -910,7 +951,9 @@ def test_series_split_returns_the_former_loops_result(monkeypatch, raw):
 def test_series_split_refuses_at_the_same_term_cap(monkeypatch):
     # every cap from 1 to two past the first that sums: both refuse exactly
     # while the first 0 falls at j >= _TERM_CAP, whichever phase and parity
-    # it falls in; with Ziv's test off the estimate is the series' own bound
+    # it falls in; with Ziv's test off the estimate is the series' own bound.
+    # The Hankel path is off, so (119/2, 150) runs the series
+    monkeypatch.setattr(oracle, "_j_hankel", lambda nu, x: None)
     for ziv in (oracle._ziv, lambda *ends: None):
         monkeypatch.setattr(oracle, "_ziv", ziv)
         for nu, x in (((0, 1), 10.0), ((5, 2), 0.5), ((1, 2), 30.0), (oracle._NU_13, 3.7),

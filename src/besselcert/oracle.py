@@ -29,14 +29,14 @@ less than that, the call raises PrecisionError instead.
 Past x = 100 Hankel's expansion is tried first, at every order, on the same
 160-bit integers: P and Q from their exact term ratios, the phase reduced
 mod pi/2 on guard bits, its cos and sin by Taylor's series and sqrt(2/(pi
-x)) by isqrt.  Before the turning point 2k - 1 = 2 nu its terms may grow,
-up to 2^64, with each one's truncation error carried as an integer bound;
-past it they must halve.  Its radius R, in ulps, adds those bounds, the
-first neglected terms (DLMF 10.17(iii), which asks for enough terms at
-large orders), the reduction's and pi's errors and the cos/sin tails,
-scaled by the computed |P| + |Q|.  It runs in 45-100 us where the series
-takes 100-560 us, and at x > 100 it admits every order up to about 100,
-past the orders in use.  Wherever it admits (nu, x) the enclosure answers
+x)) by isqrt.  Before the turning point 2k - 1 = 2 nu its terms may grow, up
+to 2^64, with each one's truncation error carried as an integer bound; past
+it they must halve.  Its radius R, in ulps, adds those bounds, the first
+neglected terms (DLMF 10.17(iii), which asks for enough terms at large
+orders), the reduction's and pi's errors and the cos/sin tails, scaled by
+the computed |P| + |Q|.  It takes a sixth to four fifths of the series' time
+(the most as nu nears 60 and x nears 100), and at x > 100 it admits every
+order up to about 100.  Wherever it admits (nu, x) the enclosure answers
 alone: where it passes Ziv's test, that double, the series' own, with one
 ulp; where it straddles, the double nearest its midpoint, with R plus the
 float rounding as its error.  Elsewhere the series answers.  Past x = 200

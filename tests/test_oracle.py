@@ -833,9 +833,10 @@ def test_hankel_declines_where_its_terms_grow_past_the_cap(monkeypatch):
 
 
 def test_hankel_declines_where_its_terms_stop_halving_past_the_turning_point():
-    # nu = 20: the terms grow for three steps at either x; past the turning
-    # point k = 20.5 the ratio reaches 1/2 at k = 67 at x = 60, before a
-    # term truncates to 0, and not at x = 150
+    # nu = 20: the first ratio passes 1/2 at both x, and the terms grow for
+    # three steps at x = 60 and one at x = 150; past the turning point
+    # k = 20.5 the ratio reaches 1/2 at k = 67 at x = 60, before a term
+    # truncates to 0, and at x = 150 only at k = 154, long after
     assert oracle._j_hankel((20, 1), 60.0) is None
     assert oracle._j_hankel((20, 1), 150.0) is not None
 
